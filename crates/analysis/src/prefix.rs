@@ -34,6 +34,41 @@ impl Compensated {
     }
 }
 
+/// One compensated prefix-sum column, stored struct-of-arrays: entry
+/// `k` is the Neumaier pair `(sum[k], comp[k])` after the first `k`
+/// values. Separate `sum`/`comp` vectors let [`PrefixOls::sse_row`]
+/// stream each half as a contiguous slice.
+#[derive(Debug, Clone)]
+struct Column {
+    sum: Vec<f64>,
+    comp: Vec<f64>,
+}
+
+impl Column {
+    fn with_capacity(n: usize) -> Self {
+        let mut col = Column { sum: Vec::with_capacity(n + 1), comp: Vec::with_capacity(n + 1) };
+        col.push(Compensated::default());
+        col
+    }
+
+    fn push(&mut self, acc: Compensated) {
+        self.sum.push(acc.sum);
+        self.comp.push(acc.comp);
+    }
+
+    /// Entry `j` and the `sum`/`comp` slices of the entries in `starts`:
+    /// the operands of every `column[j] − column[i]` with `i` in `starts`.
+    fn row(&self, starts: std::ops::Range<usize>, j: usize) -> (f64, f64, &[f64], &[f64]) {
+        (self.sum[j], self.comp[j], &self.sum[starts.clone()], &self.comp[starts])
+    }
+
+    /// `column[j] − column[i]`, see [`diff`].
+    #[inline(always)]
+    fn diff(&self, i: usize, j: usize) -> f64 {
+        diff(self.sum[j], self.comp[j], self.sum[i], self.comp[i])
+    }
+}
+
 /// Prefix-sum tables over a sorted-by-x dataset answering "what is the
 /// OLS SSE of the stretch `[i, j)`?" in constant time.
 #[derive(Debug, Clone)]
@@ -43,23 +78,71 @@ pub struct PrefixOls {
     /// Global mean of y (centering offset).
     mean_y: f64,
     /// Prefix sums of centered x.
-    px: Vec<Compensated>,
+    px: Column,
     /// Prefix sums of centered y.
-    py: Vec<Compensated>,
+    py: Column,
     /// Prefix sums of centered x².
-    pxx: Vec<Compensated>,
+    pxx: Column,
     /// Prefix sums of centered x·y.
-    pxy: Vec<Compensated>,
+    pxy: Column,
     /// Prefix sums of centered y².
-    pyy: Vec<Compensated>,
+    pyy: Column,
 }
 
-/// Difference of two compensated prefix entries, `b − a`, carried out in
+/// Difference `b − a` of two compensated prefix entries, carried out in
 /// the two-float representation: the principal sums subtract with little
 /// cancellation error (they share magnitude), and the compensation terms
 /// restore the bits a single rounded f64 per entry would lose.
-fn diff(b: Compensated, a: Compensated) -> f64 {
-    (b.sum - a.sum) + (b.comp - a.comp)
+#[inline(always)]
+fn diff(b_sum: f64, b_comp: f64, a_sum: f64, a_comp: f64) -> f64 {
+    (b_sum - a_sum) + (b_comp - a_comp)
+}
+
+/// Centered moments of one stretch of `m` points, from the prefix
+/// differences of the five columns. This is the single formula behind
+/// [`PrefixOls::sse`], [`PrefixOls::line`] and [`PrefixOls::sse_row`],
+/// so the three cannot drift apart bit-wise.
+#[derive(Clone, Copy)]
+struct Moments {
+    m: f64,
+    sx: f64,
+    sy: f64,
+    sxx: f64,
+    sxy: f64,
+    syy: f64,
+}
+
+impl Moments {
+    #[inline(always)]
+    fn new(m: f64, [sx, sy, dxx, dxy, dyy]: [f64; 5]) -> Self {
+        Moments {
+            m,
+            sx,
+            sy,
+            sxx: dxx - sx * sx / m,
+            sxy: dxy - sx * sy / m,
+            syy: dyy - sy * sy / m,
+        }
+    }
+
+    /// Residual sum of squares of a stretch of at least two points.
+    /// Branch-free (every term is computed, then selected), so a loop over
+    /// many stretches vectorizes.
+    #[inline(always)]
+    fn sse(&self, two_points: bool) -> f64 {
+        let fit = (self.syy - self.sxy * self.sxy / self.sxx).max(0.0);
+        // Two points with distinct x are fitted exactly; computing the
+        // zero through the moment formula would instead leave
+        // cancellation residue of the global moments' magnitude.
+        let fit = if two_points { 0.0 } else { fit };
+        // All x in the stretch are (numerically) equal: the naive fit
+        // reports DegeneratePredictor.
+        if self.sxx <= 0.0 {
+            f64::INFINITY
+        } else {
+            fit
+        }
+    }
 }
 
 impl PrefixOls {
@@ -79,17 +162,11 @@ impl PrefixOls {
         // additions, which matters because sse() subtracts prefixes of
         // nearly equal magnitude.
         let mut acc = [Compensated::default(); 5];
-        let zero = Compensated::default();
-        let mut px = vec![zero];
-        let mut py = vec![zero];
-        let mut pxx = vec![zero];
-        let mut pxy = vec![zero];
-        let mut pyy = vec![zero];
-        px.reserve(n);
-        py.reserve(n);
-        pxx.reserve(n);
-        pxy.reserve(n);
-        pyy.reserve(n);
+        let mut px = Column::with_capacity(n);
+        let mut py = Column::with_capacity(n);
+        let mut pxx = Column::with_capacity(n);
+        let mut pxy = Column::with_capacity(n);
+        let mut pyy = Column::with_capacity(n);
         for (&xi, &yi) in x.iter().zip(y) {
             let cx = xi - mean_x;
             let cy = yi - mean_y;
@@ -109,12 +186,27 @@ impl PrefixOls {
 
     /// Number of observations covered by the tables.
     pub fn len(&self) -> usize {
-        self.px.len() - 1
+        self.px.sum.len() - 1
     }
 
     /// Whether the tables cover no observations.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Centered moments of the stretch `[i, j)` (caller checks bounds).
+    #[inline(always)]
+    fn moments(&self, i: usize, j: usize) -> Moments {
+        Moments::new(
+            (j - i) as f64,
+            [
+                self.px.diff(i, j),
+                self.py.diff(i, j),
+                self.pxx.diff(i, j),
+                self.pxy.diff(i, j),
+                self.pyy.diff(i, j),
+            ],
+        )
     }
 
     /// OLS residual sum of squares of the half-open stretch `[i, j)`,
@@ -127,45 +219,57 @@ impl PrefixOls {
     /// # Panics
     /// Panics when `i > j` or `j > len()`.
     pub fn sse(&self, i: usize, j: usize) -> f64 {
-        assert!(i <= j && j < self.px.len(), "stretch [{i}, {j}) out of bounds");
-        let m = (j - i) as f64;
+        assert!(i <= j && j <= self.len(), "stretch [{i}, {j}) out of bounds");
         if j - i < 2 {
             return f64::INFINITY;
         }
-        let sx = diff(self.px[j], self.px[i]);
-        let sy = diff(self.py[j], self.py[i]);
-        let sxx = diff(self.pxx[j], self.pxx[i]) - sx * sx / m;
-        if sxx <= 0.0 {
-            // All x in the stretch are (numerically) equal: the naive
-            // fit reports DegeneratePredictor.
-            return f64::INFINITY;
+        self.moments(i, j).sse(j - i == 2)
+    }
+
+    /// Fills `out[t]` with `sse(start + t, j)`: the SSE of every stretch
+    /// that ends at `j` and starts in `start..start + out.len()`. Same
+    /// formula and bits as [`sse`](Self::sse), evaluated branch-free over
+    /// contiguous column slices so the loop vectorizes.
+    ///
+    /// # Panics
+    /// Panics when a stretch would hold fewer than two points
+    /// (`start + out.len() + 1 > j`) or `j > len()`.
+    pub(crate) fn sse_row(&self, start: usize, j: usize, out: &mut [f64]) {
+        let end = start + out.len();
+        assert!(end < j && j <= self.len(), "row [{start}..{end}, {j}) out of bounds");
+        let len = out.len();
+        let (xj, xjc, xs, xc) = self.px.row(start..end, j);
+        let (yj, yjc, ys, yc) = self.py.row(start..end, j);
+        let (xxj, xxjc, xxs, xxc) = self.pxx.row(start..end, j);
+        let (xyj, xyjc, xys, xyc) = self.pxy.row(start..end, j);
+        let (yyj, yyjc, yys, yyc) = self.pyy.row(start..end, j);
+        for t in 0..len {
+            let points = j - (start + t);
+            let moments = Moments::new(
+                points as f64,
+                [
+                    diff(xj, xjc, xs[t], xc[t]),
+                    diff(yj, yjc, ys[t], yc[t]),
+                    diff(xxj, xxjc, xxs[t], xxc[t]),
+                    diff(xyj, xyjc, xys[t], xyc[t]),
+                    diff(yyj, yyjc, yys[t], yyc[t]),
+                ],
+            );
+            out[t] = moments.sse(points == 2);
         }
-        if j - i == 2 {
-            // Two points with distinct x are fitted exactly; computing
-            // the zero through the moment formula would instead leave
-            // cancellation residue of the global moments' magnitude.
-            return 0.0;
-        }
-        let sxy = diff(self.pxy[j], self.pxy[i]) - sx * sy / m;
-        let syy = diff(self.pyy[j], self.pyy[i]) - sy * sy / m;
-        (syy - sxy * sxy / sxx).max(0.0)
     }
 
     /// Slope and intercept (in the original, uncentered coordinates) of
     /// the OLS line over `[i, j)`, or `None` for degenerate stretches.
     pub fn line(&self, i: usize, j: usize) -> Option<(f64, f64)> {
-        assert!(i <= j && j < self.px.len(), "stretch [{i}, {j}) out of bounds");
-        let m = (j - i) as f64;
+        assert!(i <= j && j <= self.len(), "stretch [{i}, {j}) out of bounds");
         if j - i < 2 {
             return None;
         }
-        let sx = diff(self.px[j], self.px[i]);
-        let sy = diff(self.py[j], self.py[i]);
-        let sxx = diff(self.pxx[j], self.pxx[i]) - sx * sx / m;
+        let Moments { m, sx, sy, sxx, sxy, .. } = self.moments(i, j);
         if sxx <= 0.0 {
             return None;
         }
-        let sxy = diff(self.pxy[j], self.pxy[i]) - sx * sy / m;
         let slope = sxy / sxx;
         // centered intercept, then shift back to original coordinates
         let intercept_c = (sy - slope * sx) / m;
@@ -263,6 +367,33 @@ mod tests {
             let slow = naive_stretch_sse(&x, &y, i, j);
             assert!((fast - slow).abs() <= 5e-8 * slow.max(1.0), "[{i},{j}): {fast} vs {slow}");
         }
+    }
+
+    #[test]
+    fn sse_row_matches_sse_bit_for_bit() {
+        // Runs of equal x (infinite stretches), 2-point stretches (the
+        // exact-zero path) and a large offset on x (cancellation).
+        let x: Vec<f64> = (0..48).map(|i| 1.0e6 + ((i / 3) as f64) * 512.0).collect();
+        let y: Vec<f64> = x
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| 3.0 + 1.0e-3 * v + ((i * 7919) % 13) as f64)
+            .collect();
+        let p = PrefixOls::new(&x, &y);
+        let mut row = vec![0.0; x.len()];
+        let mut infinite = 0;
+        for j in 2..=x.len() {
+            for start in 0..j - 1 {
+                let out = &mut row[..j - 1 - start];
+                p.sse_row(start, j, out);
+                for (t, v) in out.iter().enumerate() {
+                    let i = start + t;
+                    assert_eq!(v.to_bits(), p.sse(i, j).to_bits(), "[{i}, {j}): row {v}");
+                    infinite += usize::from(v.is_infinite());
+                }
+            }
+        }
+        assert!(infinite > 0, "the data must exercise the degenerate-x path");
     }
 
     #[test]

@@ -8,6 +8,7 @@ use charm_analysis::outliers::{self, Rule};
 use charm_analysis::piecewise::PiecewiseLinear;
 use charm_analysis::prefix::{naive_stretch_sse, PrefixOls};
 use charm_analysis::regression;
+use charm_analysis::segmented::{reference, segment, SegmentConfig};
 use proptest::prelude::*;
 
 /// Non-degenerate finite sample.
@@ -197,6 +198,55 @@ proptest! {
                     "stretch [{}, {}): prefix {} vs naive {}", i, j, fast, slow
                 );
             }
+        }
+    }
+
+    #[test]
+    fn segment_matches_reference_dp_bit_for_bit(
+        mut steps in prop::collection::vec(0u32..40, 0..72),
+        wide_x in any::<bool>(),
+        noise in prop::collection::vec(-50.0..50.0f64, 72),
+        y_kind in 0u8..3,
+        slope in -0.5..0.5f64,
+        max_breaks in 0usize..=6,
+        min_points in 0usize..8,
+        penalty_kind in 0u8..3,
+        penalty_value in 0.0..200.0f64,
+    ) {
+        // Sorted x with frequent exact duplicates (stretches of equal x
+        // have an infinite SSE), optionally at message-size magnitudes.
+        // Already sorted, so segment()'s stable sort keeps the order
+        // PrefixOls sees.
+        steps.sort_unstable();
+        let scale = if wide_x { 4096.0 } else { 1.0 };
+        let x: Vec<f64> = steps.iter().map(|&s| 8.0 + f64::from(s) * scale).collect();
+        // Constant y (every stretch's SSE is exactly 0), a noisy line that
+        // jumps halfway, or small integers (candidates can tie exactly).
+        let y: Vec<f64> = match y_kind {
+            0 => vec![7.25; x.len()],
+            1 => steps
+                .iter()
+                .zip(&x)
+                .zip(&noise)
+                .map(|((&s, &v), &e)| if s < 20 { 20.0 + slope * v } else { 900.0 - v } + e)
+                .collect(),
+            _ => noise[..x.len()].iter().map(|e| (e.abs() as u32 % 3) as f64).collect(),
+        };
+        // The derived BIC penalty, the segment_with_k_breaks path, or an
+        // explicit one.
+        let penalty = [None, Some(0.0), Some(penalty_value)][usize::from(penalty_kind)];
+        let config = SegmentConfig { max_breaks, min_points_per_segment: min_points, penalty };
+        let prefix = PrefixOls::new(&x, &y);
+        let fast = segment(&x, &y, &config);
+        let oracle = reference(&x, &y, &config, |i, j| prefix.sse(i, j));
+        match (fast, oracle) {
+            (Ok(fast), Ok(oracle)) => {
+                prop_assert_eq!(fast.score.to_bits(), oracle.score.to_bits());
+                prop_assert_eq!(fast.sse.to_bits(), oracle.sse.to_bits());
+                prop_assert_eq!(&fast.breakpoints, &oracle.breakpoints);
+                prop_assert_eq!(format!("{:?}", fast.model), format!("{:?}", oracle.model));
+            }
+            (fast, oracle) => prop_assert_eq!(fast.err(), oracle.err()),
         }
     }
 }

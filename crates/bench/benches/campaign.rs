@@ -5,7 +5,7 @@
 //! produces the machine-readable `BENCH_campaign.json` counterpart.
 
 use charm_analysis::prefix::naive_stretch_sse;
-use charm_analysis::segmented::{segment, SegmentConfig};
+use charm_analysis::segmented::{reference, segment, SegmentConfig};
 use charm_design::doe::FullFactorial;
 use charm_design::plan::ExperimentPlan;
 use charm_design::{sampling, Factor};
@@ -148,57 +148,16 @@ fn piecewise_data(n: usize) -> (Vec<f64>, Vec<f64>) {
     (xs, ys)
 }
 
-/// The pre-optimization segmentation search, kept verbatim for
-/// comparison: the identical DP, but every candidate stretch pays an
-/// O(j − i) OLS refit (memoized across segment counts, as the old
-/// `stretch_sse` did). Expects x sorted ascending and an explicit
-/// penalty so old and new search the same space.
+/// The pre-optimization segmentation search: the reference DP with an
+/// O(j − i) OLS refit per candidate stretch (memoized across segment
+/// counts, as the old `stretch_sse` did). Expects x sorted ascending.
 fn refit_dp_breakpoints(x: &[f64], y: &[f64], config: &SegmentConfig) -> Vec<f64> {
-    let n = x.len();
-    let m = config.min_points_per_segment.max(2);
-    let penalty = config.penalty.expect("bench passes an explicit penalty");
-    let kmax = config.max_breaks + 1;
-    let inf = f64::INFINITY;
-    let mut memo: HashMap<(usize, usize), f64> = HashMap::new();
-    let mut sse_of =
-        |i: usize, j: usize| *memo.entry((i, j)).or_insert_with(|| naive_stretch_sse(x, y, i, j));
-    let mut cost = vec![vec![inf; kmax + 1]; n + 1];
-    let mut back = vec![vec![0usize; kmax + 1]; n + 1];
-    cost[0][0] = 0.0;
-    for k in 1..=kmax {
-        for j in (k * m)..=n {
-            for i in ((k - 1) * m)..=(j - m) {
-                if cost[i][k - 1] == inf {
-                    continue;
-                }
-                let c = cost[i][k - 1] + sse_of(i, j);
-                if c < cost[j][k] {
-                    cost[j][k] = c;
-                    back[j][k] = i;
-                }
-            }
-        }
-    }
-    let mut best_k = 1;
-    let mut best_score = inf;
-    for (k, row) in cost[n].iter().enumerate().take(kmax + 1).skip(1) {
-        let score = row + penalty * k as f64;
-        if score < best_score {
-            best_score = score;
-            best_k = k;
-        }
-    }
-    let mut splits = Vec::new();
-    let mut j = n;
-    for k in (1..=best_k).rev() {
-        let i = back[j][k];
-        if i > 0 {
-            splits.push(i);
-        }
-        j = i;
-    }
-    splits.sort_unstable();
-    splits.iter().map(|&i| (x[i - 1] + x[i]) / 2.0).collect()
+    let mut memo = HashMap::new();
+    reference(x, y, config, |i, j| {
+        *memo.entry((i, j)).or_insert_with(|| naive_stretch_sse(x, y, i, j))
+    })
+    .unwrap()
+    .breakpoints
 }
 
 fn segmentation(c: &mut Criterion) {

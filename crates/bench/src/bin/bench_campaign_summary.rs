@@ -33,8 +33,8 @@
 use charm_analysis::bootstrap::mean_ci;
 use charm_analysis::changepoint::binary_segmentation;
 use charm_analysis::loess::{loess, LoessConfig};
-use charm_analysis::prefix::naive_stretch_sse;
-use charm_analysis::segmented::{segment, SegmentConfig};
+use charm_analysis::prefix::{naive_stretch_sse, PrefixOls};
+use charm_analysis::segmented::{reference, segment, SegmentConfig};
 use charm_design::doe::FullFactorial;
 use charm_design::plan::ExperimentPlan;
 use charm_design::{sampling, Factor};
@@ -97,55 +97,6 @@ fn piecewise_data(n: usize) -> (Vec<f64>, Vec<f64>) {
         })
         .collect();
     (xs, ys)
-}
-
-/// The pre-optimization DP (O(j − i) refit per candidate, memoized).
-fn refit_dp(x: &[f64], y: &[f64], config: &SegmentConfig) -> Vec<f64> {
-    let n = x.len();
-    let m = config.min_points_per_segment.max(2);
-    let penalty = config.penalty.expect("explicit penalty");
-    let kmax = config.max_breaks + 1;
-    let inf = f64::INFINITY;
-    let mut memo: HashMap<(usize, usize), f64> = HashMap::new();
-    let mut sse_of =
-        |i: usize, j: usize| *memo.entry((i, j)).or_insert_with(|| naive_stretch_sse(x, y, i, j));
-    let mut cost = vec![vec![inf; kmax + 1]; n + 1];
-    let mut back = vec![vec![0usize; kmax + 1]; n + 1];
-    cost[0][0] = 0.0;
-    for k in 1..=kmax {
-        for j in (k * m)..=n {
-            for i in ((k - 1) * m)..=(j - m) {
-                if cost[i][k - 1] == inf {
-                    continue;
-                }
-                let c = cost[i][k - 1] + sse_of(i, j);
-                if c < cost[j][k] {
-                    cost[j][k] = c;
-                    back[j][k] = i;
-                }
-            }
-        }
-    }
-    let mut best_k = 1;
-    let mut best_score = inf;
-    for (k, row) in cost[n].iter().enumerate().take(kmax + 1).skip(1) {
-        let score = row + penalty * k as f64;
-        if score < best_score {
-            best_score = score;
-            best_k = k;
-        }
-    }
-    let mut splits = Vec::new();
-    let mut j = n;
-    for k in (1..=best_k).rev() {
-        let i = back[j][k];
-        if i > 0 {
-            splits.push(i);
-        }
-        j = i;
-    }
-    splits.sort_unstable();
-    splits.iter().map(|&i| (x[i - 1] + x[i]) / 2.0).collect()
 }
 
 /// A Figure-6-shaped memory campaign: buffer sizes crossing every cache
@@ -359,6 +310,12 @@ fn main() {
         segment(&xs, &ys, &config).unwrap();
     });
     println!("  segment (prefix DP) {:>8.1} ms", segment_s * 1e3);
+    // The fast kernel must reproduce the plain triple-loop DP bit for bit.
+    let fast = segment(&xs, &ys, &config).unwrap();
+    let prefix = PrefixOls::new(&xs, &ys);
+    let oracle = reference(&xs, &ys, &config, |i, j| prefix.sse(i, j)).unwrap();
+    assert_eq!(fast.score.to_bits(), oracle.score.to_bits());
+    assert_eq!(fast, oracle);
 
     let changepoint_s = median_of(repeats, || {
         binary_segmentation(&ys, 5, 50.0).unwrap();
@@ -463,15 +420,21 @@ fn main() {
     if args.refit_dp {
         // The O(n³) refit DP is timed once — at 6000 points it needs
         // minutes, which is exactly the point of the comparison.
+        // Memoized across segment counts, as the pre-prefix-sum search was.
+        let mut memo = HashMap::new();
         let t = Instant::now();
-        let old_breaks = refit_dp(&xs, &ys, &config);
+        let old_breaks = reference(&xs, &ys, &config, |i, j| {
+            *memo.entry((i, j)).or_insert_with(|| naive_stretch_sse(&xs, &ys, i, j))
+        })
+        .unwrap()
+        .breakpoints;
         let refit_s = t.elapsed().as_secs_f64();
         println!(
             "  refit DP (1 run)    {:>8.1} ms  ({:.1}x slower)",
             refit_s * 1e3,
             refit_s / segment_s
         );
-        assert_eq!(old_breaks, segment(&xs, &ys, &config).unwrap().breakpoints);
+        assert_eq!(old_breaks, fast.breakpoints);
         campaign = campaign
             .metric("analysis.refit_dp_s", refit_s)
             .metric("analysis.refit_speedup", refit_s / segment_s);
