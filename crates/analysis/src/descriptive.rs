@@ -67,6 +67,32 @@ pub fn quantile(xs: &[f64], p: f64) -> Result<f64> {
     Ok(quantile_sorted(&sorted, p))
 }
 
+/// Where the type-7 quantile `p` falls among `n ≥ 2` ascending order
+/// statistics `x`: at `x[lo] + frac · (x[hi] − x[lo])`, with `hi` equal
+/// to `lo` or `lo + 1`. Every quantile path (sorted, selected,
+/// rank-counted) goes through this one formula, so they round alike.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Type7 {
+    /// Index of the lower order statistic.
+    pub(crate) lo: usize,
+    /// Index of the upper order statistic.
+    pub(crate) hi: usize,
+    frac: f64,
+}
+
+impl Type7 {
+    pub(crate) fn new(n: usize, p: f64) -> Self {
+        let h = (n as f64 - 1.0) * p;
+        let lo = h.floor() as usize;
+        Type7 { lo, hi: h.ceil() as usize, frac: h - lo as f64 }
+    }
+
+    /// The quantile, given the `lo`-th and `hi`-th order statistics.
+    pub(crate) fn interpolate(self, x_lo: f64, x_hi: f64) -> f64 {
+        x_lo + self.frac * (x_hi - x_lo)
+    }
+}
+
 /// Type-7 quantile over an already ascending-sorted slice (no allocation).
 pub fn quantile_sorted(sorted: &[f64], p: f64) -> f64 {
     debug_assert!(!sorted.is_empty());
@@ -74,11 +100,30 @@ pub fn quantile_sorted(sorted: &[f64], p: f64) -> f64 {
     if n == 1 {
         return sorted[0];
     }
-    let h = (n as f64 - 1.0) * p;
-    let lo = h.floor() as usize;
-    let hi = h.ceil() as usize;
-    let frac = h - lo as f64;
-    sorted[lo] + frac * (sorted[hi] - sorted[lo])
+    let t = Type7::new(n, p);
+    t.interpolate(sorted[t.lo], sorted[t.hi])
+}
+
+/// Type-7 quantile of an unsorted slice, found by selection instead of
+/// a full sort: the slice is reordered in place, and the result is
+/// bit-identical to sorting it and calling [`quantile_sorted`]: values
+/// that compare equal have equal bits (except `0.0` and `-0.0`), so it
+/// does not matter which of them selection picks. `p` must lie in
+/// `[0, 1]`.
+pub fn quantile_unsorted(xs: &mut [f64], p: f64) -> f64 {
+    debug_assert!(!xs.is_empty() && (0.0..=1.0).contains(&p));
+    if xs.len() == 1 {
+        return xs[0];
+    }
+    let cmp = |a: &f64, b: &f64| a.partial_cmp(b).expect("finite values compare");
+    let t = Type7::new(xs.len(), p);
+    let (_, &mut x_lo, above) = xs.select_nth_unstable_by(t.lo, cmp);
+    let x_hi = if t.hi == t.lo {
+        x_lo
+    } else {
+        *above.iter().min_by(|a, b| cmp(a, b)).expect("hi < n leaves an element above lo")
+    };
+    t.interpolate(x_lo, x_hi)
 }
 
 /// Median (0.5 quantile).
@@ -251,6 +296,22 @@ mod tests {
     fn quantile_unsorted_input() {
         let xs = [4.0, 1.0, 3.0, 2.0];
         assert!((quantile(&xs, 0.5).unwrap() - 2.5).abs() < EPS);
+    }
+
+    #[test]
+    fn selection_quantile_matches_the_sorted_path_bit_for_bit() {
+        // Ties, odd and even lengths, and p at the ends and in between.
+        let samples: [&[f64]; 4] =
+            [&[4.0, 1.0, 3.0, 2.0], &[2.0, 2.0, 1.0, 2.0, 9.0], &[7.5], &[3.0, 3.0]];
+        for xs in samples {
+            let mut sorted = xs.to_vec();
+            sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            for p in [0.0, 0.025, 0.1, 0.5, 0.9, 0.975, 1.0] {
+                let mut scratch = xs.to_vec();
+                let got = quantile_unsorted(&mut scratch, p);
+                assert_eq!(got.to_bits(), quantile_sorted(&sorted, p).to_bits(), "{xs:?} p={p}");
+            }
+        }
     }
 
     #[test]

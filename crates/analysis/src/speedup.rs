@@ -27,12 +27,14 @@
 //! the order cells are supplied in, and independent of how many other
 //! cells participate. The same store always yields the same report.
 
-use crate::descriptive::quantile_sorted;
+use crate::descriptive::{quantile_unsorted, Type7};
 use crate::error::AnalysisError;
 use crate::Result;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Which direction of the measured value means "better": wall times
 /// (`us`) shrink when a system improves, throughputs (`MB/s`) grow.
@@ -57,12 +59,17 @@ impl Direction {
     }
 }
 
+/// The most bootstrap replicates a [`SpeedupConfig`] may ask for.
+/// [`compare_cells`] holds every cell's replicates at once, so its
+/// memory is cells × reps × 8 B: 800 MB for 1,000 cells at this cap.
+pub const MAX_REPS: usize = 100_000;
+
 /// Knobs of the paired bootstrap. The defaults match the `store_report`
 /// CLI defaults so the committed reports and ad-hoc runs agree.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpeedupConfig {
-    /// Bootstrap replicates (≥ 10; ≥ 1000 recommended for stable
-    /// interval endpoints).
+    /// Bootstrap replicates (10 to [`MAX_REPS`]; ≥ 1000 recommended for
+    /// stable interval endpoints).
     pub reps: usize,
     /// Confidence level in `(0, 1)`.
     pub level: f64,
@@ -73,6 +80,25 @@ pub struct SpeedupConfig {
 impl Default for SpeedupConfig {
     fn default() -> Self {
         SpeedupConfig { reps: 1000, level: 0.95, seed: 20170529 }
+    }
+}
+
+impl SpeedupConfig {
+    /// Checks the knobs: `reps` in `10..=MAX_REPS`, `level` in `(0, 1)`.
+    /// Every test in this module calls it first; callers that do other
+    /// work before testing (loading a whole store, say) call it up
+    /// front to fail before that work.
+    pub fn validate(&self) -> Result<()> {
+        if self.reps < 10 {
+            return Err(AnalysisError::InvalidParameter("bootstrap needs >= 10 reps"));
+        }
+        if self.reps > MAX_REPS {
+            return Err(AnalysisError::InvalidParameter("bootstrap reps above MAX_REPS (100000)"));
+        }
+        if !(0.0 < self.level && self.level < 1.0) {
+            return Err(AnalysisError::InvalidParameter("confidence level must be in (0,1)"));
+        }
+        Ok(())
     }
 }
 
@@ -205,10 +231,76 @@ fn rep_seed(seed: u64, salt: u64, rep: u64) -> u64 {
     mix(seed ^ mix(salt) ^ rep.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(23))
 }
 
-/// Median of a scratch buffer (sorts in place).
-fn median_of(buf: &mut [f64]) -> f64 {
-    buf.sort_by(|a, b| a.partial_cmp(b).expect("finite values compare"));
-    quantile_sorted(buf, 0.5)
+/// One side of a cell, prepared once for resampling by rank counting.
+///
+/// A resample draws `n` indices with replacement, and its ascending
+/// order is `sorted[r]` over the multiset of the drawn indices' ranks.
+/// Counting how often each rank was drawn and walking the counts in
+/// rank order finds the median's two order statistics without sorting
+/// anything. They are the very floats a sort would have put there:
+/// values that tie are equal `f64`s, because validation rules out NaN
+/// and non-positive values (so no `0.0`/`-0.0` pair exists).
+struct RankedSample {
+    /// The sample, ascending.
+    sorted: Vec<f64>,
+    /// `rank[i]`: where the sample's `i`-th value sits in `sorted`.
+    rank: Vec<usize>,
+    /// The median's position among `n` order statistics.
+    median_at: Type7,
+}
+
+impl RankedSample {
+    fn new(xs: &[f64]) -> Self {
+        let mut order: Vec<usize> = (0..xs.len()).collect();
+        order.sort_by(|&a, &b| xs[a].partial_cmp(&xs[b]).expect("finite values compare"));
+        let mut rank = vec![0; xs.len()];
+        for (r, &i) in order.iter().enumerate() {
+            rank[i] = r;
+        }
+        RankedSample {
+            sorted: order.iter().map(|&i| xs[i]).collect(),
+            rank,
+            median_at: Type7::new(xs.len(), 0.5),
+        }
+    }
+
+    /// The sample's own median (what `quantile_sorted(sorted, 0.5)`
+    /// returns).
+    fn median(&self) -> f64 {
+        let t = self.median_at;
+        t.interpolate(self.sorted[t.lo], self.sorted[t.hi])
+    }
+
+    /// The median of one resample: draws `n` times `random_range(0..n)`
+    /// from `rng`, tallying ranks in `counts` (`n` long, scratch).
+    fn resample_median(&self, rng: &mut ChaCha8Rng, counts: &mut [u32]) -> f64 {
+        let n = self.sorted.len();
+        counts.fill(0);
+        for _ in 0..n {
+            counts[self.rank[rng.random_range(0..n)]] += 1;
+        }
+        // The `lo`-th order statistic is the first rank whose running
+        // count passes `lo`; `hi` is `lo` or `lo + 1`, so it is either
+        // the same rank or the next one drawn.
+        let (lo, hi) = (self.median_at.lo, self.median_at.hi);
+        let mut r = 0;
+        let mut seen = counts[0] as usize;
+        while seen <= lo {
+            r += 1;
+            seen += counts[r] as usize;
+        }
+        let x_lo = self.sorted[r];
+        let x_hi = if seen > hi {
+            x_lo
+        } else {
+            r += 1;
+            while counts[r] == 0 {
+                r += 1;
+            }
+            self.sorted[r]
+        };
+        self.median_at.interpolate(x_lo, x_hi)
+    }
 }
 
 fn validate_sample(name: &str, side: &str, xs: &[f64]) -> Result<()> {
@@ -224,46 +316,75 @@ fn validate_sample(name: &str, side: &str, xs: &[f64]) -> Result<()> {
     Ok(())
 }
 
-fn validate_config(cfg: &SpeedupConfig) -> Result<()> {
-    if cfg.reps < 10 {
-        return Err(AnalysisError::InvalidParameter("bootstrap needs >= 10 reps"));
-    }
-    if !(0.0 < cfg.level && cfg.level < 1.0) {
-        return Err(AnalysisError::InvalidParameter("confidence level must be in (0,1)"));
-    }
-    Ok(())
-}
-
-/// One cell's `reps` bootstrap benefit ratios. Each replicate draws
-/// both resamples from one derived stream (baseline first, candidate
-/// second), so a cell's ratios depend only on `(seed, name, rep)`.
-fn cell_ratios(cell: &PairedCell, direction: Direction, cfg: &SpeedupConfig) -> Vec<f64> {
-    let salt = name_salt(&cell.name);
-    let mut base_buf = vec![0.0; cell.baseline.len()];
-    let mut cand_buf = vec![0.0; cell.candidate.len()];
-    (0..cfg.reps as u64)
+/// One cell's point estimate (the benefit ratio of the two samples'
+/// medians) and its `reps` bootstrap benefit ratios. Each replicate
+/// draws both resamples from one derived stream (baseline first,
+/// candidate second), so a cell's ratios depend only on
+/// `(seed, name, rep)`.
+fn cell_ratios(
+    name: &str,
+    baseline: &[f64],
+    candidate: &[f64],
+    direction: Direction,
+    cfg: &SpeedupConfig,
+) -> (f64, Vec<f64>) {
+    let salt = name_salt(name);
+    let (base, cand) = (RankedSample::new(baseline), RankedSample::new(candidate));
+    let mut base_counts = vec![0; baseline.len()];
+    let mut cand_counts = vec![0; candidate.len()];
+    let ratios = (0..cfg.reps as u64)
         .map(|rep| {
             let mut rng = ChaCha8Rng::seed_from_u64(rep_seed(cfg.seed, salt, rep));
-            for slot in base_buf.iter_mut() {
-                *slot = cell.baseline[rng.random_range(0..cell.baseline.len())];
-            }
-            for slot in cand_buf.iter_mut() {
-                *slot = cell.candidate[rng.random_range(0..cell.candidate.len())];
-            }
-            direction.benefit_ratio(median_of(&mut base_buf), median_of(&mut cand_buf))
+            let b = base.resample_median(&mut rng, &mut base_counts);
+            let c = cand.resample_median(&mut rng, &mut cand_counts);
+            direction.benefit_ratio(b, c)
         })
-        .collect()
+        .collect();
+    (direction.benefit_ratio(base.median(), cand.median()), ratios)
 }
 
-fn percentile_ci(mut ratios: Vec<f64>, estimate: f64, level: f64) -> SpeedupCi {
-    ratios.sort_by(|a, b| a.partial_cmp(b).expect("finite ratios compare"));
+/// The percentile interval of `ratios` (reordered in place).
+fn percentile_ci(ratios: &mut [f64], estimate: f64, level: f64) -> SpeedupCi {
     let alpha = (1.0 - level) / 2.0;
     SpeedupCi {
         estimate,
-        lo: quantile_sorted(&ratios, alpha),
-        hi: quantile_sorted(&ratios, 1.0 - alpha),
+        lo: quantile_unsorted(ratios, alpha),
+        hi: quantile_unsorted(ratios, 1.0 - alpha),
         level,
     }
+}
+
+/// Maps `f` over `0..n` on up to `workers` scoped threads. Workers
+/// claim indices off an atomic counter and results are put back in
+/// index order, so the output equals the sequential map whenever
+/// `f(i)` depends only on `i`.
+fn fan_out<T: Send>(n: usize, workers: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let workers = workers.min(n);
+    if workers <= 1 {
+        return (0..n).map(f).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let mut claimed: Vec<(usize, T)> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut out = Vec::new();
+                    loop {
+                        // Relaxed: the index publishes no data; results
+                        // come back through `join`.
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break out;
+                        }
+                        out.push((i, f(i)));
+                    }
+                })
+            })
+            .collect();
+        handles.into_iter().flat_map(|h| h.join().expect("compare_cells worker panicked")).collect()
+    });
+    claimed.sort_unstable_by_key(|&(i, _)| i);
+    claimed.into_iter().map(|(_, v)| v).collect()
 }
 
 /// Bootstrap CI on the benefit ratio of medians of two samples (one
@@ -276,17 +397,11 @@ pub fn speedup_ci(
     direction: Direction,
     cfg: &SpeedupConfig,
 ) -> Result<SpeedupCi> {
-    validate_config(cfg)?;
+    cfg.validate()?;
     validate_sample(name, "baseline", baseline)?;
     validate_sample(name, "candidate", candidate)?;
-    let cell = PairedCell {
-        name: name.to_string(),
-        baseline: baseline.to_vec(),
-        candidate: candidate.to_vec(),
-    };
-    let estimate = direction
-        .benefit_ratio(median_of(&mut baseline.to_vec()), median_of(&mut candidate.to_vec()));
-    Ok(percentile_ci(cell_ratios(&cell, direction, cfg), estimate, cfg.level))
+    let (estimate, mut ratios) = cell_ratios(name, baseline, candidate, direction, cfg);
+    Ok(percentile_ci(&mut ratios, estimate, cfg.level))
 }
 
 /// Paired comparison over many aligned design cells.
@@ -297,12 +412,16 @@ pub fn speedup_ci(
 /// pitfall this repo exists to avoid). Returns per-cell intervals plus
 /// the combined interval on the geometric mean of per-cell ratios;
 /// results are independent of the order of `cells`.
+///
+/// Cells are bootstrapped in parallel, one worker per available core.
+/// Each cell's streams depend only on `(seed, name, rep)`, so which
+/// worker computes a cell never shows in the result.
 pub fn compare_cells(
     cells: &[PairedCell],
     direction: Direction,
     cfg: &SpeedupConfig,
 ) -> Result<SpeedupComparison> {
-    validate_config(cfg)?;
+    cfg.validate()?;
     if cells.is_empty() {
         return Err(AnalysisError::TooFewObservations { needed: 1, got: 0 });
     }
@@ -313,42 +432,45 @@ pub fn compare_cells(
     let mut sorted: Vec<&PairedCell> = cells.iter().collect();
     sorted.sort_by(|a, b| a.name.cmp(&b.name));
 
-    // ratio matrix: per cell, `reps` bootstrap ratios from that cell's
-    // own derived streams.
-    let per_cell: Vec<Vec<f64>> = sorted.iter().map(|c| cell_ratios(c, direction, cfg)).collect();
-
-    let mut out_cells = Vec::with_capacity(sorted.len());
-    let mut log_sum = 0.0;
-    for (c, ratios) in sorted.iter().zip(&per_cell) {
-        let estimate = direction
-            .benefit_ratio(median_of(&mut c.baseline.clone()), median_of(&mut c.candidate.clone()));
-        log_sum += estimate.ln();
-        let ci = percentile_ci(ratios.clone(), estimate, cfg.level);
-        out_cells.push(CellSpeedup {
+    // Per cell: its interval, plus its `reps` bootstrap ratios for the
+    // combined interval below.
+    let workers = std::thread::available_parallelism().map(NonZeroUsize::get).unwrap_or(1);
+    let per_cell: Vec<(CellSpeedup, Vec<f64>)> = fan_out(sorted.len(), workers, |i| {
+        let c = sorted[i];
+        let (estimate, ratios) = cell_ratios(&c.name, &c.baseline, &c.candidate, direction, cfg);
+        let ci = percentile_ci(&mut ratios.clone(), estimate, cfg.level);
+        let cell = CellSpeedup {
             name: c.name.clone(),
             n_baseline: c.baseline.len(),
             n_candidate: c.candidate.len(),
             verdict: Verdict::of(&ci),
             ci,
-        });
-    }
+        };
+        (cell, ratios)
+    });
+    let log_sum = per_cell.iter().fold(0.0, |acc, (c, _)| acc + c.ci.estimate.ln());
 
     // Combined: replicate r recombines every cell's r-th ratio by
     // geometric mean, preserving the pairing across cells.
     let k = sorted.len() as f64;
-    let combined_ratios: Vec<f64> = (0..cfg.reps)
+    let mut combined_ratios: Vec<f64> = (0..cfg.reps)
         .map(|rep| {
-            let s: f64 = per_cell.iter().map(|r| r[rep].ln()).sum();
+            let s: f64 = per_cell.iter().map(|(_, r)| r[rep].ln()).sum();
             (s / k).exp()
         })
         .collect();
-    let combined = percentile_ci(combined_ratios, (log_sum / k).exp(), cfg.level);
-    Ok(SpeedupComparison { verdict: Verdict::of(&combined), combined, cells: out_cells })
+    let combined = percentile_ci(&mut combined_ratios, (log_sum / k).exp(), cfg.level);
+    Ok(SpeedupComparison {
+        verdict: Verdict::of(&combined),
+        combined,
+        cells: per_cell.into_iter().map(|(c, _)| c).collect(),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::descriptive::quantile_sorted;
 
     fn cell(name: &str, baseline: &[f64], candidate: &[f64]) -> PairedCell {
         PairedCell {
@@ -459,6 +581,58 @@ mod tests {
         assert!(speedup_ci("c", &ok, &ok, Direction::LowerIsBetter, &bad).is_err());
         let bad = SpeedupConfig { level: 1.5, ..cfg };
         assert!(speedup_ci("c", &ok, &ok, Direction::LowerIsBetter, &bad).is_err());
+    }
+
+    #[test]
+    fn validate_bounds_reps_and_level() {
+        let ok = SpeedupConfig::default();
+        assert!(ok.validate().is_ok());
+        assert!(SpeedupConfig { reps: 10, ..ok }.validate().is_ok());
+        assert!(SpeedupConfig { reps: MAX_REPS, ..ok }.validate().is_ok());
+        let over = SpeedupConfig { reps: MAX_REPS + 1, ..ok }.validate().unwrap_err();
+        assert!(over.to_string().contains(&MAX_REPS.to_string()), "{over}");
+        for bad in [
+            SpeedupConfig { reps: 9, ..ok },
+            SpeedupConfig { reps: MAX_REPS + 1, ..ok },
+            SpeedupConfig { reps: usize::MAX, ..ok },
+            SpeedupConfig { level: 0.0, ..ok },
+            SpeedupConfig { level: 1.0, ..ok },
+            SpeedupConfig { level: f64::NAN, ..ok },
+        ] {
+            assert!(bad.validate().is_err(), "{bad:?}");
+            let cells = [cell("a", &[1.0, 2.0], &[1.0, 2.0])];
+            assert!(compare_cells(&cells, Direction::LowerIsBetter, &bad).is_err(), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn cell_fan_out_is_invariant_under_the_worker_count() {
+        let cells: Vec<PairedCell> = (0..7)
+            .map(|i| cell(&format!("c{i}"), &noisy(10.0, 9 + i, i as u64), &noisy(11.0, 12, 50)))
+            .collect();
+        let cfg = cfg(3);
+        let matrix = |workers| {
+            fan_out(cells.len(), workers, |i| {
+                let c = &cells[i];
+                cell_ratios(&c.name, &c.baseline, &c.candidate, Direction::LowerIsBetter, &cfg)
+            })
+        };
+        let sequential = matrix(1);
+        assert_eq!(sequential.len(), cells.len());
+        for workers in [2, 3, cells.len() + 1] {
+            assert_eq!(matrix(workers), sequential, "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn rank_counted_median_of_the_sample_itself_matches_sorting() {
+        for xs in [vec![3.0, 1.0, 2.0], vec![4.0, 4.0, 1.0, 9.0], noisy(5.0, 20, 4)] {
+            let mut sorted = xs.clone();
+            sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            let ranked = RankedSample::new(&xs);
+            assert_eq!(ranked.sorted, sorted);
+            assert_eq!(ranked.median().to_bits(), quantile_sorted(&sorted, 0.5).to_bits());
+        }
     }
 
     #[test]

@@ -62,6 +62,20 @@ proptest! {
     }
 
     #[test]
+    fn selection_quantile_is_bit_identical_to_sorting(
+        xs in sample(1),
+        ties in prop::collection::vec(0u8..4, 1..64),
+        p in 0.0..=1.0f64,
+    ) {
+        // Continuous values, then small integers (ties everywhere).
+        for xs in [xs, ties.iter().map(|&k| f64::from(k) + 1.0).collect()] {
+            let want = descriptive::quantile(&xs, p).unwrap();
+            let got = descriptive::quantile_unsorted(&mut xs.clone(), p);
+            prop_assert_eq!(got.to_bits(), want.to_bits(), "{:?} p={}", xs, p);
+        }
+    }
+
+    #[test]
     fn summary_ordering(xs in sample(1)) {
         let s = Summary::of(&xs).unwrap();
         prop_assert!(s.min <= s.q1 + 1e-12);

@@ -21,8 +21,10 @@
 //! the order runs were archived in.
 //!
 //! * exit 0 — report rendered;
-//! * exit 2 — bad usage, unreadable store, or a digest-verification
-//!   failure while loading a run.
+//! * exit 2 — bad usage (including `--reps` outside 10 to
+//!   `charm_analysis::speedup::MAX_REPS` or `--level` outside (0,1),
+//!   refused before any run is loaded), unreadable store, or a
+//!   digest-verification failure while loading a run.
 
 use charm_analysis::speedup::SpeedupConfig;
 use charm_store::{build_report, RunQuery, Store};

@@ -17,11 +17,10 @@
 //! comparison's bootstrap seed is derived from *content* (the base seed
 //! and the two run IDs, which are themselves content-addressed) — never
 //! from enumeration order, so re-archiving the same runs in any order
-//! reproduces the same report. Content-derived seeds buy a second
-//! property for free: the per-run comparisons are computed on a scoped
-//! worker pool (they dominate report cost on wide groups), and because
-//! no seed depends on which thread or claim order computed it, the
-//! parallel report is byte-identical to the sequential one.
+//! reproduces the same report. The bootstraps themselves fan out over
+//! cells inside [`compare_cells`], whose streams depend only on
+//! `(seed, cell, replicate)`, so the report is byte-identical at any
+//! core count.
 
 use crate::diff::cells_of;
 use crate::manifest::{seed_str, MachineFacts, Manifest};
@@ -216,7 +215,7 @@ fn versus_best(
     run: &LoadedRun,
     direction: Direction,
     cfg: &SpeedupConfig,
-) -> VsBest {
+) -> Result<VsBest, StoreError> {
     let mut paired = Vec::new();
     for (name, baseline) in &best.cells {
         let Some(candidate) = run.cells.get(name) else { continue };
@@ -229,39 +228,40 @@ fn versus_best(
         }
     }
     if paired.is_empty() {
-        return VsBest::Incomparable;
+        return Ok(VsBest::Incomparable);
     }
     let derived = SpeedupConfig {
         seed: cfg.seed ^ fnv1a(&best.manifest.run_id) ^ fnv1a(&run.manifest.run_id).rotate_left(17),
         ..*cfg
     };
-    match compare_cells(&paired, direction, &derived) {
-        Ok(cmp) => {
-            // Keep only the decisively-regressed cells; `cmp.cells` is
-            // already sorted by name, so the drill-down inherits the
-            // determinism contract for free.
-            let slower_cells =
-                cmp.cells.into_iter().filter(|c| c.verdict == Verdict::Slower).collect();
-            VsBest::Ci {
-                ci: cmp.combined,
-                verdict: cmp.verdict,
-                shared_cells: paired.len(),
-                slower_cells,
-            }
-        }
-        Err(_) => VsBest::Incomparable,
-    }
+    // Only usable cells reach the test and the config was validated up
+    // front, so an error here is a bug worth surfacing, not a row.
+    let cmp = compare_cells(&paired, direction, &derived)
+        .map_err(|e| StoreError::Analysis { message: e.to_string() })?;
+    // Keep only the decisively-regressed cells; `cmp.cells` is already
+    // sorted by name, so the drill-down inherits the determinism
+    // contract for free.
+    let slower_cells = cmp.cells.into_iter().filter(|c| c.verdict == Verdict::Slower).collect();
+    Ok(VsBest::Ci {
+        ci: cmp.combined,
+        verdict: cmp.verdict,
+        shared_cells: paired.len(),
+        slower_cells,
+    })
 }
 
 /// Builds the fleet report over every finalized run matching `query`.
 ///
 /// Every selected run is fully digest-verified on load ([`Store::get`]);
 /// a tampered archive fails the report rather than silently skewing it.
+/// An invalid `cfg` fails with [`StoreError::Analysis`] before any run
+/// is loaded, instead of rendering a table of `incomparable` rows.
 pub fn build_report(
     store: &Store,
     query: &RunQuery,
     cfg: &SpeedupConfig,
 ) -> Result<FleetReport, StoreError> {
+    cfg.validate().map_err(|e| StoreError::Analysis { message: e.to_string() })?;
     let manifests = store.select(query)?;
     let runs = manifests.len();
     let mut groups: BTreeMap<GroupKey, Vec<LoadedRun>> = BTreeMap::new();
@@ -283,68 +283,14 @@ pub fn build_report(
         let direction = direction_of_unit(&unit);
         members.sort_by(|a, b| rank_order(direction, a, b));
         let best = &members[0];
-        // The paired bootstraps dominate report cost and are mutually
-        // independent — each comparison's seed is content-derived (base
-        // seed ⊕ both run IDs), not position- or thread-derived. Workers
-        // claim runs off an atomic counter and results are slotted back
-        // by index, so the report is byte-identical to the sequential
-        // loop at any worker count.
-        let rest = &members[1..];
-        let workers = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-            .min(rest.len());
-        let mut vs: Vec<Option<VsBest>> = (0..rest.len()).map(|_| None).collect();
-        if workers <= 1 {
-            for (i, run) in rest.iter().enumerate() {
-                vs[i] = Some(if run.unit != unit {
-                    VsBest::Incomparable
-                } else {
-                    versus_best(best, run, direction, cfg)
-                });
-            }
-        } else {
-            let next = std::sync::atomic::AtomicUsize::new(0);
-            let computed: Vec<(usize, VsBest)> = std::thread::scope(|s| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        let (next, unit) = (&next, &unit);
-                        s.spawn(move || {
-                            let mut out = Vec::new();
-                            loop {
-                                let i = next.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-                                if i >= rest.len() {
-                                    break;
-                                }
-                                let run = &rest[i];
-                                out.push((
-                                    i,
-                                    if run.unit != *unit {
-                                        VsBest::Incomparable
-                                    } else {
-                                        versus_best(best, run, direction, cfg)
-                                    },
-                                ));
-                            }
-                            out
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("report worker panicked"))
-                    .collect()
-            });
-            for (i, v) in computed {
-                vs[i] = Some(v);
-            }
-        }
         let mut ranked = Vec::with_capacity(members.len());
         for (i, run) in members.iter().enumerate() {
             let vs_best = if i == 0 {
                 VsBest::Best
+            } else if run.unit != unit {
+                VsBest::Incomparable
             } else {
-                vs[i - 1].take().expect("every non-best run was compared")
+                versus_best(best, run, direction, cfg)?
             };
             ranked.push(RankedRun {
                 rank: i + 1,

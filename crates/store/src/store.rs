@@ -177,6 +177,13 @@ pub enum StoreError {
         /// The missing run ID.
         run_id: String,
     },
+    /// The fleet report's speedup test rejected its input, e.g. a
+    /// `SpeedupConfig` with too few replicates or a level outside
+    /// `(0, 1)`.
+    Analysis {
+        /// The analysis error, rendered.
+        message: String,
+    },
 }
 
 impl fmt::Display for StoreError {
@@ -197,6 +204,9 @@ impl fmt::Display for StoreError {
                  (manifest sha256 {expected}, on-disk {actual})"
             ),
             StoreError::NotFound { run_id } => write!(f, "no archived run {run_id}"),
+            StoreError::Analysis { message } => {
+                write!(f, "speedup test rejected its input: {message}")
+            }
         }
     }
 }

@@ -3,7 +3,7 @@
 //! statistically sound self-comparison, query filtering, and the CSV
 //! schema round-trip the CI gate relies on.
 
-use charm_analysis::speedup::SpeedupConfig;
+use charm_analysis::speedup::{SpeedupConfig, MAX_REPS};
 use charm_design::doe::FullFactorial;
 use charm_design::plan::ExperimentPlan;
 use charm_design::Factor;
@@ -11,7 +11,7 @@ use charm_engine::target::NetworkTarget;
 use charm_engine::{Campaign, CampaignData};
 use charm_simnet::presets;
 use charm_store::report::parse_csv;
-use charm_store::{build_report, CampaignKey, RunQuery, Store, VsBest};
+use charm_store::{build_report, CampaignKey, RunQuery, Store, StoreError, VsBest};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -230,6 +230,41 @@ fn queries_filter_by_benchmark_target_and_plan_hash() {
     let report = build_report(&store, &by_bench, &cfg()).unwrap();
     assert_eq!(report.runs, 1);
     assert_eq!(report.groups.len(), 1);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_bad_speedup_config_fails_before_any_run_is_loaded() {
+    let dir = scratch("badcfg");
+    let store = Store::open(&dir).unwrap();
+    let plan = plan();
+    archive(&store, &plan, "fig04", 71);
+    let id = archive(&store, &plan, "fig04", 72);
+    // Corrupt one run: loading it fails the report with `Tampered`, so
+    // an `Analysis` error proves the config was checked first.
+    let records = dir.join("runs").join(&id).join("records.csv");
+    let mut bytes = std::fs::read(&records).unwrap();
+    let pos = bytes.len() / 2;
+    bytes[pos] ^= 0x01;
+    std::fs::write(&records, &bytes).unwrap();
+    assert!(matches!(
+        build_report(&store, &RunQuery::default(), &cfg()),
+        Err(StoreError::Tampered { .. })
+    ));
+    for bad in [
+        SpeedupConfig { reps: 5, ..cfg() },
+        SpeedupConfig { reps: usize::MAX, ..cfg() },
+        SpeedupConfig { reps: MAX_REPS + 1, ..cfg() },
+        SpeedupConfig { level: 1.5, ..cfg() },
+        SpeedupConfig { level: f64::NAN, ..cfg() },
+    ] {
+        match build_report(&store, &RunQuery::default(), &bad) {
+            Err(StoreError::Analysis { message }) => {
+                assert!(message.contains("reps") || message.contains("level"), "{message}")
+            }
+            other => panic!("{bad:?}: expected an Analysis error, got {other:?}"),
+        }
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
