@@ -7,7 +7,8 @@
 //!
 //! flags: [--seed N] [--shards N] [--min-rows-per-shard N] [--out DIR]
 //!        [--obs-jsonl] [--store DIR] [--resume RUN_ID]
-//! platforms: taurus | myrinet | openmpi | opteron | pentium4 | i7 | arm
+//! platforms: the registry's network presets and CPUs
+//!            (taurus | myrinet | openmpi | opteron | pentium4 | i7 | arm)
 //! ```
 //!
 //! **Spec mode** (`--benchmark`, DESIGN.md §15): the TOML file declares
@@ -19,9 +20,15 @@
 //! `runner.*` frame/restart/timeout counters land in the `--obs-jsonl`
 //! report.
 //!
-//! **DSL mode** is unchanged: network plans need factors `op` and
-//! `size`; memory plans need `size_bytes` (plus optional `stride`,
-//! `width`, `unroll`, `nloops`).
+//! **DSL mode** lowers the plan file through
+//! `ResolvedBenchmark::from_dsl` into the same resolved benchmark a
+//! spec produces, with the platform name standing for
+//! `TargetSpec::platform` (default policies and label). From there both
+//! modes run one body, so a DSL plan and its spec twin record the same
+//! `# order` / `# shuffle_seed` header lines and archive under the same
+//! run ID with identical `records.csv` bytes. Network plans need
+//! factors `op` and `size`; memory plans need `size_bytes` (plus
+//! optional `stride`, `width`, `unroll`, `nloops`).
 //!
 //! Exit codes: `2` — bad spec/usage (TOML or DSL parse error, unknown
 //! target or platform name, contradictory flags); `3` — target or
@@ -53,94 +60,63 @@
 //! `--resume` does not apply to them.)
 
 use charm_bench::cli::CommonArgs;
+use charm_bench::profile::Session;
 use charm_bench::specload;
 use charm_core::pipeline::Study;
-use charm_design::dsl;
-use charm_design::plan::ExperimentPlan;
-use charm_engine::registry::{self, ResolvedTarget};
-use charm_engine::target::{MemoryTarget, NetworkTarget, Target};
-use charm_engine::{Campaign, CampaignRun, ParallelTarget, TargetError};
+use charm_core::spec::ResolvedBenchmark;
+use charm_engine::registry::{self, ExternalEngineSpec, ResolvedTarget};
+use charm_engine::{Campaign, CampaignRun, ParallelTarget};
 use charm_obs::Observer;
 use charm_runner::ExternalTarget;
-use charm_simmem::dvfs::GovernorPolicy;
-use charm_simmem::machine::{CpuSpec, MachineSim};
-use charm_simmem::paging::AllocPolicy;
-use charm_simmem::sched::SchedPolicy;
-use charm_simnet::presets;
 use std::process::ExitCode;
 
 const USAGE_POSITIONAL: &str = "<plan.dsl> <platform>";
 
-fn machine(spec: CpuSpec, seed: u64) -> MachineSim {
-    MachineSim::new(
-        spec,
-        GovernorPolicy::Performance,
-        SchedPolicy::PinnedDefault,
-        AllocPolicy::PooledRandomOffset,
-        seed,
-    )
-}
-
-/// Concrete target dispatch: the sharded builder forks the target, which
-/// needs the concrete type (`ParallelTarget` is not object-safe).
-enum Platform {
-    Net(Box<NetworkTarget>),
-    Mem(Box<MemoryTarget>),
-}
-
-fn net(name: &'static str, sim: charm_simnet::NetworkSim) -> Platform {
-    Platform::Net(Box::new(NetworkTarget::new(name, sim)))
-}
-
-fn mem(name: &str, spec: CpuSpec, seed: u64) -> Platform {
-    Platform::Mem(Box::new(MemoryTarget::new(name, machine(spec, seed))))
-}
-
-#[allow(clippy::too_many_arguments)]
-fn execute<T: ParallelTarget>(
-    plan: &ExperimentPlan,
-    target: T,
-    shards: usize,
-    shuffle_seed: Option<u64>,
-    min_rows_per_shard: Option<usize>,
-    observe: bool,
-    sink: Option<&charm_store::CheckpointSession>,
-    resume: bool,
-) -> Result<CampaignRun, TargetError> {
-    let mut sharded = Campaign::new(plan, target).shards(shards).seed(shuffle_seed);
-    if let Some(min_rows) = min_rows_per_shard {
-        sharded = sharded.min_rows_per_shard(min_rows);
+/// Lowers either front end — `--benchmark SPEC.toml`, or
+/// `<plan.dsl> <platform>` — into one resolved benchmark.
+fn lower(args: &CommonArgs) -> Result<ResolvedBenchmark, ExitCode> {
+    if let Some(path) = &args.benchmark {
+        return specload::load(path, args.seed, &args.params);
     }
-    if let Some(sink) = sink {
-        sharded = sharded.store(sink).resume(resume);
-    }
-    let sharded = if observe { sharded.observer(Observer::default()) } else { sharded };
-    sharded.run()
+    let [path, platform] = args.rest.as_slice() else {
+        eprintln!(
+            "usage: run_campaign <plan.dsl> <platform> [--seed N] [--shards N] [--out DIR] \
+             [--obs-jsonl]\n       run_campaign --benchmark SPEC.toml [--param NAME=VALUE]..."
+        );
+        let platforms = [registry::network_presets(), registry::memory_cpus()].concat();
+        eprintln!("platforms: {}", platforms.join(" "));
+        return Err(ExitCode::from(specload::EXIT_BAD_SPEC));
+    };
+    let text = std::fs::read_to_string(path).map_err(|e| {
+        eprintln!("cannot read {path}: {e}");
+        ExitCode::from(specload::EXIT_BAD_SPEC)
+    })?;
+    ResolvedBenchmark::from_dsl(&text, platform).map_err(|e| {
+        eprintln!("{e}");
+        ExitCode::from(specload::EXIT_BAD_SPEC)
+    })
 }
 
-/// Writes the artifacts and archives the run; shared by every mode.
-#[allow(clippy::too_many_arguments)]
+/// Writes the artifacts and archives the run; shared by every target.
 fn finish_run(
     args: &CommonArgs,
-    session: charm_bench::profile::Session,
-    label: &str,
-    plan: &ExperimentPlan,
+    session: Session,
+    bench: &ResolvedBenchmark,
     target_id: &str,
     store: Option<&charm_store::Store>,
     shards: u64,
     run: &CampaignRun,
 ) -> ExitCode {
-    let name = format!("campaign_{label}.csv");
-    charm_bench::write_artifact(&name, &run.data.to_csv());
+    let label = bench.target.label();
+    charm_bench::write_artifact(&format!("campaign_{label}.csv"), &run.data.to_csv());
     if let Some(report) = &run.report {
-        let name = format!("campaign_{label}_obs.jsonl");
-        charm_bench::write_artifact(&name, &report.to_jsonl());
-        session.attach_virtual(label, report);
+        charm_bench::write_artifact(&format!("campaign_{label}_obs.jsonl"), &report.to_jsonl());
+        session.attach_virtual(&label, report);
     }
     if let Some(store) = store {
         let cli_args: Vec<String> = std::env::args().collect();
-        let key = charm_store::CampaignKey::of(plan, target_id, Some(args.seed), shards);
-        match store.put_run(&key, label, &cli_args.join(" "), &run.data, run.report.as_ref()) {
+        let key = charm_store::CampaignKey::of(&bench.plan, target_id, Some(args.seed), shards);
+        match store.put_run(&key, &label, &cli_args.join(" "), &run.data, run.report.as_ref()) {
             Ok(id) => println!("archived run {id}"),
             Err(e) => {
                 eprintln!("archive failed: {e}");
@@ -153,69 +129,6 @@ fn finish_run(
     ExitCode::SUCCESS
 }
 
-/// Spec mode: `--benchmark SPEC.toml`.
-fn run_benchmark(args: &CommonArgs, path: &str) -> ExitCode {
-    let session = charm_bench::profile::Session::from_args(args);
-    let resolved = match specload::load(path, args.seed, &args.params) {
-        Ok(r) => r,
-        Err(code) => return code,
-    };
-    let target = match registry::resolve(&resolved.target, args.seed) {
-        Ok(t) => t,
-        Err(e) => return specload::bad_spec(e),
-    };
-    let plan = resolved.plan;
-    println!("benchmark {}: {} rows, factors {:?}", resolved.name, plan.len(), plan.factor_names());
-
-    match target {
-        ResolvedTarget::External(spec) => {
-            if args.shards.is_some_and(|n| n > 1) {
-                eprintln!(
-                    "external engines are sequential-only (a subprocess cannot be forked); \
-                     drop --shards"
-                );
-                return ExitCode::from(specload::EXIT_BAD_SPEC);
-            }
-            if args.resume.is_some() {
-                eprintln!("--resume does not apply to external engines (no shard checkpoints)");
-                return ExitCode::from(specload::EXIT_BAD_SPEC);
-            }
-            let label = spec.label.clone();
-            let engine = match ExternalTarget::spawn(spec) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("cannot start engine: {e}");
-                    return specload::exit_for(&e);
-                }
-            };
-            let target_id = charm_store::target_identity(&engine);
-            let store = match open_store(args) {
-                Ok(s) => s,
-                Err(code) => return code,
-            };
-            let mut campaign = Campaign::new(&plan, engine).seed(resolved.order_seed);
-            if args.obs_jsonl {
-                campaign = campaign.observer(Observer::default());
-            }
-            match campaign.run() {
-                Ok(run) => {
-                    finish_run(args, session, &label, &plan, &target_id, store.as_ref(), 1, &run)
-                }
-                Err(e) => {
-                    eprintln!("campaign failed: {e}");
-                    specload::exit_for(&e)
-                }
-            }
-        }
-        ResolvedTarget::Network(t) => {
-            run_sharded_mode(args, session, &t.name(), &plan, resolved.order_seed, Platform::Net(t))
-        }
-        ResolvedTarget::Memory(t) => {
-            run_sharded_mode(args, session, &t.name(), &plan, resolved.order_seed, Platform::Mem(t))
-        }
-    }
-}
-
 fn open_store(args: &CommonArgs) -> Result<Option<charm_store::Store>, ExitCode> {
     match &args.store {
         Some(dir) => charm_store::Store::open(dir).map(Some).map_err(|e| {
@@ -226,32 +139,66 @@ fn open_store(args: &CommonArgs) -> Result<Option<charm_store::Store>, ExitCode>
     }
 }
 
-/// The sharded in-process path, shared by spec mode and DSL mode.
-fn run_sharded_mode(
+/// An external engine: sequential, archived without shard checkpoints.
+fn run_external(
     args: &CommonArgs,
-    session: charm_bench::profile::Session,
-    label: &str,
-    plan: &ExperimentPlan,
-    shuffle_seed: Option<u64>,
-    platform: Platform,
+    session: Session,
+    bench: &ResolvedBenchmark,
+    spec: ExternalEngineSpec,
 ) -> ExitCode {
-    let shards = args.shards.unwrap_or_else(|| Study::auto_shards(plan.len()));
+    if args.shards.is_some_and(|n| n > 1) {
+        eprintln!(
+            "external engines are sequential-only (a subprocess cannot be forked); drop --shards"
+        );
+        return ExitCode::from(specload::EXIT_BAD_SPEC);
+    }
+    if args.resume.is_some() {
+        eprintln!("--resume does not apply to external engines (no shard checkpoints)");
+        return ExitCode::from(specload::EXIT_BAD_SPEC);
+    }
+    let engine = match ExternalTarget::spawn(spec) {
+        Ok(t) => t,
+        Err(e) => {
+            eprintln!("cannot start engine: {e}");
+            return specload::exit_for(&e);
+        }
+    };
+    let target_id = charm_store::target_identity(&engine);
+    let store = match open_store(args) {
+        Ok(s) => s,
+        Err(code) => return code,
+    };
+    let mut campaign = Campaign::new(&bench.plan, engine).seed(bench.order_seed);
+    if args.obs_jsonl {
+        campaign = campaign.observer(Observer::default());
+    }
+    match campaign.run() {
+        Ok(run) => finish_run(args, session, bench, &target_id, store.as_ref(), 1, &run),
+        Err(e) => {
+            eprintln!("campaign failed: {e}");
+            specload::exit_for(&e)
+        }
+    }
+}
 
+/// An in-process simulator: the sharded path, with checkpoints and
+/// resume when archiving.
+fn run_sharded<T: ParallelTarget>(
+    args: &CommonArgs,
+    session: Session,
+    bench: &ResolvedBenchmark,
+    target: T,
+) -> ExitCode {
+    let plan = &bench.plan;
+    let shards = args.shards.unwrap_or_else(|| Study::auto_shards(plan.len()));
     // The target's identity folds into the run ID, so the same plan
     // against two platforms can never share a run directory.
-    let target_id = match &platform {
-        Platform::Net(t) => charm_store::target_identity(t.as_ref()),
-        Platform::Mem(t) => charm_store::target_identity(t.as_ref()),
-    };
+    let target_id = charm_store::target_identity(&target);
 
     // Open the campaign store (and its checkpoint session for this
     // run's identity) before executing, so shards flush as they finish.
-    let store_ctx = match &args.store {
-        Some(_) => {
-            let store = match open_store(args) {
-                Ok(s) => s.expect("store flag present"),
-                Err(code) => return code,
-            };
+    let store_ctx = match open_store(args) {
+        Ok(Some(store)) => {
             let checkpoint = match store.session(plan, &target_id, Some(args.seed), shards as u64) {
                 Ok(s) => s,
                 Err(e) => {
@@ -272,30 +219,30 @@ fn run_sharded_mode(
             }
             Some((store, checkpoint))
         }
-        None => {
+        Ok(None) => {
             if args.resume.is_some() {
                 eprintln!("--resume requires --store DIR (the store holding the checkpoints)");
                 return ExitCode::from(specload::EXIT_BAD_SPEC);
             }
             None
         }
+        Err(code) => return code,
     };
-    let sink = store_ctx.as_ref().map(|(_, checkpoint)| checkpoint);
-    let resume = args.resume.is_some();
 
-    let min_rows = args.min_rows_per_shard;
-    let result = match platform {
-        Platform::Net(t) => {
-            execute(plan, *t, shards, shuffle_seed, min_rows, args.obs_jsonl, sink, resume)
-        }
-        Platform::Mem(t) => {
-            execute(plan, *t, shards, shuffle_seed, min_rows, args.obs_jsonl, sink, resume)
-        }
-    };
-    match result {
+    let mut campaign = Campaign::new(plan, target).shards(shards).seed(bench.order_seed);
+    if let Some(min_rows) = args.min_rows_per_shard {
+        campaign = campaign.min_rows_per_shard(min_rows);
+    }
+    if let Some((_, checkpoint)) = &store_ctx {
+        campaign = campaign.store(checkpoint).resume(args.resume.is_some());
+    }
+    if args.obs_jsonl {
+        campaign = campaign.observer(Observer::default());
+    }
+    match campaign.run() {
         Ok(run) => {
             let store = store_ctx.as_ref().map(|(store, _)| store);
-            finish_run(args, session, label, plan, &target_id, store, shards as u64, &run)
+            finish_run(args, session, bench, &target_id, store, shards as u64, &run)
         }
         Err(e) => {
             eprintln!("campaign failed: {e}");
@@ -304,63 +251,22 @@ fn run_sharded_mode(
     }
 }
 
-/// Legacy DSL mode: `<plan.dsl> <platform>`.
-fn run_dsl(args: &CommonArgs) -> ExitCode {
-    let session = charm_bench::profile::Session::from_args(args);
-    if args.rest.len() != 2 {
-        eprintln!(
-            "usage: run_campaign <plan.dsl> <platform> [--seed N] [--shards N] [--out DIR] \
-             [--obs-jsonl]\n       run_campaign --benchmark SPEC.toml [--param NAME=VALUE]..."
-        );
-        eprintln!("platforms: taurus myrinet openmpi opteron pentium4 i7 arm");
-        return ExitCode::from(specload::EXIT_BAD_SPEC);
-    }
-    let seed = args.seed;
-
-    let text = match std::fs::read_to_string(&args.rest[0]) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read {}: {e}", args.rest[0]);
-            return ExitCode::from(specload::EXIT_BAD_SPEC);
-        }
-    };
-    let plan = match dsl::compile(&text) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("DSL error: {e}");
-            return ExitCode::from(specload::EXIT_BAD_SPEC);
-        }
-    };
-    println!(
-        "compiled plan: {} rows, factors {:?}, {} shard(s)",
-        plan.len(),
-        plan.factor_names(),
-        args.shards.unwrap_or_else(|| Study::auto_shards(plan.len()))
-    );
-
-    let platform_name = args.rest[1].as_str();
-    let platform = match platform_name {
-        "taurus" => net("taurus", presets::taurus_openmpi_tcp(seed)),
-        "myrinet" => net("myrinet", presets::myrinet_gm(seed)),
-        "openmpi" => net("openmpi", presets::openmpi_fig3(seed)),
-        "opteron" => mem("opteron", CpuSpec::opteron(), seed),
-        "pentium4" => mem("pentium4", CpuSpec::pentium4(), seed),
-        "i7" => mem("i7", CpuSpec::core_i7_2600(), seed),
-        "arm" => mem("arm", CpuSpec::arm_snowball(), seed),
-        other => {
-            eprintln!("unknown platform {other:?}");
-            return ExitCode::from(specload::EXIT_BAD_SPEC);
-        }
-    };
-    // The DSL applies its own ordering at compile time and the legacy
-    // artifacts never recorded a shuffle seed; keep that shape.
-    run_sharded_mode(args, session, platform_name, &plan, None, platform)
-}
-
 fn main() -> ExitCode {
     let args = CommonArgs::parse(USAGE_POSITIONAL);
-    match args.benchmark.clone() {
-        Some(path) => run_benchmark(&args, &path),
-        None => run_dsl(&args),
+    let session = Session::from_args(&args);
+    let bench = match lower(&args) {
+        Ok(b) => b,
+        Err(code) => return code,
+    };
+    let target = match registry::resolve(&bench.target, args.seed) {
+        Ok(t) => t,
+        Err(e) => return specload::bad_spec(e),
+    };
+    let plan = &bench.plan;
+    println!("benchmark {}: {} rows, factors {:?}", bench.name, plan.len(), plan.factor_names());
+    match target {
+        ResolvedTarget::External(spec) => run_external(&args, session, &bench, spec),
+        ResolvedTarget::Network(t) => run_sharded(&args, session, &bench, *t),
+        ResolvedTarget::Memory(t) => run_sharded(&args, session, &bench, *t),
     }
 }

@@ -13,6 +13,12 @@
 //! and how an external KLV engine gets measured under the exact same
 //! randomized design as the in-process simulators (DESIGN.md §15).
 //!
+//! The experiment DSL is a second front end of the same representation:
+//! [`ResolvedBenchmark::from_dsl`] lowers a DSL plan and a platform name
+//! into a [`ResolvedBenchmark`] through the same expansion
+//! (`charm_design::doe::Design::expand`), so everything downstream —
+//! `run_campaign`, `charm-serve`, the store — has one submission path.
+//!
 //! # Spec schema (charm-spec/1)
 //!
 //! ```toml
@@ -58,7 +64,8 @@
 pub mod toml;
 
 use crate::spec::toml::{Item, Table, Value};
-use charm_design::doe::FullFactorial;
+use charm_design::doe::{self, Design, Order};
+use charm_design::dsl;
 use charm_design::factors::{Factor, Level};
 use charm_design::plan::ExperimentPlan;
 use charm_design::sampling;
@@ -185,31 +192,17 @@ impl BenchmarkSpec {
                 n as u32
             }
         };
-        let order_seed_value = match design.value("order_seed") {
+        let order_seed = match design.value("order_seed") {
             None => seed,
             Some(v) => {
                 v.as_int().ok_or_else(|| err("[design] order_seed must be an integer"))? as u64
             }
         };
-        let order =
-            design.value("order").map(|v| v.as_str().unwrap_or("")).unwrap_or("as_declared");
-
-        let mut builder = FullFactorial::new().replicates(replicates);
-        for f in &factors {
-            builder = builder.factor(f.clone());
-        }
-        let mut plan = builder.build().map_err(|e| err(format!("factor expansion failed: {e}")))?;
-        let order_seed = match order {
-            "randomized" => {
-                plan.shuffle(order_seed_value);
-                Some(order_seed_value)
-            }
-            "sequential" => {
-                plan = plan.sequential();
-                None
-            }
-            "as_declared" => None,
-            other => {
+        let order = match design.value("order").map(|v| v.as_str().unwrap_or("")) {
+            None | Some("as_declared") => Order::AsDeclared,
+            Some("sequential") => Order::Sequential,
+            Some("randomized") => Order::Randomized(order_seed),
+            Some(other) => {
                 return Err(err(format!(
                     "[design] order {other:?} is not randomized/sequential/as_declared"
                 )))
@@ -226,15 +219,14 @@ impl BenchmarkSpec {
         };
 
         Ok(ResolvedBenchmark {
-            name: self.name.clone(),
-            target,
-            factors,
-            plan,
-            order_seed,
-            replicates,
             params: params.iter().map(|(k, v)| (k.clone(), v.render())).collect(),
             analysis,
             tool,
+            ..ResolvedBenchmark::lower(
+                self.name.clone(),
+                target,
+                Design { factors, replicates, order },
+            )?
         })
     }
 
@@ -317,6 +309,39 @@ pub struct ResolvedBenchmark {
 }
 
 impl ResolvedBenchmark {
+    /// Lowers a DSL plan (`charm_design::dsl`) run on the named platform
+    /// into the same representation [`BenchmarkSpec::resolve`] produces,
+    /// so both front ends share one submission path downstream. The
+    /// benchmark is named after the platform, `order randomized N`
+    /// records `order_seed = Some(N)`, and the target is
+    /// [`TargetSpec::platform`] with its default policies and label.
+    pub fn from_dsl(text: &str, platform: &str) -> Result<ResolvedBenchmark, SpecError> {
+        let design = dsl::parse(text).map_err(|e| err(format!("DSL error: {e}")))?;
+        let target = TargetSpec::platform(platform).map_err(|e| err(e.to_string()))?;
+        ResolvedBenchmark::lower(platform.to_string(), target, design)
+    }
+
+    /// The one lowering both front ends end in: expands the design and
+    /// records its replicates and shuffle seed (no params, empty
+    /// `[analysis]` and `[tool]`).
+    fn lower(name: String, target: TargetSpec, design: Design) -> Result<Self, SpecError> {
+        let plan = design.expand().map_err(|e| err(format!("factor expansion failed: {e}")))?;
+        Ok(ResolvedBenchmark {
+            name,
+            target,
+            order_seed: match design.order {
+                Order::Randomized(seed) => Some(seed),
+                Order::AsDeclared | Order::Sequential => None,
+            },
+            replicates: design.replicates,
+            factors: design.factors,
+            plan,
+            params: Vec::new(),
+            analysis: Table::default(),
+            tool: Table::default(),
+        })
+    }
+
     /// An `[analysis]` or `[tool]` integer array (e.g. breakpoints),
     /// validated as non-negative.
     pub fn u64_array(table: &Table, key: &str) -> Result<Vec<u64>, SpecError> {
@@ -492,11 +517,10 @@ fn parse_factor(name: &str, t: &Table) -> Result<Factor, SpecError> {
     };
     match generator {
         "range" => {
-            let (from, to, step) = (get_int("from")?, get_int("to")?, get_int("step")?);
-            if step <= 0 || from > to {
-                return Err(err(format!("[factors.{name}] range needs from <= to and step > 0")));
-            }
-            let levels = (from..=to).step_by(step as usize).map(Level::Int).collect();
+            let levels = doe::range_levels(get_int("from")?, get_int("to")?, get_int("step")?)
+                .ok_or_else(|| {
+                    err(format!("[factors.{name}] range needs from <= to and step > 0"))
+                })?;
             Ok(Factor { name: name.to_string(), levels })
         }
         "loguniform" | "loguniform_unique" => {
@@ -715,6 +739,32 @@ order = \"randomized\"
         // toml-level errors surface with line numbers
         let e = BenchmarkSpec::parse("[benchmark\n").unwrap_err();
         assert!(e.message.contains("line 1"), "{e}");
+    }
+
+    #[test]
+    fn dsl_lowers_into_the_same_representation() {
+        let r = ResolvedBenchmark::from_dsl(
+            "factor op in [a, b]\nfactor size from 8 to 24 step 8\nreplicates 2\norder randomized 42\n",
+            "taurus",
+        )
+        .unwrap();
+        let twin = BenchmarkSpec::parse(MINIMAL).unwrap().resolve(42, &[]).unwrap();
+        assert_eq!(r.plan, twin.plan);
+        assert_eq!(r.factors, twin.factors);
+        assert_eq!((r.replicates, r.order_seed), (2, Some(42)));
+        assert_eq!(r.target, twin.target);
+        assert_eq!(r.name, "taurus");
+        assert!(r.params.is_empty() && r.analysis.values().next().is_none());
+
+        let dsl = "factor x in [2, 1]\norder sequential\n";
+        let sequential = ResolvedBenchmark::from_dsl(dsl, "i7").unwrap();
+        assert_eq!(sequential.order_seed, None);
+        assert!(matches!(&sequential.target, TargetSpec::Memory { cpu, .. } if cpu == "i7"));
+
+        let e = ResolvedBenchmark::from_dsl("factor x in [1]\nbogus\n", "taurus").unwrap_err();
+        assert_eq!(e.message, "DSL error: line 2: unknown statement \"bogus\"");
+        let e = ResolvedBenchmark::from_dsl("factor x in [1]\n", "plan9").unwrap_err();
+        assert!(e.message.contains("\"plan9\"") && e.message.contains("pentium4"), "{e}");
     }
 
     #[test]

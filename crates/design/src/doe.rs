@@ -1,7 +1,58 @@
-//! Design-of-experiments construction: full factorials with replication.
+//! Design-of-experiments construction: full factorials with replication,
+//! and the declared [`Design`] both plan front ends (the DSL and
+//! charm-spec/1) lower into before it expands.
 
-use crate::factors::{Factor, Levels};
+use crate::factors::{Factor, Level, Levels};
 use crate::plan::{ExperimentPlan, PlanError, PlanRow};
+
+/// The run order of an expanded design.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Order {
+    /// Systematic factorial order, replicates innermost.
+    AsDeclared,
+    /// Rows sorted by level, the way an opaque tool sweeps
+    /// ([`ExperimentPlan::sequential`]).
+    Sequential,
+    /// Rows shuffled with this seed ([`ExperimentPlan::shuffle`]).
+    Randomized(u64),
+}
+
+/// A replicated full factorial and its run order, as a plan file
+/// declares it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Design {
+    /// The factors, in declaration (column) order.
+    pub factors: Vec<Factor>,
+    /// Replicates per factor combination (values below 1 count as 1).
+    pub replicates: u32,
+    /// How the expanded rows are ordered.
+    pub order: Order,
+}
+
+impl Design {
+    /// Expands the design into its plan: every combination times every
+    /// replicate, then ordered.
+    pub fn expand(&self) -> Result<ExperimentPlan, PlanError> {
+        let full =
+            FullFactorial { factors: self.factors.clone(), replicates: self.replicates.max(1) };
+        let mut plan = full.build()?;
+        match self.order {
+            Order::AsDeclared => {}
+            Order::Sequential => plan = plan.sequential(),
+            Order::Randomized(seed) => plan.shuffle(seed),
+        }
+        Ok(plan)
+    }
+}
+
+/// The integer levels `from, from + step, …` up to and including `to`;
+/// `None` unless `from <= to` and `step > 0`.
+pub fn range_levels(from: i64, to: i64, step: i64) -> Option<Vec<Level>> {
+    if step <= 0 || from > to {
+        return None;
+    }
+    Some((from..=to).step_by(step as usize).map(Level::Int).collect())
+}
 
 /// Builder for replicated full-factorial designs.
 ///
@@ -157,6 +208,38 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(plan.len(), 1);
+    }
+
+    #[test]
+    fn design_expands_then_orders() {
+        let design = |order| Design {
+            factors: vec![Factor::new("a", vec![3i64, 1, 2]), Factor::new("b", vec!["x", "y"])],
+            replicates: 2,
+            order,
+        };
+        let declared = design(Order::AsDeclared).expand().unwrap();
+        let built = FullFactorial::new()
+            .factor(Factor::new("a", vec![3i64, 1, 2]))
+            .factor(Factor::new("b", vec!["x", "y"]))
+            .replicates(2)
+            .build()
+            .unwrap();
+        assert_eq!(declared, built);
+        assert_eq!(design(Order::Sequential).expand().unwrap(), built.sequential());
+        let mut shuffled = built.clone();
+        shuffled.shuffle(9);
+        assert_eq!(design(Order::Randomized(9)).expand().unwrap(), shuffled);
+    }
+
+    #[test]
+    fn range_levels_include_the_end_and_reject_bad_bounds() {
+        let ints = |v: Vec<Level>| v.iter().map(|l| l.as_int().unwrap()).collect::<Vec<_>>();
+        assert_eq!(ints(range_levels(8, 24, 8).unwrap()), vec![8, 16, 24]);
+        assert_eq!(ints(range_levels(1, 6, 4).unwrap()), vec![1, 5]);
+        assert_eq!(ints(range_levels(-2, -2, 1).unwrap()), vec![-2]);
+        assert!(range_levels(5, 1, 1).is_none());
+        assert!(range_levels(1, 5, 0).is_none());
+        assert!(range_levels(1, 5, -1).is_none());
     }
 
     #[test]

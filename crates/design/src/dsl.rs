@@ -8,6 +8,10 @@
 //! [`ExperimentPlan`] — crucially, into a **plan artifact**, not into an
 //! opaque program that measures and aggregates in one breath.
 //!
+//! [`parse`] stops at the declared [`Design`]; it expands through the
+//! same [`Design::expand`] a charm-spec/1 benchmark does, which is how
+//! `charm_core::spec` lowers a DSL plan into a benchmark spec.
+//!
 //! # Grammar
 //!
 //! ```text
@@ -37,7 +41,7 @@
 //! assert_eq!(plan.len(), 2 * 20 * 5);
 //! ```
 
-use crate::doe::FullFactorial;
+use crate::doe::{self, Design, Order};
 use crate::factors::{Factor, Level};
 use crate::plan::ExperimentPlan;
 use crate::sampling;
@@ -66,9 +70,14 @@ fn err(line: usize, message: impl Into<String>) -> DslError {
 
 /// Compiles DSL text into an experiment plan.
 pub fn compile(text: &str) -> Result<ExperimentPlan, DslError> {
+    parse(text)?.expand().map_err(|e| err(0, e.to_string()))
+}
+
+/// Parses DSL text into its design, before expansion.
+pub fn parse(text: &str) -> Result<Design, DslError> {
     let mut factors: Vec<Factor> = Vec::new();
     let mut replicates: u32 = 1;
-    let mut order: Option<Option<u64>> = None; // None = unspecified; Some(None) = sequential
+    let mut order = Order::AsDeclared;
 
     for (idx, raw) in text.lines().enumerate() {
         let lineno = idx + 1;
@@ -96,13 +105,13 @@ pub fn compile(text: &str) -> Result<ExperimentPlan, DslError> {
                 replicates = n;
             }
             "order" => match tokens.get(1) {
-                Some(&"sequential") => order = Some(None),
+                Some(&"sequential") => order = Order::Sequential,
                 Some(&"randomized") => {
                     let seed: u64 = tokens
                         .get(2)
                         .and_then(|t| t.parse().ok())
                         .ok_or_else(|| err(lineno, "order randomized needs a seed"))?;
-                    order = Some(Some(seed));
+                    order = Order::Randomized(seed);
                 }
                 _ => return Err(err(lineno, "order must be 'randomized SEED' or 'sequential'")),
             },
@@ -113,17 +122,7 @@ pub fn compile(text: &str) -> Result<ExperimentPlan, DslError> {
     if factors.is_empty() {
         return Err(err(0, "plan needs at least one factor"));
     }
-    let mut builder = FullFactorial::new().replicates(replicates);
-    for f in factors {
-        builder = builder.factor(f);
-    }
-    let mut plan = builder.build().map_err(|e| err(0, e.to_string()))?;
-    match order {
-        Some(Some(seed)) => plan.shuffle(seed),
-        Some(None) => plan = plan.sequential(),
-        None => {}
-    }
-    Ok(plan)
+    Ok(Design { factors, replicates, order })
 }
 
 fn parse_factor(tokens: &[&str], lineno: usize) -> Result<Factor, DslError> {
@@ -158,11 +157,8 @@ fn parse_factor(tokens: &[&str], lineno: usize) -> Result<Factor, DslError> {
             if tokens.get(4) != Some(&"to") || tokens.get(6) != Some(&"step") {
                 return Err(err(lineno, "expected: from A to B step S"));
             }
-            let (a, b, s) = (get(3, "start")?, get(5, "end")?, get(7, "step")?);
-            if s <= 0 || a > b {
-                return Err(err(lineno, "range needs start <= end and step > 0"));
-            }
-            let levels: Vec<Level> = (a..=b).step_by(s as usize).map(Level::Int).collect();
+            let levels = doe::range_levels(get(3, "start")?, get(5, "end")?, get(7, "step")?)
+                .ok_or_else(|| err(lineno, "range needs start <= end and step > 0"))?;
             Ok(Factor { name: name.to_string(), levels })
         }
         Some(&"loguniform") => {

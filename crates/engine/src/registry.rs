@@ -21,9 +21,8 @@
 //!   The registry validates the description and hands back an
 //!   [`ExternalEngineSpec`]; the `charm_runner` crate (which depends on
 //!   this one) spawns it. External engines run sequentially — a
-//!   subprocess has no [`crate::ParallelTarget::fork`] — which the
-//!   engine surfaces as a [`SequentialOnly`] capability rather than a
-//!   silent downgrade.
+//!   subprocess has no [`crate::ParallelTarget::fork`] — so asking for
+//!   more than one shard is the caller's error, not a silent downgrade.
 //!
 //! Unknown names fail with [`TargetError::UnknownTarget`] carrying the
 //! accepted spellings, so a typo in a spec file reads as a spec bug,
@@ -88,6 +87,40 @@ pub enum TargetSpec {
     },
 }
 
+impl TargetSpec {
+    /// The spec a bare platform name stands for — the DSL front end's
+    /// `<platform>` argument: a network preset or a CPU (see
+    /// [`network_presets`], [`memory_cpus`]) with every policy and the
+    /// label at their defaults.
+    pub fn platform(name: &str) -> Result<TargetSpec, TargetError> {
+        let (governor, sched, alloc, label) = (None, None, None, None);
+        if network_presets().contains(&name) {
+            Ok(TargetSpec::Network { preset: name.to_string(), label })
+        } else if memory_cpus().contains(&name) {
+            Ok(TargetSpec::Memory { cpu: name.to_string(), governor, sched, alloc, label })
+        } else {
+            Err(unknown("platform", name, &[network_presets(), memory_cpus()].concat()))
+        }
+    }
+
+    /// The platform label campaigns of this target record and archive
+    /// under: the explicit `label`, else the preset name, the CPU name,
+    /// or the program's file stem.
+    pub fn label(&self) -> String {
+        match self {
+            TargetSpec::Network { label: Some(label), .. }
+            | TargetSpec::Memory { label: Some(label), .. }
+            | TargetSpec::External { label: Some(label), .. } => label.clone(),
+            TargetSpec::Network { preset, label: None } => preset.clone(),
+            TargetSpec::Memory { cpu, label: None, .. } => cpu.clone(),
+            TargetSpec::External { program, label: None, .. } => std::path::Path::new(program)
+                .file_stem()
+                .map(|s| s.to_string_lossy().into_owned())
+                .unwrap_or_else(|| program.clone()),
+        }
+    }
+}
+
 /// A validated external-engine description, ready for `charm_runner`
 /// to spawn. The registry cannot construct the subprocess target itself
 /// (that would invert the crate layering: the runner implements
@@ -118,35 +151,12 @@ pub enum ResolvedTarget {
     External(ExternalEngineSpec),
 }
 
-/// Execution capability of a resolved target: whether the sharded
-/// campaign path is available at all. Subprocess engines cannot be
-/// forked mid-protocol, so they are [`SequentialOnly::Yes`]; asking for
-/// `--shards > 1` against one is a spec error, not a silent downgrade.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SequentialOnly {
-    /// The target can only run the sequential campaign path.
-    Yes,
-    /// The target implements [`crate::ParallelTarget`].
-    No,
-}
-
 impl std::fmt::Debug for ResolvedTarget {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ResolvedTarget::Network(t) => write!(f, "Network({:?})", t.name()),
             ResolvedTarget::Memory(t) => write!(f, "Memory({:?})", t.name()),
             ResolvedTarget::External(e) => f.debug_tuple("External").field(e).finish(),
-        }
-    }
-}
-
-impl ResolvedTarget {
-    /// Whether this target is restricted to the sequential campaign
-    /// path.
-    pub fn sequential_only(&self) -> SequentialOnly {
-        match self {
-            ResolvedTarget::External(_) => SequentialOnly::Yes,
-            _ => SequentialOnly::No,
         }
     }
 }
@@ -192,18 +202,17 @@ fn cpu_spec(name: &str) -> Result<CpuSpec, TargetError> {
 /// campaigns.
 pub fn resolve(spec: &TargetSpec, seed: u64) -> Result<ResolvedTarget, TargetError> {
     match spec {
-        TargetSpec::Network { preset, label } => {
+        TargetSpec::Network { preset, .. } => {
             let sim = match preset.as_str() {
                 "taurus" => presets::taurus_openmpi_tcp(seed),
                 "myrinet" => presets::myrinet_gm(seed),
                 "openmpi" => presets::openmpi_fig3(seed),
                 other => return Err(unknown("preset", other, network_presets())),
             };
-            let label = label.clone().unwrap_or_else(|| preset.clone());
-            Ok(ResolvedTarget::Network(Box::new(NetworkTarget::new(label, sim))))
+            Ok(ResolvedTarget::Network(Box::new(NetworkTarget::new(spec.label(), sim))))
         }
-        TargetSpec::Memory { cpu, governor: gov, sched, alloc, label } => {
-            let spec = cpu_spec(cpu)?;
+        TargetSpec::Memory { cpu, governor: gov, sched, alloc, .. } => {
+            let cpu = cpu_spec(cpu)?;
             let gov = governor(gov.as_deref().unwrap_or("performance"))?;
             let sched_name = sched.as_deref().unwrap_or("pinned_default");
             let sched = SchedPolicy::parse(sched_name).ok_or_else(|| {
@@ -224,11 +233,10 @@ pub fn resolve(spec: &TargetSpec, seed: u64) -> Result<ResolvedTarget, TargetErr
                     ))
                 }
             };
-            let label = label.clone().unwrap_or_else(|| cpu.clone());
-            let machine = MachineSim::new(spec, gov, sched, alloc, seed);
-            Ok(ResolvedTarget::Memory(Box::new(MemoryTarget::new(label, machine))))
+            let machine = MachineSim::new(cpu, gov, sched, alloc, seed);
+            Ok(ResolvedTarget::Memory(Box::new(MemoryTarget::new(spec.label(), machine))))
         }
-        TargetSpec::External { program, args, timeout_ms, label } => {
+        TargetSpec::External { program, args, timeout_ms, .. } => {
             if program.is_empty() {
                 return Err(TargetError::UnknownTarget {
                     field: "command",
@@ -236,17 +244,11 @@ pub fn resolve(spec: &TargetSpec, seed: u64) -> Result<ResolvedTarget, TargetErr
                     expected: "a non-empty program path".to_string(),
                 });
             }
-            let label = label.clone().unwrap_or_else(|| {
-                std::path::Path::new(program)
-                    .file_stem()
-                    .map(|s| s.to_string_lossy().into_owned())
-                    .unwrap_or_else(|| program.clone())
-            });
             Ok(ResolvedTarget::External(ExternalEngineSpec {
                 program: program.clone(),
                 args: args.clone(),
                 timeout_ms: timeout_ms.unwrap_or(DEFAULT_EXTERNAL_TIMEOUT_MS),
-                label,
+                label: spec.label(),
             }))
         }
     }
@@ -291,6 +293,55 @@ mod tests {
     }
 
     #[test]
+    fn platform_names_map_to_default_specs() {
+        for &name in network_presets() {
+            let spec = TargetSpec::platform(name).unwrap();
+            assert_eq!(spec, TargetSpec::Network { preset: name.into(), label: None });
+            assert_eq!(spec.label(), name);
+        }
+        for &name in memory_cpus() {
+            let spec = TargetSpec::platform(name).unwrap();
+            assert_eq!(
+                spec,
+                TargetSpec::Memory {
+                    cpu: name.into(),
+                    governor: None,
+                    sched: None,
+                    alloc: None,
+                    label: None
+                }
+            );
+            assert_eq!(spec.label(), name);
+        }
+        match TargetSpec::platform("plan9").unwrap_err() {
+            TargetError::UnknownTarget { field, got, expected } => {
+                assert_eq!(field, "platform");
+                assert_eq!(got, "plan9");
+                assert_eq!(expected, "taurus | myrinet | openmpi | opteron | pentium4 | i7 | arm");
+            }
+            other => panic!("expected UnknownTarget, got {other}"),
+        }
+    }
+
+    #[test]
+    fn labels_default_to_the_name_and_yield_to_an_explicit_one() {
+        let external = |label: Option<&str>| TargetSpec::External {
+            program: "engines/klv_demo.sh".into(),
+            args: Vec::new(),
+            timeout_ms: None,
+            label: label.map(str::to_string),
+        };
+        assert_eq!(external(None).label(), "klv_demo");
+        assert_eq!(external(Some("lab")).label(), "lab");
+        let net = TargetSpec::Network { preset: "taurus".into(), label: Some("t2".into()) };
+        assert_eq!(net.label(), "t2");
+        match resolve(&net, 1).unwrap() {
+            ResolvedTarget::Network(t) => assert_eq!(t.name(), "t2"),
+            other => panic!("expected network target, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn same_spec_same_seed_same_identity() {
         let spec = TargetSpec::Network { preset: "taurus".into(), label: None };
         let md = |r: ResolvedTarget| match r {
@@ -325,23 +376,19 @@ mod tests {
     }
 
     #[test]
-    fn external_is_sequential_only_and_normalized() {
+    fn external_is_normalized() {
         let spec = TargetSpec::External {
             program: "target/release/klv_engine_demo".into(),
             args: vec!["--seed".into(), "7".into()],
             timeout_ms: None,
             label: None,
         };
-        let resolved = resolve(&spec, 7).unwrap();
-        assert_eq!(resolved.sequential_only(), SequentialOnly::Yes);
-        match resolved {
+        match resolve(&spec, 7).unwrap() {
             ResolvedTarget::External(e) => {
                 assert_eq!(e.label, "klv_engine_demo");
                 assert_eq!(e.timeout_ms, DEFAULT_EXTERNAL_TIMEOUT_MS);
             }
             other => panic!("expected external, got {other:?}"),
         }
-        let inproc = TargetSpec::Network { preset: "taurus".into(), label: None };
-        assert_eq!(resolve(&inproc, 1).unwrap().sequential_only(), SequentialOnly::No);
     }
 }

@@ -67,6 +67,15 @@ impl Counters {
         *self.map.entry(key).or_insert(0) += n;
     }
 
+    /// Takes back `n` from the counter `key`, saturating at zero: the
+    /// undo of an [`Counters::add`] whose event was rolled back. A key
+    /// never touched stays absent.
+    pub fn sub(&mut self, key: &str, n: u64) {
+        if let Some(v) = self.map.get_mut(key) {
+            *v = v.saturating_sub(n);
+        }
+    }
+
     /// Current value of `key` (zero if never touched).
     pub fn get(&self, key: &str) -> u64 {
         self.map.get(key).copied().unwrap_or(0)
@@ -781,6 +790,19 @@ mod tests {
         assert_eq!(ptr_a, ptr_b, "repeated gets must hand out the same interned string");
         let mut colors = IndexedNames::new("simmem.paging.color.", "");
         assert_eq!(colors.get(7), "simmem.paging.color.7");
+    }
+
+    #[test]
+    fn counters_sub_saturates_and_never_creates() {
+        let mut c = Counters::new();
+        c.add("serve.accepted", 2);
+        c.sub("serve.accepted", 1);
+        assert_eq!(c.get("serve.accepted"), 1);
+        c.sub("serve.accepted", 5);
+        assert_eq!(c.get("serve.accepted"), 0);
+        assert_eq!(c.len(), 1, "a drained counter keeps its key");
+        c.sub("absent", 1);
+        assert_eq!(c.len(), 1);
     }
 
     #[test]

@@ -1,12 +1,15 @@
 //! Service counters and per-tenant accounting.
 //!
 //! One lock over two sorted maps: the `serve.*` counters the `status`
-//! request reports, and the per-tenant state the admission path charges
-//! — concurrent-job count plus a rolling window of admitted plan rows.
-//! Everything here is bookkeeping about the *service*; the scientific
-//! counters of a campaign stay in its own `charm_obs` report.
+//! request reports — a [`charm_obs::Counters`], the same counter
+//! vocabulary a campaign's report uses — and the per-tenant state the
+//! admission path charges: concurrent-job count plus a rolling window
+//! of admitted plan rows. Everything here is bookkeeping about the
+//! *service*; the scientific counters of a campaign stay in its own
+//! `charm_obs` report.
 
 use crate::protocol::RejectReason;
+use charm_obs::Counters;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -47,7 +50,7 @@ impl Tenant {
 
 #[derive(Debug, Default)]
 struct Inner {
-    counters: BTreeMap<String, u64>,
+    counters: Counters,
     tenants: BTreeMap<String, Tenant>,
 }
 
@@ -66,20 +69,19 @@ impl Metrics {
 
     /// Adds `n` to the counter `key`.
     pub fn bump(&self, key: &str, n: u64) {
-        let mut inner = self.inner.lock().unwrap();
-        *inner.counters.entry(key.to_string()).or_insert(0) += n;
+        self.inner.lock().unwrap().counters.add(key, n);
     }
 
     /// Current value of `key` (zero if never touched).
     pub fn get(&self, key: &str) -> u64 {
-        self.inner.lock().unwrap().counters.get(key).copied().unwrap_or(0)
+        self.inner.lock().unwrap().counters.get(key)
     }
 
     /// Charges a rejection to `tenant` and the matching
     /// `serve.rejected.*` counter.
     pub fn reject(&self, tenant: &str, reason: RejectReason) {
         let mut inner = self.inner.lock().unwrap();
-        *inner.counters.entry(format!("serve.rejected.{reason}")).or_insert(0) += 1;
+        inner.counters.add_owned(format!("serve.rejected.{reason}"), 1);
         inner.tenants.entry(tenant.to_string()).or_default().rejected += 1;
     }
 
@@ -101,7 +103,7 @@ impl Metrics {
         t.active += 1;
         t.accepted += 1;
         t.admitted.push_back((now, rows));
-        *inner.counters.entry("serve.accepted".to_string()).or_insert(0) += 1;
+        inner.counters.add("serve.accepted", 1);
         Ok(())
     }
 
@@ -114,8 +116,7 @@ impl Metrics {
             t.accepted = t.accepted.saturating_sub(1);
             t.admitted.pop_back();
         }
-        let c = inner.counters.entry("serve.accepted".to_string()).or_insert(0);
-        *c = c.saturating_sub(1);
+        inner.counters.sub("serve.accepted", 1);
     }
 
     /// Releases an admitted job's concurrency slot (the run finished,
@@ -135,7 +136,7 @@ impl Metrics {
         let now = Instant::now();
         let mut inner = self.inner.lock().unwrap();
         let counters: Vec<(String, u64)> =
-            inner.counters.iter().map(|(k, v)| (k.clone(), *v)).collect();
+            inner.counters.iter().map(|(k, v)| (k.to_string(), v)).collect();
         let mut tenants = Vec::new();
         let window = Duration::from_secs(u64::MAX / 2); // snapshot never prunes
         for (name, t) in inner.tenants.iter_mut() {

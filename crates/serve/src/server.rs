@@ -15,7 +15,8 @@
 //! identical campaign streams straight from the store, zero engine
 //! work) → per-tenant row budget → per-tenant job cap → queue capacity.
 //! Every refusal is a typed `rejected` response; the connection stays
-//! open.
+//! open. A request line longer than [`MAX_REQUEST_LINE`] is the one
+//! exception: it is answered with `error` and the connection closes.
 //!
 //! Cancellation is cooperative: `cancel` fires the job's
 //! [`CancelToken`]; queued jobs die at pop, running jobs stop at the
@@ -28,12 +29,13 @@ use crate::protocol::{Event, PlanKind, RejectReason, Request, Source, PROTOCOL};
 use crate::stream::StreamSink;
 use crate::submit::{self, Prepared};
 use charm_design::ExperimentPlan;
+use charm_engine::record::csv_header;
 use charm_engine::registry::{self, ResolvedTarget, TargetSpec};
 use charm_engine::{Campaign, CampaignRun, CancelToken, ParallelTarget, TargetError};
 use charm_obs::Observer;
 use charm_store::{CampaignKey, CheckpointSession, RunId, Store, StoreError};
 use std::collections::{BTreeMap, VecDeque};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -41,6 +43,11 @@ use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+/// Longest request line the daemon buffers, terminator excluded: the
+/// same 1 MiB bound as a `charm-klv/1` frame value. A client that never
+/// sends a newline therefore cannot grow the daemon's memory.
+const MAX_REQUEST_LINE: usize = 1 << 20;
 
 /// Server tunables. `Default` is sized for tests and small hosts.
 #[derive(Debug, Clone)]
@@ -89,7 +96,6 @@ struct Job {
     tenant: String,
     plan: ExperimentPlan,
     target: TargetSpec,
-    label: String,
     shuffle_seed: Option<u64>,
     seed: u64,
     shards: u64,
@@ -331,48 +337,68 @@ fn send(writer: &mut TcpStream, event: &Event) -> bool {
     writer.write_all(line.as_bytes()).is_ok()
 }
 
+/// Reads the next request line, at most [`MAX_REQUEST_LINE`] bytes.
+/// `None` ends the connection: at end of stream, on an I/O error or a
+/// line that is not UTF-8, and after answering an over-long line with
+/// an `error` event.
+fn next_request(reader: &mut BufReader<TcpStream>, writer: &mut TcpStream) -> Option<String> {
+    let mut buf = Vec::new();
+    let limit = MAX_REQUEST_LINE as u64 + 1;
+    if reader.by_ref().take(limit).read_until(b'\n', &mut buf).ok()? == 0 {
+        return None;
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+    } else if buf.len() > MAX_REQUEST_LINE {
+        let detail = format!("request line exceeds {MAX_REQUEST_LINE} bytes; closing");
+        send(writer, &Event::Error { detail });
+        return None;
+    }
+    String::from_utf8(buf).ok()
+}
+
 fn connection(shared: &Shared, stream: TcpStream) {
     shared.metrics.bump("serve.connections", 1);
     let Ok(read_half) = stream.try_clone() else { return };
     let mut writer = stream;
-    let mut lines = BufReader::new(read_half).lines();
+    let mut reader = BufReader::new(read_half);
 
     // Versioned handshake first: anything else on the first line is a
     // protocol error and the connection closes.
-    let tenant = match lines.next() {
-        Some(Ok(first)) => match Request::parse(&first) {
-            Ok(Request::Hello { proto, tenant }) if proto == PROTOCOL => {
-                let hello = Event::Hello {
-                    proto: PROTOCOL.to_string(),
-                    server: concat!("charm-serve ", env!("CARGO_PKG_VERSION")).to_string(),
-                };
-                if !send(&mut writer, &hello) {
-                    return;
-                }
-                tenant
-            }
-            Ok(Request::Hello { proto, .. }) => {
-                send(
-                    &mut writer,
-                    &Event::Error {
-                        detail: format!("unsupported protocol {proto:?} (this is {PROTOCOL})"),
-                    },
-                );
+    let Some(first) = next_request(&mut reader, &mut writer) else { return };
+    let tenant = match Request::parse(&first) {
+        Ok(Request::Hello { proto, tenant }) if proto == PROTOCOL => {
+            let hello = Event::Hello {
+                proto: PROTOCOL.to_string(),
+                server: concat!("charm-serve ", env!("CARGO_PKG_VERSION")).to_string(),
+            };
+            if !send(&mut writer, &hello) {
                 return;
             }
-            _ => {
-                send(
-                    &mut writer,
-                    &Event::Error { detail: format!("expected a {PROTOCOL} hello first") },
-                );
-                return;
-            }
-        },
-        _ => return,
+            tenant
+        }
+        Ok(Request::Hello { proto, .. }) => {
+            send(
+                &mut writer,
+                &Event::Error {
+                    detail: format!("unsupported protocol {proto:?} (this is {PROTOCOL})"),
+                },
+            );
+            return;
+        }
+        _ => {
+            send(
+                &mut writer,
+                &Event::Error { detail: format!("expected a {PROTOCOL} hello first") },
+            );
+            return;
+        }
     };
 
-    for line in lines {
-        let Ok(line) = line else { break };
+    while let Some(line) = next_request(&mut reader, &mut writer) {
         if line.trim().is_empty() {
             continue;
         }
@@ -449,7 +475,7 @@ fn handle_submit(
     observe: bool,
 ) -> bool {
     shared.metrics.bump("serve.submissions", 1);
-    let Prepared { plan, target, target_id, label, shuffle_seed } =
+    let Prepared { plan, target, target_id, shuffle_seed } =
         match submit::prepare(kind, plan_text, platform, seed) {
             Ok(p) => p,
             Err((reason, detail)) => return reject(shared, writer, tenant, reason, detail),
@@ -522,7 +548,6 @@ fn handle_submit(
         tenant: tenant.to_string(),
         plan,
         target,
-        label,
         shuffle_seed,
         seed,
         shards,
@@ -533,7 +558,7 @@ fn handle_submit(
         cancel: cancel.clone(),
         tx,
     });
-    let columns = head_columns(job.plan.factor_names());
+    let columns = csv_header(job.plan.factor_names());
     shared.jobs.register(&job_id, cancel);
     if let Err(job) = shared.queue.try_push(job) {
         shared.jobs.remove(&job_id);
@@ -565,16 +590,6 @@ fn handle_submit(
         }
     }
     connected
-}
-
-/// The `records.csv` header line for a plan's factor columns.
-fn head_columns(factor_names: &[String]) -> String {
-    let mut columns = factor_names.join(",");
-    if !columns.is_empty() {
-        columns.push(',');
-    }
-    columns.push_str("replicate,sequence,start_us,value");
-    columns
 }
 
 /// Streams an archived run: `accepted` (for submissions and result
@@ -609,8 +624,7 @@ fn stream_archive(
     if !send(writer, &accepted) {
         return false;
     }
-    let head =
-        Event::Head { job: job.to_string(), columns: head_columns(&stored.data.factor_names) };
+    let head = Event::Head { job: job.to_string(), columns: csv_header(&stored.data.factor_names) };
     if !send(writer, &head) {
         return false;
     }
@@ -671,7 +685,7 @@ fn execute_job(shared: &Shared, job: Job) {
         Ok(run) => {
             let archived = shared.store.put_run(
                 &job.key,
-                &job.label,
+                &job.target.label(),
                 "charm_serve_d",
                 &run.data,
                 run.report.as_ref(),

@@ -1,18 +1,17 @@
 //! Submission compilation: turning a `submit` request's plan text into
 //! everything the scheduler and the engine need.
 //!
-//! This is deliberately the same resolution path the `run_campaign` CLI
-//! takes — DSL plans map to the registry's network/memory specs with
-//! default policies and labels, spec plans resolve through
-//! `charm_core::spec` — so a campaign submitted to the service derives
-//! the *same* content-addressed run ID, the same metadata, and the same
-//! record bytes as one run directly. That equivalence is what makes
+//! This is deliberately the same lowering the `run_campaign` CLI uses —
+//! a DSL plan through `ResolvedBenchmark::from_dsl`, a spec through
+//! `BenchmarkSpec::resolve`, both into one `ResolvedBenchmark` — so a
+//! campaign submitted to the service derives the *same*
+//! content-addressed run ID, the same metadata, and the same record
+//! bytes as one run directly. That equivalence is what makes
 //! archive-backed dedupe honest: a dedupe hit serves exactly the bytes
 //! an engine run would have produced.
 
 use crate::protocol::{PlanKind, RejectReason};
-use charm_core::spec::BenchmarkSpec;
-use charm_design::dsl;
+use charm_core::spec::{BenchmarkSpec, ResolvedBenchmark};
 use charm_design::ExperimentPlan;
 use charm_engine::registry::{self, ResolvedTarget, TargetSpec};
 use charm_store::target_identity;
@@ -27,41 +26,14 @@ pub(crate) struct Prepared {
     /// The target's store identity (`name#digest`), from a resolution
     /// at `seed` — deterministic, so admission and execution agree.
     pub target_id: String,
-    /// The benchmark label the run archives under: the platform name in
-    /// DSL mode, the resolved target label in spec mode (exactly what
-    /// `run_campaign` files the same campaign under).
-    pub label: String,
-    /// The shuffle seed recorded in campaign metadata: `None` for DSL
-    /// plans (the DSL orders at compile time and the legacy artifacts
-    /// never recorded a seed), the spec's `order_seed` otherwise.
+    /// The shuffle seed recorded in campaign metadata: the lowered
+    /// benchmark's `order_seed`, `Some` exactly when the plan declares a
+    /// randomized order, whichever syntax it is written in.
     pub shuffle_seed: Option<u64>,
 }
 
 fn bad_plan(detail: impl Into<String>) -> (RejectReason, String) {
     (RejectReason::BadPlan, detail.into())
-}
-
-/// Maps a DSL-mode platform name to its registry spec with every
-/// default — the same table `run_campaign`'s DSL mode hardcodes, routed
-/// through the registry so both paths construct identical targets.
-fn platform_spec(platform: &str) -> Result<TargetSpec, (RejectReason, String)> {
-    if registry::network_presets().contains(&platform) {
-        Ok(TargetSpec::Network { preset: platform.to_string(), label: None })
-    } else if registry::memory_cpus().contains(&platform) {
-        Ok(TargetSpec::Memory {
-            cpu: platform.to_string(),
-            governor: None,
-            sched: None,
-            alloc: None,
-            label: None,
-        })
-    } else {
-        Err(bad_plan(format!(
-            "unknown platform {platform:?} (expected {} | {})",
-            registry::network_presets().join(" | "),
-            registry::memory_cpus().join(" | ")
-        )))
-    }
 }
 
 /// Compiles a submission. `seed` is the stream seed the campaign will
@@ -72,24 +44,13 @@ pub(crate) fn prepare(
     platform: &str,
     seed: u64,
 ) -> Result<Prepared, (RejectReason, String)> {
-    let (plan, target, label, shuffle_seed) = match kind {
+    let ResolvedBenchmark { plan, target, order_seed, .. } = match kind {
         PlanKind::Dsl => {
-            let plan = dsl::compile(plan_text).map_err(|e| bad_plan(format!("DSL error: {e}")))?;
-            let target = platform_spec(platform)?;
-            (plan, target, platform.to_string(), None)
+            ResolvedBenchmark::from_dsl(plan_text, platform).map_err(|e| bad_plan(e.to_string()))?
         }
-        PlanKind::Spec => {
-            let spec = BenchmarkSpec::parse(plan_text)
-                .map_err(|e| bad_plan(format!("spec error: {e}")))?;
-            let resolved =
-                spec.resolve(seed, &[]).map_err(|e| bad_plan(format!("spec error: {e}")))?;
-            let label = match &resolved.target {
-                TargetSpec::Network { preset, label } => label.clone().unwrap_or(preset.clone()),
-                TargetSpec::Memory { cpu, label, .. } => label.clone().unwrap_or(cpu.clone()),
-                TargetSpec::External { .. } => String::new(), // rejected below
-            };
-            (resolved.plan, resolved.target, label, resolved.order_seed)
-        }
+        PlanKind::Spec => BenchmarkSpec::parse(plan_text)
+            .and_then(|spec| spec.resolve(seed, &[]))
+            .map_err(|e| bad_plan(format!("spec error: {e}")))?,
     };
     if plan.is_empty() {
         return Err(bad_plan("plan has no rows"));
@@ -105,7 +66,7 @@ pub(crate) fn prepare(
         }
         Err(e) => return Err(bad_plan(e.to_string())),
     };
-    Ok(Prepared { plan, target, target_id, label, shuffle_seed })
+    Ok(Prepared { plan, target, target_id, shuffle_seed: order_seed })
 }
 
 #[cfg(test)]
@@ -118,7 +79,7 @@ mod tests {
     fn dsl_submissions_compile_with_registry_defaults() {
         let p = prepare(PlanKind::Dsl, DSL, "taurus", 7).unwrap();
         assert_eq!(p.plan.len(), 4);
-        assert_eq!(p.label, "taurus");
+        assert_eq!(p.target.label(), "taurus");
         assert_eq!(p.shuffle_seed, None);
         assert!(p.target_id.starts_with("taurus#"), "{}", p.target_id);
         assert_eq!(p.target, TargetSpec::Network { preset: "taurus".into(), label: None });

@@ -58,14 +58,14 @@ fn big_plan(attempt: u32) -> String {
 }
 
 /// Runs the same campaign directly on the engine, exactly as the
-/// service schedules it (requested shards taken literally), returning
-/// the full `records.csv` text.
+/// service schedules it (the shared DSL lowering, requested shards
+/// taken literally), returning the full `records.csv` text.
 fn direct_csv(plan_text: &str, platform: &str, seed: u64, shards: u64) -> String {
-    let plan = charm_design::dsl::compile(plan_text).unwrap();
-    let spec = charm_engine::TargetSpec::Network { preset: platform.into(), label: None };
-    let run = match charm_engine::registry::resolve(&spec, seed).unwrap() {
-        charm_engine::ResolvedTarget::Network(t) => charm_engine::Campaign::new(&plan, *t)
+    let bench = charm_core::spec::ResolvedBenchmark::from_dsl(plan_text, platform).unwrap();
+    let run = match charm_engine::registry::resolve(&bench.target, seed).unwrap() {
+        charm_engine::ResolvedTarget::Network(t) => charm_engine::Campaign::new(&bench.plan, *t)
             .shards(shards as usize)
+            .seed(bench.order_seed)
             .min_rows_per_shard(1)
             .run()
             .unwrap(),
@@ -363,5 +363,52 @@ fn observed_jobs_stream_counters_after_records() {
                 [factors.size]\nlevels = [64, 1024]\n\n[design]\nreplicates = 2\norder = \"randomized\"\norder_seed = 5\n";
     let d2 = c.run(PlanKind::Spec, spec, "", 11, 2, false).unwrap().unwrap();
     assert!(matches!(&d2.terminal, Event::Done { .. }));
+    server.shutdown();
+}
+
+#[test]
+fn an_unbounded_request_line_is_refused_and_the_connection_closed() {
+    use std::io::{BufRead, BufReader, Read, Write};
+    let (_scratch, server, addr) = start("longline", |_| {});
+    let stream = std::net::TcpStream::connect(&addr).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(60))).unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    writer
+        .write_all(b"{\"type\": \"hello\", \"proto\": \"charm-serve/1\", \"tenant\": \"x\"}\n")
+        .unwrap();
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    assert!(matches!(Event::parse(line.trim_end()).unwrap(), Event::Hello { .. }), "{line}");
+
+    // 2 MiB and never a newline. The daemon stops reading after 1 MiB,
+    // so the rest may bounce off a closed socket: write from a thread
+    // and ignore its errors.
+    let flood = std::thread::spawn(move || {
+        let chunk = vec![b'x'; 64 * 1024];
+        for _ in 0..32 {
+            if writer.write_all(&chunk).is_err() {
+                break;
+            }
+        }
+    });
+    line.clear();
+    reader.read_line(&mut line).unwrap();
+    match Event::parse(line.trim_end()).unwrap() {
+        Event::Error { detail } => assert!(detail.contains("1048576"), "{detail}"),
+        other => panic!("expected an error event, got {other:?}"),
+    }
+    // Then the daemon hangs up: end of stream, or a reset because the
+    // rest of the flood was never read.
+    let mut rest = Vec::new();
+    match reader.read_to_end(&mut rest) {
+        Ok(_) => assert!(rest.is_empty(), "nothing may follow the error"),
+        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::ConnectionReset, "{e}"),
+    }
+    flood.join().unwrap();
+
+    // The daemon itself is unharmed.
+    let mut c = Client::connect(&addr, "y").unwrap();
+    let _ = c.status().unwrap();
     server.shutdown();
 }
