@@ -121,6 +121,23 @@ fn bad_platforms_and_usage_exit_2() {
     );
 }
 
+#[test]
+fn external_engines_refuse_shards_and_resume() {
+    let dir = Scratch::new("external");
+    let spec = concat!(env!("CARGO_MANIFEST_DIR"), "/../../benchmarks/external_smoke.toml");
+    let out = dir.join("out");
+    // Both refusals come before the engine is spawned, so the demo
+    // engine need not be built.
+    let sharded = run_campaign(&["--benchmark", spec, "--shards", "2", "--out", path(&out)]);
+    assert_eq!(sharded.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&sharded.stderr);
+    assert!(stderr.contains("sequential-only"), "{stderr}");
+    let resumed = run_campaign(&["--benchmark", spec, "--resume", "0123", "--out", path(&out)]);
+    assert_eq!(resumed.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&resumed.stderr);
+    assert!(stderr.contains("--resume does not apply"), "{stderr}");
+}
+
 /// A target's store identity and the CSV of a short campaign on it:
 /// what a run ID and an archive pin. The identity leaves out the
 /// memory policies; the measured values do not.

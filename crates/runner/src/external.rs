@@ -20,7 +20,7 @@
 //!
 //! The subprocess boundary means an `ExternalTarget` is *sequential
 //! only* — it is a [`Target`] but deliberately not a
-//! `ParallelTarget`, so the sharded campaign path cannot take it.
+//! `ParallelTarget`, matching `SequentialOnly::Yes` from the registry.
 
 use std::collections::BTreeMap;
 use std::io::{BufReader, Read, Write};

@@ -24,9 +24,9 @@
 //! * [`demo`] — a complete reference engine with switchable failure
 //!   modes, compiled as the `klv_engine_demo` bin (CI fixture).
 //!
-//! An external engine is sequential-only: the subprocess boundary has
-//! no fork/skip_to semantics, so the sharded runner refuses it by
-//! construction.
+//! An external engine is sequential-only (`SequentialOnly::Yes` from
+//! `charm_engine::registry`): the subprocess boundary has no fork/
+//! skip_to semantics, so the sharded runner refuses it by construction.
 //!
 //! Wire format and protocol are specified in DESIGN.md §15.
 

@@ -36,7 +36,7 @@ use charm_obs::Observer;
 use charm_store::{CampaignKey, CheckpointSession, RunId, Store, StoreError};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Sender};
@@ -48,6 +48,11 @@ use std::time::Duration;
 /// same 1 MiB bound as a `charm-klv/1` frame value. A client that never
 /// sends a newline therefore cannot grow the daemon's memory.
 const MAX_REQUEST_LINE: usize = 1 << 20;
+
+/// While draining a refused client's input before closing, the daemon
+/// reads at most [`DRAIN_BYTES`] and waits at most this long per read.
+const DRAIN_IDLE: Duration = Duration::from_secs(2);
+const DRAIN_BYTES: u64 = 8 << 20;
 
 /// Server tunables. `Default` is sized for tests and small hosts.
 #[derive(Debug, Clone)]
@@ -355,6 +360,12 @@ fn next_request(reader: &mut BufReader<TcpStream>, writer: &mut TcpStream) -> Op
     } else if buf.len() > MAX_REQUEST_LINE {
         let detail = format!("request line exceeds {MAX_REQUEST_LINE} bytes; closing");
         send(writer, &Event::Error { detail });
+        // Closing a socket with unread input resets it, and the reset
+        // can drop the error still in the send queue: half-close, then
+        // discard input until the client hangs up or goes quiet.
+        let _ = writer.shutdown(Shutdown::Write);
+        let _ = reader.get_ref().set_read_timeout(Some(DRAIN_IDLE));
+        let _ = std::io::copy(&mut reader.by_ref().take(DRAIN_BYTES), &mut std::io::sink());
         return None;
     }
     String::from_utf8(buf).ok()
