@@ -2,7 +2,8 @@
 //! (the sequential `Campaign` builder vs its sharded form at 1/2/4/8
 //! shards) and of the segmentation search (pre-optimization O(j − i)
 //! refit DP vs the prefix-sum O(1)-SSE DP). `bench_campaign_summary`
-//! produces the machine-readable `BENCH_campaign.json` counterpart.
+//! produces the machine-readable counterpart, `BENCH_engine.json`; the
+//! refit-DP comparison is timed only here.
 
 use charm_analysis::prefix::naive_stretch_sse;
 use charm_analysis::segmented::{reference, segment, SegmentConfig};
@@ -151,7 +152,7 @@ fn piecewise_data(n: usize) -> (Vec<f64>, Vec<f64>) {
 /// The pre-optimization segmentation search: the reference DP with an
 /// O(j − i) OLS refit per candidate stretch (memoized across segment
 /// counts, as the old `stretch_sse` did). Expects x sorted ascending.
-fn refit_dp_breakpoints(x: &[f64], y: &[f64], config: &SegmentConfig) -> Vec<f64> {
+fn refit_breakpoints(x: &[f64], y: &[f64], config: &SegmentConfig) -> Vec<f64> {
     let mut memo = HashMap::new();
     reference(x, y, config, |i, j| {
         *memo.entry((i, j)).or_insert_with(|| naive_stretch_sse(x, y, i, j))
@@ -165,18 +166,18 @@ fn segmentation(c: &mut Criterion) {
 
     // Old vs new at a size the refit DP can still finish in bench time.
     let (xs, ys) = piecewise_data(800);
-    let old_breaks = refit_dp_breakpoints(&xs, &ys, &config);
+    let old_breaks = refit_breakpoints(&xs, &ys, &config);
     let new_breaks = segment(&xs, &ys, &config).unwrap().breakpoints;
     assert_eq!(old_breaks, new_breaks, "old and new DP must agree");
 
     let mut g = c.benchmark_group("segment_800");
     g.sample_size(10);
-    g.bench_function("refit_dp", |b| b.iter(|| black_box(refit_dp_breakpoints(&xs, &ys, &config))));
+    g.bench_function("refit_dp", |b| b.iter(|| black_box(refit_breakpoints(&xs, &ys, &config))));
     g.bench_function("prefix_dp", |b| b.iter(|| black_box(segment(&xs, &ys, &config).unwrap())));
     g.finish();
 
     // The new path at campaign scale (the old one would take minutes
-    // per iteration here; bench_campaign_summary times it once).
+    // per iteration here).
     let (bx, by) = piecewise_data(6000);
     let mut g = c.benchmark_group("segment_6000");
     g.sample_size(10);

@@ -1,18 +1,15 @@
 //! One-shot wall-clock characterization of the engine and the analysis
-//! kernels, written as two schema-versioned reports that
-//! `bench_engine_gate` compares against their committed baselines:
-//!
-//! * `results/BENCH_engine.json` (`charm-bench-engine/1`) — stage
-//!   timings, throughput, shard utilization;
-//! * `results/BENCH_campaign.json` (`charm-bench-campaign/1`) — the
-//!   parallel-campaign summary: shard speedups, per-shard shared
-//!   profile-cache hit rates, work-stealing scheduler diagnostics. This
-//!   is the report the core-aware absolute checks
-//!   (`charm_trace::bench::absolute_failures`) read.
+//! kernels, written as one schema-versioned report,
+//! `BENCH_engine.json` (`charm-bench-engine/1`), that `bench_engine_gate`
+//! compares against the committed baseline `results/BENCH_engine.json`.
+//! It holds stage timings, throughput, shard speedups and utilization,
+//! the profile-cache hit rates (sequential, shared, and per worker under
+//! the work-stealing scheduler), the scheduler's batch/steal tallies,
+//! and the analysis-pass timings; the core-aware absolute checks
+//! (`charm_trace::bench::absolute_failures`) read the same report.
 //!
 //! ```text
 //! bench_campaign_summary [rows] [segment_points] [--quick] [--shards N]
-//!                        [--refit-dp]
 //! ```
 //!
 //! Every timing is a **median-of-N** (N = 5): medians rather than
@@ -21,19 +18,19 @@
 //!
 //! * default: 6000 campaign rows and 6000 segmentation points, shard
 //!   counts 1/2/4/8;
-//! * `--quick`: small plans sized for CI; both reports are still
-//!   written;
+//! * `--quick`: small plans for a fast smoke run;
 //! * `--shards N`: time only that shard count (CI uses `--shards 4` so
 //!   the numbers do not depend on the runner's core count — the
 //!   `cores` metric records the machine shape and the gate downgrades
-//!   core-bound metrics when it differs);
-//! * `--refit-dp`: also time the O(n³) refit-DP segmentation comparison
-//!   (minutes at full size; off by default).
+//!   core-bound metrics when it differs).
+//!
+//! The O(n³) refit-DP segmentation comparison lives in the Criterion
+//! bench `benches/campaign.rs`.
 
 use charm_analysis::bootstrap::mean_ci;
 use charm_analysis::changepoint::binary_segmentation;
 use charm_analysis::loess::{loess, LoessConfig};
-use charm_analysis::prefix::{naive_stretch_sse, PrefixOls};
+use charm_analysis::prefix::PrefixOls;
 use charm_analysis::segmented::{reference, segment, SegmentConfig};
 use charm_design::doe::FullFactorial;
 use charm_design::plan::ExperimentPlan;
@@ -46,8 +43,7 @@ use charm_simmem::machine::{CpuSpec, MachineSim};
 use charm_simmem::paging::AllocPolicy;
 use charm_simmem::sched::SchedPolicy;
 use charm_simnet::presets;
-use charm_trace::bench::{EngineBench, CAMPAIGN_SCHEMA};
-use std::collections::HashMap;
+use charm_trace::bench::EngineBench;
 use std::time::Instant;
 
 fn network_plan(rows_target: usize, seed: u64) -> ExperimentPlan {
@@ -347,6 +343,9 @@ fn main() {
         .config("shards", &shards_config)
         .metric("cores", cores)
         .metric("simmem.profile_cache.hit_rate", mem_hit_rate)
+        .metric("simmem.profile_cache.shared_hit_rate", shared_hit_rate)
+        .metric("engine.scheduler.batches", diagnostics.get("engine.scheduler.batches") as f64)
+        .metric("engine.scheduler.steals", diagnostics.get("engine.scheduler.steals") as f64)
         .metric("analysis.segment_s", segment_s)
         .metric("analysis.changepoint_s", changepoint_s)
         .metric("analysis.bootstrap_s", bootstrap_s)
@@ -369,22 +368,6 @@ fn main() {
         &mem_par_s,
         &mem_util,
     );
-    charm_bench::write_artifact("BENCH_engine.json", &bench.to_json());
-
-    // --- the campaign-level summary the absolute gate checks read ---
-    let mut campaign = EngineBench::new()
-        .with_schema(CAMPAIGN_SCHEMA)
-        .config("quick", quick)
-        .config("rows", rows)
-        .config("points", points)
-        .config("repeats", repeats)
-        .config("shards", &shards_config)
-        .config("refit_dp", args.refit_dp)
-        .metric("cores", cores)
-        .metric("simmem.profile_cache.hit_rate", mem_hit_rate)
-        .metric("simmem.profile_cache.shared_hit_rate", shared_hit_rate)
-        .metric("engine.scheduler.batches", diagnostics.get("engine.scheduler.batches") as f64)
-        .metric("engine.scheduler.steals", diagnostics.get("engine.scheduler.steals") as f64);
     // Per-worker view of the shared cache: `shard{w}.…hit_rate_permille`
     // from the diagnostics channel becomes `…shard{w}_hit_rate` here.
     for (key, value) in diagnostics.iter() {
@@ -392,53 +375,12 @@ fn main() {
             .strip_suffix(".simmem.profile_cache.hit_rate_permille")
             .and_then(|prefix| prefix.strip_prefix("shard"))
         {
-            campaign = campaign.metric(
+            bench = bench.metric(
                 &format!("simmem.profile_cache.shard{worker}_hit_rate"),
                 value as f64 / 1000.0,
             );
         }
     }
-    campaign = engine_metrics(
-        campaign,
-        "engine.net",
-        net_plan.len(),
-        net_seq_s,
-        &shard_counts,
-        &net_par_s,
-        &net_util,
-    );
-    campaign = engine_metrics(
-        campaign,
-        "engine.mem",
-        mem_plan.len(),
-        mem_seq_s,
-        &shard_counts,
-        &mem_par_s,
-        &mem_util,
-    );
-
-    if args.refit_dp {
-        // The O(n³) refit DP is timed once — at 6000 points it needs
-        // minutes, which is exactly the point of the comparison.
-        // Memoized across segment counts, as the pre-prefix-sum search was.
-        let mut memo = HashMap::new();
-        let t = Instant::now();
-        let old_breaks = reference(&xs, &ys, &config, |i, j| {
-            *memo.entry((i, j)).or_insert_with(|| naive_stretch_sse(&xs, &ys, i, j))
-        })
-        .unwrap()
-        .breakpoints;
-        let refit_s = t.elapsed().as_secs_f64();
-        println!(
-            "  refit DP (1 run)    {:>8.1} ms  ({:.1}x slower)",
-            refit_s * 1e3,
-            refit_s / segment_s
-        );
-        assert_eq!(old_breaks, fast.breakpoints);
-        campaign = campaign
-            .metric("analysis.refit_dp_s", refit_s)
-            .metric("analysis.refit_speedup", refit_s / segment_s);
-    }
-    charm_bench::write_artifact("BENCH_campaign.json", &campaign.to_json());
+    charm_bench::write_artifact("BENCH_engine.json", &bench.to_json());
     session.finish();
 }

@@ -1,8 +1,7 @@
-//! Perf-regression gate: compares a freshly generated report
-//! (`BENCH_engine.json` or `BENCH_campaign.json` — both schemas are
-//! understood, but candidate and baseline must carry the same one)
+//! Perf-regression gate: compares a freshly generated
+//! `BENCH_engine.json` (`charm-bench-engine/1`, the one schema it reads)
 //! against the committed baseline and fails CI when a gated metric is
-//! more than the threshold worse.
+//! more than 25 % (`charm_trace::bench::DEFAULT_THRESHOLD`) worse.
 //!
 //! ```text
 //! bench_engine_gate <candidate.json> <baseline.json>
@@ -29,20 +28,23 @@
 //! * exit 1 — at least one regression past the threshold, or an
 //!   absolute requirement violated;
 //! * exit 2 — the reports carry the right schema but are not comparable
-//!   (config mismatch, malformed contents, unreadable file);
+//!   (config mismatch, malformed contents, unreadable file), or
+//!   `CHARM_GATE_FLOOR_S` is not a non-negative number;
 //! * exit 3 — a report file does not exist (a fresh checkout with no
 //!   committed baseline, or a candidate that was never generated);
 //! * exit 4 — a report carries the wrong schema tag (written by an
-//!   incompatible version of the tooling).
+//!   incompatible version of the tooling, e.g. a retired
+//!   `charm-bench-campaign/1` summary).
 //!
 //! Exits 3 and 4 are distinct from 2 so CI and scripts can tell "the
 //! baseline needs regenerating" from "the comparison itself is broken";
-//! both print the regeneration command. Environment knobs:
-//! `CHARM_GATE_THRESHOLD` (relative slack, default 0.25 = fail at >25 %
-//! worse) and `CHARM_GATE_FLOOR_S` (absolute floor in seconds under
-//! which timings are noise, default 0.005). The gate conventions —
-//! `*_s` lower-better, `*_per_sec` higher-better, everything else
-//! informational — live in `charm_trace::bench`.
+//! both print the regeneration command. One environment knob:
+//! `CHARM_GATE_FLOOR_S`, the absolute floor in seconds under which
+//! timings are noise (default 0.005); a value that is not a
+//! non-negative number fails the gate (exit 2) rather than falling back
+//! to the default. The gate conventions — `*_s` lower-better,
+//! `*_per_sec` higher-better, everything else informational — live in
+//! `charm_trace::bench`.
 
 use charm_trace::bench::{self, EngineBench, ParseError};
 use std::process::ExitCode;
@@ -76,8 +78,18 @@ impl LoadError {
     }
 }
 
-fn env_f64(name: &str, default: f64) -> f64 {
-    std::env::var(name).ok().and_then(|s| s.parse().ok()).unwrap_or(default)
+/// The noise floor: `CHARM_GATE_FLOOR_S` when set, else the default.
+/// A value that is not a finite, non-negative number is an error.
+fn floor_s() -> Result<f64, String> {
+    let raw = match std::env::var("CHARM_GATE_FLOOR_S") {
+        Ok(raw) => raw,
+        Err(std::env::VarError::NotPresent) => return Ok(bench::DEFAULT_FLOOR_S),
+        Err(e) => return Err(format!("CHARM_GATE_FLOOR_S: {e}")),
+    };
+    match raw.parse::<f64>() {
+        Ok(v) if v.is_finite() && v >= 0.0 => Ok(v),
+        _ => Err(format!("CHARM_GATE_FLOOR_S={raw:?} is not a non-negative number of seconds")),
+    }
 }
 
 fn load(path: &str) -> Result<EngineBench, LoadError> {
@@ -185,8 +197,14 @@ fn main() -> ExitCode {
         );
         return ExitCode::from(2);
     };
-    let threshold = env_f64("CHARM_GATE_THRESHOLD", bench::DEFAULT_THRESHOLD);
-    let floor_s = env_f64("CHARM_GATE_FLOOR_S", bench::DEFAULT_FLOOR_S);
+    let threshold = bench::DEFAULT_THRESHOLD;
+    let floor_s = match floor_s() {
+        Ok(v) => v,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::from(2);
+        }
+    };
 
     let (candidate, baseline) = match (load(candidate_path), load(baseline_path)) {
         (Ok(c), Ok(b)) => (c, b),

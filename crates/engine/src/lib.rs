@@ -52,5 +52,5 @@ pub use campaign::{
 pub use cancel::CancelToken;
 pub use checkpoint::{CheckpointError, CheckpointSink, ShardCheckpoint};
 pub use record::{Campaign as CampaignData, RawRecord};
-pub use registry::{ExternalEngineSpec, ResolvedTarget, SequentialOnly, TargetSpec};
+pub use registry::{ExternalEngineSpec, ResolvedTarget, TargetSpec};
 pub use target::{Measurement, ParallelTarget, Target, TargetError};

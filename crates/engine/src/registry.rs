@@ -21,9 +21,9 @@
 //!   The registry validates the description and hands back an
 //!   [`ExternalEngineSpec`]; the `charm_runner` crate (which depends on
 //!   this one) spawns it. External engines run sequentially — a
-//!   subprocess has no [`crate::ParallelTarget::fork`] — which the
-//!   engine surfaces as a [`SequentialOnly`] capability rather than a
-//!   silent downgrade.
+//!   subprocess has no [`crate::ParallelTarget::fork`] — so callers
+//!   that match [`ResolvedTarget::External`] refuse `--shards > 1`
+//!   rather than silently downgrading.
 //!
 //! Unknown names fail with [`TargetError::UnknownTarget`] carrying the
 //! accepted spellings, so a typo in a spec file reads as a spec bug,
@@ -152,35 +152,12 @@ pub enum ResolvedTarget {
     External(ExternalEngineSpec),
 }
 
-/// Execution capability of a resolved target: whether the sharded
-/// campaign path is available at all. Subprocess engines cannot be
-/// forked mid-protocol, so they are [`SequentialOnly::Yes`]; asking for
-/// `--shards > 1` against one is a spec error, not a silent downgrade.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SequentialOnly {
-    /// The target can only run the sequential campaign path.
-    Yes,
-    /// The target implements [`crate::ParallelTarget`].
-    No,
-}
-
 impl std::fmt::Debug for ResolvedTarget {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ResolvedTarget::Network(t) => write!(f, "Network({:?})", t.name()),
             ResolvedTarget::Memory(t) => write!(f, "Memory({:?})", t.name()),
             ResolvedTarget::External(e) => f.debug_tuple("External").field(e).finish(),
-        }
-    }
-}
-
-impl ResolvedTarget {
-    /// Whether this target is restricted to the sequential campaign
-    /// path.
-    pub fn sequential_only(&self) -> SequentialOnly {
-        match self {
-            ResolvedTarget::External(_) => SequentialOnly::Yes,
-            _ => SequentialOnly::No,
         }
     }
 }
@@ -400,23 +377,19 @@ mod tests {
     }
 
     #[test]
-    fn external_is_sequential_only_and_normalized() {
+    fn external_spec_is_normalized() {
         let spec = TargetSpec::External {
             program: "target/release/klv_engine_demo".into(),
             args: vec!["--seed".into(), "7".into()],
             timeout_ms: None,
             label: None,
         };
-        let resolved = resolve(&spec, 7).unwrap();
-        assert_eq!(resolved.sequential_only(), SequentialOnly::Yes);
-        match resolved {
+        match resolve(&spec, 7).unwrap() {
             ResolvedTarget::External(e) => {
                 assert_eq!(e.label, "klv_engine_demo");
                 assert_eq!(e.timeout_ms, DEFAULT_EXTERNAL_TIMEOUT_MS);
             }
             other => panic!("expected external, got {other:?}"),
         }
-        let inproc = TargetSpec::Network { preset: "taurus".into(), label: None };
-        assert_eq!(resolve(&inproc, 1).unwrap().sequential_only(), SequentialOnly::No);
     }
 }

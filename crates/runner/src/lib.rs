@@ -24,8 +24,8 @@
 //! * [`demo`] — a complete reference engine with switchable failure
 //!   modes, compiled as the `klv_engine_demo` bin (CI fixture).
 //!
-//! An external engine is sequential-only (`SequentialOnly::Yes` from
-//! `charm_engine::registry`): the subprocess boundary has no fork/
+//! An external engine is sequential-only (`ResolvedTarget::External`
+//! from `charm_engine::registry`): the subprocess boundary has no fork/
 //! skip_to semantics, so the sharded runner refuses it by construction.
 //!
 //! Wire format and protocol are specified in DESIGN.md §15.

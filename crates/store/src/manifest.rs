@@ -62,7 +62,7 @@ pub struct MachineFacts {
     /// Operating system (`std::env::consts::OS`).
     pub os: String,
     /// Every `CHARM_*` environment variable set when the run was
-    /// archived (sorted), e.g. `CHARM_SHARDS`, `CHARM_GATE_THRESHOLD`.
+    /// archived (sorted), e.g. `CHARM_SHARDS`.
     pub env: BTreeMap<String, String>,
 }
 

@@ -6,9 +6,11 @@
 //! statistically gated measurement — of the measuring tool as much as of
 //! the system under test. [`EngineBench`] is that record for the charm
 //! engine: every stage's **median-of-N** wall time (medians, not minima,
-//! so a single lucky run cannot mask a regression), shard utilization,
-//! records/sec, and the analysis-pass timings. `bench_campaign_summary`
-//! emits it; [`compare`] is the gate.
+//! so a single lucky run cannot mask a regression), shard speedups and
+//! utilization, records/sec, profile-cache hit rates, work-stealing
+//! scheduler tallies, and the analysis-pass timings — one report, one
+//! tag ([`SCHEMA`]). `bench_campaign_summary` emits it; [`compare`] and
+//! [`absolute_failures`] are the gate.
 //!
 //! Metric-name conventions drive the gate:
 //!
@@ -26,18 +28,9 @@ use charm_obs::json;
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// The schema tag of the engine perf-trajectory report
-/// (`BENCH_engine.json`).
+/// The schema tag of the engine perf report (`BENCH_engine.json`), the
+/// only tag [`EngineBench::from_json`] accepts.
 pub const SCHEMA: &str = "charm-bench-engine/1";
-
-/// The schema tag of the campaign-level summary (`BENCH_campaign.json`):
-/// shard speedups, per-shard profile-cache hit rates, scheduler
-/// diagnostics. Same on-disk format, different metric vocabulary — the
-/// tag keeps the gate from comparing one against the other.
-pub const CAMPAIGN_SCHEMA: &str = "charm-bench-campaign/1";
-
-/// Every schema tag [`EngineBench::from_json`] accepts.
-pub const KNOWN_SCHEMAS: [&str; 2] = [SCHEMA, CAMPAIGN_SCHEMA];
 
 /// Minimum memory-campaign speedup at 4 shards required of a candidate
 /// that ran on ≥ 4 cores (see [`absolute_failures`]).
@@ -55,14 +48,11 @@ pub const DEFAULT_THRESHOLD: f64 = 0.25;
 /// noise-dominated to gate.
 pub const DEFAULT_FLOOR_S: f64 = 0.005;
 
-/// One engine benchmark report: the measurement configuration that
-/// produced it plus a flat map of named metrics.
-#[derive(Debug, Clone, PartialEq)]
+/// One engine benchmark report, always tagged [`SCHEMA`]: the
+/// measurement configuration that produced it plus a flat map of named
+/// metrics.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct EngineBench {
-    /// The schema tag this report carries ([`SCHEMA`] unless overridden
-    /// with [`EngineBench::with_schema`]). [`compare`] refuses to gate
-    /// reports with different tags.
-    pub schema: String,
     /// The configuration knobs the numbers depend on (`rows`, `quick`,
     /// `shards`, `repeats`, …). [`compare`] refuses to gate reports with
     /// different configurations — comparing a 6000-row run against a
@@ -73,27 +63,10 @@ pub struct EngineBench {
     pub metrics: BTreeMap<String, f64>,
 }
 
-impl Default for EngineBench {
-    fn default() -> Self {
-        EngineBench {
-            schema: SCHEMA.to_string(),
-            config: BTreeMap::new(),
-            metrics: BTreeMap::new(),
-        }
-    }
-}
-
 impl EngineBench {
-    /// An empty report under the engine schema ([`SCHEMA`]).
+    /// An empty report.
     pub fn new() -> Self {
         EngineBench::default()
-    }
-
-    /// Retags the report (chainable) — e.g. [`CAMPAIGN_SCHEMA`] for
-    /// `BENCH_campaign.json`.
-    pub fn with_schema(mut self, tag: &str) -> Self {
-        self.schema = tag.to_string();
-        self
     }
 
     /// Sets a configuration knob (chainable).
@@ -114,7 +87,7 @@ impl EngineBench {
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");
-        out.push_str(&format!("  \"schema\": {},\n", json::string(&self.schema)));
+        out.push_str(&format!("  \"schema\": {},\n", json::string(SCHEMA)));
         out.push_str("  \"config\": {\n");
         for (i, (k, v)) in self.config.iter().enumerate() {
             let comma = if i + 1 < self.config.len() { "," } else { "" };
@@ -130,7 +103,7 @@ impl EngineBench {
         out
     }
 
-    /// Parses a report, rejecting unknown schemas so a gate never
+    /// Parses a report, rejecting any tag but [`SCHEMA`] so a gate never
     /// silently compares incompatible trajectories. The error
     /// distinguishes [`ParseError::SchemaMismatch`] (a report from an
     /// incompatible writer — regenerate it) from
@@ -138,14 +111,11 @@ impl EngineBench {
     /// exit differently for each.
     pub fn from_json(text: &str) -> Result<EngineBench, ParseError> {
         let obj = json::parse_object(text).map_err(ParseError::Malformed)?;
-        let schema = match obj.get_str("schema") {
-            Some(tag) if KNOWN_SCHEMAS.contains(&tag) => tag.to_string(),
-            Some(other) => {
-                return Err(ParseError::SchemaMismatch { found: Some(other.to_string()) })
-            }
-            None => return Err(ParseError::SchemaMismatch { found: None }),
-        };
-        let mut bench = EngineBench::new().with_schema(&schema);
+        match obj.get_str("schema") {
+            Some(SCHEMA) => {}
+            found => return Err(ParseError::SchemaMismatch { found: found.map(str::to_string) }),
+        }
+        let mut bench = EngineBench::new();
         match obj.get("config") {
             Some(json::Value::Map(m)) => {
                 for (k, v) in m {
@@ -205,10 +175,10 @@ impl fmt::Display for ParseError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ParseError::SchemaMismatch { found: Some(other) } => {
-                write!(f, "unsupported schema {other:?} (this gate reads {KNOWN_SCHEMAS:?})")
+                write!(f, "unsupported schema {other:?} (this gate reads {SCHEMA:?})")
             }
             ParseError::SchemaMismatch { found: None } => {
-                write!(f, "missing \"schema\" tag (this gate reads {KNOWN_SCHEMAS:?})")
+                write!(f, "missing \"schema\" tag (this gate reads {SCHEMA:?})")
             }
             ParseError::Malformed(why) => write!(f, "malformed report: {why}"),
         }
@@ -270,8 +240,7 @@ impl fmt::Display for Comparison {
     }
 }
 
-/// A configuration mismatch or schema problem that makes two reports
-/// incomparable.
+/// A configuration mismatch that makes two reports incomparable.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GateError(pub String);
 
@@ -298,8 +267,8 @@ fn core_bound(name: &str) -> bool {
 /// `floor_s` is the absolute floor below which `*_s` timings are not
 /// gated. Returns every comparison (for the report table); the run
 /// regressed iff any [`Judgement::Regressed`] is present. Errs when the
-/// schema tags or configurations differ — regenerate the baseline
-/// instead of comparing different experiments.
+/// configurations differ — regenerate the baseline instead of comparing
+/// different experiments.
 ///
 /// Core-awareness: when the two reports' `cores` metrics differ (the
 /// baseline was generated on a different machine shape), every
@@ -312,12 +281,6 @@ pub fn compare(
     threshold: f64,
     floor_s: f64,
 ) -> Result<Vec<Comparison>, GateError> {
-    if candidate.schema != baseline.schema {
-        return Err(GateError(format!(
-            "schema mismatch (baseline {:?} vs candidate {:?})",
-            baseline.schema, candidate.schema
-        )));
-    }
     if candidate.config != baseline.config {
         let keys: std::collections::BTreeSet<&String> =
             candidate.config.keys().chain(baseline.config.keys()).collect();
@@ -464,6 +427,13 @@ mod tests {
             EngineBench::from_json("{\"config\":{},\"metrics\":{}}"),
             Err(ParseError::SchemaMismatch { found: None })
         );
+        // The retired campaign summary shares the format but not the tag.
+        assert_eq!(
+            EngineBench::from_json(
+                "{\"schema\":\"charm-bench-campaign/1\",\"config\":{},\"metrics\":{}}"
+            ),
+            Err(ParseError::SchemaMismatch { found: Some("charm-bench-campaign/1".to_string()) })
+        );
         let schema = json::string(SCHEMA);
         assert!(matches!(
             EngineBench::from_json(&format!("{{\"schema\":{schema},\"metrics\":{{}}}}")),
@@ -564,16 +534,6 @@ mod tests {
         let other = sample().config("rows", 6000);
         let err = compare(&other, &base, 0.25, DEFAULT_FLOOR_S).unwrap_err();
         assert!(err.to_string().contains("rows"));
-    }
-
-    #[test]
-    fn campaign_schema_round_trips_and_never_compares_to_engine() {
-        let campaign = sample().with_schema(CAMPAIGN_SCHEMA);
-        let parsed = EngineBench::from_json(&campaign.to_json()).expect("parse");
-        assert_eq!(parsed.schema, CAMPAIGN_SCHEMA);
-        assert_eq!(parsed, campaign);
-        let err = compare(&campaign, &sample(), 0.25, DEFAULT_FLOOR_S).unwrap_err();
-        assert!(err.to_string().contains("schema mismatch"), "{err}");
     }
 
     #[test]

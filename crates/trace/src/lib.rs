@@ -19,9 +19,10 @@
 //!   engine spans and virtual-time experiment events re-exported from a
 //!   [`charm_obs::CampaignReport`];
 //! * [`bench`] — the schema-versioned `BENCH_engine.json` perf
-//!   trajectory (stage wall times, shard utilization, records/sec,
-//!   analysis-pass timings) plus the noise-aware regression gate CI
-//!   runs against the committed baseline.
+//!   trajectory, the engine's one perf report (stage wall times, shard
+//!   speedups and utilization, records/sec, profile-cache hit rates,
+//!   scheduler tallies, analysis-pass timings), plus the noise-aware
+//!   regression gate CI runs once against the committed baseline.
 //!
 //! # Design rules (same as `charm_obs`)
 //!
