@@ -51,6 +51,24 @@ fn kernel_run(c: &mut Criterion) {
             b.iter(|| black_box(m.run_kernel(&KernelConfig::baseline(kb * 1024, 50))));
         });
     }
+    // the profile-cache miss path a pooled sweep pays: 64 log-uniform
+    // sizes from 16 KiB to 16 MiB, none a whole number of pages, at fresh
+    // random offsets, so every iteration computes a profile; visited in a
+    // stride-23 order so any short run of samples spans the whole range
+    let sizes: Vec<u64> = (0..64)
+        .map(|i| (16_384.0 * 1024f64.powf((i * 23 % 64) as f64 / 64.0)) as u64 + 100)
+        .collect();
+    group.bench_function("opteron_pooled_miss", |b| {
+        let mut m = MachineSim::new(
+            CpuSpec::opteron(),
+            GovernorPolicy::Performance,
+            SchedPolicy::PinnedDefault,
+            AllocPolicy::PooledRandomOffset,
+            1,
+        );
+        let mut next = sizes.iter().cycle();
+        b.iter(|| black_box(m.run_kernel(&KernelConfig::baseline(*next.next().unwrap(), 50))));
+    });
     group.finish();
 }
 

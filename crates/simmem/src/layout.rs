@@ -222,17 +222,26 @@ impl SetIndexer {
 }
 
 /// Reusable scratch for [`ServiceProfile::compute_with`] and
-/// [`profile_segments`]: per-level per-set line counts plus the residue
-/// and line buffers of the run-based fast path. One instance per
-/// simulator amortises every allocation in the profile hot path.
+/// [`profile_segments`]: per-set line counts for the materialising path,
+/// the colour-block tables of the run-based path, and a recycled line
+/// buffer. One instance per simulator amortises every allocation in the
+/// profile hot path.
 #[derive(Debug, Clone, Default)]
 pub struct ProfileScratch {
     /// Per-level distinct-line count per set.
     per_set: Vec<Vec<u32>>,
-    /// Line count per residue class modulo the largest set count.
-    residues: Vec<u32>,
-    /// Difference array accumulating residue runs before prefix-summing.
-    diff: Vec<i64>,
+    /// Full pages per colour block.
+    blocks: Vec<u64>,
+    /// `(block, lines)` of each segment's partial last page.
+    partials: Vec<(usize, u64)>,
+    /// Sorted piece boundaries over a block's line offsets `0..=L`.
+    cuts: Vec<u64>,
+    /// Lines per offset of each `(block, piece)`, row-major by block.
+    counts: Vec<u64>,
+    /// Per-level set counts per `(class, piece)`, levels concatenated.
+    level_counts: Vec<u64>,
+    /// Each level's offset into `level_counts` and its class mask.
+    level_at: Vec<(usize, usize)>,
     /// Recycled `line_addrs` buffer for the materialising fallback.
     lines: Vec<u64>,
 }
@@ -250,21 +259,23 @@ pub struct PatternSegment<'a> {
 
 /// Computes the union [`ServiceProfile`] of `segments` through `levels` —
 /// exactly what resolving each segment, merging, and calling
-/// [`ServiceProfile::compute`] produces, but in O(pages + sets · levels)
-/// when the geometry allows it.
+/// [`ServiceProfile::compute`] produces, but in
+/// O(pages + blocks · pieces · levels) when the geometry allows it.
 ///
 /// The fast path applies when the stride stays under the line size (the
-/// pattern then touches every line of each buffer), all levels share
-/// `line_bytes`, and every set count is a power of two: smaller
-/// power-of-two set counts divide larger ones, so a line's set at *every*
-/// level is a function of its line index modulo the largest set count.
-/// Each physical page contributes a contiguous *run* of line indices, so
-/// the per-residue line histogram is built with a difference array over
-/// the page runs and prefix-summed — no per-line work at all. Residue
-/// classes are then classified to their serving level exactly like
-/// individual lines. Geometries outside those conditions (non-uniform
-/// line sizes, non-power-of-two set counts, strides ≥ line) fall back to
-/// materialising the merged pattern and the fused single-pass
+/// pattern then touches every line of each buffer, in address order), all
+/// levels share `line_bytes`, and every set count and the lines per page
+/// `L` are powers of two. Then a line's set at *every* level is a function
+/// of its index modulo `N = max(n_max, L)`, where `n_max` is the largest
+/// set count, and page `pp` covers the aligned offset range of *colour
+/// block* `pp mod (N / L)`. A buffer's profile therefore depends only on
+/// how many of its full pages fall in each block plus its one partial
+/// last page: one pass over the pages counts the blocks, and the lines
+/// are classified per block and offset *piece* (see
+/// `try_profile_from_runs`) — no per-line or per-set work at all.
+/// Geometries outside those conditions (non-uniform line sizes,
+/// non-power-of-two set counts or lines per page, strides ≥ line) fall
+/// back to materialising the merged pattern and the fused single-pass
 /// [`ServiceProfile::compute_with`].
 pub fn profile_segments(
     segments: &[PatternSegment<'_>],
@@ -312,6 +323,19 @@ pub fn profile_segments(
 
 /// The run-based fast path of [`profile_segments`]; `None` when the
 /// geometry falls outside its validity conditions.
+///
+/// With `L` lines per page and `nb = N / L` colour blocks, the line at
+/// offset `j` of page `pp` has residue `(pp mod nb)·L + j` modulo `N`. A
+/// level with `S ≥ L` sets puts it in set `(pp mod S/L)·L + j`, so its
+/// per-set counts sum the blocks of one *class* `b mod S/L`; a level with
+/// `S < L` sets puts it in set `j mod S`, whatever the block. Counts are
+/// constant over each *piece* — one block times one offset interval
+/// `[cuts[p], cuts[p + 1])` — once the intervals are cut at every partial
+/// page's length (where its block's count steps down) and, for each level
+/// with `S < L`, at every `m·S + x` with `x` zero or a partial length
+/// modulo `S` (where that level's set counts step). Each piece is then
+/// classified once and weighted by its width: O(pages) to count, then
+/// O(blocks · pieces · levels) to classify, with no division per page.
 #[allow(clippy::too_many_arguments)]
 fn try_profile_from_runs(
     segments: &[PatternSegment<'_>],
@@ -328,7 +352,10 @@ fn try_profile_from_runs(
     if stride_bytes >= line_bytes || !page_bytes.is_multiple_of(line_bytes) || levels.is_empty() {
         return None;
     }
-    if !levels.iter().all(|l| l.line_bytes == line_bytes && l.num_sets().is_power_of_two()) {
+    let lines_per_page = page_bytes / line_bytes;
+    if !lines_per_page.is_power_of_two()
+        || !levels.iter().all(|l| l.line_bytes == line_bytes && l.num_sets().is_power_of_two())
+    {
         return None;
     }
     // The dense line walk differs from per-access dedup only when
@@ -340,12 +367,14 @@ fn try_profile_from_runs(
         return None;
     }
     let n_max = levels.iter().map(|l| l.num_sets()).max().unwrap();
-    let mask = n_max - 1;
-    let lines_per_page = page_bytes / line_bytes;
+    let n_blocks = (n_max / lines_per_page).max(1) as usize;
+    let block_mask = n_blocks as u64 - 1;
 
-    scratch.diff.clear();
-    scratch.diff.resize(n_max as usize + 1, 0);
-    let mut wraps: u64 = 0; // full laps around the residue ring
+    // One pass over the pages: full pages per block, and each segment's
+    // partial last page as (block, lines).
+    scratch.blocks.clear();
+    scratch.blocks.resize(n_blocks, 0);
+    scratch.partials.clear();
     let mut distinct_lines = 0u64;
     let mut accesses_per_pass = 0u64;
     for seg in segments {
@@ -357,66 +386,98 @@ fn try_profile_from_runs(
         }
         let n_lines = (accesses - 1) * stride_bytes / line_bytes + 1;
         distinct_lines += n_lines;
-        let pages_spanned = ((n_lines - 1) / lines_per_page + 1) as usize;
-        let mut remaining = n_lines;
-        for &pp in &seg.phys_pages[..pages_spanned] {
-            let take = remaining.min(lines_per_page);
-            remaining -= take;
-            let start = (pp * lines_per_page) & mask;
-            wraps += take / n_max;
-            let rem = take % n_max;
-            let end = start + rem;
-            if end <= n_max {
-                scratch.diff[start as usize] += 1;
-                scratch.diff[end as usize] -= 1;
-            } else {
-                scratch.diff[start as usize] += 1;
-                scratch.diff[n_max as usize] -= 1;
-                scratch.diff[0] += 1;
-                scratch.diff[(end - n_max) as usize] -= 1;
-            }
+        let full = (n_lines / lines_per_page) as usize;
+        let blocks = &mut scratch.blocks[..];
+        for &pp in &seg.phys_pages[..full] {
+            blocks[(pp & block_mask) as usize] += 1;
         }
-    }
-    scratch.residues.clear();
-    scratch.residues.reserve(n_max as usize);
-    let mut acc: i64 = 0;
-    for &d in &scratch.diff[..n_max as usize] {
-        acc += d;
-        scratch.residues.push(u32::try_from(acc + wraps as i64).expect("line count fits u32"));
+        let rem = n_lines % lines_per_page;
+        if rem > 0 {
+            scratch.partials.push(((seg.phys_pages[full] & block_mask) as usize, rem));
+        }
     }
 
-    // Fold the residue histogram down to each level's per-set counts
-    // (each level's set count divides n_max), then classify residues.
-    scratch.per_set.resize_with(levels.len(), Vec::new);
-    for (li, level) in levels.iter().enumerate() {
+    scratch.cuts.clear();
+    scratch.cuts.extend([0, lines_per_page]);
+    scratch.cuts.extend(scratch.partials.iter().map(|&(_, rem)| rem));
+    for level in levels {
         let sets = level.num_sets();
-        let counts = &mut scratch.per_set[li];
-        counts.clear();
-        counts.resize(sets as usize, 0);
-        let level_mask = (sets - 1) as usize;
-        for (r, &c) in scratch.residues.iter().enumerate() {
-            counts[r & level_mask] += c;
-        }
-    }
-    let mut served_by_level = vec![0u64; levels.len() - 1];
-    let mut served_by_dram = 0u64;
-    for (r, &c) in scratch.residues.iter().enumerate() {
-        if c == 0 {
-            continue;
-        }
-        if scratch.per_set[0][r & (levels[0].num_sets() - 1) as usize] <= levels[0].assoc as u32 {
-            continue; // steady L1 hits
-        }
-        let mut served = None;
-        for (li, level) in levels.iter().enumerate().skip(1) {
-            if scratch.per_set[li][r & (level.num_sets() - 1) as usize] <= level.assoc as u32 {
-                served = Some(li);
-                break;
+        if sets < lines_per_page {
+            for &x in std::iter::once(&0).chain(scratch.partials.iter().map(|(_, rem)| rem)) {
+                scratch.cuts.extend((x & (sets - 1)..lines_per_page).step_by(sets as usize));
             }
         }
-        match served {
-            Some(li) => served_by_level[li - 1] += c as u64,
-            None => served_by_dram += c as u64,
+    }
+    scratch.cuts.sort_unstable();
+    scratch.cuts.dedup();
+    let cuts = &scratch.cuts;
+    let n_pieces = cuts.len() - 1;
+
+    // Lines per offset of each (block, piece): the block's full pages,
+    // plus each partial page of the block that covers the whole piece.
+    scratch.counts.clear();
+    scratch.counts.resize(n_blocks * n_pieces, 0);
+    for (row, &full) in scratch.counts.chunks_exact_mut(n_pieces).zip(&scratch.blocks) {
+        row.fill(full);
+    }
+    for &(block, rem) in &scratch.partials {
+        let covered = cuts[1..].iter().take_while(|&&end| end <= rem).count();
+        for c in &mut scratch.counts[block * n_pieces..][..covered] {
+            *c += 1;
+        }
+    }
+
+    // Each level's set counts per (class, piece); `level_at[li]` holds
+    // the level's offset into `level_counts` and its class mask.
+    let full_pages: u64 = scratch.blocks.iter().sum();
+    scratch.level_counts.clear();
+    scratch.level_at.clear();
+    for level in levels {
+        let sets = level.num_sets();
+        let offset = scratch.level_counts.len();
+        if sets >= lines_per_page {
+            let classes = (sets / lines_per_page) as usize;
+            scratch.level_counts.resize(offset + classes * n_pieces, 0);
+            for (b, row) in scratch.counts.chunks_exact(n_pieces).enumerate() {
+                let dst = &mut scratch.level_counts[offset + (b & (classes - 1)) * n_pieces..];
+                for (d, &c) in dst.iter_mut().zip(row) {
+                    *d += c;
+                }
+            }
+            scratch.level_at.push((offset, classes - 1));
+        } else {
+            // Set `s` holds L/S lines of every full page and, of a partial
+            // page of `rem` lines, rem/S plus one when `s < rem mod S`.
+            for &start in &cuts[..n_pieces] {
+                let s = start & (sets - 1);
+                let partial: u64 = scratch
+                    .partials
+                    .iter()
+                    .map(|&(_, rem)| rem / sets + u64::from(s < rem & (sets - 1)))
+                    .sum();
+                scratch.level_counts.push(full_pages * (lines_per_page / sets) + partial);
+            }
+            scratch.level_at.push((offset, 0));
+        }
+    }
+
+    let fits = |li: usize, block: usize, piece: usize| {
+        let (offset, class_mask) = scratch.level_at[li];
+        scratch.level_counts[offset + (block & class_mask) * n_pieces + piece]
+            <= levels[li].assoc as u64
+    };
+    let mut served_by_level = vec![0u64; levels.len() - 1];
+    let mut served_by_dram = 0u64;
+    for (block, row) in scratch.counts.chunks_exact(n_pieces).enumerate() {
+        for (piece, &c) in row.iter().enumerate() {
+            if c == 0 || fits(0, block, piece) {
+                continue; // no lines, or steady L1 hits
+            }
+            let lines = c * (cuts[piece + 1] - cuts[piece]);
+            match (1..levels.len()).find(|&li| fits(li, block, piece)) {
+                Some(li) => served_by_level[li - 1] += lines,
+                None => served_by_dram += lines,
+            }
         }
     }
     Some(ServiceProfile { served_by_level, served_by_dram, distinct_lines, accesses_per_pass })

@@ -9,7 +9,7 @@ use crate::memo::{
     level_geometries, LevelGeometry, PlacementKey, ProfileCache, ProfileEntry, ProfileKey,
     SEGMENT_WHOLE,
 };
-use crate::paging::{AllocPolicy, PageAllocator};
+use crate::paging::{color_histogram, AllocPolicy, PageAllocator};
 use crate::sched::{IntruderConfig, SchedPolicy, Scheduler};
 use crate::stream;
 use charm_obs::{CounterSet, Counters, IndexedNames, Observation, Recorder};
@@ -518,10 +518,11 @@ impl MachineSim {
         self.allocator.allocate(bytes)
     }
 
-    /// [`MachineSim::allocate_pages`] plus the [`PlacementKey`] naming
-    /// the slice handed out — same RNG draws, so interchangeable.
-    pub(crate) fn allocate_pages_keyed(&mut self, bytes: u64) -> (Vec<u64>, PlacementKey) {
-        self.allocator.allocate_keyed(bytes)
+    /// The key half of [`MachineSim::allocate_pages`]: the same RNG draw,
+    /// returning the [`PlacementKey`] of the slice instead of a copy of
+    /// its pages ([`MachineSim::cached_profile`] resolves it on a miss).
+    pub(crate) fn draw_placement(&mut self, bytes: u64) -> PlacementKey {
+        self.allocator.draw_placement(bytes)
     }
 
     /// The interned geometry of this machine's hierarchy, for building
@@ -530,11 +531,18 @@ impl MachineSim {
         Arc::clone(&self.memo.borrow().levels_key)
     }
 
-    /// Looks `key` up in the profile cache, running `build` (with the
-    /// machine's scratch buffers) only on a miss.
-    pub(crate) fn cached_profile<F>(&mut self, key: ProfileKey, build: F) -> Arc<ProfileEntry>
+    /// Looks `key` up in the profile cache. Only on a miss does it borrow
+    /// the pages of the `alloc_bytes` allocation at `key.placement` from
+    /// the pool and run `build` on them, with the machine's spec and
+    /// scratch buffers.
+    pub(crate) fn cached_profile<F>(
+        &mut self,
+        key: ProfileKey,
+        alloc_bytes: u64,
+        build: F,
+    ) -> Arc<ProfileEntry>
     where
-        F: FnOnce(&mut ProfileScratch) -> ProfileEntry,
+        F: FnOnce(&CpuSpec, &[u64], &mut ProfileScratch) -> ProfileEntry,
     {
         let memo = self.memo.get_mut();
         if let Some(entry) = memo.cache.lookup(&key) {
@@ -542,7 +550,8 @@ impl MachineSim {
             return entry;
         }
         memo.local_misses += 1;
-        let entry = Arc::new(build(&mut memo.scratch));
+        let pages = self.allocator.pages(key.placement, alloc_bytes);
+        let entry = Arc::new(build(&self.spec, pages, &mut memo.scratch));
         memo.cache.insert(key, Arc::clone(&entry));
         entry
     }
@@ -552,10 +561,9 @@ impl MachineSim {
         assert!(cfg.nloops >= 1, "nloops must be >= 1");
         let elem_bytes = cfg.codegen.width.bytes();
         let line = self.spec.levels[0].line_bytes;
-        let memo = self.memo.get_mut();
         // Placement is a pure function of the measurement index (see
         // `PageAllocator::allocate_at`), so the profile can be looked up
-        // before — and instead of — materializing the page vector.
+        // before — and instead of — reading the pages.
         let placement = self.allocator.placement_at(self.measurements_taken, cfg.buffer_bytes);
         let key = ProfileKey {
             placement,
@@ -564,41 +572,29 @@ impl MachineSim {
             elem_bytes,
             segment: SEGMENT_WHOLE,
             arrays: 1,
-            levels: Arc::clone(&memo.levels_key),
+            levels: Arc::clone(&self.memo.get_mut().levels_key),
         };
-        let entry = match memo.cache.lookup(&key) {
-            Some(entry) => {
-                memo.local_hits += 1;
-                entry
+        let entry = self.cached_profile(key, cfg.buffer_bytes, |spec, pages, scratch| {
+            let profile = profile_segments(
+                &[PatternSegment { phys_pages: pages, buffer_bytes: cfg.buffer_bytes }],
+                spec.page_bytes,
+                elem_bytes,
+                cfg.stride_elems,
+                line,
+                &spec.levels,
+                scratch,
+            );
+            ProfileEntry {
+                profile,
+                pages_allocated: pages.len() as u64,
+                color_histogram: color_histogram(
+                    pages,
+                    spec.levels[0].way_bytes(),
+                    spec.page_bytes,
+                ),
             }
-            None => {
-                memo.local_misses += 1;
-                let phys_pages =
-                    self.allocator.allocate_at(self.measurements_taken, cfg.buffer_bytes);
-                let profile = profile_segments(
-                    &[PatternSegment { phys_pages: &phys_pages, buffer_bytes: cfg.buffer_bytes }],
-                    self.spec.page_bytes,
-                    elem_bytes,
-                    cfg.stride_elems,
-                    line,
-                    &self.spec.levels,
-                    &mut memo.scratch,
-                );
-                let way_bytes = self.spec.levels[0].way_bytes();
-                let colors = (way_bytes / self.allocator.page_bytes()).max(1) as usize;
-                let mut color_histogram = vec![0u64; colors];
-                for &page in &phys_pages {
-                    color_histogram[self.allocator.page_color(page, way_bytes) as usize] += 1;
-                }
-                let entry = Arc::new(ProfileEntry {
-                    profile,
-                    pages_allocated: phys_pages.len() as u64,
-                    color_histogram,
-                });
-                memo.cache.insert(key, Arc::clone(&entry));
-                entry
-            }
-        };
+        });
+        let memo = self.memo.get_mut();
         if self.recorder.is_enabled() {
             record_cache_counters(
                 &mut self.recorder,

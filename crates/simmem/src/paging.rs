@@ -134,22 +134,8 @@ impl PageAllocator {
     /// # Panics
     /// Panics when the buffer needs more pages than the pool holds.
     pub fn allocate(&mut self, buffer_bytes: u64) -> Vec<u64> {
-        let pages_needed = (buffer_bytes.div_ceil(self.page_bytes)).max(1) as usize;
-        match self.policy {
-            AllocPolicy::MallocPerSize => {
-                assert!(pages_needed <= self.pool.len(), "buffer exceeds page pool");
-                // Freed pages are immediately reused in LIFO order, so a
-                // same-or-smaller allocation always lands on the same
-                // physical prefix.
-                self.pool[..pages_needed].to_vec()
-            }
-            AllocPolicy::PooledRandomOffset => {
-                assert!(pages_needed <= self.pooled_block_pages, "buffer exceeds pooled block");
-                let max_start = self.pooled_block_pages - pages_needed;
-                let start = if max_start == 0 { 0 } else { self.rng.random_range(0..=max_start) };
-                self.pool[start..start + pages_needed].to_vec()
-            }
-        }
+        let placement = self.draw_placement(buffer_bytes);
+        self.pages(placement, buffer_bytes).to_vec()
     }
 
     /// Like [`PageAllocator::allocate`], but the offset draw under
@@ -163,44 +149,49 @@ impl PageAllocator {
     /// # Panics
     /// Panics when the buffer needs more pages than the pool holds.
     pub fn allocate_at(&self, index: u64, buffer_bytes: u64) -> Vec<u64> {
-        let pages_needed = self.pages_needed(buffer_bytes);
-        match self.policy {
-            AllocPolicy::MallocPerSize => {
-                assert!(pages_needed <= self.pool.len(), "buffer exceeds page pool");
-                self.pool[..pages_needed].to_vec()
-            }
-            AllocPolicy::PooledRandomOffset => {
-                assert!(pages_needed <= self.pooled_block_pages, "buffer exceeds pooled block");
-                let start = self.start_at(index, pages_needed);
-                self.pool[start..start + pages_needed].to_vec()
-            }
-        }
+        self.pages(self.placement_at(index, buffer_bytes), buffer_bytes).to_vec()
     }
 
-    /// Like [`PageAllocator::allocate`], additionally returning the
-    /// [`PlacementKey`] identifying the slice of the pool that was handed
-    /// out — the RNG is advanced exactly as `allocate` advances it, so
-    /// swapping one for the other never shifts a stream.
+    /// The key half of [`PageAllocator::allocate`]: draws where a fresh
+    /// buffer lands and returns the [`PlacementKey`] naming that slice of
+    /// the pool, advancing the RNG exactly as `allocate` does, so the two
+    /// are interchangeable. [`PageAllocator::pages`] resolves the key.
     ///
     /// # Panics
     /// Panics when the buffer needs more pages than the pool holds.
-    pub fn allocate_keyed(&mut self, buffer_bytes: u64) -> (Vec<u64>, PlacementKey) {
+    pub fn draw_placement(&mut self, buffer_bytes: u64) -> PlacementKey {
         let pages_needed = self.pages_needed(buffer_bytes);
         match self.policy {
             AllocPolicy::MallocPerSize => {
                 assert!(pages_needed <= self.pool.len(), "buffer exceeds page pool");
-                (self.pool[..pages_needed].to_vec(), PlacementKey::MallocPrefix)
+                // Freed pages are immediately reused in LIFO order, so a
+                // same-or-smaller allocation always lands on the same
+                // physical prefix.
+                PlacementKey::MallocPrefix
             }
             AllocPolicy::PooledRandomOffset => {
                 assert!(pages_needed <= self.pooled_block_pages, "buffer exceeds pooled block");
                 let max_start = self.pooled_block_pages - pages_needed;
                 let start = if max_start == 0 { 0 } else { self.rng.random_range(0..=max_start) };
-                (
-                    self.pool[start..start + pages_needed].to_vec(),
-                    PlacementKey::PooledStart(start as u64),
-                )
+                PlacementKey::PooledStart(start as u64)
             }
         }
+    }
+
+    /// The physical pages, in virtual-address order, of a `buffer_bytes`
+    /// buffer at `placement`: a slice borrowed from the pool, so a caller
+    /// that only needs to read the placement copies nothing.
+    ///
+    /// # Panics
+    /// Panics on [`PlacementKey::Identity`], which the pool does not back,
+    /// and when the slice runs past the pool.
+    pub fn pages(&self, placement: PlacementKey, buffer_bytes: u64) -> &[u64] {
+        let start = match placement {
+            PlacementKey::MallocPrefix => 0,
+            PlacementKey::PooledStart(start) => start as usize,
+            PlacementKey::Identity => panic!("identity placements are not backed by the pool"),
+        };
+        &self.pool[start..start + self.pages_needed(buffer_bytes)]
     }
 
     /// The [`PlacementKey`] that [`PageAllocator::allocate_at`] resolves
@@ -244,9 +235,31 @@ impl PageAllocator {
     /// spans `way_bytes` (= cache size / associativity): pages of equal
     /// colour compete for the same sets.
     pub fn page_color(&self, phys_page: u64, way_bytes: u64) -> u64 {
-        let colors = (way_bytes / self.page_bytes).max(1);
-        phys_page % colors
+        phys_page % color_count(way_bytes, self.page_bytes)
     }
+}
+
+/// Number of page colours of a cache where one way spans `way_bytes`.
+fn color_count(way_bytes: u64, page_bytes: u64) -> u64 {
+    (way_bytes / page_bytes).max(1)
+}
+
+/// Pages per colour ([`PageAllocator::page_color`]) of `pages`, in one
+/// masked pass when the colour count is a power of two (every modelled
+/// CPU) and by remainder otherwise.
+pub fn color_histogram(pages: &[u64], way_bytes: u64, page_bytes: u64) -> Vec<u64> {
+    let colors = color_count(way_bytes, page_bytes);
+    let mut histogram = vec![0u64; colors as usize];
+    if colors.is_power_of_two() {
+        for &page in pages {
+            histogram[(page & (colors - 1)) as usize] += 1;
+        }
+    } else {
+        for &page in pages {
+            histogram[(page % colors) as usize] += 1;
+        }
+    }
+    histogram
 }
 
 #[cfg(test)]
@@ -313,6 +326,16 @@ mod tests {
         }
         // way smaller than a page -> single colour
         assert_eq!(a.page_color(5, 2048), 0);
+        // the histogram agrees with page_color for power-of-two (masked)
+        // and odd colour counts
+        let pages: Vec<u64> = (0..40).map(|v| (v * 7 + 3) % 64).collect();
+        for way_bytes in [8 * 4096u64, 3 * 4096, 2048] {
+            let mut expected = vec![0u64; (way_bytes / 4096).max(1) as usize];
+            for &p in &pages {
+                expected[a.page_color(p, way_bytes) as usize] += 1;
+            }
+            assert_eq!(color_histogram(&pages, way_bytes, 4096), expected, "way {way_bytes}");
+        }
     }
 
     #[test]
@@ -354,28 +377,29 @@ mod tests {
     }
 
     #[test]
-    fn allocate_keyed_matches_allocate_and_rng_stream() {
-        // Interleaving keyed and plain allocations across two same-seed
-        // allocators must produce identical draws: the keyed variant
-        // advances the RNG exactly like the plain one.
+    fn draw_placement_matches_allocate_and_rng_stream() {
+        // Interleaving placement draws and plain allocations across two
+        // same-seed allocators must produce identical pages: the draw
+        // advances the RNG exactly like `allocate`.
         let mut a = PageAllocator::new(AllocPolicy::PooledRandomOffset, 4096, 512, 13);
         let mut b = PageAllocator::new(AllocPolicy::PooledRandomOffset, 4096, 512, 13);
         for i in 0..20 {
             let plain = a.allocate(16_384);
-            let (keyed, key) = b.allocate_keyed(16_384);
-            assert_eq!(plain, keyed, "draw {i}");
+            let key = b.draw_placement(16_384);
+            assert_eq!(plain, b.pages(key, 16_384), "draw {i}");
             match key {
                 PlacementKey::PooledStart(start) => {
                     let start = start as usize;
-                    assert_eq!(keyed, b.pool[start..start + keyed.len()].to_vec());
+                    assert_eq!(plain, b.pool[start..start + plain.len()].to_vec());
                 }
                 other => panic!("pooled placement must be PooledStart, got {other:?}"),
             }
         }
         let mut m = PageAllocator::new(AllocPolicy::MallocPerSize, 4096, 512, 13);
-        let (pages, key) = m.allocate_keyed(16_384);
-        assert_eq!(pages, m.allocate(16_384));
+        let key = m.draw_placement(16_384);
         assert_eq!(key, PlacementKey::MallocPrefix);
+        let pages = m.allocate(16_384);
+        assert_eq!(m.pages(key, 16_384), pages);
     }
 
     #[test]

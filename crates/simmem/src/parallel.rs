@@ -83,7 +83,8 @@ pub fn run_kernel_parallel(
     // all buffers from one allocation so the layout policy applies to the
     // union of the threads' working sets; the RNG draw happens whether or
     // not the per-thread profiles are cached
-    let (pages, placement) = machine.allocate_pages_keyed(threads as u64 * cfg.buffer_bytes);
+    let alloc_bytes = threads as u64 * cfg.buffer_bytes;
+    let placement = machine.draw_placement(alloc_bytes);
     let pages_per_thread = cfg.buffer_bytes.div_ceil(spec.page_bytes) as usize;
     let issue = spec.issue.cycles_per_access(cfg.codegen);
     // keyed by the *effective* (contention-shrunk) geometry, so the same
@@ -101,9 +102,9 @@ pub fn run_kernel_parallel(
             arrays: threads,
             levels: std::sync::Arc::clone(&levels_key),
         };
-        let slice = &pages[t * pages_per_thread..(t + 1) * pages_per_thread];
         let levels_ref = &levels;
-        let entry = machine.cached_profile(key, |scratch| {
+        let entry = machine.cached_profile(key, alloc_bytes, |_, pages, scratch| {
+            let slice = &pages[t * pages_per_thread..(t + 1) * pages_per_thread];
             let profile = profile_segments(
                 &[PatternSegment { phys_pages: slice, buffer_bytes: cfg.buffer_bytes }],
                 spec.page_bytes,

@@ -109,7 +109,8 @@ pub fn run_stream(machine: &mut MachineSim, cfg: &StreamRunConfig) -> KernelResu
     // one contiguous allocation split into the arrays, so MallocPerSize
     // reuse semantics apply to the whole working set; the RNG draw
     // happens here whether or not the profile is cached
-    let (total_pages, placement) = machine.allocate_pages_keyed(n_arrays * cfg.array_bytes);
+    let alloc_bytes = n_arrays * cfg.array_bytes;
+    let placement = machine.draw_placement(alloc_bytes);
     let pages_per_array = cfg.array_bytes.div_ceil(spec_page) as usize;
 
     let key = ProfileKey {
@@ -121,8 +122,7 @@ pub fn run_stream(machine: &mut MachineSim, cfg: &StreamRunConfig) -> KernelResu
         arrays: n_arrays as u32,
         levels: machine.levels_key(),
     };
-    let levels = machine.spec().levels.clone();
-    let entry = machine.cached_profile(key, |scratch| {
+    let entry = machine.cached_profile(key, alloc_bytes, |spec, total_pages, scratch| {
         // union of the arrays' line sets
         let segments: Vec<PatternSegment<'_>> = (0..n_arrays as usize)
             .map(|a| PatternSegment {
@@ -130,7 +130,7 @@ pub fn run_stream(machine: &mut MachineSim, cfg: &StreamRunConfig) -> KernelResu
                 buffer_bytes: cfg.array_bytes,
             })
             .collect();
-        let profile = profile_segments(&segments, spec_page, elem, 1, line, &levels, scratch);
+        let profile = profile_segments(&segments, spec_page, elem, 1, line, &spec.levels, scratch);
         ProfileEntry {
             profile,
             pages_allocated: total_pages.len() as u64,

@@ -103,7 +103,8 @@ pub fn validate_spec(spec: &crate::machine::CpuSpec) -> Option<(usize, u64, u64,
 
 /// Validates the optimised resolve/profile paths against the kept
 /// pre-optimisation implementations ([`reference`]) for a spec: over the
-/// same size/stride grid as [`validate_spec`] with both identity and
+/// same size/stride grid as [`validate_spec`], plus one buffer that is
+/// not a whole number of pages, with both identity and
 /// scrambled paging, the O(lines) resolve must produce the exact line
 /// list of the per-access loop, and [`profile_segments`] the exact
 /// profile of the per-level-mask computation. Returns the first
@@ -111,7 +112,9 @@ pub fn validate_spec(spec: &crate::machine::CpuSpec) -> Option<(usize, u64, u64,
 pub fn validate_fast_path(spec: &crate::machine::CpuSpec) -> Option<(u64, u64, &'static str)> {
     let mut scratch = ProfileScratch::default();
     let max_cap = spec.levels.iter().map(|l| l.size_bytes).max().unwrap_or(spec.page_bytes);
-    for &buffer in &[max_cap / 2, max_cap, max_cap + max_cap / 4, 2 * max_cap] {
+    // ends inside a page, so the buffer's last page is partial
+    let mid_page = max_cap.min(1 << 19) * 5 / 4 + spec.page_bytes / 2 + 20;
+    for &buffer in &[max_cap / 2, max_cap, max_cap + max_cap / 4, 2 * max_cap, mid_page] {
         let buffer = buffer.min(1 << 20).max(spec.page_bytes);
         for &stride in &[1u64, 2, 8, 32] {
             let n_pages = buffer.div_ceil(spec.page_bytes);

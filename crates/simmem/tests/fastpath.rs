@@ -71,15 +71,21 @@ proptest! {
     #[test]
     fn profile_segments_matches_reference(
         seg_lens in prop::collection::vec(1usize..12, 1..4),
+        tails in prop::collection::vec(1u64..=1024, 3),
         stride in 1u64..8,
         assoc_a in 1usize..5,
         assoc_b in 2usize..9,
         sets_pow in 2u32..7,
+        line_pow in 5u32..7,
         odd_geometry in any::<bool>(),
+        shared_last_block in any::<bool>(),
         seed in any::<u64>(),
     ) {
         let page = 1024u64;
-        let line = 64u64;
+        // 16 or 32 lines per page: with 4..128 L1 sets and 16..512 L2
+        // sets that covers levels with fewer sets than lines per page,
+        // and (32-byte lines, 4-set L1) a largest set count below it.
+        let line = 1u64 << line_pow;
         // odd_geometry forces the materialising fallback (assoc 3 on a
         // 3-set cache and a mismatched deeper line size); otherwise both
         // levels are power-of-two and eligible for the run-based path.
@@ -121,11 +127,26 @@ proptest! {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             state >> 33
         };
-        let pages: Vec<Vec<u64>> =
+        let mut pages: Vec<Vec<u64>> =
             seg_lens.iter().map(|&n| (0..n).map(|_| next() % 64).collect()).collect();
+        // Every colour block count divides 64, so shifting by multiples
+        // of 64 moves each segment's last (partial) page into the first
+        // segment's block without repeating a page.
+        if shared_last_block {
+            let first_last = *pages[0].last().unwrap();
+            for (i, p) in pages.iter_mut().enumerate().skip(1) {
+                *p.last_mut().unwrap() = first_last + 64 * i as u64;
+            }
+        }
+        // buffers end anywhere inside their last page, so most segments
+        // have a partial last page
         let segments: Vec<PatternSegment<'_>> = pages
             .iter()
-            .map(|p| PatternSegment { phys_pages: p, buffer_bytes: p.len() as u64 * page })
+            .zip(&tails)
+            .map(|(p, &tail)| PatternSegment {
+                phys_pages: p,
+                buffer_bytes: (p.len() as u64 - 1) * page + tail,
+            })
             .collect();
 
         let mut scratch = ProfileScratch::default();
