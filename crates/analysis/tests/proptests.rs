@@ -264,3 +264,40 @@ proptest! {
         }
     }
 }
+
+/// A three-regime piecewise-linear curve over `0..n` with deterministic
+/// hash noise: slope 2 up to 30 % of the range, 0.5 up to 70 %, then 1,
+/// each regime offset so the curve jumps at both breaks.
+fn piecewise_curve(n: usize) -> (Vec<f64>, Vec<f64>) {
+    let x: Vec<f64> = (0..n).map(|i| i as f64).collect();
+    let y = x
+        .iter()
+        .map(|&v| {
+            let f = v / n as f64;
+            let base = if f < 0.3 {
+                2.0 * v
+            } else if f < 0.7 {
+                0.6 * n as f64 + 0.5 * v
+            } else {
+                0.25 * n as f64 + v
+            };
+            base + ((v * 12.9898).sin() * 43758.5453).fract() * 8.0
+        })
+        .collect();
+    (x, y)
+}
+
+/// The proptests above stay under 64 points; this runs the fast kernel
+/// against the triple-loop oracle on a curve thousands of points long,
+/// where the prefix columns' rounding has the most room to diverge.
+#[test]
+fn segment_matches_the_oracle_on_a_long_piecewise_curve() {
+    let (x, y) = piecewise_curve(2_000);
+    let config = SegmentConfig { max_breaks: 4, min_points_per_segment: 5, penalty: Some(500.0) };
+    let fast = segment(&x, &y, &config).unwrap();
+    let prefix = PrefixOls::new(&x, &y);
+    let oracle = reference(&x, &y, &config, |i, j| prefix.sse(i, j)).unwrap();
+    assert_eq!(fast.score.to_bits(), oracle.score.to_bits());
+    assert_eq!(fast, oracle);
+    assert_eq!(fast.breakpoints.len(), 2, "both regime changes found: {:?}", fast.breakpoints);
+}

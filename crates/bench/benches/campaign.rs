@@ -1,9 +1,10 @@
 //! Criterion benchmarks of the deterministic parallel campaign engine
 //! (the sequential `Campaign` builder vs its sharded form at 1/2/4/8
 //! shards) and of the segmentation search (pre-optimization O(j − i)
-//! refit DP vs the prefix-sum O(1)-SSE DP). `bench_campaign_summary`
-//! produces the machine-readable counterpart, `BENCH_engine.json`; the
-//! refit-DP comparison is timed only here.
+//! refit DP vs the prefix-sum O(1)-SSE DP). These are microbenchmarks
+//! for exploring one kernel; the end-to-end numbers CI gates on come
+//! from `perf/` (`charm_perf`) through `bench_engine_gate`'s paired
+//! mode. The refit-DP comparison is timed only here.
 
 use charm_analysis::prefix::naive_stretch_sse;
 use charm_analysis::segmented::{reference, segment, SegmentConfig};

@@ -2,8 +2,8 @@
 //! serialization (the zero-allocation `write_csv_row` path), parsing
 //! with consecutive-row re-interning, and `group_by` over interned
 //! cells. These are the per-record costs the campaign hot path pays
-//! after the measurement itself; `bench_campaign_summary` reports the
-//! end-to-end `records_per_sec` counterpart.
+//! after the measurement itself. `perf/`'s traced runs report the same
+//! costs per layer (`record.to_csv_ns_per_row`) and end to end.
 
 use charm_design::doe::FullFactorial;
 use charm_design::plan::ExperimentPlan;

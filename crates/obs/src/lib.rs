@@ -523,14 +523,16 @@ impl fmt::Display for JsonlError {
 
 impl std::error::Error for JsonlError {}
 
-/// Minimal JSON formatting and parsing for the report schema: flat
-/// objects whose values are strings, numbers, or one level of nested
-/// string-to-string object (`attrs`).
+/// Minimal JSON formatting and parsing for the report schema: objects
+/// whose values are strings, numbers, booleans, arrays or nested
+/// objects (`attrs`), at most [`json::MAX_DEPTH`] levels deep. `null`
+/// is not part of the dialect.
 ///
 /// Public so downstream crates that share the no-external-JSON policy
-/// (e.g. `charm-trace`'s Chrome exporter and engine-bench schema) emit
-/// and parse byte-compatible documents instead of growing a second
-/// hand-rolled parser.
+/// (e.g. `charm-trace`'s Chrome exporter, the store manifest and the
+/// perf gate's `charm_perf` result lines) emit and parse
+/// byte-compatible documents instead of growing a second hand-rolled
+/// parser.
 pub mod json {
     /// A restricted JSON value.
     #[derive(Debug, Clone, PartialEq)]
@@ -539,9 +541,17 @@ pub mod json {
         Str(String),
         /// A number, kept as its raw token.
         Num(String),
-        /// A string-to-string object.
+        /// An object, fields in source order.
         Map(Vec<(String, Value)>),
+        /// `true` or `false`.
+        Bool(bool),
+        /// An array.
+        List(Vec<Value>),
     }
+
+    /// The deepest nesting of objects and arrays the parser accepts, so
+    /// a hostile line cannot exhaust the stack.
+    pub const MAX_DEPTH: usize = 32;
 
     /// A parsed flat object with typed field accessors.
     pub struct Object(Vec<(String, Value)>);
@@ -572,6 +582,14 @@ pub mod json {
         pub fn get_f64(&self, key: &str) -> Option<f64> {
             match self.get(key) {
                 Some(Value::Num(raw)) => raw.parse().ok(),
+                _ => None,
+            }
+        }
+
+        /// The field's value, if present and a boolean.
+        pub fn get_bool(&self, key: &str) -> Option<bool> {
+            match self.get(key) {
+                Some(Value::Bool(b)) => Some(*b),
                 _ => None,
             }
         }
@@ -607,7 +625,8 @@ pub mod json {
 
     /// Parses one object literal (a full JSONL line).
     pub fn parse_object(line: &str) -> Result<Object, String> {
-        let mut p = Parser { chars: line.trim().char_indices().peekable(), src: line.trim() };
+        let mut p =
+            Parser { chars: line.trim().char_indices().peekable(), src: line.trim(), depth: 0 };
         let fields = p.object()?;
         p.skip_ws();
         if p.chars.peek().is_some() {
@@ -619,6 +638,7 @@ pub mod json {
     struct Parser<'a> {
         chars: std::iter::Peekable<std::str::CharIndices<'a>>,
         src: &'a str,
+        depth: usize,
     }
 
     impl<'a> Parser<'a> {
@@ -661,11 +681,56 @@ pub mod json {
             }
         }
 
+        fn list(&mut self) -> Result<Vec<Value>, String> {
+            self.expect('[')?;
+            let mut items = Vec::new();
+            self.skip_ws();
+            if matches!(self.chars.peek(), Some((_, ']'))) {
+                self.chars.next();
+                return Ok(items);
+            }
+            loop {
+                items.push(self.value()?);
+                self.skip_ws();
+                match self.chars.next() {
+                    Some((_, ',')) => continue,
+                    Some((_, ']')) => return Ok(items),
+                    Some((i, c)) => return Err(format!("expected ',' or ']' at byte {i}: {c:?}")),
+                    None => return Err("unterminated array".to_string()),
+                }
+            }
+        }
+
+        /// Parses a nested object or array, one level deeper.
+        fn nested<T>(&mut self, f: fn(&mut Self) -> Result<T, String>) -> Result<T, String> {
+            if self.depth == MAX_DEPTH {
+                return Err(format!("nested deeper than {MAX_DEPTH} levels"));
+            }
+            self.depth += 1;
+            let out = f(self);
+            self.depth -= 1;
+            out
+        }
+
+        fn literal(&mut self, word: &str, value: bool) -> Result<Value, String> {
+            for want in word.chars() {
+                match self.chars.next() {
+                    Some((_, c)) if c == want => {}
+                    Some((i, c)) => return Err(format!("bad literal at byte {i}: {c:?}")),
+                    None => return Err("unterminated literal".to_string()),
+                }
+            }
+            Ok(Value::Bool(value))
+        }
+
         fn value(&mut self) -> Result<Value, String> {
             self.skip_ws();
             match self.chars.peek() {
                 Some((_, '"')) => Ok(Value::Str(self.string_literal()?)),
-                Some((_, '{')) => Ok(Value::Map(self.object()?)),
+                Some((_, '{')) => Ok(Value::Map(self.nested(Self::object)?)),
+                Some((_, '[')) => Ok(Value::List(self.nested(Self::list)?)),
+                Some((_, 't')) => self.literal("true", true),
+                Some((_, 'f')) => self.literal("false", false),
                 Some((_, c)) if *c == '-' || c.is_ascii_digit() => Ok(Value::Num(self.number()?)),
                 Some((i, c)) => Err(format!("unexpected value start at byte {i}: {c:?}")),
                 None => Err("expected a value, found end of line".to_string()),
@@ -967,6 +1032,27 @@ mod tests {
                 .unwrap_err();
         assert_eq!(err.line, 2);
         assert!(!err.to_string().is_empty());
+    }
+
+    #[test]
+    fn json_reads_booleans_and_arrays_and_caps_nesting() {
+        use json::Value;
+        let o = json::parse_object(r#"{"ok": true, "no": false, "xs": [1, "a", [], {}]}"#).unwrap();
+        assert_eq!(o.get_bool("ok"), Some(true));
+        assert_eq!(o.get_bool("no"), Some(false));
+        assert_eq!(o.get_bool("xs"), None);
+        let Some(Value::List(xs)) = o.get("xs") else { panic!("xs is an array") };
+        assert_eq!(xs.len(), 4);
+        assert_eq!(xs[0], Value::Num("1".into()));
+        for bad in [r#"{"a": tru}"#, r#"{"a": [1,]}"#, r#"{"a": [1"#, r#"{"a": null}"#] {
+            assert!(json::parse_object(bad).is_err(), "{bad}");
+        }
+        let deep = |n: usize| format!("{{\"a\": {}0{}}}", "[".repeat(n), "]".repeat(n));
+        assert!(json::parse_object(&deep(json::MAX_DEPTH)).is_ok());
+        let err = json::parse_object(&deep(json::MAX_DEPTH + 1)).err().unwrap();
+        assert!(err.contains("deeper"), "{err}");
+        // Far past the cap fails the same way instead of overflowing the stack.
+        assert!(json::parse_object(&deep(100_000)).is_err());
     }
 
     #[test]

@@ -489,7 +489,7 @@ pub struct ReportRow {
     /// Rank within the group.
     pub rank: usize,
     /// Full run ID.
-    pub run_id: String,
+    pub run_id: RunId,
     /// Benefit ratio vs the group's best, when compared.
     pub ratio_vs_best: Option<f64>,
     /// Interval bounds, when compared.
@@ -520,6 +520,8 @@ pub fn parse_csv(text: &str) -> Result<Vec<ReportRow>, String> {
         }
         let rank: usize =
             fields[3].parse().map_err(|_| format!("row {}: bad rank {:?}", i + 2, fields[3]))?;
+        let run_id = RunId::parse(fields[4])
+            .map_err(|_| format!("row {}: bad run ID {:?}", i + 2, fields[4]))?;
         let opt_f = |field: &str, name: &str| -> Result<Option<f64>, String> {
             if field.is_empty() {
                 Ok(None)
@@ -548,7 +550,7 @@ pub fn parse_csv(text: &str) -> Result<Vec<ReportRow>, String> {
             benchmark: fields[1].to_string(),
             host: fields[2].to_string(),
             rank,
-            run_id: fields[4].to_string(),
+            run_id,
             ratio_vs_best: ratio,
             ci,
             verdict: verdict.to_string(),

@@ -289,6 +289,12 @@ fn csv_schema_roundtrips_and_rejects_foreign_schemas() {
     assert_eq!(rows[1].benchmark, "fig04");
 
     assert!(parse_csv("a,b,c\n1,2,3\n").is_err(), "foreign header rejected");
+    // A run ID that is not 32 lowercase hex characters is rejected with
+    // its row number; this one has a multi-byte character across byte 12.
+    let bad_id = format!("{}é{}", "0".repeat(11), "0".repeat(19));
+    let forged = csv.replacen(rows[1].run_id.as_str(), &bad_id, 1);
+    let err = parse_csv(&forged).unwrap_err();
+    assert!(err.contains("row 3") && err.contains("run ID"), "{err}");
     assert!(parse_csv("").is_err(), "empty report rejected");
     std::fs::remove_dir_all(&dir).ok();
 }

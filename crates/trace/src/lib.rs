@@ -9,7 +9,7 @@
 //! ships silently — exactly the un-instrumented-measuring-tool pitfall
 //! the methodology warns about.
 //!
-//! Three pieces:
+//! Two pieces:
 //!
 //! * [`Profiler`] — a hierarchical wall-clock span recorder threaded
 //!   through the engine (`Campaign::profiler`) and installable per
@@ -17,12 +17,11 @@
 //! * [`chrome`] — a Chrome/Perfetto `trace.json` exporter that renders
 //!   the **two clock domains as separate process tracks**: wall-time
 //!   engine spans and virtual-time experiment events re-exported from a
-//!   [`charm_obs::CampaignReport`];
-//! * [`bench`] — the schema-versioned `BENCH_engine.json` perf
-//!   trajectory, the engine's one perf report (stage wall times, shard
-//!   speedups and utilization, records/sec, profile-cache hit rates,
-//!   scheduler tallies, analysis-pass timings), plus the noise-aware
-//!   regression gate CI runs once against the committed baseline.
+//!   [`charm_obs::CampaignReport`].
+//!
+//! The end-to-end perf numbers live in the `perf/` benchmark, which
+//! times charm through its public APIs and CI gates with paired
+//! parent/change runs (`bench_engine_gate`).
 //!
 //! # Design rules (same as `charm_obs`)
 //!
@@ -43,7 +42,6 @@ use std::cell::RefCell;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-pub mod bench;
 pub mod chrome;
 
 /// One completed wall-clock interval, relative to its profiler's epoch.
