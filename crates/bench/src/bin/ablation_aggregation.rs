@@ -14,7 +14,7 @@ use charm_simmem::paging::AllocPolicy;
 use charm_simmem::sched::SchedPolicy;
 
 fn main() {
-    let args = charm_bench::cli::CommonArgs::parse("");
+    let args = charm_bench::cli::CommonArgs::parse("", charm_bench::cli::Reads::SHARED);
     let session = charm_bench::profile::Session::from_args(&args);
     let seed = args.seed;
     let mut plan = FullFactorial::new()

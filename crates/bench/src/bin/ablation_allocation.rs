@@ -25,7 +25,7 @@ fn median_bw(alloc: AllocPolicy, seed: u64, kb: u64, reps: u32) -> f64 {
 }
 
 fn main() {
-    let args = charm_bench::cli::CommonArgs::parse("");
+    let args = charm_bench::cli::CommonArgs::parse("", charm_bench::cli::Reads::SHARED);
     let session = charm_bench::profile::Session::from_args(&args);
     let base = args.seed;
     let mut rows = Vec::new();

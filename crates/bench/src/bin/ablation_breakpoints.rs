@@ -6,7 +6,7 @@ use charm_simnet::noise::{BurstConfig, NoiseModel};
 use charm_simnet::{presets, NetOp};
 
 fn main() {
-    let args = charm_bench::cli::CommonArgs::parse("");
+    let args = charm_bench::cli::CommonArgs::parse("", charm_bench::cli::Reads::SHARED);
     let session = charm_bench::profile::Session::from_args(&args);
     let seed = args.seed;
     let mut sim = presets::openmpi_fig3(seed);

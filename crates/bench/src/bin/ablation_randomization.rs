@@ -56,7 +56,7 @@ fn per_size_median_spread(c: &charm_engine::record::Campaign) -> f64 {
 }
 
 fn main() {
-    let args = charm_bench::cli::CommonArgs::parse("");
+    let args = charm_bench::cli::CommonArgs::parse("", charm_bench::cli::Reads::SHARED);
     let session = charm_bench::profile::Session::from_args(&args);
     let seed = args.seed;
     let mut rows = Vec::new();

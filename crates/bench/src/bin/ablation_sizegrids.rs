@@ -14,7 +14,7 @@ fn median_time(sim: &mut charm_simnet::NetworkSim, size: u64, reps: u32) -> f64 
 }
 
 fn main() {
-    let args = charm_bench::cli::CommonArgs::parse("");
+    let args = charm_bench::cli::CommonArgs::parse("", charm_bench::cli::Reads::SHARED);
     let session = charm_bench::profile::Session::from_args(&args);
     let seed = args.seed;
     let platform = || {

@@ -1,118 +1,4 @@
-//! Regenerates every table and figure in one go (the EXPERIMENTS.md
-//! refresh path).
-//!
-//! Shared flags (see [`charm_bench::cli`]): `--seed N`, `--out DIR`,
-//! `--quick` (reduced replicate counts for the expensive figures — the
-//! CI smoke configuration), `--shards N` (pins the shard count the
-//! shard-invariant experiments use, instead of `Study::auto_shards`'
-//! plan-size and core-count heuristic; the time-dependent experiments
-//! always run sequentially regardless), and `--obs-jsonl` (writes the
-//! fig10/fig11 observability reports and fails loudly if the exported
-//! JSONL does not parse back to the identical report).
-
-use charm_bench::csvout::{self, CsvArtifact};
-use charm_obs::CampaignReport;
-
-/// A stamp identical to the one the standalone `generator` binary
-/// applies, so the refresh path and the per-figure path produce
-/// byte-identical artifacts.
-fn stamped(name: &str, generator: &str, seed: Option<u64>) -> CsvArtifact {
-    let a = csvout::artifact(name).meta("generator", generator);
-    match seed {
-        Some(seed) => a.meta("seed", seed),
-        None => a,
-    }
-}
-
-/// Writes `report` as JSONL after proving the text round-trips: the
-/// exported lines must parse back to an identical report.
-fn write_validated(name: &str, report: &CampaignReport) {
-    let text = report.to_jsonl();
-    match CampaignReport::from_jsonl(&text) {
-        Ok(parsed) if &parsed == report => {
-            charm_bench::write_artifact(name, &text);
-        }
-        Ok(_) => {
-            eprintln!("{name}: JSONL round-trip changed the report");
-            std::process::exit(1);
-        }
-        Err(e) => {
-            eprintln!("{name}: JSONL round-trip failed: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
-fn main() {
-    let args = charm_bench::cli::CommonArgs::parse("");
-    let session = charm_bench::profile::Session::from_args(&args);
-    let seed = args.seed;
-    let quick = args.quick;
-
-    println!("== table05 ==");
-    let t = charm_core::experiments::table05::run();
-    stamped("table05.csv", "table05", None).write(&t.to_csv());
-    print!("{}", t.report());
-
-    println!("\n== fig03 ==");
-    let f = charm_core::experiments::fig03::run(seed);
-    stamped("fig03.csv", "fig03", Some(seed)).write(&f.to_csv());
-    print!("{}", f.report());
-
-    println!("\n== fig04 ==");
-    let f = charm_core::experiments::fig04::run(seed, if quick { 30 } else { 100 }, 20);
-    stamped("fig04_raw.csv", "fig04", Some(seed)).write(&f.raw_csv());
-    stamped("fig04_model.csv", "fig04", Some(seed)).write(&f.summary_csv());
-    print!("{}", f.report());
-
-    println!("\n== fig07 ==");
-    let f = charm_core::experiments::fig07::run(seed, if quick { 4 } else { 10 });
-    stamped("fig07.csv", "fig07", Some(seed)).write(&f.to_csv());
-    print!("{}", f.report());
-
-    println!("\n== fig08 ==");
-    let f = charm_core::experiments::fig08::run(seed, if quick { 10 } else { 42 });
-    stamped("fig08_raw.csv", "fig08", Some(seed)).write(&f.raw_csv());
-    stamped("fig08_trends.csv", "fig08", Some(seed)).write(&f.trend_csv());
-    print!("{}", f.report());
-
-    println!("\n== fig09 ==");
-    let f = charm_core::experiments::fig09::run(seed, if quick { 4 } else { 10 });
-    stamped("fig09.csv", "fig09", Some(seed)).write(&f.to_csv());
-    print!("{}", f.report());
-
-    println!("\n== fig10 ==");
-    let f = charm_core::experiments::fig10::run(seed, if quick { 10 } else { 42 });
-    stamped("fig10.csv", "fig10", Some(seed)).observed(true).write(&f.to_csv());
-    if args.obs_jsonl {
-        write_validated("fig10_obs.jsonl", &f.report);
-    }
-    session.attach_virtual("fig10", &f.report);
-    print!("{}", f.report());
-
-    println!("\n== fig11 ==");
-    let f = charm_core::experiments::fig11::run(seed);
-    stamped("fig11_raw.csv", "fig11", Some(seed)).observed(true).write(&f.raw_csv());
-    if args.obs_jsonl {
-        write_validated("fig11_obs.jsonl", &f.report);
-    }
-    session.attach_virtual("fig11", &f.report);
-    print!("{}", f.report());
-
-    println!("\n== fig12 ==");
-    let f = charm_core::experiments::fig12::run(seed);
-    stamped("fig12.csv", "fig12", Some(seed)).write(&f.to_csv());
-    print!("{}", f.report());
-
-    println!("\n== fig13 ==");
-    let f = charm_core::experiments::fig13::run();
-    stamped("fig13.csv", "fig13", None).write(&f.to_csv());
-    print!("{}", f.report());
-
-    println!("\n== convolution ==");
-    let s = charm_core::experiments::convolution::run(seed);
-    stamped("convolution.csv", "convolution", Some(seed)).write(&s.to_csv());
-    print!("{}", s.report());
-
-    session.finish();
+//! Regenerates every entry of `charm_core::experiments::catalog`.
+fn main() -> std::process::ExitCode {
+    charm_bench::figures::all()
 }

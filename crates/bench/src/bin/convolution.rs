@@ -1,14 +1,4 @@
-//! Regenerates the Figure 1 use-case study: prediction error of opaque-
-//! vs white-box-instantiated models.
-
-fn main() {
-    let args = charm_bench::cli::CommonArgs::parse("");
-    let session = charm_bench::profile::Session::from_args(&args);
-    let study = charm_core::experiments::convolution::run(args.seed);
-    charm_bench::csvout::artifact("convolution.csv")
-        .meta("generator", "convolution")
-        .meta("seed", args.seed)
-        .write(&study.to_csv());
-    print!("{}", study.report());
-    session.finish();
+//! Regenerates the Figure 1 use case: opaque vs white-box model error.
+fn main() -> std::process::ExitCode {
+    charm_bench::figures::main("convolution")
 }

@@ -1,14 +1,4 @@
-//! Regenerates Figure 3: time vs message size on two interconnects, plus
-//! the forced-vs-free breakpoint comparison of §III-3.
-
-fn main() {
-    let args = charm_bench::cli::CommonArgs::parse("");
-    let session = charm_bench::profile::Session::from_args(&args);
-    let fig = charm_core::experiments::fig03::run(args.seed);
-    charm_bench::csvout::artifact("fig03.csv")
-        .meta("generator", "fig03")
-        .meta("seed", args.seed)
-        .write(&fig.to_csv());
-    print!("{}", fig.report());
-    session.finish();
+//! Regenerates Figure 3: time vs message size on two interconnects.
+fn main() -> std::process::ExitCode {
+    charm_bench::figures::main("fig03")
 }

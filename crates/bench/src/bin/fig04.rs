@@ -1,66 +1,4 @@
-//! Regenerates Figure 4: the Taurus network model — raw campaign,
-//! piecewise fit, per-regime variability bands.
-//!
-//! The design comes from the declarative spec `benchmarks/fig04.toml`
-//! (override with `--benchmark PATH`, tweak with `--param NAME=VALUE`);
-//! this binary is just spec → registry → sharded campaign → fit.
-
-use charm_bench::specload;
-use charm_core::pipeline::Study;
-use charm_core::spec::ResolvedBenchmark;
-use charm_engine::registry::{self, ResolvedTarget};
-use std::process::ExitCode;
-
-fn main() -> ExitCode {
-    let args = charm_bench::cli::CommonArgs::parse("");
-    let session = charm_bench::profile::Session::from_args(&args);
-    let path = args.benchmark.clone().unwrap_or_else(|| specload::default_spec("fig04.toml"));
-    let mut params = args.params.clone();
-    if args.quick && !params.iter().any(|(k, _)| k == "n_sizes") {
-        params.push(("n_sizes".to_string(), "30".to_string()));
-    }
-    let resolved = match specload::load(&path, args.seed, &params) {
-        Ok(r) => r,
-        Err(code) => return code,
-    };
-    let breakpoints = match ResolvedBenchmark::u64_array(&resolved.analysis, "breakpoints") {
-        Ok(b) => b,
-        Err(e) => return specload::bad_spec(e),
-    };
-    let target = match registry::resolve(&resolved.target, args.seed) {
-        Ok(ResolvedTarget::Network(t)) => t,
-        Ok(other) => {
-            return specload::bad_spec(format_args!(
-                "fig04 needs a network target, spec gave {other:?}"
-            ))
-        }
-        Err(e) => return specload::bad_spec(e),
-    };
-    let study = Study::prepared(resolved.plan, resolved.order_seed);
-    let shards = Study::auto_shards(study.plan().len());
-    let campaign = match study.run_sharded(&*target, shards) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("campaign failed: {e}");
-            return specload::exit_for(&e);
-        }
-    };
-    let fig = match charm_core::experiments::fig04::from_campaign(campaign, breakpoints) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("fig04 fit failed: {e}");
-            return ExitCode::from(specload::EXIT_TARGET);
-        }
-    };
-    charm_bench::csvout::artifact("fig04_raw.csv")
-        .meta("generator", "fig04")
-        .meta("seed", args.seed)
-        .write(&fig.raw_csv());
-    charm_bench::csvout::artifact("fig04_model.csv")
-        .meta("generator", "fig04")
-        .meta("seed", args.seed)
-        .write(&fig.summary_csv());
-    print!("{}", fig.report());
-    session.finish();
-    ExitCode::SUCCESS
+//! Regenerates Figure 4 from benchmarks/fig04.toml: the Taurus network model.
+fn main() -> std::process::ExitCode {
+    charm_bench::figures::main("fig04")
 }

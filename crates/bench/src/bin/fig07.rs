@@ -1,56 +1,4 @@
-//! Regenerates Figure 7: MultiMAPS plateaus and stride effect (Opteron).
-//!
-//! The sweep comes from the declarative spec `benchmarks/fig07.toml`
-//! (override with `--benchmark PATH`): the `multimaps` opaque tool
-//! reads its size/stride lists from the spec's factors and runs against
-//! the registry-resolved machine.
-
-use charm_bench::specload;
-use charm_core::spec::ResolvedBenchmark;
-use charm_engine::registry::{self, ResolvedTarget};
-use charm_opaque::multimaps::MultimapsConfig;
-use std::process::ExitCode;
-
-fn main() -> ExitCode {
-    let args = charm_bench::cli::CommonArgs::parse("");
-    let session = charm_bench::profile::Session::from_args(&args);
-    let path = args.benchmark.clone().unwrap_or_else(|| specload::default_spec("fig07.toml"));
-    let mut params = args.params.clone();
-    if args.quick && !params.iter().any(|(k, _)| k == "repetitions") {
-        params.push(("repetitions".to_string(), "4".to_string()));
-    }
-    let resolved = match specload::load(&path, args.seed, &params) {
-        Ok(r) => r,
-        Err(code) => return code,
-    };
-    let sizes = match specload::int_levels(&resolved, "size_bytes") {
-        Ok(v) => v,
-        Err(code) => return code,
-    };
-    let strides = match specload::int_levels(&resolved, "stride") {
-        Ok(v) => v,
-        Err(code) => return code,
-    };
-    let nloops = match ResolvedBenchmark::u64_value(&resolved.tool, "nloops") {
-        Ok(n) => n,
-        Err(e) => return specload::bad_spec(e),
-    };
-    let mut mem = match registry::resolve(&resolved.target, args.seed) {
-        Ok(ResolvedTarget::Memory(t)) => t,
-        Ok(other) => {
-            return specload::bad_spec(format_args!(
-                "fig07 needs a memory target, spec gave {other:?}"
-            ))
-        }
-        Err(e) => return specload::bad_spec(e),
-    };
-    let cfg = MultimapsConfig { sizes, strides, nloops, repetitions: resolved.replicates };
-    let fig = charm_core::experiments::fig07::run_with(mem.machine_mut(), &cfg);
-    charm_bench::csvout::artifact("fig07.csv")
-        .meta("generator", "fig07")
-        .meta("seed", args.seed)
-        .write(&fig.to_csv());
-    print!("{}", fig.report());
-    session.finish();
-    ExitCode::SUCCESS
+//! Regenerates Figure 7 from benchmarks/fig07.toml: MultiMAPS on the Opteron.
+fn main() -> std::process::ExitCode {
+    charm_bench::figures::main("fig07")
 }

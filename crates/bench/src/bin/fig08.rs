@@ -1,17 +1,4 @@
 //! Regenerates Figure 8: the noisy Pentium 4 replication attempt.
-
-fn main() {
-    let args = charm_bench::cli::CommonArgs::parse("");
-    let session = charm_bench::profile::Session::from_args(&args);
-    let fig = charm_core::experiments::fig08::run(args.seed, if args.quick { 10 } else { 42 });
-    charm_bench::csvout::artifact("fig08_raw.csv")
-        .meta("generator", "fig08")
-        .meta("seed", args.seed)
-        .write(&fig.raw_csv());
-    charm_bench::csvout::artifact("fig08_trends.csv")
-        .meta("generator", "fig08")
-        .meta("seed", args.seed)
-        .write(&fig.trend_csv());
-    print!("{}", fig.report());
-    session.finish();
+fn main() -> std::process::ExitCode {
+    charm_bench::figures::main("fig08")
 }

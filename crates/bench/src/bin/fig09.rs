@@ -1,13 +1,4 @@
 //! Regenerates Figure 9: vectorization × unrolling facets (i7-2600).
-
-fn main() {
-    let args = charm_bench::cli::CommonArgs::parse("");
-    let session = charm_bench::profile::Session::from_args(&args);
-    let fig = charm_core::experiments::fig09::run(args.seed, if args.quick { 4 } else { 10 });
-    charm_bench::csvout::artifact("fig09.csv")
-        .meta("generator", "fig09")
-        .meta("seed", args.seed)
-        .write(&fig.to_csv());
-    print!("{}", fig.report());
-    session.finish();
+fn main() -> std::process::ExitCode {
+    charm_bench::figures::main("fig09")
 }

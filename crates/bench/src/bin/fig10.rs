@@ -1,21 +1,4 @@
 //! Regenerates Figure 10: DVFS ondemand nloops facets (i7-2600).
-//! `--obs-jsonl` also writes the governor's counters and per-measurement
-//! provenance events (the multimodality mechanism, attributable record
-//! by record).
-
-fn main() {
-    let args = charm_bench::cli::CommonArgs::parse("");
-    let session = charm_bench::profile::Session::from_args(&args);
-    let fig = charm_core::experiments::fig10::run(args.seed, if args.quick { 10 } else { 42 });
-    charm_bench::csvout::artifact("fig10.csv")
-        .meta("generator", "fig10")
-        .meta("seed", args.seed)
-        .observed(true)
-        .write(&fig.to_csv());
-    if args.obs_jsonl {
-        charm_bench::write_artifact("fig10_obs.jsonl", &fig.report.to_jsonl());
-    }
-    session.attach_virtual("fig10", &fig.report);
-    print!("{}", fig.report());
-    session.finish();
+fn main() -> std::process::ExitCode {
+    charm_bench::figures::main("fig10")
 }

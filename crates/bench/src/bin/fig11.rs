@@ -1,21 +1,4 @@
 //! Regenerates Figure 11: RT-scheduler bimodality (ARM Snowball).
-//! `--obs-jsonl` also writes the scheduler's counters and
-//! per-measurement provenance events (which records the interloper
-//! preempted).
-
-fn main() {
-    let args = charm_bench::cli::CommonArgs::parse("");
-    let session = charm_bench::profile::Session::from_args(&args);
-    let fig = charm_core::experiments::fig11::run(args.seed);
-    charm_bench::csvout::artifact("fig11_raw.csv")
-        .meta("generator", "fig11")
-        .meta("seed", args.seed)
-        .observed(true)
-        .write(&fig.raw_csv());
-    if args.obs_jsonl {
-        charm_bench::write_artifact("fig11_obs.jsonl", &fig.report.to_jsonl());
-    }
-    session.attach_virtual("fig11", &fig.report);
-    print!("{}", fig.report());
-    session.finish();
+fn main() -> std::process::ExitCode {
+    charm_bench::figures::main("fig11")
 }

@@ -1,13 +1,4 @@
 //! Regenerates Figure 12: the ARM paging anomaly across four runs.
-
-fn main() {
-    let args = charm_bench::cli::CommonArgs::parse("");
-    let session = charm_bench::profile::Session::from_args(&args);
-    let fig = charm_core::experiments::fig12::run(args.seed);
-    charm_bench::csvout::artifact("fig12.csv")
-        .meta("generator", "fig12")
-        .meta("seed", args.seed)
-        .write(&fig.to_csv());
-    print!("{}", fig.report());
-    session.finish();
+fn main() -> std::process::ExitCode {
+    charm_bench::figures::main("fig12")
 }

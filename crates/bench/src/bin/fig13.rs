@@ -1,10 +1,4 @@
 //! Regenerates Figure 13: the cause-and-effect factor diagram.
-
-fn main() {
-    let args = charm_bench::cli::CommonArgs::parse("");
-    let session = charm_bench::profile::Session::from_args(&args);
-    let fig = charm_core::experiments::fig13::run();
-    charm_bench::csvout::artifact("fig13.csv").meta("generator", "fig13").write(&fig.to_csv());
-    print!("{}", fig.report());
-    session.finish();
+fn main() -> std::process::ExitCode {
+    charm_bench::figures::main("fig13")
 }

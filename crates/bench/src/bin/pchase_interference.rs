@@ -1,100 +1,4 @@
-//! Extension experiment (paper §II-C context): PChase-style multi-core
-//! memory interference on the i7-2600 — the multi-threaded study the
-//! paper postponed ("we restrict our investigation … for a
-//! single-threaded program").
-//!
-//! The workloads come from the declarative spec `benchmarks/pchase.toml`
-//! (override with `--benchmark PATH`): each `workload` factor level has
-//! a `[tool.workloads.<name>]` table with its buffer size and loop
-//! count, and each runs on a fresh registry-resolved machine.
-
-use charm_bench::specload;
-use charm_core::spec::ResolvedBenchmark;
-use charm_engine::registry::{self, ResolvedTarget};
-use charm_opaque::pchase::{self, PchaseConfig};
-use std::process::ExitCode;
-
-fn main() -> ExitCode {
-    let args = charm_bench::cli::CommonArgs::parse("");
-    let session = charm_bench::profile::Session::from_args(&args);
-    let seed = args.seed;
-    let path = args.benchmark.clone().unwrap_or_else(|| specload::default_spec("pchase.toml"));
-    let resolved = match specload::load(&path, seed, &args.params) {
-        Ok(r) => r,
-        Err(code) => return code,
-    };
-    let workloads = match specload::text_levels(&resolved, "workload") {
-        Ok(v) => v,
-        Err(code) => return code,
-    };
-    let threads = match specload::int_levels(&resolved, "threads") {
-        Ok(v) => v,
-        Err(code) => return code,
-    };
-    let max_threads = threads.iter().max().copied().unwrap_or(1) as u32;
-
-    let mut rows_out = Vec::new();
-    println!("PChase-style interference sweep on the i7-2600 (aggregate MB/s by thread count)\n");
-    for label in &workloads {
-        let wl = match resolved.tool.table("workloads").and_then(|t| t.table(label)) {
-            Some(t) => t,
-            None => {
-                return specload::bad_spec(format_args!(
-                    "spec lacks [tool.workloads.{label}] for workload level {label:?}"
-                ))
-            }
-        };
-        let buffer = match ResolvedBenchmark::u64_value(wl, "buffer_bytes") {
-            Ok(n) => n,
-            Err(e) => return specload::bad_spec(e),
-        };
-        let nloops = match ResolvedBenchmark::u64_value(wl, "nloops") {
-            Ok(n) => n,
-            Err(e) => return specload::bad_spec(e),
-        };
-        // A fresh machine per workload: same seed, same policies.
-        let mut mem = match registry::resolve(&resolved.target, seed) {
-            Ok(ResolvedTarget::Memory(t)) => t,
-            Ok(other) => {
-                return specload::bad_spec(format_args!(
-                    "pchase needs a memory target, spec gave {other:?}"
-                ))
-            }
-            Err(e) => return specload::bad_spec(e),
-        };
-        let rows = pchase::run(
-            mem.machine_mut(),
-            &PchaseConfig {
-                buffer_bytes: buffer,
-                max_threads,
-                nloops,
-                repetitions: resolved.replicates,
-            },
-        );
-        println!("[{label}]");
-        for r in &rows {
-            println!(
-                "  {} threads: {:>9.0} ± {:>6.0} MB/s",
-                r.threads, r.cell.mean, r.cell.std_dev
-            );
-            rows_out.push(vec![
-                label.to_string(),
-                r.threads.to_string(),
-                r.cell.mean.to_string(),
-                r.cell.std_dev.to_string(),
-            ]);
-        }
-        println!("  scaling efficiency at 8 threads: {:.2}\n", pchase::scaling_efficiency(&rows));
-    }
-    let csv = charm_core::experiments::plot::csv(
-        &["workload", "threads", "mean_mbps", "sd_mbps"],
-        &rows_out,
-    );
-    charm_bench::csvout::artifact("pchase_interference.csv")
-        .meta("generator", "pchase_interference")
-        .meta("seed", seed)
-        .write(&csv);
-    println!("cache-resident work scales with cores; DRAM-bound work saturates at the channel count\n— the interference PChase was built to capture");
-    session.finish();
-    ExitCode::SUCCESS
+//! Regenerates the PChase multi-core interference extension (benchmarks/pchase.toml).
+fn main() -> std::process::ExitCode {
+    charm_bench::figures::main("pchase")
 }

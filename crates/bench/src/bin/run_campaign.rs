@@ -59,7 +59,7 @@
 //! engines archive the finished run but have no shard checkpoints, so
 //! `--resume` does not apply to them.)
 
-use charm_bench::cli::CommonArgs;
+use charm_bench::cli::{CommonArgs, Reads};
 use charm_bench::profile::Session;
 use charm_bench::specload;
 use charm_core::pipeline::Study;
@@ -252,7 +252,7 @@ fn run_sharded<T: ParallelTarget>(
 }
 
 fn main() -> ExitCode {
-    let args = CommonArgs::parse(USAGE_POSITIONAL);
+    let args = CommonArgs::parse(USAGE_POSITIONAL, Reads::ALL);
     let session = Session::from_args(&args);
     let bench = match lower(&args) {
         Ok(b) => b,

@@ -1,10 +1,4 @@
 //! Regenerates Figure 5: the CPU characteristics table.
-
-fn main() {
-    let args = charm_bench::cli::CommonArgs::parse("");
-    let session = charm_bench::profile::Session::from_args(&args);
-    let t = charm_core::experiments::table05::run();
-    charm_bench::csvout::artifact("table05.csv").meta("generator", "table05").write(&t.to_csv());
-    print!("{}", t.report());
-    session.finish();
+fn main() -> std::process::ExitCode {
+    charm_bench::figures::main("table05")
 }

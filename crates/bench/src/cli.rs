@@ -1,16 +1,12 @@
 //! Uniform command-line handling for the regenerator binaries.
 //!
-//! Every binary in `src/bin/` accepts the same flags:
+//! Every binary in `src/bin/` reads the shared flags:
 //!
 //! * `--seed N` — RNG seed (default [`crate::default_seed`], i.e. the
 //!   `CHARM_SEED` environment variable or the built-in constant);
 //! * `--shards N` — shard count for the shard-invariant experiments;
 //!   exported as `CHARM_SHARDS` so `Study::auto_shards` picks it up
 //!   everywhere downstream;
-//! * `--min-rows-per-shard N` — override the engine's worker floor (one
-//!   worker per N plan rows, default
-//!   [`charm_engine::DEFAULT_MIN_ROWS_PER_SHARD`]); `1` takes `--shards`
-//!   literally even for tiny plans (CI smoke runs use this);
 //! * `--out DIR` — results directory; exported as `CHARM_RESULTS_DIR`
 //!   so [`crate::results_dir`] honours it;
 //! * `--obs-jsonl` — also write observability reports (counters +
@@ -21,22 +17,25 @@
 //! * `--trace-out PATH` — write a Chrome/Perfetto `trace.json` rendering
 //!   wall-time engine spans and virtual-time experiment events as two
 //!   separate process tracks (see `charm_trace::chrome`);
-//! * `--store DIR` — archive the campaign into a `charm_store` store at
-//!   `DIR`, flushing shard checkpoints as they complete;
-//! * `--resume RUN_ID` — with `--store`, replay the finished shards of
-//!   an interrupted run and execute only the missing ones;
-//! * `--benchmark PATH` — run from a declarative benchmark spec
-//!   (`benchmarks/*.toml`, DESIGN.md §15) instead of built-in
-//!   plan-building;
-//! * `--param NAME=VALUE` — override a `[params]` entry of the spec
-//!   (repeatable; only meaningful with `--benchmark`);
 //! * `--help` — print usage.
 //!
-//! Positional arguments (e.g. `run_campaign`'s plan file and platform)
-//! pass through in [`CommonArgs::rest`].
+//! Two groups only some binaries read ([`Reads`]); a binary given a
+//! flag it does not read exits 2 with its usage instead of ignoring it:
+//!
+//! * campaign flags, read by `run_campaign` only: `--store DIR` archives
+//!   the campaign into a `charm_store` store, flushing shard checkpoints
+//!   as they complete; `--resume RUN_ID` replays the finished shards of
+//!   an interrupted stored run; `--min-rows-per-shard N` overrides the
+//!   worker floor ([`charm_engine::DEFAULT_MIN_ROWS_PER_SHARD`]; `1`
+//!   takes `--shards` literally); positional arguments land in
+//!   [`CommonArgs::rest`];
+//! * spec flags, read by `run_campaign`, `fig04`, `fig07` and
+//!   `pchase_interference`: `--benchmark PATH` runs a declarative spec
+//!   (DESIGN.md §15) instead of the built-in one; `--param NAME=VALUE`
+//!   overrides one of its `[params]` (repeatable).
 
 /// The flags shared by all regenerator binaries, parsed.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CommonArgs {
     /// RNG seed (`--seed N`).
     pub seed: u64,
@@ -66,13 +65,23 @@ pub struct CommonArgs {
 }
 
 impl CommonArgs {
-    /// Parses `std::env::args()`, applies the environment side effects
-    /// (`CHARM_SHARDS`, `CHARM_RESULTS_DIR`), and exits with the usage
-    /// text on `--help` or a malformed flag. `extra_usage` documents the
-    /// binary's positional arguments (empty when it has none).
-    pub fn parse(extra_usage: &str) -> CommonArgs {
+    /// Parses `std::env::args()` for a binary that reads the shared
+    /// flags plus the groups in `reads`, applies the environment side
+    /// effects (`CHARM_SHARDS`, `CHARM_RESULTS_DIR`), and exits with the
+    /// usage text (listing only the flags the binary reads) on `--help`,
+    /// a malformed flag, or a flag the binary does not read.
+    /// `extra_usage` documents the positional arguments (empty when the
+    /// binary takes none).
+    pub fn parse(extra_usage: &str, reads: Reads) -> CommonArgs {
         let bin = std::env::args().next().unwrap_or_else(|| "bin".into());
-        match Self::try_parse(std::env::args().skip(1), crate::default_seed()) {
+        let parsed = Self::try_parse(std::env::args().skip(1), crate::default_seed());
+        match parsed.and_then(|(args, out)| match args.unread(reads) {
+            Some(flag) => {
+                eprintln!("{bin} does not read {flag}");
+                Err(Exit::Error)
+            }
+            None => Ok((args, out)),
+        }) {
             Ok((args, out_dir)) => {
                 if let Some(n) = args.shards {
                     std::env::set_var("CHARM_SHARDS", n.to_string());
@@ -83,14 +92,30 @@ impl CommonArgs {
                 args
             }
             Err(Exit::Help) => {
-                println!("{}", usage(&bin, extra_usage));
+                println!("{}", usage(&bin, extra_usage, reads));
                 std::process::exit(0);
             }
             Err(Exit::Error) => {
-                eprintln!("{}", usage(&bin, extra_usage));
+                eprintln!("{}", usage(&bin, extra_usage, reads));
                 std::process::exit(2);
             }
         }
+    }
+
+    /// The first flag given that a binary reading only `reads` (beyond
+    /// the shared flags) would ignore.
+    fn unread(&self, reads: Reads) -> Option<&'static str> {
+        [
+            ("--store", self.store.is_some()),
+            ("--resume", self.resume.is_some()),
+            ("--min-rows-per-shard", self.min_rows_per_shard.is_some()),
+            ("positional arguments", !self.rest.is_empty()),
+            ("--benchmark", self.benchmark.is_some()),
+            ("--param", !self.params.is_empty()),
+        ]
+        .into_iter()
+        .find(|&(flag, given)| given && !reads.reads(flag))
+        .map(|(flag, _)| flag)
     }
 
     /// Pure parser (no environment side effects): returns the parsed
@@ -100,79 +125,28 @@ impl CommonArgs {
         argv: impl IntoIterator<Item = String>,
         default_seed: u64,
     ) -> Result<(CommonArgs, Option<String>), Exit> {
-        let mut args = CommonArgs {
-            seed: default_seed,
-            shards: None,
-            min_rows_per_shard: None,
-            obs_jsonl: false,
-            quick: false,
-            profile: false,
-            trace_out: None,
-            store: None,
-            resume: None,
-            benchmark: None,
-            params: Vec::new(),
-            rest: Vec::new(),
-        };
+        let mut args = CommonArgs { seed: default_seed, ..CommonArgs::default() };
         let mut out_dir = None;
         let mut argv = argv.into_iter();
         while let Some(a) = argv.next() {
             match a.as_str() {
                 "--seed" => args.seed = value_of("--seed", argv.next())?,
-                "--shards" => {
-                    let n: usize = value_of("--shards", argv.next())?;
-                    if n == 0 {
-                        eprintln!("--shards needs a positive integer");
-                        return Err(Exit::Error);
-                    }
-                    args.shards = Some(n);
-                }
+                "--shards" => args.shards = Some(positive("--shards", argv.next())?),
                 "--min-rows-per-shard" => {
-                    let n: usize = value_of("--min-rows-per-shard", argv.next())?;
-                    if n == 0 {
-                        eprintln!("--min-rows-per-shard needs a positive integer");
-                        return Err(Exit::Error);
-                    }
-                    args.min_rows_per_shard = Some(n);
+                    args.min_rows_per_shard = Some(positive("--min-rows-per-shard", argv.next())?)
                 }
-                "--out" => match argv.next() {
-                    Some(dir) => out_dir = Some(dir),
-                    None => {
-                        eprintln!("--out needs a directory");
-                        return Err(Exit::Error);
-                    }
-                },
+                "--out" => out_dir = Some(text_of("--out", "a directory", argv.next())?),
                 "--obs-jsonl" => args.obs_jsonl = true,
                 "--quick" => args.quick = true,
                 "--profile" => args.profile = true,
-                "--trace-out" => match argv.next() {
-                    Some(path) => args.trace_out = Some(path),
-                    None => {
-                        eprintln!("--trace-out needs a file path");
-                        return Err(Exit::Error);
-                    }
-                },
-                "--store" => match argv.next() {
-                    Some(dir) => args.store = Some(dir),
-                    None => {
-                        eprintln!("--store needs a directory");
-                        return Err(Exit::Error);
-                    }
-                },
-                "--resume" => match argv.next() {
-                    Some(id) => args.resume = Some(id),
-                    None => {
-                        eprintln!("--resume needs a run ID");
-                        return Err(Exit::Error);
-                    }
-                },
-                "--benchmark" => match argv.next() {
-                    Some(path) => args.benchmark = Some(path),
-                    None => {
-                        eprintln!("--benchmark needs a spec file path");
-                        return Err(Exit::Error);
-                    }
-                },
+                "--trace-out" => {
+                    args.trace_out = Some(text_of("--trace-out", "a file path", argv.next())?)
+                }
+                "--store" => args.store = Some(text_of("--store", "a directory", argv.next())?),
+                "--resume" => args.resume = Some(text_of("--resume", "a run ID", argv.next())?),
+                "--benchmark" => {
+                    args.benchmark = Some(text_of("--benchmark", "a spec file path", argv.next())?)
+                }
                 "--param" => {
                     match argv.next().as_deref().and_then(|kv| {
                         kv.split_once('=').map(|(k, v)| (k.to_string(), v.to_string()))
@@ -206,6 +180,34 @@ pub enum Exit {
     Error,
 }
 
+/// The flag groups a binary reads beyond the shared flags.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Reads {
+    /// `--store`, `--resume`, `--min-rows-per-shard` and positional
+    /// arguments.
+    pub campaign: bool,
+    /// `--benchmark` and `--param`.
+    pub spec: bool,
+}
+
+impl Reads {
+    /// Every flag (`run_campaign`).
+    pub const ALL: Reads = Reads { campaign: true, spec: true };
+    /// The shared flags only.
+    pub const SHARED: Reads = Reads { campaign: false, spec: false };
+
+    /// Whether the binary reads `flag` (or takes positional arguments).
+    fn reads(self, flag: &str) -> bool {
+        match flag {
+            "--store" | "--resume" | "--min-rows-per-shard" | "positional arguments" => {
+                self.campaign
+            }
+            "--benchmark" | "--param" => self.spec,
+            _ => true,
+        }
+    }
+}
+
 fn value_of<T: std::str::FromStr>(flag: &str, v: Option<String>) -> Result<T, Exit> {
     match v.and_then(|s| s.parse().ok()) {
         Some(n) => Ok(n),
@@ -216,27 +218,53 @@ fn value_of<T: std::str::FromStr>(flag: &str, v: Option<String>) -> Result<T, Ex
     }
 }
 
-fn usage(bin: &str, extra: &str) -> String {
+fn positive(flag: &str, v: Option<String>) -> Result<usize, Exit> {
+    match value_of(flag, v)? {
+        0 => {
+            eprintln!("{flag} needs a positive integer");
+            Err(Exit::Error)
+        }
+        n => Ok(n),
+    }
+}
+
+fn text_of(flag: &str, what: &str, v: Option<String>) -> Result<String, Exit> {
+    v.ok_or_else(|| {
+        eprintln!("{flag} needs {what}");
+        Exit::Error
+    })
+}
+
+/// Every flag's synopsis and help text.
+const FLAGS: [(&str, &str); 12] = [
+    ("--seed N", "RNG seed (default CHARM_SEED or 20170529)"),
+    ("--shards N", "shard count for shard-invariant campaigns (sets CHARM_SHARDS)"),
+    ("--min-rows-per-shard N", "worker floor: at most one worker per N plan rows (1 = off)"),
+    ("--out DIR", "results directory (sets CHARM_RESULTS_DIR)"),
+    ("--obs-jsonl", "also write observability reports as JSON Lines"),
+    ("--quick", "reduced plans for smoke runs"),
+    ("--profile", "print a wall-clock self-profile on exit"),
+    ("--trace-out PATH", "write a dual-clock Chrome/Perfetto trace.json"),
+    ("--store DIR", "archive the campaign (with shard checkpoints) into a store"),
+    ("--resume RUN_ID", "resume an interrupted stored run (requires --store)"),
+    ("--benchmark SPEC.toml", "run from a declarative benchmark spec (DESIGN.md par. 15)"),
+    ("--param NAME=VALUE", "override a [params] entry of the spec (repeatable)"),
+];
+
+fn usage(bin: &str, extra: &str, reads: Reads) -> String {
+    let flags: Vec<_> =
+        FLAGS.iter().filter(|(syn, _)| reads.reads(syn.split(' ').next().unwrap())).collect();
     let positional = if extra.is_empty() { String::new() } else { format!(" {extra}") };
-    format!(
-        "usage: {bin}{positional} [--seed N] [--shards N] [--min-rows-per-shard N] [--out DIR]\n\
-         \x20               [--obs-jsonl] [--quick] [--profile] [--trace-out PATH]\n\
-         \x20               [--store DIR] [--resume RUN_ID]\n\
-         \x20               [--benchmark SPEC.toml] [--param NAME=VALUE]...\n\
-         \n\
-         --seed N        RNG seed (default CHARM_SEED or 20170529)\n\
-         --shards N      shard count for shard-invariant campaigns (sets CHARM_SHARDS)\n\
-         --min-rows-per-shard N  worker floor: at most one worker per N plan rows (1 = off)\n\
-         --out DIR       results directory (sets CHARM_RESULTS_DIR)\n\
-         --obs-jsonl     also write observability reports as JSON Lines\n\
-         --quick         reduced plans for smoke runs\n\
-         --profile       print a wall-clock self-profile on exit\n\
-         --trace-out PATH  write a dual-clock Chrome/Perfetto trace.json\n\
-         --store DIR     archive the campaign (with shard checkpoints) into a store\n\
-         --resume RUN_ID resume an interrupted stored run (requires --store)\n\
-         --benchmark SPEC.toml  run from a declarative benchmark spec (DESIGN.md par. 15)\n\
-         --param NAME=VALUE  override a [params] entry of the spec (repeatable)"
-    )
+    let mut out = format!("usage: {bin}{positional}");
+    for chunk in flags.chunks(4) {
+        let line: Vec<String> = chunk.iter().map(|(syn, _)| format!("[{syn}]")).collect();
+        out.push_str(&format!("\n    {}", line.join(" ")));
+    }
+    out.push('\n');
+    for (syn, help) in &flags {
+        out.push_str(&format!("\n{syn:<24}{help}"));
+    }
+    out
 }
 
 #[cfg(test)]
@@ -250,23 +278,7 @@ mod tests {
     #[test]
     fn defaults_without_flags() {
         let (args, out) = CommonArgs::try_parse(argv(&[]), 7).unwrap();
-        assert_eq!(
-            args,
-            CommonArgs {
-                seed: 7,
-                shards: None,
-                min_rows_per_shard: None,
-                obs_jsonl: false,
-                quick: false,
-                profile: false,
-                trace_out: None,
-                store: None,
-                resume: None,
-                benchmark: None,
-                params: vec![],
-                rest: vec![]
-            }
-        );
+        assert_eq!(args, CommonArgs { seed: 7, ..CommonArgs::default() });
         assert_eq!(out, None);
     }
 
@@ -347,7 +359,7 @@ mod tests {
 
     #[test]
     fn usage_names_every_flag() {
-        let u = usage("fig10", "");
+        let u = usage("run_campaign", "PLAN PLATFORM", Reads::ALL);
         for flag in [
             "--seed",
             "--shards",

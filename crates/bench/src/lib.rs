@@ -1,9 +1,13 @@
 //! # charm-bench
 //!
-//! The benchmark harness: one binary per paper table/figure (regenerating
-//! the corresponding rows/series into `results/` and printing an ASCII
-//! report), plus Criterion microbenchmarks of the substrates and the
-//! analysis kernels, plus the ablation binaries DESIGN.md §5 calls for.
+//! The benchmark harness: one binary per entry of
+//! `charm_core::experiments::catalog` (regenerating the corresponding
+//! rows/series into `results/` and printing an ASCII report), each a
+//! shim over the one [`figures`] driver that `all_figures` also runs;
+//! `run_campaign` for DSL plans and declarative specs ([`specload`]);
+//! the store and perf-gate tools; Criterion microbenchmarks of the
+//! substrates and the analysis kernels; and the ablation binaries
+//! DESIGN.md §5 calls for.
 //!
 //! Run e.g. `cargo run -p charm-bench --release --bin fig07`.
 
@@ -12,6 +16,7 @@
 
 pub mod cli;
 pub mod csvout;
+pub mod figures;
 pub mod profile;
 pub mod specload;
 

@@ -8,7 +8,7 @@
 //! disabled profiler and everything stays zero-cost.
 //!
 //! ```no_run
-//! let args = charm_bench::cli::CommonArgs::parse("");
+//! let args = charm_bench::cli::CommonArgs::parse("", charm_bench::cli::Reads::SHARED);
 //! let session = charm_bench::profile::Session::from_args(&args);
 //! // ... run experiments; engine + analysis spans accumulate ...
 //! session.finish(); // prints the --profile table, writes --trace-out

@@ -1,16 +1,22 @@
-//! Loading declarative benchmark specs for the regenerator binaries,
-//! with the shared exit-code taxonomy.
+//! Reading declarative benchmark specs (`--benchmark PATH`), with the
+//! shared exit-code taxonomy.
 //!
-//! Every spec-driven binary distinguishes three failure classes so CI
-//! and scripts can react without parsing stderr:
+//! The figure specs need no file: `charm_core` embeds the committed
+//! `benchmarks/{fig04,fig07,pchase}.toml`, and `--benchmark` replaces
+//! that text ([`read`]). `run_campaign` has no built-in design, so it
+//! reads and resolves its spec here ([`load`]).
 //!
-//! * **2 — bad spec / bad usage**: the TOML does not parse, resolution
-//!   fails (unknown parameter, bad generator, unknown target name), or
-//!   flags contradict the spec (e.g. `--shards 2` against a
-//!   sequential-only external engine);
-//! * **3 — target / protocol error**: the campaign itself failed — a
-//!   KLV timeout, a malformed frame, an I/O error talking to the
-//!   engine;
+//! Every binary distinguishes these failure classes so CI and scripts
+//! can react without parsing stderr:
+//!
+//! * **2 — bad spec / bad usage**: a flag the binary does not read, a
+//!   TOML that does not parse, a resolution failure (unknown parameter,
+//!   bad generator, unknown target name), or flags that contradict the
+//!   spec (e.g. `--shards 2` against a sequential-only external engine);
+//! * **3 — target / protocol / experiment error**: the campaign itself
+//!   failed — a KLV timeout, a malformed frame, an I/O error talking to
+//!   the engine — or a figure's experiment did (a fit with too few
+//!   distinct sizes per regime);
 //! * **4 — engine subprocess failed**: the external engine exited
 //!   nonzero or died; its captured stderr is in the error message.
 
@@ -25,11 +31,13 @@ pub const EXIT_TARGET: u8 = 3;
 /// Exit code for an engine subprocess that exited nonzero or died.
 pub const EXIT_ENGINE: u8 = 4;
 
-/// Default location of a named spec: `$CHARM_BENCHMARKS_DIR/<name>`,
-/// falling back to the repository's `benchmarks/` directory.
-pub fn default_spec(name: &str) -> String {
-    let dir = std::env::var("CHARM_BENCHMARKS_DIR").unwrap_or_else(|_| "benchmarks".into());
-    format!("{dir}/{name}")
+/// Reads a spec file's text; a failure prints to stderr and maps to
+/// exit code [`EXIT_BAD_SPEC`].
+pub fn read(path: &str) -> Result<String, ExitCode> {
+    std::fs::read_to_string(path).map_err(|e| {
+        eprintln!("cannot read benchmark spec {path}: {e}");
+        ExitCode::from(EXIT_BAD_SPEC)
+    })
 }
 
 /// Reads, parses, and resolves a spec file; every failure prints to
@@ -39,10 +47,7 @@ pub fn load(
     seed: u64,
     params: &[(String, String)],
 ) -> Result<ResolvedBenchmark, ExitCode> {
-    let text = std::fs::read_to_string(path).map_err(|e| {
-        eprintln!("cannot read benchmark spec {path}: {e}");
-        ExitCode::from(EXIT_BAD_SPEC)
-    })?;
+    let text = read(path)?;
     let spec = BenchmarkSpec::parse(&text).map_err(|e| {
         eprintln!("bad benchmark spec {path}: {e}");
         ExitCode::from(EXIT_BAD_SPEC)
@@ -70,40 +75,4 @@ pub fn exit_for(e: &TargetError) -> ExitCode {
         TargetError::UnknownTarget { .. } => ExitCode::from(EXIT_BAD_SPEC),
         _ => ExitCode::from(EXIT_TARGET),
     }
-}
-
-/// The non-negative integer levels of factor `name`, for opaque-tool
-/// drivers that read their sweeps from the spec's factors.
-pub fn int_levels(r: &ResolvedBenchmark, name: &str) -> Result<Vec<u64>, ExitCode> {
-    let f = r
-        .factors
-        .iter()
-        .find(|f| f.name == name)
-        .ok_or_else(|| bad_spec(format_args!("spec lacks factor {name:?}")))?;
-    f.levels
-        .iter()
-        .map(|l| {
-            l.as_int()
-                .filter(|&n| n >= 0)
-                .map(|n| n as u64)
-                .ok_or_else(|| bad_spec(format_args!("factor {name:?} has a non-integer level")))
-        })
-        .collect()
-}
-
-/// The text levels of factor `name`, in declaration order.
-pub fn text_levels(r: &ResolvedBenchmark, name: &str) -> Result<Vec<String>, ExitCode> {
-    let f = r
-        .factors
-        .iter()
-        .find(|f| f.name == name)
-        .ok_or_else(|| bad_spec(format_args!("spec lacks factor {name:?}")))?;
-    f.levels
-        .iter()
-        .map(|l| {
-            l.as_text()
-                .map(str::to_string)
-                .ok_or_else(|| bad_spec(format_args!("factor {name:?} has a non-text level")))
-        })
-        .collect()
 }

@@ -3,34 +3,10 @@
 //! (paired mode) and fleet report CSVs (`--report` mode) in a scratch
 //! directory.
 
-use std::path::PathBuf;
+mod common;
+
+use common::Scratch;
 use std::process::{Command, Output};
-
-/// Scratch directory, removed on drop.
-struct Scratch(PathBuf);
-
-impl Scratch {
-    fn new(tag: &str) -> Scratch {
-        let p = std::env::temp_dir()
-            .join(format!("charm_bench_engine_gate_{tag}_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&p);
-        std::fs::create_dir_all(&p).unwrap();
-        Scratch(p)
-    }
-
-    /// Writes `text` to `name` in the directory and returns its path.
-    fn write(&self, name: &str, text: &str) -> String {
-        let p = self.0.join(name);
-        std::fs::write(&p, text).unwrap();
-        p.to_str().unwrap().to_string()
-    }
-}
-
-impl Drop for Scratch {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
 
 /// The end-to-end metrics of `BENCHMARK.json` with typical values.
 const METRICS: [(&str, &str, f64); 5] = [
@@ -208,7 +184,7 @@ fn unpaired_short_or_malformed_inputs_are_not_comparable() {
 fn a_missing_file_exits_3() {
     let dir = Scratch::new("missing");
     let p = dir.write("parent.jsonl", &parent().join("\n"));
-    let absent = dir.0.join("absent.jsonl");
+    let absent = dir.join("absent.jsonl");
     let out = run(&[&p, absent.to_str().unwrap()]);
     assert_eq!(exit_code(&out), 3, "{}", stderr(&out));
     assert!(stderr(&out).contains("does not exist"), "{}", stderr(&out));

@@ -2,6 +2,8 @@
 //! campaign, platform names resolve to the targets they always did, and
 //! bad platforms are usage errors.
 
+mod common;
+
 use charm_design::ExperimentPlan;
 use charm_engine::registry::{self, ResolvedTarget, TargetSpec};
 use charm_engine::target::{MemoryTarget, NetworkTarget, Target};
@@ -12,6 +14,7 @@ use charm_simmem::paging::AllocPolicy;
 use charm_simmem::sched::SchedPolicy;
 use charm_simnet::presets;
 use charm_store::target_identity;
+use common::Scratch;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
@@ -21,29 +24,6 @@ factor size loguniform 64..65536 count 12 seed 7
 replicates 4
 order randomized 42
 ";
-
-/// Scratch directory, removed on drop.
-struct Scratch(PathBuf);
-
-impl Scratch {
-    fn new(tag: &str) -> Scratch {
-        let p =
-            std::env::temp_dir().join(format!("charm_run_campaign_{tag}_{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&p);
-        std::fs::create_dir_all(&p).unwrap();
-        Scratch(p)
-    }
-
-    fn join(&self, name: &str) -> PathBuf {
-        self.0.join(name)
-    }
-}
-
-impl Drop for Scratch {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
 
 fn run_campaign(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_run_campaign"))
@@ -73,14 +53,13 @@ fn path(p: &Path) -> &str {
 #[test]
 fn a_dsl_plan_and_its_spec_twin_archive_as_one_run() {
     let dir = Scratch::new("twin");
-    let plan = dir.join("smoke_plan.dsl");
-    std::fs::write(&plan, SMOKE_PLAN).unwrap();
+    let plan = dir.write("smoke_plan.dsl", SMOKE_PLAN);
     let spec = concat!(env!("CARGO_MANIFEST_DIR"), "/../../benchmarks/campaign_smoke.toml");
     let store = dir.join("store");
     let flags = ["--seed", "5", "--shards", "3", "--min-rows-per-shard", "1"];
     let (out_dsl, out_spec) = (dir.join("dsl"), dir.join("spec"));
 
-    let mut args = vec![path(&plan), "taurus", "--store", path(&store), "--out", path(&out_dsl)];
+    let mut args = vec![plan.as_str(), "taurus", "--store", path(&store), "--out", path(&out_dsl)];
     args.extend(flags);
     let dsl_id = archived_id(&run_campaign(&args));
     let mut args = vec!["--benchmark", spec, "--store", path(&store), "--out", path(&out_spec)];
@@ -101,20 +80,19 @@ fn a_dsl_plan_and_its_spec_twin_archive_as_one_run() {
 #[test]
 fn bad_platforms_and_usage_exit_2() {
     let dir = Scratch::new("usage");
-    let plan = dir.join("plan.dsl");
-    std::fs::write(&plan, SMOKE_PLAN).unwrap();
+    let plan = dir.write("plan.dsl", SMOKE_PLAN);
     let out = dir.join("out");
     for args in [
-        vec![path(&plan), "plan9", "--out", path(&out)],
-        vec![path(&plan), "--out", path(&out)],
+        vec![plan.as_str(), "plan9", "--out", path(&out)],
+        vec![plan.as_str(), "--out", path(&out)],
         vec![path(&dir.join("missing.dsl")), "taurus", "--out", path(&out)],
     ] {
         let result = run_campaign(&args);
         assert_eq!(result.status.code(), Some(2), "{args:?}");
     }
-    let stderr = String::from_utf8(run_campaign(&[path(&plan), "plan9"]).stderr).unwrap();
+    let stderr = String::from_utf8(run_campaign(&[&plan, "plan9"]).stderr).unwrap();
     assert!(stderr.contains("\"plan9\""), "{stderr}");
-    let stderr = String::from_utf8(run_campaign(&[path(&plan)]).stderr).unwrap();
+    let stderr = String::from_utf8(run_campaign(&[&plan]).stderr).unwrap();
     assert!(
         stderr.contains("platforms: taurus myrinet openmpi opteron pentium4 i7 arm"),
         "{stderr}"

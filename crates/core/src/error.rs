@@ -8,6 +8,7 @@
 //! each stage error via `From`, so `Box<dyn Error>`-style plumbing is
 //! never needed inside the workspace.
 
+use crate::spec::SpecError;
 use charm_analysis::AnalysisError;
 use charm_engine::record::CampaignParseError;
 use charm_engine::TargetError;
@@ -26,6 +27,8 @@ pub enum CharmError {
     Parse(CampaignParseError),
     /// An observability report JSONL failed to parse back.
     Report(JsonlError),
+    /// A benchmark spec does not resolve to the design a driver needs.
+    Spec(SpecError),
 }
 
 impl fmt::Display for CharmError {
@@ -35,6 +38,7 @@ impl fmt::Display for CharmError {
             CharmError::Analysis(e) => write!(f, "analysis failed: {e}"),
             CharmError::Parse(e) => write!(f, "campaign CSV unreadable: {e}"),
             CharmError::Report(e) => write!(f, "observability report unreadable: {e}"),
+            CharmError::Spec(e) => write!(f, "bad benchmark spec: {e}"),
         }
     }
 }
@@ -46,6 +50,7 @@ impl std::error::Error for CharmError {
             CharmError::Analysis(e) => Some(e),
             CharmError::Parse(e) => Some(e),
             CharmError::Report(e) => Some(e),
+            CharmError::Spec(e) => Some(e),
         }
     }
 }
@@ -71,6 +76,12 @@ impl From<CampaignParseError> for CharmError {
 impl From<JsonlError> for CharmError {
     fn from(e: JsonlError) -> Self {
         CharmError::Report(e)
+    }
+}
+
+impl From<SpecError> for CharmError {
+    fn from(e: SpecError) -> Self {
+        CharmError::Spec(e)
     }
 }
 
@@ -106,5 +117,7 @@ mod tests {
         assert!(e.source().unwrap().downcast_ref::<CampaignParseError>().is_some());
         let e = CharmError::from(AnalysisError::NonFiniteInput);
         assert!(e.source().unwrap().downcast_ref::<AnalysisError>().is_some());
+        let e = CharmError::from(SpecError { message: "no [target]".into() });
+        assert_eq!(e.to_string(), "bad benchmark spec: no [target]");
     }
 }

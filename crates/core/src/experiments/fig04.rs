@@ -12,15 +12,19 @@
 //! per-regime coefficient of variation for each operation to make that
 //! band visible.
 
+use crate::error::CharmError;
 use crate::models::NetworkModel;
 use crate::pipeline::Study;
-use charm_analysis::descriptive;
-use charm_design::doe::FullFactorial;
-use charm_design::sampling;
-use charm_design::Factor;
+use crate::spec::ResolvedBenchmark;
+use charm_analysis::{descriptive, AnalysisError};
 use charm_engine::record::Campaign;
-use charm_engine::target::NetworkTarget;
-use charm_simnet::{presets, NetOp};
+use charm_engine::registry::{self, ResolvedTarget};
+use charm_simnet::NetOp;
+
+/// The Figure 4 design, `benchmarks/fig04.toml`: randomized log-uniform
+/// sizes of the three operations on the Taurus preset, and the
+/// analyst-provided breakpoints of the fit.
+pub const SPEC: &str = include_str!("../../../../benchmarks/fig04.toml");
 
 /// Per-(operation, regime) variability cell.
 #[derive(Debug, Clone)]
@@ -47,44 +51,50 @@ pub struct Fig04 {
     pub breakpoints: Vec<u64>,
 }
 
-/// Runs the experiment: `n_sizes` log-uniform sizes × `reps` replicates
-/// of the three operations on the Taurus preset.
+/// Runs [`SPEC`] with `n_sizes` log-uniform sizes × `reps` replicates.
+///
+/// # Panics
+///
+/// When the fit fails: a regime that draws too few distinct sizes
+/// ([`from_spec`] returns that as an error instead).
 pub fn run(seed: u64, n_sizes: usize, reps: u32) -> Fig04 {
-    // Unique sizes: duplicate draws would silently merge design cells
-    // (two identical factor levels -> double-size groups downstream).
-    let sizes: Vec<i64> = sampling::log_uniform_sizes_unique(8, 1 << 22, n_sizes, seed)
-        .into_iter()
-        .map(|s| s as i64)
-        .collect();
-    let plan = FullFactorial::new()
-        .factor(Factor::new("op", vec!["async_send", "blocking_recv", "ping_pong"]))
-        .factor(Factor::new("size", sizes))
-        .replicates(reps)
-        .build()
-        .expect("static plan");
-    let target = NetworkTarget::new("taurus", presets::taurus_openmpi_tcp(seed));
-    let study = Study::new(plan).randomized(seed);
-    // Sharded above the threshold (the full figure is 3 ops × 2000 sizes
-    // × reps); shard count cannot change the retained data.
-    let shards = Study::auto_shards(study.plan().len());
-    let campaign = study.run_sharded(&target, shards).expect("simulated target");
-    from_campaign(campaign, vec![32 * 1024, 128 * 1024]).expect("static breakpoints")
+    let params = [
+        ("n_sizes".to_string(), n_sizes.to_string()),
+        ("replicates".to_string(), reps.to_string()),
+    ];
+    from_spec(SPEC, seed, &params).unwrap_or_else(|e| panic!("fig04 (seed {seed}): {e}"))
 }
 
-/// Stage 3 alone: fits the piecewise model and the per-regime
-/// variability table over an already-run campaign (the spec-driven
-/// `fig04` binary runs the campaign from `benchmarks/fig04.toml` and
-/// hands it here; [`run`] is plan-building + this).
-pub fn from_campaign(campaign: Campaign, breakpoints: Vec<u64>) -> Result<Fig04, String> {
-    let model = NetworkModel::fit(&campaign, &breakpoints).map_err(|e| e.to_string())?;
+/// Resolves a Figure 4 spec (normally [`SPEC`]) at `seed` with `params`
+/// overrides, runs its campaign on the registry-resolved network target
+/// (sharded by `Study::auto_shards`; the shard count cannot change the
+/// retained data), then fits the piecewise model at the spec's
+/// `analysis.breakpoints` and the per-regime variability table.
+pub fn from_spec(text: &str, seed: u64, params: &[(String, String)]) -> Result<Fig04, CharmError> {
+    let r = super::resolve(text, seed, params)?;
+    let breakpoints = ResolvedBenchmark::u64_array(&r.analysis, "breakpoints")?;
+    let target = match registry::resolve(&r.target, seed)? {
+        ResolvedTarget::Network(t) => t,
+        other => {
+            return Err(super::spec_error(format_args!(
+                "fig04 needs a network target, spec gave {other:?}"
+            )))
+        }
+    };
+    let study = Study::prepared(r.plan, r.order_seed);
+    let shards = Study::auto_shards(study.plan().len());
+    fit(study.run_sharded(&*target, shards)?, breakpoints)
+}
+
+fn fit(campaign: Campaign, breakpoints: Vec<u64>) -> Result<Fig04, CharmError> {
+    let model = NetworkModel::fit(&campaign, &breakpoints)?;
 
     // per-op, per-regime residual CV
     let mut variability = Vec::new();
     for op in [NetOp::AsyncSend, NetOp::BlockingRecv, NetOp::PingPong] {
         let sub = campaign.filtered("op", |l| l.as_text() == Some(op.name()));
-        let (xs, ys) = sub
-            .paired("size")
-            .ok_or_else(|| format!("campaign lacks numeric \"size\" data for op {}", op.name()))?;
+        let (xs, ys) =
+            sub.paired("size").ok_or(AnalysisError::InvalidParameter("size factor missing"))?;
         for regime in 0..=breakpoints.len() {
             let (lo, hi) = regime_range(&breakpoints, regime);
             let rel_resid: Vec<f64> = xs

@@ -7,11 +7,14 @@
 //! dedicated core. The driver runs the actual MultiMAPS-style tool from
 //! `charm-opaque` (the phenomenon predates the methodology).
 
+use crate::error::CharmError;
+use crate::spec::ResolvedBenchmark;
 use charm_opaque::multimaps::{self, MultimapsConfig};
-use charm_simmem::dvfs::GovernorPolicy;
-use charm_simmem::machine::{CpuSpec, MachineSim};
-use charm_simmem::paging::AllocPolicy;
-use charm_simmem::sched::SchedPolicy;
+
+/// The Figure 7 design, `benchmarks/fig07.toml`: the controlled Opteron,
+/// strides {2, 4, 8} over a 1.5x page-aligned size ladder from 4 KiB to
+/// 6.5 MiB, and the MultiMAPS loop count.
+pub const SPEC: &str = include_str!("../../../../benchmarks/fig07.toml");
 
 /// One `(stride, size, mean bandwidth)` row.
 #[derive(Debug, Clone, Copy)]
@@ -35,39 +38,33 @@ pub struct Fig07 {
     pub l2_bytes: u64,
 }
 
-/// Runs the sweep: strides {2, 4, 8} over sizes 4 KiB … 8 MiB.
+/// Runs [`SPEC`] with `reps` repetitions per point.
 pub fn run(seed: u64, reps: u32) -> Fig07 {
-    let mut machine = MachineSim::new(
-        CpuSpec::opteron(),
-        GovernorPolicy::Performance,
-        SchedPolicy::PinnedDefault,
-        AllocPolicy::PooledRandomOffset,
-        seed,
-    );
-    // size ladder: dense around the cache boundaries, log-ish overall
-    let mut sizes: Vec<u64> = Vec::new();
-    let mut s = 4 * 1024u64;
-    while s <= 8 << 20 {
-        sizes.push(s);
-        // grow by 1.5x, page-aligned, always advancing at least one page
-        s = ((s * 3 / 2) & !4095).max(s + 4096);
-    }
-    let cfg = MultimapsConfig { sizes, strides: vec![2, 4, 8], nloops: 600, repetitions: reps };
-    run_with(&mut machine, &cfg)
+    from_spec(SPEC, seed, &[("repetitions".to_string(), reps.to_string())])
+        .unwrap_or_else(|e| panic!("fig07 (seed {seed}): {e}"))
 }
 
-/// Runs the sweep over an already-built machine and tool config (the
-/// spec-driven `fig07` binary resolves both from `benchmarks/fig07.toml`
-/// and hands them here; [`run`] is machine/ladder-building + this). The
+/// Resolves a Figure 7 spec (normally [`SPEC`]) at `seed` with `params`
+/// overrides and runs the `multimaps` tool over its `size_bytes` ×
+/// `stride` factors on the registry-resolved machine. The
 /// cache-capacity annotations come from the machine's own CPU spec.
-pub fn run_with(machine: &mut MachineSim, cfg: &MultimapsConfig) -> Fig07 {
+pub fn from_spec(text: &str, seed: u64, params: &[(String, String)]) -> Result<Fig07, CharmError> {
+    let r = super::resolve(text, seed, params)?;
+    let cfg = MultimapsConfig {
+        sizes: r.int_levels("size_bytes")?,
+        strides: r.int_levels("stride")?,
+        nloops: ResolvedBenchmark::u64_value(&r.tool, "nloops")?,
+        repetitions: r.replicates,
+    };
+    let mut target = super::memory_target(&r, seed, "fig07")?;
+    let machine = target.machine_mut();
     let l1 = machine.spec().levels[0].size_bytes;
     let l2 = machine.spec().levels[1].size_bytes;
-    let rows = multimaps::run(machine, cfg)
+    let rows = multimaps::run(machine, &cfg)
         .into_iter()
         .map(|r| Row { stride: r.stride, size_bytes: r.cell.x, bandwidth_mbps: r.cell.mean })
         .collect();
-    Fig07 { rows, l1_bytes: l1, l2_bytes: l2 }
+    Ok(Fig07 { rows, l1_bytes: l1, l2_bytes: l2 })
 }
 
 impl Fig07 {

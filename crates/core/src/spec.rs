@@ -8,10 +8,11 @@
 //! with [`BenchmarkSpec::parse`], substitutes parameters, and
 //! [`BenchmarkSpec::resolve`]s it into an
 //! [`ExperimentPlan`] plus a [`TargetSpec`] for
-//! `charm_engine::registry::resolve` — which is how `run_campaign
-//! --benchmark pchase.toml` replaces per-figure plan-building code,
-//! and how an external KLV engine gets measured under the exact same
-//! randomized design as the in-process simulators (DESIGN.md §15).
+//! `charm_engine::registry::resolve` — which is how the fig04, fig07
+//! and pchase experiments embed their committed specs instead of
+//! building plans in Rust, and how an external KLV engine gets measured
+//! under the exact same randomized design as the in-process simulators
+//! (DESIGN.md §15).
 //!
 //! The experiment DSL is a second front end of the same representation:
 //! [`ResolvedBenchmark::from_dsl`] lowers a DSL plan and a platform name
@@ -369,6 +370,34 @@ impl ResolvedBenchmark {
             .map(|n| n as u64)
             .ok_or_else(|| err(format!("spec lacks non-negative integer {key:?}")))
     }
+
+    /// The non-negative integer levels of factor `name`, for opaque-tool
+    /// drivers that read their sweeps from the spec's factors.
+    pub fn int_levels(&self, name: &str) -> Result<Vec<u64>, SpecError> {
+        self.levels(name, "non-integer", |l| l.as_int().filter(|&n| n >= 0).map(|n| n as u64))
+    }
+
+    /// The text levels of factor `name`, in declaration order.
+    pub fn text_levels(&self, name: &str) -> Result<Vec<String>, SpecError> {
+        self.levels(name, "non-text", |l| l.as_text().map(str::to_string))
+    }
+
+    fn levels<T>(
+        &self,
+        name: &str,
+        kind: &str,
+        get: impl Fn(&Level) -> Option<T>,
+    ) -> Result<Vec<T>, SpecError> {
+        let f = self
+            .factors
+            .iter()
+            .find(|f| f.name == name)
+            .ok_or_else(|| err(format!("spec lacks factor {name:?}")))?;
+        f.levels
+            .iter()
+            .map(|l| get(l).ok_or_else(|| err(format!("factor {name:?} has a {kind} level"))))
+            .collect()
+    }
 }
 
 /// Substitutes `$name` string values from `params` through a table,
@@ -678,6 +707,18 @@ order = \"randomized\"
         // no [design] table: one replicate, declared order
         assert_eq!(r.plan.rows().len(), 2);
         assert_eq!(r.order_seed, None);
+    }
+
+    #[test]
+    fn factor_levels_read_as_typed_sweeps() {
+        let r = BenchmarkSpec::parse(MINIMAL).unwrap().resolve(1, &[]).unwrap();
+        assert_eq!(r.int_levels("size").unwrap(), vec![8, 16, 24]);
+        assert_eq!(r.text_levels("op").unwrap(), vec!["a", "b"]);
+        let missing = r.int_levels("stride").unwrap_err();
+        assert!(missing.message.contains("lacks factor \"stride\""), "{missing}");
+        let wrong = r.int_levels("op").unwrap_err();
+        assert!(wrong.message.contains("non-integer"), "{wrong}");
+        assert!(r.text_levels("size").unwrap_err().message.contains("non-text"));
     }
 
     #[test]

@@ -294,7 +294,7 @@ mod tests {
     }
 
     #[test]
-    fn platform_names_map_to_default_specs() {
+    fn platform_names_map_to_target_specs_with_default_policies() {
         for &name in network_presets() {
             let spec = TargetSpec::platform(name).unwrap();
             assert_eq!(spec, TargetSpec::Network { preset: name.into(), label: None });
