@@ -13,6 +13,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::HashMap;
 use std::fmt;
+use std::fmt::Write as _;
 
 /// One row of an experiment plan: a full assignment of factor levels plus
 /// the replicate index within its combination.
@@ -136,16 +137,23 @@ impl ExperimentPlan {
 
     /// Serializes the plan as CSV: header of factor names plus
     /// `replicate`, one row per line.
+    ///
+    /// Each design cell's level prefix is rendered once and memoised by
+    /// [`Levels::shared_id`], so the replicates of an interned cell copy
+    /// bytes instead of re-formatting levels. Rows built without
+    /// interning simply miss the memo; the bytes are the same either way.
     pub fn to_csv(&self) -> String {
         let mut out = String::new();
         out.push_str(&self.factor_names.join(","));
         out.push_str(",replicate\n");
+        let mut prefixes: HashMap<usize, String> = HashMap::new();
         for row in &self.rows {
-            let vals: Vec<String> = row.levels.iter().map(|l| l.to_string()).collect();
-            out.push_str(&vals.join(","));
-            out.push(',');
-            out.push_str(&row.replicate.to_string());
-            out.push('\n');
+            let prefix = prefixes.entry(row.levels.shared_id()).or_insert_with(|| {
+                let vals: Vec<String> = row.levels.iter().map(Level::to_string).collect();
+                vals.join(",") + ","
+            });
+            out.push_str(prefix);
+            writeln!(out, "{}", row.replicate).expect("writing to a String cannot fail");
         }
         out
     }
@@ -188,9 +196,98 @@ impl ExperimentPlan {
     }
 }
 
+/// The pre-memo rendering, kept as the oracle for the memoised
+/// [`ExperimentPlan::to_csv`]: one `Vec<String>` per row.
+#[cfg(test)]
+mod reference {
+    use super::ExperimentPlan;
+
+    pub fn to_csv(plan: &ExperimentPlan) -> String {
+        let mut out = String::new();
+        out.push_str(&plan.factor_names.join(","));
+        out.push_str(",replicate\n");
+        for row in &plan.rows {
+            let vals: Vec<String> = row.levels.iter().map(|l| l.to_string()).collect();
+            out.push_str(&vals.join(","));
+            out.push(',');
+            out.push_str(&row.replicate.to_string());
+            out.push('\n');
+        }
+        out
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::doe::FullFactorial;
+    use crate::factors::Factor;
+    use proptest::prelude::*;
+    use rand::Rng;
+
+    /// Up to four distinct levels of one kind: Int, Float (integral
+    /// ones included, which render like Ints), Text or Flag.
+    fn random_levels(rng: &mut ChaCha8Rng, kind: u32) -> Vec<Level> {
+        let n = rng.random_range(1..5usize);
+        let mut levels: Vec<Level> = Vec::new();
+        for i in 0..n {
+            let level = match kind {
+                0 => Level::Int(rng.random_range(-1_000_000i64..1_000_000)),
+                1 if i % 2 == 0 => Level::Float(rng.random_range(-1e6f64..1e6)),
+                1 => Level::Float(rng.random_range(0i64..64) as f64),
+                2 => Level::Text(["ping_pong", "async send", "x", "ondemand"][i].to_string()),
+                _ => Level::Flag(i % 2 == 0),
+            };
+            if !levels.contains(&level) {
+                levels.push(level);
+            }
+        }
+        levels
+    }
+
+    /// A plan of `n_factors` random factors: built by the DOE builder
+    /// and shuffled (interned cells), or re-assembled row by row with a
+    /// fresh tuple per row (no interning at all).
+    fn random_plan(seed: u64, n_factors: usize, reps: u32, interned: bool) -> ExperimentPlan {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut doe = FullFactorial::new().replicates(reps);
+        for f in 0..n_factors {
+            let kind = rng.random_range(0u32..4);
+            doe =
+                doe.factor(Factor { name: format!("f{f}"), levels: random_levels(&mut rng, kind) });
+        }
+        let mut plan = doe.build().unwrap();
+        plan.shuffle(seed);
+        if interned {
+            return plan;
+        }
+        let rows = plan
+            .rows()
+            .iter()
+            .map(|r| PlanRow { levels: r.levels.to_vec().into(), replicate: r.replicate })
+            .collect();
+        ExperimentPlan::new(plan.factor_names().to_vec(), rows).unwrap()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn memoised_to_csv_writes_the_reference_bytes(
+            seed in any::<u64>(),
+            n_factors in 0usize..4,
+            reps in 1u32..4,
+            interned in any::<bool>(),
+        ) {
+            let plan = random_plan(seed, n_factors, reps, interned);
+            let csv = plan.to_csv();
+            prop_assert_eq!(&csv, &reference::to_csv(&plan));
+            if n_factors > 0 {
+                let back = ExperimentPlan::from_csv(&csv).unwrap();
+                prop_assert_eq!(back.to_csv(), csv);
+            }
+        }
+    }
 
     fn small_plan() -> ExperimentPlan {
         let rows = vec![

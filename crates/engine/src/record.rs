@@ -9,7 +9,7 @@
 //! measurement.
 
 use charm_design::factors::{Level, Levels};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -223,7 +223,82 @@ impl Campaign {
     }
 
     /// Parses a campaign back from its CSV representation.
+    ///
+    /// Each row splits off only its four fixed columns (from the right);
+    /// the factor fields before them are parsed once per distinct field
+    /// text and interned, so every record of a design cell shares one
+    /// [`Levels`] — cell identity ⇔ tuple identity (DESIGN.md §18) holds
+    /// for parsed campaigns too, not only for consecutive rows. A row
+    /// with the wrong field count or a non-numeric fixed column is a
+    /// [`CampaignParseError::BadRow`] naming the line.
     pub fn from_csv(text: &str) -> Result<Self, CampaignParseError> {
+        let mut metadata = BTreeMap::new();
+        let mut lines = text.lines().filter(|l| !l.trim().is_empty()).peekable();
+        while let Some(line) = lines.peek() {
+            if let Some(rest) = line.strip_prefix('#') {
+                if let Some((k, v)) = rest.split_once(':') {
+                    metadata.insert(k.trim().to_string(), v.trim().to_string());
+                }
+                lines.next();
+            } else {
+                break;
+            }
+        }
+        let header = lines.next().ok_or(CampaignParseError::MissingHeader)?;
+        let cols: Vec<&str> = header.split(',').map(str::trim).collect();
+        if cols.len() < FIXED_COLS.len() || cols[cols.len() - FIXED_COLS.len()..] != FIXED_COLS {
+            return Err(CampaignParseError::BadHeader(header.to_string()));
+        }
+        let n_factors = cols.len() - FIXED_COLS.len();
+        let factor_names: Vec<String> = cols[..n_factors].iter().map(|s| s.to_string()).collect();
+
+        let mut records: Vec<RawRecord> = Vec::new();
+        // Keyed by the untrimmed factor-field text: `Level::parse` of the
+        // trimmed fields is deterministic, so equal text is an equal tuple.
+        let mut interned: HashMap<&str, Levels> = HashMap::new();
+        for line in lines {
+            let bad_row = || CampaignParseError::BadRow(line.to_string());
+            let mut fixed = line.rsplitn(FIXED_COLS.len() + 1, ',');
+            let value = fixed.next().ok_or_else(bad_row)?.trim();
+            let start_us = fixed.next().ok_or_else(bad_row)?.trim();
+            let sequence = fixed.next().ok_or_else(bad_row)?.trim();
+            let replicate = fixed.next().ok_or_else(bad_row)?.trim();
+            let cell = match (fixed.next(), n_factors) {
+                (None, 0) => "",
+                (Some(cell), n) if n > 0 && cell.matches(',').count() + 1 == n => cell,
+                _ => return Err(bad_row()),
+            };
+            let levels = match interned.get(cell) {
+                Some(levels) => levels.clone(),
+                None => {
+                    let fresh: Levels =
+                        cell.split(',').take(n_factors).map(|f| Level::parse(f.trim())).collect();
+                    interned.insert(cell, fresh.clone());
+                    fresh
+                }
+            };
+            records.push(RawRecord {
+                levels,
+                replicate: replicate.parse().map_err(|_| bad_row())?,
+                sequence: sequence.parse().map_err(|_| bad_row())?,
+                start_us: start_us.parse().map_err(|_| bad_row())?,
+                value: value.parse().map_err(|_| bad_row())?,
+            });
+        }
+        Ok(Campaign { metadata, factor_names, records })
+    }
+}
+
+/// The field-by-field parser the cell-interning [`Campaign::from_csv`]
+/// replaced, kept as its oracle: every row split into a `Vec<&str>`,
+/// every factor field parsed, consecutive duplicate tuples shared.
+#[cfg(test)]
+mod reference {
+    use super::{Campaign, CampaignParseError, RawRecord, FIXED_COLS};
+    use charm_design::factors::{Level, Levels};
+    use std::collections::BTreeMap;
+
+    pub fn from_csv(text: &str) -> Result<Campaign, CampaignParseError> {
         let mut metadata = BTreeMap::new();
         let mut lines = text.lines().filter(|l| !l.trim().is_empty()).peekable();
         while let Some(line) = lines.peek() {
@@ -251,9 +326,6 @@ impl Campaign {
             if fields.len() != cols.len() {
                 return Err(CampaignParseError::BadRow(line.to_string()));
             }
-            // Re-intern on read: consecutive rows of one design cell
-            // share one tuple, restoring the columnar layout the engine
-            // wrote the file from.
             let parsed: Vec<Level> = fields[..n_factors].iter().map(|s| Level::parse(s)).collect();
             let levels = match &last {
                 Some(prev) if *prev == parsed => prev.clone(),
@@ -277,6 +349,142 @@ impl Campaign {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use charm_design::doe::FullFactorial;
+    use charm_design::Factor;
+    use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+
+    /// Up to four distinct levels of one kind: Int, Float (integral
+    /// ones included, which render like Ints), Text or Flag.
+    fn random_levels(rng: &mut ChaCha8Rng, kind: u32) -> Vec<Level> {
+        let n = rng.random_range(1..5usize);
+        let mut levels: Vec<Level> = Vec::new();
+        for i in 0..n {
+            let level = match kind {
+                0 => Level::Int(rng.random_range(-1_000_000i64..1_000_000)),
+                1 if i % 2 == 0 => Level::Float(rng.random_range(-1e6f64..1e6)),
+                1 => Level::Float(rng.random_range(0i64..64) as f64),
+                2 => Level::Text(["ping_pong", "async send", "x", "ondemand"][i].to_string()),
+                _ => Level::Flag(i % 2 == 0),
+            };
+            if !levels.contains(&level) {
+                levels.push(level);
+            }
+        }
+        levels
+    }
+
+    /// A campaign over a shuffled plan of `n_factors` random factors.
+    /// Interned rows share their plan cell's tuple; hand-built rows get
+    /// a fresh tuple each, as a campaign assembled record by record does.
+    fn random_campaign(seed: u64, n_factors: usize, reps: u32, interned: bool) -> Campaign {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut doe = FullFactorial::new().replicates(reps);
+        for f in 0..n_factors {
+            let kind = rng.random_range(0u32..4);
+            doe =
+                doe.factor(Factor { name: format!("f{f}"), levels: random_levels(&mut rng, kind) });
+        }
+        let mut plan = doe.build().unwrap();
+        plan.shuffle(seed);
+        let records = plan
+            .rows()
+            .iter()
+            .enumerate()
+            .map(|(i, row)| RawRecord {
+                levels: if interned { row.levels.clone() } else { row.levels.to_vec().into() },
+                replicate: row.replicate,
+                sequence: i as u64,
+                start_us: rng.random_range(0.0f64..1e9),
+                value: rng.random_range(-1e3f64..1e6),
+            })
+            .collect();
+        let mut metadata = BTreeMap::new();
+        metadata.insert("seed".to_string(), seed.to_string());
+        metadata.insert("value_unit".to_string(), "us".to_string());
+        Campaign { metadata, factor_names: plan.factor_names().to_vec(), records }
+    }
+
+    /// One hostile edit of data row `at` (0-based, past the header): an
+    /// extra or a missing leading field (the fixed columns still parse,
+    /// so only the field count can object), an extra trailing field, a
+    /// blank line, padded fields, or a non-numeric or non-integral fixed
+    /// column.
+    fn mutate(csv: &str, header_line: usize, at: usize, how: u32) -> String {
+        let mut lines: Vec<String> = csv.lines().map(str::to_string).collect();
+        let data = lines.len() - header_line - 1;
+        if data == 0 {
+            return csv.to_string();
+        }
+        let i = header_line + 1 + at % data;
+        let line = lines[i].clone();
+        let mut fields: Vec<&str> = line.split(',').collect();
+        let n = fields.len();
+        match how {
+            0 => lines[i] = format!("extra,{line}"),
+            1 => lines[i] = fields[1..].join(","),
+            2 => lines[i].push_str(",7"),
+            3 => lines.insert(i, "   ".to_string()),
+            4 => lines[i] = fields.iter().map(|f| format!(" {f}\t")).collect::<Vec<_>>().join(","),
+            5 => {
+                fields[n - 1 - at % 4] = "x1";
+                lines[i] = fields.join(",");
+            }
+            _ => {
+                fields[n - 4 + at % 2] = "1.5";
+                lines[i] = fields.join(",");
+            }
+        }
+        let mut out = lines.join("\n");
+        out.push('\n');
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn cell_interning_parser_matches_the_reference(
+            seed in any::<u64>(),
+            n_factors in 0usize..4,
+            reps in 1u32..4,
+            interned in any::<bool>(),
+        ) {
+            let campaign = random_campaign(seed, n_factors, reps, interned);
+            let csv = campaign.to_csv();
+            let parsed = Campaign::from_csv(&csv).unwrap();
+            let oracle = reference::from_csv(&csv).unwrap();
+            prop_assert_eq!(&parsed, &oracle);
+            // Bytes, not values: an integral Float level reads back as an Int.
+            prop_assert_eq!(parsed.to_csv(), csv);
+            // Every record of a cell shares one tuple, consecutive or not.
+            let mut ids: HashMap<String, usize> = HashMap::new();
+            for r in &parsed.records {
+                let key = r.levels.iter().map(|l| format!("{l:?}")).collect::<Vec<_>>().join("|");
+                let id = *ids.entry(key).or_insert(r.levels.shared_id());
+                prop_assert_eq!(id, r.levels.shared_id());
+            }
+        }
+
+        #[test]
+        fn both_parsers_agree_on_mutated_lines(
+            seed in any::<u64>(),
+            n_factors in 0usize..4,
+            at in 0usize..1000,
+            how in 0u32..7,
+            interned in any::<bool>(),
+        ) {
+            let campaign = random_campaign(seed, n_factors, 2, interned);
+            let header_line = campaign.metadata.len();
+            let csv = mutate(&campaign.to_csv(), header_line, at, how);
+            let (new, old) = (Campaign::from_csv(&csv), reference::from_csv(&csv));
+            prop_assert_eq!(&new, &old);
+            if let (Ok(new), Ok(old)) = (new, old) {
+                prop_assert_eq!(new.to_csv(), old.to_csv());
+            }
+        }
+    }
 
     fn sample_campaign() -> Campaign {
         let mut metadata = BTreeMap::new();

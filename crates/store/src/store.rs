@@ -30,6 +30,7 @@ use charm_engine::{CampaignData, RawRecord, Target};
 use charm_obs::CampaignReport;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -217,13 +218,17 @@ fn io_err(path: &Path, e: std::io::Error) -> StoreError {
     StoreError::Io { path: path.display().to_string(), message: e.to_string() }
 }
 
+fn corrupt(path: &Path, e: impl fmt::Display) -> StoreError {
+    StoreError::Corrupt { path: path.display().to_string(), message: e.to_string() }
+}
+
 /// Writes `contents` atomically: temp file in the same directory, then
 /// rename. Readers never observe a half-written file. The temp name is
 /// unique per process and per call, so concurrent writers targeting the
 /// same path — e.g. two service workers archiving the identical
 /// campaign — cannot interleave inside one temp file; last rename wins
 /// whole.
-fn write_atomic(path: &Path, contents: &str) -> Result<(), StoreError> {
+fn write_atomic(path: &Path, contents: &[u8]) -> Result<(), StoreError> {
     use std::sync::atomic::{AtomicU64, Ordering};
     static SEQ: AtomicU64 = AtomicU64::new(0);
     let mut tmp_name = path.file_name().map(|n| n.to_os_string()).unwrap_or_default();
@@ -376,7 +381,6 @@ impl Store {
     ) -> Result<RunId, StoreError> {
         let id = key.run_id();
         let dir = self.run_dir(&id);
-        let records_csv = data.to_csv();
         if let Some(manifest) = self.try_manifest(&id)? {
             if !key.matches(&manifest) {
                 return Err(collision(&id, &manifest, key));
@@ -384,7 +388,7 @@ impl Store {
             // Same identity: only a true dedupe (identical record
             // bytes) may short-circuit. The caller must never be told
             // "archived" while its data is quietly thrown away.
-            let incoming = sha256_hex(records_csv.as_bytes());
+            let incoming = sha256_hex(data.to_csv().as_bytes());
             return match manifest.artifact("records.csv") {
                 Some(a) if a.sha256 == incoming => Ok(id),
                 Some(a) => Err(StoreError::Collision {
@@ -399,31 +403,16 @@ impl Store {
             };
         }
         fs::create_dir_all(&dir).map_err(|e| io_err(&dir, e))?;
-        let mut artifacts = Vec::new();
-        write_atomic(&dir.join("records.csv"), &records_csv)?;
-        artifacts.push(artifact("records.csv", &records_csv));
-        if let Some(report) = report {
-            let jsonl = report.to_jsonl();
-            write_atomic(&dir.join("report.jsonl"), &jsonl)?;
-            artifacts.push(artifact("report.jsonl", &jsonl));
-        }
         // Fold in any checkpoint segments left by the session, so the
-        // manifest pins the resume trail too.
+        // manifest pins the resume trail too. A scoped worker hashes them
+        // while this thread renders, hashes and writes the records.
         let checkpoints = dir.join("checkpoints");
-        if checkpoints.is_dir() {
-            let mut names: Vec<String> = fs::read_dir(&checkpoints)
-                .map_err(|e| io_err(&checkpoints, e))?
-                .filter_map(|e| e.ok())
-                .filter_map(|e| e.file_name().into_string().ok())
-                .filter(|n| n.ends_with(".csv"))
-                .collect();
-            names.sort();
-            for name in names {
-                let path = checkpoints.join(&name);
-                let contents = fs::read_to_string(&path).map_err(|e| io_err(&path, e))?;
-                artifacts.push(artifact(&format!("checkpoints/{name}"), &contents));
-            }
-        }
+        let (written, segments) = std::thread::scope(|s| {
+            let segments = s.spawn(|| segment_artifacts(&checkpoints));
+            (write_records(&dir, data, report), joined(segments))
+        });
+        let mut artifacts = written?;
+        artifacts.extend(segments?);
         artifacts.sort_by(|a, b| a.name.cmp(&b.name));
         let manifest = Manifest {
             run_id: id.as_str().to_string(),
@@ -437,7 +426,7 @@ impl Store {
             cli_args: cli_args.to_string(),
             artifacts,
         };
-        write_atomic(&dir.join("manifest.json"), &manifest.to_json())?;
+        write_atomic(&dir.join("manifest.json"), manifest.to_json().as_bytes())?;
         Ok(id)
     }
 
@@ -470,44 +459,38 @@ impl Store {
     /// Loads a finalized run, verifying *every* archived artifact's
     /// digest against the manifest before returning anything. One
     /// flipped byte anywhere in the run directory is a
-    /// [`StoreError::Tampered`].
+    /// [`StoreError::Tampered`] naming the artifact — digests are taken
+    /// over the raw bytes, and text is decoded only once they match.
+    ///
+    /// The calling thread checks the digests in manifest order while one
+    /// scoped worker parses `records.csv`; the worker's result is used
+    /// only after every digest has matched, so a tampered file is
+    /// reported as `Tampered` even when it no longer parses. The overlap
+    /// needs a second core; on one core the work is the same.
     pub fn get(&self, id: &RunId) -> Result<StoredRun, StoreError> {
         let manifest = self.manifest(id)?;
         let dir = self.run_dir(id);
-        let mut records_csv = None;
-        let mut report_jsonl = None;
-        for a in &manifest.artifacts {
-            let path = dir.join(&a.name);
-            let contents = fs::read_to_string(&path).map_err(|e| io_err(&path, e))?;
-            let actual = sha256_hex(contents.as_bytes());
-            if actual != a.sha256 {
-                return Err(StoreError::Tampered {
-                    run_id: id.to_string(),
-                    artifact: a.name.clone(),
-                    expected: a.sha256.clone(),
-                    actual,
-                });
-            }
-            match a.name.as_str() {
-                "records.csv" => records_csv = Some(contents),
-                "report.jsonl" => report_jsonl = Some(contents),
-                _ => {}
-            }
-        }
-        let records_csv = records_csv.ok_or_else(|| StoreError::Corrupt {
+        let records_path = dir.join("records.csv");
+        let records = manifest
+            .artifact("records.csv")
+            .map(|_| fs::read(&records_path).map_err(|e| io_err(&records_path, e)));
+        let (verified, parsed) = std::thread::scope(|s| {
+            let parsed = match &records {
+                Some(Ok(bytes)) => Some(s.spawn(|| parse_records(&records_path, bytes))),
+                _ => None,
+            };
+            (verify_artifacts(id, &dir, &manifest, records.as_ref()), parsed.map(joined))
+        });
+        let report_jsonl = verified?;
+        let data = parsed.ok_or_else(|| StoreError::Corrupt {
             path: dir.display().to_string(),
             message: "manifest lists no records.csv".to_string(),
-        })?;
-        let data = CampaignData::from_csv(&records_csv).map_err(|e| StoreError::Corrupt {
-            path: dir.join("records.csv").display().to_string(),
-            message: e.to_string(),
-        })?;
+        })??;
         let report = match report_jsonl {
-            Some(text) => {
-                Some(CampaignReport::from_jsonl(&text).map_err(|e| StoreError::Corrupt {
-                    path: dir.join("report.jsonl").display().to_string(),
-                    message: e.to_string(),
-                })?)
+            Some(bytes) => {
+                let path = dir.join("report.jsonl");
+                let text = std::str::from_utf8(&bytes).map_err(|e| corrupt(&path, e))?;
+                Some(CampaignReport::from_jsonl(text).map_err(|e| corrupt(&path, e))?)
             }
             None => None,
         };
@@ -580,7 +563,10 @@ impl Store {
                     if let Ok(id) = RunId::parse(&name) {
                         if let Some(mut manifest) = self.try_manifest(&id)? {
                             manifest.artifacts.retain(|a| !a.name.starts_with("checkpoints/"));
-                            write_atomic(&dir.join("manifest.json"), &manifest.to_json())?;
+                            write_atomic(
+                                &dir.join("manifest.json"),
+                                manifest.to_json().as_bytes(),
+                            )?;
                         }
                     }
                 }
@@ -599,12 +585,97 @@ impl Store {
     }
 }
 
-fn artifact(name: &str, contents: &str) -> Artifact {
-    Artifact {
-        name: name.to_string(),
-        bytes: contents.len() as u64,
-        sha256: sha256_hex(contents.as_bytes()),
+fn artifact(name: &str, contents: &[u8]) -> Artifact {
+    Artifact { name: name.to_string(), bytes: contents.len() as u64, sha256: sha256_hex(contents) }
+}
+
+/// Renders, writes and hashes `records.csv` and, when given, the
+/// report, returning their manifest entries.
+fn write_records(
+    dir: &Path,
+    data: &CampaignData,
+    report: Option<&CampaignReport>,
+) -> Result<Vec<Artifact>, StoreError> {
+    let records_csv = data.to_csv();
+    write_atomic(&dir.join("records.csv"), records_csv.as_bytes())?;
+    let mut artifacts = vec![artifact("records.csv", records_csv.as_bytes())];
+    if let Some(report) = report {
+        let jsonl = report.to_jsonl();
+        write_atomic(&dir.join("report.jsonl"), jsonl.as_bytes())?;
+        artifacts.push(artifact("report.jsonl", jsonl.as_bytes()));
     }
+    Ok(artifacts)
+}
+
+/// The result of a scoped worker, re-raising its panic on this thread.
+fn joined<T>(handle: std::thread::ScopedJoinHandle<'_, T>) -> T {
+    handle.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+}
+
+/// Manifest entries for the checkpoint segments under `checkpoints`
+/// (none when the directory does not exist), sorted by name.
+fn segment_artifacts(checkpoints: &Path) -> Result<Vec<Artifact>, StoreError> {
+    if !checkpoints.is_dir() {
+        return Ok(Vec::new());
+    }
+    let mut names: Vec<String> = fs::read_dir(checkpoints)
+        .map_err(|e| io_err(checkpoints, e))?
+        .filter_map(|e| e.ok())
+        .filter_map(|e| e.file_name().into_string().ok())
+        .filter(|n| n.ends_with(".csv"))
+        .collect();
+    names.sort();
+    names
+        .into_iter()
+        .map(|name| {
+            let path = checkpoints.join(&name);
+            let contents = fs::read(&path).map_err(|e| io_err(&path, e))?;
+            Ok(artifact(&format!("checkpoints/{name}"), &contents))
+        })
+        .collect()
+}
+
+/// Checks every artifact of `manifest` against its digest, in manifest
+/// order, and returns the verified `report.jsonl` bytes if one is
+/// listed. `records` is `records.csv` as already read (its read error
+/// surfaces at its place in that order).
+fn verify_artifacts(
+    id: &RunId,
+    dir: &Path,
+    manifest: &Manifest,
+    records: Option<&Result<Vec<u8>, StoreError>>,
+) -> Result<Option<Vec<u8>>, StoreError> {
+    let mut report = None;
+    for a in &manifest.artifacts {
+        let path = dir.join(&a.name);
+        let read;
+        let bytes = match (a.name.as_str(), records) {
+            ("records.csv", Some(records)) => records.as_ref().map_err(Clone::clone)?,
+            _ => {
+                read = fs::read(&path).map_err(|e| io_err(&path, e))?;
+                &read
+            }
+        };
+        let actual = sha256_hex(bytes);
+        if actual != a.sha256 {
+            return Err(StoreError::Tampered {
+                run_id: id.to_string(),
+                artifact: a.name.clone(),
+                expected: a.sha256.clone(),
+                actual,
+            });
+        }
+        if a.name == "report.jsonl" {
+            report = Some(bytes.to_vec());
+        }
+    }
+    Ok(report)
+}
+
+/// Decodes and parses the bytes of an archived `records.csv`.
+fn parse_records(path: &Path, bytes: &[u8]) -> Result<CampaignData, StoreError> {
+    let text = std::str::from_utf8(bytes).map_err(|e| corrupt(path, e))?;
+    CampaignData::from_csv(text).map_err(|e| corrupt(path, e))
 }
 
 fn collision(id: &RunId, stored: &Manifest, incoming: &CampaignKey) -> StoreError {
@@ -622,19 +693,19 @@ fn collision(id: &RunId, stored: &Manifest, incoming: &CampaignKey) -> StoreErro
     }
 }
 
-/// Digest of a segment's measurement body: the campaign-CSV rendering
-/// of its records (header + rows, no metadata comments). Stamped into
-/// the segment at save time and recomputed from the parsed records at
-/// load time, so a flipped value in a checkpoint is caught even though
+/// A segment's measurement body: the campaign-CSV rendering of its
+/// records (header + rows, no metadata comments). Its digest is stamped
+/// into the segment at save time and recomputed from the parsed records
+/// at load time, so a flipped value in a checkpoint is caught even though
 /// interrupted runs have no manifest to verify against yet.
-fn records_digest(factor_names: &[String], records: &[RawRecord]) -> String {
+fn records_body(factor_names: &[String], records: &[RawRecord]) -> String {
     let mut body = charm_engine::record::csv_header(factor_names);
     body.push('\n');
     for r in records {
         r.write_csv_row(&mut body).expect("writing to a String cannot fail");
         body.push('\n');
     }
-    sha256_hex(body.as_bytes())
+    body
 }
 
 /// The checkpoint sink for one campaign's run directory: what
@@ -682,23 +753,25 @@ impl CheckpointSink for CheckpointSession {
         shards: usize,
         checkpoint: &ShardCheckpoint,
     ) -> Result<(), CheckpointError> {
+        // Render the body once: its digest goes into the metadata, and
+        // the sorted `# k: v` lines followed by the same body are what
+        // `CampaignData { metadata, factor_names, records }.to_csv()`
+        // would write.
+        let body = records_body(&self.factor_names, &checkpoint.records);
         let mut metadata = BTreeMap::new();
-        metadata.insert("checkpoint_shard".to_string(), shard.to_string());
-        metadata.insert("checkpoint_shards".to_string(), shards.to_string());
-        metadata.insert("checkpoint_plan_hash".to_string(), self.key.plan_hash.clone());
-        metadata.insert("checkpoint_target".to_string(), self.key.target.clone());
-        metadata.insert(
-            "checkpoint_records_sha256".to_string(),
-            records_digest(&self.factor_names, &checkpoint.records),
-        );
-        metadata.insert("checkpoint_elapsed_us".to_string(), format!("{}", checkpoint.elapsed_us));
-        let segment = CampaignData {
-            metadata,
-            factor_names: self.factor_names.clone(),
-            records: checkpoint.records.clone(),
-        };
+        metadata.insert("checkpoint_shard", shard.to_string());
+        metadata.insert("checkpoint_shards", shards.to_string());
+        metadata.insert("checkpoint_plan_hash", self.key.plan_hash.clone());
+        metadata.insert("checkpoint_target", self.key.target.clone());
+        metadata.insert("checkpoint_records_sha256", sha256_hex(body.as_bytes()));
+        metadata.insert("checkpoint_elapsed_us", format!("{}", checkpoint.elapsed_us));
+        let mut segment = String::with_capacity(body.len() + 512);
+        for (k, v) in &metadata {
+            writeln!(segment, "# {k}: {v}").expect("writing to a String cannot fail");
+        }
+        segment.push_str(&body);
         let path = self.segment_path(shard, shards);
-        write_atomic(&path, &segment.to_csv()).map_err(|e| CheckpointError(e.to_string()))
+        write_atomic(&path, segment.as_bytes()).map_err(|e| CheckpointError(e.to_string()))
     }
 
     fn load_shard(
@@ -750,7 +823,7 @@ impl CheckpointSink for CheckpointSession {
             )));
         }
         let expected = meta("checkpoint_records_sha256")?;
-        let actual = records_digest(&self.factor_names, &segment.records);
+        let actual = sha256_hex(records_body(&self.factor_names, &segment.records).as_bytes());
         if expected != actual {
             return Err(CheckpointError(format!(
                 "{}: segment records do not match their recorded digest \
@@ -763,5 +836,129 @@ impl CheckpointSink for CheckpointSession {
             .map_err(|_| CheckpointError(format!("{}: bad elapsed_us", path.display())))?;
         let records: Vec<RawRecord> = segment.records;
         Ok(Some(ShardCheckpoint { records, elapsed_us }))
+    }
+}
+
+/// The two-pass segment rendering [`CheckpointSession::save_shard`]
+/// replaced, kept as its oracle: the body rendered once for the digest
+/// and again, with a clone of the records, by `CampaignData::to_csv`.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    pub fn segment(
+        key: &CampaignKey,
+        factor_names: &[String],
+        shard: usize,
+        shards: usize,
+        checkpoint: &ShardCheckpoint,
+    ) -> String {
+        let mut body = charm_engine::record::csv_header(factor_names);
+        body.push('\n');
+        for r in &checkpoint.records {
+            r.write_csv_row(&mut body).expect("writing to a String cannot fail");
+            body.push('\n');
+        }
+        let mut metadata = BTreeMap::new();
+        metadata.insert("checkpoint_shard".to_string(), shard.to_string());
+        metadata.insert("checkpoint_shards".to_string(), shards.to_string());
+        metadata.insert("checkpoint_plan_hash".to_string(), key.plan_hash.clone());
+        metadata.insert("checkpoint_target".to_string(), key.target.clone());
+        metadata.insert("checkpoint_records_sha256".to_string(), sha256_hex(body.as_bytes()));
+        metadata.insert("checkpoint_elapsed_us".to_string(), format!("{}", checkpoint.elapsed_us));
+        CampaignData {
+            metadata,
+            factor_names: factor_names.to_vec(),
+            records: checkpoint.records.clone(),
+        }
+        .to_csv()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use charm_design::doe::FullFactorial;
+    use charm_design::Factor;
+    use proptest::prelude::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    fn scratch() -> PathBuf {
+        static COUNTER: AtomicUsize = AtomicUsize::new(0);
+        let n = COUNTER.fetch_add(1, Ordering::SeqCst);
+        std::env::temp_dir().join(format!("charm-store-unit-{}-{n}", std::process::id()))
+    }
+
+    /// `n_factors` of the four level kinds (Text, Int, Float, Flag),
+    /// starting at kind `first`, `reps` replicates, shuffled.
+    fn plan(n_factors: usize, first: usize, reps: u32, seed: u64) -> ExperimentPlan {
+        let kinds = [
+            Factor::new("op", vec!["ping_pong", "async send"]),
+            Factor::new("size", vec![64i64, -4096]),
+            Factor::new("ratio", vec![0.5f64, 2.0]),
+            Factor::new("pinned", vec![true, false]),
+        ];
+        let mut doe = FullFactorial::new().replicates(reps);
+        for i in 0..n_factors {
+            doe = doe.factor(kinds[(first + i) % kinds.len()].clone());
+        }
+        let mut plan = doe.build().unwrap();
+        plan.shuffle(seed);
+        plan
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn segments_are_the_two_pass_rendering_and_still_verify(
+            (n_factors, first, reps) in (0usize..4, 0usize..4, 1u32..4),
+            seed in any::<u64>(),
+            values in prop::collection::vec(-1e6f64..1e6, 1..8),
+            elapsed_us in 0.0f64..1e9,
+            interned in any::<bool>(),
+        ) {
+            let plan = plan(n_factors, first, reps, seed);
+            let records: Vec<RawRecord> = plan
+                .rows()
+                .iter()
+                .enumerate()
+                .map(|(i, row)| RawRecord {
+                    levels: if interned { row.levels.clone() } else { row.levels.to_vec().into() },
+                    replicate: row.replicate,
+                    sequence: i as u64,
+                    start_us: i as f64 * 1.25,
+                    value: values[i % values.len()],
+                })
+                .collect();
+            let checkpoint = ShardCheckpoint { records, elapsed_us };
+            let dir = scratch();
+            let store = Store::open(&dir).unwrap();
+            let session = store.session(&plan, "t#0", Some(seed), 2).unwrap();
+            session.save_shard(1, 3, &checkpoint).unwrap();
+            let path = session.segment_path(1, 3);
+            let written = fs::read_to_string(&path).unwrap();
+            let oracle =
+                reference::segment(&session.key, plan.factor_names(), 1, 3, &checkpoint);
+            prop_assert_eq!(&written, &oracle);
+            let loaded = session.load_shard(1, 3).unwrap().expect("segment saved");
+            let rows = |rs: &[RawRecord]| rs.iter().map(RawRecord::csv_row).collect::<Vec<_>>();
+            prop_assert_eq!(rows(&loaded.records), rows(&checkpoint.records));
+            prop_assert_eq!(loaded.elapsed_us, elapsed_us);
+
+            // A flipped value still parses but no longer matches its digest.
+            if let Some(last) = checkpoint.records.last() {
+                let row = last.csv_row();
+                let (head, _) = row.rsplit_once(',').unwrap();
+                let flipped = format!("{head},{}", last.value + 1.0);
+                let tail = written.rfind(&row).unwrap();
+                let mut edited = written.clone();
+                edited.replace_range(tail..tail + row.len(), &flipped);
+                fs::write(&path, edited).unwrap();
+                let err = session.load_shard(1, 3).unwrap_err();
+                prop_assert!(err.0.contains("digest"), "{}", err.0);
+            }
+            fs::remove_dir_all(&dir).ok();
+        }
     }
 }

@@ -141,6 +141,98 @@ fn flipping_one_byte_is_caught_on_get() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Archives a 2-shard checkpointed campaign (so the manifest pins its
+/// segments too) and returns the run ID and its directory.
+fn checkpointed_archive(store: &Store, dir: &std::path::Path, seed: u64) -> (RunId, PathBuf) {
+    let plan = plan_of(seed);
+    let session = store.session(&plan, TARGET, Some(seed), 2).unwrap();
+    let target = NetworkTarget::new("taurus", presets::taurus_openmpi_tcp(seed));
+    let data = Campaign::new(&plan, target)
+        .shards(2)
+        .min_rows_per_shard(1)
+        .seed(seed)
+        .store(&session)
+        .run()
+        .unwrap()
+        .data;
+    let id = store.put_run(&key_of(&plan, seed, 2), "bench", "", &data, None).unwrap();
+    let run = dir.join("runs").join(id.as_str());
+    (id, run)
+}
+
+/// Overwrites the byte at the middle of `path` with `0xFF`, which no
+/// UTF-8 text contains.
+fn write_ff_at_middle(path: &std::path::Path) {
+    let mut bytes = std::fs::read(path).unwrap();
+    let pos = bytes.len() / 2;
+    bytes[pos] = 0xFF;
+    std::fs::write(path, &bytes).unwrap();
+}
+
+fn tampered_artifact(store: &Store, id: &RunId) -> String {
+    match store.get(id) {
+        Err(StoreError::Tampered { artifact, .. }) => artifact,
+        other => panic!("expected Tampered, got {other:?}"),
+    }
+}
+
+#[test]
+fn a_byte_that_breaks_utf8_is_tampering_not_io() {
+    let dir = scratch("utf8");
+    let store = Store::open(&dir).unwrap();
+    let (id, run) = checkpointed_archive(&store, &dir, 29);
+    write_ff_at_middle(&run.join("records.csv"));
+    assert_eq!(tampered_artifact(&store, &id), "records.csv");
+
+    let (id, run) = checkpointed_archive(&store, &dir, 31);
+    let segment = format!("checkpoints/shard-0-of-{}.csv", batches_of(&plan_of(31), 2));
+    assert!(store.manifest(&id).unwrap().artifact(&segment).is_some(), "manifest pins {segment}");
+    write_ff_at_middle(&run.join(&segment));
+    assert_eq!(tampered_artifact(&store, &id), segment);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn get_reports_tampering_before_parse_errors_and_missing_records() {
+    let dir = scratch("order");
+    let store = Store::open(&dir).unwrap();
+
+    // Tampered *and* unparseable: the digest check wins over the parse.
+    let plan = plan_of(37);
+    let data = run_campaign(&plan, 37, 2);
+    let id = store.put_run(&key_of(&plan, 37, 2), "bench", "", &data, None).unwrap();
+    let records = dir.join("runs").join(id.as_str()).join("records.csv");
+    std::fs::write(&records, "no,header\nat,all\n").unwrap();
+    assert_eq!(tampered_artifact(&store, &id), "records.csv");
+
+    // A manifest that lists no records.csv is still corrupt.
+    let plan = plan_of(41);
+    let data = run_campaign(&plan, 41, 2);
+    let id = store.put_run(&key_of(&plan, 41, 2), "bench", "", &data, None).unwrap();
+    let manifest_path = dir.join("runs").join(id.as_str()).join("manifest.json");
+    let mut manifest = store.manifest(&id).unwrap();
+    manifest.artifacts.retain(|a| a.name != "records.csv");
+    std::fs::write(&manifest_path, manifest.to_json()).unwrap();
+    match store.get(&id) {
+        Err(StoreError::Corrupt { message, .. }) => assert!(message.contains("records.csv")),
+        other => panic!("expected Corrupt, got {other:?}"),
+    }
+
+    // A tampered report is still Tampered, even with valid records.
+    let plan = plan_of(43);
+    let target = NetworkTarget::new("m", presets::myrinet_gm(43));
+    let run = Campaign::new(&plan, target).seed(43).observer(Observer::default()).run().unwrap();
+    let report = run.report.expect("observer attached");
+    let id = store.put_run(&key_of(&plan, 43, 1), "bench", "", &run.data, Some(&report)).unwrap();
+    let report_path = dir.join("runs").join(id.as_str()).join("report.jsonl");
+    let mut bytes = std::fs::read(&report_path).unwrap();
+    let pos = bytes.len() / 2;
+    bytes[pos] ^= 0x01; // still ASCII, so only the digest can object
+    std::fs::write(&report_path, &bytes).unwrap();
+    assert_eq!(tampered_artifact(&store, &id), "report.jsonl");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn edited_manifest_triple_is_a_collision_not_a_merge() {
     let dir = scratch("collision");
