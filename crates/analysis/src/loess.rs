@@ -67,19 +67,14 @@ pub fn loess(x: &[f64], y: &[f64], eval_x: &[f64], config: &LoessConfig) -> Resu
     // Local tally of local-fit evaluations, flushed once at the end:
     // keeps the fitting loops free of thread-local lookups while still
     // reporting smoothing effort (same pattern as the segment DP).
-    let evals = std::cell::Cell::new(0u64);
+    let mut evals = 0u64;
 
-    // Robustness weights start at 1.
+    // Robustness weights start at 1. Each iteration fits every data
+    // point and reweights; the last weights feed only the evaluation.
     let mut rw = vec![1.0; n];
-    for iter in 0..=config.robustness_iters {
-        let mut fitted = vec![0.0; n];
-        for i in 0..n {
-            evals.set(evals.get() + 1);
-            fitted[i] = local_fit(&sx, &sy, &rw, sx[i], q)?;
-        }
-        if iter == config.robustness_iters {
-            break;
-        }
+    let mut fitted = vec![0.0; n];
+    for _ in 0..config.robustness_iters {
+        evals += fit_at_data(&sx, &sy, &rw, q, &mut fitted)?;
         // Update robustness weights from residuals (bisquare of r/6·MAD).
         let resid: Vec<f64> = sy.iter().zip(&fitted).map(|(yi, fi)| yi - fi).collect();
         let mut abs_resid: Vec<f64> = resid.iter().map(|r| r.abs()).collect();
@@ -93,18 +88,29 @@ pub fn loess(x: &[f64], y: &[f64], eval_x: &[f64], config: &LoessConfig) -> Resu
         }
     }
 
-    let out = eval_x
-        .iter()
-        .map(|&ex| {
-            evals.set(evals.get() + 1);
-            local_fit(&sx, &sy, &rw, ex, q)
-        })
-        .collect();
+    evals += eval_x.len() as u64;
+    let out = eval_x.iter().map(|&ex| local_fit(&sx, &sy, &rw, ex, q)).collect();
     if charm_obs::process::is_enabled() {
-        charm_obs::process::add("analysis.loess.evals", evals.get());
+        charm_obs::process::add("analysis.loess.evals", evals);
         charm_obs::process::add("analysis.loess.calls", 1);
     }
     out
+}
+
+/// Fits the local line at every sorted data point into `fitted` and
+/// returns how many fits it computed. [`local_fit`] depends only on
+/// `x0`, so each run of bit-equal x (`to_bits`, which keeps `-0.0` and
+/// `0.0` apart) shares one fit.
+fn fit_at_data(sx: &[f64], sy: &[f64], rw: &[f64], q: usize, fitted: &mut [f64]) -> Result<u64> {
+    let mut fits = 0;
+    let mut start = 0;
+    for run in sx.chunk_by(|a, b| a.to_bits() == b.to_bits()) {
+        let end = start + run.len();
+        fitted[start..end].fill(local_fit(sx, sy, rw, run[0], q)?);
+        fits += 1;
+        start = end;
+    }
+    Ok(fits)
 }
 
 /// Weighted local linear fit at `x0` using the `q` nearest neighbours.
@@ -152,9 +158,120 @@ fn local_fit(sx: &[f64], sy: &[f64], rw: &[f64], x0: f64, q: usize) -> Result<f6
     }
 }
 
+/// The smoother before it dropped the discarded last pass and shared a
+/// fit across bit-equal x: one [`local_fit`] per point per pass. The
+/// oracle for [`loess`]'s bit-identical output.
+#[cfg(test)]
+mod reference {
+    use super::{bisquare, local_fit, LoessConfig};
+    use crate::Result;
+
+    pub fn loess(x: &[f64], y: &[f64], eval_x: &[f64], config: &LoessConfig) -> Result<Vec<f64>> {
+        let n = x.len();
+        let q = ((config.span * n as f64).ceil() as usize).clamp(3, n);
+        let mut idx: Vec<usize> = (0..n).collect();
+        idx.sort_by(|&a, &b| x[a].partial_cmp(&x[b]).expect("finite values compare"));
+        let sx: Vec<f64> = idx.iter().map(|&i| x[i]).collect();
+        let sy: Vec<f64> = idx.iter().map(|&i| y[i]).collect();
+        let mut rw = vec![1.0; n];
+        for iter in 0..=config.robustness_iters {
+            let mut fitted = vec![0.0; n];
+            for i in 0..n {
+                fitted[i] = local_fit(&sx, &sy, &rw, sx[i], q)?;
+            }
+            if iter == config.robustness_iters {
+                break;
+            }
+            let resid: Vec<f64> = sy.iter().zip(&fitted).map(|(yi, fi)| yi - fi).collect();
+            let mut abs_resid: Vec<f64> = resid.iter().map(|r| r.abs()).collect();
+            abs_resid.sort_by(|a, b| a.partial_cmp(b).expect("finite values compare"));
+            let s = abs_resid[abs_resid.len() / 2].max(f64::MIN_POSITIVE);
+            for (w, r) in rw.iter_mut().zip(&resid) {
+                *w = bisquare(r / (6.0 * s));
+            }
+            if rw.iter().all(|&w| w == 0.0) {
+                rw.fill(1.0);
+            }
+        }
+        eval_x.iter().map(|&ex| local_fit(&sx, &sy, &rw, ex, q)).collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+
+    /// `distinct` x levels (one pair of them `-0.0` and `0.0` when
+    /// `signed_zero`), each replicated 1–4 times, in a shuffled order;
+    /// y is a noisy line with an occasional wild outlier.
+    fn replicated(seed: u64, distinct: usize, signed_zero: bool) -> (Vec<f64>, Vec<f64>) {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut levels: Vec<f64> = (0..distinct).map(|i| i as f64 * 1.5 - 3.0).collect();
+        if signed_zero {
+            levels[0] = -0.0;
+            levels[1] = 0.0;
+        }
+        let mut pts = Vec::new();
+        for &x in &levels {
+            for _ in 0..rng.random_range(1..5usize) {
+                let outlier = if rng.random_range(0..10u32) == 0 { 1e3 } else { 0.0 };
+                pts.push((x, 2.0 + 0.5 * x + rng.random_range(-1.0..1.0) + outlier));
+            }
+        }
+        for i in (1..pts.len()).rev() {
+            pts.swap(i, rng.random_range(0..=i));
+        }
+        pts.into_iter().unzip()
+    }
+
+    fn bits(r: Result<Vec<f64>>) -> Result<Vec<u64>> {
+        r.map(|v| v.iter().map(|f| f.to_bits()).collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn shared_fits_give_the_reference_bits(
+            seed in any::<u64>(),
+            distinct in 2usize..12,
+            span in 0.05..1.0f64,
+            robustness_iters in 0usize..4,
+            signed_zero in any::<bool>(),
+        ) {
+            let (x, y) = replicated(seed, distinct, signed_zero);
+            prop_assume!(x.len() >= 3);
+            let mut eval = x.clone();
+            eval.extend([-3.7, -0.0, 0.25, 1.0, 40.0]);
+            let config = LoessConfig { span, robustness_iters };
+            prop_assert_eq!(
+                bits(loess(&x, &y, &eval, &config)),
+                bits(reference::loess(&x, &y, &eval, &config))
+            );
+        }
+    }
+
+    #[test]
+    fn zero_weight_windows_fall_back_like_the_reference() {
+        // Distinct, evenly spaced x and q = 3: every interior window is
+        // its centre plus two neighbours at tricube weight 0, so the fit
+        // takes the collapsed-weight fallback; the spike zeroes its own
+        // robustness weight as well.
+        let x: Vec<f64> = (0..12).map(f64::from).collect();
+        let mut y: Vec<f64> = x.iter().map(|v| 3.0 - v).collect();
+        y[6] = 1e6;
+        for robustness_iters in 0..4 {
+            let config = LoessConfig { span: 0.2, robustness_iters };
+            assert_eq!(
+                bits(loess(&x, &y, &x, &config)),
+                bits(reference::loess(&x, &y, &x, &config)),
+                "robustness_iters {robustness_iters}"
+            );
+        }
+    }
 
     #[test]
     fn exact_line_is_reproduced() {
@@ -218,9 +335,9 @@ mod tests {
         charm_obs::process::enable();
         loess(&x, &y, &[3.0, 7.0], &LoessConfig { span: 0.5, robustness_iters: 1 }).unwrap();
         let counters = charm_obs::process::take();
-        // (robustness_iters + 1) fitting passes over all 40 points plus
-        // the 2 requested evaluation points.
-        assert_eq!(counters.get("analysis.loess.evals"), 2 * 40 + 2);
+        // One robustness pass over the 40 distinct x plus the 2
+        // requested evaluation points.
+        assert_eq!(counters.get("analysis.loess.evals"), 40 + 2);
         assert_eq!(counters.get("analysis.loess.calls"), 1);
         // disabled again: nothing accumulates
         loess(&x, &y, &[3.0], &LoessConfig::default()).unwrap();

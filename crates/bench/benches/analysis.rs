@@ -56,6 +56,49 @@ fn loess(c: &mut Criterion) {
     });
 }
 
+/// Figure 8's shape: one stride's 30 sizes × 42 replicates, smoothed at
+/// span 0.4 with one robustness iteration and evaluated at the 30 sizes.
+fn loess_fig08_shape(c: &mut Criterion) {
+    let sizes: Vec<f64> = (1..=30).map(|kb| (kb * 1024) as f64).collect();
+    let xs: Vec<f64> = (0..42).flat_map(|_| sizes.iter().copied()).collect();
+    let ys: Vec<f64> = xs
+        .iter()
+        .enumerate()
+        .map(|(i, &x)| {
+            9000.0 - 0.1 * x + 3000.0 * ((i as f64 * 12.9898).sin() * 43758.5453).fract()
+        })
+        .collect();
+    let config = charm_analysis::loess::LoessConfig { span: 0.4, robustness_iters: 1 };
+    let mut g = c.benchmark_group("loess");
+    g.bench_function("fig08_shape", |b| {
+        b.iter(|| black_box(charm_analysis::loess::loess(&xs, &ys, &sizes, &config).unwrap()))
+    });
+    g.finish();
+}
+
+/// The fleet report's shape: 120 paired cells of 20 vs 20 samples,
+/// 1000 bootstrap replicates each (one metric of the report).
+fn speedup_fleet(c: &mut Criterion) {
+    use charm_analysis::speedup::{compare_cells, Direction, PairedCell, SpeedupConfig};
+    let sample = |cell: usize, side: f64| -> Vec<f64> {
+        (0..20).map(|i| 100.0 + side + ((cell * 20 + i) as f64 * 0.7).sin().abs() * 10.0).collect()
+    };
+    let cells: Vec<PairedCell> = (0..120)
+        .map(|k| PairedCell {
+            name: format!("size={}", 64 * (k + 1)),
+            baseline: sample(k, 0.0),
+            candidate: sample(k, 2.0),
+        })
+        .collect();
+    let cfg = SpeedupConfig::default();
+    let mut g = c.benchmark_group("speedup");
+    g.sample_size(10);
+    g.bench_function("fleet", |b| {
+        b.iter(|| black_box(compare_cells(&cells, Direction::LowerIsBetter, &cfg).unwrap()))
+    });
+    g.finish();
+}
+
 fn modes(c: &mut Criterion) {
     let vals: Vec<f64> =
         (0..2000).map(|i| if i % 5 == 0 { 300.0 } else { 1500.0 } + (i % 13) as f64).collect();
@@ -64,5 +107,5 @@ fn modes(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, regression, segmentation, loess, modes);
+criterion_group!(benches, regression, segmentation, loess, loess_fig08_shape, speedup_fleet, modes);
 criterion_main!(benches);

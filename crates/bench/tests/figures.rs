@@ -121,6 +121,22 @@ fn a_failed_fit_exits_3_naming_the_experiment_and_seed() {
 }
 
 #[test]
+fn a_failed_convolution_fit_exits_3_instead_of_panicking() {
+    // At seed 9 the white-box network model's fit meets a degenerate
+    // predictor; the convolution entry reports it like any failed fit.
+    let dir = Scratch::new("convolution");
+    for bin in [ALL_FIGURES, BINARIES[10].1] {
+        let result = run(&dir, bin, "out", &["--shards", "1", "--seed", "9"]);
+        let err = stderr(&result);
+        assert_eq!(result.status.code(), Some(3), "{bin}: {err}");
+        assert!(
+            err.contains("convolution (seed 9): analysis failed") && !err.contains("panicked"),
+            "{err}"
+        );
+    }
+}
+
+#[test]
 fn fig04_needs_no_benchmarks_directory() {
     // The scratch directory has no benchmarks/: the design is embedded.
     let dir = Scratch::new("cwd");

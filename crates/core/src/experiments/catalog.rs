@@ -238,7 +238,7 @@ static CATALOG: [Entry; 12] = [
         seeded: true,
         spec: false,
         run: |seed, _, _| {
-            let s = convolution::run(seed);
+            let s = convolution::try_run(seed)?;
             Ok(Outputs::new(s.report(), vec![("convolution.csv", s.to_csv())]))
         },
     },

@@ -11,6 +11,7 @@
 //! unreliable".
 
 use crate::convolution::{convolve, AppSignature, MachineSignature};
+use crate::error::CharmError;
 use crate::models::memory::{MemoryModel, Plateau};
 use crate::models::NetworkModel;
 use charm_design::doe::FullFactorial;
@@ -52,7 +53,7 @@ pub struct ConvolutionStudy {
 }
 
 /// Instantiates the white-box network model (the §V-A procedure).
-fn whitebox_model(seed: u64) -> NetworkModel {
+fn whitebox_model(seed: u64) -> Result<NetworkModel, CharmError> {
     let sizes: Vec<i64> =
         sampling::log_uniform_sizes(8, 1 << 21, 80, seed).into_iter().map(|s| s as i64).collect();
     let mut plan = FullFactorial::new()
@@ -63,14 +64,13 @@ fn whitebox_model(seed: u64) -> NetworkModel {
         .expect("static plan");
     plan.shuffle(seed);
     let mut target = NetworkTarget::new("taurus", presets::taurus_openmpi_tcp(seed));
-    let campaign =
-        charm_engine::Campaign::new(&plan, &mut target).seed(seed).run().expect("sim").data;
-    NetworkModel::fit(&campaign, &[32 * 1024, 128 * 1024]).expect("fit")
+    let campaign = charm_engine::Campaign::new(&plan, &mut target).seed(seed).run()?.data;
+    Ok(NetworkModel::fit(&campaign, &[32 * 1024, 128 * 1024])?)
 }
 
 /// Instantiates the opaque model: power-of-two grid, sequential order,
 /// one segment (no protocol awareness).
-fn opaque_model(seed: u64) -> NetworkModel {
+fn opaque_model(seed: u64) -> Result<NetworkModel, CharmError> {
     let sizes: Vec<i64> =
         sampling::power_of_two_sizes(21, false).into_iter().map(|s| s as i64).collect();
     let plan = FullFactorial::new()
@@ -81,8 +81,8 @@ fn opaque_model(seed: u64) -> NetworkModel {
         .expect("static plan");
     // sequential order, as the opaque loop of Figure 2 does
     let mut target = NetworkTarget::new("taurus", presets::taurus_openmpi_tcp(seed));
-    let campaign = charm_engine::Campaign::new(&plan, &mut target).run().expect("sim").data;
-    NetworkModel::fit(&campaign, &[]).expect("fit")
+    let campaign = charm_engine::Campaign::new(&plan, &mut target).run()?.data;
+    Ok(NetworkModel::fit(&campaign, &[])?)
 }
 
 /// A flat memory model so the study isolates the network side.
@@ -133,9 +133,20 @@ fn truth(sim: &NetworkSim, app: &AppSignature) -> f64 {
 }
 
 /// Runs the study.
+///
+/// # Panics
+///
+/// When a model fit fails, as the white-box one does at some seeds
+/// ([`try_run`] returns that as an error instead).
 pub fn run(seed: u64) -> ConvolutionStudy {
-    let white = MachineSignature { memory: flat_memory(), network: whitebox_model(seed) };
-    let opaque = MachineSignature { memory: flat_memory(), network: opaque_model(seed) };
+    try_run(seed).unwrap_or_else(|e| panic!("convolution (seed {seed}): {e}"))
+}
+
+/// Runs the study, returning a failed measurement or model fit as an
+/// error.
+pub fn try_run(seed: u64) -> Result<ConvolutionStudy, CharmError> {
+    let white = MachineSignature { memory: flat_memory(), network: whitebox_model(seed)? };
+    let opaque = MachineSignature { memory: flat_memory(), network: opaque_model(seed)? };
     let sim = presets::taurus_openmpi_tcp(0);
 
     let results = applications()
@@ -147,7 +158,7 @@ pub fn run(seed: u64) -> ConvolutionStudy {
             opaque_us: convolve(&app, &opaque).network_us,
         })
         .collect();
-    ConvolutionStudy { results }
+    Ok(ConvolutionStudy { results })
 }
 
 impl ConvolutionStudy {
