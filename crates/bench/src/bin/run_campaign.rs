@@ -5,8 +5,8 @@
 //! run_campaign --benchmark SPEC.toml [--param NAME=VALUE]... [flags]
 //! run_campaign <plan.dsl> <platform> [flags]
 //!
-//! flags: [--seed N] [--shards N] [--min-rows-per-shard N] [--out DIR]
-//!        [--obs-jsonl] [--store DIR] [--resume RUN_ID]
+//! flags: [--seed N] [--shards N] [--out DIR] [--obs-jsonl]
+//!        [--store DIR] [--resume RUN_ID]
 //! platforms: the registry's network presets and CPUs
 //!            (taurus | myrinet | openmpi | opteron | pentium4 | i7 | arm)
 //! ```
@@ -37,13 +37,12 @@
 //! message).
 //!
 //! `--shards N` fans the campaign out over N forks of the target (all
-//! in-process platforms are shard-invariant, so the records are
+//! in-process platforms are shard-invariant, so the measured values are
 //! identical to a sequential run — see DESIGN.md on the determinism
-//! contract). The default is [`Study::auto_shards`]: sequential below
-//! the row threshold, one shard per core above it. The engine also
-//! clamps workers to one per `--min-rows-per-shard` plan rows (default
-//! [`charm_engine::DEFAULT_MIN_ROWS_PER_SHARD`]); pass `1` to take the
-//! shard count literally on tiny plans. `--obs-jsonl` also writes the
+//! contract). The default is 1, never the host's core count: the shard
+//! count is part of the run ID and of the `# shards` / `# batches`
+//! header, so the command line alone decides both. The engine clamps
+//! it only to the plan's rows. `--obs-jsonl` also writes the
 //! campaign's counters and provenance events next to the CSV.
 //!
 //! `--store DIR` archives the campaign into a `charm_store` store:
@@ -62,7 +61,6 @@
 use charm_bench::cli::{CommonArgs, Reads};
 use charm_bench::profile::Session;
 use charm_bench::specload;
-use charm_core::pipeline::Study;
 use charm_core::spec::ResolvedBenchmark;
 use charm_engine::registry::{self, ExternalEngineSpec, ResolvedTarget};
 use charm_engine::{Campaign, CampaignRun, ParallelTarget};
@@ -190,7 +188,7 @@ fn run_sharded<T: ParallelTarget>(
     target: T,
 ) -> ExitCode {
     let plan = &bench.plan;
-    let shards = args.shards.unwrap_or_else(|| Study::auto_shards(plan.len()));
+    let shards = args.shards.unwrap_or(1);
     // The target's identity folds into the run ID, so the same plan
     // against two platforms can never share a run directory.
     let target_id = charm_store::target_identity(&target);
@@ -230,9 +228,6 @@ fn run_sharded<T: ParallelTarget>(
     };
 
     let mut campaign = Campaign::new(plan, target).shards(shards).seed(bench.order_seed);
-    if let Some(min_rows) = args.min_rows_per_shard {
-        campaign = campaign.min_rows_per_shard(min_rows);
-    }
     if let Some((_, checkpoint)) = &store_ctx {
         campaign = campaign.store(checkpoint).resume(args.resume.is_some());
     }

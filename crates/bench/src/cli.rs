@@ -4,9 +4,6 @@
 //!
 //! * `--seed N` — RNG seed (default [`crate::default_seed`], i.e. the
 //!   `CHARM_SEED` environment variable or the built-in constant);
-//! * `--shards N` — shard count for the shard-invariant experiments;
-//!   exported as `CHARM_SHARDS` so `Study::auto_shards` picks it up
-//!   everywhere downstream;
 //! * `--out DIR` — results directory; exported as `CHARM_RESULTS_DIR`
 //!   so [`crate::results_dir`] honours it;
 //! * `--obs-jsonl` — also write observability reports (counters +
@@ -22,12 +19,12 @@
 //! Two groups only some binaries read ([`Reads`]); a binary given a
 //! flag it does not read exits 2 with its usage instead of ignoring it:
 //!
-//! * campaign flags, read by `run_campaign` only: `--store DIR` archives
-//!   the campaign into a `charm_store` store, flushing shard checkpoints
-//!   as they complete; `--resume RUN_ID` replays the finished shards of
-//!   an interrupted stored run; `--min-rows-per-shard N` overrides the
-//!   worker floor ([`charm_engine::DEFAULT_MIN_ROWS_PER_SHARD`]; `1`
-//!   takes `--shards` literally); positional arguments land in
+//! * campaign flags, read by `run_campaign` only: `--shards N` runs the
+//!   campaign on N worker threads (default 1; clamped only to the plan's
+//!   rows, and part of the run ID); `--store DIR` archives the campaign
+//!   into a `charm_store` store, flushing shard checkpoints as they
+//!   complete; `--resume RUN_ID` replays the finished shards of an
+//!   interrupted stored run; positional arguments land in
 //!   [`CommonArgs::rest`];
 //! * spec flags, read by `run_campaign`, `fig04`, `fig07` and
 //!   `pchase_interference`: `--benchmark PATH` runs a declarative spec
@@ -39,10 +36,8 @@
 pub struct CommonArgs {
     /// RNG seed (`--seed N`).
     pub seed: u64,
-    /// Shard count override (`--shards N`), when given.
+    /// Campaign worker count (`--shards N`), when given.
     pub shards: Option<usize>,
-    /// Worker-floor override (`--min-rows-per-shard N`), when given.
-    pub min_rows_per_shard: Option<usize>,
     /// Whether to write observability JSONL artifacts (`--obs-jsonl`).
     pub obs_jsonl: bool,
     /// Whether to shrink plans for a smoke run (`--quick`).
@@ -67,7 +62,7 @@ pub struct CommonArgs {
 impl CommonArgs {
     /// Parses `std::env::args()` for a binary that reads the shared
     /// flags plus the groups in `reads`, applies the environment side
-    /// effects (`CHARM_SHARDS`, `CHARM_RESULTS_DIR`), and exits with the
+    /// effect (`CHARM_RESULTS_DIR`), and exits with the
     /// usage text (listing only the flags the binary reads) on `--help`,
     /// a malformed flag, or a flag the binary does not read.
     /// `extra_usage` documents the positional arguments (empty when the
@@ -83,9 +78,6 @@ impl CommonArgs {
             None => Ok((args, out)),
         }) {
             Ok((args, out_dir)) => {
-                if let Some(n) = args.shards {
-                    std::env::set_var("CHARM_SHARDS", n.to_string());
-                }
                 if let Some(dir) = out_dir {
                     std::env::set_var("CHARM_RESULTS_DIR", dir);
                 }
@@ -106,9 +98,9 @@ impl CommonArgs {
     /// the shared flags) would ignore.
     fn unread(&self, reads: Reads) -> Option<&'static str> {
         [
+            ("--shards", self.shards.is_some()),
             ("--store", self.store.is_some()),
             ("--resume", self.resume.is_some()),
-            ("--min-rows-per-shard", self.min_rows_per_shard.is_some()),
             ("positional arguments", !self.rest.is_empty()),
             ("--benchmark", self.benchmark.is_some()),
             ("--param", !self.params.is_empty()),
@@ -132,9 +124,6 @@ impl CommonArgs {
             match a.as_str() {
                 "--seed" => args.seed = value_of("--seed", argv.next())?,
                 "--shards" => args.shards = Some(positive("--shards", argv.next())?),
-                "--min-rows-per-shard" => {
-                    args.min_rows_per_shard = Some(positive("--min-rows-per-shard", argv.next())?)
-                }
                 "--out" => out_dir = Some(text_of("--out", "a directory", argv.next())?),
                 "--obs-jsonl" => args.obs_jsonl = true,
                 "--quick" => args.quick = true,
@@ -183,8 +172,7 @@ pub enum Exit {
 /// The flag groups a binary reads beyond the shared flags.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Reads {
-    /// `--store`, `--resume`, `--min-rows-per-shard` and positional
-    /// arguments.
+    /// `--shards`, `--store`, `--resume` and positional arguments.
     pub campaign: bool,
     /// `--benchmark` and `--param`.
     pub spec: bool,
@@ -199,9 +187,7 @@ impl Reads {
     /// Whether the binary reads `flag` (or takes positional arguments).
     fn reads(self, flag: &str) -> bool {
         match flag {
-            "--store" | "--resume" | "--min-rows-per-shard" | "positional arguments" => {
-                self.campaign
-            }
+            "--shards" | "--store" | "--resume" | "positional arguments" => self.campaign,
             "--benchmark" | "--param" => self.spec,
             _ => true,
         }
@@ -236,10 +222,9 @@ fn text_of(flag: &str, what: &str, v: Option<String>) -> Result<String, Exit> {
 }
 
 /// Every flag's synopsis and help text.
-const FLAGS: [(&str, &str); 12] = [
+const FLAGS: [(&str, &str); 11] = [
     ("--seed N", "RNG seed (default CHARM_SEED or 20170529)"),
-    ("--shards N", "shard count for shard-invariant campaigns (sets CHARM_SHARDS)"),
-    ("--min-rows-per-shard N", "worker floor: at most one worker per N plan rows (1 = off)"),
+    ("--shards N", "campaign worker threads (default 1; part of the run ID)"),
     ("--out DIR", "results directory (sets CHARM_RESULTS_DIR)"),
     ("--obs-jsonl", "also write observability reports as JSON Lines"),
     ("--quick", "reduced plans for smoke runs"),
@@ -291,8 +276,6 @@ mod tests {
                 "42",
                 "--shards",
                 "4",
-                "--min-rows-per-shard",
-                "1",
                 "--out",
                 "/tmp/r",
                 "--obs-jsonl",
@@ -317,7 +300,6 @@ mod tests {
         .unwrap();
         assert_eq!(args.seed, 42);
         assert_eq!(args.shards, Some(4));
-        assert_eq!(args.min_rows_per_shard, Some(1));
         assert!(args.obs_jsonl);
         assert!(args.quick);
         assert!(args.profile);
@@ -341,11 +323,6 @@ mod tests {
         assert_eq!(CommonArgs::try_parse(argv(&["--seed"]), 1), Err(Exit::Error));
         assert_eq!(CommonArgs::try_parse(argv(&["--seed", "abc"]), 1), Err(Exit::Error));
         assert_eq!(CommonArgs::try_parse(argv(&["--shards", "0"]), 1), Err(Exit::Error));
-        assert_eq!(
-            CommonArgs::try_parse(argv(&["--min-rows-per-shard", "0"]), 1),
-            Err(Exit::Error)
-        );
-        assert_eq!(CommonArgs::try_parse(argv(&["--min-rows-per-shard"]), 1), Err(Exit::Error));
         assert_eq!(CommonArgs::try_parse(argv(&["--trace-out"]), 1), Err(Exit::Error));
         assert_eq!(CommonArgs::try_parse(argv(&["--store"]), 1), Err(Exit::Error));
         assert_eq!(CommonArgs::try_parse(argv(&["--resume"]), 1), Err(Exit::Error));
@@ -363,7 +340,6 @@ mod tests {
         for flag in [
             "--seed",
             "--shards",
-            "--min-rows-per-shard",
             "--out",
             "--obs-jsonl",
             "--quick",

@@ -36,7 +36,6 @@ fn run(dir: &Scratch, bin: &str, out: &str, args: &[&str]) -> Output {
         .args(["--out", dir.join(out).to_str().unwrap()])
         .current_dir(&dir.0)
         .env_remove("CHARM_SEED")
-        .env_remove("CHARM_SHARDS")
         .env_remove("CHARM_RESULTS_DIR")
         .output()
         .unwrap()
@@ -80,18 +79,19 @@ fn each_quick_run_writes_exactly_the_declared_artifacts() {
 #[test]
 fn flags_a_binary_does_not_read_exit_2_with_usage() {
     let dir = Scratch::new("unread");
-    let fig03 = BINARIES[0].1;
-    let cases: [(&str, &[&str]); 10] = [
+    let (fig03, fig04) = (BINARIES[0].1, BINARIES[1].1);
+    let cases: [(&str, &[&str]); 11] = [
         (fig03, &["garbage"]),
         (fig03, &["--store", "/tmp/x", "--resume", "abc"]),
         (fig03, &["--resume", "abc"]),
-        (fig03, &["--min-rows-per-shard", "1"]),
         (fig03, &["--benchmark", "x.toml"]),
         (fig03, &["--param", "a=b"]),
         (ALL_FIGURES, &["--benchmark", "x.toml"]),
         (ALL_FIGURES, &["--param", "n_sizes=30"]),
         (ALL_FIGURES, &["garbage"]),
         (ALL_FIGURES, &["--store", "/tmp/x"]),
+        (ALL_FIGURES, &["--shards", "2"]),
+        (fig04, &["--shards", "2"]),
     ];
     for (bin, args) in cases {
         let result = run(&dir, bin, "out", args);
@@ -99,7 +99,9 @@ fn flags_a_binary_does_not_read_exit_2_with_usage() {
         let err = stderr(&result);
         let (complaint, usage) = err.split_once("usage:").expect("usage on stderr");
         assert!(complaint.contains("does not read"), "{err}");
-        for flag in ["--store", "--resume", "--min-rows-per-shard", "--benchmark", "--param"] {
+        // fig04 reads the spec flags; no figure binary reads a campaign flag
+        let unread = ["--shards", "--store", "--resume", "--benchmark", "--param"];
+        for flag in &unread[..if bin == fig04 { 3 } else { 5 }] {
             assert!(!usage.contains(flag), "{bin}'s usage lists {flag}, which it does not read");
         }
         assert!(files(&dir, "out").is_empty(), "{bin} {args:?} wrote artifacts");
@@ -126,7 +128,7 @@ fn a_failed_convolution_fit_exits_3_instead_of_panicking() {
     // predictor; the convolution entry reports it like any failed fit.
     let dir = Scratch::new("convolution");
     for bin in [ALL_FIGURES, BINARIES[10].1] {
-        let result = run(&dir, bin, "out", &["--shards", "1", "--seed", "9"]);
+        let result = run(&dir, bin, "out", &["--seed", "9"]);
         let err = stderr(&result);
         assert_eq!(result.status.code(), Some(3), "{bin}: {err}");
         assert!(
@@ -140,7 +142,7 @@ fn a_failed_convolution_fit_exits_3_instead_of_panicking() {
 fn fig04_needs_no_benchmarks_directory() {
     // The scratch directory has no benchmarks/: the design is embedded.
     let dir = Scratch::new("cwd");
-    let result = run(&dir, BINARIES[1].1, "out", &["--shards", "1"]);
+    let result = run(&dir, BINARIES[1].1, "out", &[]);
     assert!(result.status.success(), "{}", stderr(&result));
     let results = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
     for name in ["fig04_raw.csv", "fig04_model.csv"] {

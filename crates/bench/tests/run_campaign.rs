@@ -29,7 +29,6 @@ fn run_campaign(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_run_campaign"))
         .args(args)
         .env_remove("CHARM_SEED")
-        .env_remove("CHARM_SHARDS")
         .env_remove("CHARM_RESULTS_DIR")
         .output()
         .unwrap()
@@ -56,7 +55,7 @@ fn a_dsl_plan_and_its_spec_twin_archive_as_one_run() {
     let plan = dir.write("smoke_plan.dsl", SMOKE_PLAN);
     let spec = concat!(env!("CARGO_MANIFEST_DIR"), "/../../benchmarks/campaign_smoke.toml");
     let store = dir.join("store");
-    let flags = ["--seed", "5", "--shards", "3", "--min-rows-per-shard", "1"];
+    let flags = ["--seed", "5", "--shards", "3"];
     let (out_dsl, out_spec) = (dir.join("dsl"), dir.join("spec"));
 
     let mut args = vec![plan.as_str(), "taurus", "--store", path(&store), "--out", path(&out_dsl)];
@@ -75,6 +74,29 @@ fn a_dsl_plan_and_its_spec_twin_archive_as_one_run() {
     let header: Vec<&str> = records.lines().take_while(|l| l.starts_with('#')).collect();
     assert!(header.contains(&"# order: randomized"), "{header:?}");
     assert!(header.contains(&"# shuffle_seed: 42"), "{header:?}");
+}
+
+#[test]
+fn the_requested_shards_are_the_shards_that_ran() {
+    // CI's store smoke geometry: 96 rows on 3 workers carve 15 batches,
+    // and the run ID that names the archive hashes that same count.
+    let dir = Scratch::new("shards");
+    let plan = dir.write("smoke_plan.dsl", SMOKE_PLAN);
+    let (store, out) = (dir.join("store"), dir.join("out"));
+    let args =
+        [plan.as_str(), "taurus", "--shards", "3", "--store", path(&store), "--out", path(&out)];
+    let id = archived_id(&run_campaign(&args));
+
+    let read =
+        |name: &str| std::fs::read_to_string(store.join("runs").join(&id).join(name)).unwrap();
+    let manifest = charm_store::Manifest::from_json(&read("manifest.json")).unwrap();
+    let records = read("records.csv");
+    let header: Vec<&str> = records.lines().take_while(|l| l.starts_with('#')).collect();
+    assert_eq!(manifest.shards, 3);
+    assert!(header.contains(&"# shards: 3"), "{header:?}");
+    assert!(header.contains(&"# batches: 15"), "{header:?}");
+    // The same command is the same campaign: same ID, same bytes.
+    assert_eq!(archived_id(&run_campaign(&args)), id);
 }
 
 #[test]

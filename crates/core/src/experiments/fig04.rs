@@ -67,9 +67,10 @@ pub fn run(seed: u64, n_sizes: usize, reps: u32) -> Fig04 {
 
 /// Resolves a Figure 4 spec (normally [`SPEC`]) at `seed` with `params`
 /// overrides, runs its campaign on the registry-resolved network target
-/// (sharded by `Study::auto_shards`; the shard count cannot change the
-/// retained data), then fits the piecewise model at the spec's
-/// `analysis.breakpoints` and the per-regime variability table.
+/// (one shard through the sharded builder, so the raw CSV carries the
+/// `# shards` / `# batches` / `# shard_clock_offsets` header), then fits
+/// the piecewise model at the spec's `analysis.breakpoints` and the
+/// per-regime variability table.
 pub fn from_spec(text: &str, seed: u64, params: &[(String, String)]) -> Result<Fig04, CharmError> {
     let r = super::resolve(text, seed, params)?;
     let breakpoints = ResolvedBenchmark::u64_array(&r.analysis, "breakpoints")?;
@@ -81,9 +82,7 @@ pub fn from_spec(text: &str, seed: u64, params: &[(String, String)]) -> Result<F
             )))
         }
     };
-    let study = Study::prepared(r.plan, r.order_seed);
-    let shards = Study::auto_shards(study.plan().len());
-    fit(study.run_sharded(&*target, shards)?, breakpoints)
+    fit(Study::prepared(r.plan, r.order_seed).run_sharded(&*target, 1)?, breakpoints)
 }
 
 fn fit(campaign: Campaign, breakpoints: Vec<u64>) -> Result<Fig04, CharmError> {

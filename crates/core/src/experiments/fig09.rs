@@ -56,7 +56,7 @@ pub fn run(seed: u64, reps: u32) -> Fig09 {
         .replicates(reps)
         .build()
         .expect("static plan");
-    let target = MemoryTarget::new(
+    let mut target = MemoryTarget::new(
         "i7-2600",
         MachineSim::new(
             CpuSpec::core_i7_2600(),
@@ -66,11 +66,7 @@ pub fn run(seed: u64, reps: u32) -> Fig09 {
             seed,
         ),
     );
-    // Pinned/performance machine is shard-invariant, so the heavy
-    // 8-facet campaign may run sharded without changing the data.
-    let study = Study::new(plan).randomized(seed);
-    let shards = Study::auto_shards(study.plan().len());
-    let campaign = study.run_sharded(&target, shards).expect("simulated");
+    let campaign = Study::new(plan).randomized(seed).run(&mut target).expect("simulated");
 
     let mut facets = Vec::new();
     for width in ElementWidth::all() {

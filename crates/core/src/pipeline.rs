@@ -24,25 +24,13 @@ use charm_obs::Observer;
 pub struct Study {
     plan: ExperimentPlan,
     shuffle_seed: Option<u64>,
-    min_rows_per_shard: Option<usize>,
 }
 
 impl Study {
     /// Starts a study from a plan (build it with
     /// [`charm_design::doe::FullFactorial`]).
     pub fn new(plan: ExperimentPlan) -> Self {
-        Study { plan, shuffle_seed: None, min_rows_per_shard: None }
-    }
-
-    /// Overrides the engine's worker clamp
-    /// ([`charm_engine::DEFAULT_MIN_ROWS_PER_SHARD`]) for sharded runs:
-    /// the scheduler spawns at most one worker per `min_rows` plan rows,
-    /// so small campaigns don't pay thread startup per measurement. Pass
-    /// `1` to take the requested shard count literally (tests, smoke
-    /// runs); leave unset for the default floor.
-    pub fn min_rows_per_shard(mut self, min_rows: usize) -> Self {
-        self.min_rows_per_shard = Some(min_rows);
-        self
+        Study { plan, shuffle_seed: None }
     }
 
     /// Starts a study from a plan whose ordering was already applied —
@@ -51,7 +39,7 @@ impl Study {
     /// as [`Study::randomized`] would (`None` means sequential /
     /// as-declared order).
     pub fn prepared(plan: ExperimentPlan, shuffle_seed: Option<u64>) -> Self {
-        Study { plan, shuffle_seed, min_rows_per_shard: None }
+        Study { plan, shuffle_seed }
     }
 
     /// Randomizes the measurement order — the methodology's key step.
@@ -101,62 +89,19 @@ impl Study {
     /// `base` on separate threads (see
     /// [`charm_engine::ShardedCampaign::run`]). For shard-invariant
     /// targets the retained `(levels, replicate, value)` data is
-    /// identical to [`Study::run`] no matter the shard count; pass
-    /// [`Study::auto_shards`] of the plan size to let plan size and
-    /// machine width pick the count.
+    /// identical to [`Study::run`] no matter the shard count; the count
+    /// is the caller's, clamped only to the plan's rows.
     pub fn run_sharded<T: ParallelTarget>(
         &self,
         base: &T,
         shards: usize,
     ) -> Result<Campaign, TargetError> {
-        let mut sharded = charm_engine::Campaign::new(&self.plan, base.fork(base.stream_seed()))
-            .shards(shards)
-            .seed(self.shuffle_seed);
-        if let Some(min_rows) = self.min_rows_per_shard {
-            sharded = sharded.min_rows_per_shard(min_rows);
-        }
-        sharded.run().map(|run| run.data)
-    }
-
-    /// Stage 2, sharded and observed: [`Study::run_sharded`] with
-    /// counters and provenance. Per-shard counters merge into a
-    /// shard-count-invariant report for shard-invariant targets.
-    pub fn run_sharded_observed<T: ParallelTarget>(
-        &self,
-        base: &T,
-        shards: usize,
-        observer: Observer,
-    ) -> Result<CampaignRun, TargetError> {
-        let mut sharded = charm_engine::Campaign::new(&self.plan, base.fork(base.stream_seed()))
+        charm_engine::Campaign::new(&self.plan, base.fork(base.stream_seed()))
             .shards(shards)
             .seed(self.shuffle_seed)
-            .observer(observer);
-        if let Some(min_rows) = self.min_rows_per_shard {
-            sharded = sharded.min_rows_per_shard(min_rows);
-        }
-        sharded.run()
+            .run()
+            .map(|run| run.data)
     }
-
-    /// A sensible shard count for a campaign of `rows` rows: the
-    /// machine's available parallelism, except that small campaigns run
-    /// on one shard (below [`Study::SHARD_THRESHOLD_ROWS`] rows, thread
-    /// startup would rival the measurement loop itself). The
-    /// `CHARM_SHARDS` environment variable overrides both (the
-    /// regenerator binaries' `--shards N` flag sets it).
-    pub fn auto_shards(rows: usize) -> usize {
-        if let Some(n) = std::env::var("CHARM_SHARDS").ok().and_then(|s| s.parse::<usize>().ok()) {
-            return n.max(1);
-        }
-        if rows < Self::SHARD_THRESHOLD_ROWS {
-            1
-        } else {
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-        }
-    }
-
-    /// Minimum campaign size (plan rows) at which
-    /// [`Study::auto_shards`] turns on parallel execution.
-    pub const SHARD_THRESHOLD_ROWS: usize = 1024;
 }
 
 /// Stage-3 result for one factor combination.
@@ -277,24 +222,12 @@ mod tests {
         let mut target = NetworkTarget::new("taurus", presets::taurus_openmpi_tcp(7));
         let sequential = study().run(&mut target).unwrap();
         let base = NetworkTarget::new("taurus", presets::taurus_openmpi_tcp(7));
-        // 36 rows sit under the engine's default worker floor, so take
-        // the shard count literally to exercise the parallel path.
-        let sharded = study().min_rows_per_shard(1).run_sharded(&base, 4).unwrap();
+        let sharded = study().run_sharded(&base, 4).unwrap();
         let data = |c: &Campaign| {
             c.records.iter().map(|r| (r.levels.clone(), r.replicate, r.value)).collect::<Vec<_>>()
         };
         assert_eq!(data(&sequential), data(&sharded));
         assert_eq!(sharded.metadata["shards"], "4");
-    }
-
-    #[test]
-    fn default_floor_collapses_small_sharded_studies() {
-        let base = NetworkTarget::new("taurus", presets::taurus_openmpi_tcp(7));
-        let sharded = study().run_sharded(&base, 4).unwrap();
-        assert_eq!(sharded.metadata["shards"], "1", "36 rows < 64-row floor");
-        let mut target = NetworkTarget::new("taurus", presets::taurus_openmpi_tcp(7));
-        let sequential = study().run(&mut target).unwrap();
-        assert_eq!(sequential.records, sharded.records);
     }
 
     #[test]
@@ -306,20 +239,6 @@ mod tests {
         assert_eq!(plain.records, observed.data.records);
         let report = observed.report.expect("observer attached");
         assert_eq!(report.counters.get("engine.rows"), plain.records.len() as u64);
-        // sharding leaves the merged counters untouched
-        let base = NetworkTarget::new("taurus", presets::taurus_openmpi_tcp(7));
-        let sharded = study()
-            .min_rows_per_shard(1)
-            .run_sharded_observed(&base, 3, Observer::default())
-            .unwrap();
-        assert_eq!(report.counters, sharded.report.unwrap().counters);
-    }
-
-    #[test]
-    fn auto_shards_spares_small_campaigns() {
-        assert_eq!(Study::auto_shards(10), 1);
-        assert_eq!(Study::auto_shards(Study::SHARD_THRESHOLD_ROWS - 1), 1);
-        assert!(Study::auto_shards(Study::SHARD_THRESHOLD_ROWS) >= 1);
     }
 
     #[test]

@@ -43,13 +43,6 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Instant;
 
-/// Default minimum plan rows per worker before an extra shard pays for
-/// itself: below this, thread spawn and fork setup rival the
-/// measurement loop, so [`ShardedCampaign::run`] clamps the worker
-/// count. Override per campaign with
-/// [`ShardedCampaign::min_rows_per_shard`].
-pub const DEFAULT_MIN_ROWS_PER_SHARD: usize = 64;
-
 /// Batches carved per worker for dynamic claiming: enough slack that a
 /// worker stuck on a slow batch sheds the rest of its static share to
 /// idle peers, few enough that per-batch fork/`skip_to` setup stays
@@ -57,13 +50,12 @@ pub const DEFAULT_MIN_ROWS_PER_SHARD: usize = 64;
 const BATCHES_PER_WORKER: usize = 4;
 
 /// The worker count a sharded run actually uses: `shards` clamped to
-/// `1..=rows`, then to at most one worker per `min_rows_per_shard` plan
-/// rows (`min_rows_per_shard <= 1` disables the heuristic). A pure
-/// function, so callers — tests, the store's smoke checks — can predict
-/// the run's geometry.
-pub fn effective_workers(rows: usize, shards: usize, min_rows_per_shard: usize) -> usize {
-    let requested = shards.clamp(1, rows.max(1));
-    requested.min((rows / min_rows_per_shard.max(1)).max(1))
+/// `1..=rows` and nothing else, so the count a caller asks for (and
+/// hashes into a run ID) is the count that runs. A pure function, so
+/// callers — tests, the store's smoke checks — can predict the run's
+/// geometry.
+pub fn effective_workers(rows: usize, shards: usize) -> usize {
+    shards.clamp(1, rows.max(1))
 }
 
 /// The contiguous plan-row batches a work-stealing run over `rows` rows
@@ -74,17 +66,17 @@ pub fn effective_workers(rows: usize, shards: usize, min_rows_per_shard: usize) 
 /// anyway) and shrink as the claim counter drains — the tail of the
 /// plan is carved fine enough that one high-variance cell can no longer
 /// stall a worker while its peers sit idle. Batch sizes never drop
-/// below `min_rows_per_shard` (nor below 1/8 of a worker's static
-/// share), bounding per-batch fork/`skip_to` overhead. One worker means
-/// one batch.
+/// below `max(1, rows / (workers*8))` — 1/8 of a worker's static share
+/// — bounding per-batch fork/`skip_to` overhead. One worker means one
+/// batch.
 ///
 /// A pure function of its inputs — never of claim timing — so
 /// checkpoint geometry is reproducible across runs and resumes.
-pub fn batch_bounds(rows: usize, workers: usize, min_rows_per_shard: usize) -> Vec<(usize, usize)> {
+pub fn batch_bounds(rows: usize, workers: usize) -> Vec<(usize, usize)> {
     if workers <= 1 || rows == 0 {
         return vec![(0, rows)];
     }
-    let floor = min_rows_per_shard.max(1).max(rows / (workers * BATCHES_PER_WORKER * 2));
+    let floor = (rows / (workers * BATCHES_PER_WORKER * 2)).max(1);
     let mut bounds = Vec::new();
     let mut lo = 0;
     while lo < rows {
@@ -94,12 +86,6 @@ pub fn batch_bounds(rows: usize, workers: usize, min_rows_per_shard: usize) -> V
         lo += chunk;
     }
     bounds
-}
-
-/// How many batches [`batch_bounds`] carves — the checkpoint segment
-/// count callers (tests, the store's smoke checks) predict with.
-pub fn batch_count(rows: usize, workers: usize, min_rows_per_shard: usize) -> usize {
-    batch_bounds(rows, workers, min_rows_per_shard).len()
 }
 
 /// FNV-1a over a level tuple's stable encoding (discriminant byte plus
@@ -368,21 +354,13 @@ impl<'p, T: Target> Campaign<'p, T> {
 }
 
 impl<'p, T: ParallelTarget> Campaign<'p, T> {
-    /// Converts the builder into a sharded execution: up to `shards`
-    /// worker threads dynamically claim contiguous batches of the plan
-    /// (see [`ShardedCampaign::run`]). Requires a [`ParallelTarget`];
-    /// the worker count is clamped at run time to `1..=plan rows` and
-    /// by the [`ShardedCampaign::min_rows_per_shard`] heuristic, so tiny
-    /// campaigns never pay thread startup for rows that take less time
-    /// than a spawn.
+    /// Converts the builder into a sharded execution: `shards` worker
+    /// threads dynamically claim contiguous batches of the plan (see
+    /// [`ShardedCampaign::run`]). Requires a [`ParallelTarget`]; the
+    /// worker count is clamped at run time to `1..=plan rows` and
+    /// nothing else ([`effective_workers`]).
     pub fn shards(self, shards: usize) -> ShardedCampaign<'p, T> {
-        ShardedCampaign {
-            inner: self,
-            shards,
-            sink: None,
-            resume: false,
-            min_rows_per_shard: DEFAULT_MIN_ROWS_PER_SHARD,
-        }
+        ShardedCampaign { inner: self, shards, sink: None, resume: false }
     }
 }
 
@@ -394,7 +372,6 @@ pub struct ShardedCampaign<'p, T> {
     shards: usize,
     sink: Option<&'p dyn CheckpointSink>,
     resume: bool,
-    min_rows_per_shard: usize,
 }
 
 impl<'p, T: std::fmt::Debug> std::fmt::Debug for ShardedCampaign<'p, T> {
@@ -404,7 +381,6 @@ impl<'p, T: std::fmt::Debug> std::fmt::Debug for ShardedCampaign<'p, T> {
             .field("shards", &self.shards)
             .field("checkpointed", &self.sink.is_some())
             .field("resume", &self.resume)
-            .field("min_rows_per_shard", &self.min_rows_per_shard)
             .finish()
     }
 }
@@ -510,18 +486,6 @@ impl<'p, T: ParallelTarget> ShardedCampaign<'p, T> {
         self
     }
 
-    /// Overrides the tiny-campaign clamp: the run uses at most one
-    /// worker per `min_rows` plan rows, so a 100-row campaign asked for
-    /// 8 shards runs on one thread instead of spawning workers whose
-    /// share costs less than their startup. Defaults to
-    /// [`DEFAULT_MIN_ROWS_PER_SHARD`]; `0` or `1` disables the clamp
-    /// (every requested shard gets a thread, as long as each has at
-    /// least one row).
-    pub fn min_rows_per_shard(mut self, min_rows: usize) -> Self {
-        self.min_rows_per_shard = min_rows;
-        self
-    }
-
     /// Attaches a cooperative [`CancelToken`] (see
     /// [`Campaign::cancel_token`]). Workers check the token each time
     /// they go to claim a batch, so a fired token stops the campaign
@@ -552,8 +516,8 @@ impl<'p, T: ParallelTarget> ShardedCampaign<'p, T> {
     /// batch would have produced, the resumed campaign is bit-identical
     /// to an uninterrupted run — the determinism contract (DESIGN.md §9)
     /// made durable. Batch geometry is a pure function of the plan
-    /// size, worker count and per-shard row floor, so a resume sees
-    /// exactly the segments an uninterrupted run would have written.
+    /// size and worker count, so a resume sees exactly the segments an
+    /// uninterrupted run would have written.
     ///
     /// Requires [`ShardedCampaign::store`]; incompatible with an
     /// [`Observer`] (checkpoints retain records, not counter streams).
@@ -570,10 +534,9 @@ impl<'p, T: ParallelTarget> ShardedCampaign<'p, T> {
     ///
     /// The plan's `n` rows are carved into the [`batch_bounds`] guided
     /// geometry — large batches up front, progressively finer ones as
-    /// the claim counter drains, floored at
-    /// [`ShardedCampaign::min_rows_per_shard`] rows — and
-    /// [`effective_workers`] threads claim them one `fetch_add` at a
-    /// time. Claiming is dynamic: a worker that finishes early claims
+    /// the claim counter drains, floored at 1/8 of a worker's static
+    /// share — and [`effective_workers`] threads claim them one
+    /// `fetch_add` at a time. Claiming is dynamic: a worker that finishes early claims
     /// the next unclaimed batch, *stealing* it from the worker a static
     /// split would have given it, so a slow batch no longer leaves the
     /// other threads idle behind a barrier — and because the tail is
@@ -621,8 +584,8 @@ impl<'p, T: ParallelTarget> ShardedCampaign<'p, T> {
     /// [`ParallelTarget::shard_invariant`] `== false` (time-dependent
     /// physics such as `ondemand` DVFS or intruder scheduling): sharding
     /// such a target would silently change its science, so the engine
-    /// refuses instead. (A request the tiny-campaign clamp reduces to
-    /// one worker runs sequentially and is always fine.) Measurement
+    /// refuses instead. (A one-shard request, or one clamped to a
+    /// one-row plan, runs sequentially and is always fine.) Measurement
     /// errors fail the campaign like the sequential run; the error for
     /// the earliest failing plan row wins — batches are claimed in index
     /// order, so every batch before the earliest failure has a result.
@@ -631,12 +594,12 @@ impl<'p, T: ParallelTarget> ShardedCampaign<'p, T> {
     /// that fires after the last batch was claimed lets the run complete
     /// normally — cancellation is advisory, never destructive.
     pub fn run(self) -> Result<CampaignRun, TargetError> {
-        let ShardedCampaign { inner, shards, sink, resume, min_rows_per_shard } = self;
+        let ShardedCampaign { inner, shards, sink, resume } = self;
         let Campaign { plan, target: base, shuffle_seed, observer, profiler, cancel } = inner;
         let _run_span = profiler.span_on("engine", "engine.run");
         let wall_start = Instant::now();
         let n = plan.len();
-        let workers = effective_workers(n, shards, min_rows_per_shard);
+        let workers = effective_workers(n, shards);
         if workers > 1 && !base.shard_invariant() {
             return Err(TargetError::NotShardable { target: base.name() });
         }
@@ -658,7 +621,7 @@ impl<'p, T: ParallelTarget> ShardedCampaign<'p, T> {
         // Guided geometry: batches shrink as the claim counter drains
         // (see batch_bounds), so the tail is fine-grained where stealing
         // pays and coarse where it does not.
-        let bounds = batch_bounds(n, workers, min_rows_per_shard);
+        let bounds = batch_bounds(n, workers);
         let nbatches = bounds.len();
         let interned = intern_rows(plan);
         // When resuming, replay finished batches from the store instead of
@@ -1106,13 +1069,7 @@ mod tests {
                 .data;
         for shards in [2usize, 3, 7] {
             let target = NetworkTarget::new("myrinet", presets::myrinet_gm(42));
-            let parallel = Campaign::new(&plan, target)
-                .shards(shards)
-                .min_rows_per_shard(1)
-                .seed(3)
-                .run()
-                .unwrap()
-                .data;
+            let parallel = Campaign::new(&plan, target).shards(shards).seed(3).run().unwrap().data;
             assert_eq!(parallel.records.len(), sequential.records.len());
             for (s, p) in sequential.records.iter().zip(&parallel.records) {
                 assert_eq!(s.levels, p.levels, "{shards} shards");
@@ -1132,7 +1089,7 @@ mod tests {
                 );
             }
             assert_eq!(parallel.metadata["shards"], shards.to_string());
-            let batches = batch_count(plan.len(), shards, 1);
+            let batches = batch_bounds(plan.len(), shards).len();
             assert_eq!(parallel.metadata["batches"], batches.to_string());
             let offsets = parallel.metadata["shard_clock_offsets"].split(',').count();
             assert_eq!(offsets, batches);
@@ -1152,7 +1109,6 @@ mod tests {
             Campaign::new(&plan, MemoryTarget::new("arm", arm_machine(21))).seed(8).run().unwrap();
         let parallel = Campaign::new(&plan, MemoryTarget::new("arm", arm_machine(21)))
             .shards(4)
-            .min_rows_per_shard(1)
             .seed(8)
             .run()
             .unwrap();
@@ -1166,87 +1122,43 @@ mod tests {
     fn shards_clamp_to_plan_rows() {
         let plan = shuffled_net_plan(1, 1); // 12 rows
         let target = NetworkTarget::new("t", presets::taurus_openmpi_tcp(1));
-        let campaign = Campaign::new(&plan, target)
-            .shards(99)
-            .min_rows_per_shard(1)
-            .seed(1)
-            .run()
-            .unwrap()
-            .data;
+        let campaign = Campaign::new(&plan, target).shards(99).seed(1).run().unwrap().data;
         assert_eq!(campaign.records.len(), 12);
         assert_eq!(campaign.metadata["shards"], "12");
     }
 
-    /// The tiny-campaign clamp: a 100-row plan asked for 8 shards runs
-    /// on one worker under the default heuristic (thread startup would
-    /// rival the measurement loop), scales up as the floor is lowered,
-    /// and produces identical records at every setting.
-    #[test]
-    fn min_rows_per_shard_clamps_tiny_campaigns() {
-        let mut plan = FullFactorial::new()
-            .factor(Factor::new("op", vec!["ping_pong"]))
-            .factor(Factor::new("size", vec![64i64, 1024, 16384, 262144]))
-            .replicates(25) // 100 rows
-            .build()
-            .unwrap();
-        plan.shuffle(61);
-        assert_eq!(plan.len(), 100);
-        let run_with = |configure: fn(
-            ShardedCampaign<'_, NetworkTarget>,
-        ) -> ShardedCampaign<'_, NetworkTarget>| {
-            let target = NetworkTarget::new("m", presets::myrinet_gm(61));
-            configure(Campaign::new(&plan, target).shards(8)).seed(61).run().unwrap().data
-        };
-        let default_clamp = run_with(|c| c);
-        assert_eq!(default_clamp.metadata["shards"], "1", "100 rows / 64 floor -> 1 worker");
-        assert_eq!(default_clamp.metadata["batches"], "1");
-        let relaxed = run_with(|c| c.min_rows_per_shard(25));
-        assert_eq!(relaxed.metadata["shards"], "4", "100 rows / 25 floor -> 4 workers");
-        let unclamped = run_with(|c| c.min_rows_per_shard(1));
-        assert_eq!(unclamped.metadata["shards"], "8");
-        let values = |c: &CampaignData| {
-            c.records.iter().map(|r| (r.sequence, r.value.to_bits())).collect::<Vec<_>>()
-        };
-        assert_eq!(values(&default_clamp), values(&relaxed));
-        assert_eq!(values(&default_clamp), values(&unclamped));
-    }
-
     #[test]
     fn geometry_helpers_are_pure_and_clamped() {
-        assert_eq!(effective_workers(100, 8, DEFAULT_MIN_ROWS_PER_SHARD), 1);
-        assert_eq!(effective_workers(100, 8, 25), 4);
-        assert_eq!(effective_workers(100, 8, 0), 8);
-        assert_eq!(effective_workers(100, 8, 1), 8);
-        assert_eq!(effective_workers(3, 8, 1), 3, "never more workers than rows");
-        assert_eq!(effective_workers(0, 8, 1), 1, "empty plan still gets one worker");
-        assert_eq!(batch_count(100, 1, 1), 1, "one worker means one batch");
-        assert_eq!(batch_count(0, 1, 1), 1, "empty plan still gets one (empty) batch");
-        assert_eq!(batch_bounds(100, 1, 1), vec![(0, 100)]);
-        assert_eq!(batch_count(96, 3, 1), 15, "store smoke geometry (see ci.yml)");
+        assert_eq!(effective_workers(100, 8), 8, "the request is the geometry");
+        assert_eq!(effective_workers(3, 8), 3, "never more workers than rows");
+        assert_eq!(effective_workers(0, 8), 1, "empty plan still gets one worker");
+        assert_eq!(effective_workers(100, 0), 1, "at least one worker");
+        assert_eq!(batch_bounds(100, 1), vec![(0, 100)], "one worker means one batch");
+        assert_eq!(batch_bounds(0, 1), vec![(0, 0)], "empty plan still gets one (empty) batch");
+        assert_eq!(batch_bounds(96, 3).len(), 15, "store smoke geometry (see ci.yml)");
     }
 
     /// The guided geometry's contract: bounds partition the plan
     /// contiguously, batch sizes never increase along the claim order,
-    /// and no batch but the last drops below the row floor.
+    /// and no batch but the last drops below the row floor of 1/8 of a
+    /// worker's static share.
     #[test]
     fn batch_bounds_shrink_monotonically_and_respect_the_floor() {
-        for (rows, workers, floor) in
-            [(100usize, 4usize, 1usize), (96, 3, 1), (6000, 4, 64), (6, 4, 1), (7, 3, 2), (2, 2, 1)]
-        {
-            let bounds = batch_bounds(rows, workers, floor);
-            assert_eq!(bounds.first().unwrap().0, 0, "{rows}/{workers}/{floor}");
-            assert_eq!(bounds.last().unwrap().1, rows, "{rows}/{workers}/{floor}");
+        for (rows, workers) in [(100usize, 4usize), (96, 3), (6000, 4), (6, 4), (7, 3), (2, 2)] {
+            let bounds = batch_bounds(rows, workers);
+            let floor = (rows / (workers * 8)).max(1);
+            assert_eq!(bounds.first().unwrap().0, 0, "{rows}/{workers}");
+            assert_eq!(bounds.last().unwrap().1, rows, "{rows}/{workers}");
             for w in bounds.windows(2) {
-                assert_eq!(w[0].1, w[1].0, "contiguous: {rows}/{workers}/{floor}");
+                assert_eq!(w[0].1, w[1].0, "contiguous: {rows}/{workers}");
                 assert!(
                     w[1].1 - w[1].0 <= w[0].1 - w[0].0,
-                    "sizes never increase: {rows}/{workers}/{floor}"
+                    "sizes never increase: {rows}/{workers}"
                 );
             }
             for &(lo, hi) in &bounds[..bounds.len() - 1] {
-                assert!(hi - lo >= floor, "floor respected: {rows}/{workers}/{floor}");
+                assert!(hi - lo >= floor, "floor respected: {rows}/{workers}");
             }
-            assert_eq!(batch_count(rows, workers, floor), bounds.len());
             assert_eq!(
                 scheduler_splits(&bounds),
                 bounds.windows(2).filter(|w| w[1].1 - w[1].0 < w[0].1 - w[0].0).count() as u64
@@ -1263,7 +1175,7 @@ mod tests {
             .build()
             .unwrap();
         let target = NetworkTarget::new("m", presets::myrinet_gm(1));
-        let err = Campaign::new(&plan, target).shards(3).min_rows_per_shard(1).run().unwrap_err();
+        let err = Campaign::new(&plan, target).shards(3).run().unwrap_err();
         assert!(matches!(err, TargetError::BadFactor { name: "op", .. }));
     }
 
@@ -1274,7 +1186,6 @@ mod tests {
             let target = NetworkTarget::new("t", presets::taurus_openmpi_tcp(13));
             let run = Campaign::new(&plan, target)
                 .shards(shards)
-                .min_rows_per_shard(1)
                 .seed(13)
                 .observer(Observer::default())
                 .run()
@@ -1293,7 +1204,7 @@ mod tests {
                 assert_eq!(e.seq, i as u64, "{shards} shards");
             }
             // one span per batch plus the whole-campaign span
-            let batches = batch_count(plan.len(), shards, 1);
+            let batches = batch_bounds(plan.len(), shards).len();
             assert_eq!(many.spans.len(), batches + 1);
             assert_eq!(many.spans[batches].name, "campaign");
         }
@@ -1305,7 +1216,6 @@ mod tests {
         let target = NetworkTarget::new("t", presets::taurus_openmpi_tcp(29));
         let run = Campaign::new(&plan, target)
             .shards(4)
-            .min_rows_per_shard(1)
             .seed(29)
             .observer(Observer::default())
             .run()
@@ -1345,12 +1255,14 @@ mod tests {
                 ),
             )
         };
-        let err = Campaign::new(&plan, mk()).shards(2).min_rows_per_shard(1).run().unwrap_err();
+        let err = Campaign::new(&plan, mk()).shards(2).run().unwrap_err();
         assert!(matches!(err, TargetError::NotShardable { .. }));
         // one shard is always fine: it is just the sequential run
         assert!(Campaign::new(&plan, mk()).shards(1).run().is_ok());
-        // so is a request the tiny-campaign clamp reduces to one worker
-        assert!(Campaign::new(&plan, mk()).shards(2).run().is_ok());
+        // so is any request on a one-row plan: it clamps to one worker
+        let one_row =
+            FullFactorial::new().factor(Factor::new("size_bytes", vec![8192i64])).build().unwrap();
+        assert!(Campaign::new(&one_row, mk()).shards(2).run().is_ok());
     }
 
     #[test]
@@ -1366,7 +1278,6 @@ mod tests {
             let target = MemoryTarget::new("arm", arm_machine(21));
             Campaign::new(&plan, target)
                 .shards(shards)
-                .min_rows_per_shard(1)
                 .seed(31)
                 .observer(Observer::default())
                 .run()
@@ -1391,7 +1302,7 @@ mod tests {
             let builder = Campaign::new(&plan, target).seed(19).profiler(profiler);
             match shards {
                 0 => builder.run().unwrap().data,
-                k => builder.shards(k).min_rows_per_shard(1).run().unwrap().data,
+                k => builder.shards(k).run().unwrap().data,
             }
         };
         for shards in [0usize, 3] {
@@ -1432,18 +1343,12 @@ mod tests {
         let plan = shuffled_net_plan(4, 7);
         let p = Profiler::enabled();
         let target = NetworkTarget::new("t", presets::taurus_openmpi_tcp(7));
-        Campaign::new(&plan, target)
-            .shards(3)
-            .min_rows_per_shard(1)
-            .seed(7)
-            .profiler(p.clone())
-            .run()
-            .unwrap();
+        Campaign::new(&plan, target).shards(3).seed(7).profiler(p.clone()).run().unwrap();
         let spans = p.take();
         // Every batch executed on some worker track; which worker ran
         // which batch is scheduling, not science, so assert coverage
         // rather than placement.
-        let batches = batch_count(plan.len(), 3, 1);
+        let batches = batch_bounds(plan.len(), 3).len();
         let batch_spans: Vec<_> = spans
             .iter()
             .filter(|s| s.track.starts_with("shard") && s.name == "batch.execute")
@@ -1495,7 +1400,6 @@ mod tests {
         );
         let run = Campaign::new(&plan, MemoryTarget::new("arm", machine))
             .shards(3)
-            .min_rows_per_shard(1)
             .seed(43)
             .observer(Observer::default())
             .run()
@@ -1507,10 +1411,10 @@ mod tests {
         assert_eq!(hits + misses, plan.len() as u64, "one cache lookup per row");
         assert!(hits > 0, "repeated (size, stride) rows must hit the shared cache");
         assert_eq!(d.get("simmem.profile_cache.hit_rate_permille"), hits * 1000 / (hits + misses));
-        assert_eq!(d.get("engine.scheduler.batches"), batch_count(plan.len(), 3, 1) as u64);
+        assert_eq!(d.get("engine.scheduler.batches"), batch_bounds(plan.len(), 3).len() as u64);
         assert_eq!(
             d.get("engine.scheduler.splits"),
-            scheduler_splits(&batch_bounds(plan.len(), 3, 1))
+            scheduler_splits(&batch_bounds(plan.len(), 3))
         );
         // per-worker breakdowns sum to the campaign totals
         let per_worker_hits: u64 =
@@ -1579,7 +1483,6 @@ mod tests {
         let plan = shuffled_net_plan(4, 37);
         let plain = Campaign::new(&plan, NetworkTarget::new("t", presets::taurus_openmpi_tcp(37)))
             .shards(3)
-            .min_rows_per_shard(1)
             .seed(37)
             .run()
             .unwrap()
@@ -1587,7 +1490,6 @@ mod tests {
         let sink = MemorySink::default();
         let stored = Campaign::new(&plan, NetworkTarget::new("t", presets::taurus_openmpi_tcp(37)))
             .shards(3)
-            .min_rows_per_shard(1)
             .seed(37)
             .store(&sink)
             .run()
@@ -1595,7 +1497,7 @@ mod tests {
             .data;
         assert_bit_identical(&plain, &stored);
         // every batch flushed exactly one segment
-        let batches = batch_count(plan.len(), 3, 1);
+        let batches = batch_bounds(plan.len(), 3).len();
         assert_eq!(sink.saves(), batches);
         let segments = sink.segments.lock().unwrap();
         assert_eq!(segments.len(), batches);
@@ -1608,7 +1510,6 @@ mod tests {
         let plan = shuffled_net_plan(5, 41);
         let fresh = Campaign::new(&plan, NetworkTarget::new("m", presets::myrinet_gm(41)))
             .shards(4)
-            .min_rows_per_shard(1)
             .seed(41)
             .run()
             .unwrap()
@@ -1616,19 +1517,17 @@ mod tests {
         let sink = MemorySink::default();
         Campaign::new(&plan, NetworkTarget::new("m", presets::myrinet_gm(41)))
             .shards(4)
-            .min_rows_per_shard(1)
             .seed(41)
             .store(&sink)
             .run()
             .unwrap();
         // Kill a strict subset of batches, as if the campaign died mid-run.
-        let batches = batch_count(plan.len(), 4, 1);
+        let batches = batch_bounds(plan.len(), 4).len();
         sink.remove(1, batches);
         sink.remove(batches - 1, batches);
         let saves_before = sink.saves();
         let resumed = Campaign::new(&plan, NetworkTarget::new("m", presets::myrinet_gm(41)))
             .shards(4)
-            .min_rows_per_shard(1)
             .seed(41)
             .store(&sink)
             .resume(true)
@@ -1646,7 +1545,6 @@ mod tests {
         let sink = MemorySink::default();
         let stored = Campaign::new(&plan, NetworkTarget::new("t", presets::taurus_openmpi_tcp(53)))
             .shards(2)
-            .min_rows_per_shard(1)
             .seed(53)
             .store(&sink)
             .run()
@@ -1656,7 +1554,6 @@ mod tests {
         let resumed =
             Campaign::new(&plan, NetworkTarget::new("t", presets::taurus_openmpi_tcp(53)))
                 .shards(2)
-                .min_rows_per_shard(1)
                 .seed(53)
                 .store(&sink)
                 .resume(true)
@@ -1696,13 +1593,12 @@ mod tests {
         let sink = MemorySink::default();
         Campaign::new(&plan, NetworkTarget::new("t", presets::taurus_openmpi_tcp(3)))
             .shards(2)
-            .min_rows_per_shard(1)
             .seed(3)
             .store(&sink)
             .run()
             .unwrap();
         // Truncate batch 0's segment: resume must refuse, not re-measure.
-        let batches = batch_count(plan.len(), 2, 1);
+        let batches = batch_bounds(plan.len(), 2).len();
         {
             let mut segments = sink.segments.lock().unwrap();
             let chk = segments.get_mut(&(0, batches)).unwrap();
@@ -1710,7 +1606,6 @@ mod tests {
         }
         let err = Campaign::new(&plan, NetworkTarget::new("t", presets::taurus_openmpi_tcp(3)))
             .shards(2)
-            .min_rows_per_shard(1)
             .seed(3)
             .store(&sink)
             .resume(true)
@@ -1756,7 +1651,6 @@ mod tests {
         let plan = shuffled_net_plan(6, 61);
         let fresh = Campaign::new(&plan, NetworkTarget::new("m", presets::myrinet_gm(61)))
             .shards(4)
-            .min_rows_per_shard(1)
             .seed(61)
             .run()
             .unwrap()
@@ -1766,7 +1660,6 @@ mod tests {
         let cancelling = CancelAfterSink { inner: &sink, token: token.clone(), after: 1 };
         let err = Campaign::new(&plan, NetworkTarget::new("m", presets::myrinet_gm(61)))
             .shards(4)
-            .min_rows_per_shard(1)
             .seed(61)
             .store(&cancelling)
             .cancel_token(token.clone())
@@ -1777,7 +1670,7 @@ mod tests {
         // Stopped promptly: the claim loop stopped handing out batches, so
         // a strict subset of the geometry ran — at least the segment that
         // fired the token, at most one in-flight batch per worker more.
-        let batches = batch_count(plan.len(), 4, 1);
+        let batches = batch_bounds(plan.len(), 4).len();
         let saved = sink.saves();
         assert!(saved >= 1, "the triggering segment was flushed");
         assert!(saved < batches, "cancellation must not run the whole campaign (ran {saved})");
@@ -1790,7 +1683,6 @@ mod tests {
         }
         let resumed = Campaign::new(&plan, NetworkTarget::new("m", presets::myrinet_gm(61)))
             .shards(4)
-            .min_rows_per_shard(1)
             .seed(61)
             .store(&sink)
             .resume(true)
@@ -1821,7 +1713,6 @@ mod tests {
         token.cancel();
         let err = Campaign::new(&plan, NetworkTarget::new("t", presets::taurus_openmpi_tcp(7)))
             .shards(2)
-            .min_rows_per_shard(1)
             .seed(7)
             .store(&sink)
             .cancel_token(token)
@@ -1838,11 +1729,10 @@ mod tests {
         let plan = shuffled_net_plan(2, 11);
         let sink = MemorySink::default();
         let token = CancelToken::new();
-        let batches = batch_count(plan.len(), 2, 1);
+        let batches = batch_bounds(plan.len(), 2).len();
         let late = CancelAfterSink { inner: &sink, token: token.clone(), after: batches };
         let run = Campaign::new(&plan, NetworkTarget::new("t", presets::taurus_openmpi_tcp(11)))
             .shards(2)
-            .min_rows_per_shard(1)
             .seed(11)
             .store(&late)
             .cancel_token(token.clone())

@@ -45,10 +45,7 @@ pub mod registry;
 pub mod replicate;
 pub mod target;
 
-pub use campaign::{
-    batch_bounds, batch_count, effective_workers, Campaign, CampaignRun, ShardedCampaign,
-    DEFAULT_MIN_ROWS_PER_SHARD,
-};
+pub use campaign::{batch_bounds, effective_workers, Campaign, CampaignRun, ShardedCampaign};
 pub use cancel::CancelToken;
 pub use checkpoint::{CheckpointError, CheckpointSink, ShardCheckpoint};
 pub use record::{Campaign as CampaignData, RawRecord};

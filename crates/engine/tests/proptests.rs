@@ -9,7 +9,7 @@ use charm_design::Factor;
 use charm_engine::checkpoint::{CheckpointError, CheckpointSink, ShardCheckpoint};
 use charm_engine::record::Campaign;
 use charm_engine::target::{MemoryTarget, NetworkTarget, ParallelTarget};
-use charm_engine::{batch_bounds, batch_count, effective_workers};
+use charm_engine::{batch_bounds, effective_workers};
 use charm_obs::Observer;
 use charm_simmem::dvfs::GovernorPolicy;
 use charm_simmem::machine::{CpuSpec, MachineSim};
@@ -129,11 +129,12 @@ proptest! {
             .unwrap();
         let many = charm_engine::Campaign::new(&plan, base.fork(base.stream_seed()))
             .shards(shards)
-            .min_rows_per_shard(1)
             .seed(seed)
             .observer(Observer::default())
             .run()
             .unwrap();
+        // the requested shards are the shards that ran, clamped to the rows
+        prop_assert_eq!(&many.data.metadata["shards"], &shards.clamp(1, plan.len()).to_string());
         prop_assert_eq!(one.data.records.len(), many.data.records.len());
         for (a, b) in one.data.records.iter().zip(&many.data.records) {
             prop_assert_eq!(&a.levels, &b.levels);
@@ -216,7 +217,6 @@ proptest! {
             for k in [1usize, shards] {
                 let got = charm_engine::Campaign::new(&plan, mem_target(seed, cache_capacity))
                     .shards(k)
-                    .min_rows_per_shard(1)
                     .seed(seed)
                     .run()
                     .unwrap()
@@ -287,12 +287,11 @@ proptest! {
         let distinct: std::collections::HashSet<i64> = sizes.iter().copied().collect();
         let plan = plan_of(distinct.into_iter().collect(), reps, Some(seed));
         let base = NetworkTarget::new("m", presets::myrinet_gm(seed));
-        let workers = effective_workers(plan.len(), shards, 1);
-        let nbatches = batch_count(plan.len(), workers, 1);
+        let workers = effective_workers(plan.len(), shards);
+        let nbatches = batch_bounds(plan.len(), workers).len();
 
         let uninterrupted = charm_engine::Campaign::new(&plan, base.fork(base.stream_seed()))
             .shards(shards)
-            .min_rows_per_shard(1)
             .seed(seed)
             .run()
             .unwrap()
@@ -301,7 +300,6 @@ proptest! {
         let sink = MemorySink::new();
         let first = charm_engine::Campaign::new(&plan, base.fork(base.stream_seed()))
             .shards(shards)
-            .min_rows_per_shard(1)
             .seed(seed)
             .store(&sink)
             .run()
@@ -317,7 +315,6 @@ proptest! {
         }
         let resumed = charm_engine::Campaign::new(&plan, base.fork(base.stream_seed()))
             .shards(shards)
-            .min_rows_per_shard(1)
             .seed(seed)
             .store(&sink)
             .resume(true)
@@ -371,7 +368,6 @@ proptest! {
         let base = NetworkTarget::new("m", presets::myrinet_gm(seed));
         let c = charm_engine::Campaign::new(&plan, base.fork(base.stream_seed()))
             .shards(shards)
-            .min_rows_per_shard(1)
             .seed(seed)
             .run()
             .unwrap()
@@ -395,7 +391,6 @@ proptest! {
         let base = NetworkTarget::new("m", presets::myrinet_gm(seed));
         let c = charm_engine::Campaign::new(&plan, base.fork(base.stream_seed()))
             .shards(shards)
-            .min_rows_per_shard(1)
             .seed(seed)
             .run()
             .unwrap()
@@ -430,7 +425,6 @@ proptest! {
         let sink = MemorySink::new();
         let merged = charm_engine::Campaign::new(&plan, base.fork(base.stream_seed()))
             .shards(shards)
-            .min_rows_per_shard(1)
             .seed(seed)
             .store(&sink)
             .run()
@@ -455,18 +449,17 @@ proptest! {
         prop_assert_eq!(next_seq as usize, merged.records.len());
     }
 
-    /// Adaptive scheduler geometry: for any (rows, workers, floor) the
-    /// batch bounds partition `0..rows` contiguously, shrink
-    /// monotonically along the claim order, keep every non-final batch
-    /// at or above the floor, and agree with `batch_count`.
+    /// Adaptive scheduler geometry: for any (rows, workers) the batch
+    /// bounds partition `0..rows` contiguously, shrink monotonically
+    /// along the claim order, and keep every non-final batch at or
+    /// above the floor of 1/8 of a worker's static share.
     #[test]
     fn batch_bounds_partition_any_geometry(
         rows in 0usize..4000,
         workers in 1usize..9,
-        floor in 1usize..300,
     ) {
-        let bounds = batch_bounds(rows, workers, floor);
-        prop_assert_eq!(bounds.len(), batch_count(rows, workers, floor));
+        let bounds = batch_bounds(rows, workers);
+        let floor = (rows / (workers * 8)).max(1);
         prop_assert_eq!(bounds[0].0, 0);
         prop_assert_eq!(bounds.last().unwrap().1, rows);
         for w in bounds.windows(2) {

@@ -759,9 +759,9 @@ fn finish(shared: &Shared, job: &Job) {
 }
 
 /// Runs one job's campaign on the work-stealing engine, streaming
-/// through `sink`. `min_rows_per_shard(1)` takes the requested shard
-/// count literally, so the run's geometry — and therefore its metadata
-/// and run ID — is exactly what the submission asked for.
+/// through `sink`. The engine takes the requested shard count
+/// literally, so the run's geometry — and therefore its metadata and
+/// run ID — is exactly what the submission asked for.
 fn run_sharded<T: ParallelTarget>(
     job: &Job,
     target: T,
@@ -771,7 +771,6 @@ fn run_sharded<T: ParallelTarget>(
         .shards(job.shards as usize)
         .seed(job.shuffle_seed)
         .cancel_token(job.cancel.clone())
-        .min_rows_per_shard(1)
         .store(sink)
         .resume(job.resume);
     if job.observe {

@@ -66,7 +66,6 @@ fn direct_csv(plan_text: &str, platform: &str, seed: u64, shards: u64) -> String
         charm_engine::ResolvedTarget::Network(t) => charm_engine::Campaign::new(&bench.plan, *t)
             .shards(shards as usize)
             .seed(bench.order_seed)
-            .min_rows_per_shard(1)
             .run()
             .unwrap(),
         other => panic!("unexpected target {other:?}"),

@@ -62,7 +62,7 @@ pub struct MachineFacts {
     /// Operating system (`std::env::consts::OS`).
     pub os: String,
     /// Every `CHARM_*` environment variable set when the run was
-    /// archived (sorted), e.g. `CHARM_SHARDS`.
+    /// archived (sorted), e.g. `CHARM_SEED`.
     pub env: BTreeMap<String, String>,
 }
 
@@ -290,7 +290,7 @@ mod tests {
             machine: Some(MachineFacts {
                 cores: 4,
                 os: "linux".into(),
-                env: [("CHARM_SHARDS".to_string(), "4".to_string())].into_iter().collect(),
+                env: [("CHARM_SEED".to_string(), "5".to_string())].into_iter().collect(),
             }),
             versions: "charm-store 0.1.0".into(),
             cli_args: "run_campaign plan.dsl net --store results/store".into(),
@@ -361,7 +361,7 @@ mod tests {
         let facts = back.machine.as_ref().unwrap();
         assert_eq!(facts.cores, 4);
         assert_eq!(facts.os, "linux");
-        assert_eq!(facts.env.get("CHARM_SHARDS").map(String::as_str), Some("4"));
+        assert_eq!(facts.env.get("CHARM_SEED").map(String::as_str), Some("5"));
         assert_eq!(facts.host_class(), "linux/4c");
         // empty env still round-trips
         let bare = Manifest {

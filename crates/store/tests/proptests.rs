@@ -45,7 +45,7 @@ fn plan_of(sizes: &[i64], reps: u32, seed: u64) -> ExperimentPlan {
 
 fn run(plan: &ExperimentPlan, seed: u64, shards: usize) -> CampaignData {
     let target = NetworkTarget::new("m", presets::myrinet_gm(seed));
-    Campaign::new(plan, target).shards(shards).min_rows_per_shard(1).seed(seed).run().unwrap().data
+    Campaign::new(plan, target).shards(shards).seed(seed).run().unwrap().data
 }
 
 fn distinct_sizes(raw: &[i64]) -> Vec<i64> {
@@ -70,8 +70,8 @@ proptest! {
 
         // The scheduler checkpoints dynamically claimed *batches*, not
         // worker shards — segments on disk are keyed by batch geometry.
-        let workers = charm_engine::effective_workers(plan.len(), shards, 1);
-        let nbatches = charm_engine::batch_count(plan.len(), workers, 1);
+        let workers = charm_engine::effective_workers(plan.len(), shards);
+        let nbatches = charm_engine::batch_bounds(plan.len(), workers).len();
 
         let dir = scratch("resume");
         let store = Store::open(&dir).unwrap();
@@ -79,7 +79,6 @@ proptest! {
         let target = NetworkTarget::new("m", presets::myrinet_gm(seed));
         Campaign::new(&plan, target)
             .shards(shards)
-            .min_rows_per_shard(1)
             .seed(seed)
             .store(&session)
             .run()
@@ -103,7 +102,6 @@ proptest! {
         let target = NetworkTarget::new("m", presets::myrinet_gm(seed));
         let resumed = Campaign::new(&plan, target)
             .shards(shards)
-            .min_rows_per_shard(1)
             .seed(seed)
             .store(&session)
             .resume(true)

