@@ -42,16 +42,6 @@ pub fn coeff_of_variation(xs: &[f64]) -> Result<f64> {
     Ok(std_dev(xs)? / m)
 }
 
-/// Geometric mean; all values must be strictly positive.
-pub fn geometric_mean(xs: &[f64]) -> Result<f64> {
-    ensure_sample(xs)?;
-    if xs.iter().any(|&v| v <= 0.0) {
-        return Err(AnalysisError::InvalidParameter("geometric mean needs positive values"));
-    }
-    let log_sum: f64 = xs.iter().map(|v| v.ln()).sum();
-    Ok((log_sum / xs.len() as f64).exp())
-}
-
 /// Quantile estimator, R type-7 (the default of R's `quantile`, which the
 /// paper's analysis scripts used): linear interpolation between order
 /// statistics.
@@ -168,26 +158,6 @@ pub fn skewness(xs: &[f64]) -> Result<f64> {
     Ok(m3 / m2.powf(1.5))
 }
 
-/// Excess kurtosis (fourth standardized moment minus 3, bias-uncorrected).
-///
-/// Strongly *negative* excess kurtosis on a per-configuration sample is a
-/// cheap flag for bimodality (cf. Figure 11): a balanced two-point mixture
-/// has excess kurtosis approaching −2.
-pub fn excess_kurtosis(xs: &[f64]) -> Result<f64> {
-    ensure_sample(xs)?;
-    if xs.len() < 4 {
-        return Err(AnalysisError::TooFewObservations { needed: 4, got: xs.len() });
-    }
-    let m = mean(xs)?;
-    let n = xs.len() as f64;
-    let m2: f64 = xs.iter().map(|v| (v - m).powi(2)).sum::<f64>() / n;
-    let m4: f64 = xs.iter().map(|v| (v - m).powi(4)).sum::<f64>() / n;
-    if m2 == 0.0 {
-        return Ok(0.0);
-    }
-    Ok(m4 / (m2 * m2) - 3.0)
-}
-
 /// Five-number summary plus mean/sd/MAD — the per-cell record the analysis
 /// stage attaches to every factor combination.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -235,14 +205,6 @@ impl Summary {
     /// Interquartile range `q3 − q1`.
     pub fn iqr(&self) -> f64 {
         self.q3 - self.q1
-    }
-
-    /// Tukey boxplot whisker positions: `q1 − 1.5·IQR` and `q3 + 1.5·IQR`,
-    /// clamped to the observed min/max as conventional boxplots do.
-    pub fn whiskers(&self) -> (f64, f64) {
-        let lo = (self.q1 - 1.5 * self.iqr()).max(self.min);
-        let hi = (self.q3 + 1.5 * self.iqr()).min(self.max);
-        (lo, hi)
     }
 }
 
@@ -346,12 +308,6 @@ mod tests {
     }
 
     #[test]
-    fn geometric_mean_hand_checked() {
-        assert!((geometric_mean(&[1.0, 100.0]).unwrap() - 10.0).abs() < 1e-9);
-        assert!(geometric_mean(&[1.0, 0.0]).is_err());
-    }
-
-    #[test]
     fn cv_of_constant_is_zero() {
         assert!(coeff_of_variation(&[5.0, 5.0, 5.0]).unwrap().abs() < EPS);
     }
@@ -368,13 +324,6 @@ mod tests {
     }
 
     #[test]
-    fn kurtosis_of_two_point_mixture_is_negative() {
-        // Balanced two-point mixture: excess kurtosis -> -2.
-        let xs = [0.0, 0.0, 0.0, 1.0, 1.0, 1.0];
-        assert!((excess_kurtosis(&xs).unwrap() + 2.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn summary_consistency() {
         let xs = [9.0, 1.0, 5.0, 3.0, 7.0];
         let s = Summary::of(&xs).unwrap();
@@ -384,8 +333,6 @@ mod tests {
         assert_eq!(s.median, 5.0);
         assert!(s.q1 <= s.median && s.median <= s.q3);
         assert!((s.mean - 5.0).abs() < EPS);
-        let (lo, hi) = s.whiskers();
-        assert!(lo >= s.min && hi <= s.max);
     }
 
     #[test]

@@ -49,11 +49,6 @@ impl Ecdf {
         self.sorted[idx]
     }
 
-    /// The underlying sorted sample.
-    pub fn sorted_values(&self) -> &[f64] {
-        &self.sorted
-    }
-
     /// Two-sample Kolmogorov–Smirnov statistic: the supremum distance
     /// between this ECDF and `other`. Useful for checking whether two
     /// experiment campaigns with identical inputs produced compatible

@@ -10,7 +10,7 @@
 //! therefore provides everything the paper's R scripts used, as plain Rust:
 //!
 //! * [`descriptive`] — means, variances, quantiles, MAD, summaries;
-//! * [`ecdf`] / [`histogram`] — distribution views;
+//! * [`ecdf`] — empirical distribution functions;
 //! * [`regression`] — ordinary and weighted least squares;
 //! * [`piecewise`] — piecewise-linear models with analyst-provided
 //!   breakpoints (the supervised procedure of paper §V-A);
@@ -21,13 +21,12 @@
 //! * [`outliers`] — Tukey / MAD / z-score rules;
 //! * [`modes`] — 1-D bimodality detection (the two scheduler modes of
 //!   Figure 11 that plain mean/variance reporting hides);
+//! * [`anova`] — one-way ANOVA for factor screening;
+//! * [`sequence`] — sequence-order diagnostics (autocorrelation, runs);
 //! * [`changepoint`] — both the *online* least-squares detector that
 //!   NetGauge-style tools embed, and offline binary segmentation;
 //! * [`prefix`] — prefix-sum incremental least squares: O(1) stretch SSE
 //!   queries that turn the free segmentation search from O(n³) to O(n²);
-//! * [`bootstrap`] — resampling confidence intervals (parallel above a
-//!   replicate threshold, with per-replicate derived RNG streams so the
-//!   intervals are identical either way);
 //! * [`speedup`] — Touati-style paired speedup tests: bootstrap
 //!   confidence intervals on benefit ratios of medians with
 //!   `faster`/`slower`/`indistinguishable` verdicts (the statistics
@@ -40,19 +39,15 @@
 #![warn(missing_docs)]
 
 pub mod anova;
-pub mod bootstrap;
 pub mod changepoint;
 pub mod descriptive;
 pub mod ecdf;
 pub mod error;
-pub mod histogram;
-pub mod kde;
 pub mod loess;
 pub mod modes;
 pub mod outliers;
 pub mod piecewise;
 pub mod prefix;
-pub mod ranktests;
 pub mod regression;
 pub mod segmented;
 pub mod sequence;

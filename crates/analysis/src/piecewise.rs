@@ -137,11 +137,6 @@ impl PiecewiseLinear {
             })
             .collect()
     }
-
-    /// Slope change at each interior breakpoint.
-    pub fn slope_changes(&self) -> Vec<f64> {
-        self.segments.windows(2).map(|w| w[1].fit.slope - w[0].fit.slope).collect()
-    }
 }
 
 #[cfg(test)]
@@ -188,7 +183,6 @@ mod tests {
         assert_eq!(jumps.len(), 1);
         // left predicts 10, right predicts 70 at x=10 -> jump 60
         assert!((jumps[0] - 60.0).abs() < 1e-9);
-        assert!((pw.slope_changes()[0] - 4.0).abs() < 1e-9);
     }
 
     #[test]

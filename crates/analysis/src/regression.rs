@@ -95,42 +95,6 @@ pub fn weighted_ols(x: &[f64], y: &[f64], w: &[f64]) -> Result<LinearFit> {
     Ok(LinearFit { intercept, slope, sse, r_squared, n, slope_se, intercept_se })
 }
 
-/// Fits `y = b·x` through the origin (no intercept). This is how a pure
-/// per-byte cost (e.g. the gap `G` of LogGP for large messages) is
-/// estimated when latency has already been subtracted out.
-pub fn ols_through_origin(x: &[f64], y: &[f64]) -> Result<f64> {
-    ensure_paired(x, y)?;
-    let sxx: f64 = x.iter().map(|xi| xi * xi).sum();
-    if sxx == 0.0 {
-        return Err(AnalysisError::DegeneratePredictor);
-    }
-    let sxy: f64 = x.iter().zip(y).map(|(xi, yi)| xi * yi).sum();
-    Ok(sxy / sxx)
-}
-
-/// Pearson correlation coefficient between two paired samples.
-pub fn pearson(x: &[f64], y: &[f64]) -> Result<f64> {
-    ensure_paired(x, y)?;
-    if x.len() < 2 {
-        return Err(AnalysisError::TooFewObservations { needed: 2, got: x.len() });
-    }
-    let n = x.len() as f64;
-    let mx = x.iter().sum::<f64>() / n;
-    let my = y.iter().sum::<f64>() / n;
-    let mut sxy = 0.0;
-    let mut sxx = 0.0;
-    let mut syy = 0.0;
-    for (&xi, &yi) in x.iter().zip(y) {
-        sxy += (xi - mx) * (yi - my);
-        sxx += (xi - mx) * (xi - mx);
-        syy += (yi - my) * (yi - my);
-    }
-    if sxx == 0.0 || syy == 0.0 {
-        return Err(AnalysisError::DegeneratePredictor);
-    }
-    Ok(sxy / (sxx * syy).sqrt())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,26 +159,11 @@ mod tests {
     }
 
     #[test]
-    fn through_origin_hand_checked() {
-        // y = 3x exactly.
-        let x = [1.0, 2.0, 3.0];
-        let y = [3.0, 6.0, 9.0];
-        assert!((ols_through_origin(&x, &y).unwrap() - 3.0).abs() < EPS);
-    }
-
-    #[test]
     fn prediction_interpolates() {
         let x = [0.0, 10.0];
         let y = [5.0, 25.0];
         let f = ols(&x, &y).unwrap();
         assert!((f.predict(5.0) - 15.0).abs() < EPS);
-    }
-
-    #[test]
-    fn pearson_perfect_and_anti() {
-        let x = [1.0, 2.0, 3.0];
-        assert!((pearson(&x, &[2.0, 4.0, 6.0]).unwrap() - 1.0).abs() < EPS);
-        assert!((pearson(&x, &[6.0, 4.0, 2.0]).unwrap() + 1.0).abs() < EPS);
     }
 
     #[test]

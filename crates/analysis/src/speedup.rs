@@ -117,13 +117,6 @@ pub struct SpeedupCi {
     pub level: f64,
 }
 
-impl SpeedupCi {
-    /// Whether the interval contains the "no difference" ratio 1.0.
-    pub fn contains_unity(&self) -> bool {
-        self.lo <= 1.0 && 1.0 <= self.hi
-    }
-}
-
 /// The statistical verdict of a comparison: only an interval that
 /// clears 1.0 entirely supports a direction claim.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -499,7 +492,7 @@ mod tests {
         let xs = noisy(100.0, 20, 3);
         let ci = speedup_ci("c", &xs, &xs, Direction::LowerIsBetter, &cfg(1)).unwrap();
         assert_eq!(ci.estimate, 1.0);
-        assert!(ci.contains_unity(), "{ci:?}");
+        assert!(ci.lo <= 1.0 && 1.0 <= ci.hi, "{ci:?}");
         assert_eq!(Verdict::of(&ci), Verdict::Indistinguishable);
     }
 

@@ -2,7 +2,6 @@
 
 use charm_analysis::descriptive::{self, Summary};
 use charm_analysis::ecdf::Ecdf;
-use charm_analysis::histogram::{BinRule, Histogram};
 use charm_analysis::modes;
 use charm_analysis::outliers::{self, Rule};
 use charm_analysis::piecewise::PiecewiseLinear;
@@ -100,12 +99,6 @@ proptest! {
         prop_assert!(e.eval(lo) <= e.eval(hi));
         prop_assert!(e.eval(f64::NEG_INFINITY.max(-1e9)) >= 0.0);
         prop_assert!(e.eval(1e9) == 1.0);
-    }
-
-    #[test]
-    fn histogram_counts_sum_to_n(xs in sample(1), bins in 1usize..32) {
-        let h = Histogram::new(&xs, BinRule::Fixed(bins)).unwrap();
-        prop_assert_eq!(h.counts().iter().sum::<u64>(), xs.len() as u64);
     }
 
     #[test]

@@ -12,8 +12,13 @@ use charm_simmem::dvfs::GovernorPolicy;
 use charm_simmem::machine::{CpuSpec, MachineSim};
 use charm_simmem::paging::AllocPolicy;
 use charm_simmem::sched::SchedPolicy;
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
+    charm_bench::exit_status(run())
+}
+
+fn run() -> std::io::Result<()> {
     let args = charm_bench::cli::CommonArgs::parse("", charm_bench::cli::Reads::SHARED);
     let session = charm_bench::profile::Session::from_args(&args);
     let seed = args.seed;
@@ -65,7 +70,7 @@ fn main() {
     charm_bench::csvout::artifact("ablation_aggregation.csv")
         .meta("generator", "ablation_aggregation")
         .meta("seed", seed)
-        .write(&csv);
+        .write(&csv)?;
     println!("\nmean ± sd (all an opaque tool keeps) hides the two modes entirely");
-    session.finish();
+    session.finish()
 }

@@ -7,6 +7,7 @@ use charm_simmem::kernel::KernelConfig;
 use charm_simmem::machine::{CpuSpec, MachineSim};
 use charm_simmem::paging::AllocPolicy;
 use charm_simmem::sched::SchedPolicy;
+use std::process::ExitCode;
 
 /// Median bandwidth at `kb` KiB over reps for one run (seed).
 fn median_bw(alloc: AllocPolicy, seed: u64, kb: u64, reps: u32) -> f64 {
@@ -24,7 +25,11 @@ fn median_bw(alloc: AllocPolicy, seed: u64, kb: u64, reps: u32) -> f64 {
     v[v.len() / 2]
 }
 
-fn main() {
+fn main() -> ExitCode {
+    charm_bench::exit_status(run())
+}
+
+fn run() -> std::io::Result<()> {
     let args = charm_bench::cli::CommonArgs::parse("", charm_bench::cli::Reads::SHARED);
     let session = charm_bench::profile::Session::from_args(&args);
     let base = args.seed;
@@ -53,7 +58,7 @@ fn main() {
     charm_bench::csvout::artifact("ablation_allocation.csv")
         .meta("generator", "ablation_allocation")
         .meta("seed", base)
-        .write(&csv);
+        .write(&csv)?;
     println!("\nmalloc reuse makes each run stable but runs disagree wildly (the Figure 12 trap);\nthe pooled allocator samples many page layouts per run and reproduces across runs");
-    session.finish();
+    session.finish()
 }

@@ -4,8 +4,13 @@
 use charm_analysis::segmented::{segment, segment_with_k_breaks, SegmentConfig};
 use charm_simnet::noise::{BurstConfig, NoiseModel};
 use charm_simnet::{presets, NetOp};
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
+    charm_bench::exit_status(run())
+}
+
+fn run() -> std::io::Result<()> {
     let args = charm_bench::cli::CommonArgs::parse("", charm_bench::cli::Reads::SHARED);
     let session = charm_bench::profile::Session::from_args(&args);
     let seed = args.seed;
@@ -49,6 +54,6 @@ fn main() {
     charm_bench::csvout::artifact("ablation_breakpoints.csv")
         .meta("generator", "ablation_breakpoints")
         .meta("seed", seed)
-        .write(&csv);
-    session.finish();
+        .write(&csv)?;
+    session.finish()
 }

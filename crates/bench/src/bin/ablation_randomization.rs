@@ -12,6 +12,7 @@ use charm_design::Factor;
 use charm_engine::target::NetworkTarget;
 use charm_simnet::noise::{BurstConfig, NoiseModel};
 use charm_simnet::presets;
+use std::process::ExitCode;
 
 fn campaign(randomize: bool, seed: u64) -> charm_engine::record::Campaign {
     let sizes: Vec<i64> = (1..=40).map(|i| i * 1024).collect();
@@ -55,7 +56,11 @@ fn per_size_median_spread(c: &charm_engine::record::Campaign) -> f64 {
     jumps.iter().cloned().fold(1.0f64, f64::max)
 }
 
-fn main() {
+fn main() -> ExitCode {
+    charm_bench::exit_status(run())
+}
+
+fn run() -> std::io::Result<()> {
     let args = charm_bench::cli::CommonArgs::parse("", charm_bench::cli::Reads::SHARED);
     let session = charm_bench::profile::Session::from_args(&args);
     let seed = args.seed;
@@ -77,7 +82,7 @@ fn main() {
     charm_bench::csvout::artifact("ablation_randomization.csv")
         .meta("generator", "ablation_randomization")
         .meta("seed", seed)
-        .write(&csv);
+        .write(&csv)?;
     println!("\nsequential campaigns localize the burst in a block of sizes (phantom size effect);\nrandomized campaigns keep per-size medians smooth and expose the burst as temporal");
-    session.finish();
+    session.finish()
 }

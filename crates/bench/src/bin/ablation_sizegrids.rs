@@ -6,6 +6,7 @@ use charm_core::pitfalls;
 use charm_design::sampling;
 use charm_simnet::noise::{BurstConfig, NoiseModel};
 use charm_simnet::{presets, NetOp};
+use std::process::ExitCode;
 
 fn median_time(sim: &mut charm_simnet::NetworkSim, size: u64, reps: u32) -> f64 {
     let mut v: Vec<f64> = (0..reps).map(|_| sim.measure(NetOp::PingPong, size)).collect();
@@ -13,7 +14,11 @@ fn median_time(sim: &mut charm_simnet::NetworkSim, size: u64, reps: u32) -> f64 
     v[v.len() / 2]
 }
 
-fn main() {
+fn main() -> ExitCode {
+    charm_bench::exit_status(run())
+}
+
+fn run() -> std::io::Result<()> {
     let args = charm_bench::cli::CommonArgs::parse("", charm_bench::cli::Reads::SHARED);
     let session = charm_bench::profile::Session::from_args(&args);
     let seed = args.seed;
@@ -40,7 +45,7 @@ fn main() {
     charm_bench::csvout::artifact("ablation_sizegrids.csv")
         .meta("generator", "ablation_sizegrids")
         .meta("seed", seed)
-        .write(&csv);
+        .write(&csv)?;
 
     // 2. the neighbour probe finds the planted anomaly
     let mut sim = platform();
@@ -57,5 +62,5 @@ fn main() {
         );
     }
     println!("\nthe power-of-two grid lands exactly ON the special-cased 1024-byte path and\nbends the fitted curve; the log-uniform grid samples its neighbourhood instead");
-    session.finish();
+    session.finish()
 }

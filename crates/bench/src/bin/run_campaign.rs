@@ -32,9 +32,9 @@
 //!
 //! Exit codes: `2` — bad spec/usage (TOML or DSL parse error, unknown
 //! target or platform name, contradictory flags); `3` — target or
-//! protocol error (KLV timeout, malformed frame, I/O); `4` — the
-//! engine subprocess exited nonzero or died (captured stderr is in the
-//! message).
+//! protocol error (KLV timeout, malformed frame, I/O, an artifact it
+//! cannot write); `4` — the engine subprocess exited nonzero or died
+//! (captured stderr is in the message).
 //!
 //! `--shards N` fans the campaign out over N forks of the target (all
 //! in-process platforms are shard-invariant, so the measured values are
@@ -95,7 +95,18 @@ fn lower(args: &CommonArgs) -> Result<ResolvedBenchmark, ExitCode> {
     })
 }
 
-/// Writes the artifacts and archives the run; shared by every target.
+/// Writes the campaign CSV and, when observed, its JSONL report.
+fn write_outputs(label: &str, run: &CampaignRun) -> std::io::Result<()> {
+    charm_bench::write_artifact(&format!("campaign_{label}.csv"), &run.data.to_csv())?;
+    if let Some(report) = &run.report {
+        charm_bench::write_artifact(&format!("campaign_{label}_obs.jsonl"), &report.to_jsonl())?;
+    }
+    Ok(())
+}
+
+/// Writes the artifacts and then archives the run; shared by every
+/// target. An artifact it cannot write exits 3 before anything is
+/// archived.
 fn finish_run(
     args: &CommonArgs,
     session: Session,
@@ -106,9 +117,10 @@ fn finish_run(
     run: &CampaignRun,
 ) -> ExitCode {
     let label = bench.target.label();
-    charm_bench::write_artifact(&format!("campaign_{label}.csv"), &run.data.to_csv());
+    if let Err(e) = write_outputs(&label, run) {
+        return charm_bench::exit_status(Err(e));
+    }
     if let Some(report) = &run.report {
-        charm_bench::write_artifact(&format!("campaign_{label}_obs.jsonl"), &report.to_jsonl());
         session.attach_virtual(&label, report);
     }
     if let Some(store) = store {
@@ -123,8 +135,7 @@ fn finish_run(
         }
     }
     println!("{} raw measurements retained", run.data.records.len());
-    session.finish();
-    ExitCode::SUCCESS
+    charm_bench::exit_status(session.finish())
 }
 
 fn open_store(args: &CommonArgs) -> Result<Option<charm_store::Store>, ExitCode> {

@@ -73,7 +73,7 @@ impl CsvArtifact {
 
     /// Writes the stamped artifact into the results directory and
     /// reports its path (via [`crate::write_artifact`]).
-    pub fn write(self, body: &str) -> PathBuf {
+    pub fn write(self, body: &str) -> std::io::Result<PathBuf> {
         let text = self.stamped(body);
         crate::write_artifact(&self.name, &text)
     }

@@ -8,8 +8,8 @@
 //! * refuse (exit 2, with the usage) a flag the binary does not read:
 //!   the campaign flags everywhere, `--benchmark`/`--param` on
 //!   `all_figures` and on entries without a spec;
-//! * run the entry: a bad spec exits 2, a failed experiment 3, both with
-//!   `<id> (seed N): …` on stderr;
+//! * run the entry: a bad spec exits 2, a failed experiment or an
+//!   artifact it cannot write 3, both with `<id> (seed N): …` on stderr;
 //! * stamp each CSV with `generator`, `seed` (when the entry reads one)
 //!   and `observed` (fig10, fig11);
 //! * with `--obs-jsonl`, write an observed entry's report as
@@ -55,8 +55,7 @@ fn run(entries: &[Entry], args: &CommonArgs, spec: &SpecArgs, banner: bool) -> E
             return ExitCode::from(code);
         }
     }
-    session.finish();
-    ExitCode::SUCCESS
+    crate::exit_status(session.finish())
 }
 
 fn run_entry(
@@ -76,20 +75,24 @@ fn run_entry(
         if e.seeded {
             artifact = artifact.meta("seed", args.seed);
         }
-        artifact.observed(out.observed.is_some()).write(body);
+        artifact.observed(out.observed.is_some()).write(body).map_err(write_failed)?;
     }
     if let Some(report) = &out.observed {
         if args.obs_jsonl {
             let name = format!("{}_obs.jsonl", e.id);
             let text =
                 validated_jsonl(report).map_err(|m| (EXIT_TARGET, format!("{name}: {m}")))?;
-            crate::write_artifact(&name, &text);
+            crate::write_artifact(&name, &text).map_err(write_failed)?;
             println!("verified {name}: the JSONL parses back to the identical report");
         }
         session.attach_virtual(e.id, report);
     }
     print!("{}", out.report);
     Ok(())
+}
+
+fn write_failed(e: std::io::Error) -> (u8, String) {
+    (EXIT_TARGET, e.to_string())
 }
 
 /// `report` as JSONL, once the text is proven to parse back to an

@@ -21,38 +21,58 @@ pub mod profile;
 pub mod specload;
 
 use std::fs;
+use std::io;
 use std::path::{Path, PathBuf};
+use std::process::ExitCode;
 
 /// Resolves the `results/` directory (created on demand) next to the
-/// workspace root, honouring `CHARM_RESULTS_DIR` when set.
-pub fn results_dir() -> PathBuf {
-    let dir = std::env::var("CHARM_RESULTS_DIR").map(PathBuf::from).unwrap_or_else(|_| {
-        // walk up from the executable's cwd to find the workspace root
-        let mut p = std::env::current_dir().expect("cwd");
-        loop {
-            if p.join("Cargo.toml").exists() && p.join("crates").exists() {
-                return p.join("results");
-            }
-            if !p.pop() {
-                return PathBuf::from("results");
+/// workspace root, honouring `CHARM_RESULTS_DIR` when set. The error
+/// names the directory.
+pub fn results_dir() -> io::Result<PathBuf> {
+    let dir = match std::env::var("CHARM_RESULTS_DIR") {
+        Ok(dir) => PathBuf::from(dir),
+        // walk up from the current directory to find the workspace root
+        Err(_) => {
+            let mut p = std::env::current_dir()?;
+            loop {
+                if p.join("Cargo.toml").exists() && p.join("crates").exists() {
+                    break p.join("results");
+                }
+                if !p.pop() {
+                    break PathBuf::from("results");
+                }
             }
         }
-    });
-    fs::create_dir_all(&dir).expect("create results dir");
-    dir
+    };
+    fs::create_dir_all(&dir).map_err(|e| cannot_write(&dir, e))?;
+    Ok(dir)
 }
 
-/// Writes an artifact file and reports its path on stdout.
-pub fn write_artifact(name: &str, contents: &str) -> PathBuf {
-    let path = results_dir().join(name);
-    fs::write(&path, contents).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+/// Writes an artifact file and reports its path on stdout. The error
+/// names the path that could not be written.
+pub fn write_artifact(name: &str, contents: &str) -> io::Result<PathBuf> {
+    let path = results_dir()?.join(name);
+    fs::write(&path, contents).map_err(|e| cannot_write(&path, e))?;
     println!("wrote {}", path.display());
-    path
+    Ok(path)
 }
 
-/// Reads back an artifact (used by tests).
-pub fn read_artifact(path: &Path) -> String {
-    fs::read_to_string(path).expect("read artifact")
+/// `e`, reworded as `cannot write <path>: <e>`.
+pub(crate) fn cannot_write(path: &Path, e: io::Error) -> io::Error {
+    io::Error::new(e.kind(), format!("cannot write {}: {e}", path.display()))
+}
+
+/// The exit status once a binary's artifacts are written: success, or
+/// [`specload::EXIT_TARGET`] with the error (which names the path) on
+/// stderr.
+pub fn exit_status(written: io::Result<()>) -> ExitCode {
+    match written {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("{e}");
+            ExitCode::from(specload::EXIT_TARGET)
+        }
+    }
 }
 
 /// The seed every regenerator uses by default; override with `CHARM_SEED`.
@@ -66,14 +86,14 @@ mod tests {
 
     #[test]
     fn results_dir_is_created() {
-        let d = results_dir();
+        let d = results_dir().unwrap();
         assert!(d.exists());
     }
 
     #[test]
     fn artifact_roundtrip() {
-        let p = write_artifact("selftest.txt", "hello");
-        assert_eq!(read_artifact(&p), "hello");
+        let p = write_artifact("selftest.txt", "hello").unwrap();
+        assert_eq!(fs::read_to_string(&p).unwrap(), "hello");
         std::fs::remove_file(p).ok();
     }
 

@@ -11,7 +11,8 @@
 //! let args = charm_bench::cli::CommonArgs::parse("", charm_bench::cli::Reads::SHARED);
 //! let session = charm_bench::profile::Session::from_args(&args);
 //! // ... run experiments; engine + analysis spans accumulate ...
-//! session.finish(); // prints the --profile table, writes --trace-out
+//! // prints the --profile table, writes --trace-out (exit 3 if it cannot)
+//! let status = charm_bench::exit_status(session.finish());
 //! ```
 
 use charm_obs::CampaignReport;
@@ -72,11 +73,12 @@ impl Session {
     /// Finishes the session: uninstalls the ambient profiler, writes the
     /// dual-clock trace when `--trace-out` was given (the path is used
     /// verbatim, not routed through the results directory) and prints
-    /// the per-span summary table when `--profile` was given.
-    pub fn finish(self) {
+    /// the per-span summary table when `--profile` was given. The error
+    /// names the trace path that could not be written.
+    pub fn finish(self) -> std::io::Result<()> {
         Profiler::uninstall_thread();
         if !self.profiler.is_enabled() {
-            return;
+            return Ok(());
         }
         let spans = self.profiler.take();
         if let Some(path) = &self.trace_out {
@@ -84,7 +86,7 @@ impl Session {
             let lanes: Vec<(String, &CampaignReport)> =
                 reports.iter().map(|(label, r)| (label.clone(), r)).collect();
             let trace = chrome::export(&spans, &lanes);
-            std::fs::write(path, trace).unwrap_or_else(|e| panic!("write {path}: {e}"));
+            std::fs::write(path, trace).map_err(|e| crate::cannot_write(path.as_ref(), e))?;
             println!("wrote {path}");
         }
         if self.print_summary {
@@ -95,6 +97,7 @@ impl Session {
                 print!("{}", charm_trace::render_summary(&summary));
             }
         }
+        Ok(())
     }
 }
 
@@ -122,7 +125,7 @@ mod tests {
         assert!(!s.is_enabled());
         assert!(!charm_trace::thread_profiler().is_enabled());
         s.attach_virtual("x", &sample_report());
-        s.finish(); // writes nothing, prints nothing
+        s.finish().unwrap(); // writes nothing, prints nothing
     }
 
     #[test]
@@ -133,7 +136,7 @@ mod tests {
         assert!(charm_trace::thread_profiler().is_enabled());
         drop(charm_trace::thread_span("unit.work"));
         s.attach_virtual("rep", &sample_report());
-        s.finish();
+        s.finish().unwrap();
         assert!(!charm_trace::thread_profiler().is_enabled(), "finish uninstalls");
         let trace = std::fs::read_to_string(&path).expect("trace written");
         std::fs::remove_file(&path).ok();
@@ -148,6 +151,6 @@ mod tests {
         drop(charm_trace::thread_span("unit.more"));
         s.attach_virtual("rep", &sample_report()); // no trace-out: dropped
         assert!(s.virtual_reports.borrow().is_empty());
-        s.finish();
+        s.finish().unwrap();
     }
 }

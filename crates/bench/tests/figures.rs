@@ -139,6 +139,23 @@ fn a_failed_convolution_fit_exits_3_instead_of_panicking() {
 }
 
 #[test]
+fn an_unwritable_results_directory_exits_3_naming_it() {
+    // `--out` names a regular file, so the results directory cannot be
+    // created there.
+    let dir = Scratch::new("unwritable");
+    let file = dir.write("occupied", "");
+    for (bin, args) in [(BINARIES[9].1, &[][..]), (ALL_FIGURES, &["--quick"][..])] {
+        let result = run(&dir, bin, "occupied", args);
+        let err = stderr(&result);
+        assert_eq!(result.status.code(), Some(3), "{bin}: {err}");
+        assert!(
+            err.contains(&format!("cannot write {file}: ")) && !err.contains("panicked"),
+            "{err}"
+        );
+    }
+}
+
+#[test]
 fn fig04_needs_no_benchmarks_directory() {
     // The scratch directory has no benchmarks/: the design is embedded.
     let dir = Scratch::new("cwd");

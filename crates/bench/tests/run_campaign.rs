@@ -77,6 +77,21 @@ fn a_dsl_plan_and_its_spec_twin_archive_as_one_run() {
 }
 
 #[test]
+fn an_unwritable_csv_exits_3_before_archiving() {
+    let dir = Scratch::new("unwritable");
+    let plan = dir.write("smoke_plan.dsl", SMOKE_PLAN);
+    let file = dir.write("occupied", "");
+    let store = dir.join("store");
+    let out = run_campaign(&[&plan, "taurus", "--store", path(&store), "--out", &file]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(3), "{stderr}");
+    assert!(stderr.contains(&format!("cannot write {file}: ")) && !stderr.contains("panicked"));
+    // The shard checkpoints stay for a resume; no run is archived.
+    let archived = charm_store::Store::open(&store).unwrap().list().unwrap();
+    assert!(archived.is_empty(), "{archived:?}");
+}
+
+#[test]
 fn the_requested_shards_are_the_shards_that_ran() {
     // CI's store smoke geometry: 96 rows on 3 workers carve 15 batches,
     // and the run ID that names the archive hashes that same count.

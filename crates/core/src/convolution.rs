@@ -67,11 +67,6 @@ impl AppSignature {
         self.comm.push(CommEvent { op, size, repeat });
         self
     }
-
-    /// Total bytes the compute blocks touch.
-    pub fn total_bytes(&self) -> f64 {
-        self.compute.iter().map(|b| b.bytes_touched * b.repeat as f64).sum()
-    }
 }
 
 /// The machine signature: the two instantiated models.

@@ -34,6 +34,5 @@ pub mod report;
 pub mod screening;
 pub mod spec;
 pub mod variability;
-pub mod whatif;
 
 pub use error::CharmError;

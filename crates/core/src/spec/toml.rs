@@ -58,14 +58,6 @@ impl Value {
         }
     }
 
-    /// The value as a bool, when it is one.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// The value as an array slice, when it is one.
     pub fn as_array(&self) -> Option<&[Value]> {
         match self {
@@ -382,7 +374,7 @@ mod tests {
         assert_eq!(t.value("top"), Some(&Value::Int(1)));
         let b = t.table("benchmark").unwrap();
         assert_eq!(b.value("name").unwrap().as_str(), Some("fig04"));
-        assert_eq!(b.value("quick").unwrap().as_bool(), Some(false));
+        assert_eq!(b.value("quick"), Some(&Value::Bool(false)));
         let factors = t.table("factors").unwrap();
         assert_eq!(factors.subtable_names(), vec!["op", "size"]);
         let op = factors.table("op").unwrap();

@@ -10,8 +10,9 @@
 //! size = 10^X,  X ~ Uniform(log10 a, log10 b)
 //! ```
 //!
-//! All three generators live here so ablation benches can compare them on
-//! the same substrate.
+//! The log-uniform generators live here beside the two biased grids they
+//! replace (powers of two, linear ladders), so `ablation_sizegrids` can
+//! compare them on the same substrate.
 
 use rand::Rng;
 use rand::SeedableRng;
@@ -94,14 +95,6 @@ pub fn linear_sizes(start: u64, step: u64, end: u64) -> Vec<u64> {
     v
 }
 
-/// Uniformly random *integers* in `[a, b]` (used for buffer offsets in the
-/// pooled-allocation technique of §IV-4). Deterministic given `seed`.
-pub fn uniform_sizes(a: u64, b: u64, n: usize, seed: u64) -> Vec<u64> {
-    assert!(a <= b, "bounds must be ordered");
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    (0..n).map(|_| rng.random_range(a..=b)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,12 +159,5 @@ mod tests {
         assert_eq!(linear_sizes(0, 4, 16), vec![0, 4, 8, 12, 16]);
         assert_eq!(linear_sizes(5, 10, 9), vec![5]);
         assert_eq!(linear_sizes(10, 1, 9), Vec::<u64>::new());
-    }
-
-    #[test]
-    fn uniform_within_bounds_and_deterministic() {
-        let a = uniform_sizes(100, 200, 300, 8);
-        assert!(a.iter().all(|&v| (100..=200).contains(&v)));
-        assert_eq!(a, uniform_sizes(100, 200, 300, 8));
     }
 }

@@ -1,10 +1,5 @@
 //! The [`Campaign`] builder: the single front door for campaign
-//! execution — sequential or sharded, observed or not, profiled or not.
-//!
-//! The engine's original free-function front ends (`run_campaign`,
-//! `run_campaign_parallel`, both removed) grew incompatible call shapes
-//! (`&mut T` vs `&T`, trailing seed/shard positionals) as the engine
-//! gained capabilities. The builder unifies them:
+//! execution — sequential or sharded, observed or not, profiled or not:
 //!
 //! ```text
 //! Campaign::new(&plan, target).seed(9).run()?                    // sequential
@@ -211,8 +206,7 @@ fn add_hit_rates(diag: &mut Counters) {
 /// observability report when an [`Observer`] was attached.
 #[derive(Debug, Clone)]
 pub struct CampaignRun {
-    /// The retained-everything campaign (records + metadata), exactly as
-    /// the deprecated free functions returned it.
+    /// The retained-everything campaign (records + metadata).
     pub data: CampaignData,
     /// Counters, provenance events and spans — `Some` iff an observer
     /// was attached with [`Campaign::observer`].

@@ -210,18 +210,6 @@ impl Campaign {
         out
     }
 
-    /// Writes the campaign CSV to a file.
-    pub fn write_to(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        std::fs::write(path, self.to_csv())
-    }
-
-    /// Reads a campaign back from a CSV file.
-    pub fn read_from(path: impl AsRef<std::path::Path>) -> std::io::Result<Self> {
-        let text = std::fs::read_to_string(path)?;
-        Self::from_csv(&text)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
-    }
-
     /// Parses a campaign back from its CSV representation.
     ///
     /// Each row splits off only its four fixed columns (from the right);
@@ -581,30 +569,5 @@ mod tests {
     #[test]
     fn values_in_order() {
         assert_eq!(sample_campaign().values(), vec![31.5, 30.9, 2.2]);
-    }
-
-    #[test]
-    fn file_roundtrip() {
-        let c = sample_campaign();
-        let path = std::env::temp_dir().join("charm_campaign_roundtrip_test.csv");
-        c.write_to(&path).unwrap();
-        let back = Campaign::read_from(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert_eq!(c, back);
-    }
-
-    #[test]
-    fn read_from_rejects_garbage_file() {
-        let path = std::env::temp_dir().join("charm_campaign_bad_test.csv");
-        std::fs::write(
-            &path,
-            "not,a,campaign
-1,2,3
-",
-        )
-        .unwrap();
-        let err = Campaign::read_from(&path).unwrap_err();
-        std::fs::remove_file(&path).ok();
-        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     }
 }

@@ -138,31 +138,6 @@ impl IndexedNames {
     }
 }
 
-/// Anything that can report a point-in-time snapshot of its counters.
-///
-/// Implemented by [`Counters`] and [`Recorder`] here, and by the
-/// simulators in their own crates; lets callers aggregate heterogeneous
-/// sources without knowing their concrete types.
-pub trait CounterSet {
-    /// A copy of the current counter values.
-    fn counter_snapshot(&self) -> Counters;
-}
-
-impl CounterSet for Counters {
-    fn counter_snapshot(&self) -> Counters {
-        self.clone()
-    }
-}
-
-/// Merges snapshots from several counter sources into one total.
-pub fn merge_counter_sets(sources: &[&dyn CounterSet]) -> Counters {
-    let mut total = Counters::new();
-    for s in sources {
-        total.merge_from(&s.counter_snapshot());
-    }
-    total
-}
-
 /// One traced occurrence, stamped with the virtual clock.
 ///
 /// `seq` is the global measurement sequence number the event belongs to,
@@ -278,12 +253,6 @@ impl Recorder {
     }
 }
 
-impl CounterSet for Recorder {
-    fn counter_snapshot(&self) -> Counters {
-        self.counters.clone()
-    }
-}
-
 /// Configuration handed to a campaign to switch observability on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Observer {
@@ -303,12 +272,6 @@ impl Observer {
     /// The default observer (64 Ki event ring per shard).
     pub fn new() -> Self {
         Observer::default()
-    }
-
-    /// Sets the per-shard event ring capacity.
-    pub fn with_event_capacity(mut self, capacity: usize) -> Self {
-        self.event_capacity = capacity;
-        self
     }
 }
 
@@ -948,9 +911,9 @@ mod tests {
     fn fork_is_empty_with_same_config() {
         let mut r = Recorder::enabled(7);
         r.count("k", 3);
-        let f = r.fork();
+        let mut f = r.fork();
         assert!(f.is_enabled());
-        assert!(f.counter_snapshot().is_empty());
+        assert!(f.take().counters.is_empty());
         assert!(!Recorder::disabled().fork().is_enabled());
     }
 
@@ -1161,17 +1124,5 @@ mod tests {
         let taken = process::take();
         assert_eq!(taken.get("k"), 7);
         assert!(!process::is_enabled());
-    }
-
-    #[test]
-    fn merge_counter_sets_aggregates_sources() {
-        let mut a = Counters::new();
-        a.add("x", 1);
-        let mut r = Recorder::enabled(0);
-        r.count("x", 2);
-        r.count("y", 3);
-        let total = merge_counter_sets(&[&a, &r]);
-        assert_eq!(total.get("x"), 3);
-        assert_eq!(total.get("y"), 3);
     }
 }

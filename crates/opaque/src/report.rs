@@ -69,16 +69,6 @@ impl AggregatedCell {
     }
 }
 
-/// Renders cells as the classic two-or-three-column text report the
-/// original tools print.
-pub fn render_report(title: &str, unit: &str, cells: &[AggregatedCell]) -> String {
-    let mut out = format!("# {title}\n# x  n  mean({unit})  stddev\n");
-    for c in cells {
-        out.push_str(&format!("{} {} {:.4} {:.4}\n", c.x, c.n, c.mean, c.std_dev));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -115,13 +105,5 @@ mod tests {
         assert_eq!(c.n, 2);
         assert_eq!(c.mean, 2.0);
         assert!((c.std_dev - std::f64::consts::SQRT_2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn report_renders_rows() {
-        let cells = vec![AggregatedCell { x: 8, n: 10, mean: 1.5, std_dev: 0.1 }];
-        let r = render_report("PMB", "us", &cells);
-        assert!(r.contains("# PMB"));
-        assert!(r.contains("8 10 1.5000 0.1000"));
     }
 }

@@ -46,7 +46,6 @@ pub mod machine;
 pub mod memo;
 pub mod paging;
 pub mod parallel;
-pub mod plru;
 pub mod sched;
 mod stream;
 pub mod stream_kernels;

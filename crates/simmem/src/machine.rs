@@ -12,7 +12,7 @@ use crate::memo::{
 use crate::paging::{color_histogram, AllocPolicy, PageAllocator};
 use crate::sched::{IntruderConfig, SchedPolicy, Scheduler};
 use crate::stream;
-use charm_obs::{CounterSet, Counters, IndexedNames, Observation, Recorder};
+use charm_obs::{IndexedNames, Observation, Recorder};
 use std::cell::RefCell;
 use std::sync::Arc;
 
@@ -444,17 +444,10 @@ impl MachineSim {
     /// `(hits, misses)` of *this machine's* lookups into the (possibly
     /// shared) service-profile cache. A plain accessor — deliberately
     /// not a [`Recorder`] counter, so the cache can never change an
-    /// [`Observation`]. For the totals across every machine sharing the
-    /// cache, see [`MachineSim::shared_profile_cache_stats`].
+    /// [`Observation`].
     pub fn profile_cache_stats(&self) -> (u64, u64) {
         let memo = self.memo.borrow();
         (memo.local_hits, memo.local_misses)
-    }
-
-    /// `(hits, misses)` of the shared service-profile cache, summed over
-    /// all machines forked from the same ancestor.
-    pub fn shared_profile_cache_stats(&self) -> (u64, u64) {
-        self.memo.borrow().cache.stats()
     }
 
     /// Eviction bound of the service-profile cache.
@@ -506,21 +499,11 @@ impl MachineSim {
         self.measurements_taken
     }
 
-    /// Replaces the intruder configuration (e.g. to disable it).
-    pub fn set_intruder(&mut self, cfg: IntruderConfig, seed: u64) {
-        self.scheduler = Scheduler::new(self.scheduler.policy(), cfg, seed);
-    }
-
-    /// Allocates `bytes` from the machine's page pool under its policy
-    /// and returns the backing physical pages (multi-array kernels split
-    /// one allocation into several arrays).
-    pub fn allocate_pages(&mut self, bytes: u64) -> Vec<u64> {
-        self.allocator.allocate(bytes)
-    }
-
-    /// The key half of [`MachineSim::allocate_pages`]: the same RNG draw,
-    /// returning the [`PlacementKey`] of the slice instead of a copy of
-    /// its pages ([`MachineSim::cached_profile`] resolves it on a miss).
+    /// Draws the placement of a `bytes` allocation from the machine's
+    /// page pool under its policy (the RNG draw of
+    /// [`PageAllocator::allocate`]), returning the [`PlacementKey`] of the
+    /// slice instead of a copy of its pages
+    /// ([`MachineSim::cached_profile`] resolves it on a miss).
     pub(crate) fn draw_placement(&mut self, bytes: u64) -> PlacementKey {
         self.allocator.draw_placement(bytes)
     }
@@ -788,12 +771,6 @@ fn record_cache_counters(
         missed_so_far = misses;
     }
     recorder.count("simmem.cache.dram_lines", profile.served_by_dram * nloops);
-}
-
-impl CounterSet for MachineSim {
-    fn counter_snapshot(&self) -> Counters {
-        self.recorder.counter_snapshot()
-    }
 }
 
 /// Quantizes a `[0, 1]` fraction to integer permille, keeping counter

@@ -36,6 +36,6 @@ pub mod protocol;
 pub mod sim;
 
 pub use clock::VirtualClock;
-pub use params::{LogGpParams, LogPParams};
+pub use params::LogGpParams;
 pub use protocol::{PiecewiseProtocol, ProtocolMode};
 pub use sim::{NetOp, NetworkSim};

@@ -7,19 +7,6 @@
 //! parameterized with LogGP plus affine per-byte overheads, which is
 //! expressive enough to instantiate any of the family from measurements.
 
-/// Classic LogP parameters (µs).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct LogPParams {
-    /// Network latency `L` (µs).
-    pub latency_us: f64,
-    /// Software overhead per message `o` (µs).
-    pub overhead_us: f64,
-    /// Gap between consecutive messages `g` (µs).
-    pub gap_us: f64,
-    /// Number of processors `P`.
-    pub processors: u32,
-}
-
 /// LogGP-style parameters with affine, direction-specific software
 /// overheads (µs and µs/byte).
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -60,25 +47,6 @@ impl LogGpParams {
             + wire_bytes * self.gap_per_byte
             + self.latency_us
             + self.recv_overhead(size)
-    }
-
-    /// Effective asymptotic bandwidth in MB/s implied by `G`.
-    pub fn asymptotic_bandwidth_mbps(&self) -> f64 {
-        if self.gap_per_byte <= 0.0 {
-            f64::INFINITY
-        } else {
-            1.0 / self.gap_per_byte // B/µs == MB/s
-        }
-    }
-
-    /// Projects to classic LogP (dropping size dependence at `size`).
-    pub fn to_logp(&self, size: u64, processors: u32) -> LogPParams {
-        LogPParams {
-            latency_us: self.latency_us,
-            overhead_us: (self.send_overhead(size) + self.recv_overhead(size)) / 2.0,
-            gap_us: self.gap_us + self.gap_per_byte * size as f64,
-            processors,
-        }
     }
 }
 
@@ -123,20 +91,5 @@ mod tests {
             assert!(t >= prev);
             prev = t;
         }
-    }
-
-    #[test]
-    fn asymptotic_bandwidth() {
-        let p = sample();
-        // G = 0.01 µs/B -> 100 B/µs = 100 MB/s
-        assert!((p.asymptotic_bandwidth_mbps() - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn logp_projection() {
-        let p = sample().to_logp(1000, 2);
-        assert_eq!(p.processors, 2);
-        assert!((p.overhead_us - (3.0 + 5.0) / 2.0).abs() < 1e-12);
-        assert!((p.gap_us - 11.0).abs() < 1e-12);
     }
 }

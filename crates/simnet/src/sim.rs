@@ -3,7 +3,7 @@
 use crate::clock::VirtualClock;
 use crate::noise::NoiseModel;
 use crate::protocol::{PiecewiseProtocol, ProtocolMode};
-use charm_obs::{CounterSet, Counters, Observation, Recorder};
+use charm_obs::{Observation, Recorder};
 
 /// The three measurable network operations of the methodology (§V-A).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
@@ -97,11 +97,6 @@ impl NetworkSim {
         self.noise = noise;
     }
 
-    /// Mutable access to the noise model.
-    pub fn noise_mut(&mut self) -> &mut NoiseModel {
-        &mut self.noise
-    }
-
     /// Virtual time elapsed so far (µs).
     pub fn now_us(&self) -> f64 {
         self.clock.now_us()
@@ -191,12 +186,6 @@ impl NetworkSim {
             NetOp::BlockingRecv => self.protocol.recv_overhead(size),
             NetOp::PingPong => self.protocol.pingpong_rtt(size),
         }
-    }
-}
-
-impl CounterSet for NetworkSim {
-    fn counter_snapshot(&self) -> Counters {
-        self.recorder.counter_snapshot()
     }
 }
 
@@ -330,8 +319,8 @@ mod tests {
         assert_eq!(obs.events[3].attr("mode"), Some("eager"));
         assert_eq!(obs.events[3].attr("op"), Some("ping_pong"));
         // forked shards carry an empty recorder with the same enablement
-        let fork = sim.fork(sim.stream_seed());
+        let mut fork = sim.fork(sim.stream_seed());
         assert!(fork.observability_enabled());
-        assert!(fork.counter_snapshot().is_empty());
+        assert!(fork.take_observation().counters.is_empty());
     }
 }

@@ -14,8 +14,8 @@
 //!   the paper's clusters and CPUs;
 //! * [`opaque`] — the opaque benchmark reimplementations under study;
 //! * [`obs`] — observability: counters, event traces, provenance reports;
-//! * [`trace`] — engine self-profiling: wall-clock spans, the dual-clock
-//!   Chrome/Perfetto exporter, and the perf-regression gate;
+//! * [`trace`] — engine self-profiling: wall-clock spans and the
+//!   dual-clock Chrome/Perfetto exporter;
 //! * [`store`] — the content-addressed campaign archive: manifests with
 //!   per-artifact digests, checkpoint/resume for sharded campaigns, and
 //!   cross-run diffing;
