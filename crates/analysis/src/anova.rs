@@ -28,26 +28,6 @@ pub struct OneWayAnova {
     pub eta_squared: f64,
 }
 
-impl OneWayAnova {
-    /// Between-group degrees of freedom.
-    pub fn df_between(&self) -> usize {
-        self.groups - 1
-    }
-
-    /// Within-group degrees of freedom.
-    pub fn df_within(&self) -> usize {
-        self.n - self.groups
-    }
-
-    /// A crude large-sample significance screen: the F statistic exceeds
-    /// `threshold` (≈ 4 corresponds to p ≲ 0.05 for moderate dfs; for a
-    /// screening step, the paper's use-case, exactness is unnecessary —
-    /// the *ranking* by η² is what matters).
-    pub fn is_influential(&self, threshold: f64) -> bool {
-        self.f_statistic.is_finite() && self.f_statistic > threshold
-    }
-}
-
 /// Computes one-way ANOVA over groups of observations.
 ///
 /// Needs at least two groups, each non-empty, and at least one group with
@@ -95,7 +75,6 @@ mod tests {
         let a = one_way(&g).unwrap();
         assert!(a.eta_squared < 1e-12);
         assert!(a.f_statistic < 1e-9);
-        assert!(!a.is_influential(4.0));
     }
 
     #[test]
@@ -104,7 +83,6 @@ mod tests {
         let a = one_way(&g).unwrap();
         assert_eq!(a.eta_squared, 1.0);
         assert!(a.f_statistic.is_infinite());
-        assert!(a.is_influential(4.0) || a.f_statistic.is_infinite());
     }
 
     #[test]
@@ -118,8 +96,7 @@ mod tests {
         assert!((a.ss_within - 4.0).abs() < 1e-12);
         assert!((a.f_statistic - 1.5).abs() < 1e-12);
         assert!((a.eta_squared - 1.5 / 5.5).abs() < 1e-12);
-        assert_eq!(a.df_between(), 1);
-        assert_eq!(a.df_within(), 4);
+        assert_eq!((a.groups, a.n), (2, 6));
     }
 
     #[test]
@@ -131,7 +108,7 @@ mod tests {
         ];
         let a = one_way(&g).unwrap();
         assert!(a.eta_squared > 0.99);
-        assert!(a.is_influential(4.0));
+        assert!(a.f_statistic > 4.0);
     }
 
     #[test]

@@ -57,7 +57,6 @@ pub struct OnlineLsqDetector {
     seg_y: Vec<f64>,
     pending_x: Vec<f64>,
     pending_y: Vec<f64>,
-    breaks: Vec<f64>,
 }
 
 impl OnlineLsqDetector {
@@ -69,7 +68,6 @@ impl OnlineLsqDetector {
             seg_y: Vec::new(),
             pending_x: Vec::new(),
             pending_y: Vec::new(),
-            breaks: Vec::new(),
         }
     }
 
@@ -107,7 +105,6 @@ impl OnlineLsqDetector {
             if self.pending_x.len() >= self.config.confirmations {
                 // Confirm: the new regime started at the first pending point.
                 let bx = self.pending_x[0];
-                self.breaks.push(bx);
                 self.seg_x = std::mem::take(&mut self.pending_x);
                 self.seg_y = std::mem::take(&mut self.pending_y);
                 return Some(bx);
@@ -121,11 +118,6 @@ impl OnlineLsqDetector {
             self.seg_y.push(y);
         }
         None
-    }
-
-    /// Breaks confirmed so far, in confirmation order.
-    pub fn breaks(&self) -> &[f64] {
-        &self.breaks
     }
 }
 
@@ -223,7 +215,6 @@ mod tests {
             let x = i as f64;
             assert!(det.push(x, 5.0 + 0.3 * x).is_none());
         }
-        assert!(det.breaks().is_empty());
     }
 
     #[test]

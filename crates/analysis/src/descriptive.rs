@@ -142,22 +142,6 @@ pub fn max(xs: &[f64]) -> Result<f64> {
     Ok(xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max))
 }
 
-/// Standardized skewness (third standardized moment, bias-uncorrected).
-pub fn skewness(xs: &[f64]) -> Result<f64> {
-    ensure_sample(xs)?;
-    if xs.len() < 3 {
-        return Err(AnalysisError::TooFewObservations { needed: 3, got: xs.len() });
-    }
-    let m = mean(xs)?;
-    let n = xs.len() as f64;
-    let m2: f64 = xs.iter().map(|v| (v - m).powi(2)).sum::<f64>() / n;
-    let m3: f64 = xs.iter().map(|v| (v - m).powi(3)).sum::<f64>() / n;
-    if m2 == 0.0 {
-        return Ok(0.0);
-    }
-    Ok(m3 / m2.powf(1.5))
-}
-
 /// Five-number summary plus mean/sd/MAD — the per-cell record the analysis
 /// stage attaches to every factor combination.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -310,17 +294,6 @@ mod tests {
     #[test]
     fn cv_of_constant_is_zero() {
         assert!(coeff_of_variation(&[5.0, 5.0, 5.0]).unwrap().abs() < EPS);
-    }
-
-    #[test]
-    fn skewness_sign() {
-        // Right-skewed sample -> positive skewness.
-        let right = [1.0, 1.0, 1.0, 1.0, 10.0];
-        assert!(skewness(&right).unwrap() > 0.0);
-        let left = [10.0, 10.0, 10.0, 10.0, 1.0];
-        assert!(skewness(&left).unwrap() < 0.0);
-        let sym = [1.0, 2.0, 3.0, 4.0, 5.0];
-        assert!(skewness(&sym).unwrap().abs() < EPS);
     }
 
     #[test]

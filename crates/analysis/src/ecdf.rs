@@ -23,16 +23,6 @@ impl Ecdf {
         Ok(Ecdf { sorted })
     }
 
-    /// Number of observations.
-    pub fn len(&self) -> usize {
-        self.sorted.len()
-    }
-
-    /// Whether the sample was empty (never true for a constructed `Ecdf`).
-    pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
-    }
-
     /// `F(x)` — the fraction of observations `<= x`.
     pub fn eval(&self, x: f64) -> f64 {
         // partition_point gives the count of elements <= x.
@@ -47,18 +37,6 @@ impl Ecdf {
         let n = self.sorted.len();
         let idx = ((p * n as f64).ceil() as usize).clamp(1, n) - 1;
         self.sorted[idx]
-    }
-
-    /// Two-sample Kolmogorov–Smirnov statistic: the supremum distance
-    /// between this ECDF and `other`. Useful for checking whether two
-    /// experiment campaigns with identical inputs produced compatible
-    /// output distributions (paper §V: comparing campaigns).
-    pub fn ks_distance(&self, other: &Ecdf) -> f64 {
-        let mut d: f64 = 0.0;
-        for &v in self.sorted.iter().chain(other.sorted.iter()) {
-            d = d.max((self.eval(v) - other.eval(v)).abs());
-        }
-        d
     }
 }
 
@@ -98,27 +76,6 @@ mod tests {
             let p = i as f64 / 10.0;
             assert!(e.eval(e.inverse(p)) >= p - 1e-12);
         }
-    }
-
-    #[test]
-    fn ks_identical_samples_zero() {
-        let a = Ecdf::new(&[1.0, 2.0, 3.0]).unwrap();
-        let b = Ecdf::new(&[1.0, 2.0, 3.0]).unwrap();
-        assert_eq!(a.ks_distance(&b), 0.0);
-    }
-
-    #[test]
-    fn ks_disjoint_samples_one() {
-        let a = Ecdf::new(&[1.0, 2.0]).unwrap();
-        let b = Ecdf::new(&[10.0, 20.0]).unwrap();
-        assert!((a.ks_distance(&b) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ks_symmetric() {
-        let a = Ecdf::new(&[1.0, 5.0, 9.0]).unwrap();
-        let b = Ecdf::new(&[2.0, 5.0, 7.0, 8.0]).unwrap();
-        assert!((a.ks_distance(&b) - b.ks_distance(&a)).abs() < 1e-12);
     }
 
     #[test]

@@ -34,6 +34,22 @@ pub enum AnalysisError {
     /// A parameter was outside its valid domain (e.g. a probability not in
     /// `[0, 1]`, a zero bandwidth, an unsorted breakpoint list).
     InvalidParameter(&'static str),
+    /// A routine failed on one named part of its input, e.g. one segment
+    /// of a piecewise fit or one operation of a network model.
+    Within {
+        /// Which part failed, e.g. `segment 2 [65536, 1048576] with 1
+        /// distinct x`.
+        context: String,
+        /// The failure itself.
+        cause: Box<AnalysisError>,
+    },
+}
+
+impl AnalysisError {
+    /// This error, prefixed with the part of the input it occurred in.
+    pub fn within(self, context: impl Into<String>) -> AnalysisError {
+        AnalysisError::Within { context: context.into(), cause: Box::new(self) }
+    }
 }
 
 impl fmt::Display for AnalysisError {
@@ -51,6 +67,7 @@ impl fmt::Display for AnalysisError {
                 write!(f, "all predictor values identical; slope undefined")
             }
             AnalysisError::InvalidParameter(what) => write!(f, "invalid parameter: {what}"),
+            AnalysisError::Within { context, cause } => write!(f, "{context}: {cause}"),
         }
     }
 }

@@ -22,7 +22,6 @@
 //! * [`modes`] — 1-D bimodality detection (the two scheduler modes of
 //!   Figure 11 that plain mean/variance reporting hides);
 //! * [`anova`] — one-way ANOVA for factor screening;
-//! * [`sequence`] — sequence-order diagnostics (autocorrelation, runs);
 //! * [`changepoint`] — both the *online* least-squares detector that
 //!   NetGauge-style tools embed, and offline binary segmentation;
 //! * [`prefix`] — prefix-sum incremental least squares: O(1) stretch SSE
@@ -50,10 +49,9 @@ pub mod piecewise;
 pub mod prefix;
 pub mod regression;
 pub mod segmented;
-pub mod sequence;
 pub mod speedup;
 
 pub use error::AnalysisError;
 
 /// Convenience result alias used throughout the crate.
-pub type Result<T> = std::result::Result<T, AnalysisError>;
+pub(crate) type Result<T> = std::result::Result<T, AnalysisError>;

@@ -175,12 +175,6 @@ pub fn two_means(xs: &[f64]) -> Result<ModeSplit> {
     })
 }
 
-/// Convenience: `true` when the sample splits into two well-separated modes
-/// with at least 5 % of mass in the minority mode.
-pub fn is_bimodal(xs: &[f64]) -> Result<bool> {
-    Ok(two_means(xs)?.is_bimodal(2.0, 0.05))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -227,7 +221,7 @@ mod tests {
     #[test]
     fn unimodal_sample_not_bimodal() {
         let xs: Vec<f64> = (0..40).map(|i| 100.0 + (i % 7) as f64).collect();
-        assert!(!is_bimodal(&xs).unwrap());
+        assert!(!two_means(&xs).unwrap().is_bimodal(2.0, 0.05));
     }
 
     #[test]
@@ -255,8 +249,8 @@ mod tests {
         let m1 = crate::descriptive::mean(&bimodal).unwrap();
         let m2 = crate::descriptive::mean(&unimodal).unwrap();
         assert!((m1 - m2).abs() < 1.0, "means should be similar");
-        assert!(is_bimodal(&bimodal).unwrap());
-        assert!(!is_bimodal(&unimodal).unwrap());
+        assert!(two_means(&bimodal).unwrap().is_bimodal(2.0, 0.05));
+        assert!(!two_means(&unimodal).unwrap().is_bimodal(2.0, 0.05));
     }
 
     #[test]

@@ -36,7 +36,9 @@ pub struct PiecewiseLinear {
 impl PiecewiseLinear {
     /// Fits a piecewise model over `x`/`y` with the given interior
     /// `breakpoints` (ascending, strictly inside the data range). Each
-    /// segment needs at least two distinct x values.
+    /// segment needs at least two distinct x values; a segment that has
+    /// fewer fails with [`AnalysisError::Within`] naming its index, its
+    /// bounds and its count of distinct x.
     pub fn fit(x: &[f64], y: &[f64], breakpoints: &[f64]) -> Result<Self> {
         crate::error::ensure_paired(x, y)?;
         if breakpoints.windows(2).any(|w| w[0] >= w[1]) {
@@ -60,15 +62,13 @@ impl PiecewiseLinear {
         // rescanning all n points for each of the s segments.
         if x.windows(2).all(|w| w[0] <= w[1]) {
             let mut segments = Vec::with_capacity(edges.len() - 1);
-            for w in edges.windows(2) {
+            for (i, w) in edges.windows(2).enumerate() {
                 let (lo, hi) = (w[0], w[1]);
-                let last = hi == *edges.last().expect("edges nonempty");
+                let last = i == edges.len() - 2;
                 let a = x.partition_point(|&xi| xi < lo);
                 let b = if last { x.len() } else { x.partition_point(|&xi| xi < hi) };
-                if b - a < 2 {
-                    return Err(AnalysisError::TooFewObservations { needed: 2, got: b - a });
-                }
-                let fit = ols(&x[a..b], &y[a..b])?;
+                let fit = fit_segment(&x[a..b], &y[a..b])
+                    .map_err(|e| segment_error(e, i, lo, hi, last, &x[a..b]))?;
                 segments.push(Segment { lo, hi, fit });
             }
             return Ok(PiecewiseLinear { segments });
@@ -87,10 +87,7 @@ impl PiecewiseLinear {
                     sy.push(yi);
                 }
             }
-            if sx.len() < 2 {
-                return Err(AnalysisError::TooFewObservations { needed: 2, got: sx.len() });
-            }
-            let fit = ols(&sx, &sy)?;
+            let fit = fit_segment(&sx, &sy).map_err(|e| segment_error(e, i, lo, hi, last, &sx))?;
             segments.push(Segment { lo, hi, fit });
         }
         Ok(PiecewiseLinear { segments })
@@ -106,37 +103,35 @@ impl PiecewiseLinear {
         self.segments.len()
     }
 
-    /// Predicts the response at `x`, using the segment containing it
-    /// (clamping to the first/last segment outside the fitted range).
-    pub fn predict(&self, x: f64) -> f64 {
-        let seg = self.segments.iter().find(|s| x >= s.lo && x < s.hi).unwrap_or_else(|| {
-            if x < self.segments[0].lo {
-                &self.segments[0]
-            } else {
-                self.segments.last().expect("fit produces >= 1 segment")
-            }
-        });
-        seg.fit.predict(x)
-    }
-
     /// Total residual sum of squares across all segments.
     pub fn sse(&self) -> f64 {
         self.segments.iter().map(|s| s.fit.sse).sum()
     }
+}
 
-    /// Sizes of the discontinuities at each interior breakpoint:
-    /// `right_segment(bp) − left_segment(bp)`. Large jumps corroborate a
-    /// protocol switch; near-zero jumps with a slope change indicate a
-    /// bandwidth regime change instead.
-    pub fn jumps(&self) -> Vec<f64> {
-        self.segments
-            .windows(2)
-            .map(|w| {
-                let bp = w[1].lo;
-                w[1].fit.predict(bp) - w[0].fit.predict(bp)
-            })
-            .collect()
+/// The OLS fit of one segment's points (at least two of them).
+fn fit_segment(x: &[f64], y: &[f64]) -> Result<LinearFit> {
+    if x.len() < 2 {
+        return Err(AnalysisError::TooFewObservations { needed: 2, got: x.len() });
     }
+    ols(x, y)
+}
+
+/// `cause`, prefixed with segment `index`, its bounds (the last segment
+/// is closed on the right) and how many distinct x values `x` holds.
+fn segment_error(
+    cause: AnalysisError,
+    index: usize,
+    lo: f64,
+    hi: f64,
+    last: bool,
+    x: &[f64],
+) -> AnalysisError {
+    let mut distinct = x.to_vec();
+    distinct.sort_by(f64::total_cmp);
+    distinct.dedup();
+    let close = if last { ']' } else { ')' };
+    cause.within(format!("segment {index} [{lo}, {hi}{close} with {} distinct x", distinct.len()))
 }
 
 #[cfg(test)]
@@ -176,32 +171,11 @@ mod tests {
     }
 
     #[test]
-    fn jump_detected_at_break() {
-        let (x, y) = two_regime();
-        let pw = PiecewiseLinear::fit(&x, &y, &[10.0]).unwrap();
-        let jumps = pw.jumps();
-        assert_eq!(jumps.len(), 1);
-        // left predicts 10, right predicts 70 at x=10 -> jump 60
-        assert!((jumps[0] - 60.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn piecewise_never_worse_than_single_line() {
         let (x, y) = two_regime();
         let single = PiecewiseLinear::fit(&x, &y, &[]).unwrap();
         let double = PiecewiseLinear::fit(&x, &y, &[10.0]).unwrap();
         assert!(double.sse() <= single.sse() + 1e-12);
-    }
-
-    #[test]
-    fn predict_respects_segments_and_clamps() {
-        let (x, y) = two_regime();
-        let pw = PiecewiseLinear::fit(&x, &y, &[10.0]).unwrap();
-        assert!((pw.predict(5.0) - 5.0).abs() < 1e-9);
-        assert!((pw.predict(15.0) - 95.0).abs() < 1e-9);
-        // extrapolation clamps to the outermost segments' lines
-        assert!((pw.predict(-1.0) + 1.0).abs() < 1e-9);
-        assert!((pw.predict(100.0) - 520.0).abs() < 1e-9);
     }
 
     #[test]
@@ -239,9 +213,31 @@ mod tests {
         let x = [0.0, 1.0, 2.0, 10.0];
         let y = [0.0, 1.0, 2.0, 10.0];
         // break at 9.0 leaves only one point on the right
+        let err = PiecewiseLinear::fit(&x, &y, &[9.0]).unwrap_err();
         assert!(matches!(
-            PiecewiseLinear::fit(&x, &y, &[9.0]),
-            Err(AnalysisError::TooFewObservations { .. })
+            &err,
+            AnalysisError::Within { cause, .. }
+                if matches!(**cause, AnalysisError::TooFewObservations { needed: 2, got: 1 })
         ));
+        assert_eq!(
+            err.to_string(),
+            "segment 1 [9, 10] with 1 distinct x: need at least 2 observations, got 1"
+        );
+    }
+
+    #[test]
+    fn failed_segment_is_named_on_both_paths() {
+        // x = 5 three times inside [4, 6): one distinct x, no slope
+        let x = [0.0, 1.0, 2.0, 5.0, 5.0, 5.0, 8.0, 9.0];
+        let y = [0.0, 1.0, 2.0, 5.0, 6.0, 7.0, 8.0, 9.0];
+        let want = "segment 1 [4, 6) with 1 distinct x: all predictor values identical; \
+                    slope undefined";
+        let sorted = PiecewiseLinear::fit(&x, &y, &[4.0, 6.0]).unwrap_err();
+        assert_eq!(sorted.to_string(), want);
+        let (mut xr, mut yr) = (x.to_vec(), y.to_vec());
+        xr.reverse();
+        yr.reverse();
+        let scanned = PiecewiseLinear::fit(&xr, &yr, &[4.0, 6.0]).unwrap_err();
+        assert_eq!(scanned, sorted);
     }
 }

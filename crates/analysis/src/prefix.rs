@@ -73,10 +73,6 @@ impl Column {
 /// OLS SSE of the stretch `[i, j)`?" in constant time.
 #[derive(Debug, Clone)]
 pub struct PrefixOls {
-    /// Global mean of x (centering offset).
-    mean_x: f64,
-    /// Global mean of y (centering offset).
-    mean_y: f64,
     /// Prefix sums of centered x.
     px: Column,
     /// Prefix sums of centered y.
@@ -100,13 +96,10 @@ fn diff(b_sum: f64, b_comp: f64, a_sum: f64, a_comp: f64) -> f64 {
 
 /// Centered moments of one stretch of `m` points, from the prefix
 /// differences of the five columns. This is the single formula behind
-/// [`PrefixOls::sse`], [`PrefixOls::line`] and [`PrefixOls::sse_row`],
-/// so the three cannot drift apart bit-wise.
+/// [`PrefixOls::sse`] and [`PrefixOls::sse_row`], so the two cannot
+/// drift apart bit-wise.
 #[derive(Clone, Copy)]
 struct Moments {
-    m: f64,
-    sx: f64,
-    sy: f64,
     sxx: f64,
     sxy: f64,
     syy: f64,
@@ -115,14 +108,7 @@ struct Moments {
 impl Moments {
     #[inline(always)]
     fn new(m: f64, [sx, sy, dxx, dxy, dyy]: [f64; 5]) -> Self {
-        Moments {
-            m,
-            sx,
-            sy,
-            sxx: dxx - sx * sx / m,
-            sxy: dxy - sx * sy / m,
-            syy: dyy - sy * sy / m,
-        }
+        Moments { sxx: dxx - sx * sx / m, sxy: dxy - sx * sy / m, syy: dyy - sy * sy / m }
     }
 
     /// Residual sum of squares of a stretch of at least two points.
@@ -181,17 +167,12 @@ impl PrefixOls {
             pxy.push(acc[3]);
             pyy.push(acc[4]);
         }
-        PrefixOls { mean_x, mean_y, px, py, pxx, pxy, pyy }
+        PrefixOls { px, py, pxx, pxy, pyy }
     }
 
     /// Number of observations covered by the tables.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.px.sum.len() - 1
-    }
-
-    /// Whether the tables cover no observations.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 
     /// Centered moments of the stretch `[i, j)` (caller checks bounds).
@@ -258,24 +239,6 @@ impl PrefixOls {
             out[t] = moments.sse(points == 2);
         }
     }
-
-    /// Slope and intercept (in the original, uncentered coordinates) of
-    /// the OLS line over `[i, j)`, or `None` for degenerate stretches.
-    pub fn line(&self, i: usize, j: usize) -> Option<(f64, f64)> {
-        assert!(i <= j && j <= self.len(), "stretch [{i}, {j}) out of bounds");
-        if j - i < 2 {
-            return None;
-        }
-        let Moments { m, sx, sy, sxx, sxy, .. } = self.moments(i, j);
-        if sxx <= 0.0 {
-            return None;
-        }
-        let slope = sxy / sxx;
-        // centered intercept, then shift back to original coordinates
-        let intercept_c = (sy - slope * sx) / m;
-        let intercept = intercept_c + self.mean_y - slope * self.mean_x;
-        Some((slope, intercept))
-    }
 }
 
 /// Reference implementation: OLS SSE of `x[i..j]`, `y[i..j]` by a full
@@ -329,21 +292,6 @@ mod tests {
         let y: Vec<f64> = x.iter().map(|&v| 3.0 - 2.0 * v).collect();
         let p = PrefixOls::new(&x, &y);
         assert!(p.sse(5, 45) < 1e-9);
-        let (slope, intercept) = p.line(5, 45).unwrap();
-        assert!((slope + 2.0).abs() < 1e-9);
-        assert!((intercept - 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn line_matches_ols_fit() {
-        let x: Vec<f64> = (0..40).map(|i| 8.0 * (1.25f64).powi(i)).collect();
-        let y: Vec<f64> =
-            x.iter().enumerate().map(|(i, &v)| 20.0 + 0.003 * v + (i % 5) as f64).collect();
-        let p = PrefixOls::new(&x, &y);
-        let f = ols(&x[10..30], &y[10..30]).unwrap();
-        let (slope, intercept) = p.line(10, 30).unwrap();
-        assert!((slope - f.slope).abs() <= 1e-9 * f.slope.abs().max(1.0));
-        assert!((intercept - f.intercept).abs() <= 1e-9 * f.intercept.abs().max(1.0));
     }
 
     #[test]
@@ -399,7 +347,7 @@ mod tests {
     #[test]
     fn empty_and_bounds() {
         let p = PrefixOls::new(&[], &[]);
-        assert!(p.is_empty());
+        assert_eq!(p.len(), 0);
         let p2 = PrefixOls::new(&[1.0, 2.0], &[3.0, 4.0]);
         assert_eq!(p2.len(), 2);
         assert!(p2.sse(0, 2).is_finite());

@@ -52,7 +52,7 @@ pub fn ols(x: &[f64], y: &[f64]) -> Result<LinearFit> {
 }
 
 /// Fits `y = a + b·x` by weighted least squares with weights `w >= 0`.
-pub fn weighted_ols(x: &[f64], y: &[f64], w: &[f64]) -> Result<LinearFit> {
+pub(crate) fn weighted_ols(x: &[f64], y: &[f64], w: &[f64]) -> Result<LinearFit> {
     ensure_paired(x, y)?;
     if w.len() != x.len() {
         return Err(AnalysisError::LengthMismatch { x: x.len(), y: w.len() });

@@ -70,7 +70,7 @@ fn run() -> std::io::Result<()> {
     charm_bench::csvout::artifact("ablation_aggregation.csv")
         .meta("generator", "ablation_aggregation")
         .meta("seed", seed)
-        .write(&csv)?;
+        .write(args.out.as_deref(), &csv)?;
     println!("\nmean ± sd (all an opaque tool keeps) hides the two modes entirely");
     session.finish()
 }

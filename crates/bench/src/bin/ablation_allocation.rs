@@ -58,7 +58,7 @@ fn run() -> std::io::Result<()> {
     charm_bench::csvout::artifact("ablation_allocation.csv")
         .meta("generator", "ablation_allocation")
         .meta("seed", base)
-        .write(&csv)?;
+        .write(args.out.as_deref(), &csv)?;
     println!("\nmalloc reuse makes each run stable but runs disagree wildly (the Figure 12 trap);\nthe pooled allocator samples many page layouts per run and reproduces across runs");
     session.finish()
 }

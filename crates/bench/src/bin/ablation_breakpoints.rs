@@ -54,6 +54,6 @@ fn run() -> std::io::Result<()> {
     charm_bench::csvout::artifact("ablation_breakpoints.csv")
         .meta("generator", "ablation_breakpoints")
         .meta("seed", seed)
-        .write(&csv)?;
+        .write(args.out.as_deref(), &csv)?;
     session.finish()
 }

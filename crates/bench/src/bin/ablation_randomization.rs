@@ -82,7 +82,7 @@ fn run() -> std::io::Result<()> {
     charm_bench::csvout::artifact("ablation_randomization.csv")
         .meta("generator", "ablation_randomization")
         .meta("seed", seed)
-        .write(&csv)?;
+        .write(args.out.as_deref(), &csv)?;
     println!("\nsequential campaigns localize the burst in a block of sizes (phantom size effect);\nrandomized campaigns keep per-size medians smooth and expose the burst as temporal");
     session.finish()
 }

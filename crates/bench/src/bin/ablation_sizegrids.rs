@@ -45,7 +45,7 @@ fn run() -> std::io::Result<()> {
     charm_bench::csvout::artifact("ablation_sizegrids.csv")
         .meta("generator", "ablation_sizegrids")
         .meta("seed", seed)
-        .write(&csv)?;
+        .write(args.out.as_deref(), &csv)?;
 
     // 2. the neighbour probe finds the planted anomaly
     let mut sim = platform();

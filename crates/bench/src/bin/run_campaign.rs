@@ -66,6 +66,7 @@ use charm_engine::registry::{self, ExternalEngineSpec, ResolvedTarget};
 use charm_engine::{Campaign, CampaignRun, ParallelTarget};
 use charm_obs::Observer;
 use charm_runner::ExternalTarget;
+use std::path::Path;
 use std::process::ExitCode;
 
 const USAGE_POSITIONAL: &str = "<plan.dsl> <platform>";
@@ -96,10 +97,11 @@ fn lower(args: &CommonArgs) -> Result<ResolvedBenchmark, ExitCode> {
 }
 
 /// Writes the campaign CSV and, when observed, its JSONL report.
-fn write_outputs(label: &str, run: &CampaignRun) -> std::io::Result<()> {
-    charm_bench::write_artifact(&format!("campaign_{label}.csv"), &run.data.to_csv())?;
+fn write_outputs(out: Option<&Path>, label: &str, run: &CampaignRun) -> std::io::Result<()> {
+    charm_bench::write_artifact(out, &format!("campaign_{label}.csv"), &run.data.to_csv())?;
     if let Some(report) = &run.report {
-        charm_bench::write_artifact(&format!("campaign_{label}_obs.jsonl"), &report.to_jsonl())?;
+        let jsonl = report.to_jsonl();
+        charm_bench::write_artifact(out, &format!("campaign_{label}_obs.jsonl"), &jsonl)?;
     }
     Ok(())
 }
@@ -117,7 +119,7 @@ fn finish_run(
     run: &CampaignRun,
 ) -> ExitCode {
     let label = bench.target.label();
-    if let Err(e) = write_outputs(&label, run) {
+    if let Err(e) = write_outputs(args.out.as_deref(), &label, run) {
         return charm_bench::exit_status(Err(e));
     }
     if let Some(report) = &run.report {

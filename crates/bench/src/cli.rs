@@ -2,10 +2,9 @@
 //!
 //! Every binary in `src/bin/` reads the shared flags:
 //!
-//! * `--seed N` — RNG seed (default [`crate::default_seed`], i.e. the
-//!   `CHARM_SEED` environment variable or the built-in constant);
-//! * `--out DIR` — results directory; exported as `CHARM_RESULTS_DIR`
-//!   so [`crate::results_dir`] honours it;
+//! * `--seed N` — RNG seed (default 20170529);
+//! * `--out DIR` — results directory (default `results/` at the
+//!   workspace root);
 //! * `--obs-jsonl` — also write observability reports (counters +
 //!   provenance events, JSON Lines) next to the CSV artifacts;
 //! * `--quick` — reduced plan sizes for smoke runs (CI uses this);
@@ -30,12 +29,19 @@
 //!   `pchase_interference`: `--benchmark PATH` runs a declarative spec
 //!   (DESIGN.md §15) instead of the built-in one; `--param NAME=VALUE`
 //!   overrides one of its `[params]` (repeatable).
+//!
+//! The command line is the only input: no environment variable sets a
+//! flag's value.
+
+use std::path::PathBuf;
 
 /// The flags shared by all regenerator binaries, parsed.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CommonArgs {
     /// RNG seed (`--seed N`).
     pub seed: u64,
+    /// Results directory (`--out DIR`), when given.
+    pub out: Option<PathBuf>,
     /// Campaign worker count (`--shards N`), when given.
     pub shards: Option<usize>,
     /// Whether to write observability JSONL artifacts (`--obs-jsonl`).
@@ -61,28 +67,22 @@ pub struct CommonArgs {
 
 impl CommonArgs {
     /// Parses `std::env::args()` for a binary that reads the shared
-    /// flags plus the groups in `reads`, applies the environment side
-    /// effect (`CHARM_RESULTS_DIR`), and exits with the
-    /// usage text (listing only the flags the binary reads) on `--help`,
-    /// a malformed flag, or a flag the binary does not read.
+    /// flags plus the groups in `reads`, and exits with the usage text
+    /// (listing only the flags the binary reads) on `--help`, a
+    /// malformed flag, or a flag the binary does not read.
     /// `extra_usage` documents the positional arguments (empty when the
     /// binary takes none).
     pub fn parse(extra_usage: &str, reads: Reads) -> CommonArgs {
         let bin = std::env::args().next().unwrap_or_else(|| "bin".into());
-        let parsed = Self::try_parse(std::env::args().skip(1), crate::default_seed());
-        match parsed.and_then(|(args, out)| match args.unread(reads) {
+        let parsed = Self::try_parse(std::env::args().skip(1), crate::DEFAULT_SEED);
+        match parsed.and_then(|args| match args.unread(reads) {
             Some(flag) => {
                 eprintln!("{bin} does not read {flag}");
                 Err(Exit::Error)
             }
-            None => Ok((args, out)),
+            None => Ok(args),
         }) {
-            Ok((args, out_dir)) => {
-                if let Some(dir) = out_dir {
-                    std::env::set_var("CHARM_RESULTS_DIR", dir);
-                }
-                args
-            }
+            Ok(args) => args,
             Err(Exit::Help) => {
                 println!("{}", usage(&bin, extra_usage, reads));
                 std::process::exit(0);
@@ -110,21 +110,19 @@ impl CommonArgs {
         .map(|(flag, _)| flag)
     }
 
-    /// Pure parser (no environment side effects): returns the parsed
-    /// args and the `--out` value, or an [`Exit`] reason when usage
-    /// should be printed instead. Split out for tests.
-    pub fn try_parse(
+    /// Pure parser: returns the parsed args, or an [`Exit`] reason when
+    /// usage should be printed instead. Split out for tests.
+    pub(crate) fn try_parse(
         argv: impl IntoIterator<Item = String>,
         default_seed: u64,
-    ) -> Result<(CommonArgs, Option<String>), Exit> {
+    ) -> Result<CommonArgs, Exit> {
         let mut args = CommonArgs { seed: default_seed, ..CommonArgs::default() };
-        let mut out_dir = None;
         let mut argv = argv.into_iter();
         while let Some(a) = argv.next() {
             match a.as_str() {
                 "--seed" => args.seed = value_of("--seed", argv.next())?,
                 "--shards" => args.shards = Some(positive("--shards", argv.next())?),
-                "--out" => out_dir = Some(text_of("--out", "a directory", argv.next())?),
+                "--out" => args.out = Some(text_of("--out", "a directory", argv.next())?.into()),
                 "--obs-jsonl" => args.obs_jsonl = true,
                 "--quick" => args.quick = true,
                 "--profile" => args.profile = true,
@@ -155,14 +153,14 @@ impl CommonArgs {
                 _ => args.rest.push(a),
             }
         }
-        Ok((args, out_dir))
+        Ok(args)
     }
 }
 
 /// Why parsing stopped: the user asked for usage, or a flag was
 /// malformed (usage goes to stderr, exit code 2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Exit {
+pub(crate) enum Exit {
     /// `--help` / `-h` was given.
     Help,
     /// A flag was unknown or had a bad value.
@@ -223,9 +221,9 @@ fn text_of(flag: &str, what: &str, v: Option<String>) -> Result<String, Exit> {
 
 /// Every flag's synopsis and help text.
 const FLAGS: [(&str, &str); 11] = [
-    ("--seed N", "RNG seed (default CHARM_SEED or 20170529)"),
+    ("--seed N", "RNG seed (default 20170529)"),
     ("--shards N", "campaign worker threads (default 1; part of the run ID)"),
-    ("--out DIR", "results directory (sets CHARM_RESULTS_DIR)"),
+    ("--out DIR", "results directory (default results/ at the workspace root)"),
     ("--obs-jsonl", "also write observability reports as JSON Lines"),
     ("--quick", "reduced plans for smoke runs"),
     ("--profile", "print a wall-clock self-profile on exit"),
@@ -262,14 +260,13 @@ mod tests {
 
     #[test]
     fn defaults_without_flags() {
-        let (args, out) = CommonArgs::try_parse(argv(&[]), 7).unwrap();
+        let args = CommonArgs::try_parse(argv(&[]), 7).unwrap();
         assert_eq!(args, CommonArgs { seed: 7, ..CommonArgs::default() });
-        assert_eq!(out, None);
     }
 
     #[test]
     fn all_flags_and_positionals() {
-        let (args, out) = CommonArgs::try_parse(
+        let args = CommonArgs::try_parse(
             argv(&[
                 "plan.dsl",
                 "--seed",
@@ -315,7 +312,7 @@ mod tests {
             ]
         );
         assert_eq!(args.rest, argv(&["plan.dsl", "taurus"]));
-        assert_eq!(out.as_deref(), Some("/tmp/r"));
+        assert_eq!(args.out.as_deref(), Some(std::path::Path::new("/tmp/r")));
     }
 
     #[test]

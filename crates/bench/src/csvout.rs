@@ -23,7 +23,7 @@
 //! ```
 
 use std::collections::BTreeSet;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// A CSV artifact being assembled: name plus metadata stamps.
 #[derive(Debug, Clone)]
@@ -71,11 +71,12 @@ impl CsvArtifact {
         out
     }
 
-    /// Writes the stamped artifact into the results directory and
-    /// reports its path (via [`crate::write_artifact`]).
-    pub fn write(self, body: &str) -> std::io::Result<PathBuf> {
+    /// Writes the stamped artifact into the results directory (`out` is
+    /// the `--out` flag) and reports its path (via
+    /// [`crate::write_artifact`]).
+    pub fn write(self, out: Option<&Path>, body: &str) -> std::io::Result<PathBuf> {
         let text = self.stamped(body);
-        crate::write_artifact(&self.name, &text)
+        crate::write_artifact(out, &self.name, &text)
     }
 }
 

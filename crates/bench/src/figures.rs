@@ -70,19 +70,20 @@ fn run_entry(
         }
         _ => (EXIT_TARGET, err.to_string()),
     })?;
+    let dir = args.out.as_deref();
     for (name, body) in &out.artifacts {
         let mut artifact = crate::csvout::artifact(name).meta("generator", e.binary);
         if e.seeded {
             artifact = artifact.meta("seed", args.seed);
         }
-        artifact.observed(out.observed.is_some()).write(body).map_err(write_failed)?;
+        artifact.observed(out.observed.is_some()).write(dir, body).map_err(write_failed)?;
     }
     if let Some(report) = &out.observed {
         if args.obs_jsonl {
             let name = format!("{}_obs.jsonl", e.id);
             let text =
                 validated_jsonl(report).map_err(|m| (EXIT_TARGET, format!("{name}: {m}")))?;
-            crate::write_artifact(&name, &text).map_err(write_failed)?;
+            crate::write_artifact(dir, &name, &text).map_err(write_failed)?;
             println!("verified {name}: the JSONL parses back to the identical report");
         }
         session.attach_virtual(e.id, report);

@@ -25,14 +25,14 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-/// Resolves the `results/` directory (created on demand) next to the
-/// workspace root, honouring `CHARM_RESULTS_DIR` when set. The error
-/// names the directory.
-pub fn results_dir() -> io::Result<PathBuf> {
-    let dir = match std::env::var("CHARM_RESULTS_DIR") {
-        Ok(dir) => PathBuf::from(dir),
+/// Resolves the results directory (created on demand): `out` (the
+/// `--out` flag) when given, else `results/` next to the workspace root.
+/// The error names the directory.
+pub(crate) fn results_dir(out: Option<&Path>) -> io::Result<PathBuf> {
+    let dir = match out {
+        Some(dir) => dir.to_path_buf(),
         // walk up from the current directory to find the workspace root
-        Err(_) => {
+        None => {
             let mut p = std::env::current_dir()?;
             loop {
                 if p.join("Cargo.toml").exists() && p.join("crates").exists() {
@@ -48,10 +48,11 @@ pub fn results_dir() -> io::Result<PathBuf> {
     Ok(dir)
 }
 
-/// Writes an artifact file and reports its path on stdout. The error
-/// names the path that could not be written.
-pub fn write_artifact(name: &str, contents: &str) -> io::Result<PathBuf> {
-    let path = results_dir()?.join(name);
+/// Writes an artifact file into the results directory (see
+/// [`results_dir`]; `out` is the `--out` flag) and reports its path on
+/// stdout. The error names the path that could not be written.
+pub fn write_artifact(out: Option<&Path>, name: &str, contents: &str) -> io::Result<PathBuf> {
+    let path = results_dir(out)?.join(name);
     fs::write(&path, contents).map_err(|e| cannot_write(&path, e))?;
     println!("wrote {}", path.display());
     Ok(path)
@@ -75,10 +76,8 @@ pub fn exit_status(written: io::Result<()>) -> ExitCode {
     }
 }
 
-/// The seed every regenerator uses by default; override with `CHARM_SEED`.
-pub fn default_seed() -> u64 {
-    std::env::var("CHARM_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(20170529)
-}
+/// The seed every regenerator uses unless `--seed` is given.
+pub(crate) const DEFAULT_SEED: u64 = 20170529;
 
 #[cfg(test)]
 mod tests {
@@ -86,19 +85,16 @@ mod tests {
 
     #[test]
     fn results_dir_is_created() {
-        let d = results_dir().unwrap();
+        let d = results_dir(None).unwrap();
         assert!(d.exists());
     }
 
     #[test]
-    fn artifact_roundtrip() {
-        let p = write_artifact("selftest.txt", "hello").unwrap();
+    fn artifact_roundtrip_under_out() {
+        let dir = std::env::temp_dir().join(format!("charm_bench_artifact_{}", std::process::id()));
+        let p = write_artifact(Some(&dir), "selftest.txt", "hello").unwrap();
+        assert_eq!(p, dir.join("selftest.txt"));
         assert_eq!(fs::read_to_string(&p).unwrap(), "hello");
-        std::fs::remove_file(p).ok();
-    }
-
-    #[test]
-    fn seed_default() {
-        assert_eq!(default_seed(), 20170529);
+        fs::remove_dir_all(dir).ok();
     }
 }

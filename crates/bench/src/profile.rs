@@ -39,7 +39,7 @@ impl Session {
 
     /// Explicit constructor (used by tests): `print_summary` maps to
     /// `--profile`, `trace_out` to `--trace-out PATH`.
-    pub fn new(print_summary: bool, trace_out: Option<String>) -> Session {
+    pub(crate) fn new(print_summary: bool, trace_out: Option<String>) -> Session {
         let profiler = if print_summary || trace_out.is_some() {
             Profiler::enabled()
         } else {
@@ -47,17 +47,6 @@ impl Session {
         };
         profiler.install_thread("main");
         Session { profiler, print_summary, trace_out, virtual_reports: RefCell::new(Vec::new()) }
-    }
-
-    /// The session's profiler (cloneable; hand it to explicit
-    /// `.profiler(...)` calls when the ambient default is not enough).
-    pub fn profiler(&self) -> Profiler {
-        self.profiler.clone()
-    }
-
-    /// Whether spans are being recorded this run.
-    pub fn is_enabled(&self) -> bool {
-        self.profiler.is_enabled()
     }
 
     /// Registers a virtual-clock campaign report to re-export as a lane
@@ -122,7 +111,6 @@ mod tests {
     #[test]
     fn disabled_session_is_inert() {
         let s = Session::new(false, None);
-        assert!(!s.is_enabled());
         assert!(!charm_trace::thread_profiler().is_enabled());
         s.attach_virtual("x", &sample_report());
         s.finish().unwrap(); // writes nothing, prints nothing
@@ -132,7 +120,6 @@ mod tests {
     fn session_installs_ambient_profiler_and_writes_trace() {
         let path = std::env::temp_dir().join("charm_session_trace_test.json");
         let s = Session::new(false, Some(path.to_string_lossy().into_owned()));
-        assert!(s.is_enabled());
         assert!(charm_trace::thread_profiler().is_enabled());
         drop(charm_trace::thread_span("unit.work"));
         s.attach_virtual("rep", &sample_report());

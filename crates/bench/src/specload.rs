@@ -29,11 +29,11 @@ pub const EXIT_BAD_SPEC: u8 = 2;
 /// Exit code for target/protocol failures during the campaign.
 pub const EXIT_TARGET: u8 = 3;
 /// Exit code for an engine subprocess that exited nonzero or died.
-pub const EXIT_ENGINE: u8 = 4;
+pub(crate) const EXIT_ENGINE: u8 = 4;
 
 /// Reads a spec file's text; a failure prints to stderr and maps to
 /// exit code [`EXIT_BAD_SPEC`].
-pub fn read(path: &str) -> Result<String, ExitCode> {
+pub(crate) fn read(path: &str) -> Result<String, ExitCode> {
     std::fs::read_to_string(path).map_err(|e| {
         eprintln!("cannot read benchmark spec {path}: {e}");
         ExitCode::from(EXIT_BAD_SPEC)

@@ -28,15 +28,12 @@ const BINARIES: [(&str, &str); 12] = [
 ];
 const ALL_FIGURES: &str = env!("CARGO_BIN_EXE_all_figures");
 
-/// Runs `bin` from `dir`, without the harness's env knobs, writing into
-/// `<dir>/<out>`.
+/// Runs `bin` from `dir`, writing into `<dir>/<out>`.
 fn run(dir: &Scratch, bin: &str, out: &str, args: &[&str]) -> Output {
     Command::new(bin)
         .args(args)
         .args(["--out", dir.join(out).to_str().unwrap()])
         .current_dir(&dir.0)
-        .env_remove("CHARM_SEED")
-        .env_remove("CHARM_RESULTS_DIR")
         .output()
         .unwrap()
 }
@@ -119,6 +116,23 @@ fn a_failed_fit_exits_3_naming_the_experiment_and_seed() {
             err.contains("fig04 (seed 3): analysis failed") && !err.contains("panicked"),
             "{err}"
         );
+    }
+}
+
+#[test]
+fn a_failed_fit_names_the_op_and_the_segment() {
+    // The biased-sizes pitfall in our own harness: a few log-uniform
+    // sizes leave the detached regime with too few distinct sizes to fit.
+    let dir = Scratch::new("segment");
+    for (seed, cause) in [
+        ("3", "with 0 distinct x: need at least 2 observations, got 0"),
+        ("6", "with 1 distinct x: all predictor values identical"),
+    ] {
+        let result = run(&dir, BINARIES[1].1, "out", &["--quick", "--seed", seed]);
+        let err = stderr(&result);
+        assert_eq!(result.status.code(), Some(3), "seed {seed}: {err}");
+        let named = format!("analysis failed: async_send: segment 1 [32768, 131072) {cause}");
+        assert!(err.contains(&named), "seed {seed}: {err}");
     }
 }
 

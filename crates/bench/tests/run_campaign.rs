@@ -26,12 +26,7 @@ order randomized 42
 ";
 
 fn run_campaign(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_run_campaign"))
-        .args(args)
-        .env_remove("CHARM_SEED")
-        .env_remove("CHARM_RESULTS_DIR")
-        .output()
-        .unwrap()
+    Command::new(env!("CARGO_BIN_EXE_run_campaign")).args(args).output().unwrap()
 }
 
 fn archived_id(out: &Output) -> String {
@@ -112,6 +107,40 @@ fn the_requested_shards_are_the_shards_that_ran() {
     assert!(header.contains(&"# batches: 15"), "{header:?}");
     // The same command is the same campaign: same ID, same bytes.
     assert_eq!(archived_id(&run_campaign(&args)), id);
+}
+
+#[test]
+fn the_environment_sets_neither_the_seed_nor_the_output_directory() {
+    // Only `--seed` and `--out` set either: CHARM_SEED and
+    // CHARM_RESULTS_DIR in the environment move no byte and no path.
+    let dir = Scratch::new("env");
+    let plan = dir.write("smoke_plan.dsl", SMOKE_PLAN);
+    let (store, elsewhere) = (dir.join("store"), dir.join("elsewhere"));
+    let run = |extra: &[&str], env: &[(&str, &str)]| {
+        let output = Command::new(env!("CARGO_BIN_EXE_run_campaign"))
+            .args([plan.as_str(), "taurus", "--store", path(&store)])
+            .args(extra)
+            .envs(env.iter().copied())
+            .current_dir(&dir.0)
+            .output()
+            .unwrap();
+        archived_id(&output)
+    };
+    let knobs = [("CHARM_SEED", "5"), ("CHARM_RESULTS_DIR", path(&elsewhere))];
+    let clean = run(&["--out", path(&dir.join("clean"))], &[]);
+    assert_eq!(run(&["--out", path(&dir.join("knobs"))], &knobs), clean);
+    // Without --out the CSV goes to results/ at the workspace root; a
+    // temp directory has none above it, so results/ lands beside it.
+    assert_eq!(run(&[], &knobs), clean);
+    for out in ["clean", "knobs", "results"] {
+        assert!(dir.join(out).join("campaign_taurus.csv").is_file(), "nothing in {out}");
+    }
+    assert!(!elsewhere.exists(), "wrote under CHARM_RESULTS_DIR");
+    // The clean run archived the manifest: its environment is the
+    // caller's, with no variable the CLI set itself.
+    let json = std::fs::read_to_string(store.join("runs").join(&clean).join("manifest.json"));
+    let manifest = charm_store::Manifest::from_json(&json.unwrap()).unwrap();
+    assert!(manifest.machine.unwrap().env.keys().all(|k| k != "CHARM_RESULTS_DIR"));
 }
 
 #[test]

@@ -35,12 +35,12 @@ pub struct AppResult {
 
 impl AppResult {
     /// Relative error of the white-box prediction.
-    pub fn whitebox_error(&self) -> f64 {
+    pub(crate) fn whitebox_error(&self) -> f64 {
         (self.whitebox_us - self.truth_us).abs() / self.truth_us
     }
 
     /// Relative error of the opaque prediction.
-    pub fn opaque_error(&self) -> f64 {
+    pub(crate) fn opaque_error(&self) -> f64 {
         (self.opaque_us - self.truth_us).abs() / self.truth_us
     }
 }
@@ -95,7 +95,7 @@ fn flat_memory() -> MemoryModel {
 
 /// The synthetic applications: message-size mixes the paper's intro
 /// motivates (halo exchanges, mid-size pipelines, bulk transfers).
-pub fn applications() -> Vec<(String, AppSignature)> {
+pub(crate) fn applications() -> Vec<(String, AppSignature)> {
     vec![
         (
             "halo-exchange (many small)".into(),
@@ -144,7 +144,7 @@ pub fn run(seed: u64) -> ConvolutionStudy {
 
 /// Runs the study, returning a failed measurement or model fit as an
 /// error.
-pub fn try_run(seed: u64) -> Result<ConvolutionStudy, CharmError> {
+pub(crate) fn try_run(seed: u64) -> Result<ConvolutionStudy, CharmError> {
     let white = MachineSignature { memory: flat_memory(), network: whitebox_model(seed)? };
     let opaque = MachineSignature { memory: flat_memory(), network: opaque_model(seed)? };
     let sim = presets::taurus_openmpi_tcp(0);
@@ -185,7 +185,7 @@ impl ConvolutionStudy {
     }
 
     /// Terminal report.
-    pub fn report(&self) -> String {
+    pub(crate) fn report(&self) -> String {
         let mut out = String::from(
             "Convolution study — prediction error by model instantiation flavour\n  app                                truth(ms)  whitebox err  opaque err\n",
         );

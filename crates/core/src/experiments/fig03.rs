@@ -95,7 +95,7 @@ impl Fig03 {
     }
 
     /// Terminal rendering: the scatter plus the breakpoint comparison.
-    pub fn report(&self) -> String {
+    pub(crate) fn report(&self) -> String {
         let glyphs = ['o', '.', 'x', ','];
         let views: Vec<(&[(f64, f64)], char)> =
             self.series.iter().zip(glyphs).map(|(s, g)| (s.points.as_slice(), g)).collect();

@@ -24,7 +24,7 @@ use charm_simnet::NetOp;
 /// The Figure 4 design, `benchmarks/fig04.toml`: randomized log-uniform
 /// sizes of the three operations on the Taurus preset, and the
 /// analyst-provided breakpoints of the fit.
-pub const SPEC: &str = include_str!("../../../../benchmarks/fig04.toml");
+pub(crate) const SPEC: &str = include_str!("../../../../benchmarks/fig04.toml");
 
 /// Per-(operation, regime) variability cell.
 #[derive(Debug, Clone)]
@@ -71,7 +71,11 @@ pub fn run(seed: u64, n_sizes: usize, reps: u32) -> Fig04 {
 /// `# shards` / `# batches` / `# shard_clock_offsets` header), then fits
 /// the piecewise model at the spec's `analysis.breakpoints` and the
 /// per-regime variability table.
-pub fn from_spec(text: &str, seed: u64, params: &[(String, String)]) -> Result<Fig04, CharmError> {
+pub(crate) fn from_spec(
+    text: &str,
+    seed: u64,
+    params: &[(String, String)],
+) -> Result<Fig04, CharmError> {
     let r = super::resolve(text, seed, params)?;
     let breakpoints = ResolvedBenchmark::u64_array(&r.analysis, "breakpoints")?;
     let target = match registry::resolve(&r.target, seed)? {
@@ -152,7 +156,7 @@ impl Fig04 {
     }
 
     /// Terminal report: three panels + the variability table.
-    pub fn report(&self) -> String {
+    pub(crate) fn report(&self) -> String {
         let mut out =
             String::from("Figure 4 — Taurus network modeling (randomized log-uniform sizes)\n");
         for op in ["async_send", "blocking_recv", "ping_pong"] {

@@ -14,7 +14,7 @@ use charm_opaque::multimaps::{self, MultimapsConfig};
 /// The Figure 7 design, `benchmarks/fig07.toml`: the controlled Opteron,
 /// strides {2, 4, 8} over a 1.5x page-aligned size ladder from 4 KiB to
 /// 6.5 MiB, and the MultiMAPS loop count.
-pub const SPEC: &str = include_str!("../../../../benchmarks/fig07.toml");
+pub(crate) const SPEC: &str = include_str!("../../../../benchmarks/fig07.toml");
 
 /// One `(stride, size, mean bandwidth)` row.
 #[derive(Debug, Clone, Copy)]
@@ -48,7 +48,11 @@ pub fn run(seed: u64, reps: u32) -> Fig07 {
 /// overrides and runs the `multimaps` tool over its `size_bytes` ×
 /// `stride` factors on the registry-resolved machine. The
 /// cache-capacity annotations come from the machine's own CPU spec.
-pub fn from_spec(text: &str, seed: u64, params: &[(String, String)]) -> Result<Fig07, CharmError> {
+pub(crate) fn from_spec(
+    text: &str,
+    seed: u64,
+    params: &[(String, String)],
+) -> Result<Fig07, CharmError> {
     let r = super::resolve(text, seed, params)?;
     let cfg = MultimapsConfig {
         sizes: r.int_levels("size_bytes")?,
@@ -69,7 +73,7 @@ pub fn from_spec(text: &str, seed: u64, params: &[(String, String)]) -> Result<F
 
 impl Fig07 {
     /// Mean bandwidth of the rows within `(lo, hi]` for one stride.
-    pub fn band_mean(&self, stride: u64, lo: u64, hi: u64) -> f64 {
+    pub(crate) fn band_mean(&self, stride: u64, lo: u64, hi: u64) -> f64 {
         let vals: Vec<f64> = self
             .rows
             .iter()
@@ -92,7 +96,7 @@ impl Fig07 {
     }
 
     /// Terminal report with plateau summary.
-    pub fn report(&self) -> String {
+    pub(crate) fn report(&self) -> String {
         let mut out =
             String::from("Figure 7 — MultiMAPS on the Opteron (2=stride2, 4=stride4, 8=stride8)\n");
         let per_stride: Vec<(Vec<(f64, f64)>, char)> = [2u64, 4, 8]

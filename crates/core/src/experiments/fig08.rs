@@ -87,7 +87,7 @@ impl Fig08 {
     }
 
     /// Terminal report.
-    pub fn report(&self) -> String {
+    pub(crate) fn report(&self) -> String {
         let mut out = String::from(
             "Figure 8 — replication attempt on the Pentium 4 (raw dots per stride: 2/4/8)\n",
         );

@@ -30,7 +30,7 @@ pub struct Facet {
 
 impl Facet {
     /// The visibility of the L1 boundary in this facet.
-    pub fn drop_ratio(&self) -> f64 {
+    pub(crate) fn drop_ratio(&self) -> f64 {
         self.inside_l1_mbps / self.beyond_l1_mbps
     }
 }
@@ -99,14 +99,6 @@ pub fn run(seed: u64, reps: u32) -> Fig09 {
 }
 
 impl Fig09 {
-    /// Looks up a facet.
-    pub fn facet(&self, width: ElementWidth, unroll: bool) -> &Facet {
-        self.facets
-            .iter()
-            .find(|f| f.width == width && f.unroll == unroll)
-            .expect("all facets computed")
-    }
-
     /// Facet summary CSV.
     pub fn to_csv(&self) -> String {
         let rows: Vec<Vec<String>> = self
@@ -129,7 +121,7 @@ impl Fig09 {
     }
 
     /// Terminal report: the facet grid.
-    pub fn report(&self) -> String {
+    pub(crate) fn report(&self) -> String {
         let mut out = String::from(
             "Figure 9 — vectorization × unrolling on the i7-2600\n  width            unroll  in-L1 MB/s  beyond MB/s  drop\n",
         );
@@ -152,12 +144,16 @@ impl Fig09 {
 mod tests {
     use super::*;
 
+    fn facet(fig: &Fig09, width: ElementWidth, unroll: bool) -> &Facet {
+        fig.facets.iter().find(|f| f.width == width && f.unroll == unroll).expect("facet computed")
+    }
+
     #[test]
     fn width_doubles_bandwidth() {
         let fig = run(1, 4);
-        let w32 = fig.facet(ElementWidth::W32, false).inside_l1_mbps;
-        let w64 = fig.facet(ElementWidth::W64, false).inside_l1_mbps;
-        let w128 = fig.facet(ElementWidth::W128, false).inside_l1_mbps;
+        let w32 = facet(&fig, ElementWidth::W32, false).inside_l1_mbps;
+        let w64 = facet(&fig, ElementWidth::W64, false).inside_l1_mbps;
+        let w128 = facet(&fig, ElementWidth::W128, false).inside_l1_mbps;
         assert!((w64 / w32 - 2.0).abs() < 0.3, "{w32} -> {w64}");
         assert!((w128 / w64 - 2.0).abs() < 0.3, "{w64} -> {w128}");
     }
@@ -166,13 +162,13 @@ mod tests {
     fn unroll_helps_except_256bit() {
         let fig = run(2, 4);
         for width in [ElementWidth::W32, ElementWidth::W64, ElementWidth::W128] {
-            let rolled = fig.facet(width, false).inside_l1_mbps;
-            let unrolled = fig.facet(width, true).inside_l1_mbps;
+            let rolled = facet(&fig, width, false).inside_l1_mbps;
+            let unrolled = facet(&fig, width, true).inside_l1_mbps;
             assert!(unrolled > 1.5 * rolled, "{width:?}: {rolled} vs {unrolled}");
         }
         // the anomaly: 256b unrolled is drastically *slower*
-        let rolled = fig.facet(ElementWidth::W256, false).inside_l1_mbps;
-        let unrolled = fig.facet(ElementWidth::W256, true).inside_l1_mbps;
+        let rolled = facet(&fig, ElementWidth::W256, false).inside_l1_mbps;
+        let unrolled = facet(&fig, ElementWidth::W256, true).inside_l1_mbps;
         assert!(unrolled < 0.5 * rolled, "anomaly missing: {rolled} vs {unrolled}");
     }
 
@@ -180,8 +176,8 @@ mod tests {
     fn l1_drop_grows_with_bandwidth() {
         let fig = run(3, 4);
         // narrow rolled: essentially no drop; wide rolled: big drop
-        let narrow = fig.facet(ElementWidth::W32, false).drop_ratio();
-        let wide = fig.facet(ElementWidth::W256, false).drop_ratio();
+        let narrow = facet(&fig, ElementWidth::W32, false).drop_ratio();
+        let wide = facet(&fig, ElementWidth::W256, false).drop_ratio();
         assert!(narrow < 1.2, "narrow drop {narrow}");
         assert!(wide > 1.5, "wide drop {wide}");
         assert!(wide > narrow);

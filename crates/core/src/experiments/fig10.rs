@@ -43,7 +43,7 @@ pub struct Fig10 {
 }
 
 /// The four facet values used (geometric ladder like the paper's).
-pub const NLOOPS_FACETS: [i64; 4] = [1, 32, 192, 8192];
+pub(crate) const NLOOPS_FACETS: [i64; 4] = [1, 32, 192, 8192];
 
 /// Runs the experiment on the i7-2600 with the ondemand governor.
 pub fn run(seed: u64, reps: u32) -> Fig10 {
@@ -95,7 +95,7 @@ impl Fig10 {
     }
 
     /// Terminal report: per-facet scatter.
-    pub fn report(&self) -> String {
+    pub(crate) fn report(&self) -> String {
         let mut out =
             String::from("Figure 10 — ondemand governor: bandwidth vs size, faceted by nloops\n");
         for f in &self.facets {

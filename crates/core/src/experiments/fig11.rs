@@ -80,12 +80,12 @@ pub fn run(seed: u64) -> Fig11 {
 
 impl Fig11 {
     /// Fraction of measurements in the slow mode.
-    pub fn slow_fraction(&self) -> f64 {
+    pub(crate) fn slow_fraction(&self) -> f64 {
         self.split.low_fraction
     }
 
     /// Ratio between the two mode centers.
-    pub fn mode_ratio(&self) -> f64 {
+    pub(crate) fn mode_ratio(&self) -> f64 {
         self.split.center_ratio()
     }
 
@@ -95,7 +95,7 @@ impl Fig11 {
     }
 
     /// Terminal report: both panels.
-    pub fn report(&self) -> String {
+    pub(crate) fn report(&self) -> String {
         let mut out = String::from("Figure 11 — RT priority on the ARM Snowball\n");
         let (xs, ys) = self.campaign.paired("size_bytes").expect("numeric");
         let left: Vec<(f64, f64)> = xs.into_iter().zip(ys.iter().copied()).collect();

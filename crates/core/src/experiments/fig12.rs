@@ -133,7 +133,7 @@ impl Fig12 {
     }
 
     /// Terminal report: per-run median curves + drop points.
-    pub fn report(&self) -> String {
+    pub(crate) fn report(&self) -> String {
         let mut out = String::from("Figure 12 — ARM paging anomaly: four malloc-per-size runs\n");
         for (i, r) in self.malloc_runs.iter().enumerate() {
             let pts: Vec<(f64, f64)> =

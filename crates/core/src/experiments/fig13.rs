@@ -28,7 +28,7 @@ impl Fig13 {
     }
 
     /// Terminal rendering.
-    pub fn report(&self) -> String {
+    pub(crate) fn report(&self) -> String {
         format!(
             "Figure 13 — influential factors to be carefully managed during experiments\n{}",
             self.diagram

@@ -18,7 +18,7 @@ pub const SPEC: &str = include_str!("../../../../benchmarks/pchase.toml");
 
 /// One workload's thread sweep.
 #[derive(Debug, Clone)]
-pub struct Workload {
+pub(crate) struct Workload {
     /// The `workload` factor level.
     pub label: String,
     /// Aggregate bandwidth per thread count, ascending.
@@ -27,7 +27,7 @@ pub struct Workload {
 
 /// The interference dataset, one sweep per workload in declaration order.
 #[derive(Debug, Clone)]
-pub struct Pchase {
+pub(crate) struct Pchase {
     /// The sweeps.
     pub workloads: Vec<Workload>,
 }
@@ -35,7 +35,11 @@ pub struct Pchase {
 /// Resolves a PChase spec (normally [`SPEC`]) at `seed` with `params`
 /// overrides and sweeps each workload up to the largest `threads` level,
 /// each on a fresh machine (same seed, same policies).
-pub fn from_spec(text: &str, seed: u64, params: &[(String, String)]) -> Result<Pchase, CharmError> {
+pub(crate) fn from_spec(
+    text: &str,
+    seed: u64,
+    params: &[(String, String)],
+) -> Result<Pchase, CharmError> {
     let r = super::resolve(text, seed, params)?;
     let max_threads = r.int_levels("threads")?.into_iter().max().unwrap_or(1) as u32;
     let mut workloads = Vec::new();
@@ -60,7 +64,7 @@ pub fn from_spec(text: &str, seed: u64, params: &[(String, String)]) -> Result<P
 
 impl Pchase {
     /// CSV rows: `workload,threads,mean_mbps,sd_mbps`.
-    pub fn to_csv(&self) -> String {
+    pub(crate) fn to_csv(&self) -> String {
         let rows: Vec<Vec<String>> = self
             .workloads
             .iter()
@@ -75,7 +79,7 @@ impl Pchase {
 
     /// Terminal report: bandwidth per thread count and the scaling
     /// efficiency of each workload.
-    pub fn report(&self) -> String {
+    pub(crate) fn report(&self) -> String {
         let mut out = String::from(
             "PChase-style interference sweep on the i7-2600 (aggregate MB/s by thread count)\n\n",
         );

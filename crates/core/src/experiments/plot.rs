@@ -3,7 +3,7 @@
 /// Renders a scatter plot of `(x, y)` points into a `width × height`
 /// character grid with axis annotations. Multiple series are drawn with
 /// distinct glyphs (`series[i].1` is the glyph).
-pub fn scatter(series: &[(&[(f64, f64)], char)], width: usize, height: usize) -> String {
+pub(crate) fn scatter(series: &[(&[(f64, f64)], char)], width: usize, height: usize) -> String {
     let width = width.max(10);
     let height = height.max(5);
     let all: Vec<(f64, f64)> = series.iter().flat_map(|(pts, _)| pts.iter().copied()).collect();
@@ -46,7 +46,11 @@ pub fn scatter(series: &[(&[(f64, f64)], char)], width: usize, height: usize) ->
 }
 
 /// Renders one series as a log-x scatter (sizes span decades).
-pub fn scatter_logx(series: &[(&[(f64, f64)], char)], width: usize, height: usize) -> String {
+pub(crate) fn scatter_logx(
+    series: &[(&[(f64, f64)], char)],
+    width: usize,
+    height: usize,
+) -> String {
     let logged: Vec<(Vec<(f64, f64)>, char)> = series
         .iter()
         .map(|&(pts, g)| {

@@ -42,7 +42,7 @@ impl Table05 {
     }
 
     /// Terminal rendering.
-    pub fn report(&self) -> String {
+    pub(crate) fn report(&self) -> String {
         let mut out =
             String::from("Figure 5 — technical characteristics of the CPUs used in this study\n");
         for c in &self.cpus {

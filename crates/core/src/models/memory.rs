@@ -111,7 +111,7 @@ impl MemoryModel {
 
     /// Predicted time (µs) to touch `bytes` of data with a working set of
     /// `working_set` bytes: `bytes / bandwidth(working_set)`.
-    pub fn predict_us(&self, bytes: f64, working_set: u64) -> f64 {
+    pub(crate) fn predict_us(&self, bytes: f64, working_set: u64) -> f64 {
         bytes / self.bandwidth_for(working_set)
     }
 }

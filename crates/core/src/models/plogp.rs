@@ -33,13 +33,13 @@ impl SizeFunction {
     }
 
     /// The knots of the table.
-    pub fn knots(&self) -> &[(f64, f64)] {
+    pub(crate) fn knots(&self) -> &[(f64, f64)] {
         &self.knots
     }
 
     /// Evaluates the function at `size`, interpolating linearly between
     /// knots and clamping outside the measured range.
-    pub fn eval(&self, size: u64) -> f64 {
+    pub(crate) fn eval(&self, size: u64) -> f64 {
         let x = size as f64;
         let first = self.knots[0];
         let last = self.knots[self.knots.len() - 1];
@@ -73,7 +73,7 @@ pub struct PLogPModel {
 impl PLogPModel {
     /// Instantiates the model from a campaign with factors `op` and
     /// `size` (the same campaigns `NetworkModel::fit` consumes).
-    pub fn fit(campaign: &Campaign) -> Result<Self, AnalysisError> {
+    pub(crate) fn fit(campaign: &Campaign) -> Result<Self, AnalysisError> {
         let table = |op: NetOp| -> Result<Vec<(f64, f64)>, AnalysisError> {
             let sub = campaign.filtered("op", |l| l.as_text() == Some(op.name()));
             let groups = sub.group_by(&["size"]);
@@ -99,24 +99,6 @@ impl PLogPModel {
         let m0 = g.knots()[0].0 as u64;
         let latency_us = (g.eval(m0) - os.eval(m0) - or.eval(m0)).max(0.0);
         Ok(PLogPModel { latency_us, os, or, g })
-    }
-
-    /// Predicted one-way message time `os(m) + L + (g(m) − os(m))`
-    /// simplification: the PLogP one-way time is `L + g(m)` with the
-    /// receiver overhead hidden inside `g`; we report `L + g(m)` which by
-    /// construction equals half the measured RTT plus latency headroom.
-    pub fn predict_one_way(&self, size: u64) -> f64 {
-        self.g.eval(size)
-    }
-
-    /// Predicted send overhead at `size`.
-    pub fn predict_os(&self, size: u64) -> f64 {
-        self.os.eval(size)
-    }
-
-    /// Predicted receive overhead at `size`.
-    pub fn predict_or(&self, size: u64) -> f64 {
-        self.or.eval(size)
     }
 }
 
@@ -156,7 +138,7 @@ mod tests {
         let sim = presets::taurus_openmpi_tcp(0);
         for size in [100u64, 5_000, 60_000, 800_000] {
             let truth = sim.true_time(charm_simnet::NetOp::PingPong, size) / 2.0;
-            let pred = model.predict_one_way(size);
+            let pred = model.g.eval(size);
             let rel = (pred - truth).abs() / truth;
             assert!(rel < 0.15, "size {size}: {pred} vs {truth}");
         }
@@ -165,8 +147,8 @@ mod tests {
     #[test]
     fn overhead_functions_grow_with_size() {
         let model = PLogPModel::fit(&campaign(2, true)).unwrap();
-        assert!(model.predict_os(100_000) > model.predict_os(100));
-        assert!(model.predict_or(100_000) > model.predict_or(100));
+        assert!(model.os.eval(100_000) > model.os.eval(100));
+        assert!(model.or.eval(100_000) > model.or.eval(100));
     }
 
     #[test]
@@ -183,7 +165,7 @@ mod tests {
         let mut line_err = 0.0;
         for size in [2_000u64, 40_000, 200_000, 900_000] {
             let truth = sim.true_time(charm_simnet::NetOp::PingPong, size);
-            table_err += ((2.0 * model.predict_one_way(size) - truth) / truth).abs();
+            table_err += ((2.0 * model.g.eval(size) - truth) / truth).abs();
             line_err += ((line.predict(size as f64) - truth) / truth).abs();
         }
         assert!(table_err < line_err, "table {table_err} vs line {line_err}");

@@ -56,12 +56,6 @@ impl Roofline {
             Bound::Compute
         }
     }
-
-    /// Predicted execution time (µs) of a kernel performing `flops`
-    /// floating-point operations at the given intensity.
-    pub fn predict_us(&self, flops: f64, flops_per_byte: f64) -> f64 {
-        flops / self.attainable_gflops(flops_per_byte) / 1000.0
-    }
 }
 
 #[cfg(test)]
@@ -94,13 +88,6 @@ mod tests {
         let r = rl();
         assert_eq!(r.bound(0.1), Bound::Memory);
         assert_eq!(r.bound(50.0), Bound::Compute);
-    }
-
-    #[test]
-    fn time_prediction() {
-        let r = rl();
-        // 1 GFLOP at intensity 1 -> 20 GFLOP/s -> 0.05 s = 50_000 µs
-        assert!((r.predict_us(1e9, 1.0) - 50_000.0).abs() < 1e-6);
     }
 
     #[test]

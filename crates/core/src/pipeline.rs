@@ -38,7 +38,7 @@ impl Study {
     /// time — recording `shuffle_seed` in the campaign metadata exactly
     /// as [`Study::randomized`] would (`None` means sequential /
     /// as-declared order).
-    pub fn prepared(plan: ExperimentPlan, shuffle_seed: Option<u64>) -> Self {
+    pub(crate) fn prepared(plan: ExperimentPlan, shuffle_seed: Option<u64>) -> Self {
         Study { plan, shuffle_seed }
     }
 
@@ -47,19 +47,6 @@ impl Study {
         self.plan.shuffle(seed);
         self.shuffle_seed = Some(seed);
         self
-    }
-
-    /// Keeps the sequential order (for the ablation studies; the artifact
-    /// records this choice).
-    pub fn sequential(mut self) -> Self {
-        self.plan = self.plan.sequential();
-        self.shuffle_seed = None;
-        self
-    }
-
-    /// The plan as it will execute.
-    pub fn plan(&self) -> &ExperimentPlan {
-        &self.plan
     }
 
     /// Stage 2: runs the campaign on a target, retaining raw data.
@@ -74,7 +61,7 @@ impl Study {
     /// target's instrumentation switched on, so the result also carries
     /// the campaign's counters and provenance events. Observation never
     /// changes measurement values.
-    pub fn run_observed<T: Target>(
+    pub(crate) fn run_observed<T: Target>(
         &self,
         target: &mut T,
         observer: Observer,
@@ -115,13 +102,6 @@ pub struct CellAnalysis {
     pub outlier_fraction: f64,
     /// Two-mode split (present when the cell has ≥ 4 observations).
     pub modes: Option<ModeSplit>,
-}
-
-impl CellAnalysis {
-    /// Whether this cell is bimodal at the default thresholds.
-    pub fn is_bimodal(&self) -> bool {
-        self.modes.as_ref().map(|m| m.is_bimodal(2.0, 0.05)).unwrap_or(false)
-    }
 }
 
 /// Stage 3: per-cell analysis over the retained raw campaign.
@@ -168,9 +148,9 @@ mod tests {
             .build()
             .unwrap();
         let a = Study::new(base.clone()).randomized(1);
-        let b = Study::new(base.clone()).sequential();
-        assert_ne!(a.plan().rows(), b.plan().rows());
-        assert_eq!(a.plan().len(), b.plan().len());
+        let b = Study::new(base.clone());
+        assert_ne!(a.plan.rows(), b.plan.rows());
+        assert_eq!(a.plan.len(), b.plan.len());
     }
 
     #[test]
@@ -214,7 +194,8 @@ mod tests {
         let campaign = Study::new(plan).randomized(1).run(&mut target).unwrap();
         let cells = analyze_cells(&campaign, &["size"]);
         assert_eq!(cells.len(), 1);
-        assert!(cells[0].is_bimodal(), "burst should split the cell into modes");
+        let bimodal = cells[0].modes.as_ref().is_some_and(|m| m.is_bimodal(2.0, 0.05));
+        assert!(bimodal, "burst should split the cell into modes");
     }
 
     #[test]
@@ -249,7 +230,7 @@ mod tests {
             .build()
             .unwrap();
         let mut target = NetworkTarget::new("m", presets::myrinet_gm(1));
-        let c = Study::new(plan).sequential().run(&mut target).unwrap();
+        let c = Study::new(plan).run(&mut target).unwrap();
         assert_eq!(c.metadata["order"], "sequential");
     }
 }

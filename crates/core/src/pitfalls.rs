@@ -101,56 +101,6 @@ pub fn temporal_anomalies(
     out
 }
 
-/// Sequence-order independence diagnostics of a campaign: lag-1
-/// autocorrelation and the runs test over cell-median-normalized values.
-/// Under a clean randomized campaign both are unremarkable; temporal
-/// perturbations (§III-1) leave positive autocorrelation and clustering.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SequenceDiagnostics {
-    /// Lag-1 autocorrelation of the normalized sequence.
-    pub lag1_autocorr: f64,
-    /// Runs-test z score (negative = clustering).
-    pub runs_z: f64,
-}
-
-impl SequenceDiagnostics {
-    /// Whether either diagnostic indicates temporal structure.
-    pub fn suspicious(&self) -> bool {
-        self.lag1_autocorr > 0.3 || self.runs_z < -1.64
-    }
-}
-
-/// Computes sequence diagnostics for a campaign (values normalized by
-/// their factor-cell median first, as in [`temporal_anomalies`]).
-pub fn sequence_diagnostics(
-    campaign: &Campaign,
-    cell_factors: &[&str],
-) -> Option<SequenceDiagnostics> {
-    if campaign.records.len() < 20 {
-        return None;
-    }
-    let groups = campaign.group_by(cell_factors);
-    let idxs: Vec<usize> = cell_factors.iter().filter_map(|f| campaign.factor_index(f)).collect();
-    let mut normalized: Vec<(u64, f64)> = campaign
-        .records
-        .iter()
-        .map(|rec| {
-            let key: Vec<_> = idxs.iter().map(|&i| rec.levels[i].clone()).collect();
-            let med = groups
-                .iter()
-                .find(|(k, _)| *k == key)
-                .and_then(|(_, v)| descriptive::median(v).ok())
-                .unwrap_or(1.0);
-            (rec.sequence, if med != 0.0 { rec.value / med } else { rec.value })
-        })
-        .collect();
-    normalized.sort_by_key(|&(seq, _)| seq);
-    let series: Vec<f64> = normalized.into_iter().map(|(_, v)| v).collect();
-    let lag1 = charm_analysis::sequence::autocorrelation(&series, 1).ok()?;
-    let runs = charm_analysis::sequence::runs_test(&series).ok()?;
-    Some(SequenceDiagnostics { lag1_autocorr: lag1, runs_z: runs.z })
-}
-
 /// Per-cell bimodality report (§IV-3 / Figure 11 left plot).
 #[derive(Debug, Clone)]
 pub struct BimodalCell {
@@ -351,37 +301,6 @@ mod tests {
         bi.extend(vec![500.0; 20]);
         let loss = aggregation_loss(&bi).unwrap();
         assert!(loss > 0.4, "loss = {loss}");
-    }
-
-    #[test]
-    fn sequence_diagnostics_flag_the_intruder() {
-        let campaign = arm_rt_campaign(21);
-        let d = sequence_diagnostics(&campaign, &["size_bytes"]).unwrap();
-        assert!(d.suspicious(), "diagnostics: {d:?}");
-        assert!(d.lag1_autocorr > 0.3 || d.runs_z < -1.64);
-    }
-
-    #[test]
-    fn sequence_diagnostics_clean_on_quiet_campaign() {
-        let mut plan = FullFactorial::new()
-            .factor(Factor::new("size_bytes", vec![4096i64, 8192]))
-            .replicates(50)
-            .build()
-            .unwrap();
-        plan.shuffle(6);
-        let mut target = MemoryTarget::new(
-            "arm-quiet",
-            MachineSim::new(
-                CpuSpec::arm_snowball(),
-                GovernorPolicy::Performance,
-                SchedPolicy::PinnedDefault,
-                AllocPolicy::MallocPerSize,
-                6,
-            ),
-        );
-        let campaign = charm_engine::Campaign::new(&plan, &mut target).seed(6).run().unwrap().data;
-        let d = sequence_diagnostics(&campaign, &["size_bytes"]).unwrap();
-        assert!(!d.suspicious(), "spurious: {d:?}");
     }
 
     #[test]

@@ -41,7 +41,7 @@ pub enum Event {
 }
 
 /// A per-rank event trace.
-pub type Trace = Vec<Event>;
+pub(crate) type Trace = Vec<Event>;
 
 /// Replay outcome.
 #[derive(Debug, Clone, PartialEq)]

@@ -6,7 +6,6 @@
 //! factors by effect size η² and the influential ones name themselves.
 
 use charm_analysis::anova::{self, OneWayAnova};
-use charm_design::diagram::CauseEffectDiagram;
 use charm_engine::record::Campaign;
 
 /// Screening result for one factor.
@@ -20,7 +19,7 @@ pub struct FactorEffect {
 
 impl FactorEffect {
     /// Effect size η².
-    pub fn eta_squared(&self) -> f64 {
+    pub(crate) fn eta_squared(&self) -> f64 {
         self.anova.eta_squared
     }
 }
@@ -29,7 +28,7 @@ impl FactorEffect {
 /// against each factor's levels, ranked by η² descending. Factors whose
 /// ANOVA is degenerate (a single level present, no residual df) are
 /// skipped.
-pub fn screen_factors(campaign: &Campaign) -> Vec<FactorEffect> {
+pub(crate) fn screen_factors(campaign: &Campaign) -> Vec<FactorEffect> {
     let mut out: Vec<FactorEffect> = campaign
         .factor_names()
         .iter()
@@ -42,24 +41,6 @@ pub fn screen_factors(campaign: &Campaign) -> Vec<FactorEffect> {
         .collect();
     out.sort_by(|a, b| b.eta_squared().partial_cmp(&a.eta_squared()).expect("finite eta"));
     out
-}
-
-/// Builds a data-driven cause-and-effect diagram: factors with
-/// `F > f_threshold` become leaves under a single "measured influential
-/// factors" branch, annotated with their η².
-pub fn data_driven_diagram(
-    campaign: &Campaign,
-    effect_name: &str,
-    f_threshold: f64,
-) -> CauseEffectDiagram {
-    let effects = screen_factors(campaign);
-    let influential: Vec<String> = effects
-        .iter()
-        .filter(|e| e.anova.is_influential(f_threshold))
-        .map(|e| format!("{} (η²={:.2})", e.factor, e.eta_squared()))
-        .collect();
-    let refs: Vec<&str> = influential.iter().map(String::as_str).collect();
-    CauseEffectDiagram::new(effect_name).branch("Measured influential factors", &refs)
 }
 
 /// Extension trait surfacing factor names on a campaign.
@@ -122,18 +103,6 @@ mod tests {
         // the near-inert nloops tweak explains almost nothing
         let nloops = effects.iter().find(|e| e.factor == "nloops").unwrap();
         assert!(nloops.eta_squared() < 0.05);
-    }
-
-    #[test]
-    fn diagram_contains_only_influential_factors() {
-        let c = campaign(2);
-        let d = data_driven_diagram(&c, "Bandwidth", 10.0);
-        assert!(d.branches[0].factors.iter().any(|f| f.starts_with("size_bytes")));
-        assert!(
-            !d.branches[0].factors.iter().any(|f| f.starts_with("nloops")),
-            "inert factor leaked into the diagram: {:?}",
-            d.branches[0].factors
-        );
     }
 
     #[test]

@@ -135,15 +135,6 @@ impl BenchmarkSpec {
         Ok(BenchmarkSpec { root, name, description })
     }
 
-    /// The declared parameter names and their default values, in
-    /// declaration order (for `--help`-style listings).
-    pub fn params(&self) -> Vec<(String, String)> {
-        self.root
-            .table("params")
-            .map(|t| t.values().map(|(k, v)| (k.to_string(), v.render())).collect())
-            .unwrap_or_default()
-    }
-
     /// Substitutes parameters and resolves the spec into a runnable
     /// description: the experiment plan (factors expanded, replicates
     /// applied, order applied) plus the declarative target.
@@ -345,7 +336,7 @@ impl ResolvedBenchmark {
 
     /// An `[analysis]` or `[tool]` integer array (e.g. breakpoints),
     /// validated as non-negative.
-    pub fn u64_array(table: &Table, key: &str) -> Result<Vec<u64>, SpecError> {
+    pub(crate) fn u64_array(table: &Table, key: &str) -> Result<Vec<u64>, SpecError> {
         let v = table.value(key).ok_or_else(|| err(format!("spec lacks array {key:?}")))?;
         v.as_array()
             .map(|items| {
@@ -362,7 +353,7 @@ impl ResolvedBenchmark {
     }
 
     /// A required integer from `[tool]`-style tables.
-    pub fn u64_value(table: &Table, key: &str) -> Result<u64, SpecError> {
+    pub(crate) fn u64_value(table: &Table, key: &str) -> Result<u64, SpecError> {
         table
             .value(key)
             .and_then(Value::as_int)
@@ -373,12 +364,12 @@ impl ResolvedBenchmark {
 
     /// The non-negative integer levels of factor `name`, for opaque-tool
     /// drivers that read their sweeps from the spec's factors.
-    pub fn int_levels(&self, name: &str) -> Result<Vec<u64>, SpecError> {
+    pub(crate) fn int_levels(&self, name: &str) -> Result<Vec<u64>, SpecError> {
         self.levels(name, "non-integer", |l| l.as_int().filter(|&n| n >= 0).map(|n| n as u64))
     }
 
     /// The text levels of factor `name`, in declaration order.
-    pub fn text_levels(&self, name: &str) -> Result<Vec<String>, SpecError> {
+    pub(crate) fn text_levels(&self, name: &str) -> Result<Vec<String>, SpecError> {
         self.levels(name, "non-text", |l| l.as_text().map(str::to_string))
     }
 
@@ -654,14 +645,15 @@ order = \"randomized\"
              [factors.x]\ngenerator = \"loguniform_unique\"\nmin = 8\nmax = 65_536\ncount = \"$n\"\nseed = \"$seed\"\n",
         )
         .unwrap();
+        let r = spec.resolve(7, &[]).unwrap();
         assert_eq!(
-            spec.params(),
+            r.params,
             vec![
                 ("cpu".to_string(), "\"opteron\"".to_string()),
-                ("n".to_string(), "3".to_string())
+                ("n".to_string(), "3".to_string()),
+                ("seed".to_string(), "7".to_string())
             ]
         );
-        let r = spec.resolve(7, &[]).unwrap();
         assert!(matches!(&r.target, TargetSpec::Memory { cpu, .. } if cpu == "opteron"));
         assert_eq!(r.plan.rows().len(), 3);
         // sizes come from the same sampler the figures use

@@ -19,7 +19,7 @@ use std::fmt;
 
 /// A scalar or array value.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Value {
+pub(crate) enum Value {
     /// A quoted string.
     Str(String),
     /// An integer (underscore separators accepted on parse).
@@ -34,7 +34,7 @@ pub enum Value {
 
 impl Value {
     /// The value as a string, when it is one.
-    pub fn as_str(&self) -> Option<&str> {
+    pub(crate) fn as_str(&self) -> Option<&str> {
         match self {
             Value::Str(s) => Some(s),
             _ => None,
@@ -42,24 +42,15 @@ impl Value {
     }
 
     /// The value as an integer, when it is one.
-    pub fn as_int(&self) -> Option<i64> {
+    pub(crate) fn as_int(&self) -> Option<i64> {
         match self {
             Value::Int(v) => Some(*v),
             _ => None,
         }
     }
 
-    /// The value as a float (integers convert).
-    pub fn as_float(&self) -> Option<f64> {
-        match self {
-            Value::Int(v) => Some(*v as f64),
-            Value::Float(v) => Some(*v),
-            _ => None,
-        }
-    }
-
     /// The value as an array slice, when it is one.
-    pub fn as_array(&self) -> Option<&[Value]> {
+    pub(crate) fn as_array(&self) -> Option<&[Value]> {
         match self {
             Value::Array(v) => Some(v),
             _ => None,
@@ -67,7 +58,7 @@ impl Value {
     }
 
     /// Renders the value the way a spec file would write it.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         match self {
             Value::Str(s) => format!("{s:?}"),
             Value::Int(v) => v.to_string(),
@@ -84,7 +75,7 @@ impl Value {
 /// A table entry: a leaf value (with the line it was defined on) or a
 /// nested table.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Item {
+pub(crate) enum Item {
     /// `key = value`.
     Value {
         /// The parsed value.
@@ -104,17 +95,17 @@ pub struct Table {
 
 impl Table {
     /// The entries in declaration order.
-    pub fn entries(&self) -> &[(String, Item)] {
+    pub(crate) fn entries(&self) -> &[(String, Item)] {
         &self.entries
     }
 
     /// Looks up a direct entry.
-    pub fn get(&self, key: &str) -> Option<&Item> {
+    pub(crate) fn get(&self, key: &str) -> Option<&Item> {
         self.entries.iter().find(|(k, _)| k == key).map(|(_, item)| item)
     }
 
     /// A direct leaf value.
-    pub fn value(&self, key: &str) -> Option<&Value> {
+    pub(crate) fn value(&self, key: &str) -> Option<&Value> {
         match self.get(key) {
             Some(Item::Value { value, .. }) => Some(value),
             _ => None,
@@ -122,7 +113,7 @@ impl Table {
     }
 
     /// A direct subtable.
-    pub fn table(&self, key: &str) -> Option<&Table> {
+    pub(crate) fn table(&self, key: &str) -> Option<&Table> {
         match self.get(key) {
             Some(Item::Table(t)) => Some(t),
             _ => None,
@@ -130,7 +121,7 @@ impl Table {
     }
 
     /// The names of all direct subtables, in declaration order.
-    pub fn subtable_names(&self) -> Vec<&str> {
+    pub(crate) fn subtable_names(&self) -> Vec<&str> {
         self.entries
             .iter()
             .filter_map(|(k, item)| matches!(item, Item::Table(_)).then_some(k.as_str()))
@@ -138,7 +129,7 @@ impl Table {
     }
 
     /// All direct leaf values, in declaration order.
-    pub fn values(&self) -> impl Iterator<Item = (&str, &Value)> {
+    pub(crate) fn values(&self) -> impl Iterator<Item = (&str, &Value)> {
         self.entries.iter().filter_map(|(k, item)| match item {
             Item::Value { value, .. } => Some((k.as_str(), value)),
             Item::Table(_) => None,
@@ -168,7 +159,7 @@ impl Table {
 
 /// A parse error with its 1-based line number.
 #[derive(Debug, Clone, PartialEq)]
-pub struct TomlError {
+pub(crate) struct TomlError {
     /// 1-based line of the offending text.
     pub line: usize,
     /// What went wrong.
@@ -193,7 +184,7 @@ fn valid_key(key: &str) -> bool {
 }
 
 /// Parses a spec document into its root table.
-pub fn parse(text: &str) -> Result<Table, TomlError> {
+pub(crate) fn parse(text: &str) -> Result<Table, TomlError> {
     let mut root = Table::default();
     let mut path: Vec<String> = Vec::new();
     for (idx, raw) in text.lines().enumerate() {
@@ -384,7 +375,7 @@ mod tests {
         );
         let size = factors.table("size").unwrap();
         assert_eq!(size.value("count").unwrap().as_int(), Some(4096));
-        assert_eq!(size.value("scale").unwrap().as_float(), Some(1.5));
+        assert_eq!(size.value("scale"), Some(&Value::Float(1.5)));
     }
 
     #[test]

@@ -7,14 +7,12 @@
 //! information about variability could be used for simulation purposes
 //! provided its dependence on message size is properly characterized."
 //!
-//! This module does both halves: per-cell empirical quantile bands over
-//! retained raw data ([`VariabilityProfile`]), and the *dependence of
-//! variability on size* ([`VariabilityProfile::dispersion_trend`]) — the
-//! input a stochastic network simulator would need.
+//! This module computes per-cell empirical quantile bands over retained
+//! raw data ([`VariabilityProfile`]) and names the cells whose band is
+//! wide ([`VariabilityProfile::volatile_cells`]).
 
-use charm_analysis::descriptive::{self, Summary};
+use charm_analysis::descriptive::Summary;
 use charm_analysis::ecdf::Ecdf;
-use charm_analysis::regression::{ols, LinearFit};
 use charm_analysis::AnalysisError;
 use charm_engine::record::Campaign;
 
@@ -43,7 +41,7 @@ pub struct VariabilityProfile {
 
 impl VariabilityProfile {
     /// Builds the profile of `campaign` along numeric factor `factor`.
-    pub fn build(campaign: &Campaign, factor: &str) -> Result<Self, AnalysisError> {
+    pub(crate) fn build(campaign: &Campaign, factor: &str) -> Result<Self, AnalysisError> {
         let groups = campaign.group_by(&[factor]);
         if groups.is_empty() {
             return Err(AnalysisError::EmptyInput);
@@ -64,75 +62,19 @@ impl VariabilityProfile {
         Ok(VariabilityProfile { cells })
     }
 
-    /// Fits the dependence of relative dispersion on `log10(x)` — the
-    /// "properly characterized" size dependence. A positive slope means
-    /// variability grows with size; near-zero means homoscedastic.
-    pub fn dispersion_trend(&self) -> Result<LinearFit, AnalysisError> {
-        let xs: Vec<f64> = self.cells.iter().map(|c| c.x.max(1.0).log10()).collect();
-        let ys: Vec<f64> = self.cells.iter().map(|c| c.relative_band).collect();
-        ols(&xs, &ys)
-    }
-
     /// Cells whose relative band exceeds `threshold` — the sizes a user
     /// should expect to be unpredictable on this platform.
-    pub fn volatile_cells(&self, threshold: f64) -> Vec<&CellVariability> {
+    pub(crate) fn volatile_cells(&self, threshold: f64) -> Vec<&CellVariability> {
         self.cells.iter().filter(|c| c.relative_band > threshold).collect()
     }
 
     /// Mean relative band across all cells.
-    pub fn mean_relative_band(&self) -> f64 {
+    pub(crate) fn mean_relative_band(&self) -> f64 {
         if self.cells.is_empty() {
             return 0.0;
         }
         self.cells.iter().map(|c| c.relative_band).sum::<f64>() / self.cells.len() as f64
     }
-
-    /// CSV: `x,p05,q1,median,q3,p95,relative_band`.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::from("x,p05,q1,median,q3,p95,relative_band\n");
-        for c in &self.cells {
-            out.push_str(&format!(
-                "{},{},{},{},{},{},{}\n",
-                c.x, c.p05, c.summary.q1, c.summary.median, c.summary.q3, c.p95, c.relative_band
-            ));
-        }
-        out
-    }
-}
-
-/// Compares the variability of two campaigns with the same design —
-/// "comparing two experimental campaigns that have similar inputs and
-/// completely different outputs" (paper §V). Returns per-cell KS
-/// distances keyed by `x`.
-pub fn compare_campaigns(
-    a: &Campaign,
-    b: &Campaign,
-    factor: &str,
-) -> Result<Vec<(f64, f64)>, AnalysisError> {
-    let ga = a.group_by(&[factor]);
-    let gb = b.group_by(&[factor]);
-    let mut out = Vec::new();
-    for (key, va) in &ga {
-        let Some((_, vb)) = gb.iter().find(|(k, _)| k == key) else {
-            continue;
-        };
-        let x = key[0].as_float().ok_or(AnalysisError::InvalidParameter("factor not numeric"))?;
-        let ea = Ecdf::new(va)?;
-        let eb = Ecdf::new(vb)?;
-        out.push((x, ea.ks_distance(&eb)));
-    }
-    out.sort_by(|p, q| p.0.partial_cmp(&q.0).expect("finite factor"));
-    Ok(out)
-}
-
-/// Convenience: overall median of per-cell medians (a robust single
-/// number for dashboards; everything else stays available).
-pub fn robust_center(campaign: &Campaign) -> Result<f64, AnalysisError> {
-    let groups =
-        campaign.group_by(&campaign.factor_names.iter().map(String::as_str).collect::<Vec<_>>());
-    let medians: Vec<f64> =
-        groups.iter().map(|(_, v)| descriptive::median(v)).collect::<Result<_, _>>()?;
-    descriptive::median(&medians)
 }
 
 #[cfg(test)]
@@ -183,40 +125,8 @@ mod tests {
     }
 
     #[test]
-    fn same_design_same_platform_small_ks() {
-        let a = taurus_campaign(3);
-        let b = taurus_campaign(4);
-        let ks = compare_campaigns(&a, &b, "size").unwrap();
-        assert_eq!(ks.len(), 8);
-        // identical platforms: distributions compatible (KS well below 1)
-        let mean_ks: f64 = ks.iter().map(|&(_, d)| d).sum::<f64>() / ks.len() as f64;
-        assert!(mean_ks < 0.5, "mean KS {mean_ks}");
-    }
-
-    #[test]
-    fn different_platform_large_ks() {
-        let a = taurus_campaign(5);
-        // same design, different machine: myrinet
-        let sizes: Vec<i64> = vec![1000, 4000, 16_000, 40_000, 64_000, 100_000, 200_000, 1 << 20];
-        let plan = FullFactorial::new()
-            .factor(Factor::new("op", vec!["blocking_recv"]))
-            .factor(Factor::new("size", sizes))
-            .replicates(40)
-            .build()
-            .unwrap();
-        let mut target = NetworkTarget::new("myrinet", presets::myrinet_gm(5));
-        let b = Study::new(plan).randomized(5).run(&mut target).unwrap();
-        let ks = compare_campaigns(&a, &b, "size").unwrap();
-        assert!(ks.iter().all(|&(_, d)| d > 0.9), "platforms should be distinguishable: {ks:?}");
-    }
-
-    #[test]
-    fn csv_and_center() {
-        let c = taurus_campaign(6);
-        let profile = VariabilityProfile::build(&c, "size").unwrap();
-        assert!(profile.to_csv().lines().count() == 9);
-        assert!(robust_center(&c).unwrap() > 0.0);
+    fn mean_band_is_positive() {
+        let profile = VariabilityProfile::build(&taurus_campaign(6), "size").unwrap();
         assert!(profile.mean_relative_band() > 0.0);
-        let _ = profile.dispersion_trend().unwrap();
     }
 }

@@ -30,12 +30,12 @@ pub struct CauseEffectDiagram {
 
 impl CauseEffectDiagram {
     /// Creates an empty diagram for `effect`.
-    pub fn new<S: Into<String>>(effect: S) -> Self {
+    pub(crate) fn new<S: Into<String>>(effect: S) -> Self {
         CauseEffectDiagram { effect: effect.into(), branches: Vec::new() }
     }
 
     /// Adds a category branch.
-    pub fn branch<S: Into<String>>(mut self, category: S, factors: &[&str]) -> Self {
+    pub(crate) fn branch<S: Into<String>>(mut self, category: S, factors: &[&str]) -> Self {
         self.branches.push(Branch {
             category: category.into(),
             factors: factors.iter().map(|s| s.to_string()).collect(),
@@ -46,11 +46,6 @@ impl CauseEffectDiagram {
     /// Total number of factor leaves.
     pub fn factor_count(&self) -> usize {
         self.branches.iter().map(|b| b.factors.len()).sum()
-    }
-
-    /// True when `factor` appears on any branch.
-    pub fn contains_factor(&self, factor: &str) -> bool {
-        self.branches.iter().any(|b| b.factors.iter().any(|f| f == factor))
     }
 
     /// The paper's Figure 13 instance: every factor that turned out to
@@ -90,6 +85,10 @@ impl fmt::Display for CauseEffectDiagram {
 mod tests {
     use super::*;
 
+    fn contains_factor(d: &CauseEffectDiagram, factor: &str) -> bool {
+        d.branches.iter().any(|b| b.factors.iter().any(|f| f == factor))
+    }
+
     #[test]
     fn figure13_has_all_paper_factors() {
         let d = CauseEffectDiagram::figure13();
@@ -109,7 +108,7 @@ mod tests {
             "Optimization",
             "Loop unrolling",
         ] {
-            assert!(d.contains_factor(factor), "missing {factor}");
+            assert!(contains_factor(&d, factor), "missing {factor}");
         }
         assert_eq!(d.factor_count(), 16);
     }
@@ -117,8 +116,8 @@ mod tests {
     #[test]
     fn builder_and_queries() {
         let d = CauseEffectDiagram::new("Latency").branch("Net", &["MTU", "Driver"]);
-        assert!(d.contains_factor("MTU"));
-        assert!(!d.contains_factor("DVFS"));
+        assert!(contains_factor(&d, "MTU"));
+        assert!(!contains_factor(&d, "DVFS"));
         assert_eq!(d.factor_count(), 2);
     }
 

@@ -93,7 +93,7 @@ impl FullFactorial {
     }
 
     /// Total number of rows the built plan will have.
-    pub fn size(&self) -> usize {
+    pub(crate) fn size(&self) -> usize {
         self.factors.iter().map(Factor::cardinality).product::<usize>() * self.replicates as usize
     }
 

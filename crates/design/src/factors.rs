@@ -203,7 +203,7 @@ impl Factor {
     }
 
     /// Number of levels.
-    pub fn cardinality(&self) -> usize {
+    pub(crate) fn cardinality(&self) -> usize {
         self.levels.len()
     }
 }

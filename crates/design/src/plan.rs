@@ -102,20 +102,6 @@ impl ExperimentPlan {
         self.rows.is_empty()
     }
 
-    /// Index of a factor column by name.
-    pub fn factor_index(&self, name: &str) -> Result<usize, PlanError> {
-        self.factor_names
-            .iter()
-            .position(|n| n == name)
-            .ok_or_else(|| PlanError::UnknownFactor(name.to_string()))
-    }
-
-    /// Value of factor `name` in row `row`.
-    pub fn level(&self, row: usize, name: &str) -> Result<&Level, PlanError> {
-        let idx = self.factor_index(name)?;
-        Ok(&self.rows[row].levels[idx])
-    }
-
     /// Shuffles the execution order of the rows with a seeded RNG — the
     /// paper's central randomization step. Deterministic given the seed.
     pub fn shuffle(&mut self, seed: u64) {
@@ -362,13 +348,6 @@ mod tests {
         let mut expected = sizes.clone();
         expected.sort_unstable();
         assert_eq!(sizes, expected);
-    }
-
-    #[test]
-    fn level_lookup_by_name() {
-        let p = small_plan();
-        assert_eq!(p.level(2, "size").unwrap(), &Level::Int(2));
-        assert!(matches!(p.level(0, "nope"), Err(PlanError::UnknownFactor(_))));
     }
 
     #[test]

@@ -6,8 +6,6 @@
 //! Campaign::new(&plan, target).shards(4).seed(9).run()?          // sharded
 //! Campaign::new(&plan, target).observer(Observer::default())     // observed
 //!     .run()?
-//! Campaign::new(&plan, target).profiler(Profiler::enabled())     // profiled
-//!     .run()?
 //! ```
 //!
 //! [`Campaign::run`] returns a [`CampaignRun`]: the retained-everything
@@ -19,9 +17,10 @@
 //! bit-identical.
 //!
 //! Orthogonally to observation (which lives on the **virtual** clock and
-//! is part of the reproducible artifact), a [`Profiler`] records where
-//! the engine's own **wall-clock** time goes: plan execution, per-shard
-//! work, record merge. The same bit-identity rule applies — the profiler
+//! is part of the reproducible artifact), the calling thread's ambient
+//! [`Profiler`] (installed with [`Profiler::install_thread`]) records
+//! where the engine's own **wall-clock** time goes: plan execution,
+//! per-shard work, record merge. The same bit-identity rule applies — the profiler
 //! only reads the host monotonic clock, never virtual clocks or RNG
 //! streams — and a disabled profiler costs one branch per span site.
 
@@ -236,8 +235,10 @@ impl<'p, T: Target> Campaign<'p, T> {
     /// The builder starts with the calling thread's ambient profiler
     /// (see [`charm_trace::thread_profiler`]) — disabled unless the host
     /// installed one — so campaigns constructed deep inside experiment
-    /// drivers are profiled without plumbing. [`Campaign::profiler`]
-    /// overrides it.
+    /// drivers are profiled without plumbing. The profiler never touches
+    /// virtual clocks or RNG streams, so records are bit-identical with
+    /// profiling on or off (tested below); when disabled each span site
+    /// costs one branch.
     pub fn new(plan: &'p ExperimentPlan, target: T) -> Self {
         Campaign {
             plan,
@@ -265,21 +266,11 @@ impl<'p, T: Target> Campaign<'p, T> {
         self
     }
 
-    /// Attaches a wall-clock self-profiler: the engine records spans for
-    /// plan execution, per-shard work and record merge into it. The
-    /// profiler never touches virtual clocks or RNG streams, so records
-    /// are bit-identical with profiling on or off (tested below); when
-    /// disabled each span site costs one branch.
-    pub fn profiler(mut self, profiler: Profiler) -> Self {
-        self.profiler = profiler;
-        self
-    }
-
     /// Attaches a cooperative [`CancelToken`]: the run checks it between
     /// plan rows (sequential) or at batch-claim boundaries (sharded) and
     /// fails with [`TargetError::Cancelled`] once it fires. Keep a clone
     /// of the token to cancel from another thread.
-    pub fn cancel_token(mut self, cancel: CancelToken) -> Self {
+    pub(crate) fn cancel_token(mut self, cancel: CancelToken) -> Self {
         self.cancel = cancel;
         self
     }
@@ -468,15 +459,6 @@ impl<'p, T: ParallelTarget> ShardedCampaign<'p, T> {
     /// and get their timestamps shifted onto the campaign timeline.
     pub fn observer(mut self, observer: Observer) -> Self {
         self.inner = self.inner.observer(observer);
-        self
-    }
-
-    /// Attaches a wall-clock self-profiler (see [`Campaign::profiler`]).
-    /// Every shard thread records its execution span into the same
-    /// profiler; the merged run also records the parallel region with
-    /// its shard utilization.
-    pub fn profiler(mut self, profiler: Profiler) -> Self {
-        self.inner = self.inner.profiler(profiler);
         self
     }
 
@@ -981,9 +963,12 @@ mod tests {
         let plan = shuffled_net_plan(2, 5);
         let mut target = NetworkTarget::new("taurus", presets::taurus_openmpi_tcp(5));
         let by_ref = Campaign::new(&plan, &mut target).seed(5).run().unwrap();
-        // the borrow ends with run(); the same target advanced its clock
-        assert_eq!(target.sim().measurements_taken(), plan.len() as u64);
         assert_eq!(by_ref.data.records.len(), plan.len());
+        // the borrow ends with run(); the same target advanced its noise
+        // stream, so a second run measures different values
+        let again = Campaign::new(&plan, &mut target).seed(5).run().unwrap();
+        let values = |c: &CampaignData| c.records.iter().map(|r| r.value).collect::<Vec<_>>();
+        assert_ne!(values(&by_ref.data), values(&again.data));
     }
 
     #[test]
@@ -1292,12 +1277,15 @@ mod tests {
     fn profiler_never_changes_records() {
         let plan = shuffled_net_plan(4, 19);
         let run_with = |profiler: Profiler, shards: usize| {
+            profiler.install_thread("main");
             let target = NetworkTarget::new("t", presets::taurus_openmpi_tcp(19));
-            let builder = Campaign::new(&plan, target).seed(19).profiler(profiler);
-            match shards {
+            let builder = Campaign::new(&plan, target).seed(19);
+            let data = match shards {
                 0 => builder.run().unwrap().data,
                 k => builder.shards(k).run().unwrap().data,
-            }
+            };
+            Profiler::uninstall_thread();
+            data
         };
         for shards in [0usize, 3] {
             let plain = run_with(Profiler::disabled(), shards);
@@ -1316,7 +1304,9 @@ mod tests {
         let plan = shuffled_net_plan(2, 5);
         let p = Profiler::enabled();
         let target = NetworkTarget::new("t", presets::taurus_openmpi_tcp(5));
-        Campaign::new(&plan, target).seed(5).profiler(p.clone()).run().unwrap();
+        p.install_thread("main");
+        Campaign::new(&plan, target).seed(5).run().unwrap();
+        Profiler::uninstall_thread();
         let spans = p.take();
         let find = |name: &str| {
             spans.iter().find(|s| s.name == name).unwrap_or_else(|| panic!("no {name} span"))
@@ -1337,7 +1327,9 @@ mod tests {
         let plan = shuffled_net_plan(4, 7);
         let p = Profiler::enabled();
         let target = NetworkTarget::new("t", presets::taurus_openmpi_tcp(7));
-        Campaign::new(&plan, target).shards(3).seed(7).profiler(p.clone()).run().unwrap();
+        p.install_thread("main");
+        Campaign::new(&plan, target).shards(3).seed(7).run().unwrap();
+        Profiler::uninstall_thread();
         let spans = p.take();
         // Every batch executed on some worker track; which worker ran
         // which batch is scheduling, not science, so assert coverage

@@ -13,29 +13,29 @@ use std::collections::BTreeMap;
 
 /// Builder for a campaign's metadata block.
 #[derive(Debug, Clone, Default)]
-pub struct MetadataBuilder {
+pub(crate) struct MetadataBuilder {
     entries: BTreeMap<String, String>,
 }
 
 impl MetadataBuilder {
     /// Empty builder.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Adds one entry (overwrites an existing key).
-    pub fn set(mut self, key: impl Into<String>, value: impl std::fmt::Display) -> Self {
+    pub(crate) fn set(mut self, key: impl Into<String>, value: impl std::fmt::Display) -> Self {
         self.entries.insert(key.into(), value.to_string());
         self
     }
 
     /// Adds the engine's own identity entries.
-    pub fn with_engine_info(self) -> Self {
+    pub(crate) fn with_engine_info(self) -> Self {
         self.set("engine", "charm-engine").set("engine_version", env!("CARGO_PKG_VERSION"))
     }
 
     /// Adds campaign-level entries: plan size, seed, randomization state.
-    pub fn with_campaign_info(self, plan_rows: usize, shuffle_seed: Option<u64>) -> Self {
+    pub(crate) fn with_campaign_info(self, plan_rows: usize, shuffle_seed: Option<u64>) -> Self {
         let s = self.set("plan_rows", plan_rows);
         match shuffle_seed {
             Some(seed) => s.set("order", "randomized").set("shuffle_seed", seed),
@@ -44,7 +44,7 @@ impl MetadataBuilder {
     }
 
     /// Merges target-provided entries.
-    pub fn with_target_info(mut self, entries: &[(String, String)]) -> Self {
+    pub(crate) fn with_target_info(mut self, entries: &[(String, String)]) -> Self {
         for (k, v) in entries {
             self.entries.insert(k.clone(), v.clone());
         }
@@ -52,7 +52,7 @@ impl MetadataBuilder {
     }
 
     /// Finalizes the map.
-    pub fn build(self) -> BTreeMap<String, String> {
+    pub(crate) fn build(self) -> BTreeMap<String, String> {
         self.entries
     }
 }

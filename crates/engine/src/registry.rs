@@ -39,10 +39,10 @@ use charm_simnet::presets;
 /// Default sampling period for `governor = "ondemand"` (µs of virtual
 /// time), matching the Linux default order of magnitude the simulator's
 /// Fig 10 study uses.
-pub const DEFAULT_ONDEMAND_PERIOD_US: f64 = 10_000.0;
+pub(crate) const DEFAULT_ONDEMAND_PERIOD_US: f64 = 10_000.0;
 
 /// Default per-frame deadline for external engines (ms of wall time).
-pub const DEFAULT_EXTERNAL_TIMEOUT_MS: u64 = 10_000;
+pub(crate) const DEFAULT_EXTERNAL_TIMEOUT_MS: u64 = 10_000;
 
 /// A declarative target description, as a benchmark spec's `[target]`
 /// table parses into. Pure data: no simulator or subprocess is

@@ -160,7 +160,7 @@ impl<'a> Assignment<'a> {
     }
 
     /// The raw level of a factor, if the plan has it.
-    pub fn level(&self, name: &str) -> Option<&Level> {
+    pub(crate) fn level(&self, name: &str) -> Option<&Level> {
         let idx = self.plan.factor_names().iter().position(|n| n == name)?;
         self.row.levels.get(idx)
     }
@@ -178,13 +178,13 @@ impl<'a> Assignment<'a> {
     }
 
     /// Integer factor.
-    pub fn int(&self, name: &'static str) -> Result<i64, TargetError> {
+    pub(crate) fn int(&self, name: &'static str) -> Result<i64, TargetError> {
         let l = self.level(name).ok_or(TargetError::MissingFactor(name))?;
         l.as_int().ok_or_else(|| TargetError::BadFactor { name, got: l.to_string() })
     }
 
     /// Integer factor with a default when absent.
-    pub fn int_or(&self, name: &'static str, default: i64) -> Result<i64, TargetError> {
+    pub(crate) fn int_or(&self, name: &'static str, default: i64) -> Result<i64, TargetError> {
         match self.level(name) {
             None => Ok(default),
             Some(l) => {
@@ -194,13 +194,13 @@ impl<'a> Assignment<'a> {
     }
 
     /// Text factor.
-    pub fn text(&self, name: &'static str) -> Result<&str, TargetError> {
+    pub(crate) fn text(&self, name: &'static str) -> Result<&str, TargetError> {
         let l = self.level(name).ok_or(TargetError::MissingFactor(name))?;
         l.as_text().ok_or_else(|| TargetError::BadFactor { name, got: l.to_string() })
     }
 
     /// Flag factor with a default when absent.
-    pub fn flag_or(&self, name: &'static str, default: bool) -> Result<bool, TargetError> {
+    pub(crate) fn flag_or(&self, name: &'static str, default: bool) -> Result<bool, TargetError> {
         match self.level(name) {
             None => Ok(default),
             Some(l) => {
@@ -327,11 +327,6 @@ impl NetworkTarget {
     /// Wraps a simulator under a platform label.
     pub fn new(label: impl Into<String>, sim: NetworkSim) -> Self {
         NetworkTarget { sim, label: label.into() }
-    }
-
-    /// The wrapped simulator.
-    pub fn sim(&self) -> &NetworkSim {
-        &self.sim
     }
 }
 

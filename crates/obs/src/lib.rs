@@ -96,11 +96,6 @@ impl Counters {
         self.map.iter().map(|(k, v)| (k.as_str(), *v))
     }
 
-    /// Number of distinct keys.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
     /// Whether no counter was ever touched.
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
@@ -268,13 +263,6 @@ impl Default for Observer {
     }
 }
 
-impl Observer {
-    /// The default observer (64 Ki event ring per shard).
-    pub fn new() -> Self {
-        Observer::default()
-    }
-}
-
 /// Everything one recorder (one shard) observed.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Observation {
@@ -311,7 +299,7 @@ pub struct CampaignReport {
 
 impl CampaignReport {
     /// An empty report.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         CampaignReport::default()
     }
 
@@ -514,7 +502,7 @@ pub mod json {
 
     /// The deepest nesting of objects and arrays the parser accepts, so
     /// a hostile line cannot exhaust the stack.
-    pub const MAX_DEPTH: usize = 32;
+    pub(crate) const MAX_DEPTH: usize = 32;
 
     /// A parsed flat object with typed field accessors.
     pub struct Object(Vec<(String, Value)>);
@@ -828,9 +816,9 @@ mod tests {
         assert_eq!(c.get("serve.accepted"), 1);
         c.sub("serve.accepted", 5);
         assert_eq!(c.get("serve.accepted"), 0);
-        assert_eq!(c.len(), 1, "a drained counter keeps its key");
+        assert_eq!(c.iter().count(), 1, "a drained counter keeps its key");
         c.sub("absent", 1);
-        assert_eq!(c.len(), 1);
+        assert_eq!(c.iter().count(), 1);
     }
 
     #[test]
@@ -847,7 +835,7 @@ mod tests {
         a.merge_from(&b);
         assert_eq!(a.get("x.hits"), 15);
         assert_eq!(a.get("z"), 7);
-        assert_eq!(a.len(), 3);
+        assert_eq!(a.iter().count(), 3);
     }
 
     #[test]

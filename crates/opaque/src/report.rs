@@ -30,7 +30,7 @@ impl Welford {
     }
 
     /// Number of observations.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.n
     }
 
@@ -64,7 +64,7 @@ pub struct AggregatedCell {
 
 impl AggregatedCell {
     /// Builds a cell from an accumulator.
-    pub fn from_welford(x: u64, w: &Welford) -> Self {
+    pub(crate) fn from_welford(x: u64, w: &Welford) -> Self {
         AggregatedCell { x, n: w.count(), mean: w.mean(), std_dev: w.std_dev() }
     }
 }

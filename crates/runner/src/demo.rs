@@ -64,7 +64,7 @@ fn hash_str(seed: u64, s: &str) -> u64 {
 /// The demo engine's synthetic measurement: a smooth latency-vs-size
 /// law (affine in `size` when present) plus deterministic per-request
 /// jitter. Pure function of `(seed, request)`.
-pub fn demo_value(seed: u64, request: &MeasureRequest) -> f64 {
+pub(crate) fn demo_value(seed: u64, request: &MeasureRequest) -> f64 {
     let mut h = splitmix64(seed ^ request.sequence ^ (u64::from(request.replicate) << 32));
     let mut size = 0.0f64;
     for (name, level) in &request.factors {

@@ -192,16 +192,6 @@ impl ExternalTarget {
         Ok(t)
     }
 
-    /// The spec this target was spawned from.
-    pub fn spec(&self) -> &ExternalEngineSpec {
-        &self.spec
-    }
-
-    /// The name the engine announced in its handshake.
-    pub fn engine_name(&self) -> &str {
-        &self.engine_name
-    }
-
     fn timeout(&self) -> Duration {
         Duration::from_millis(self.spec.timeout_ms)
     }

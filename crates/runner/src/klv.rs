@@ -47,17 +47,17 @@ pub struct Frame {
 
 impl Frame {
     /// A frame with a UTF-8 payload.
-    pub fn text(key: &str, value: impl Into<String>) -> Frame {
+    pub(crate) fn text(key: &str, value: impl Into<String>) -> Frame {
         Frame { key: key.to_string(), value: value.into().into_bytes() }
     }
 
     /// An empty-payload frame.
-    pub fn empty(key: &str) -> Frame {
+    pub(crate) fn empty(key: &str) -> Frame {
         Frame { key: key.to_string(), value: Vec::new() }
     }
 
     /// The payload as UTF-8 text (lossy — diagnostics only).
-    pub fn value_text(&self) -> String {
+    pub(crate) fn value_text(&self) -> String {
         String::from_utf8_lossy(&self.value).into_owned()
     }
 }
@@ -137,7 +137,7 @@ impl From<io::Error> for FrameError {
 }
 
 /// Whether `key` is a legal frame key.
-pub fn valid_key(key: &str) -> bool {
+pub(crate) fn valid_key(key: &str) -> bool {
     !key.is_empty()
         && key.len() <= MAX_KEY_LEN
         && key.bytes().all(|b| {

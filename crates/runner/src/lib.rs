@@ -40,4 +40,4 @@ pub mod proto;
 
 pub use external::ExternalTarget;
 pub use klv::{Frame, FrameError, MAX_KEY_LEN, MAX_VALUE_LEN};
-pub use proto::{MeasureRequest, ObservationReply, PROTOCOL_VERSION};
+pub use proto::{MeasureRequest, ObservationReply};

@@ -30,30 +30,30 @@ use charm_design::factors::Level;
 /// Protocol version string exchanged in the handshake. The `/1` is the
 /// wire-compatibility major: a harness refuses to talk to an engine
 /// announcing a different major.
-pub const PROTOCOL_VERSION: &str = "charm-klv/1";
+pub(crate) const PROTOCOL_VERSION: &str = "charm-klv/1";
 
 /// Frame keys of the charm-klv/1 vocabulary.
 pub mod key {
     /// Harness → engine: opens the conversation, value = harness protocol version.
-    pub const HELLO: &str = "hello";
+    pub(crate) const HELLO: &str = "hello";
     /// Engine → harness: engine's protocol version.
-    pub const VERSION: &str = "version";
+    pub(crate) const VERSION: &str = "version";
     /// Engine → harness: engine name (recorded in campaign metadata).
-    pub const NAME: &str = "name";
+    pub(crate) const NAME: &str = "name";
     /// Engine → harness: one `key=value` metadata pair.
-    pub const META: &str = "meta";
+    pub(crate) const META: &str = "meta";
     /// Engine → harness: handshake done, engine accepts `measure` frames.
-    pub const READY: &str = "ready";
+    pub(crate) const READY: &str = "ready";
     /// Harness → engine: one measurement request.
-    pub const MEASURE: &str = "measure";
+    pub(crate) const MEASURE: &str = "measure";
     /// Engine → harness: one `counter=u64` execution diagnostic.
-    pub const DIAGNOSTIC: &str = "diagnostic";
+    pub(crate) const DIAGNOSTIC: &str = "diagnostic";
     /// Engine → harness: the measurement result.
-    pub const OBSERVATION: &str = "observation";
+    pub(crate) const OBSERVATION: &str = "observation";
     /// Engine → harness: the measurement (or handshake) failed.
-    pub const ERROR: &str = "error";
+    pub(crate) const ERROR: &str = "error";
     /// Harness → engine: no more measurements; exit cleanly.
-    pub const SHUTDOWN: &str = "shutdown";
+    pub(crate) const SHUTDOWN: &str = "shutdown";
 }
 
 /// One measurement request, decoded from (or encoded into) a `measure`
@@ -70,7 +70,7 @@ pub struct MeasureRequest {
 
 impl MeasureRequest {
     /// Encodes the request as a `measure` frame.
-    pub fn to_frame(&self) -> Frame {
+    pub(crate) fn to_frame(&self) -> Frame {
         let mut payload = String::new();
         payload.push_str(&format!("sequence={}\n", self.sequence));
         payload.push_str(&format!("replicate={}\n", self.replicate));
@@ -117,7 +117,7 @@ pub struct ObservationReply {
 
 impl ObservationReply {
     /// Encodes the reply as an `observation` frame.
-    pub fn to_frame(&self) -> Frame {
+    pub(crate) fn to_frame(&self) -> Frame {
         let mut payload = format!("value={}\n", self.value);
         if let Some(s) = self.start_us {
             payload.push_str(&format!("start_us={s}\n"));
@@ -151,19 +151,19 @@ impl ObservationReply {
 
 /// Parses a `diagnostic` payload (`counter=u64`). Returns `None` for
 /// unusable lines rather than failing — diagnostics are advisory.
-pub fn parse_diagnostic(payload: &[u8]) -> Option<(String, u64)> {
+pub(crate) fn parse_diagnostic(payload: &[u8]) -> Option<(String, u64)> {
     let text = std::str::from_utf8(payload).ok()?;
     let (k, v) = text.trim_end().split_once('=')?;
     Some((k.trim().to_string(), v.trim().parse().ok()?))
 }
 
 /// Encodes a `diagnostic` frame.
-pub fn diagnostic_frame(counter: &str, value: u64) -> Frame {
+pub(crate) fn diagnostic_frame(counter: &str, value: u64) -> Frame {
     Frame::text(key::DIAGNOSTIC, format!("{counter}={value}"))
 }
 
 /// Parses a `meta` payload (`key=value`).
-pub fn parse_meta(payload: &[u8]) -> Option<(String, String)> {
+pub(crate) fn parse_meta(payload: &[u8]) -> Option<(String, String)> {
     let text = std::str::from_utf8(payload).ok()?;
     let (k, v) = text.split_once('=')?;
     Some((k.trim().to_string(), v.trim_end().to_string()))

@@ -36,5 +36,5 @@ mod stream;
 mod submit;
 
 pub use client::{Client, Drained};
-pub use metrics::{Metrics, Quotas};
+pub use metrics::Metrics;
 pub use server::{Server, ServerConfig};

@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 
 /// Per-tenant quota limits, fixed at server start.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Quotas {
+pub(crate) struct Quotas {
     /// Maximum jobs a tenant may have queued or running at once.
     pub max_jobs: u64,
     /// Maximum plan rows a tenant may admit per window.
@@ -63,12 +63,12 @@ pub struct Metrics {
 
 impl Metrics {
     /// A fresh, all-zero metric set.
-    pub fn new() -> Metrics {
+    pub(crate) fn new() -> Metrics {
         Metrics::default()
     }
 
     /// Adds `n` to the counter `key`.
-    pub fn bump(&self, key: &str, n: u64) {
+    pub(crate) fn bump(&self, key: &str, n: u64) {
         self.inner.lock().unwrap().counters.add(key, n);
     }
 
@@ -79,7 +79,7 @@ impl Metrics {
 
     /// Charges a rejection to `tenant` and the matching
     /// `serve.rejected.*` counter.
-    pub fn reject(&self, tenant: &str, reason: RejectReason) {
+    pub(crate) fn reject(&self, tenant: &str, reason: RejectReason) {
         let mut inner = self.inner.lock().unwrap();
         inner.counters.add_owned(format!("serve.rejected.{reason}"), 1);
         inner.tenants.entry(tenant.to_string()).or_default().rejected += 1;
@@ -90,7 +90,12 @@ impl Metrics {
     /// cap. On success the tenant is charged (active job + window
     /// rows) atomically; on failure nothing changes and the limiting
     /// quota's rejection reason is returned.
-    pub fn try_admit(&self, tenant: &str, rows: u64, quotas: &Quotas) -> Result<(), RejectReason> {
+    pub(crate) fn try_admit(
+        &self,
+        tenant: &str,
+        rows: u64,
+        quotas: &Quotas,
+    ) -> Result<(), RejectReason> {
         let now = Instant::now();
         let mut inner = self.inner.lock().unwrap();
         let t = inner.tenants.entry(tenant.to_string()).or_default();
@@ -109,7 +114,7 @@ impl Metrics {
 
     /// Reverses a [`Metrics::try_admit`] whose job never made it onto
     /// the queue (admission lost the race to a full queue).
-    pub fn rollback_admit(&self, tenant: &str) {
+    pub(crate) fn rollback_admit(&self, tenant: &str) {
         let mut inner = self.inner.lock().unwrap();
         if let Some(t) = inner.tenants.get_mut(tenant) {
             t.active = t.active.saturating_sub(1);
@@ -122,7 +127,7 @@ impl Metrics {
     /// Releases an admitted job's concurrency slot (the run finished,
     /// failed, or was cancelled). The window rows stay charged — they
     /// were admitted.
-    pub fn job_finished(&self, tenant: &str) {
+    pub(crate) fn job_finished(&self, tenant: &str) {
         let mut inner = self.inner.lock().unwrap();
         if let Some(t) = inner.tenants.get_mut(tenant) {
             t.active = t.active.saturating_sub(1);
@@ -132,7 +137,7 @@ impl Metrics {
     /// A sorted snapshot of the counters and per-tenant tallies, in the
     /// shape the `status` response carries.
     #[allow(clippy::type_complexity)]
-    pub fn snapshot(&self) -> (Vec<(String, u64)>, Vec<(String, Vec<(String, u64)>)>) {
+    pub(crate) fn snapshot(&self) -> (Vec<(String, u64)>, Vec<(String, Vec<(String, u64)>)>) {
         let now = Instant::now();
         let mut inner = self.inner.lock().unwrap();
         let counters: Vec<(String, u64)> =

@@ -20,7 +20,7 @@ use charm_obs::json::{self, Object, Value};
 
 /// The protocol identifier exchanged in the `hello` handshake. Bump the
 /// suffix on any incompatible change; servers refuse other versions.
-pub const PROTOCOL: &str = "charm-serve/1";
+pub(crate) const PROTOCOL: &str = "charm-serve/1";
 
 /// Why a submission was refused at admission (the `reason` field of a
 /// `rejected` response).
@@ -41,7 +41,7 @@ pub enum RejectReason {
 
 impl RejectReason {
     /// Wire token for the reason.
-    pub fn as_str(&self) -> &'static str {
+    pub(crate) fn as_str(&self) -> &'static str {
         match self {
             RejectReason::QueueFull => "queue_full",
             RejectReason::QuotaJobs => "quota_jobs",
@@ -163,7 +163,7 @@ pub enum Request {
 
 impl Request {
     /// Renders the request as one JSONL line (no trailing newline).
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         match self {
             Request::Hello { proto, tenant } => obj(&[
                 ("type", json::string("hello")),
@@ -196,7 +196,7 @@ impl Request {
     }
 
     /// Parses one request line.
-    pub fn parse(line: &str) -> Result<Request, String> {
+    pub(crate) fn parse(line: &str) -> Result<Request, String> {
         let o = json::parse_object(line)?;
         let ty = o.get_str("type").ok_or("request lacks a \"type\" field")?;
         match ty {
@@ -324,7 +324,7 @@ pub enum Event {
 
 impl Event {
     /// Renders the event as one JSONL line (no trailing newline).
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         match self {
             Event::Hello { proto, server } => obj(&[
                 ("type", json::string("hello")),

@@ -34,7 +34,7 @@ pub enum ElementWidth {
 
 impl ElementWidth {
     /// Size in bytes.
-    pub fn bytes(self) -> u64 {
+    pub(crate) fn bytes(self) -> u64 {
         match self {
             ElementWidth::W32 => 4,
             ElementWidth::W64 => 8,
@@ -102,7 +102,7 @@ pub struct IssueModel {
 impl IssueModel {
     /// A generic out-of-order core: 2 cycles per access rolled (accumulator
     /// dependency chain), 1 cycle unrolled (load throughput bound).
-    pub fn generic_ooo() -> Self {
+    pub(crate) fn generic_ooo() -> Self {
         IssueModel {
             rolled_cycles_per_access: 2.0,
             unrolled_cycles_per_access: 1.0,
@@ -111,13 +111,13 @@ impl IssueModel {
     }
 
     /// Adds an override for one configuration.
-    pub fn with_override(mut self, cfg: CodegenConfig, cycles: f64) -> Self {
+    pub(crate) fn with_override(mut self, cfg: CodegenConfig, cycles: f64) -> Self {
         self.overrides.insert(cfg, cycles);
         self
     }
 
     /// Cycles per access for a configuration.
-    pub fn cycles_per_access(&self, cfg: CodegenConfig) -> f64 {
+    pub(crate) fn cycles_per_access(&self, cfg: CodegenConfig) -> f64 {
         if let Some(&c) = self.overrides.get(&cfg) {
             return c;
         }
@@ -127,18 +127,16 @@ impl IssueModel {
             self.rolled_cycles_per_access
         }
     }
-
-    /// Peak (all-hits) bandwidth in bytes per cycle for a configuration:
-    /// `width / cycles_per_access`. Doubling the width doubles this, which
-    /// is the Figure 9 vectorization effect.
-    pub fn peak_bytes_per_cycle(&self, cfg: CodegenConfig) -> f64 {
-        cfg.width.bytes() as f64 / self.cycles_per_access(cfg)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Peak (all-hits) bytes per cycle: `width / cycles_per_access`.
+    fn peak_bytes_per_cycle(m: &IssueModel, cfg: CodegenConfig) -> f64 {
+        cfg.width.bytes() as f64 / m.cycles_per_access(cfg)
+    }
 
     #[test]
     fn widths_and_names() {
@@ -163,8 +161,8 @@ mod tests {
         let m = IssueModel::generic_ooo();
         let widths = ElementWidth::all();
         for pair in widths.windows(2) {
-            let narrow = m.peak_bytes_per_cycle(CodegenConfig::new(pair[0], true));
-            let wide = m.peak_bytes_per_cycle(CodegenConfig::new(pair[1], true));
+            let narrow = peak_bytes_per_cycle(&m, CodegenConfig::new(pair[0], true));
+            let wide = peak_bytes_per_cycle(&m, CodegenConfig::new(pair[1], true));
             assert!((wide / narrow - 2.0).abs() < 1e-12, "{pair:?}");
         }
     }
@@ -178,8 +176,8 @@ mod tests {
         assert_eq!(m.cycles_per_access(CodegenConfig::new(ElementWidth::W256, false)), 2.0);
         // the anomaly makes the "best" config the slowest — the paper's
         // surprise
-        let best_expected = m.peak_bytes_per_cycle(CodegenConfig::new(ElementWidth::W128, true));
-        let anomalous = m.peak_bytes_per_cycle(anomaly);
+        let best_expected = peak_bytes_per_cycle(&m, CodegenConfig::new(ElementWidth::W128, true));
+        let anomalous = peak_bytes_per_cycle(&m, anomaly);
         assert!(anomalous < best_expected);
     }
 }

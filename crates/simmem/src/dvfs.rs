@@ -28,16 +28,7 @@ pub enum GovernorPolicy {
     },
 }
 
-impl GovernorPolicy {
-    /// CSV-friendly name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            GovernorPolicy::Performance => "performance",
-            GovernorPolicy::Powersave => "powersave",
-            GovernorPolicy::Ondemand { .. } => "ondemand",
-        }
-    }
-}
+impl GovernorPolicy {}
 
 /// A running governor over a set of frequency levels.
 #[derive(Debug, Clone)]
@@ -83,34 +74,29 @@ impl Governor {
     }
 
     /// Number of frequency changes the governor has performed so far.
-    pub fn transitions(&self) -> u64 {
+    pub(crate) fn transitions(&self) -> u64 {
         self.transitions
     }
 
     /// The policy in force.
-    pub fn policy(&self) -> GovernorPolicy {
+    pub(crate) fn policy(&self) -> GovernorPolicy {
         self.policy
     }
 
-    /// Current frequency (GHz).
-    pub fn current_ghz(&self) -> f64 {
-        self.freqs_ghz[self.current]
-    }
-
     /// Maximum available frequency (GHz).
-    pub fn max_ghz(&self) -> f64 {
+    pub(crate) fn max_ghz(&self) -> f64 {
         *self.freqs_ghz.last().expect("non-empty")
     }
 
     /// Minimum available frequency (GHz).
-    pub fn min_ghz(&self) -> f64 {
+    pub(crate) fn min_ghz(&self) -> f64 {
         self.freqs_ghz[0]
     }
 
     /// Notifies the governor that the CPU idled from `idle_from_us` to
     /// `now_us`: ondemand decays to the minimum frequency if at least one
     /// sampling tick elapsed while idle.
-    pub fn note_idle(&mut self, idle_from_us: f64, now_us: f64) {
+    pub(crate) fn note_idle(&mut self, idle_from_us: f64, now_us: f64) {
         if let GovernorPolicy::Ondemand { sample_period_us } = self.policy {
             let first_tick_after = (idle_from_us / sample_period_us).floor() + 1.0;
             if first_tick_after * sample_period_us <= now_us {
@@ -245,11 +231,11 @@ mod tests {
     fn ondemand_decays_after_idle() {
         let mut g = Governor::new(GovernorPolicy::Ondemand { sample_period_us: 100.0 }, i7_freqs());
         g.run_cycles(3.4e6, 0.0); // ramps to max
-        assert_eq!(g.current_ghz(), 3.4);
+        assert_eq!(g.freqs_ghz[g.current], 3.4);
         g.note_idle(10_000.0, 10_050.0); // idle < one period: stays hot
-        assert_eq!(g.current_ghz(), 3.4);
+        assert_eq!(g.freqs_ghz[g.current], 3.4);
         g.note_idle(10_050.0, 10_400.0); // idle spans a tick: decays
-        assert_eq!(g.current_ghz(), 1.6);
+        assert_eq!(g.freqs_ghz[g.current], 1.6);
     }
 
     #[test]

@@ -52,21 +52,9 @@ impl KernelConfig {
         self
     }
 
-    /// Same configuration with another codegen.
-    pub fn with_codegen(mut self, codegen: CodegenConfig) -> Self {
-        self.codegen = codegen;
-        self
-    }
-
     /// Number of accesses one pass performs.
-    pub fn accesses_per_pass(&self) -> u64 {
+    pub(crate) fn accesses_per_pass(&self) -> u64 {
         (self.buffer_bytes / self.codegen.width.bytes()) / self.stride_elems
-    }
-
-    /// Bytes the bandwidth formula credits per pass
-    /// (`naccesses · sizeof(element)`).
-    pub fn bytes_per_pass(&self) -> u64 {
-        self.accesses_per_pass() * self.codegen.width.bytes()
     }
 }
 
@@ -98,6 +86,10 @@ mod tests {
     use crate::paging::AllocPolicy;
     use crate::sched::SchedPolicy;
 
+    fn with_codegen(config: KernelConfig, codegen: CodegenConfig) -> KernelConfig {
+        KernelConfig { codegen, ..config }
+    }
+
     fn quiet_machine(spec: CpuSpec, seed: u64) -> MachineSim {
         MachineSim::new(
             spec,
@@ -112,7 +104,6 @@ mod tests {
     fn config_access_counts() {
         let c = KernelConfig::baseline(8192, 3).with_stride(2);
         assert_eq!(c.accesses_per_pass(), 1024);
-        assert_eq!(c.bytes_per_pass(), 4096);
     }
 
     #[test]
@@ -180,7 +171,10 @@ mod tests {
         let m = quiet_machine(CpuSpec::core_i7_2600(), 5);
         let bw = |w: ElementWidth| {
             m.ideal_bandwidth_mbps(
-                &KernelConfig::baseline(16 * 1024, 2000).with_codegen(CodegenConfig::new(w, false)),
+                &with_codegen(
+                    KernelConfig::baseline(16 * 1024, 2000),
+                    CodegenConfig::new(w, false),
+                ),
                 3.4,
             )
         };
@@ -196,8 +190,10 @@ mod tests {
         let m = quiet_machine(CpuSpec::core_i7_2600(), 6);
         let bw = |unroll: bool| {
             m.ideal_bandwidth_mbps(
-                &KernelConfig::baseline(16 * 1024, 2000)
-                    .with_codegen(CodegenConfig::new(ElementWidth::W256, unroll)),
+                &with_codegen(
+                    KernelConfig::baseline(16 * 1024, 2000),
+                    CodegenConfig::new(ElementWidth::W256, unroll),
+                ),
                 3.4,
             )
         };
@@ -211,11 +207,11 @@ mod tests {
         let m = quiet_machine(CpuSpec::core_i7_2600(), 7);
         let ratio = |cg: CodegenConfig| {
             let inside = m.ideal_bandwidth_mbps(
-                &KernelConfig::baseline(16 * 1024, 2000).with_codegen(cg),
+                &with_codegen(KernelConfig::baseline(16 * 1024, 2000), cg),
                 3.4,
             );
             let outside = m.ideal_bandwidth_mbps(
-                &KernelConfig::baseline(128 * 1024, 2000).with_codegen(cg),
+                &with_codegen(KernelConfig::baseline(128 * 1024, 2000), cg),
                 3.4,
             );
             inside / outside

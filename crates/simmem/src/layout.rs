@@ -29,12 +29,6 @@ pub struct PhysicalPattern {
 }
 
 impl PhysicalPattern {
-    /// An empty pattern (no accesses); use with [`PhysicalPattern::merge`]
-    /// to build multi-array kernels.
-    pub fn empty() -> Self {
-        PhysicalPattern { line_addrs: Vec::new(), accesses_per_pass: 0 }
-    }
-
     /// Merges another pattern's accesses into this one (multi-array
     /// kernels: the union of streams competes for the same sets). The
     /// arrays must not share physical pages — allocators never hand the
@@ -84,7 +78,7 @@ impl PhysicalPattern {
     /// are emitted page by page without ever visiting individual accesses;
     /// larger strides walk per access but with incremental page/offset
     /// arithmetic instead of two divisions each.
-    pub fn resolve_reusing(
+    pub(crate) fn resolve_reusing(
         mut line_addrs: Vec<u64>,
         phys_pages: &[u64],
         page_bytes: u64,
@@ -150,7 +144,7 @@ impl PhysicalPattern {
 
     /// Consumes the pattern, handing back its line buffer for reuse with
     /// [`PhysicalPattern::resolve_reusing`].
-    pub fn into_line_addrs(self) -> Vec<u64> {
+    pub(crate) fn into_line_addrs(self) -> Vec<u64> {
         self.line_addrs
     }
 
@@ -175,7 +169,7 @@ impl PhysicalPattern {
     /// For a cache level, returns a mask over [`Self::line_addrs`]:
     /// `true` where the line's set holds more distinct lines than the
     /// associativity (the set thrashes under cyclic LRU).
-    pub fn thrash_mask(&self, level: &CacheLevelSpec) -> Vec<bool> {
+    pub(crate) fn thrash_mask(&self, level: &CacheLevelSpec) -> Vec<bool> {
         let num_sets = level.num_sets();
         let mut per_set = vec![0u32; num_sets as usize];
         let sets: Vec<u64> =
@@ -587,7 +581,7 @@ impl ServiceProfile {
     /// pass and one classification pass over the lines for all levels
     /// together, reusing `scratch` across calls. The result is identical
     /// to the per-level-mask formulation (see [`reference::compute`]).
-    pub fn compute_with(
+    pub(crate) fn compute_with(
         pattern: &PhysicalPattern,
         levels: &[CacheLevelSpec],
         scratch: &mut ProfileScratch,
@@ -661,7 +655,7 @@ impl ServiceProfile {
     /// `dram_latency_cycles` for fetches that reach memory;
     /// `overlap_factor` in `[0, 1]` is the machine's ability to hide miss
     /// latency behind compute on streaming patterns.
-    pub fn steady_pass_cycles(
+    pub(crate) fn steady_pass_cycles(
         &self,
         issue_cycles_per_access: f64,
         levels: &[CacheLevelSpec],
@@ -685,7 +679,7 @@ impl ServiceProfile {
     /// Cycles of the warm (first) pass: all distinct lines are compulsory
     /// DRAM fetches (overlap applies — prefetchers stream ahead on the
     /// first pass too).
-    pub fn warm_pass_cycles(
+    pub(crate) fn warm_pass_cycles(
         &self,
         issue_cycles_per_access: f64,
         dram_latency_cycles: f64,

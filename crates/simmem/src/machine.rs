@@ -35,12 +35,12 @@ pub struct CacheLevelSpec {
 
 impl CacheLevelSpec {
     /// Number of sets.
-    pub fn num_sets(&self) -> u64 {
+    pub(crate) fn num_sets(&self) -> u64 {
         self.size_bytes / (self.assoc as u64 * self.line_bytes)
     }
 
     /// Bytes one way spans (`size / assoc`) — determines page colours.
-    pub fn way_bytes(&self) -> u64 {
+    pub(crate) fn way_bytes(&self) -> u64 {
         self.size_bytes / self.assoc as u64
     }
 }
@@ -375,11 +375,6 @@ impl MachineSim {
         self.recorder = Recorder::enabled(event_capacity);
     }
 
-    /// Whether observability is currently enabled.
-    pub fn observability_enabled(&self) -> bool {
-        self.recorder.is_enabled()
-    }
-
     /// Drains everything observed so far (counters, events, drop count).
     pub fn take_observation(&mut self) -> Observation {
         self.recorder.take()
@@ -494,11 +489,6 @@ impl MachineSim {
         self.now_us
     }
 
-    /// Measurements taken so far on this machine.
-    pub fn measurements_taken(&self) -> u64 {
-        self.measurements_taken
-    }
-
     /// Draws the placement of a `bytes` allocation from the machine's
     /// page pool under its policy (the RNG draw of
     /// [`PageAllocator::allocate`]), returning the [`PlacementKey`] of the
@@ -611,7 +601,7 @@ impl MachineSim {
     /// governor (with idle decay), scheduler slowdown, timer noise, and
     /// the virtual clock all apply. Returns the measurement with
     /// bandwidth computed over `bytes_touched`.
-    pub fn execute_cycles(&mut self, cycles: f64, bytes_touched: f64) -> KernelResult {
+    pub(crate) fn execute_cycles(&mut self, cycles: f64, bytes_touched: f64) -> KernelResult {
         let transitions_before = self.governor.transitions();
         // idle gap lets the governor decay
         self.now_us += self.inter_measurement_us;
@@ -931,7 +921,7 @@ mod tests {
         let mut merged = charm_obs::Counters::new();
         for (lo, hi) in [(0usize, 11usize), (11, 23), (23, 30)] {
             let mut shard = base.fork(base.stream_seed());
-            assert!(shard.observability_enabled(), "fork must propagate observability");
+            assert!(shard.recorder.is_enabled(), "fork must propagate observability");
             shard.skip_to(lo as u64);
             for cfg in &cfgs[lo..hi] {
                 shard.run_kernel(cfg);

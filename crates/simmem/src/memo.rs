@@ -23,15 +23,14 @@
 //! hit is a read-lock + refcount bump). Sharing is safe for exactly the
 //! §13 reason — every entry is a pure function of its key, so a racing
 //! insert can only ever write the value the loser would have computed
-//! itself. Contention, eviction order, and hit/miss totals may vary
-//! between runs; record values cannot.
+//! itself. Contention and eviction order may vary between runs; record
+//! values cannot.
 
 use crate::layout::ServiceProfile;
 use crate::machine::CacheLevelSpec;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 /// FNV-1a hasher for the profile map. A [`ProfileKey`] is a handful of
@@ -41,7 +40,7 @@ use std::sync::{Arc, RwLock};
 /// DoS-resistant — irrelevant here, keys come from the experiment plan,
 /// not the network.
 #[derive(Debug, Default)]
-pub struct FnvHasher(u64);
+pub(crate) struct FnvHasher(u64);
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -92,7 +91,7 @@ impl Hasher for FnvHasher {
 
 /// The profile map's hasher factory (stateless, so hashes are stable
 /// across maps and runs).
-pub type FnvBuildHasher = BuildHasherDefault<FnvHasher>;
+pub(crate) type FnvBuildHasher = BuildHasherDefault<FnvHasher>;
 
 /// Identifies where a buffer landed, independent of its page vector.
 ///
@@ -100,7 +99,7 @@ pub type FnvBuildHasher = BuildHasherDefault<FnvHasher>;
 /// permutation per allocator: `MallocPerSize` always the prefix,
 /// `PooledRandomOffset` always the contiguous slice at a start offset.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PlacementKey {
+pub(crate) enum PlacementKey {
     /// `MallocPerSize`: the pool prefix (the buffer size in the rest of
     /// the key pins the length).
     MallocPrefix,
@@ -115,7 +114,7 @@ pub enum PlacementKey {
 /// The profile-relevant part of a [`CacheLevelSpec`]: hit latency is
 /// deliberately excluded (it prices a profile, it does not shape it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct LevelGeometry {
+pub(crate) struct LevelGeometry {
     /// Total capacity in bytes.
     pub size_bytes: u64,
     /// Associativity (ways).
@@ -125,7 +124,7 @@ pub struct LevelGeometry {
 }
 
 /// Interns the geometry of a hierarchy for cheap key cloning.
-pub fn level_geometries(levels: &[CacheLevelSpec]) -> Arc<[LevelGeometry]> {
+pub(crate) fn level_geometries(levels: &[CacheLevelSpec]) -> Arc<[LevelGeometry]> {
     levels
         .iter()
         .map(|l| LevelGeometry {
@@ -138,7 +137,7 @@ pub fn level_geometries(levels: &[CacheLevelSpec]) -> Arc<[LevelGeometry]> {
 
 /// Everything a service profile depends on.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct ProfileKey {
+pub(crate) struct ProfileKey {
     /// Where the (first) buffer landed.
     pub placement: PlacementKey,
     /// Buffer size in bytes (per array for multi-array kernels).
@@ -159,14 +158,14 @@ pub struct ProfileKey {
 }
 
 /// [`ProfileKey::segment`] for single-buffer kernels.
-pub const SEGMENT_WHOLE: u32 = u32::MAX;
+pub(crate) const SEGMENT_WHOLE: u32 = u32::MAX;
 /// [`ProfileKey::segment`] for the merged multi-array stream pattern.
-pub const SEGMENT_MERGED: u32 = u32::MAX - 1;
+pub(crate) const SEGMENT_MERGED: u32 = u32::MAX - 1;
 
 /// A memoized profile plus the placement-derived counter inputs that the
 /// observability path would otherwise recompute per page.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ProfileEntry {
+pub(crate) struct ProfileEntry {
     /// The service profile.
     pub profile: ServiceProfile,
     /// Pages backing the allocation (for `simmem.paging.pages_allocated`).
@@ -186,16 +185,14 @@ pub struct ProfileEntry {
 /// use to prove the cache never changes a record.
 ///
 /// All methods take `&self`: lookups hold a read lock, inserts a write
-/// lock, and the hit/miss totals are relaxed atomics (they are
-/// diagnostics, not science — under concurrent sharers the totals
-/// depend on interleaving). The capacity bound is global across all
-/// sharers and exact: `len() <= capacity()` holds at every instant.
+/// lock. Each machine tallies its own hits and misses
+/// (`MachineSim::profile_cache_stats`). The capacity bound is global
+/// across all sharers and exact: the cache never holds more than
+/// `capacity()` profiles.
 #[derive(Debug)]
-pub struct ProfileCache {
+pub(crate) struct ProfileCache {
     inner: RwLock<CacheInner>,
     capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
 }
 
 /// The lock-protected part of a [`ProfileCache`].
@@ -208,7 +205,7 @@ struct CacheInner {
 /// Default capacity: comfortably above any campaign grid in the repo
 /// (25 sizes × strides × policies) while bounding memory to a few MiB
 /// even with adversarial plans.
-pub const DEFAULT_CAPACITY: usize = 1024;
+pub(crate) const DEFAULT_CAPACITY: usize = 1024;
 
 impl Default for ProfileCache {
     fn default() -> Self {
@@ -218,38 +215,18 @@ impl Default for ProfileCache {
 
 impl ProfileCache {
     /// A cache holding at most `capacity` profiles (0 disables caching).
-    pub fn with_capacity(capacity: usize) -> Self {
-        ProfileCache {
-            inner: RwLock::new(CacheInner::default()),
-            capacity,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
+        ProfileCache { inner: RwLock::new(CacheInner::default()), capacity }
     }
 
     /// The eviction bound.
-    pub fn capacity(&self) -> usize {
+    pub(crate) fn capacity(&self) -> usize {
         self.capacity
     }
 
-    /// `(hits, misses)` since construction, summed over all sharers.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits.load(Ordering::Relaxed), self.misses.load(Ordering::Relaxed))
-    }
-
-    /// Looks up `key`, counting a hit or miss. Read-lock only.
-    pub fn lookup(&self, key: &ProfileKey) -> Option<Arc<ProfileEntry>> {
-        let inner = self.inner.read().expect("profile cache poisoned");
-        match inner.map.get(key) {
-            Some(entry) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(Arc::clone(entry))
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+    /// Looks up `key`. Read-lock only.
+    pub(crate) fn lookup(&self, key: &ProfileKey) -> Option<Arc<ProfileEntry>> {
+        self.inner.read().expect("profile cache poisoned").map.get(key).map(Arc::clone)
     }
 
     /// Inserts an entry computed after a miss, evicting the oldest key
@@ -257,7 +234,7 @@ impl ProfileCache {
     /// same key the later insert overwrites the earlier one with a
     /// value that is identical by construction (entries are pure
     /// functions of their keys), so the race is benign.
-    pub fn insert(&self, key: ProfileKey, entry: Arc<ProfileEntry>) {
+    pub(crate) fn insert(&self, key: ProfileKey, entry: Arc<ProfileEntry>) {
         if self.capacity == 0 {
             return;
         }
@@ -277,16 +254,6 @@ impl ProfileCache {
                 }
             }
         }
-    }
-
-    /// Number of cached profiles.
-    pub fn len(&self) -> usize {
-        self.inner.read().expect("profile cache poisoned").map.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -323,15 +290,19 @@ mod tests {
         Arc::from(vec![LevelGeometry { size_bytes: 65536, assoc: 2, line_bytes: 64 }])
     }
 
+    /// Number of cached profiles.
+    fn cached(c: &ProfileCache) -> usize {
+        c.inner.read().unwrap().map.len()
+    }
+
     #[test]
-    fn hit_and_miss_accounting() {
+    fn lookup_hits_only_inserted_keys() {
         let levels = geo();
         let c = ProfileCache::default();
         assert!(c.lookup(&key(0, 4096, &levels)).is_none());
         c.insert(key(0, 4096, &levels), entry(1));
         assert!(c.lookup(&key(0, 4096, &levels)).is_some());
         assert!(c.lookup(&key(1, 4096, &levels)).is_none());
-        assert_eq!(c.stats(), (1, 2));
     }
 
     #[test]
@@ -341,7 +312,7 @@ mod tests {
         for start in 0..5u64 {
             c.insert(key(start, 4096, &levels), entry(start));
         }
-        assert_eq!(c.len(), 2);
+        assert_eq!(cached(&c), 2);
         assert!(c.lookup(&key(0, 4096, &levels)).is_none(), "oldest evicted");
         assert!(c.lookup(&key(4, 4096, &levels)).is_some(), "newest kept");
     }
@@ -351,7 +322,7 @@ mod tests {
         let levels = geo();
         let c = ProfileCache::with_capacity(0);
         c.insert(key(0, 4096, &levels), entry(1));
-        assert!(c.is_empty());
+        assert_eq!(cached(&c), 0);
         assert!(c.lookup(&key(0, 4096, &levels)).is_none());
     }
 
@@ -374,11 +345,11 @@ mod tests {
         for (i, v) in variants.iter().enumerate() {
             c.insert(v.clone(), entry(i as u64));
         }
-        assert_eq!(c.len(), variants.len(), "every dimension must distinguish keys");
+        assert_eq!(cached(&c), variants.len(), "every dimension must distinguish keys");
     }
 
     #[test]
-    fn concurrent_sharers_respect_capacity_and_accounting() {
+    fn concurrent_sharers_respect_capacity() {
         let levels = geo();
         let cache = Arc::new(ProfileCache::with_capacity(4));
         let threads = 4;
@@ -401,14 +372,12 @@ mod tests {
                         } else {
                             cache.insert(k, entry((t + i) % 8));
                         }
-                        assert!(cache.len() <= 4, "capacity bound violated");
+                        assert!(cached(&cache) <= 4, "capacity bound violated");
                     }
                 });
             }
         });
-        let (hits, misses) = cache.stats();
-        assert_eq!(hits + misses, threads * lookups_per_thread, "every lookup accounted");
-        assert!(cache.len() <= 4);
+        assert!(cached(&cache) <= 4);
     }
 
     #[test]

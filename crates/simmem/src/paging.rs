@@ -40,15 +40,6 @@ impl AllocPolicy {
             AllocPolicy::PooledRandomOffset => "pooled_random_offset",
         }
     }
-
-    /// Parses the CSV name.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "malloc_per_size" => Some(AllocPolicy::MallocPerSize),
-            "pooled_random_offset" => Some(AllocPolicy::PooledRandomOffset),
-            _ => None,
-        }
-    }
 }
 
 /// A pool of physical pages with an allocation policy, standing in for the
@@ -103,27 +94,12 @@ impl PageAllocator {
     /// restored from the boot snapshot instead of re-deriving both — the
     /// campaign engine forks every batch with the parent's seed, so the
     /// per-fork shuffle (O(pool) RNG draws) vanishes from the hot path.
-    pub fn fork(&self, seed: u64) -> Self {
+    pub(crate) fn fork(&self, seed: u64) -> Self {
         if seed == self.seed {
             PageAllocator { rng: self.boot_rng.clone(), ..self.clone() }
         } else {
             PageAllocator::new(self.policy, self.page_bytes, self.pooled_block_pages, seed)
         }
-    }
-
-    /// The seed this allocator was built with.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// Page size in bytes.
-    pub fn page_bytes(&self) -> u64 {
-        self.page_bytes
-    }
-
-    /// The policy in force.
-    pub fn policy(&self) -> AllocPolicy {
-        self.policy
     }
 
     /// Returns the physical page numbers backing a fresh buffer of
@@ -159,7 +135,7 @@ impl PageAllocator {
     ///
     /// # Panics
     /// Panics when the buffer needs more pages than the pool holds.
-    pub fn draw_placement(&mut self, buffer_bytes: u64) -> PlacementKey {
+    pub(crate) fn draw_placement(&mut self, buffer_bytes: u64) -> PlacementKey {
         let pages_needed = self.pages_needed(buffer_bytes);
         match self.policy {
             AllocPolicy::MallocPerSize => {
@@ -185,7 +161,7 @@ impl PageAllocator {
     /// # Panics
     /// Panics on [`PlacementKey::Identity`], which the pool does not back,
     /// and when the slice runs past the pool.
-    pub fn pages(&self, placement: PlacementKey, buffer_bytes: u64) -> &[u64] {
+    pub(crate) fn pages(&self, placement: PlacementKey, buffer_bytes: u64) -> &[u64] {
         let start = match placement {
             PlacementKey::MallocPrefix => 0,
             PlacementKey::PooledStart(start) => start as usize,
@@ -201,7 +177,7 @@ impl PageAllocator {
     ///
     /// # Panics
     /// Panics when the buffer needs more pages than the pool holds.
-    pub fn placement_at(&self, index: u64, buffer_bytes: u64) -> PlacementKey {
+    pub(crate) fn placement_at(&self, index: u64, buffer_bytes: u64) -> PlacementKey {
         let pages_needed = self.pages_needed(buffer_bytes);
         match self.policy {
             AllocPolicy::MallocPerSize => {
@@ -247,7 +223,7 @@ fn color_count(way_bytes: u64, page_bytes: u64) -> u64 {
 /// Pages per colour ([`PageAllocator::page_color`]) of `pages`, in one
 /// masked pass when the colour count is a power of two (every modelled
 /// CPU) and by remainder otherwise.
-pub fn color_histogram(pages: &[u64], way_bytes: u64, page_bytes: u64) -> Vec<u64> {
+pub(crate) fn color_histogram(pages: &[u64], way_bytes: u64, page_bytes: u64) -> Vec<u64> {
     let colors = color_count(way_bytes, page_bytes);
     let mut histogram = vec![0u64; colors as usize];
     if colors.is_power_of_two() {
@@ -414,7 +390,7 @@ mod tests {
             for seed in [17u64, 99] {
                 let mut fork = parent.fork(seed);
                 let mut fresh = PageAllocator::new(policy, 4096, 256, seed);
-                assert_eq!(fork.seed(), fresh.seed());
+                assert_eq!(fork.seed, fresh.seed);
                 for i in 0..10 {
                     assert_eq!(fork.allocate(12_288), fresh.allocate(12_288), "draw {i}");
                     assert_eq!(fork.allocate_at(i, 16_384), fresh.allocate_at(i, 16_384));
@@ -428,13 +404,5 @@ mod tests {
     fn overflow_pool_panics() {
         let mut a = PageAllocator::new(AllocPolicy::MallocPerSize, 4096, 4, 0);
         a.allocate(5 * 4096);
-    }
-
-    #[test]
-    fn policy_names_roundtrip() {
-        for p in [AllocPolicy::MallocPerSize, AllocPolicy::PooledRandomOffset] {
-            assert_eq!(AllocPolicy::parse(p.name()), Some(p));
-        }
-        assert_eq!(AllocPolicy::parse("x"), None);
     }
 }

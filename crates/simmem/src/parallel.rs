@@ -31,12 +31,7 @@ pub struct ParallelResult {
     pub per_thread_cycles: Vec<f64>,
 }
 
-impl ParallelResult {
-    /// Aggregate bandwidth divided by thread count.
-    pub fn per_thread_bandwidth_mbps(&self) -> f64 {
-        self.measurement.bandwidth_mbps / self.threads as f64
-    }
-}
+impl ParallelResult {}
 
 /// Levels as one thread sees them with `threads` active: shared levels
 /// shrink to their competitive share.
@@ -184,8 +179,9 @@ mod tests {
         // 12 MiB -> shared-level thrash degrades per-thread bandwidth
         let mut m = machine(CpuSpec::core_i7_2600(), 3);
         let cfg = KernelConfig::baseline(1536 * 1024, 20);
-        let solo = run_kernel_parallel(&mut m, &cfg, 1).per_thread_bandwidth_mbps();
-        let crowded = run_kernel_parallel(&mut m, &cfg, 8).per_thread_bandwidth_mbps();
+        let per_thread = |r: ParallelResult| r.measurement.bandwidth_mbps / r.threads as f64;
+        let solo = per_thread(run_kernel_parallel(&mut m, &cfg, 1));
+        let crowded = per_thread(run_kernel_parallel(&mut m, &cfg, 8));
         assert!(
             crowded < 0.7 * solo,
             "shared-L3 contention missing: solo {solo} vs crowded {crowded}"

@@ -30,15 +30,6 @@ pub enum SchedPolicy {
 }
 
 impl SchedPolicy {
-    /// CSV-friendly name.
-    pub fn name(self) -> &'static str {
-        match self {
-            SchedPolicy::PinnedDefault => "pinned_default",
-            SchedPolicy::PinnedRealtime => "pinned_realtime",
-            SchedPolicy::TimeshareNoisy => "timeshare_noisy",
-        }
-    }
-
     /// Parses the CSV name.
     pub fn parse(s: &str) -> Option<Self> {
         match s {
@@ -52,7 +43,7 @@ impl SchedPolicy {
 
 /// Configuration of the intruder process.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct IntruderConfig {
+pub(crate) struct IntruderConfig {
     /// Mean OFF-phase duration (µs of virtual time).
     pub mean_off_us: f64,
     /// Mean ON-phase duration (µs).
@@ -66,20 +57,15 @@ impl IntruderConfig {
     /// The Figure 11 intruder: ~22 % duty cycle, 5× slowdown, phases long
     /// enough to span many consecutive measurements (tens of ms vs
     /// sub-ms measurement cadence).
-    pub fn figure11() -> Self {
+    pub(crate) fn figure11() -> Self {
         IntruderConfig { mean_off_us: 120_000.0, mean_on_us: 35_000.0, slowdown: 5.0 }
-    }
-
-    /// Long-run fraction of time the intruder is ON.
-    pub fn duty_cycle(&self) -> f64 {
-        self.mean_on_us / (self.mean_on_us + self.mean_off_us)
     }
 }
 
 /// The scheduler model: tracks the intruder phase in virtual time and
 /// tells the kernel how much it is being slowed right now.
 #[derive(Debug, Clone)]
-pub struct Scheduler {
+pub(crate) struct Scheduler {
     policy: SchedPolicy,
     intruder: IntruderConfig,
     rng: ChaCha8Rng,
@@ -90,7 +76,7 @@ pub struct Scheduler {
 
 impl Scheduler {
     /// Creates a scheduler with an intruder process, seeded.
-    pub fn new(policy: SchedPolicy, intruder: IntruderConfig, seed: u64) -> Self {
+    pub(crate) fn new(policy: SchedPolicy, intruder: IntruderConfig, seed: u64) -> Self {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         // Start OFF, with a random partial phase so campaigns don't all
         // begin at a phase boundary.
@@ -105,12 +91,12 @@ impl Scheduler {
     }
 
     /// The policy in force.
-    pub fn policy(&self) -> SchedPolicy {
+    pub(crate) fn policy(&self) -> SchedPolicy {
         self.policy
     }
 
     /// The intruder configuration in force.
-    pub fn intruder(&self) -> IntruderConfig {
+    pub(crate) fn intruder(&self) -> IntruderConfig {
         self.intruder
     }
 
@@ -132,7 +118,7 @@ impl Scheduler {
 
     /// Whether the intruder is ON at virtual time `now_us` (advances the
     /// phase machine).
-    pub fn intruder_on_at(&mut self, now_us: f64) -> bool {
+    pub(crate) fn intruder_on_at(&mut self, now_us: f64) -> bool {
         self.advance_to(now_us);
         self.intruder_on
     }
@@ -142,7 +128,7 @@ impl Scheduler {
     /// (`TimeshareNoisy` is noisy even without the intruder).
     ///
     /// Returns `(slowdown, extra_rel_noise)`.
-    pub fn run_multiplier(&mut self, now_us: f64) -> (f64, f64) {
+    pub(crate) fn run_multiplier(&mut self, now_us: f64) -> (f64, f64) {
         let on = self.intruder_on_at(now_us);
         match self.policy {
             SchedPolicy::PinnedDefault => (1.0, 0.01),
@@ -169,10 +155,9 @@ impl Scheduler {
 mod tests {
     use super::*;
 
-    #[test]
-    fn duty_cycle_formula() {
-        let c = IntruderConfig::figure11();
-        assert!((c.duty_cycle() - 35.0 / 155.0).abs() < 1e-9);
+    /// Long-run fraction of time the intruder is running.
+    fn duty_cycle(c: &IntruderConfig) -> f64 {
+        c.mean_on_us / (c.mean_on_us + c.mean_off_us)
     }
 
     #[test]
@@ -192,7 +177,7 @@ mod tests {
         let slowed = (0..n).filter(|&i| s.run_multiplier(i as f64 * 5_000.0).0 > 1.0).count()
             as f64
             / n as f64;
-        let duty = cfg.duty_cycle();
+        let duty = duty_cycle(&cfg);
         assert!(
             (slowed - duty).abs() < 0.08,
             "slowed fraction {slowed} far from duty cycle {duty}"
@@ -247,10 +232,12 @@ mod tests {
 
     #[test]
     fn policy_names_roundtrip() {
-        for p in
-            [SchedPolicy::PinnedDefault, SchedPolicy::PinnedRealtime, SchedPolicy::TimeshareNoisy]
-        {
-            assert_eq!(SchedPolicy::parse(p.name()), Some(p));
+        for (p, name) in [
+            (SchedPolicy::PinnedDefault, "pinned_default"),
+            (SchedPolicy::PinnedRealtime, "pinned_realtime"),
+            (SchedPolicy::TimeshareNoisy, "timeshare_noisy"),
+        ] {
+            assert_eq!(SchedPolicy::parse(name), Some(p));
         }
     }
 }

@@ -38,7 +38,7 @@ pub enum StreamKernel {
 
 impl StreamKernel {
     /// Number of arrays the kernel touches.
-    pub fn n_arrays(self) -> u64 {
+    pub(crate) fn n_arrays(self) -> u64 {
         match self {
             StreamKernel::Sum => 1,
             StreamKernel::Copy | StreamKernel::Scale => 2,
@@ -47,7 +47,7 @@ impl StreamKernel {
     }
 
     /// Number of written arrays.
-    pub fn n_written(self) -> u64 {
+    pub(crate) fn n_written(self) -> u64 {
         match self {
             StreamKernel::Sum => 0,
             _ => 1,
@@ -63,23 +63,6 @@ impl StreamKernel {
             StreamKernel::Add => "add",
             StreamKernel::Triad => "triad",
         }
-    }
-
-    /// Parses the name.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "sum" => Some(StreamKernel::Sum),
-            "copy" => Some(StreamKernel::Copy),
-            "scale" => Some(StreamKernel::Scale),
-            "add" => Some(StreamKernel::Add),
-            "triad" => Some(StreamKernel::Triad),
-            _ => None,
-        }
-    }
-
-    /// All four classic STREAM kernels (excludes Sum).
-    pub fn stream_suite() -> [StreamKernel; 4] {
-        [StreamKernel::Copy, StreamKernel::Scale, StreamKernel::Add, StreamKernel::Triad]
     }
 }
 
@@ -192,9 +175,6 @@ mod tests {
         assert_eq!(StreamKernel::Copy.n_arrays(), 2);
         assert_eq!(StreamKernel::Triad.n_arrays(), 3);
         assert_eq!(StreamKernel::Triad.n_written(), 1);
-        for k in StreamKernel::stream_suite() {
-            assert_eq!(StreamKernel::parse(k.name()), Some(k));
-        }
     }
 
     #[test]

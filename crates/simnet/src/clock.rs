@@ -7,18 +7,18 @@
 
 /// A monotone virtual clock counting microseconds.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct VirtualClock {
+pub(crate) struct VirtualClock {
     now_us: f64,
 }
 
 impl VirtualClock {
     /// A clock at time zero.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         VirtualClock { now_us: 0.0 }
     }
 
     /// Current virtual time in microseconds.
-    pub fn now_us(&self) -> f64 {
+    pub(crate) fn now_us(&self) -> f64 {
         self.now_us
     }
 
@@ -27,7 +27,7 @@ impl VirtualClock {
     /// # Panics
     /// Panics if `dt_us` is negative or non-finite — callers compute
     /// durations from model formulas, so a bad value is a logic error.
-    pub fn advance_us(&mut self, dt_us: f64) {
+    pub(crate) fn advance_us(&mut self, dt_us: f64) {
         assert!(dt_us.is_finite() && dt_us >= 0.0, "bad clock advance: {dt_us}");
         self.now_us += dt_us;
     }

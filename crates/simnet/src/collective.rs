@@ -24,29 +24,8 @@ pub enum Collective {
 }
 
 impl Collective {
-    /// CSV-friendly name.
-    pub fn name(self) -> &'static str {
-        match self {
-            Collective::Broadcast => "broadcast",
-            Collective::Reduce => "reduce",
-            Collective::AllReduce => "allreduce",
-            Collective::Barrier => "barrier",
-        }
-    }
-
-    /// Parses the CSV name.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "broadcast" => Some(Collective::Broadcast),
-            "reduce" => Some(Collective::Reduce),
-            "allreduce" => Some(Collective::AllReduce),
-            "barrier" => Some(Collective::Barrier),
-            _ => None,
-        }
-    }
-
     /// Number of sequential communication rounds on `p` processes.
-    pub fn rounds(self, p: u32) -> u32 {
+    pub(crate) fn rounds(self, p: u32) -> u32 {
         if p <= 1 {
             return 0;
         }
@@ -140,15 +119,5 @@ mod tests {
     fn single_process_is_free() {
         let mut sim = presets::taurus_openmpi_tcp(4);
         assert_eq!(measure_collective(&mut sim, Collective::AllReduce, 4096, 1), 0.0);
-    }
-
-    #[test]
-    fn names_roundtrip() {
-        for c in
-            [Collective::Broadcast, Collective::Reduce, Collective::AllReduce, Collective::Barrier]
-        {
-            assert_eq!(Collective::parse(c.name()), Some(c));
-        }
-        assert_eq!(Collective::parse("gossip"), None);
     }
 }

@@ -35,7 +35,6 @@ pub mod presets;
 pub mod protocol;
 pub mod sim;
 
-pub use clock::VirtualClock;
 pub use params::LogGpParams;
-pub use protocol::{PiecewiseProtocol, ProtocolMode};
+pub use protocol::PiecewiseProtocol;
 pub use sim::{NetOp, NetworkSim};

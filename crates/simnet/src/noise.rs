@@ -85,15 +85,6 @@ impl BurstConfig {
     pub fn off() -> Self {
         BurstConfig { enter_prob: 0.0, exit_prob: 1.0, slowdown: 1.0, extra_us: 0.0 }
     }
-
-    /// Expected long-run fraction of measurements inside bursts.
-    pub fn duty_cycle(&self) -> f64 {
-        if self.enter_prob == 0.0 {
-            0.0
-        } else {
-            self.enter_prob / (self.enter_prob + self.exit_prob)
-        }
-    }
 }
 
 /// Full noise model: white jitter + burst process + size anomalies.
@@ -157,14 +148,14 @@ impl NoiseModel {
     }
 
     /// The seed identifying this model's random stream.
-    pub fn stream_seed(&self) -> u64 {
+    pub(crate) fn stream_seed(&self) -> u64 {
         self.stream_seed
     }
 
     /// A fresh model with identical configuration whose draws come from
     /// `stream_seed`'s stream, positioned at index 0. Passing the same
     /// seed reproduces this model's stream exactly.
-    pub fn fork(&self, stream_seed: u64) -> Self {
+    pub(crate) fn fork(&self, stream_seed: u64) -> Self {
         NoiseModel {
             stream_seed,
             white_rel: self.white_rel,
@@ -179,14 +170,8 @@ impl NoiseModel {
 
     /// Repositions the sequential cursor: the next [`NoiseModel::perturb`]
     /// call perturbs measurement `index`.
-    pub fn skip_to(&mut self, index: u64) {
+    pub(crate) fn skip_to(&mut self, index: u64) {
         self.next_index = index;
-    }
-
-    /// Whether the process was inside a burst at the most recently
-    /// perturbed index.
-    pub fn in_burst(&self) -> bool {
-        self.in_burst
     }
 
     /// Gilbert state at measurement `index`: replays counter-derived
@@ -227,7 +212,13 @@ impl NoiseModel {
     /// Perturbs measurement `index` explicitly. The result is a pure
     /// function of `(stream_seed, index, base_us, size, extra_rel)` and
     /// the model configuration — independent of call order.
-    pub fn perturb_at(&mut self, index: u64, base_us: f64, size: u64, extra_rel: f64) -> f64 {
+    pub(crate) fn perturb_at(
+        &mut self,
+        index: u64,
+        base_us: f64,
+        size: u64,
+        extra_rel: f64,
+    ) -> f64 {
         let bursting = self.burst_at(index);
         let mut t = base_us;
         // Size anomaly first (it is a property of the deterministic path).
@@ -300,7 +291,6 @@ mod tests {
     #[test]
     fn burst_duty_cycle_matches_theory() {
         let burst = BurstConfig { enter_prob: 0.02, exit_prob: 0.08, slowdown: 5.0, extra_us: 0.0 };
-        assert!((burst.duty_cycle() - 0.2).abs() < 1e-12);
         let mut n = NoiseModel::new(11, 0.0, burst);
         let xs: Vec<f64> = (0..20_000).map(|_| n.perturb(100.0, 8, 0.0)).collect();
         let slowed = xs.iter().filter(|&&x| x > 300.0).count() as f64 / xs.len() as f64;

@@ -29,19 +29,19 @@ pub struct LogGpParams {
 
 impl LogGpParams {
     /// Deterministic (noise-free) send software overhead for `size` bytes.
-    pub fn send_overhead(&self, size: u64) -> f64 {
+    pub(crate) fn send_overhead(&self, size: u64) -> f64 {
         self.send_overhead_us + self.send_overhead_per_byte * size as f64
     }
 
     /// Deterministic receive software overhead for `size` bytes.
-    pub fn recv_overhead(&self, size: u64) -> f64 {
+    pub(crate) fn recv_overhead(&self, size: u64) -> f64 {
         self.recv_overhead_us + self.recv_overhead_per_byte * size as f64
     }
 
     /// Deterministic one-way transfer time of a single message under
     /// LogGP: `o_s + (s−1)·G + L + o_r` (the conventional formula, with
     /// per-byte overheads folded into the o's).
-    pub fn one_way(&self, size: u64) -> f64 {
+    pub(crate) fn one_way(&self, size: u64) -> f64 {
         let wire_bytes = size.saturating_sub(1) as f64;
         self.send_overhead(size)
             + wire_bytes * self.gap_per_byte

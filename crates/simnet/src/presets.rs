@@ -181,9 +181,10 @@ mod tests {
     #[test]
     fn taurus_modes_by_size() {
         let sim = taurus_openmpi_tcp(1);
-        assert_eq!(sim.mode_for(1024), ProtocolMode::Eager);
-        assert_eq!(sim.mode_for(64 * 1024), ProtocolMode::Detached);
-        assert_eq!(sim.mode_for(1 << 20), ProtocolMode::Rendezvous);
+        let mode_for = |size| sim.protocol().regime(size).mode;
+        assert_eq!(mode_for(1024), ProtocolMode::Eager);
+        assert_eq!(mode_for(64 * 1024), ProtocolMode::Detached);
+        assert_eq!(mode_for(1 << 20), ProtocolMode::Rendezvous);
     }
 
     #[test]
@@ -249,6 +250,7 @@ mod tests {
     #[test]
     fn default_burst_duty_cycle_about_ten_percent() {
         let b = default_burst();
-        assert!((b.duty_cycle() - 0.1).abs() < 0.01);
+        let duty_cycle = b.enter_prob / (b.enter_prob + b.exit_prob);
+        assert!((duty_cycle - 0.1).abs() < 0.01);
     }
 }

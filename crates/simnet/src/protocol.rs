@@ -13,7 +13,7 @@ use crate::params::LogGpParams;
 
 /// Synchronization mode of a point-to-point transfer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
-pub enum ProtocolMode {
+pub(crate) enum ProtocolMode {
     /// Totally asynchronous: the message is shipped immediately; small
     /// messages only.
     Eager,
@@ -25,7 +25,7 @@ pub enum ProtocolMode {
 
 impl ProtocolMode {
     /// Short lowercase name (CSV-friendly).
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             ProtocolMode::Eager => "eager",
             ProtocolMode::Detached => "detached",
@@ -36,7 +36,7 @@ impl ProtocolMode {
 
 /// One regime of the piecewise model.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct Regime {
+pub(crate) struct Regime {
     /// Mode label of this regime.
     pub mode: ProtocolMode,
     /// LogGP parameters in force within the regime.
@@ -68,20 +68,15 @@ impl PiecewiseProtocol {
     /// Panics unless `regimes.len() == thresholds.len() + 1` and thresholds
     /// ascend — the model is constructed from static presets, so violations
     /// are programmer errors.
-    pub fn new(regimes: Vec<Regime>, thresholds: Vec<u64>) -> Self {
+    pub(crate) fn new(regimes: Vec<Regime>, thresholds: Vec<u64>) -> Self {
         assert_eq!(regimes.len(), thresholds.len() + 1, "regime/threshold arity");
         assert!(thresholds.windows(2).all(|w| w[0] < w[1]), "thresholds must ascend");
         assert!(!regimes.is_empty(), "need at least one regime");
         PiecewiseProtocol { thresholds, regimes }
     }
 
-    /// A single-regime model (no protocol switches).
-    pub fn uniform(regime: Regime) -> Self {
-        PiecewiseProtocol { thresholds: Vec::new(), regimes: vec![regime] }
-    }
-
     /// The regime governing messages of `size` bytes.
-    pub fn regime(&self, size: u64) -> &Regime {
+    pub(crate) fn regime(&self, size: u64) -> &Regime {
         let idx = self.thresholds.partition_point(|&t| size >= t);
         &self.regimes[idx]
     }
@@ -91,16 +86,11 @@ impl PiecewiseProtocol {
         &self.thresholds
     }
 
-    /// All regimes, smallest sizes first.
-    pub fn regimes(&self) -> &[Regime] {
-        &self.regimes
-    }
-
     /// Deterministic (noise-free) ping-pong round-trip time for `size`
     /// bytes: two one-way transfers, plus an extra control round-trip
     /// (`2·(L + o_s + o_r)` with zero payload) when the regime is
     /// rendez-vous.
-    pub fn pingpong_rtt(&self, size: u64) -> f64 {
+    pub(crate) fn pingpong_rtt(&self, size: u64) -> f64 {
         let r = self.regime(size);
         let one_way = r.params.one_way(size);
         let sync = match r.mode {
@@ -118,12 +108,12 @@ impl PiecewiseProtocol {
     }
 
     /// Deterministic send software overhead for `size` bytes.
-    pub fn send_overhead(&self, size: u64) -> f64 {
+    pub(crate) fn send_overhead(&self, size: u64) -> f64 {
         self.regime(size).params.send_overhead(size)
     }
 
     /// Deterministic receive software overhead for `size` bytes.
-    pub fn recv_overhead(&self, size: u64) -> f64 {
+    pub(crate) fn recv_overhead(&self, size: u64) -> f64 {
         self.regime(size).params.recv_overhead(size)
     }
 }
@@ -213,7 +203,7 @@ mod tests {
 
     #[test]
     fn uniform_model_has_no_thresholds() {
-        let u = PiecewiseProtocol::uniform(regime(ProtocolMode::Eager, 1.0));
+        let u = PiecewiseProtocol::new(vec![regime(ProtocolMode::Eager, 1.0)], vec![]);
         assert!(u.thresholds().is_empty());
         assert_eq!(u.regime(10).mode, ProtocolMode::Eager);
         assert_eq!(u.regime(u64::MAX).mode, ProtocolMode::Eager);

@@ -57,7 +57,7 @@ pub struct NetworkSim {
 
 impl NetworkSim {
     /// Creates a simulator from a protocol model and noise model.
-    pub fn new(protocol: PiecewiseProtocol, noise: NoiseModel) -> Self {
+    pub(crate) fn new(protocol: PiecewiseProtocol, noise: NoiseModel) -> Self {
         NetworkSim {
             protocol,
             noise,
@@ -74,11 +74,6 @@ impl NetworkSim {
     /// measurement values are unchanged.
     pub fn enable_observability(&mut self, event_capacity: usize) {
         self.recorder = Recorder::enabled(event_capacity);
-    }
-
-    /// Whether observability is currently enabled.
-    pub fn observability_enabled(&self) -> bool {
-        self.recorder.is_enabled()
     }
 
     /// Drains everything observed so far (counters, events, drop count).
@@ -100,16 +95,6 @@ impl NetworkSim {
     /// Virtual time elapsed so far (µs).
     pub fn now_us(&self) -> f64 {
         self.clock.now_us()
-    }
-
-    /// Number of measurements taken so far.
-    pub fn measurements_taken(&self) -> u64 {
-        self.measurements_taken
-    }
-
-    /// Protocol mode used for `size`-byte messages.
-    pub fn mode_for(&self, size: u64) -> ProtocolMode {
-        self.protocol.regime(size).mode
     }
 
     /// Performs one measured operation and returns its duration (µs).
@@ -212,7 +197,7 @@ mod tests {
             recv_noise_rel: 0.0,
             rtt_noise_rel: 0.0,
         };
-        NetworkSim::new(PiecewiseProtocol::uniform(regime), NoiseModel::silent(1))
+        NetworkSim::new(PiecewiseProtocol::new(vec![regime], vec![]), NoiseModel::silent(1))
     }
 
     #[test]
@@ -232,7 +217,7 @@ mod tests {
         let t0 = sim.now_us();
         let d = sim.measure(NetOp::PingPong, 1000);
         assert!((sim.now_us() - t0 - d - sim.inter_measurement_us).abs() < 1e-9);
-        assert_eq!(sim.measurements_taken(), 1);
+        assert_eq!(sim.measurements_taken, 1);
     }
 
     #[test]
@@ -320,7 +305,7 @@ mod tests {
         assert_eq!(obs.events[3].attr("op"), Some("ping_pong"));
         // forked shards carry an empty recorder with the same enablement
         let mut fork = sim.fork(sim.stream_seed());
-        assert!(fork.observability_enabled());
+        assert!(fork.recorder.is_enabled());
         assert!(fork.take_observation().counters.is_empty());
     }
 }

@@ -48,7 +48,7 @@ pub struct CellDiff {
 impl CellDiff {
     /// Absolute mean shift `mean_b - mean_a` (NaN when either side is
     /// absent).
-    pub fn mean_shift(&self) -> f64 {
+    pub(crate) fn mean_shift(&self) -> f64 {
         self.mean_b - self.mean_a
     }
 
@@ -60,7 +60,7 @@ impl CellDiff {
     /// non-finite. Callers must render that case explicitly (the CLI
     /// prints `no baseline`) instead of letting a NaN/∞ leak into
     /// reports.
-    pub fn percent_shift(&self) -> Option<f64> {
+    pub(crate) fn percent_shift(&self) -> Option<f64> {
         if self.count_a == 0 || self.count_b == 0 {
             return None;
         }
@@ -104,7 +104,7 @@ impl RunDiff {
     }
 
     /// Cells that differ (not bit-identical).
-    pub fn changed_cells(&self) -> impl Iterator<Item = &CellDiff> {
+    pub(crate) fn changed_cells(&self) -> impl Iterator<Item = &CellDiff> {
         self.cells.iter().filter(|c| !c.identical)
     }
 
@@ -172,7 +172,7 @@ impl Store {
 
 /// Diffs two already-loaded runs (exposed for tests and tooling that
 /// holds `StoredRun`s anyway).
-pub fn diff_runs(a: &StoredRun, b: &StoredRun) -> RunDiff {
+pub(crate) fn diff_runs(a: &StoredRun, b: &StoredRun) -> RunDiff {
     RunDiff {
         run_a: a.id.clone(),
         run_b: b.id.clone(),

@@ -48,8 +48,8 @@ pub mod manifest;
 pub mod report;
 pub mod store;
 
-pub use diff::{diff_runs, CellDiff, MetadataDrift, RunDiff};
-pub use manifest::{Artifact, MachineFacts, Manifest, MANIFEST_FORMAT};
+pub use diff::{CellDiff, MetadataDrift, RunDiff};
+pub use manifest::{Artifact, MachineFacts, Manifest};
 pub use report::{build_report, FleetReport, GroupReport, RankedRun, ReportRow, VsBest};
 pub use store::{
     target_identity, CampaignKey, CheckpointSession, GcReport, RunId, RunQuery, Store, StoreError,

@@ -12,7 +12,7 @@
 //! * provenance — crate version, the CLI invocation that produced the
 //!   run, the benchmark label, and the **machine facts** of the host
 //!   that measured it (logical cores, OS, `CHARM_*` environment
-//!   overrides) so fleet reports can group runs by host class;
+//!   variables) so fleet reports can group runs by host class;
 //! * integrity — per-artifact byte counts and SHA-256 digests over
 //!   every file in the run directory, so any later read can prove the
 //!   bytes are the ones archived.
@@ -32,11 +32,11 @@ use std::collections::BTreeMap;
 
 /// Format marker written into every manifest; bumped on breaking
 /// layout changes so old readers fail loudly instead of misparsing.
-pub const MANIFEST_FORMAT: &str = "charm-store-manifest/3";
+pub(crate) const MANIFEST_FORMAT: &str = "charm-store-manifest/3";
 
 /// The previous format, still accepted by [`Manifest::from_json`]: v2
 /// manifests predate machine facts and the benchmark label.
-pub const MANIFEST_FORMAT_V2: &str = "charm-store-manifest/2";
+pub(crate) const MANIFEST_FORMAT_V2: &str = "charm-store-manifest/2";
 
 /// Digest record for one archived file, path relative to the run
 /// directory (e.g. `records.csv`, `checkpoints/shard-0-of-4.csv`).
@@ -53,8 +53,8 @@ pub struct Artifact {
 /// Facts about the machine that executed an archived run, recorded so
 /// cross-run reports can group hosts into comparable classes — a
 /// 1-core CI runner's shard speedups say nothing about a 16-core
-/// workstation's, and the `CHARM_*` environment knobs change what the
-/// numbers mean.
+/// workstation's. The `CHARM_*` environment variables are kept as
+/// provenance only: no charm binary reads one.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MachineFacts {
     /// Logical core count visible to the process.
@@ -62,7 +62,7 @@ pub struct MachineFacts {
     /// Operating system (`std::env::consts::OS`).
     pub os: String,
     /// Every `CHARM_*` environment variable set when the run was
-    /// archived (sorted), e.g. `CHARM_SEED`.
+    /// archived (sorted).
     pub env: BTreeMap<String, String>,
 }
 

@@ -133,7 +133,7 @@ fn fnv1a(s: &str) -> u64 {
 /// Orientation of a value unit: wall times shrink when things improve,
 /// rates grow. Unknown units conservatively read as lower-is-better
 /// (the engine's default unit is `us`).
-pub fn direction_of_unit(unit: &str) -> Direction {
+pub(crate) fn direction_of_unit(unit: &str) -> Direction {
     if unit.ends_with("/s") {
         Direction::HigherIsBetter
     } else {

@@ -297,7 +297,7 @@ impl RunQuery {
     }
 
     /// Does `manifest` satisfy every set filter?
-    pub fn matches(&self, manifest: &Manifest) -> bool {
+    pub(crate) fn matches(&self, manifest: &Manifest) -> bool {
         self.plan_hash.as_ref().is_none_or(|p| manifest.plan_hash.starts_with(p.as_str()))
             && self.target.as_ref().is_none_or(|t| manifest.target.starts_with(t.as_str()))
             && self.benchmark.as_ref().is_none_or(|b| manifest.benchmark == *b)
@@ -369,7 +369,7 @@ impl Store {
     /// `benchmark` is the benchmark label the run is filed under (the
     /// spec's `[benchmark].name`, or the campaign label in DSL mode);
     /// fleet reports group by it. The archiving host's machine facts
-    /// (logical cores, OS, `CHARM_*` overrides) are captured into the
+    /// (logical cores, OS, `CHARM_*` variables) are captured into the
     /// manifest at this point.
     pub fn put_run(
         &self,

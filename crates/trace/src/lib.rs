@@ -11,9 +11,9 @@
 //!
 //! Two pieces:
 //!
-//! * [`Profiler`] — a hierarchical wall-clock span recorder threaded
-//!   through the engine (`Campaign::profiler`) and installable per
-//!   thread for code with no profiler parameter (the analysis passes);
+//! * [`Profiler`] — a hierarchical wall-clock span recorder, installed
+//!   per thread ([`Profiler::install_thread`]) so the engine and the
+//!   analysis passes record into it with no profiler parameter;
 //! * [`chrome`] — a Chrome/Perfetto `trace.json` exporter that renders
 //!   the **two clock domains as separate process tracks**: wall-time
 //!   engine spans and virtual-time experiment events re-exported from a
@@ -135,11 +135,6 @@ impl Profiler {
         }
     }
 
-    /// Opens a span on the default `"main"` track.
-    pub fn span(&self, name: &str) -> SpanGuard {
-        self.span_on("main", name)
-    }
-
     /// Records an already-measured span (for code that timed an interval
     /// itself, e.g. a shard thread reporting its busy time).
     pub fn record(&self, span: WallSpan) {
@@ -219,11 +214,6 @@ pub struct SpanGuard {
 }
 
 impl SpanGuard {
-    /// Whether dropping this guard will record a span.
-    pub fn is_recording(&self) -> bool {
-        self.inner.is_some()
-    }
-
     /// Attaches a string attribute (no-op on a disabled guard).
     pub fn arg(mut self, key: &str, value: impl ToString) -> Self {
         if self.inner.is_some() {
@@ -319,8 +309,8 @@ mod tests {
         let p = Profiler::disabled();
         assert!(!p.is_enabled());
         {
-            let g = p.span("x").arg("k", "v");
-            assert!(!g.is_recording());
+            let g = p.span_on("main", "x").arg("k", "v");
+            assert!(g.inner.is_none());
         }
         p.record(WallSpan {
             track: "t".into(),
@@ -352,8 +342,8 @@ mod tests {
     fn nested_guards_nest_in_time() {
         let p = Profiler::enabled();
         {
-            let _outer = p.span("outer");
-            let _inner = p.span("inner");
+            let _outer = p.span_on("main", "outer");
+            let _inner = p.span_on("main", "inner");
         }
         let spans = p.take();
         assert_eq!(spans.len(), 2);
@@ -386,7 +376,7 @@ mod tests {
     fn clones_share_a_buffer() {
         let p = Profiler::enabled();
         let q = p.clone();
-        drop(q.span("from_clone"));
+        drop(q.span_on("main", "from_clone"));
         std::thread::scope(|s| {
             let r = p.clone();
             s.spawn(move || drop(r.span_on("shard0", "from_thread")));
@@ -417,7 +407,7 @@ mod tests {
     fn installed_disabled_profiler_is_uninstalled() {
         Profiler::disabled().install_thread("main");
         assert!(!thread_profiler().is_enabled());
-        assert!(!thread_span("x").is_recording());
+        assert!(thread_span("x").inner.is_none());
     }
 
     #[test]
