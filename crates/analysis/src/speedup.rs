@@ -296,17 +296,16 @@ impl RankedSample {
     }
 }
 
+/// Checks one side of a cell; an error names the cell and the side.
 fn validate_sample(name: &str, side: &str, xs: &[f64]) -> Result<()> {
-    if xs.len() < 2 {
-        return Err(AnalysisError::TooFewObservations { needed: 2, got: xs.len() });
-    }
-    if xs.iter().any(|&v| !v.is_finite() || v <= 0.0) {
-        let _ = (name, side);
-        return Err(AnalysisError::InvalidParameter(
-            "speedup tests need strictly positive finite measurements",
-        ));
-    }
-    Ok(())
+    let problem = if xs.len() < 2 {
+        AnalysisError::TooFewObservations { needed: 2, got: xs.len() }
+    } else if xs.iter().any(|&v| !v.is_finite() || v <= 0.0) {
+        AnalysisError::InvalidParameter("speedup tests need strictly positive finite measurements")
+    } else {
+        return Ok(());
+    };
+    Err(problem.within(format!("cell {name:?}, {side} side")))
 }
 
 /// One cell's point estimate (the benefit ratio of the two samples'
@@ -574,6 +573,24 @@ mod tests {
         assert!(speedup_ci("c", &ok, &ok, Direction::LowerIsBetter, &bad).is_err());
         let bad = SpeedupConfig { level: 1.5, ..cfg };
         assert!(speedup_ci("c", &ok, &ok, Direction::LowerIsBetter, &bad).is_err());
+    }
+
+    #[test]
+    fn sample_errors_name_the_cell_and_the_side() {
+        let (ok, cfg) = (noisy(10.0, 12, 1), cfg(1));
+        let lower = Direction::LowerIsBetter;
+        let e = speedup_ci("op=ping_pong", &[1.0], &ok, lower, &cfg).unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "cell \"op=ping_pong\", baseline side: need at least 2 observations, got 1"
+        );
+        let e = speedup_ci("op=ping_pong", &ok, &[1.0, 0.0], lower, &cfg).unwrap_err();
+        let msg = e.to_string();
+        assert!(msg.starts_with("cell \"op=ping_pong\", candidate side: "), "{msg}");
+        assert!(msg.contains("strictly positive"), "{msg}");
+        let cells = [cell("a", &[1.0, 2.0], &[1.0, 2.0]), cell("b", &[1.0, 2.0], &[f64::NAN, 2.0])];
+        let msg = compare_cells(&cells, lower, &cfg).unwrap_err().to_string();
+        assert!(msg.starts_with("cell \"b\", candidate side: "), "{msg}");
     }
 
     #[test]

@@ -166,6 +166,25 @@ fn bad_platforms_and_usage_exit_2() {
 }
 
 #[test]
+fn a_spec_level_a_csv_row_cannot_carry_exits_2_before_measuring() {
+    let dir = Scratch::new("csv_level");
+    let spec = dir.write(
+        "tag.toml",
+        "[benchmark]\nname = \"tag\"\n\n[target]\nmodel = \"network\"\npreset = \"taurus\"\n\n\
+         [factors.op]\nlevels = [\"ping_pong\"]\n\n[factors.tag]\nlevels = [\"a,b\", \"c\"]\n\n\
+         [factors.size]\nlevels = [128, 1024]\n",
+    );
+    let (store, out) = (dir.join("store"), dir.join("out"));
+    let result =
+        run_campaign(&["--benchmark", &spec, "--store", path(&store), "--out", path(&out)]);
+    let stderr = String::from_utf8_lossy(&result.stderr);
+    assert_eq!(result.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains(r#"[factors.tag] level "a,b" contains ','"#), "{stderr}");
+    // Nothing was measured, written or archived.
+    assert!(!out.exists() && !store.join("runs").exists(), "{stderr}");
+}
+
+#[test]
 fn external_engines_refuse_shards_and_resume() {
     let dir = Scratch::new("external");
     let spec = concat!(env!("CARGO_MANIFEST_DIR"), "/../../benchmarks/external_smoke.toml");

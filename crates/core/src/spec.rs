@@ -524,7 +524,17 @@ fn parse_factor(name: &str, t: &Table) -> Result<Factor, SpecError> {
         if items.is_empty() {
             return Err(err(format!("[factors.{name}] has an empty level list")));
         }
-        let levels = items.iter().map(value_to_level).collect();
+        let levels: Vec<Level> = items.iter().map(value_to_level).collect();
+        for level in &levels {
+            if let Level::Text(text) = level {
+                if let Some(c) = text.chars().find(|c| matches!(c, ',' | '\n' | '\r')) {
+                    return Err(err(format!(
+                        "[factors.{name}] level {text:?} contains {c:?}, which a CSV record \
+                         row cannot carry"
+                    )));
+                }
+            }
+        }
         return Ok(Factor { name: name.to_string(), levels });
     }
     let generator = t.value("generator").and_then(Value::as_str).ok_or_else(|| {
@@ -772,6 +782,31 @@ order = \"randomized\"
         // toml-level errors surface with line numbers
         let e = BenchmarkSpec::parse("[benchmark\n").unwrap_err();
         assert!(e.message.contains("line 1"), "{e}");
+    }
+
+    #[test]
+    fn text_levels_a_csv_row_cannot_carry_are_rejected() {
+        let spec = |levels: &str| {
+            format!(
+                "[benchmark]\nname = \"x\"\n[params]\ntag = \"ok\"\n\
+                 [target]\nmodel = \"network\"\npreset = \"taurus\"\n\
+                 [factors.tag]\nlevels = {levels}\n"
+            )
+        };
+        for (levels, shown) in
+            [(r#"["a,b", "c"]"#, r#""a,b""#), (r#"["c", "line\nbreak"]"#, r#""line\nbreak""#)]
+        {
+            let e = BenchmarkSpec::parse(&spec(levels)).unwrap().resolve(0, &[]).unwrap_err();
+            assert!(e.message.contains("[factors.tag] level ") && e.message.contains(shown), "{e}");
+            assert!(e.message.contains("cannot carry"), "{e}");
+        }
+        // A parameter substituted into a level is checked after substitution.
+        let parsed = BenchmarkSpec::parse(&spec(r#"["$tag"]"#)).unwrap();
+        assert!(parsed.resolve(0, &[]).is_ok());
+        let e = parsed.resolve(0, &[("tag".into(), "x,y".into())]).unwrap_err();
+        assert!(e.message.contains(r#"level "x,y" contains ','"#), "{e}");
+        let e = parsed.resolve(0, &[("tag".into(), "cr\rhere".into())]).unwrap_err();
+        assert!(e.message.contains(r#"level "cr\rhere" contains '\r'"#), "{e}");
     }
 
     #[test]

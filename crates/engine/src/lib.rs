@@ -39,6 +39,7 @@
 pub mod campaign;
 pub mod cancel;
 pub mod checkpoint;
+mod decimal;
 pub mod meta;
 pub mod record;
 pub mod registry;

@@ -8,6 +8,7 @@
 //! output files: `# key: value` metadata comments, a header, one row per
 //! measurement.
 
+use crate::decimal::RowBuf;
 use charm_design::factors::{Level, Levels};
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
@@ -49,11 +50,31 @@ impl RawRecord {
     /// the checkpoint segment flush, and the serve stream tee all call
     /// this with one reused buffer across their row loops; the bytes
     /// written are exactly [`RawRecord::csv_row`]'s.
+    ///
+    /// The row is gathered in a stack buffer and reaches `out` in one
+    /// `write_str`. Text is copied, integers go through a digit loop
+    /// and floats through the shortest round-trip writer in `decimal`,
+    /// which writes exactly the bytes `{}` does; only ±0, subnormals,
+    /// NaN, ±inf and layouts over 40 bytes still take `core::fmt`.
     pub fn write_csv_row(&self, out: &mut impl fmt::Write) -> fmt::Result {
+        let mut row = RowBuf::new(out);
         for l in &self.levels {
-            write!(out, "{l},")?;
+            match l {
+                Level::Int(v) => row.i64(*v)?,
+                Level::Float(v) => row.f64(*v)?,
+                Level::Text(s) => row.write_str(s)?,
+                Level::Flag(b) => row.write_str(if *b { "true" } else { "false" })?,
+            }
+            row.byte(b',')?;
         }
-        write!(out, "{},{},{},{}", self.replicate, self.sequence, self.start_us, self.value)
+        row.u64(self.replicate.into())?;
+        row.byte(b',')?;
+        row.u64(self.sequence)?;
+        row.byte(b',')?;
+        row.f64(self.start_us)?;
+        row.byte(b',')?;
+        row.f64(self.value)?;
+        row.finish()
     }
 }
 

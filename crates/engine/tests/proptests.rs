@@ -4,6 +4,7 @@
 //! profile-cache capacity, and any checkpoint kill/resume pattern.
 
 use charm_design::doe::FullFactorial;
+use charm_design::factors::Level;
 use charm_design::plan::ExperimentPlan;
 use charm_design::Factor;
 use charm_engine::checkpoint::{CheckpointError, CheckpointSink, ShardCheckpoint};
@@ -17,6 +18,8 @@ use charm_simmem::paging::AllocPolicy;
 use charm_simmem::sched::SchedPolicy;
 use charm_simnet::presets;
 use proptest::prelude::*;
+use rand::{RngCore, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 
 fn plan_of(sizes: Vec<i64>, reps: u32, shuffle_seed: Option<u64>) -> ExperimentPlan {
     let mut plan = FullFactorial::new()
@@ -350,28 +353,79 @@ fn reference_csv(c: &Campaign) -> String {
     out
 }
 
+/// The `plan_of` plan widened by one factor of every other level kind:
+/// text (a space and non-ASCII included), floats from arbitrary finite
+/// bit patterns, flags, and negative integers. The network target
+/// reads only `op` and `size`, so the extra factors only multiply rows.
+fn wide_plan_of(
+    sizes: Vec<i64>,
+    float_bits: &[u64],
+    negatives: &[i64],
+    reps: u32,
+    seed: u64,
+) -> ExperimentPlan {
+    let dedup = |mut v: Vec<Level>| {
+        let mut out = Vec::new();
+        for l in v.drain(..) {
+            if !out.contains(&l) {
+                out.push(l);
+            }
+        }
+        out
+    };
+    let floats = float_bits
+        .iter()
+        .map(|&b| f64::from_bits(b))
+        .map(|f| Level::Float(if f.is_finite() { f } else { -((f.to_bits() >> 12) as f64) }));
+    let mut plan = FullFactorial::new()
+        .factor(Factor::new("op", vec!["ping_pong"]))
+        .factor(Factor::new("size", sizes))
+        .factor(Factor::new("tag", vec!["ping pong", "x", "ünï-code"]))
+        .factor(Factor { name: "scale".into(), levels: dedup(floats.collect()) })
+        .factor(Factor::new("pinned", vec![true, false]))
+        .factor(Factor {
+            name: "offset".into(),
+            levels: dedup(negatives.iter().map(|&n| Level::Int(n)).collect()),
+        })
+        .replicates(reps)
+        .build()
+        .unwrap();
+    plan.shuffle(seed);
+    plan
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Columnar serialization contract: the single-buffer
     /// `write_csv_row` path produces bytes identical to a naive
-    /// allocate-per-row serializer, for sequential and sharded runs.
+    /// allocate-per-row serializer, for sequential and sharded runs,
+    /// for every level kind and for `start_us`/`value` drawn from
+    /// arbitrary bit patterns (negatives, subnormals, NaN and ±inf
+    /// included).
     #[test]
     fn columnar_csv_matches_reference_serializer(
         sizes in prop::collection::vec(1i64..1_000_000, 1..6),
+        float_bits in prop::collection::vec(any::<u64>(), 1..4),
+        negatives in prop::collection::vec(i64::MIN..0, 1..3),
         reps in 1u32..4,
         seed in any::<u64>(),
         shards in 1usize..5,
     ) {
         let distinct: std::collections::HashSet<i64> = sizes.iter().copied().collect();
-        let plan = plan_of(distinct.into_iter().collect(), reps, Some(seed));
+        let plan = wide_plan_of(distinct.into_iter().collect(), &float_bits, &negatives, reps, seed);
         let base = NetworkTarget::new("m", presets::myrinet_gm(seed));
-        let c = charm_engine::Campaign::new(&plan, base.fork(base.stream_seed()))
+        let mut c = charm_engine::Campaign::new(&plan, base.fork(base.stream_seed()))
             .shards(shards)
             .seed(seed)
             .run()
             .unwrap()
             .data;
+        let mut bits = ChaCha8Rng::seed_from_u64(seed);
+        for r in &mut c.records {
+            r.start_us = f64::from_bits(bits.next_u64());
+            r.value = f64::from_bits(bits.next_u64());
+        }
         prop_assert_eq!(c.to_csv(), reference_csv(&c));
     }
 

@@ -122,6 +122,19 @@ mod tests {
     }
 
     #[test]
+    fn spec_text_levels_with_a_comma_are_refused() {
+        let spec = "[benchmark]\nname = \"x\"\n\n\
+                    [target]\nmodel = \"network\"\npreset = \"taurus\"\n\n\
+                    [factors.tag]\nlevels = [\"a,b\", \"c\"]\n";
+        match prepare(PlanKind::Spec, spec, "", 1) {
+            Err((RejectReason::BadPlan, detail)) => {
+                assert!(detail.contains(r#"[factors.tag] level "a,b" contains ','"#), "{detail}");
+            }
+            other => panic!("expected bad_plan, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn external_targets_are_refused() {
         let spec = "[benchmark]\nname = \"x\"\n\n\
                     [target]\nmodel = \"external\"\nprogram = \"/bin/true\"\n\n\

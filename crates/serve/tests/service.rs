@@ -366,6 +366,23 @@ fn observed_jobs_stream_counters_after_records() {
 }
 
 #[test]
+fn a_spec_level_a_csv_row_cannot_carry_is_refused_at_admission() {
+    let (_scratch, server, addr) = start("csv_level", |_| {});
+    let mut c = Client::connect(&addr, "t1").unwrap();
+    let spec = "[benchmark]\nname = \"svc\"\n\n[target]\nmodel = \"network\"\npreset = \"taurus\"\n\n\
+                [factors.op]\nlevels = [\"ping_pong\"]\n\n[factors.tag]\nlevels = [\"a,b\", \"c\"]\n\n\
+                [factors.size]\nlevels = [64, 1024]\n";
+    match c.run(PlanKind::Spec, spec, "", 11, 2, false).unwrap() {
+        Err(Event::Rejected { reason: RejectReason::BadPlan, detail }) => {
+            assert!(detail.contains(r#"[factors.tag] level "a,b" contains ','"#), "{detail}");
+        }
+        other => panic!("a level with a comma should bounce at admission: {other:?}"),
+    }
+    assert_eq!(server.metrics().get("serve.jobs_executed"), 0);
+    server.shutdown();
+}
+
+#[test]
 fn an_unbounded_request_line_is_refused_and_the_connection_closed() {
     use std::io::{BufRead, BufReader, Read, Write};
     let (_scratch, server, addr) = start("longline", |_| {});
