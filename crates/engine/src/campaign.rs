@@ -428,10 +428,13 @@ fn run_batch<T: ParallelTarget>(
             value: m.value,
         });
     }
+    // The sink borrows a checkpoint, so the records move into one for
+    // the save and back out after it instead of being cloned.
     if let Some(sink) = sink {
-        let checkpoint = ShardCheckpoint { records: records.clone(), elapsed_us: target.now_us() };
+        let checkpoint = ShardCheckpoint { records, elapsed_us: target.now_us() };
         sink.save_shard(span.batch, span.batches, &checkpoint)
             .map_err(|e| TargetError::Checkpoint { message: e.to_string() })?;
+        records = checkpoint.records;
     }
     let diagnostics = target.diagnostics();
     let observation = observer.is_some().then(|| target.take_observation());
@@ -534,10 +537,11 @@ impl<'p, T: ParallelTarget> ShardedCampaign<'p, T> {
     /// sequential run produces for its rows, so the merged campaign has
     /// exactly the sequential `(levels, replicate, value)` multiset
     /// regardless of worker count, batch geometry, or claim order.
-    /// Forks of a memoizing target share one memoization cache
-    /// campaign-wide; the cache is consulted only after all random
-    /// draws (DESIGN.md §13), so sharing changes hit rates — reported
-    /// in the diagnostics channel — never values.
+    /// Every fork of a memoizing target starts with its own empty
+    /// memoization cache, so workers share no lock; the cache is
+    /// consulted only after all random draws (DESIGN.md §13), so it
+    /// changes hit rates — reported in the diagnostics channel — never
+    /// values.
     ///
     /// Virtual clocks are batch-local: each fork starts at time 0, and
     /// the merge shifts batch `b`'s timestamps (records *and* events) by
@@ -628,9 +632,8 @@ impl<'p, T: ParallelTarget> ShardedCampaign<'p, T> {
             }
         }
         let replayed_mask: Vec<bool> = replayed.iter().map(Option::is_some).collect();
-        // Worker protos fork off `base` up front: forks of a memoizing
-        // target share its cache, so every per-batch fork taken from a
-        // proto below shares one campaign-wide cache.
+        // One proto per worker, forked off `base` up front, so each
+        // thread forks its per-batch targets from a value it owns.
         let protos: Vec<T> = (0..workers).map(|_| base.fork(seed)).collect();
         let next = AtomicUsize::new(0);
         let abort = AtomicBool::new(false);
@@ -1365,9 +1368,8 @@ mod tests {
     }
 
     /// The diagnostics channel: a sharded observed memory campaign
-    /// reports shared-profile-cache hit statistics and scheduler
-    /// tallies, separate from the (shard-invariant) scientific
-    /// counters.
+    /// reports profile-cache hit statistics and scheduler tallies,
+    /// separate from the (shard-invariant) scientific counters.
     #[test]
     fn sharded_run_reports_cache_and_scheduler_diagnostics() {
         let mut plan = FullFactorial::new()
@@ -1395,7 +1397,23 @@ mod tests {
         let hits = d.get("simmem.profile_cache.hits");
         let misses = d.get("simmem.profile_cache.misses");
         assert_eq!(hits + misses, plan.len() as u64, "one cache lookup per row");
-        assert!(hits > 0, "repeated (size, stride) rows must hit the shared cache");
+        // Every batch runs on a fork with an empty cache, so under
+        // MallocPerSize a row hits exactly when an earlier row of its
+        // batch has the same (size, stride).
+        let expected_hits: u64 = batch_bounds(plan.len(), 3)
+            .iter()
+            .map(|&(lo, hi)| {
+                let mut distinct: Vec<&Levels> = Vec::new();
+                for row in &plan.rows()[lo..hi] {
+                    if !distinct.contains(&&row.levels) {
+                        distinct.push(&row.levels);
+                    }
+                }
+                (hi - lo - distinct.len()) as u64
+            })
+            .sum();
+        assert!(expected_hits > 0, "the plan must repeat a cell within some batch");
+        assert_eq!(hits, expected_hits, "hits are exactly the within-batch repeats");
         assert_eq!(d.get("simmem.profile_cache.hit_rate_permille"), hits * 1000 / (hits + misses));
         assert_eq!(d.get("engine.scheduler.batches"), batch_bounds(plan.len(), 3).len() as u64);
         assert_eq!(

@@ -484,9 +484,9 @@ impl Target for MemoryTarget {
     }
 
     fn diagnostics(&self) -> Vec<(String, u64)> {
-        // This instance's own lookups only (forks sharing the cache
-        // tally their hits separately), so per-batch diagnostics sum to
-        // the campaign total.
+        // This instance's own lookups only (every fork has its own
+        // cache and tallies), so per-batch diagnostics sum to the
+        // campaign total.
         let (hits, misses) = self.machine.profile_cache_stats();
         vec![
             ("simmem.profile_cache.hits".to_string(), hits),

@@ -6,8 +6,7 @@ use crate::dvfs::{Governor, GovernorPolicy};
 use crate::kernel::{KernelConfig, KernelResult};
 use crate::layout::{profile_segments, PatternSegment, ProfileScratch, ServiceProfile};
 use crate::memo::{
-    level_geometries, LevelGeometry, PlacementKey, ProfileCache, ProfileEntry, ProfileKey,
-    SEGMENT_WHOLE,
+    level_geometries, LevelGeometry, PlacementKey, ProfileCache, ProfileKey, SEGMENT_WHOLE,
 };
 use crate::paging::{color_histogram, AllocPolicy, PageAllocator};
 use crate::sched::{IntruderConfig, SchedPolicy, Scheduler};
@@ -284,12 +283,10 @@ pub struct MachineSim {
     recorder: Recorder,
     /// Profile memoization + reusable scratch. `RefCell` because
     /// [`MachineSim::ideal_bandwidth_mbps`] takes `&self`; `&mut self`
-    /// paths use `get_mut` (no runtime borrow). The cache itself is an
-    /// `Arc<ProfileCache>` shared by every machine this one forks (or
-    /// clones) — see `DESIGN.md` §14 — while the scratch buffers and the
-    /// machine-local hit/miss tallies stay private. Never observable:
-    /// the cache holds pure functions of its keys and its stats stay
-    /// out of the [`Recorder`].
+    /// paths use `get_mut` (no runtime borrow). Private to this machine:
+    /// forks and clones start with an empty cache (`DESIGN.md` §14).
+    /// Never observable: the cache holds pure functions of its keys and
+    /// its stats stay out of the [`Recorder`].
     memo: RefCell<MemoState>,
 }
 
@@ -304,17 +301,17 @@ struct LevelCounterNames {
 /// The memoization side-car of a machine: cache, scratch buffers, and
 /// pre-interned counter names (everything the hot path would otherwise
 /// allocate per measurement).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct MemoState {
-    /// Shared with every fork/clone of this machine: cloning the `Arc`
-    /// is what lets campaign shards warm each other's cache.
-    cache: Arc<ProfileCache>,
-    /// Lookups *this machine* made that hit / missed the shared cache
-    /// (the cache's own stats aggregate over all sharers).
+    /// This machine's profile cache; never shared with a fork or clone.
+    cache: ProfileCache,
+    /// Lookups this machine made that hit / missed its cache.
     local_hits: u64,
     local_misses: u64,
     scratch: ProfileScratch,
-    /// Interned geometry of `spec.levels`, shared by every key.
+    /// Interned geometry of `spec.levels`, shared by every key of this
+    /// machine (each machine allocates its own, so no refcount is shared
+    /// across threads).
     levels_key: Arc<[LevelGeometry]>,
     color_names: IndexedNames,
     level_names: LevelCounterNames,
@@ -323,7 +320,7 @@ struct MemoState {
 impl MemoState {
     fn new(levels: &[CacheLevelSpec]) -> Self {
         MemoState {
-            cache: Arc::new(ProfileCache::default()),
+            cache: ProfileCache::default(),
             local_hits: 0,
             local_misses: 0,
             scratch: ProfileScratch::default(),
@@ -334,6 +331,22 @@ impl MemoState {
                 misses: IndexedNames::new("simmem.cache.l", ".misses"),
                 evictions: IndexedNames::new("simmem.cache.l", ".evictions"),
             },
+        }
+    }
+}
+
+/// A cold copy: an empty cache at the same capacity, zeroed tallies and
+/// a fresh geometry key; scratch capacity and interned names carry over.
+impl Clone for MemoState {
+    fn clone(&self) -> Self {
+        MemoState {
+            cache: self.cache.clone(),
+            local_hits: 0,
+            local_misses: 0,
+            scratch: self.scratch.clone(),
+            levels_key: Arc::from(&*self.levels_key),
+            color_names: self.color_names.clone(),
+            level_names: self.level_names.clone(),
         }
     }
 }
@@ -396,27 +409,20 @@ impl MachineSim {
     /// [`MachineSim::stream_seed`] reproduces its measurement values on
     /// [`MachineSim::order_invariant`] configurations.
     ///
-    /// The fork *shares* the parent's service-profile cache (entries
-    /// are pure functions of their keys, so sharing can never change a
-    /// measurement — `DESIGN.md` §14); its local hit/miss tallies start
-    /// at zero.
+    /// The fork gets its own empty service-profile cache at the
+    /// parent's capacity, with hit/miss tallies at zero, so forks on
+    /// different threads share no lock (`DESIGN.md` §14).
     ///
     /// Forks are clone-and-reset, not full reconstructions: the page
     /// allocator restores its boot snapshot via [`PageAllocator::fork`]
     /// (no per-fork pool shuffle when the seed matches, which it always
-    /// does for the engine's per-batch forks), and the memo side-car is
-    /// cloned pre-warmed — interned counter names, geometry key, and
-    /// scratch capacity carry over instead of being rebuilt. Both are
+    /// does for the engine's per-batch forks), and the memo side-car
+    /// keeps its interned counter names and scratch capacity. Both are
     /// bit-identical to a fresh construction by construction: the
     /// allocator proves it in `paging::tests`, and the memo state only
     /// ever caches pure functions of its inputs.
     pub fn fork(&self, stream_seed: u64) -> Self {
-        let memo = {
-            let mut memo = self.memo.borrow().clone();
-            memo.local_hits = 0;
-            memo.local_misses = 0;
-            memo
-        };
+        let memo = self.memo.borrow().clone();
         MachineSim {
             spec: self.spec.clone(),
             governor: Governor::new(self.governor.policy(), self.spec.freqs_ghz.clone()),
@@ -436,8 +442,8 @@ impl MachineSim {
         }
     }
 
-    /// `(hits, misses)` of *this machine's* lookups into the (possibly
-    /// shared) service-profile cache. A plain accessor — deliberately
+    /// `(hits, misses)` of this machine's lookups into its
+    /// service-profile cache. A plain accessor — deliberately
     /// not a [`Recorder`] counter, so the cache can never change an
     /// [`Observation`].
     pub fn profile_cache_stats(&self) -> (u64, u64) {
@@ -452,13 +458,11 @@ impl MachineSim {
 
     /// Replaces the service-profile cache with an empty one bounded at
     /// `capacity` entries; 0 disables memoization entirely (every
-    /// measurement recomputes — same values, no reuse). Detaches this
-    /// machine from any previously shared cache (existing forks keep
-    /// the old one) and zeroes the local tallies; forks taken *after*
-    /// the call share the new cache.
+    /// measurement recomputes — same values, no reuse). Zeroes the
+    /// tallies; forks taken after the call inherit the capacity.
     pub fn set_profile_cache_capacity(&mut self, capacity: usize) {
         let memo = self.memo.get_mut();
-        memo.cache = Arc::new(ProfileCache::with_capacity(capacity));
+        memo.cache = ProfileCache::with_capacity(capacity);
         memo.local_hits = 0;
         memo.local_misses = 0;
     }
@@ -513,20 +517,20 @@ impl MachineSim {
         key: ProfileKey,
         alloc_bytes: u64,
         build: F,
-    ) -> Arc<ProfileEntry>
+    ) -> Arc<ServiceProfile>
     where
-        F: FnOnce(&CpuSpec, &[u64], &mut ProfileScratch) -> ProfileEntry,
+        F: FnOnce(&CpuSpec, &[u64], &mut ProfileScratch) -> ServiceProfile,
     {
         let memo = self.memo.get_mut();
-        if let Some(entry) = memo.cache.lookup(&key) {
+        if let Some(profile) = memo.cache.lookup(&key) {
             memo.local_hits += 1;
-            return entry;
+            return profile;
         }
         memo.local_misses += 1;
         let pages = self.allocator.pages(key.placement, alloc_bytes);
-        let entry = Arc::new(build(&self.spec, pages, &mut memo.scratch));
-        memo.cache.insert(key, Arc::clone(&entry));
-        entry
+        let profile = Arc::new(build(&self.spec, pages, &mut memo.scratch));
+        memo.cache.insert(key, Arc::clone(&profile));
+        profile
     }
 
     /// Runs the Figure 6 kernel once and returns the measurement.
@@ -547,8 +551,8 @@ impl MachineSim {
             arrays: 1,
             levels: Arc::clone(&self.memo.get_mut().levels_key),
         };
-        let entry = self.cached_profile(key, cfg.buffer_bytes, |spec, pages, scratch| {
-            let profile = profile_segments(
+        let profile = self.cached_profile(key, cfg.buffer_bytes, |spec, pages, scratch| {
+            profile_segments(
                 &[PatternSegment { phys_pages: pages, buffer_bytes: cfg.buffer_bytes }],
                 spec.page_bytes,
                 elem_bytes,
@@ -556,36 +560,26 @@ impl MachineSim {
                 line,
                 &spec.levels,
                 scratch,
-            );
-            ProfileEntry {
-                profile,
-                pages_allocated: pages.len() as u64,
-                color_histogram: color_histogram(
-                    pages,
-                    spec.levels[0].way_bytes(),
-                    spec.page_bytes,
-                ),
-            }
+            )
         });
-        let memo = self.memo.get_mut();
         if self.recorder.is_enabled() {
-            record_cache_counters(
-                &mut self.recorder,
-                &mut memo.level_names,
-                &entry.profile,
-                cfg.nloops,
-            );
-            self.recorder.count("simmem.paging.pages_allocated", entry.pages_allocated);
-            // Only colours that actually occur get a counter, exactly as
-            // the old per-page loop behaved.
-            for (color, &pages) in entry.color_histogram.iter().enumerate() {
-                if pages > 0 {
-                    self.recorder.count(memo.color_names.get(color), pages);
+            let memo = self.memo.get_mut();
+            record_cache_counters(&mut self.recorder, &mut memo.level_names, &profile, cfg.nloops);
+            // Paging counters come from the pages themselves, read only
+            // when observing, so cached and uncached runs count alike.
+            let pages = self.allocator.pages(placement, cfg.buffer_bytes);
+            self.recorder.count("simmem.paging.pages_allocated", pages.len() as u64);
+            let histogram =
+                color_histogram(pages, self.spec.levels[0].way_bytes(), self.spec.page_bytes);
+            // Only colours that actually occur get a counter.
+            for (color, &n) in histogram.iter().enumerate() {
+                if n > 0 {
+                    self.recorder.count(memo.color_names.get(color), n);
                 }
             }
         }
         let issue = self.spec.issue.cycles_per_access(cfg.codegen);
-        let cycles = entry.profile.total_cycles(
+        let cycles = profile.total_cycles(
             cfg.nloops,
             issue,
             &self.spec.levels,
@@ -593,7 +587,7 @@ impl MachineSim {
             self.spec.overlap_factor,
         );
         let bytes_touched =
-            entry.profile.accesses_per_pass as f64 * cfg.nloops as f64 * elem_bytes as f64;
+            profile.accesses_per_pass as f64 * cfg.nloops as f64 * elem_bytes as f64;
         self.execute_cycles(cycles, bytes_touched)
     }
 
@@ -689,17 +683,17 @@ impl MachineSim {
             arrays: 1,
             levels: Arc::clone(&memo.levels_key),
         };
-        let entry = match memo.cache.lookup(&key) {
-            Some(entry) => {
+        let profile = match memo.cache.lookup(&key) {
+            Some(profile) => {
                 memo.local_hits += 1;
-                entry
+                profile
             }
             None => {
                 memo.local_misses += 1;
                 let n_pages = cfg.buffer_bytes.div_ceil(self.spec.page_bytes).max(1);
                 // colour-balanced layout
                 let pages: Vec<u64> = (0..n_pages).collect();
-                let profile = profile_segments(
+                let profile = Arc::new(profile_segments(
                     &[PatternSegment { phys_pages: &pages, buffer_bytes: cfg.buffer_bytes }],
                     self.spec.page_bytes,
                     elem_bytes,
@@ -707,18 +701,13 @@ impl MachineSim {
                     line,
                     &self.spec.levels,
                     &mut memo.scratch,
-                );
-                let entry = Arc::new(ProfileEntry {
-                    profile,
-                    pages_allocated: n_pages,
-                    color_histogram: Vec::new(),
-                });
-                memo.cache.insert(key, Arc::clone(&entry));
-                entry
+                ));
+                memo.cache.insert(key, Arc::clone(&profile));
+                profile
             }
         };
         let issue = self.spec.issue.cycles_per_access(cfg.codegen);
-        let cycles = entry.profile.total_cycles(
+        let cycles = profile.total_cycles(
             cfg.nloops,
             issue,
             &self.spec.levels,
@@ -726,7 +715,7 @@ impl MachineSim {
             self.spec.overlap_factor,
         );
         let elapsed_us = cycles / (freq_ghz * 1e3);
-        let bytes = entry.profile.accesses_per_pass as f64 * cfg.nloops as f64 * elem_bytes as f64;
+        let bytes = profile.accesses_per_pass as f64 * cfg.nloops as f64 * elem_bytes as f64;
         bytes / elapsed_us
     }
 }

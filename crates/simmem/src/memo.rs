@@ -16,22 +16,15 @@
 //! are bit-identical with the cache on, off, or at any capacity — see
 //! `DESIGN.md` §13 and the property tests in `tests/fastpath.rs`.
 //!
-//! Since the work-stealing scheduler landed, one [`ProfileCache`] is
-//! *shared* by every machine forked from a campaign target (see
-//! `DESIGN.md` §14): all methods take `&self` and synchronize
-//! internally with a read-mostly `RwLock` (entries are `Arc`ed, so a
-//! hit is a read-lock + refcount bump). Sharing is safe for exactly the
-//! §13 reason — every entry is a pure function of its key, so a racing
-//! insert can only ever write the value the loser would have computed
-//! itself. Contention and eviction order may vary between runs; record
-//! values cannot.
+//! Every machine owns its [`ProfileCache`]: forks and clones start
+//! empty at the parent's capacity (see `DESIGN.md` §14), so campaign
+//! shards never share a lock or a refcount on the per-row path.
 
 use crate::layout::ServiceProfile;
 use crate::machine::CacheLevelSpec;
-use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 
 /// FNV-1a hasher for the profile map. A [`ProfileKey`] is a handful of
 /// small integers; the std `HashMap`'s SipHash pays its keyed setup on
@@ -162,44 +155,22 @@ pub(crate) const SEGMENT_WHOLE: u32 = u32::MAX;
 /// [`ProfileKey::segment`] for the merged multi-array stream pattern.
 pub(crate) const SEGMENT_MERGED: u32 = u32::MAX - 1;
 
-/// A memoized profile plus the placement-derived counter inputs that the
-/// observability path would otherwise recompute per page.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct ProfileEntry {
-    /// The service profile.
-    pub profile: ServiceProfile,
-    /// Pages backing the allocation (for `simmem.paging.pages_allocated`).
-    pub pages_allocated: u64,
-    /// Page count per L1 colour, indexed by colour (for
-    /// `simmem.paging.color.*`). Empty when the caller does not record
-    /// colours.
-    pub color_histogram: Vec<u64>,
-}
-
-/// Bounded FIFO-evicting map from [`ProfileKey`] to [`ProfileEntry`],
-/// safe to share across threads.
+/// Bounded FIFO-evicting map from [`ProfileKey`] to a shared
+/// [`ServiceProfile`], owned by one machine.
 ///
 /// FIFO (not LRU) keeps lookups allocation-free; campaigns revisit a
 /// bounded set of design cells, so recency adds nothing. Capacity 0
 /// disables the cache (every lookup misses), which the property tests
-/// use to prove the cache never changes a record.
+/// use to prove the cache never changes a record. The cache never
+/// holds more than `capacity()` profiles.
 ///
-/// All methods take `&self`: lookups hold a read lock, inserts a write
-/// lock. Each machine tallies its own hits and misses
-/// (`MachineSim::profile_cache_stats`). The capacity bound is global
-/// across all sharers and exact: the cache never holds more than
-/// `capacity()` profiles.
+/// Cloning yields an *empty* cache at the same capacity: a clone or
+/// fork of a machine starts cold instead of deep-copying the map.
 #[derive(Debug)]
 pub(crate) struct ProfileCache {
-    inner: RwLock<CacheInner>,
-    capacity: usize,
-}
-
-/// The lock-protected part of a [`ProfileCache`].
-#[derive(Debug, Default)]
-struct CacheInner {
-    map: HashMap<ProfileKey, Arc<ProfileEntry>, FnvBuildHasher>,
+    map: HashMap<ProfileKey, Arc<ServiceProfile>, FnvBuildHasher>,
     order: VecDeque<ProfileKey>,
+    capacity: usize,
 }
 
 /// Default capacity: comfortably above any campaign grid in the repo
@@ -213,10 +184,16 @@ impl Default for ProfileCache {
     }
 }
 
+impl Clone for ProfileCache {
+    fn clone(&self) -> Self {
+        Self::with_capacity(self.capacity)
+    }
+}
+
 impl ProfileCache {
     /// A cache holding at most `capacity` profiles (0 disables caching).
     pub(crate) fn with_capacity(capacity: usize) -> Self {
-        ProfileCache { inner: RwLock::new(CacheInner::default()), capacity }
+        ProfileCache { map: HashMap::default(), order: VecDeque::new(), capacity }
     }
 
     /// The eviction bound.
@@ -224,34 +201,21 @@ impl ProfileCache {
         self.capacity
     }
 
-    /// Looks up `key`. Read-lock only.
-    pub(crate) fn lookup(&self, key: &ProfileKey) -> Option<Arc<ProfileEntry>> {
-        self.inner.read().expect("profile cache poisoned").map.get(key).map(Arc::clone)
+    /// Looks `key` up.
+    pub(crate) fn lookup(&self, key: &ProfileKey) -> Option<Arc<ServiceProfile>> {
+        self.map.get(key).map(Arc::clone)
     }
 
-    /// Inserts an entry computed after a miss, evicting the oldest key
-    /// when full. A no-op at capacity 0. When two sharers race on the
-    /// same key the later insert overwrites the earlier one with a
-    /// value that is identical by construction (entries are pure
-    /// functions of their keys), so the race is benign.
-    pub(crate) fn insert(&self, key: ProfileKey, entry: Arc<ProfileEntry>) {
-        if self.capacity == 0 {
+    /// Inserts a profile computed after a miss, evicting the oldest key
+    /// when full. A no-op at capacity 0.
+    pub(crate) fn insert(&mut self, key: ProfileKey, profile: Arc<ServiceProfile>) {
+        if self.capacity == 0 || self.map.insert(key.clone(), profile).is_some() {
             return;
         }
-        let mut inner = self.inner.write().expect("profile cache poisoned");
-        let inner = &mut *inner;
-        match inner.map.entry(key.clone()) {
-            Entry::Occupied(mut o) => {
-                o.insert(entry);
-            }
-            Entry::Vacant(v) => {
-                v.insert(entry);
-                inner.order.push_back(key);
-                while inner.order.len() > self.capacity {
-                    if let Some(old) = inner.order.pop_front() {
-                        inner.map.remove(&old);
-                    }
-                }
+        self.order.push_back(key);
+        if self.order.len() > self.capacity {
+            if let Some(old) = self.order.pop_front() {
+                self.map.remove(&old);
             }
         }
     }
@@ -273,16 +237,12 @@ mod tests {
         }
     }
 
-    fn entry(distinct: u64) -> Arc<ProfileEntry> {
-        Arc::new(ProfileEntry {
-            profile: ServiceProfile {
-                served_by_level: vec![],
-                served_by_dram: 0,
-                distinct_lines: distinct,
-                accesses_per_pass: 0,
-            },
-            pages_allocated: 1,
-            color_histogram: vec![1],
+    fn entry(distinct: u64) -> Arc<ServiceProfile> {
+        Arc::new(ServiceProfile {
+            served_by_level: vec![],
+            served_by_dram: 0,
+            distinct_lines: distinct,
+            accesses_per_pass: 0,
         })
     }
 
@@ -292,13 +252,13 @@ mod tests {
 
     /// Number of cached profiles.
     fn cached(c: &ProfileCache) -> usize {
-        c.inner.read().unwrap().map.len()
+        c.map.len()
     }
 
     #[test]
     fn lookup_hits_only_inserted_keys() {
         let levels = geo();
-        let c = ProfileCache::default();
+        let mut c = ProfileCache::default();
         assert!(c.lookup(&key(0, 4096, &levels)).is_none());
         c.insert(key(0, 4096, &levels), entry(1));
         assert!(c.lookup(&key(0, 4096, &levels)).is_some());
@@ -308,7 +268,7 @@ mod tests {
     #[test]
     fn fifo_eviction_respects_capacity() {
         let levels = geo();
-        let c = ProfileCache::with_capacity(2);
+        let mut c = ProfileCache::with_capacity(2);
         for start in 0..5u64 {
             c.insert(key(start, 4096, &levels), entry(start));
         }
@@ -320,7 +280,7 @@ mod tests {
     #[test]
     fn capacity_zero_disables_caching() {
         let levels = geo();
-        let c = ProfileCache::with_capacity(0);
+        let mut c = ProfileCache::with_capacity(0);
         c.insert(key(0, 4096, &levels), entry(1));
         assert_eq!(cached(&c), 0);
         assert!(c.lookup(&key(0, 4096, &levels)).is_none());
@@ -341,7 +301,7 @@ mod tests {
         variants.push(ProfileKey { segment: 0, ..base.clone() });
         variants.push(ProfileKey { arrays: 3, ..base.clone() });
         variants.push(ProfileKey { levels: other_levels, ..base.clone() });
-        let c = ProfileCache::default();
+        let mut c = ProfileCache::default();
         for (i, v) in variants.iter().enumerate() {
             c.insert(v.clone(), entry(i as u64));
         }
@@ -349,35 +309,14 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_sharers_respect_capacity() {
+    fn clones_start_empty_at_the_same_capacity() {
         let levels = geo();
-        let cache = Arc::new(ProfileCache::with_capacity(4));
-        let threads = 4;
-        let lookups_per_thread = 500u64;
-        std::thread::scope(|s| {
-            for t in 0..threads {
-                let cache = Arc::clone(&cache);
-                let levels = Arc::clone(&levels);
-                s.spawn(move || {
-                    for i in 0..lookups_per_thread {
-                        // 8 distinct keys over capacity 4 forces constant
-                        // eviction churn under contention.
-                        let k = key((t + i) % 8, 4096, &levels);
-                        if let Some(e) = cache.lookup(&k) {
-                            assert_eq!(
-                                e.profile.distinct_lines,
-                                (t + i) % 8,
-                                "entry value drifted"
-                            );
-                        } else {
-                            cache.insert(k, entry((t + i) % 8));
-                        }
-                        assert!(cached(&cache) <= 4, "capacity bound violated");
-                    }
-                });
-            }
-        });
-        assert!(cached(&cache) <= 4);
+        let mut c = ProfileCache::with_capacity(3);
+        c.insert(key(0, 4096, &levels), entry(1));
+        let clone = c.clone();
+        assert_eq!(cached(&clone), 0);
+        assert_eq!(clone.capacity(), 3);
+        assert!(c.lookup(&key(0, 4096, &levels)).is_some(), "the original keeps its entries");
     }
 
     #[test]

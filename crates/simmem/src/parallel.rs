@@ -18,7 +18,7 @@
 use crate::kernel::{KernelConfig, KernelResult};
 use crate::layout::{profile_segments, PatternSegment};
 use crate::machine::{CacheLevelSpec, MachineSim};
-use crate::memo::{level_geometries, ProfileEntry, ProfileKey};
+use crate::memo::{level_geometries, ProfileKey};
 
 /// Result of a parallel kernel run.
 #[derive(Debug, Clone, PartialEq)]
@@ -98,9 +98,9 @@ pub fn run_kernel_parallel(
             levels: std::sync::Arc::clone(&levels_key),
         };
         let levels_ref = &levels;
-        let entry = machine.cached_profile(key, alloc_bytes, |_, pages, scratch| {
+        let profile = machine.cached_profile(key, alloc_bytes, |_, pages, scratch| {
             let slice = &pages[t * pages_per_thread..(t + 1) * pages_per_thread];
-            let profile = profile_segments(
+            profile_segments(
                 &[PatternSegment { phys_pages: slice, buffer_bytes: cfg.buffer_bytes }],
                 spec.page_bytes,
                 cfg.codegen.width.bytes(),
@@ -108,14 +108,9 @@ pub fn run_kernel_parallel(
                 spec.levels[0].line_bytes,
                 levels_ref,
                 scratch,
-            );
-            ProfileEntry {
-                profile,
-                pages_allocated: slice.len() as u64,
-                color_histogram: Vec::new(),
-            }
+            )
         });
-        per_thread_cycles.push(entry.profile.total_cycles(
+        per_thread_cycles.push(profile.total_cycles(
             cfg.nloops,
             issue,
             &levels,

@@ -19,7 +19,7 @@ use crate::compiler::CodegenConfig;
 use crate::kernel::KernelResult;
 use crate::layout::{profile_segments, PatternSegment};
 use crate::machine::MachineSim;
-use crate::memo::{ProfileEntry, ProfileKey, SEGMENT_MERGED};
+use crate::memo::{ProfileKey, SEGMENT_MERGED};
 
 /// One of the STREAM kernels (plus the paper's single-array Sum).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
@@ -105,7 +105,7 @@ pub fn run_stream(machine: &mut MachineSim, cfg: &StreamRunConfig) -> KernelResu
         arrays: n_arrays as u32,
         levels: machine.levels_key(),
     };
-    let entry = machine.cached_profile(key, alloc_bytes, |spec, total_pages, scratch| {
+    let profile = machine.cached_profile(key, alloc_bytes, |spec, total_pages, scratch| {
         // union of the arrays' line sets
         let segments: Vec<PatternSegment<'_>> = (0..n_arrays as usize)
             .map(|a| PatternSegment {
@@ -113,14 +113,8 @@ pub fn run_stream(machine: &mut MachineSim, cfg: &StreamRunConfig) -> KernelResu
                 buffer_bytes: cfg.array_bytes,
             })
             .collect();
-        let profile = profile_segments(&segments, spec_page, elem, 1, line, &spec.levels, scratch);
-        ProfileEntry {
-            profile,
-            pages_allocated: total_pages.len() as u64,
-            color_histogram: Vec::new(),
-        }
+        profile_segments(&segments, spec_page, elem, 1, line, &spec.levels, scratch)
     });
-    let profile = &entry.profile;
     let issue = machine.spec().issue.cycles_per_access(cfg.codegen);
     // written lines pay write-allocate + write-back: model as a 1.5x
     // weight on the fraction of lines belonging to written arrays

@@ -268,15 +268,62 @@ fn malloc_replicates_hit_the_cache() {
     assert_eq!((hits, misses), (19, 1));
 }
 
-/// Forks get a fresh cache (stats start at zero) at the parent's
+/// Forks get an empty cache of their own (stats start at zero, and a
+/// profile the parent cached misses in the fork) at the parent's
 /// capacity, including a disabled one.
 #[test]
 fn fork_propagates_cache_capacity() {
     let mut base = machine(CpuSpec::opteron(), AllocPolicy::MallocPerSize, 7);
-    base.run_kernel(&KernelConfig::baseline(64 * 1024, 2));
-    let fork = base.fork(base.stream_seed());
+    let cfg = KernelConfig::baseline(64 * 1024, 2);
+    base.run_kernel(&cfg);
+    let mut fork = base.fork(base.stream_seed());
     assert_eq!(fork.profile_cache_stats(), (0, 0));
     assert_eq!(fork.profile_cache_capacity(), base.profile_cache_capacity());
+    fork.run_kernel(&cfg);
+    assert_eq!(fork.profile_cache_stats(), (0, 1), "a fork starts cold");
+    base.run_kernel(&cfg);
+    assert_eq!(base.profile_cache_stats(), (1, 1), "the parent keeps its entries");
     base.set_profile_cache_capacity(0);
     assert_eq!(base.fork(base.stream_seed()).profile_cache_capacity(), 0);
+}
+
+/// Paging counters are read from the pages when observing, not from the
+/// cache: a machine that switches observability on after its cache was
+/// filled unobserved reports exactly the counters of a cache-disabled
+/// machine over the same kernels.
+#[test]
+fn observing_after_unobserved_cache_fills_counts_like_no_cache() {
+    let kernels: Vec<KernelConfig> = [16u64, 96, 640]
+        .iter()
+        .flat_map(|&kib| (1..=2).map(move |s| KernelConfig::baseline(kib * 1024, 2).with_stride(s)))
+        .collect();
+    for spec in CpuSpec::all() {
+        let mut cached = machine(spec.clone(), AllocPolicy::MallocPerSize, 11);
+        let mut uncached = machine(spec.clone(), AllocPolicy::MallocPerSize, 11);
+        uncached.set_profile_cache_capacity(0);
+        for cfg in &kernels {
+            cached.run_kernel(cfg);
+            uncached.run_kernel(cfg);
+        }
+        cached.enable_observability(64);
+        uncached.enable_observability(64);
+        for cfg in &kernels {
+            let a = cached.run_kernel(cfg);
+            let b = uncached.run_kernel(cfg);
+            assert_eq!(a.elapsed_us.to_bits(), b.elapsed_us.to_bits(), "{}", spec.name);
+        }
+        let n = kernels.len() as u64;
+        assert_eq!(cached.profile_cache_stats(), (n, n), "observed kernels all hit");
+        let (cached, uncached) = (cached.take_observation(), uncached.take_observation());
+        let paging = |o: &charm_obs::Observation| -> Vec<(String, u64)> {
+            o.counters
+                .iter()
+                .filter(|(k, _)| k.starts_with("simmem.paging."))
+                .map(|(k, v)| (k.to_string(), v))
+                .collect()
+        };
+        assert!(cached.counters.get("simmem.paging.pages_allocated") > 0, "{}", spec.name);
+        assert_eq!(paging(&cached), paging(&uncached), "{}", spec.name);
+        assert_eq!(cached.counters, uncached.counters, "{}", spec.name);
+    }
 }
