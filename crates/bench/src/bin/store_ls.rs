@@ -7,9 +7,10 @@
 //! One line per finalized run: run ID, target identity, seed, shard
 //! count, benchmark label, host class (machine facts), artifact count
 //! and total archived bytes, and the recorded CLI invocation.
-//! With `--gc`, first reclaims spent checkpoint segments (finalized
-//! runs only — interrupted runs keep theirs, they are the only copy of
-//! that work) and reports what was removed.
+//! With `--gc`, first reclaims stray checkpoint segments (those of
+//! finalized runs that their manifest does not list — interrupted runs
+//! keep theirs, they are the only copy of that work) and reports what
+//! was removed. No manifest is rewritten.
 //!
 //! `--host CLASS` keeps only runs recorded on that host class (e.g.
 //! `linux/4c`, or `current` for the machine running the command);

@@ -333,6 +333,24 @@ impl MemoState {
             },
         }
     }
+
+    /// The one memo rule: looks `key` up in the cache and tallies the
+    /// hit or miss; only on a miss does it run `build` on the scratch
+    /// buffers and cache the profile it returns.
+    fn profile(
+        &mut self,
+        key: ProfileKey,
+        build: impl FnOnce(&mut ProfileScratch) -> ServiceProfile,
+    ) -> Arc<ServiceProfile> {
+        if let Some(profile) = self.cache.lookup(&key) {
+            self.local_hits += 1;
+            return profile;
+        }
+        self.local_misses += 1;
+        let profile = Arc::new(build(&mut self.scratch));
+        self.cache.insert(key, Arc::clone(&profile));
+        profile
+    }
 }
 
 /// A cold copy: an empty cache at the same capacity, zeroed tallies and
@@ -521,16 +539,10 @@ impl MachineSim {
     where
         F: FnOnce(&CpuSpec, &[u64], &mut ProfileScratch) -> ServiceProfile,
     {
-        let memo = self.memo.get_mut();
-        if let Some(profile) = memo.cache.lookup(&key) {
-            memo.local_hits += 1;
-            return profile;
-        }
-        memo.local_misses += 1;
-        let pages = self.allocator.pages(key.placement, alloc_bytes);
-        let profile = Arc::new(build(&self.spec, pages, &mut memo.scratch));
-        memo.cache.insert(key, Arc::clone(&profile));
-        profile
+        let (spec, allocator, placement) = (&self.spec, &self.allocator, key.placement);
+        self.memo
+            .get_mut()
+            .profile(key, |scratch| build(spec, allocator.pages(placement, alloc_bytes), scratch))
     }
 
     /// Runs the Figure 6 kernel once and returns the measurement.
@@ -673,7 +685,6 @@ impl MachineSim {
         let elem_bytes = cfg.codegen.width.bytes();
         let line = self.spec.levels[0].line_bytes;
         let mut memo = self.memo.borrow_mut();
-        let memo = &mut *memo;
         let key = ProfileKey {
             placement: PlacementKey::Identity,
             buffer_bytes: cfg.buffer_bytes,
@@ -683,29 +694,20 @@ impl MachineSim {
             arrays: 1,
             levels: Arc::clone(&memo.levels_key),
         };
-        let profile = match memo.cache.lookup(&key) {
-            Some(profile) => {
-                memo.local_hits += 1;
-                profile
-            }
-            None => {
-                memo.local_misses += 1;
-                let n_pages = cfg.buffer_bytes.div_ceil(self.spec.page_bytes).max(1);
-                // colour-balanced layout
-                let pages: Vec<u64> = (0..n_pages).collect();
-                let profile = Arc::new(profile_segments(
-                    &[PatternSegment { phys_pages: &pages, buffer_bytes: cfg.buffer_bytes }],
-                    self.spec.page_bytes,
-                    elem_bytes,
-                    cfg.stride_elems,
-                    line,
-                    &self.spec.levels,
-                    &mut memo.scratch,
-                ));
-                memo.cache.insert(key, Arc::clone(&profile));
-                profile
-            }
-        };
+        let profile = memo.profile(key, |scratch| {
+            let n_pages = cfg.buffer_bytes.div_ceil(self.spec.page_bytes).max(1);
+            // colour-balanced layout
+            let pages: Vec<u64> = (0..n_pages).collect();
+            profile_segments(
+                &[PatternSegment { phys_pages: &pages, buffer_bytes: cfg.buffer_bytes }],
+                self.spec.page_bytes,
+                elem_bytes,
+                cfg.stride_elems,
+                line,
+                &self.spec.levels,
+                scratch,
+            )
+        });
         let issue = self.spec.issue.cycles_per_access(cfg.codegen);
         let cycles = profile.total_cycles(
             cfg.nloops,

@@ -39,7 +39,8 @@ pub(crate) const MANIFEST_FORMAT: &str = "charm-store-manifest/3";
 pub(crate) const MANIFEST_FORMAT_V2: &str = "charm-store-manifest/2";
 
 /// Digest record for one archived file, path relative to the run
-/// directory (e.g. `records.csv`, `checkpoints/shard-0-of-4.csv`).
+/// directory (e.g. `records.csv`; manifests written before finalized
+/// runs dropped their checkpoints also list `checkpoints/shard-0-of-4.csv`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Artifact {
     /// Run-directory-relative path, `/`-separated.

@@ -9,6 +9,11 @@
 //! <root>/runs/<run_id>/checkpoints/shard-B-of-K.csv   (resume segments)
 //! ```
 //!
+//! Checkpoint segments exist only until the run is finalized: once
+//! [`Store::put_run`] has written the manifest, the records live in
+//! `records.csv` alone and `checkpoints/` is deleted, so each record
+//! byte is archived, hashed on write and hashed on read once.
+//!
 //! Run IDs derive from `(plan_hash, target, seed, shards)`, so
 //! re-archiving the identical campaign lands on the same directory
 //! (dedupe) while any change to the plan, measured target, seed or
@@ -22,7 +27,7 @@
 //! a crash mid-write leaves either the old content or debris that is
 //! never loadable — a half-written checkpoint cannot poison a resume.
 
-use crate::digest::sha256_hex;
+use crate::digest::{hex, sha256_hex, Sha256};
 use crate::manifest::{seed_str, Artifact, MachineFacts, Manifest};
 use charm_design::ExperimentPlan;
 use charm_engine::checkpoint::{CheckpointError, CheckpointSink, ShardCheckpoint};
@@ -32,6 +37,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
 use std::fs;
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 /// A run's content-derived identity: 32 lowercase hex characters
@@ -222,20 +228,35 @@ fn corrupt(path: &Path, e: impl fmt::Display) -> StoreError {
     StoreError::Corrupt { path: path.display().to_string(), message: e.to_string() }
 }
 
-/// Writes `contents` atomically: temp file in the same directory, then
-/// rename. Readers never observe a half-written file. The temp name is
-/// unique per process and per call, so concurrent writers targeting the
-/// same path — e.g. two service workers archiving the identical
-/// campaign — cannot interleave inside one temp file; last rename wins
-/// whole.
-fn write_atomic(path: &Path, contents: &[u8]) -> Result<(), StoreError> {
+/// The temp file an atomic write of `path` goes through: in the same
+/// directory, and unique per process and per call, so concurrent writers
+/// targeting the same path — e.g. two service workers archiving the
+/// identical campaign — cannot interleave inside one temp file; last
+/// rename wins whole.
+fn temp_path(path: &Path) -> PathBuf {
     use std::sync::atomic::{AtomicU64, Ordering};
     static SEQ: AtomicU64 = AtomicU64::new(0);
     let mut tmp_name = path.file_name().map(|n| n.to_os_string()).unwrap_or_default();
     tmp_name.push(format!(".tmp.{}.{}", std::process::id(), SEQ.fetch_add(1, Ordering::Relaxed)));
-    let tmp = path.with_file_name(tmp_name);
-    fs::write(&tmp, contents).map_err(|e| io_err(&tmp, e))?;
-    fs::rename(&tmp, path).map_err(|e| io_err(path, e))
+    path.with_file_name(tmp_name)
+}
+
+/// Renames `tmp` onto `path` once `written` succeeded. On any error it
+/// removes `tmp` and renames nothing, so readers never observe a
+/// half-written file.
+fn commit<T>(tmp: &Path, path: &Path, written: Result<T, StoreError>) -> Result<T, StoreError> {
+    let done = written.and_then(|v| fs::rename(tmp, path).map(|()| v).map_err(|e| io_err(path, e)));
+    if done.is_err() {
+        let _ = fs::remove_file(tmp);
+    }
+    done
+}
+
+/// Writes `contents` atomically: a [`temp_path`] file, then rename.
+fn write_atomic(path: &Path, contents: &[u8]) -> Result<(), StoreError> {
+    let tmp = temp_path(path);
+    let written = fs::write(&tmp, contents).map_err(|e| io_err(&tmp, e));
+    commit(&tmp, path, written)
 }
 
 /// A fully verified archived run, as returned by [`Store::get`].
@@ -371,6 +392,12 @@ impl Store {
     /// fleet reports group by it. The archiving host's machine facts
     /// (logical cores, OS, `CHARM_*` variables) are captured into the
     /// manifest at this point.
+    ///
+    /// A new run ends up holding `records.csv`, the optional
+    /// `report.jsonl` and, written last, a `manifest.json` listing
+    /// exactly those; then the session's `checkpoints/` is deleted. A
+    /// concurrent session of the same campaign recreates it on its next
+    /// segment, and [`Store::gc`] reclaims what it leaves there.
     pub fn put_run(
         &self,
         key: &CampaignKey,
@@ -388,7 +415,7 @@ impl Store {
             // Same identity: only a true dedupe (identical record
             // bytes) may short-circuit. The caller must never be told
             // "archived" while its data is quietly thrown away.
-            let incoming = sha256_hex(data.to_csv().as_bytes());
+            let incoming = records_digest(data, CHUNK_BYTES);
             return match manifest.artifact("records.csv") {
                 Some(a) if a.sha256 == incoming => Ok(id),
                 Some(a) => Err(StoreError::Collision {
@@ -403,17 +430,12 @@ impl Store {
             };
         }
         fs::create_dir_all(&dir).map_err(|e| io_err(&dir, e))?;
-        // Fold in any checkpoint segments left by the session, so the
-        // manifest pins the resume trail too. A scoped worker hashes them
-        // while this thread renders, hashes and writes the records.
-        let checkpoints = dir.join("checkpoints");
-        let (written, segments) = std::thread::scope(|s| {
-            let segments = s.spawn(|| segment_artifacts(&checkpoints));
-            (write_records(&dir, data, report), joined(segments))
-        });
-        let mut artifacts = written?;
-        artifacts.extend(segments?);
-        artifacts.sort_by(|a, b| a.name.cmp(&b.name));
+        let mut artifacts = vec![write_records(&dir.join("records.csv"), data, CHUNK_BYTES)?];
+        if let Some(report) = report {
+            let jsonl = report.to_jsonl();
+            write_atomic(&dir.join("report.jsonl"), jsonl.as_bytes())?;
+            artifacts.push(artifact("report.jsonl", jsonl.as_bytes()));
+        }
         let manifest = Manifest {
             run_id: id.as_str().to_string(),
             plan_hash: key.plan_hash.clone(),
@@ -427,7 +449,15 @@ impl Store {
             artifacts,
         };
         write_atomic(&dir.join("manifest.json"), manifest.to_json().as_bytes())?;
-        Ok(id)
+        // The resume trail is spent. A segment a concurrent session of
+        // this campaign lands meanwhile keeps the directory; gc takes it.
+        let checkpoints = dir.join("checkpoints");
+        use std::io::ErrorKind::{DirectoryNotEmpty, NotFound};
+        match fs::remove_dir_all(&checkpoints) {
+            Ok(()) => Ok(id),
+            Err(e) if matches!(e.kind(), NotFound | DirectoryNotEmpty) => Ok(id),
+            Err(e) => Err(io_err(&checkpoints, e)),
+        }
     }
 
     fn try_manifest(&self, id: &RunId) -> Result<Option<Manifest>, StoreError> {
@@ -435,9 +465,7 @@ impl Store {
         if !path.exists() {
             return Ok(None);
         }
-        let text = fs::read_to_string(&path).map_err(|e| io_err(&path, e))?;
-        let manifest = Manifest::from_json(&text)
-            .map_err(|message| StoreError::Corrupt { path: path.display().to_string(), message })?;
+        let manifest = read_manifest(&path)?;
         if manifest.run_id != id.as_str() {
             return Err(StoreError::Corrupt {
                 path: path.display().to_string(),
@@ -527,12 +555,15 @@ impl Store {
         Ok(out)
     }
 
-    /// Reclaims space: deletes checkpoint segments of finalized runs
-    /// (the records are archived; the resume trail is spent) and prunes
-    /// debris directories that hold neither a manifest nor a
-    /// checkpoints/ dir. Interrupted runs keep their checkpoints — they
-    /// are the only copy of that work — and in-flight sessions (an
-    /// empty checkpoints/ dir, no shard finished yet) are left alone.
+    /// Reclaims space: deletes the checkpoint segments of finalized runs
+    /// that their manifest does not list (strays a concurrent session of
+    /// an already archived campaign left behind) and prunes debris
+    /// directories that hold neither a manifest nor a checkpoints/ dir.
+    /// It never rewrites a manifest, so a segment an older manifest pins
+    /// stays and that run still verifies. Interrupted runs keep their
+    /// checkpoints — they are the only copy of that work — and in-flight
+    /// sessions (an empty checkpoints/ dir, no shard finished yet) are
+    /// left alone.
     pub fn gc(&self) -> Result<GcReport, StoreError> {
         let runs = self.root.join("runs");
         let mut report = GcReport::default();
@@ -542,13 +573,16 @@ impl Store {
             if !dir.is_dir() {
                 continue;
             }
-            let finalized = dir.join("manifest.json").exists();
+            let manifest_path = dir.join("manifest.json");
+            let finalized = manifest_path.exists();
             let checkpoints = dir.join("checkpoints");
             if finalized && checkpoints.is_dir() {
+                let manifest = read_manifest(&manifest_path)?;
                 for seg in fs::read_dir(&checkpoints).map_err(|e| io_err(&checkpoints, e))? {
                     let seg = seg.map_err(|e| io_err(&checkpoints, e))?;
                     let path = seg.path();
-                    if path.is_file() {
+                    let name = format!("checkpoints/{}", seg.file_name().to_string_lossy());
+                    if path.is_file() && manifest.artifact(&name).is_none() {
                         let bytes = path.metadata().map(|m| m.len()).unwrap_or(0);
                         fs::remove_file(&path).map_err(|e| io_err(&path, e))?;
                         report.removed_segments += 1;
@@ -556,20 +590,6 @@ impl Store {
                     }
                 }
                 let _ = fs::remove_dir(&checkpoints); // only if now empty
-                                                      // A finalized run's manifest may pin checkpoint
-                                                      // artifacts; rewrite it without them so get() still
-                                                      // verifies cleanly after the purge.
-                if let Ok(name) = entry.file_name().into_string() {
-                    if let Ok(id) = RunId::parse(&name) {
-                        if let Some(mut manifest) = self.try_manifest(&id)? {
-                            manifest.artifacts.retain(|a| !a.name.starts_with("checkpoints/"));
-                            write_atomic(
-                                &dir.join("manifest.json"),
-                                manifest.to_json().as_bytes(),
-                            )?;
-                        }
-                    }
-                }
             } else if !finalized && !checkpoints.is_dir() {
                 // Debris: no manifest and no checkpoints/ dir at all.
                 // A live session creates checkpoints/ before its first
@@ -585,54 +605,89 @@ impl Store {
     }
 }
 
+fn read_manifest(path: &Path) -> Result<Manifest, StoreError> {
+    let text = fs::read_to_string(path).map_err(|e| io_err(path, e))?;
+    Manifest::from_json(&text)
+        .map_err(|message| StoreError::Corrupt { path: path.display().to_string(), message })
+}
+
 fn artifact(name: &str, contents: &[u8]) -> Artifact {
     Artifact { name: name.to_string(), bytes: contents.len() as u64, sha256: sha256_hex(contents) }
 }
 
-/// Renders, writes and hashes `records.csv` and, when given, the
-/// report, returning their manifest entries.
-fn write_records(
-    dir: &Path,
-    data: &CampaignData,
-    report: Option<&CampaignReport>,
-) -> Result<Vec<Artifact>, StoreError> {
-    let records_csv = data.to_csv();
-    write_atomic(&dir.join("records.csv"), records_csv.as_bytes())?;
-    let mut artifacts = vec![artifact("records.csv", records_csv.as_bytes())];
-    if let Some(report) = report {
-        let jsonl = report.to_jsonl();
-        write_atomic(&dir.join("report.jsonl"), jsonl.as_bytes())?;
-        artifacts.push(artifact("report.jsonl", jsonl.as_bytes()));
+/// About how many bytes of `records.csv` [`render_chunks`] hands on at
+/// a time.
+const CHUNK_BYTES: usize = 64 * 1024;
+
+/// Chunks rendered but not yet hashed and written: bounds what
+/// `write_records` holds in memory to a few chunks.
+const CHUNKS_IN_FLIGHT: usize = 4;
+
+/// Renders `data` exactly as `CampaignData::to_csv` does, handing the
+/// bytes to `emit` in whole lines, a chunk at a time: a chunk is passed
+/// on as soon as it holds `chunk` bytes or more. Stops early once `emit`
+/// returns `false`.
+fn render_chunks(data: &CampaignData, chunk: usize, mut emit: impl FnMut(String) -> bool) {
+    let fresh = || String::with_capacity(chunk + 256);
+    let mut buf = fresh();
+    for (k, v) in &data.metadata {
+        writeln!(buf, "# {k}: {v}").expect("writing to a String cannot fail");
     }
-    Ok(artifacts)
+    buf.push_str(&charm_engine::record::csv_header(&data.factor_names));
+    buf.push('\n');
+    for r in &data.records {
+        if buf.len() >= chunk && !emit(std::mem::replace(&mut buf, fresh())) {
+            return;
+        }
+        r.write_csv_row(&mut buf).expect("writing to a String cannot fail");
+        buf.push('\n');
+    }
+    emit(buf);
+}
+
+/// The SHA-256 of `data`'s `records.csv`, rendered chunk by chunk and
+/// never written or held whole.
+fn records_digest(data: &CampaignData, chunk: usize) -> String {
+    let mut hasher = Sha256::new();
+    render_chunks(data, chunk, |c| {
+        hasher.update(c.as_bytes());
+        true
+    });
+    hex(&hasher.finalize())
+}
+
+/// Writes `data`'s `records.csv` to `path` atomically and returns its
+/// manifest entry. This thread renders chunks of about `chunk` bytes
+/// into a bounded channel; one scoped worker hashes each and appends it
+/// to the temp file, so rendering overlaps hashing and writing on a
+/// second core and the whole CSV is never held in memory.
+fn write_records(path: &Path, data: &CampaignData, chunk: usize) -> Result<Artifact, StoreError> {
+    let tmp = temp_path(path);
+    let written = std::thread::scope(|s| {
+        let (tx, rx) = std::sync::mpsc::sync_channel::<String>(CHUNKS_IN_FLIGHT);
+        let tmp = &tmp;
+        let worker = s.spawn(move || {
+            let mut file = fs::File::create(tmp).map_err(|e| io_err(tmp, e))?;
+            let (mut hasher, mut bytes) = (Sha256::new(), 0u64);
+            for c in rx {
+                hasher.update(c.as_bytes());
+                file.write_all(c.as_bytes()).map_err(|e| io_err(tmp, e))?;
+                bytes += c.len() as u64;
+            }
+            Ok(Artifact { name: "records.csv".to_string(), bytes, sha256: hex(&hasher.finalize()) })
+        });
+        // A send fails only once the worker has stopped on an error,
+        // which its join below returns.
+        render_chunks(data, chunk, |c| tx.send(c).is_ok());
+        drop(tx);
+        joined(worker)
+    });
+    commit(&tmp, path, written)
 }
 
 /// The result of a scoped worker, re-raising its panic on this thread.
 fn joined<T>(handle: std::thread::ScopedJoinHandle<'_, T>) -> T {
     handle.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-}
-
-/// Manifest entries for the checkpoint segments under `checkpoints`
-/// (none when the directory does not exist), sorted by name.
-fn segment_artifacts(checkpoints: &Path) -> Result<Vec<Artifact>, StoreError> {
-    if !checkpoints.is_dir() {
-        return Ok(Vec::new());
-    }
-    let mut names: Vec<String> = fs::read_dir(checkpoints)
-        .map_err(|e| io_err(checkpoints, e))?
-        .filter_map(|e| e.ok())
-        .filter_map(|e| e.file_name().into_string().ok())
-        .filter(|n| n.ends_with(".csv"))
-        .collect();
-    names.sort();
-    names
-        .into_iter()
-        .map(|name| {
-            let path = checkpoints.join(&name);
-            let contents = fs::read(&path).map_err(|e| io_err(&path, e))?;
-            Ok(artifact(&format!("checkpoints/{name}"), &contents))
-        })
-        .collect()
 }
 
 /// Checks every artifact of `manifest` against its digest, in manifest
@@ -695,9 +750,9 @@ fn collision(id: &RunId, stored: &Manifest, incoming: &CampaignKey) -> StoreErro
 
 /// A segment's measurement body: the campaign-CSV rendering of its
 /// records (header + rows, no metadata comments). Its digest is stamped
-/// into the segment at save time and recomputed from the parsed records
-/// at load time, so a flipped value in a checkpoint is caught even though
-/// interrupted runs have no manifest to verify against yet.
+/// into the segment at save time and recomputed over the body's bytes on
+/// disk at load time, so a flipped value in a checkpoint is caught even
+/// though interrupted runs have no manifest to verify against yet.
 fn records_body(factor_names: &[String], records: &[RawRecord]) -> String {
     let mut body = charm_engine::record::csv_header(factor_names);
     body.push('\n');
@@ -771,7 +826,19 @@ impl CheckpointSink for CheckpointSession {
         }
         segment.push_str(&body);
         let path = self.segment_path(shard, shards);
-        write_atomic(&path, segment.as_bytes()).map_err(|e| CheckpointError(e.to_string()))
+        write_atomic(&path, segment.as_bytes())
+            .or_else(|e| {
+                // A concurrent `put_run` of this campaign finalized the
+                // run and deleted checkpoints/ under this session:
+                // recreate it and retry once. gc reclaims the stray.
+                let checkpoints = self.dir.join("checkpoints");
+                if checkpoints.is_dir() {
+                    return Err(e);
+                }
+                fs::create_dir_all(&checkpoints).map_err(|e| io_err(&checkpoints, e))?;
+                write_atomic(&path, segment.as_bytes())
+            })
+            .map_err(|e| CheckpointError(e.to_string()))
     }
 
     fn load_shard(
@@ -780,13 +847,36 @@ impl CheckpointSink for CheckpointSession {
         shards: usize,
     ) -> Result<Option<ShardCheckpoint>, CheckpointError> {
         let path = self.segment_path(shard, shards);
-        if !path.exists() {
-            return Ok(None);
+        // NotFound also covers a segment a concurrent `put_run` of this
+        // campaign deleted after finalizing it: that batch re-runs.
+        let fail = |message: String| CheckpointError(format!("{}: {message}", path.display()));
+        let bytes = match fs::read(&path) {
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+            read => read.map_err(|e| fail(e.to_string()))?,
+        };
+        // The body (header + rows) follows the `# k: v` lines. Its raw
+        // bytes are checked against the digest stamped at save time
+        // before any of it is decoded, so a byte that breaks UTF-8 is
+        // tampering here too, as in `Store::get`.
+        let mut body_at = 0;
+        while bytes[body_at..].starts_with(b"#") {
+            let line = &bytes[body_at..];
+            body_at += line.iter().position(|&b| b == b'\n').map_or(line.len(), |n| n + 1);
         }
-        let text = fs::read_to_string(&path)
-            .map_err(|e| CheckpointError(format!("{}: {e}", path.display())))?;
-        let segment = CampaignData::from_csv(&text)
-            .map_err(|e| CheckpointError(format!("{}: {e}", path.display())))?;
+        let head = std::str::from_utf8(&bytes[..body_at]).map_err(|e| fail(e.to_string()))?;
+        let expected = head
+            .lines()
+            .find_map(|l| l.strip_prefix("# checkpoint_records_sha256: "))
+            .ok_or_else(|| fail("missing checkpoint_records_sha256".to_string()))?;
+        let actual = sha256_hex(&bytes[body_at..]);
+        if expected != actual {
+            return Err(fail(format!(
+                "segment records do not match their recorded digest \
+                 (saved {expected}, on-disk {actual}) — modified after save"
+            )));
+        }
+        let text = std::str::from_utf8(&bytes).map_err(|e| fail(e.to_string()))?;
+        let segment = CampaignData::from_csv(text).map_err(|e| fail(e.to_string()))?;
         let meta = |key: &str| {
             segment
                 .metadata
@@ -819,15 +909,6 @@ impl CheckpointSink for CheckpointSession {
         if segment.factor_names != self.factor_names {
             return Err(CheckpointError(format!(
                 "{}: segment factor columns do not match the plan",
-                path.display()
-            )));
-        }
-        let expected = meta("checkpoint_records_sha256")?;
-        let actual = sha256_hex(records_body(&self.factor_names, &segment.records).as_bytes());
-        if expected != actual {
-            return Err(CheckpointError(format!(
-                "{}: segment records do not match their recorded digest \
-                 (saved {expected}, on-disk {actual}) — modified after save",
                 path.display()
             )));
         }
@@ -907,6 +988,49 @@ mod tests {
         plan
     }
 
+    /// One record per plan row, cycling through `values`.
+    fn records_of(plan: &ExperimentPlan, values: &[f64], interned: bool) -> Vec<RawRecord> {
+        plan.rows()
+            .iter()
+            .enumerate()
+            .map(|(i, row)| RawRecord {
+                levels: if interned { row.levels.clone() } else { row.levels.to_vec().into() },
+                replicate: row.replicate,
+                sequence: i as u64,
+                start_us: i as f64 * 1.25,
+                value: values[i % values.len()],
+            })
+            .collect()
+    }
+
+    fn names_in(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn a_failed_records_write_renames_nothing_and_leaves_no_temp_file() {
+        let dir = scratch();
+        // A directory where records.csv should go: the temp file is
+        // written in full, then the rename fails.
+        fs::create_dir_all(dir.join("records.csv").join("occupied")).unwrap();
+        let plan = plan(2, 0, 2, 5);
+        let data = CampaignData {
+            metadata: BTreeMap::new(),
+            factor_names: plan.factor_names().to_vec(),
+            records: records_of(&plan, &[1.5], true),
+        };
+        let err = write_records(&dir.join("records.csv"), &data, 7).unwrap_err();
+        assert!(matches!(err, StoreError::Io { .. }), "{err:?}");
+        assert_eq!(names_in(&dir), ["records.csv"]);
+        assert_eq!(names_in(&dir.join("records.csv")), ["occupied"]);
+        fs::remove_dir_all(&dir).ok();
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -919,18 +1043,7 @@ mod tests {
             interned in any::<bool>(),
         ) {
             let plan = plan(n_factors, first, reps, seed);
-            let records: Vec<RawRecord> = plan
-                .rows()
-                .iter()
-                .enumerate()
-                .map(|(i, row)| RawRecord {
-                    levels: if interned { row.levels.clone() } else { row.levels.to_vec().into() },
-                    replicate: row.replicate,
-                    sequence: i as u64,
-                    start_us: i as f64 * 1.25,
-                    value: values[i % values.len()],
-                })
-                .collect();
+            let records = records_of(&plan, &values, interned);
             let checkpoint = ShardCheckpoint { records, elapsed_us };
             let dir = scratch();
             let store = Store::open(&dir).unwrap();
@@ -958,6 +1071,49 @@ mod tests {
                 let err = session.load_shard(1, 3).unwrap_err();
                 prop_assert!(err.0.contains("digest"), "{}", err.0);
             }
+            fs::remove_dir_all(&dir).ok();
+        }
+
+        #[test]
+        fn chunked_records_are_to_csv_at_every_chunk_size(
+            (n_factors, first, reps) in (0usize..4, 0usize..4, 1u32..4),
+            seed in any::<u64>(),
+            values in prop::collection::vec(-1e6f64..1e6, 1..8),
+            n_metadata in 0usize..4,
+            interned in any::<bool>(),
+        ) {
+            let plan = plan(n_factors, first, reps, seed);
+            let metadata =
+                (0..n_metadata).map(|i| (format!("key{i}"), format!("v {}", seed >> i))).collect();
+            let data = CampaignData {
+                metadata,
+                factor_names: plan.factor_names().to_vec(),
+                records: records_of(&plan, &values, interned),
+            };
+            let csv = data.to_csv();
+            let digest = sha256_hex(csv.as_bytes());
+            let dir = scratch();
+            fs::create_dir_all(&dir).unwrap();
+            for chunk in [1, 7, 64, CHUNK_BYTES] {
+                let path = dir.join("records.csv");
+                let written = write_records(&path, &data, chunk).unwrap();
+                prop_assert_eq!(fs::read(&path).unwrap(), csv.as_bytes());
+                prop_assert_eq!(&written.sha256, &digest);
+                prop_assert_eq!(written.bytes, csv.len() as u64);
+                prop_assert_eq!(records_digest(&data, chunk), digest.clone());
+                prop_assert_eq!(names_in(&dir), ["records.csv"]);
+            }
+
+            // Through the store: the manifest pins the same digest, the
+            // run holds nothing else, and a re-archive is a dedupe.
+            let store = Store::open(dir.join("store")).unwrap();
+            let key = CampaignKey::of(&plan, "t#0", Some(seed), 2);
+            let id = store.put_run(&key, "bench", "", &data, None).unwrap();
+            let manifest = store.manifest(&id).unwrap();
+            prop_assert_eq!(&manifest.artifact("records.csv").unwrap().sha256, &digest);
+            prop_assert_eq!(manifest.artifacts.len(), 1);
+            prop_assert_eq!(names_in(&store.run_dir(&id)), ["manifest.json", "records.csv"]);
+            prop_assert_eq!(store.put_run(&key, "bench", "", &data, None).unwrap(), id);
             fs::remove_dir_all(&dir).ok();
         }
     }

@@ -7,10 +7,11 @@ use charm_design::doe::FullFactorial;
 use charm_design::plan::ExperimentPlan;
 use charm_design::Factor;
 use charm_engine::target::NetworkTarget;
+use charm_engine::CheckpointSink;
 use charm_engine::{Campaign, CampaignData};
 use charm_obs::Observer;
 use charm_simnet::presets;
-use charm_store::{RunId, Store, StoreError};
+use charm_store::{CheckpointSession, RunId, Store, StoreError};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -139,8 +140,8 @@ fn flipping_one_byte_is_caught_on_get() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Archives a 2-shard checkpointed campaign (so the manifest pins its
-/// segments too) and returns the run ID and its directory.
+/// Archives a 2-shard campaign checkpointed through a session and
+/// returns the run ID and its directory.
 fn checkpointed_archive(store: &Store, dir: &std::path::Path, seed: u64) -> (RunId, PathBuf) {
     let plan = plan_of(seed);
     let session = store.session(&plan, TARGET, Some(seed), 2).unwrap();
@@ -161,6 +162,13 @@ fn write_ff_at_middle(path: &std::path::Path) {
     std::fs::write(path, &bytes).unwrap();
 }
 
+fn segment_of(dir: &std::path::Path, session: &CheckpointSession, b: usize, n: usize) -> PathBuf {
+    dir.join("runs")
+        .join(session.run_id().as_str())
+        .join("checkpoints")
+        .join(format!("shard-{b}-of-{n}.csv"))
+}
+
 fn tampered_artifact(store: &Store, id: &RunId) -> String {
     match store.get(id) {
         Err(StoreError::Tampered { artifact, .. }) => artifact,
@@ -176,11 +184,20 @@ fn a_byte_that_breaks_utf8_is_tampering_not_io() {
     write_ff_at_middle(&run.join("records.csv"));
     assert_eq!(tampered_artifact(&store, &id), "records.csv");
 
-    let (id, run) = checkpointed_archive(&store, &dir, 31);
-    let segment = format!("checkpoints/shard-0-of-{}.csv", batches_of(&plan_of(31), 2));
-    assert!(store.manifest(&id).unwrap().artifact(&segment).is_some(), "manifest pins {segment}");
-    write_ff_at_middle(&run.join(&segment));
-    assert_eq!(tampered_artifact(&store, &id), segment);
+    // An interrupted run has no manifest: the digest stamped into the
+    // segment is what catches the byte, before anything is decoded.
+    let plan = plan_of(31);
+    let session = store.session(&plan, TARGET, Some(31), 2).unwrap();
+    let target = NetworkTarget::new("taurus", presets::taurus_openmpi_tcp(31));
+    Campaign::new(&plan, target).shards(2).seed(31).store(&session).run().unwrap();
+    let nbatches = batches_of(&plan, 2);
+    let segment = segment_of(&dir, &session, 0, nbatches);
+    let mut bytes = std::fs::read(&segment).unwrap();
+    let in_last_row = bytes.len() - 2;
+    bytes[in_last_row] = 0xFF;
+    std::fs::write(&segment, &bytes).unwrap();
+    let err = session.load_shard(0, nbatches).unwrap_err();
+    assert!(err.0.contains("digest"), "{}", err.0);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -294,12 +311,13 @@ fn gc_purges_spent_checkpoints_but_keeps_resumable_runs() {
     let dir = scratch("gc");
     let store = Store::open(&dir).unwrap();
 
-    // Finalized run with checkpoints: segments are spent once archived.
+    // Finalized run with checkpoints: put_run deletes the spent segments.
     let plan = plan_of(29);
     let session = store.session(&plan, TARGET, Some(29), 2).unwrap();
     let target = NetworkTarget::new("taurus", presets::taurus_openmpi_tcp(29));
     let data = Campaign::new(&plan, target).shards(2).seed(29).store(&session).run().unwrap().data;
     let finalized = store.put_run(&key_of(&plan, 29, 2), "bench", "", &data, None).unwrap();
+    assert!(!dir.join("runs").join(finalized.as_str()).join("checkpoints").exists());
 
     // Interrupted run: checkpoints only, no manifest — must survive gc.
     let plan2 = plan_of(31);
@@ -309,8 +327,8 @@ fn gc_purges_spent_checkpoints_but_keeps_resumable_runs() {
     let interrupted_dir = dir.join("runs").join(session2.run_id().as_str());
 
     let report = store.gc().unwrap();
-    assert_eq!(report.removed_segments, batches_of(&plan, 2), "only the finalized run's segments");
-    assert!(report.reclaimed_bytes > 0);
+    assert_eq!(report.removed_segments, 0, "the finalized run has none left to remove");
+    assert_eq!(report.reclaimed_bytes, 0);
     assert!(
         interrupted_dir
             .join("checkpoints")
@@ -322,6 +340,84 @@ fn gc_purges_spent_checkpoints_but_keeps_resumable_runs() {
     let back = store.get(&finalized).unwrap();
     assert_eq!(back.data, data);
     assert!(back.manifest.artifacts.iter().all(|a| !a.name.starts_with("checkpoints/")));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_session_still_running_when_its_campaign_is_finalized_archives_as_a_dedupe() {
+    let dir = scratch("race");
+    let store = Store::open(&dir).unwrap();
+    let plan = plan_of(61);
+    let run = |session: &CheckpointSession| {
+        let target = NetworkTarget::new("taurus", presets::taurus_openmpi_tcp(61));
+        Campaign::new(&plan, target).shards(2).seed(61).store(session).run().unwrap().data
+    };
+    // Two jobs of one campaign open their sessions; A finishes first.
+    let a = store.session(&plan, TARGET, Some(61), 2).unwrap();
+    let b = store.session(&plan, TARGET, Some(61), 2).unwrap();
+    let data = run(&a);
+    let id = store.put_run(&key_of(&plan, 61, 2), "bench", "", &data, None).unwrap();
+    let run_dir = dir.join("runs").join(id.as_str());
+    assert!(!run_dir.join("checkpoints").exists(), "put_run deleted the spent trail");
+
+    // B saves its segments after A's finalize, then archives the same
+    // bytes: a verified dedupe onto A's run.
+    let again = run(&b);
+    assert!(b.has_segments(), "B's saves recreated checkpoints/");
+    assert_eq!(store.put_run(&key_of(&plan, 61, 2), "bench", "", &again, None).unwrap(), id);
+
+    // gc takes B's strays and leaves the manifest as it was written.
+    let manifest = std::fs::read(run_dir.join("manifest.json")).unwrap();
+    let report = store.gc().unwrap();
+    assert_eq!(report.removed_segments, batches_of(&plan, 2));
+    assert!(!run_dir.join("checkpoints").exists());
+    assert_eq!(std::fs::read(run_dir.join("manifest.json")).unwrap(), manifest);
+    assert_eq!(store.get(&id).unwrap().data, data);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn gc_never_rewrites_a_manifest_that_pins_segments() {
+    let dir = scratch("legacy");
+    let store = Store::open(&dir).unwrap();
+    let plan = plan_of(67);
+    let session = store.session(&plan, TARGET, Some(67), 2).unwrap();
+    let target = NetworkTarget::new("taurus", presets::taurus_openmpi_tcp(67));
+    let data = Campaign::new(&plan, target).shards(2).seed(67).store(&session).run().unwrap().data;
+    let nbatches = batches_of(&plan, 2);
+    let segments: Vec<(String, Vec<u8>)> = (0..nbatches)
+        .map(|b| {
+            let path = segment_of(&dir, &session, b, nbatches);
+            (format!("checkpoints/shard-{b}-of-{nbatches}.csv"), std::fs::read(path).unwrap())
+        })
+        .collect();
+    let id = store.put_run(&key_of(&plan, 67, 2), "bench", "", &data, None).unwrap();
+
+    // An older store version's layout: the segments stayed and the
+    // manifest lists the first of them beside records.csv.
+    let run_dir = dir.join("runs").join(id.as_str());
+    std::fs::create_dir_all(run_dir.join("checkpoints")).unwrap();
+    for (name, bytes) in &segments {
+        std::fs::write(run_dir.join(name), bytes).unwrap();
+    }
+    let mut manifest = store.manifest(&id).unwrap();
+    let (name, bytes) = &segments[0];
+    manifest.artifacts.push(charm_store::Artifact {
+        name: name.clone(),
+        bytes: bytes.len() as u64,
+        sha256: charm_store::digest::sha256_hex(bytes),
+    });
+    manifest.artifacts.sort_by(|a, b| a.name.cmp(&b.name));
+    let legacy = manifest.to_json();
+    std::fs::write(run_dir.join("manifest.json"), &legacy).unwrap();
+
+    let report = store.gc().unwrap();
+    assert_eq!(report.removed_segments, nbatches - 1, "only the segments it does not list");
+    assert_eq!(std::fs::read_to_string(run_dir.join("manifest.json")).unwrap(), legacy);
+    assert!(run_dir.join(name).is_file());
+    let back = store.get(&id).unwrap();
+    assert_eq!(back.data, data);
+    assert!(back.manifest.artifact(name).is_some());
     std::fs::remove_dir_all(&dir).ok();
 }
 
