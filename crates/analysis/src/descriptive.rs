@@ -144,7 +144,7 @@ pub fn max(xs: &[f64]) -> Result<f64> {
 
 /// Five-number summary plus mean/sd/MAD — the per-cell record the analysis
 /// stage attaches to every factor combination.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Summary {
     /// Number of observations.
     pub n: usize,

@@ -14,7 +14,7 @@ use crate::Result;
 
 /// One fitted segment of a piecewise model, over `[lo, hi)` in predictor
 /// space (the last segment is closed on the right).
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Segment {
     /// Left edge of the segment's domain.
     pub lo: f64,
@@ -28,7 +28,7 @@ pub struct Segment {
 /// breakpoints. Segments are *not* constrained to join continuously —
 /// protocol switches in real MPI stacks genuinely jump (cf. the eager →
 /// rendez-vous step of Figure 4), so forcing continuity would bias the fit.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PiecewiseLinear {
     segments: Vec<Segment>,
 }

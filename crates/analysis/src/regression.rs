@@ -10,7 +10,7 @@ use crate::error::{ensure_paired, AnalysisError};
 use crate::Result;
 
 /// A fitted line `y = intercept + slope·x` with fit diagnostics.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LinearFit {
     /// Estimated intercept.
     pub intercept: f64,

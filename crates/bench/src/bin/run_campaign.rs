@@ -6,7 +6,7 @@
 //! run_campaign <plan.dsl> <platform> [flags]
 //!
 //! flags: [--seed N] [--shards N] [--out DIR] [--obs-jsonl]
-//!        [--store DIR] [--resume RUN_ID]
+//!        [--store DIR]
 //! platforms: the registry's network presets and CPUs
 //!            (taurus | myrinet | openmpi | opteron | pentium4 | i7 | arm)
 //! ```
@@ -46,17 +46,19 @@
 //! campaign's counters and provenance events next to the CSV.
 //!
 //! `--store DIR` archives the campaign into a `charm_store` store:
-//! finished shards are flushed as checkpoint segments while the run is
+//! finished batches are flushed as checkpoint segments while the run is
 //! still going, and the final records + manifest are archived under a
 //! run ID derived from `(plan, target, seed, shards)` (printed as
-//! `archived run <id>`). `--resume RUN_ID` replays the finished shards
-//! of that interrupted run and executes only the missing ones — the
-//! resumed records are bit-identical to an uninterrupted run. The given
-//! ID must match what the current plan/platform/seed/shards derive, so
-//! a resume can never silently splice a different campaign's data —
-//! not even the same plan run against a different platform. (External
-//! engines archive the finished run but have no shard checkpoints, so
-//! `--resume` does not apply to them.)
+//! `archived run <id>`). Resuming an interrupted run is rerunning the
+//! same command: the campaign derives the same run ID, replays every
+//! segment the store holds for it and measures only the missing
+//! batches, so the records are bit-identical to an uninterrupted run
+//! (printed as `replayed K of N batches`). A segment is replayed only
+//! after its geometry, plan, target and digest checks pass; one that
+//! fails them exits 3 and is never re-measured. An
+//! `--obs-jsonl` run measures every batch, since segments retain
+//! records, not counter streams. (External engines archive the
+//! finished run but have no shard checkpoints: they replay nothing.)
 
 use charm_bench::cli::{CommonArgs, Reads};
 use charm_bench::profile::Session;
@@ -126,6 +128,8 @@ fn finish_run(
         session.attach_virtual(&label, report);
     }
     if let Some(store) = store {
+        let batches = run.data.metadata.get("batches").map_or("1", String::as_str);
+        println!("replayed {} of {batches} batches", run.replayed_batches);
         let cli_args: Vec<String> = std::env::args().collect();
         let key = charm_store::CampaignKey::of(&bench.plan, target_id, Some(args.seed), shards);
         match store.put_run(&key, &label, &cli_args.join(" "), &run.data, run.report.as_ref()) {
@@ -163,10 +167,6 @@ fn run_external(
         );
         return ExitCode::from(specload::EXIT_BAD_SPEC);
     }
-    if args.resume.is_some() {
-        eprintln!("--resume does not apply to external engines (no shard checkpoints)");
-        return ExitCode::from(specload::EXIT_BAD_SPEC);
-    }
     let engine = match ExternalTarget::spawn(spec) {
         Ok(t) => t,
         Err(e) => {
@@ -192,8 +192,8 @@ fn run_external(
     }
 }
 
-/// An in-process simulator: the sharded path, with checkpoints and
-/// resume when archiving.
+/// An in-process simulator: the sharded path, checkpointing (and
+/// replaying stored checkpoints) when archiving.
 fn run_sharded<T: ParallelTarget>(
     args: &CommonArgs,
     session: Session,
@@ -217,32 +217,15 @@ fn run_sharded<T: ParallelTarget>(
                     return ExitCode::from(specload::EXIT_TARGET);
                 }
             };
-            if let Some(resume_id) = &args.resume {
-                if resume_id != checkpoint.run_id().as_str() {
-                    eprintln!(
-                        "--resume {resume_id} does not match this campaign: \
-                         plan/platform/seed/shards derive run {}",
-                        checkpoint.run_id()
-                    );
-                    return ExitCode::from(specload::EXIT_BAD_SPEC);
-                }
-                println!("resuming run {resume_id}");
-            }
             Some((store, checkpoint))
         }
-        Ok(None) => {
-            if args.resume.is_some() {
-                eprintln!("--resume requires --store DIR (the store holding the checkpoints)");
-                return ExitCode::from(specload::EXIT_BAD_SPEC);
-            }
-            None
-        }
+        Ok(None) => None,
         Err(code) => return code,
     };
 
     let mut campaign = Campaign::new(plan, target).shards(shards).seed(bench.order_seed);
     if let Some((_, checkpoint)) = &store_ctx {
-        campaign = campaign.store(checkpoint).resume(args.resume.is_some());
+        campaign = campaign.store(checkpoint);
     }
     if args.obs_jsonl {
         campaign = campaign.observer(Observer::default());

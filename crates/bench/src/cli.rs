@@ -22,8 +22,8 @@
 //!   campaign on N worker threads (default 1; clamped only to the plan's
 //!   rows, and part of the run ID); `--store DIR` archives the campaign
 //!   into a `charm_store` store, flushing shard checkpoints as they
-//!   complete; `--resume RUN_ID` replays the finished shards of an
-//!   interrupted stored run; positional arguments land in
+//!   complete and replaying the ones an interrupted run of the same
+//!   campaign left there; positional arguments land in
 //!   [`CommonArgs::rest`];
 //! * spec flags, read by `run_campaign`, `fig04`, `fig07` and
 //!   `pchase_interference`: `--benchmark PATH` runs a declarative spec
@@ -55,8 +55,6 @@ pub struct CommonArgs {
     pub trace_out: Option<String>,
     /// Campaign store directory (`--store DIR`), when given.
     pub store: Option<String>,
-    /// Run ID to resume (`--resume RUN_ID`), when given.
-    pub resume: Option<String>,
     /// Benchmark spec file (`--benchmark PATH`), when given.
     pub benchmark: Option<String>,
     /// Spec parameter overrides (`--param NAME=VALUE`, repeatable).
@@ -100,7 +98,6 @@ impl CommonArgs {
         [
             ("--shards", self.shards.is_some()),
             ("--store", self.store.is_some()),
-            ("--resume", self.resume.is_some()),
             ("positional arguments", !self.rest.is_empty()),
             ("--benchmark", self.benchmark.is_some()),
             ("--param", !self.params.is_empty()),
@@ -130,7 +127,6 @@ impl CommonArgs {
                     args.trace_out = Some(text_of("--trace-out", "a file path", argv.next())?)
                 }
                 "--store" => args.store = Some(text_of("--store", "a directory", argv.next())?),
-                "--resume" => args.resume = Some(text_of("--resume", "a run ID", argv.next())?),
                 "--benchmark" => {
                     args.benchmark = Some(text_of("--benchmark", "a spec file path", argv.next())?)
                 }
@@ -170,7 +166,7 @@ pub(crate) enum Exit {
 /// The flag groups a binary reads beyond the shared flags.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Reads {
-    /// `--shards`, `--store`, `--resume` and positional arguments.
+    /// `--shards`, `--store` and positional arguments.
     pub campaign: bool,
     /// `--benchmark` and `--param`.
     pub spec: bool,
@@ -185,7 +181,7 @@ impl Reads {
     /// Whether the binary reads `flag` (or takes positional arguments).
     fn reads(self, flag: &str) -> bool {
         match flag {
-            "--shards" | "--store" | "--resume" | "positional arguments" => self.campaign,
+            "--shards" | "--store" | "positional arguments" => self.campaign,
             "--benchmark" | "--param" => self.spec,
             _ => true,
         }
@@ -220,7 +216,7 @@ fn text_of(flag: &str, what: &str, v: Option<String>) -> Result<String, Exit> {
 }
 
 /// Every flag's synopsis and help text.
-const FLAGS: [(&str, &str); 11] = [
+const FLAGS: [(&str, &str); 10] = [
     ("--seed N", "RNG seed (default 20170529)"),
     ("--shards N", "campaign worker threads (default 1; part of the run ID)"),
     ("--out DIR", "results directory (default results/ at the workspace root)"),
@@ -228,8 +224,7 @@ const FLAGS: [(&str, &str); 11] = [
     ("--quick", "reduced plans for smoke runs"),
     ("--profile", "print a wall-clock self-profile on exit"),
     ("--trace-out PATH", "write a dual-clock Chrome/Perfetto trace.json"),
-    ("--store DIR", "archive the campaign (with shard checkpoints) into a store"),
-    ("--resume RUN_ID", "resume an interrupted stored run (requires --store)"),
+    ("--store DIR", "archive the campaign into a store (a rerun resumes from its checkpoints)"),
     ("--benchmark SPEC.toml", "run from a declarative benchmark spec (DESIGN.md par. 15)"),
     ("--param NAME=VALUE", "override a [params] entry of the spec (repeatable)"),
 ];
@@ -282,8 +277,6 @@ mod tests {
                 "/tmp/trace.json",
                 "--store",
                 "/tmp/store",
-                "--resume",
-                "0123456789abcdef0123456789abcdef",
                 "--benchmark",
                 "benchmarks/fig04.toml",
                 "--param",
@@ -302,7 +295,6 @@ mod tests {
         assert!(args.profile);
         assert_eq!(args.trace_out.as_deref(), Some("/tmp/trace.json"));
         assert_eq!(args.store.as_deref(), Some("/tmp/store"));
-        assert_eq!(args.resume.as_deref(), Some("0123456789abcdef0123456789abcdef"));
         assert_eq!(args.benchmark.as_deref(), Some("benchmarks/fig04.toml"));
         assert_eq!(
             args.params,
@@ -322,7 +314,6 @@ mod tests {
         assert_eq!(CommonArgs::try_parse(argv(&["--shards", "0"]), 1), Err(Exit::Error));
         assert_eq!(CommonArgs::try_parse(argv(&["--trace-out"]), 1), Err(Exit::Error));
         assert_eq!(CommonArgs::try_parse(argv(&["--store"]), 1), Err(Exit::Error));
-        assert_eq!(CommonArgs::try_parse(argv(&["--resume"]), 1), Err(Exit::Error));
         assert_eq!(CommonArgs::try_parse(argv(&["--benchmark"]), 1), Err(Exit::Error));
         assert_eq!(CommonArgs::try_parse(argv(&["--param"]), 1), Err(Exit::Error));
         assert_eq!(CommonArgs::try_parse(argv(&["--param", "novalue"]), 1), Err(Exit::Error));
@@ -343,7 +334,6 @@ mod tests {
             "--profile",
             "--trace-out",
             "--store",
-            "--resume",
             "--benchmark",
             "--param",
         ] {

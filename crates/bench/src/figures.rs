@@ -20,7 +20,7 @@ use crate::cli::{CommonArgs, Reads};
 use crate::profile::Session;
 use crate::specload::{self, EXIT_BAD_SPEC, EXIT_TARGET};
 use charm_core::error::CharmError;
-use charm_core::experiments::catalog::{catalog, Entry, SpecArgs};
+use charm_core::experiments::catalog::{catalog, Entry, Outputs, SpecArgs};
 use charm_engine::TargetError;
 use charm_obs::CampaignReport;
 use std::process::ExitCode;
@@ -71,12 +71,8 @@ fn run_entry(
         _ => (EXIT_TARGET, err.to_string()),
     })?;
     let dir = args.out.as_deref();
-    for (name, body) in &out.artifacts {
-        let mut artifact = crate::csvout::artifact(name).meta("generator", e.binary);
-        if e.seeded {
-            artifact = artifact.meta("seed", args.seed);
-        }
-        artifact.observed(out.observed.is_some()).write(dir, body).map_err(write_failed)?;
+    for (name, text) in stamped(e, args.seed, &out) {
+        crate::write_artifact(dir, name, &text).map_err(write_failed)?;
     }
     if let Some(report) = &out.observed {
         if args.obs_jsonl {
@@ -90,6 +86,23 @@ fn run_entry(
     }
     print!("{}", out.report);
     Ok(())
+}
+
+/// Entry `e`'s CSV artifacts from a run at `seed`, `(file name, text)`
+/// in write order, each stamped with `generator`, `seed` (when the
+/// entry reads one) and `observed` (when the run was observed): the
+/// exact bytes a binary writes.
+pub fn stamped(e: &Entry, seed: u64, out: &Outputs) -> Vec<(&'static str, String)> {
+    out.artifacts
+        .iter()
+        .map(|(name, body)| {
+            let mut artifact = crate::csvout::artifact(name).meta("generator", e.binary);
+            if e.seeded {
+                artifact = artifact.meta("seed", seed);
+            }
+            (*name, artifact.observed(out.observed.is_some()).stamped(body))
+        })
+        .collect()
 }
 
 fn write_failed(e: std::io::Error) -> (u8, String) {

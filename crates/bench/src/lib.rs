@@ -77,7 +77,7 @@ pub fn exit_status(written: io::Result<()>) -> ExitCode {
 }
 
 /// The seed every regenerator uses unless `--seed` is given.
-pub(crate) const DEFAULT_SEED: u64 = 20170529;
+pub const DEFAULT_SEED: u64 = 20170529;
 
 #[cfg(test)]
 mod tests {

@@ -1,6 +1,7 @@
 //! `run_campaign` end to end: a DSL plan and its spec twin are one
-//! campaign, platform names resolve to the targets they always did, and
-//! bad platforms are usage errors.
+//! campaign, rerunning an interrupted stored campaign resumes it,
+//! platform names resolve to the targets they always did, and bad
+//! platforms are usage errors.
 
 mod common;
 
@@ -81,9 +82,127 @@ fn an_unwritable_csv_exits_3_before_archiving() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(3), "{stderr}");
     assert!(stderr.contains(&format!("cannot write {file}: ")) && !stderr.contains("panicked"));
-    // The shard checkpoints stay for a resume; no run is archived.
+    // The shard checkpoints stay for a rerun to replay; no run is
+    // archived.
     let archived = charm_store::Store::open(&store).unwrap().list().unwrap();
     assert!(archived.is_empty(), "{archived:?}");
+}
+
+/// The checkpoint segments of the single interrupted run in `store`:
+/// the smoke plan on 3 shards, archived into an unwritable `--out` so
+/// it exits after every batch checkpointed and before the archive.
+fn interrupted_run(dir: &Scratch, plan: &str, store: &Path) -> Vec<PathBuf> {
+    let file = dir.write("occupied", "");
+    let out =
+        run_campaign(&[plan, "taurus", "--shards", "3", "--store", path(store), "--out", &file]);
+    assert_eq!(out.status.code(), Some(3), "{}", String::from_utf8_lossy(&out.stderr));
+    let runs: Vec<_> =
+        std::fs::read_dir(store.join("runs")).unwrap().map(|e| e.unwrap().path()).collect();
+    let [run] = runs.as_slice() else { panic!("one run directory, got {runs:?}") };
+    let mut segments: Vec<PathBuf> =
+        std::fs::read_dir(run.join("checkpoints")).unwrap().map(|e| e.unwrap().path()).collect();
+    segments.sort();
+    assert_eq!(segments.len(), 15, "the smoke geometry checkpoints 15 batches");
+    segments
+}
+
+#[test]
+fn rerunning_an_interrupted_stored_campaign_resumes_it() {
+    let dir = Scratch::new("rerun");
+    let plan = dir.write("smoke_plan.dsl", SMOKE_PLAN);
+    let store = dir.join("store");
+    // Interrupt the campaign with some batches never stored.
+    let segments = interrupted_run(&dir, &plan, &store);
+    for segment in segments.iter().step_by(2) {
+        std::fs::remove_file(segment).unwrap();
+    }
+    let kept = segments.len() / 2;
+
+    let reference = dir.join("reference");
+    let fresh = run_campaign(&[&plan, "taurus", "--shards", "3", "--out", path(&reference)]);
+    assert!(fresh.status.success());
+    let stored = |out: &Path| {
+        run_campaign(&[
+            &plan,
+            "taurus",
+            "--shards",
+            "3",
+            "--store",
+            path(&store),
+            "--out",
+            path(out),
+        ])
+    };
+    let rerun_out = dir.join("rerun");
+    let rerun = stored(&rerun_out);
+    let id = archived_id(&rerun);
+    let stdout = String::from_utf8_lossy(&rerun.stdout);
+    assert!(stdout.contains(&format!("replayed {kept} of 15 batches")), "{stdout}");
+    assert!(kept >= 1);
+
+    // Same bytes as a campaign that was never stored or interrupted,
+    // in the CSV and in the archive.
+    let read = |p: PathBuf| std::fs::read(p).unwrap();
+    let expected = read(reference.join("campaign_taurus.csv"));
+    assert!(read(rerun_out.join("campaign_taurus.csv")) == expected);
+    assert!(read(store.join("runs").join(&id).join("records.csv")) == expected);
+    // A finalized run keeps no segments: the next rerun replays none
+    // and lands on the same archive.
+    let again = stored(&dir.join("again"));
+    assert_eq!(archived_id(&again), id);
+    assert!(String::from_utf8_lossy(&again.stdout).contains("replayed 0 of 15 batches"));
+}
+
+#[test]
+fn a_tampered_segment_fails_the_rerun_naming_its_path() {
+    let dir = Scratch::new("tamper");
+    let plan = dir.write("smoke_plan.dsl", SMOKE_PLAN);
+    let store = dir.join("store");
+    let segments = interrupted_run(&dir, &plan, &store);
+    // Flip one digit of the last record of one segment.
+    let victim = &segments[4];
+    let mut bytes = std::fs::read(victim).unwrap();
+    let digit = bytes.iter().rposition(u8::is_ascii_digit).unwrap();
+    bytes[digit] = if bytes[digit] == b'7' { b'8' } else { b'7' };
+    std::fs::write(victim, &bytes).unwrap();
+
+    let out = dir.join("out");
+    let rerun = run_campaign(&[
+        &plan,
+        "taurus",
+        "--shards",
+        "3",
+        "--store",
+        path(&store),
+        "--out",
+        path(&out),
+    ]);
+    let stderr = String::from_utf8_lossy(&rerun.stderr);
+    assert_eq!(rerun.status.code(), Some(3), "{stderr}");
+    assert!(stderr.contains(path(victim)) && stderr.contains("digest"), "{stderr}");
+    // Fail closed: the segment was neither re-measured nor overwritten,
+    // and nothing was written or archived.
+    assert!(std::fs::read(victim).unwrap() == bytes);
+    assert!(!out.exists());
+    let archived = charm_store::Store::open(&store).unwrap().list().unwrap();
+    assert!(archived.is_empty(), "{archived:?}");
+}
+
+#[test]
+fn resume_is_not_a_flag() {
+    // Resuming is rerunning the same command; no flag asks for it, so
+    // the old resume flag is unknown: usage, exit 2, nothing run.
+    let dir = Scratch::new("noflag");
+    let plan = dir.write("smoke_plan.dsl", SMOKE_PLAN);
+    let (store, out) = (dir.join("store"), dir.join("out"));
+    let flag = concat!("--", "resume");
+    let id = "0123456789abcdef0123456789abcdef";
+    let result =
+        run_campaign(&[&plan, "taurus", "--store", path(&store), flag, id, "--out", path(&out)]);
+    let stderr = String::from_utf8_lossy(&result.stderr);
+    assert_eq!(result.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains(&format!("unknown flag {flag}")), "{stderr}");
+    assert!(!out.exists() && !store.exists(), "{stderr}");
 }
 
 #[test]
@@ -185,20 +304,16 @@ fn a_spec_level_a_csv_row_cannot_carry_exits_2_before_measuring() {
 }
 
 #[test]
-fn external_engines_refuse_shards_and_resume() {
+fn external_engines_refuse_shards() {
     let dir = Scratch::new("external");
     let spec = concat!(env!("CARGO_MANIFEST_DIR"), "/../../benchmarks/external_smoke.toml");
     let out = dir.join("out");
-    // Both refusals come before the engine is spawned, so the demo
+    // The refusal comes before the engine is spawned, so the demo
     // engine need not be built.
     let sharded = run_campaign(&["--benchmark", spec, "--shards", "2", "--out", path(&out)]);
     assert_eq!(sharded.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&sharded.stderr);
     assert!(stderr.contains("sequential-only"), "{stderr}");
-    let resumed = run_campaign(&["--benchmark", spec, "--resume", "0123", "--out", path(&out)]);
-    assert_eq!(resumed.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&resumed.stderr);
-    assert!(stderr.contains("--resume does not apply"), "{stderr}");
 }
 
 /// A target's store identity and the CSV of a short campaign on it:

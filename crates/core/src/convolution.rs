@@ -19,7 +19,7 @@ use crate::models::{MemoryModel, NetworkModel};
 use charm_simnet::NetOp;
 
 /// One sequential compute block of the traced application.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ComputeBlock {
     /// Bytes the block reads/writes in total.
     pub bytes_touched: f64,
@@ -30,7 +30,7 @@ pub struct ComputeBlock {
 }
 
 /// One traced communication event.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CommEvent {
     /// The MPI-level operation.
     pub op: NetOp,
@@ -42,7 +42,7 @@ pub struct CommEvent {
 
 /// A machine-independent application signature (the MetaSim/MPIDtrace
 /// output of Figure 1).
-#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AppSignature {
     /// Sequential compute blocks.
     pub compute: Vec<ComputeBlock>,

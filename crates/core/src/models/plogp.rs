@@ -15,7 +15,7 @@ use charm_engine::record::Campaign;
 use charm_simnet::NetOp;
 
 /// A size-indexed function table with linear interpolation.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SizeFunction {
     /// `(size bytes, value µs)` knots, ascending in size.
     knots: Vec<(f64, f64)>,
@@ -57,7 +57,7 @@ impl SizeFunction {
 }
 
 /// An instantiated PLogP model.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PLogPModel {
     /// End-to-end latency `L` (µs), estimated at the smallest size.
     pub latency_us: f64,

@@ -7,7 +7,7 @@
 //! memory- or compute-bound.
 
 /// A machine's roofline.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Roofline {
     /// Peak floating-point rate (GFLOP/s).
     pub peak_gflops: f64,

@@ -16,7 +16,7 @@ use crate::models::{MemoryModel, NetworkModel};
 use std::collections::VecDeque;
 
 /// One traced event on a rank.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Event {
     /// Local computation touching `bytes` with the given working set.
     Compute {

@@ -11,7 +11,7 @@
 use std::fmt;
 
 /// One category branch of the diagram with its factor leaves.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Branch {
     /// Category name (e.g. "Operating system").
     pub category: String,
@@ -20,7 +20,7 @@ pub struct Branch {
 }
 
 /// A cause-and-effect diagram: branches pointing at one effect.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CauseEffectDiagram {
     /// The response/effect being explained (e.g. "Bandwidth").
     pub effect: String,

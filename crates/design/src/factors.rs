@@ -11,7 +11,7 @@ use std::ops::Deref;
 use std::sync::Arc;
 
 /// One value of a factor.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Level {
     /// An integer-valued level (sizes, strides, repetition counts).
     Int(i64),
@@ -123,8 +123,7 @@ impl From<bool> for Level {
 /// merging, filtering, and grouping records costs a refcount bump per
 /// row instead of a `Vec` allocation plus a `String` clone per `Text`
 /// level. Dereferences to `[Level]`, so indexing and iteration read
-/// exactly like the `Vec<Level>` it replaced; the serde representation
-/// is the same sequence, so serialized artifacts are unchanged.
+/// exactly like the `Vec<Level>` it replaced.
 #[derive(Debug, Clone)]
 pub struct Levels(Arc<[Level]>);
 
@@ -188,7 +187,7 @@ impl PartialEq<Vec<Level>> for Levels {
 }
 
 /// A named factor with its candidate levels.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Factor {
     /// Factor name (CSV column header).
     pub name: String,

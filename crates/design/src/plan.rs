@@ -23,7 +23,7 @@ use std::fmt::Write as _;
 /// allocation, so cloning a row (shuffling, sharding, recording) is a
 /// refcount bump and the engine's record pipeline can resolve cells by
 /// pointer identity instead of re-hashing level contents per row.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlanRow {
     /// Values for each factor, ordered as in [`ExperimentPlan::factor_names`].
     pub levels: Levels,
@@ -62,7 +62,7 @@ impl fmt::Display for PlanError {
 impl std::error::Error for PlanError {}
 
 /// An ordered experiment plan.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentPlan {
     factor_names: Vec<String>,
     rows: Vec<PlanRow>,

@@ -210,6 +210,10 @@ pub struct CampaignRun {
     /// Counters, provenance events and spans — `Some` iff an observer
     /// was attached with [`Campaign::observer`].
     pub report: Option<CampaignReport>,
+    /// How many batches were replayed from the checkpoint store instead
+    /// of measured (see [`ShardedCampaign::store`]); 0 for a sequential
+    /// run.
+    pub replayed_batches: usize,
 }
 
 /// Builder for one campaign execution over a plan and a target.
@@ -334,7 +338,7 @@ impl<'p, T: Target> Campaign<'p, T> {
             factor_names: self.plan.factor_names().to_vec(),
             records,
         };
-        Ok(CampaignRun { data, report })
+        Ok(CampaignRun { data, report, replayed_batches: 0 })
     }
 }
 
@@ -345,7 +349,7 @@ impl<'p, T: ParallelTarget> Campaign<'p, T> {
     /// worker count is clamped at run time to `1..=plan rows` and
     /// nothing else ([`effective_workers`]).
     pub fn shards(self, shards: usize) -> ShardedCampaign<'p, T> {
-        ShardedCampaign { inner: self, shards, sink: None, resume: false }
+        ShardedCampaign { inner: self, shards, sink: None }
     }
 }
 
@@ -356,7 +360,6 @@ pub struct ShardedCampaign<'p, T> {
     inner: Campaign<'p, T>,
     shards: usize,
     sink: Option<&'p dyn CheckpointSink>,
-    resume: bool,
 }
 
 impl<'p, T: std::fmt::Debug> std::fmt::Debug for ShardedCampaign<'p, T> {
@@ -365,7 +368,6 @@ impl<'p, T: std::fmt::Debug> std::fmt::Debug for ShardedCampaign<'p, T> {
             .field("inner", &self.inner)
             .field("shards", &self.shards)
             .field("checkpointed", &self.sink.is_some())
-            .field("resume", &self.resume)
             .finish()
     }
 }
@@ -382,19 +384,57 @@ struct BatchYield {
 }
 
 /// What one worker thread reports back: the batches it claimed (with
-/// their outcomes) and how many of those claims were steals.
+/// their outcomes), how many of those claims were steals, and how many
+/// of them it replayed from the checkpoint store.
 struct WorkerYield {
     batches: Vec<(usize, Result<BatchYield, TargetError>)>,
     steals: u64,
+    replayed: usize,
 }
 
 /// One batch's place in the run geometry: which batch of how many, and
 /// the contiguous plan-row range it covers.
+#[derive(Clone, Copy)]
 struct BatchSpan {
     batch: usize,
     batches: usize,
     lo: usize,
     hi: usize,
+}
+
+/// The span's batch replayed from `sink`, or `None` when it was never
+/// stored. A stored segment that does not cover exactly the span's rows
+/// is an error, never a silent re-measure (the sink checks plan, target
+/// and digest itself).
+fn replay_batch(
+    sink: &dyn CheckpointSink,
+    span: BatchSpan,
+) -> Result<Option<BatchYield>, TargetError> {
+    let batch_start = Instant::now();
+    let BatchSpan { batch, batches, lo, hi } = span;
+    let loaded = sink
+        .load_shard(batch, batches)
+        .map_err(|e| TargetError::Checkpoint { message: e.to_string() })?;
+    let Some(chk) = loaded else { return Ok(None) };
+    let covers = chk.records.len() == hi - lo
+        && chk.records.first().is_none_or(|r| r.sequence == lo as u64)
+        && chk.records.last().is_none_or(|r| r.sequence == (hi - 1) as u64);
+    if !covers {
+        return Err(TargetError::Checkpoint {
+            message: format!(
+                "batch {batch} of {batches} checkpoint does not cover plan rows {lo}..{hi} \
+                 (got {} records)",
+                chk.records.len()
+            ),
+        });
+    }
+    Ok(Some(BatchYield {
+        records: chk.records,
+        elapsed_us: chk.elapsed_us,
+        observation: None,
+        diagnostics: Vec::new(),
+        wall_ns: batch_start.elapsed().as_nanos() as u64,
+    }))
 }
 
 /// Measures the span's plan rows on a fresh fork — the per-batch body
@@ -483,25 +523,17 @@ impl<'p, T: ParallelTarget> ShardedCampaign<'p, T> {
     /// — segments are written after a batch's last measurement, outside
     /// every virtual clock and RNG stream — so stored and unstored
     /// campaigns are bit-identical (tested below).
+    ///
+    /// An unobserved campaign also asks the store for every batch it
+    /// claims ([`CheckpointSink::load_shard`]) and replays a stored
+    /// segment instead of measuring it, so rerunning an interrupted
+    /// campaign resumes it, bit-identically: batch geometry is a pure
+    /// function of plan size and worker count (DESIGN.md §9).
+    /// [`CampaignRun::replayed_batches`] counts the replays. An observed
+    /// campaign measures every batch: checkpoints retain records, not
+    /// counter streams.
     pub fn store(mut self, sink: &'p dyn CheckpointSink) -> Self {
         self.sink = Some(sink);
-        self
-    }
-
-    /// Resumes from the attached checkpoint store: batches with a stored
-    /// segment are replayed from [`CheckpointSink::load_shard`] instead
-    /// of re-measured, batches without one execute normally (and are
-    /// checkpointed). Because every replayed segment is exactly what the
-    /// batch would have produced, the resumed campaign is bit-identical
-    /// to an uninterrupted run — the determinism contract (DESIGN.md §9)
-    /// made durable. Batch geometry is a pure function of the plan
-    /// size and worker count, so a resume sees exactly the segments an
-    /// uninterrupted run would have written.
-    ///
-    /// Requires [`ShardedCampaign::store`]; incompatible with an
-    /// [`Observer`] (checkpoints retain records, not counter streams).
-    pub fn resume(mut self, resume: bool) -> Self {
-        self.resume = resume;
         self
     }
 
@@ -568,13 +600,15 @@ impl<'p, T: ParallelTarget> ShardedCampaign<'p, T> {
     /// one-row plan, runs sequentially and is always fine.) Measurement
     /// errors fail the campaign like the sequential run; the error for
     /// the earliest failing plan row wins — batches are claimed in index
-    /// order, so every batch before the earliest failure has a result.
+    /// order, so every batch before the earliest failure has a result. A
+    /// stored segment that fails its checks fails its batch the same way,
+    /// with [`TargetError::Checkpoint`].
     /// A fired [`CancelToken`] (see [`ShardedCampaign::cancel_token`])
     /// returns [`TargetError::Cancelled`] once the workers drain; a token
     /// that fires after the last batch was claimed lets the run complete
     /// normally — cancellation is advisory, never destructive.
     pub fn run(self) -> Result<CampaignRun, TargetError> {
-        let ShardedCampaign { inner, shards, sink, resume } = self;
+        let ShardedCampaign { inner, shards, sink } = self;
         let Campaign { plan, target: base, shuffle_seed, observer, profiler, cancel } = inner;
         let _run_span = profiler.span_on("engine", "engine.run");
         let wall_start = Instant::now();
@@ -583,20 +617,6 @@ impl<'p, T: ParallelTarget> ShardedCampaign<'p, T> {
         if workers > 1 && !base.shard_invariant() {
             return Err(TargetError::NotShardable { target: base.name() });
         }
-        if resume && sink.is_none() {
-            return Err(TargetError::Checkpoint {
-                message: "resume requested without a checkpoint store \
-                          (call .store(...) before .resume(true))"
-                    .into(),
-            });
-        }
-        if resume && observer.is_some() {
-            return Err(TargetError::Checkpoint {
-                message: "resume cannot replay observations: checkpoints retain records, \
-                          not counter streams; rerun observed campaigns from scratch"
-                    .into(),
-            });
-        }
         let seed = base.stream_seed();
         // Guided geometry: batches shrink as the claim counter drains
         // (see batch_bounds), so the tail is fine-grained where stealing
@@ -604,51 +624,26 @@ impl<'p, T: ParallelTarget> ShardedCampaign<'p, T> {
         let bounds = batch_bounds(n, workers);
         let nbatches = bounds.len();
         let interned = intern_rows(plan);
-        // When resuming, replay finished batches from the store instead of
-        // re-measuring them. A present-but-wrong segment is an error, not
-        // a silent re-measure: the store said these rows were retained.
-        let mut replayed: Vec<Option<ShardCheckpoint>> = (0..nbatches).map(|_| None).collect();
-        if resume {
-            let sink = sink.expect("resume checked sink above");
-            for (b, &(lo, hi)) in bounds.iter().enumerate() {
-                let loaded = sink
-                    .load_shard(b, nbatches)
-                    .map_err(|e| TargetError::Checkpoint { message: e.to_string() })?;
-                if let Some(chk) = loaded {
-                    let covers = chk.records.len() == hi - lo
-                        && chk.records.first().is_none_or(|r| r.sequence == lo as u64)
-                        && chk.records.last().is_none_or(|r| r.sequence == (hi - 1) as u64);
-                    if !covers {
-                        return Err(TargetError::Checkpoint {
-                            message: format!(
-                                "batch {b} of {nbatches} checkpoint does not cover plan rows \
-                                 {lo}..{hi} (got {} records)",
-                                chk.records.len()
-                            ),
-                        });
-                    }
-                    replayed[b] = Some(chk);
-                }
-            }
-        }
-        let replayed_mask: Vec<bool> = replayed.iter().map(Option::is_some).collect();
+        // Stored segments can be replayed only where no observation is
+        // owed: checkpoints retain records, not counter streams.
+        let replay_from = sink.filter(|_| observer.is_none());
         // One proto per worker, forked off `base` up front, so each
         // thread forks its per-batch targets from a value it owns.
         let protos: Vec<T> = (0..workers).map(|_| base.fork(seed)).collect();
         let next = AtomicUsize::new(0);
         let abort = AtomicBool::new(false);
         let parallel_start_ns = profiler.elapsed_ns();
-        let worker_yields: Vec<WorkerYield> = crossbeam::thread::scope(|scope| {
+        let worker_yields: Vec<WorkerYield> = std::thread::scope(|scope| {
             let handles: Vec<_> = protos
                 .into_iter()
                 .enumerate()
                 .map(|(w, proto)| {
                     let profiler = profiler.clone();
-                    let (next, abort, bounds, replayed_mask, observer, cancel, interned) =
-                        (&next, &abort, &bounds, &replayed_mask, &observer, &cancel, &interned);
-                    scope.spawn(move |_| {
+                    let (next, abort, bounds, observer, cancel, interned) =
+                        (&next, &abort, &bounds, &observer, &cancel, &interned);
+                    scope.spawn(move || {
                         let mut batches: Vec<(usize, Result<BatchYield, TargetError>)> = Vec::new();
-                        let mut steals = 0u64;
+                        let (mut steals, mut replayed) = (0u64, 0usize);
                         loop {
                             // Batch-claim boundary: an aborted (failed)
                             // or cancelled campaign hands out no further
@@ -660,9 +655,6 @@ impl<'p, T: ParallelTarget> ShardedCampaign<'p, T> {
                             let b = next.fetch_add(1, Ordering::SeqCst);
                             if b >= bounds.len() {
                                 break;
-                            }
-                            if replayed_mask[b] {
-                                continue; // replayed from the checkpoint store
                             }
                             // The batch a static split would have given this
                             // worker; claiming any other batch is a steal.
@@ -679,14 +671,22 @@ impl<'p, T: ParallelTarget> ShardedCampaign<'p, T> {
                                     .arg("rows", hi - lo)
                             });
                             let span = BatchSpan { batch: b, batches: bounds.len(), lo, hi };
-                            let result = run_batch(
-                                plan,
-                                interned,
-                                proto.fork(seed),
-                                observer.as_ref(),
-                                sink,
-                                span,
-                            );
+                            let result =
+                                match replay_from.map_or(Ok(None), |s| replay_batch(s, span)) {
+                                    Ok(Some(stored)) => {
+                                        replayed += 1;
+                                        Ok(stored)
+                                    }
+                                    Ok(None) => run_batch(
+                                        plan,
+                                        interned,
+                                        proto.fork(seed),
+                                        observer.as_ref(),
+                                        sink,
+                                        span,
+                                    ),
+                                    Err(e) => Err(e),
+                                };
                             let failed = result.is_err();
                             batches.push((b, result));
                             if failed {
@@ -696,21 +696,22 @@ impl<'p, T: ParallelTarget> ShardedCampaign<'p, T> {
                                 break;
                             }
                         }
-                        WorkerYield { batches, steals }
+                        WorkerYield { batches, steals, replayed }
                     })
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().expect("worker thread panicked")).collect()
-        })
-        .expect("scope panicked");
+        });
         let mut executed: Vec<Option<Result<BatchYield, TargetError>>> =
             (0..nbatches).map(|_| None).collect();
         let mut steals_per_worker = vec![0u64; workers];
         let mut total_steals = 0u64;
+        let mut replayed_batches = 0usize;
         let mut worker_of: Vec<usize> = vec![0; nbatches];
         for (w, wy) in worker_yields.into_iter().enumerate() {
             steals_per_worker[w] = wy.steals;
             total_steals += wy.steals;
+            replayed_batches += wy.replayed;
             for (b, res) in wy.batches {
                 worker_of[b] = w;
                 executed[b] = Some(res);
@@ -720,8 +721,8 @@ impl<'p, T: ParallelTarget> ShardedCampaign<'p, T> {
             // Worker utilization: summed batch busy time over the
             // parallel region's wall time × worker count. 1.0 means every
             // thread worked the whole region; low values expose skewed
-            // batches or an oversubscribed host. Replayed batches did no
-            // wall-clock work and contribute nothing.
+            // batches or an oversubscribed host. A replayed batch counts
+            // the time its segment took to load.
             let parallel_dur_ns = profiler.elapsed_ns().saturating_sub(parallel_start_ns);
             let busy_ns: u64 =
                 executed.iter().flatten().filter_map(|r| r.as_ref().ok().map(|y| y.wall_ns)).sum();
@@ -750,39 +751,35 @@ impl<'p, T: ParallelTarget> ShardedCampaign<'p, T> {
         let mut diagnostics = Counters::new();
         let mut spans = Vec::with_capacity(nbatches);
         let mut clock_us = 0.0f64;
-        for (b, (loaded, outcome)) in replayed.into_iter().zip(executed).enumerate() {
+        for (b, outcome) in executed.into_iter().enumerate() {
             // Batches are claimed in index order, so every batch before
             // the earliest failure has a result, and the first failing
             // batch holds the earliest failing plan row. Replayed batches
             // carry their stored clock reading, so the offset arithmetic
             // — and therefore every timestamp — matches the uninterrupted
             // run.
-            let (mut batch_records, batch_elapsed_us, observation, batch_diag, wall_ns) =
-                match (loaded, outcome) {
-                    (Some(chk), _) => (chk.records, chk.elapsed_us, None, Vec::new(), 0u64),
-                    (None, Some(Ok(y))) => {
-                        (y.records, y.elapsed_us, y.observation, y.diagnostics, y.wall_ns)
-                    }
-                    (None, Some(Err(e))) => return Err(e),
-                    // A hole with neither a replay nor an execution means
-                    // the claim loop stopped handing out batches — with a
-                    // fired token that is cancellation (whole segments for
-                    // every batch that did run are already in the sink).
-                    (None, None) if cancel.is_cancelled() => return Err(TargetError::Cancelled),
-                    (None, None) => unreachable!("batch neither replayed nor executed"),
-                };
+            let mut y = match outcome {
+                Some(Ok(y)) => y,
+                Some(Err(e)) => return Err(e),
+                // A hole means the claim loop stopped handing out
+                // batches — with a fired token that is cancellation
+                // (whole segments for every batch that did run are
+                // already in the sink).
+                None if cancel.is_cancelled() => return Err(TargetError::Cancelled),
+                None => unreachable!("batch never claimed"),
+            };
             offsets.push(clock_us);
-            for r in &mut batch_records {
+            for r in &mut y.records {
                 r.start_us += clock_us;
             }
-            records.append(&mut batch_records);
-            for (k, v) in batch_diag {
+            records.append(&mut y.records);
+            for (k, v) in y.diagnostics {
                 // Campaign total plus a per-worker breakdown keyed by the
                 // worker that actually executed the batch.
                 diagnostics.add_owned(format!("shard{}.{k}", worker_of[b]), v);
                 diagnostics.add_owned(k, v);
             }
-            if let Some(mut obs) = observation {
+            if let Some(mut obs) = y.observation {
                 // Shift batch-local event timestamps onto the campaign
                 // timeline, like record timestamps above. Sequence
                 // numbers are already global (skip_to set the index).
@@ -792,12 +789,12 @@ impl<'p, T: ParallelTarget> ShardedCampaign<'p, T> {
                 spans.push(Span {
                     name: format!("batch{b}"),
                     t_start_us: clock_us,
-                    t_end_us: clock_us + batch_elapsed_us,
-                    wall_ns,
+                    t_end_us: clock_us + y.elapsed_us,
+                    wall_ns: y.wall_ns,
                 });
                 observations.push(obs);
             }
-            clock_us += batch_elapsed_us;
+            clock_us += y.elapsed_us;
         }
         let offsets_str = offsets.iter().map(|o| format!("{o:.3}")).collect::<Vec<_>>().join(",");
         let mut metadata = MetadataBuilder::new()
@@ -838,7 +835,7 @@ impl<'p, T: ParallelTarget> ShardedCampaign<'p, T> {
             factor_names: plan.factor_names().to_vec(),
             records,
         };
-        Ok(CampaignRun { data, report })
+        Ok(CampaignRun { data, report, replayed_batches })
     }
 }
 
@@ -1534,13 +1531,12 @@ mod tests {
             .shards(4)
             .seed(41)
             .store(&sink)
-            .resume(true)
             .run()
-            .unwrap()
-            .data;
-        assert_bit_identical(&fresh, &resumed);
+            .unwrap();
+        assert_bit_identical(&fresh, &resumed.data);
         // only the two missing batches were re-executed (and re-flushed)
         assert_eq!(sink.saves() - saves_before, 2);
+        assert_eq!(resumed.replayed_batches, batches - 2);
     }
 
     #[test]
@@ -1560,35 +1556,36 @@ mod tests {
                 .shards(2)
                 .seed(53)
                 .store(&sink)
-                .resume(true)
                 .run()
-                .unwrap()
-                .data;
-        assert_bit_identical(&stored, &resumed);
+                .unwrap();
+        assert_bit_identical(&stored, &resumed.data);
         assert_eq!(sink.saves(), saves_before, "no batch re-executed");
+        assert_eq!(resumed.replayed_batches, batch_bounds(plan.len(), 2).len());
     }
 
+    /// Checkpoints retain records, not counter streams, so an observed
+    /// campaign measures every batch even when the store holds them all —
+    /// and measures exactly what the unobserved run stored.
     #[test]
-    fn resume_without_store_is_an_error() {
-        let plan = shuffled_net_plan(1, 2);
-        let target = NetworkTarget::new("t", presets::taurus_openmpi_tcp(2));
-        let err = Campaign::new(&plan, target).shards(2).resume(true).run().unwrap_err();
-        assert!(matches!(err, TargetError::Checkpoint { .. }));
-    }
-
-    #[test]
-    fn resume_with_observer_is_an_error() {
-        let plan = shuffled_net_plan(1, 2);
+    fn observed_campaign_measures_every_batch_over_a_full_store() {
+        let plan = shuffled_net_plan(3, 2);
         let sink = MemorySink::default();
-        let target = NetworkTarget::new("t", presets::taurus_openmpi_tcp(2));
-        let err = Campaign::new(&plan, target)
-            .shards(2)
-            .observer(Observer::default())
-            .store(&sink)
-            .resume(true)
-            .run()
-            .unwrap_err();
-        assert!(matches!(err, TargetError::Checkpoint { .. }));
+        let run = |observer: Option<Observer>| {
+            let target = NetworkTarget::new("t", presets::taurus_openmpi_tcp(2));
+            let campaign = Campaign::new(&plan, target).shards(2).seed(2).store(&sink);
+            match observer {
+                Some(o) => campaign.observer(o).run().unwrap(),
+                None => campaign.run().unwrap(),
+            }
+        };
+        let plain = run(None);
+        let batches = batch_bounds(plan.len(), 2).len();
+        assert_eq!(sink.saves(), batches, "the unobserved run stored every batch");
+        let observed = run(Some(Observer::default()));
+        assert_eq!(sink.saves(), 2 * batches, "one fresh segment per batch");
+        assert_eq!(observed.replayed_batches, 0);
+        assert_eq!(observed.report.expect("observer attached").events.len(), plan.len());
+        assert_eq!(plain.data.records, observed.data.records);
     }
 
     #[test]
@@ -1612,7 +1609,6 @@ mod tests {
             .shards(2)
             .seed(3)
             .store(&sink)
-            .resume(true)
             .run()
             .unwrap_err();
         assert!(matches!(err, TargetError::Checkpoint { .. }));
@@ -1689,7 +1685,6 @@ mod tests {
             .shards(4)
             .seed(61)
             .store(&sink)
-            .resume(true)
             .run()
             .unwrap()
             .data;

@@ -6,7 +6,8 @@
 //! the sequential path checks the token between plan rows, and the
 //! work-stealing scheduler checks it at batch-claim boundaries, so a
 //! cancelled checkpointed campaign always leaves *whole* batch segments
-//! behind — exactly the segments a later `.resume(true)` run replays.
+//! behind — exactly the segments a rerun of the same stored campaign
+//! replays.
 //! Cancellation surfaces as [`TargetError::Cancelled`].
 //!
 //! [`TargetError::Cancelled`]: crate::target::TargetError::Cancelled

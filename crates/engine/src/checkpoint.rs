@@ -6,8 +6,9 @@
 //! survive. [`CheckpointSink`] is the engine-side contract a durable
 //! store (see the `charm-store` crate) implements: the sharded runner
 //! flushes each finished shard through [`CheckpointSink::save_shard`]
-//! and, when resuming, replays finished shards via
-//! [`CheckpointSink::load_shard`] instead of re-measuring them.
+//! and, unless the campaign is observed, replays every shard the sink
+//! already holds via [`CheckpointSink::load_shard`] instead of
+//! re-measuring it.
 //!
 //! The trait lives here — not in the store crate — so the engine stays
 //! free of storage concerns and the store crate depends on the engine,

@@ -29,7 +29,8 @@
 //!   engines (DESIGN.md §15);
 //! * [`checkpoint`] — the [`CheckpointSink`] contract a durable campaign
 //!   archive (the `charm-store` crate) implements so sharded runs can
-//!   flush finished shards and resume interrupted campaigns;
+//!   flush finished shards and replay them when an interrupted campaign
+//!   is run again;
 //! * [`cancel`] — the cooperative [`CancelToken`] long-running services
 //!   use to stop a campaign at the next row/batch boundary.
 

@@ -15,7 +15,7 @@ use std::fmt;
 use std::fmt::Write as _;
 
 /// One raw measurement.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RawRecord {
     /// Factor levels, ordered as in [`Campaign::factor_names`]. A
     /// shared reference into the campaign's interned level table
@@ -119,7 +119,7 @@ pub fn csv_header(factor_names: &[String]) -> String {
 }
 
 /// A complete campaign: metadata + raw records.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Campaign {
     /// Environment metadata (sorted map, reproducibility artifact).
     pub metadata: BTreeMap<String, String>,

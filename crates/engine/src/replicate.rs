@@ -13,7 +13,7 @@ use charm_design::plan::ExperimentPlan;
 
 /// Runs `seeds.len()` independent campaigns of the same `plan`, one per
 /// seed, each against a fresh target built by `make_target(seed)`.
-/// Campaigns run on separate OS threads (crossbeam scoped); results come
+/// Campaigns run on separate scoped OS threads; results come
 /// back in the order of `seeds`.
 ///
 /// The plan is shuffled *per run* with the run's seed — every run gets
@@ -27,12 +27,12 @@ where
     T: Target,
     F: Fn(u64) -> T + Sync,
 {
-    let results: Vec<Result<Campaign, TargetError>> = crossbeam::thread::scope(|scope| {
+    let results: Vec<Result<Campaign, TargetError>> = std::thread::scope(|scope| {
         let handles: Vec<_> = seeds
             .iter()
             .map(|&seed| {
                 let make_target = &make_target;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let mut run_plan = plan.clone();
                     run_plan.shuffle(seed);
                     let target = make_target(seed);
@@ -41,8 +41,7 @@ where
             })
             .collect();
         handles.into_iter().map(|h| h.join().expect("campaign thread panicked")).collect()
-    })
-    .expect("scope panicked");
+    });
     results.into_iter().collect()
 }
 

@@ -275,7 +275,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Checkpoint/resume with dynamically claimed batches: killing any
-    /// subset of a run's persisted batch segments and resuming yields a
+    /// subset of a run's persisted batch segments and rerunning yields a
     /// campaign bit-identical to an uninterrupted run — surviving
     /// batches replay, killed ones re-execute, and the in-order merge
     /// makes the two paths indistinguishable.
@@ -320,7 +320,6 @@ proptest! {
             .shards(shards)
             .seed(seed)
             .store(&sink)
-            .resume(true)
             .run()
             .unwrap()
             .data;

@@ -50,7 +50,7 @@ impl Welford {
 }
 
 /// What an opaque tool reports for one configuration cell.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AggregatedCell {
     /// The independent variable (message size in bytes, or buffer size).
     pub x: u64,

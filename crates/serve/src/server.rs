@@ -537,8 +537,8 @@ fn handle_submit(
         return reject(shared, writer, tenant, reason, detail);
     }
 
-    // The checkpoint session decides resume-vs-fresh and is the sink
-    // the engine streams through. Opening it also guards against
+    // The checkpoint session tells a resume from a fresh run and is the
+    // sink the engine streams through. Opening it also guards against
     // truncated-ID collisions in the checkpoint trail.
     let session = match shared.store.session(&plan, &target_id, Some(seed), shards) {
         Ok(s) => s,
@@ -548,7 +548,7 @@ fn handle_submit(
         }
     };
     // Observed runs never resume: checkpoints retain records, not
-    // counter streams, and the engine refuses the combination.
+    // counter streams, so the engine measures every batch of them.
     let resume = !observe && session.has_segments();
 
     let job_id = next_job_id(shared);
@@ -771,8 +771,7 @@ fn run_sharded<T: ParallelTarget>(
         .shards(job.shards as usize)
         .seed(job.shuffle_seed)
         .cancel_token(job.cancel.clone())
-        .store(sink)
-        .resume(job.resume);
+        .store(sink);
     if job.observe {
         sharded = sharded.observer(Observer::default());
     }

@@ -13,10 +13,10 @@
 //! formatting path `to_csv` uses. Both together make the streamed rows
 //! byte-identical to the data rows of the archived `records.csv`.
 //!
-//! Resume replays flow through the same buffer: the engine loads stored
-//! segments via [`CheckpointSink::load_shard`] before the workers
-//! start, so replayed batches stream exactly like fresh ones and a
-//! resumed campaign's stream equals an uninterrupted one's.
+//! Resume replays flow through the same buffer: the engine asks
+//! [`CheckpointSink::load_shard`] for every batch it claims, so replayed
+//! batches stream exactly like fresh ones and a resumed campaign's
+//! stream equals an uninterrupted one's.
 
 use crate::protocol::Event;
 use charm_engine::checkpoint::{CheckpointError, CheckpointSink, ShardCheckpoint};

@@ -20,7 +20,7 @@
 use std::collections::HashMap;
 
 /// Element width of the kernel's array type.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ElementWidth {
     /// 4-byte `int`.
     W32,
@@ -71,7 +71,7 @@ impl ElementWidth {
 }
 
 /// Code-generation configuration of a kernel build.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CodegenConfig {
     /// Element width of the buffer's type.
     pub width: ElementWidth,

@@ -14,7 +14,7 @@
 //! policy's behaviour), and after an idle gap it falls back to the lowest.
 
 /// Frequency governor policy.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum GovernorPolicy {
     /// Always the highest frequency.
     Performance,

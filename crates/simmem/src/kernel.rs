@@ -21,7 +21,7 @@
 use crate::compiler::{CodegenConfig, ElementWidth};
 
 /// One kernel invocation's inputs.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KernelConfig {
     /// Buffer size in bytes.
     pub buffer_bytes: u64,
@@ -59,7 +59,7 @@ impl KernelConfig {
 }
 
 /// One kernel measurement as the engine records it.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct KernelResult {
     /// Elapsed virtual time of the timed region (µs).
     pub elapsed_us: f64,

@@ -19,7 +19,7 @@ use std::sync::Arc;
 const JITTER_SALT: u64 = 0x7177_E200_0000_0004;
 
 /// Geometry and latency of one cache level.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CacheLevelSpec {
     /// Capacity in bytes.
     pub size_bytes: u64,

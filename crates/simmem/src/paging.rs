@@ -21,7 +21,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 /// Allocation policy of the benchmark buffer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AllocPolicy {
     /// `malloc`/`free` per buffer size: the OS hands back the same
     /// physical pages every time within one run (the paper's first,

@@ -17,7 +17,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 /// Scheduling policy of the benchmark process.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SchedPolicy {
     /// Pinned to a dedicated core, default priority (the well-behaved
     /// configuration).
@@ -42,7 +42,7 @@ impl SchedPolicy {
 }
 
 /// Configuration of the intruder process.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct IntruderConfig {
     /// Mean OFF-phase duration (µs of virtual time).
     pub mean_off_us: f64,

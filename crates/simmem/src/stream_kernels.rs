@@ -22,7 +22,7 @@ use crate::machine::MachineSim;
 use crate::memo::{ProfileKey, SEGMENT_MERGED};
 
 /// One of the STREAM kernels (plus the paper's single-array Sum).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StreamKernel {
     /// `s += a[i]` — the Figure 6 kernel; 1 array, read-only.
     Sum,
@@ -67,7 +67,7 @@ impl StreamKernel {
 }
 
 /// Configuration of a STREAM-kernel run.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamRunConfig {
     /// Size of *each* array (bytes).
     pub array_bytes: u64,

@@ -11,7 +11,7 @@
 use crate::sim::NetworkSim;
 
 /// Collective operation kinds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Collective {
     /// One-to-all broadcast (binomial tree).
     Broadcast,

@@ -67,7 +67,7 @@ const WHITE_SALT: u64 = 0x57E1_7E00_0000_0001;
 const BURST_SALT: u64 = 0xB025_7000_0000_0002;
 
 /// Two-state Gilbert burst process over the *sequence* of measurements.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BurstConfig {
     /// Probability of entering a burst at each measurement while quiet.
     pub enter_prob: f64,

@@ -9,7 +9,7 @@
 
 /// LogGP-style parameters with affine, direction-specific software
 /// overheads (µs and µs/byte).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LogGpParams {
     /// Network latency `L` (µs).
     pub latency_us: f64,

@@ -12,7 +12,7 @@
 use crate::params::LogGpParams;
 
 /// Synchronization mode of a point-to-point transfer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) enum ProtocolMode {
     /// Totally asynchronous: the message is shipped immediately; small
     /// messages only.
@@ -35,7 +35,7 @@ impl ProtocolMode {
 }
 
 /// One regime of the piecewise model.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct Regime {
     /// Mode label of this regime.
     pub mode: ProtocolMode,
@@ -53,7 +53,7 @@ pub(crate) struct Regime {
 }
 
 /// A piecewise protocol model: regimes switched by message-size thresholds.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PiecewiseProtocol {
     /// Ascending size thresholds; `thresholds[i]` is the first size that
     /// belongs to `regimes[i + 1]`.

@@ -6,7 +6,7 @@ use crate::protocol::{PiecewiseProtocol, ProtocolMode};
 use charm_obs::{Observation, Recorder};
 
 /// The three measurable network operations of the methodology (§V-A).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NetOp {
     /// Asynchronous send; elapsed time = send software overhead.
     AsyncSend,

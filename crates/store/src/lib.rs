@@ -14,8 +14,8 @@
 //!   in the run directory;
 //! * [`store`] — [`Store`]: `open` / `put_run` / `get` / `list` / `gc`,
 //!   plus [`CheckpointSession`], the [`CheckpointSink`] the engine's
-//!   `Campaign::store` builder hook writes shard segments through (and
-//!   `Campaign::resume` replays from);
+//!   `Campaign::store` builder hook writes shard segments through and
+//!   replays them from;
 //! * [`diff`] — [`RunDiff`]: two runs aligned by design cell, with
 //!   metadata drift, per-cell count/mean/median shifts, and a
 //!   bit-exactness verdict;

@@ -764,7 +764,7 @@ fn records_body(factor_names: &[String], records: &[RawRecord]) -> String {
 }
 
 /// The checkpoint sink for one campaign's run directory: what
-/// `Campaign::store` writes through and `Campaign::resume` reads from.
+/// `Campaign::store` writes segments through and replays them from.
 /// Segments are mini campaign CSVs carrying their own provenance
 /// (`plan_hash`, target identity, geometry, shard clock, records
 /// digest) so a stale, foreign or tampered segment is rejected rather
@@ -784,9 +784,9 @@ impl CheckpointSession {
     }
 
     /// Whether this run directory holds any checkpoint segments — i.e.
-    /// an earlier campaign for the same key was interrupted mid-run. A
-    /// restarted service uses this to decide whether a submission should
-    /// resume (`Campaign::resume`) instead of starting from row zero.
+    /// an earlier campaign for the same key was interrupted mid-run, so
+    /// running it again replays them. A service uses this to announce a
+    /// submission as a resume before the run starts.
     pub fn has_segments(&self) -> bool {
         let checkpoints = self.dir.join("checkpoints");
         fs::read_dir(&checkpoints).ok().is_some_and(|entries| {

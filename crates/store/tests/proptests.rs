@@ -85,8 +85,8 @@ proptest! {
             .unwrap();
 
         // Kill a strict subset of the batch checkpoints (never all of
-        // them — that is just a fresh run; possibly none — a resume
-        // with nothing to do).
+        // them — that is just a fresh run; possibly none — a rerun
+        // with nothing to measure).
         let mask = kill_bits % ((1u64 << nbatches) - 1);
         let checkpoints =
             dir.join("runs").join(session.run_id().as_str()).join("checkpoints");
@@ -104,7 +104,6 @@ proptest! {
             .shards(shards)
             .seed(seed)
             .store(&session)
-            .resume(true)
             .run()
             .unwrap()
             .data;

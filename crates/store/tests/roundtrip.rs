@@ -293,14 +293,8 @@ fn checkpointed_run_through_real_store_resumes_bit_identical() {
     std::fs::remove_file(&segment).unwrap();
 
     let target = NetworkTarget::new("taurus", presets::taurus_openmpi_tcp(23));
-    let resumed = Campaign::new(&plan, target)
-        .shards(3)
-        .seed(23)
-        .store(&session)
-        .resume(true)
-        .run()
-        .unwrap()
-        .data;
+    let resumed =
+        Campaign::new(&plan, target).shards(3).seed(23).store(&session).run().unwrap().data;
     // Byte-identical CSVs: the strongest form of "same campaign".
     assert_eq!(fresh.to_csv(), resumed.to_csv());
     std::fs::remove_dir_all(&dir).ok();
@@ -515,13 +509,7 @@ fn foreign_platform_segment_is_rejected_on_resume() {
         .unwrap();
     }
     let target = NetworkTarget::new("taurus", presets::taurus_openmpi_tcp(47));
-    let err = Campaign::new(&plan, target)
-        .shards(2)
-        .seed(47)
-        .store(&session_b)
-        .resume(true)
-        .run()
-        .unwrap_err();
+    let err = Campaign::new(&plan, target).shards(2).seed(47).store(&session_b).run().unwrap_err();
     assert!(err.to_string().contains("different target"), "{err}");
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -550,13 +538,7 @@ fn tampered_segment_value_is_rejected_on_resume() {
     std::fs::write(&segment, lines.join("\n") + "\n").unwrap();
 
     let target = NetworkTarget::new("taurus", presets::taurus_openmpi_tcp(53));
-    let err = Campaign::new(&plan, target)
-        .shards(2)
-        .seed(53)
-        .store(&session)
-        .resume(true)
-        .run()
-        .unwrap_err();
+    let err = Campaign::new(&plan, target).shards(2).seed(53).store(&session).run().unwrap_err();
     assert!(err.to_string().contains("digest"), "{err}");
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -670,14 +652,8 @@ fn cancelled_campaign_leaves_segments_but_no_manifest_and_resumes() {
     // A restarted service resumes off those segments and archives a
     // campaign byte-identical to an uninterrupted run.
     let target = NetworkTarget::new("taurus", presets::taurus_openmpi_tcp(43));
-    let resumed = Campaign::new(&plan, target)
-        .shards(4)
-        .seed(43)
-        .store(&session)
-        .resume(true)
-        .run()
-        .unwrap()
-        .data;
+    let resumed =
+        Campaign::new(&plan, target).shards(4).seed(43).store(&session).run().unwrap().data;
     assert_eq!(fresh.to_csv(), resumed.to_csv());
     let id = store.put_run(&key_of(&plan, 43, 4), "bench", "", &resumed, None).unwrap();
     assert_eq!(&id, session.run_id());
