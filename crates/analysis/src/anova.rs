@@ -1,7 +1,7 @@
 //! Fixed-effects analysis of variance for factor screening.
 //!
 //! The Figure 13 diagram answers "which factors influence the response?"
-//! — Design-of-Experiments methodology (Montgomery, the paper's [24])
+//! — Design-of-Experiments methodology (Montgomery, the paper's ref. 24)
 //! answers it quantitatively with ANOVA. Given a replicated design's raw
 //! records grouped by a factor's levels, one-way ANOVA partitions the
 //! total variance into between-level and within-level parts; the effect

@@ -169,7 +169,7 @@ impl Problem {
 /// observations. The number of segments is *free* up to
 /// `config.max_breaks + 1`, chosen by penalized SSE.
 ///
-/// The result is bit-identical to [`reference`] with
+/// The result is bit-identical to [`reference()`] with
 /// [`PrefixOls::sse`] (DESIGN.md §19): the DP visits the same candidates
 /// with the same arithmetic, but evaluates each stretch's SSE once for
 /// all segment counts.

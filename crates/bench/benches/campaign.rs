@@ -34,8 +34,7 @@ fn network_plan() -> ExperimentPlan {
         .factor(Factor::new("op", vec!["async_send", "blocking_recv", "ping_pong"]))
         .factor(Factor::new("size", sizes))
         .replicates(50)
-        .build()
-        .unwrap();
+        .build();
     plan.shuffle(SEED);
     plan
 }
@@ -55,8 +54,7 @@ fn memory_plan() -> ExperimentPlan {
         .factor(Factor::new("stride", vec![2i64]))
         .factor(Factor::new("nloops", vec![100i64]))
         .replicates(240)
-        .build()
-        .unwrap();
+        .build();
     plan.shuffle(SEED);
     plan
 }

@@ -31,8 +31,7 @@ fn network_plan() -> ExperimentPlan {
         .factor(Factor::new("op", vec!["async_send", "blocking_recv", "ping_pong"]))
         .factor(Factor::new("size", sizes))
         .replicates(50)
-        .build()
-        .unwrap();
+        .build();
     plan.shuffle(SEED);
     plan
 }

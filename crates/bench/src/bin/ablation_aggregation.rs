@@ -26,8 +26,7 @@ fn run() -> std::io::Result<()> {
         .factor(Factor::new("size_bytes", vec![8192i64, 16384]))
         .factor(Factor::new("nloops", vec![40i64]))
         .replicates(150)
-        .build()
-        .unwrap();
+        .build();
     plan.shuffle(seed);
     let mut target = MemoryTarget::new(
         "arm-rt",

@@ -20,8 +20,7 @@ fn campaign(randomize: bool, seed: u64) -> charm_engine::record::Campaign {
         .factor(Factor::new("op", vec!["ping_pong"]))
         .factor(Factor::new("size", sizes))
         .replicates(20)
-        .build()
-        .unwrap();
+        .build();
     if randomize {
         plan.shuffle(seed);
     } else {

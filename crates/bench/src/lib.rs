@@ -48,9 +48,9 @@ pub(crate) fn results_dir(out: Option<&Path>) -> io::Result<PathBuf> {
     Ok(dir)
 }
 
-/// Writes an artifact file into the results directory (see
-/// [`results_dir`]; `out` is the `--out` flag) and reports its path on
-/// stdout. The error names the path that could not be written.
+/// Writes an artifact file into the results directory (`out`, the
+/// `--out` flag, when given, else the workspace `results/`; created on
+/// demand) and reports its path on stdout. The error names the path that could not be written.
 pub fn write_artifact(out: Option<&Path>, name: &str, contents: &str) -> io::Result<PathBuf> {
     let path = results_dir(out)?.join(name);
     fs::write(&path, contents).map_err(|e| cannot_write(&path, e))?;

@@ -3,7 +3,7 @@
 //!
 //! The figure specs need no file: `charm_core` embeds the committed
 //! `benchmarks/{fig04,fig07,pchase}.toml`, and `--benchmark` replaces
-//! that text ([`read`]). `run_campaign` has no built-in design, so it
+//! that text (`read`). `run_campaign` has no built-in design, so it
 //! reads and resolves its spec here ([`load`]).
 //!
 //! Every binary distinguishes these failure classes so CI and scripts
@@ -66,7 +66,7 @@ pub fn bad_spec(detail: impl std::fmt::Display) -> ExitCode {
 }
 
 /// Classifies a campaign-time [`TargetError`] into the taxonomy: engine
-/// subprocess death is [`EXIT_ENGINE`]; unknown target names are spec
+/// subprocess death is `EXIT_ENGINE` (4); unknown target names are spec
 /// bugs ([`EXIT_BAD_SPEC`]); everything else — timeouts, protocol
 /// violations, I/O — is [`EXIT_TARGET`].
 pub fn exit_for(e: &TargetError) -> ExitCode {

@@ -266,11 +266,15 @@ fn the_environment_sets_neither_the_seed_nor_the_output_directory() {
 fn bad_platforms_and_usage_exit_2() {
     let dir = Scratch::new("usage");
     let plan = dir.write("plan.dsl", SMOKE_PLAN);
+    // 65536^4 = 2^64 rows: one more than usize holds on 64-bit hosts
+    let huge = ["a", "b", "c", "d"].map(|f| format!("factor {f} from 1 to 65536 step 1\n"));
+    let huge = dir.write("huge.dsl", &huge.concat());
     let out = dir.join("out");
     for args in [
         vec![plan.as_str(), "plan9", "--out", path(&out)],
         vec![plan.as_str(), "--out", path(&out)],
         vec![path(&dir.join("missing.dsl")), "taurus", "--out", path(&out)],
+        vec![huge.as_str(), "taurus", "--out", path(&out)],
     ] {
         let result = run_campaign(&args);
         assert_eq!(result.status.code(), Some(2), "{args:?}");

@@ -135,8 +135,7 @@ mod tests {
             .factor(Factor::new("op", vec!["async_send", "blocking_recv", "ping_pong"]))
             .factor(Factor::new("size", sizes))
             .replicates(3)
-            .build()
-            .unwrap();
+            .build();
         plan.shuffle(1);
         let mut sim = presets::taurus_openmpi_tcp(1);
         sim.set_noise(NoiseModel::silent(0));

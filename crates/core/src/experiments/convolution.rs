@@ -60,8 +60,7 @@ fn whitebox_model(seed: u64) -> Result<NetworkModel, CharmError> {
         .factor(Factor::new("op", vec!["async_send", "blocking_recv", "ping_pong"]))
         .factor(Factor::new("size", sizes))
         .replicates(6)
-        .build()
-        .expect("static plan");
+        .build();
     plan.shuffle(seed);
     let mut target = NetworkTarget::new("taurus", presets::taurus_openmpi_tcp(seed));
     let campaign = charm_engine::Campaign::new(&plan, &mut target).seed(seed).run()?.data;
@@ -77,8 +76,7 @@ fn opaque_model(seed: u64) -> Result<NetworkModel, CharmError> {
         .factor(Factor::new("op", vec!["async_send", "blocking_recv", "ping_pong"]))
         .factor(Factor::new("size", sizes))
         .replicates(6)
-        .build()
-        .expect("static plan");
+        .build();
     // sequential order, as the opaque loop of Figure 2 does
     let mut target = NetworkTarget::new("taurus", presets::taurus_openmpi_tcp(seed));
     let campaign = charm_engine::Campaign::new(&plan, &mut target).run()?.data;
@@ -137,7 +135,7 @@ fn truth(sim: &NetworkSim, app: &AppSignature) -> f64 {
 /// # Panics
 ///
 /// When a model fit fails, as the white-box one does at some seeds
-/// ([`try_run`] returns that as an error instead).
+/// (`try_run` returns that as an error instead).
 pub fn run(seed: u64) -> ConvolutionStudy {
     try_run(seed).unwrap_or_else(|e| panic!("convolution (seed {seed}): {e}"))
 }

@@ -51,12 +51,12 @@ pub struct Fig04 {
     pub breakpoints: Vec<u64>,
 }
 
-/// Runs [`SPEC`] with `n_sizes` log-uniform sizes × `reps` replicates.
+/// Runs the embedded `benchmarks/fig04.toml` spec with `n_sizes` log-uniform sizes × `reps` replicates.
 ///
 /// # Panics
 ///
 /// When the fit fails: a regime that draws too few distinct sizes
-/// ([`from_spec`] returns that as an error instead).
+/// (`from_spec` returns that as an error instead).
 pub fn run(seed: u64, n_sizes: usize, reps: u32) -> Fig04 {
     let params = [
         ("n_sizes".to_string(), n_sizes.to_string()),

@@ -38,7 +38,8 @@ pub struct Fig07 {
     pub l2_bytes: u64,
 }
 
-/// Runs [`SPEC`] with `reps` repetitions per point.
+/// Runs the embedded `benchmarks/fig07.toml` spec with `reps`
+/// repetitions per point.
 pub fn run(seed: u64, reps: u32) -> Fig07 {
     from_spec(SPEC, seed, &[("repetitions".to_string(), reps.to_string())])
         .unwrap_or_else(|e| panic!("fig07 (seed {seed}): {e}"))

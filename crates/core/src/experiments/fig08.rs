@@ -39,8 +39,7 @@ pub fn run(seed: u64, reps: u32) -> Fig08 {
         .factor(Factor::new("stride", vec![2i64, 4, 8]))
         .factor(Factor::new("nloops", vec![60i64]))
         .replicates(reps)
-        .build()
-        .expect("static plan");
+        .build();
     let mut target = MemoryTarget::new(
         "pentium4-timeshare",
         MachineSim::new(

@@ -54,8 +54,7 @@ pub fn run(seed: u64, reps: u32) -> Fig09 {
         .factor(Factor::new("unroll", vec![false, true]))
         .factor(Factor::new("nloops", vec![400i64]))
         .replicates(reps)
-        .build()
-        .expect("static plan");
+        .build();
     let mut target = MemoryTarget::new(
         "i7-2600",
         MachineSim::new(

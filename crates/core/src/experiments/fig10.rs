@@ -52,8 +52,7 @@ pub fn run(seed: u64, reps: u32) -> Fig10 {
         .factor(Factor::new("size_bytes", sizes))
         .factor(Factor::new("nloops", NLOOPS_FACETS.to_vec()))
         .replicates(reps)
-        .build()
-        .expect("static plan");
+        .build();
     let mut target = MemoryTarget::new(
         "i7-ondemand",
         MachineSim::new(

@@ -46,8 +46,7 @@ pub fn run(seed: u64) -> Fig11 {
         .factor(Factor::new("size_bytes", sizes))
         .factor(Factor::new("nloops", vec![40i64]))
         .replicates(42)
-        .build()
-        .expect("static plan");
+        .build();
     let mut target = MemoryTarget::new(
         "arm-rt",
         MachineSim::new(

@@ -47,7 +47,6 @@ fn paging_plan() -> charm_design::plan::ExperimentPlan {
         .factor(Factor::new("nloops", vec![300i64]))
         .replicates(42)
         .build()
-        .expect("static plan")
 }
 
 fn analyze_run(seed: u64, campaign: Campaign) -> Run {

@@ -146,8 +146,7 @@ mod tests {
             .factor(Factor::new("stride", vec![2i64]))
             .factor(Factor::new("nloops", vec![800i64]))
             .replicates(5)
-            .build()
-            .unwrap();
+            .build();
         plan.shuffle(seed);
         let mut target = MemoryTarget::new(
             "opteron",

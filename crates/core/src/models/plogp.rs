@@ -121,8 +121,7 @@ mod tests {
             .factor(Factor::new("op", vec!["async_send", "blocking_recv", "ping_pong"]))
             .factor(Factor::new("size", sizes))
             .replicates(5)
-            .build()
-            .unwrap();
+            .build();
         plan.shuffle(seed);
         let mut sim = presets::taurus_openmpi_tcp(seed);
         if silent {

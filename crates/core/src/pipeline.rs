@@ -135,8 +135,7 @@ mod tests {
             .factor(Factor::new("op", vec!["ping_pong"]))
             .factor(Factor::new("size", vec![512i64, 4096, 65536]))
             .replicates(12)
-            .build()
-            .unwrap();
+            .build();
         Study::new(plan).randomized(5)
     }
 
@@ -145,8 +144,7 @@ mod tests {
         let base = FullFactorial::new()
             .factor(Factor::new("size", vec![1i64, 2, 3, 4, 5, 6]))
             .replicates(2)
-            .build()
-            .unwrap();
+            .build();
         let a = Study::new(base.clone()).randomized(1);
         let b = Study::new(base.clone());
         assert_ne!(a.plan.rows(), b.plan.rows());
@@ -188,8 +186,7 @@ mod tests {
             .factor(Factor::new("op", vec!["ping_pong"]))
             .factor(Factor::new("size", vec![1024i64]))
             .replicates(200)
-            .build()
-            .unwrap();
+            .build();
         let mut target = NetworkTarget::new("noisy", sim);
         let campaign = Study::new(plan).randomized(1).run(&mut target).unwrap();
         let cells = analyze_cells(&campaign, &["size"]);
@@ -227,8 +224,7 @@ mod tests {
         let plan = FullFactorial::new()
             .factor(Factor::new("op", vec!["ping_pong"]))
             .factor(Factor::new("size", vec![64i64]))
-            .build()
-            .unwrap();
+            .build();
         let mut target = NetworkTarget::new("m", presets::myrinet_gm(1));
         let c = Study::new(plan).run(&mut target).unwrap();
         assert_eq!(c.metadata["order"], "sequential");

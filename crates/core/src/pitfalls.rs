@@ -214,8 +214,7 @@ mod tests {
             .factor(Factor::new("size_bytes", vec![4096i64, 8192, 12288, 16384]))
             .factor(Factor::new("nloops", vec![20i64]))
             .replicates(60)
-            .build()
-            .unwrap();
+            .build();
         plan.shuffle(seed);
         let mut target = MemoryTarget::new(
             "arm-rt",
@@ -244,8 +243,7 @@ mod tests {
         let mut plan = FullFactorial::new()
             .factor(Factor::new("size_bytes", vec![4096i64, 8192]))
             .replicates(40)
-            .build()
-            .unwrap();
+            .build();
         plan.shuffle(3);
         let mut target = MemoryTarget::new(
             "arm-quiet",
@@ -319,8 +317,7 @@ mod tests {
             .factor(Factor::new("op", vec!["ping_pong"]))
             .factor(Factor::new("size", vec![512i64, 2048, 8192]))
             .replicates(200)
-            .build()
-            .unwrap();
+            .build();
         plan.shuffle(4);
         let mut target = NetworkTarget::new("bursty", sim);
         let campaign = charm_engine::Campaign::new(&plan, &mut target).seed(4).run().unwrap().data;

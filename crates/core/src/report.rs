@@ -199,8 +199,7 @@ mod tests {
             .factor(Factor::new("op", vec!["async_send", "blocking_recv", "ping_pong"]))
             .factor(Factor::new("size", sizes))
             .replicates(8)
-            .build()
-            .unwrap();
+            .build();
         let mut sim = presets::taurus_openmpi_tcp(seed);
         if bursty {
             sim.set_noise(NoiseModel::new(
@@ -265,8 +264,7 @@ mod tests {
             .factor(Factor::new("size_bytes", vec![16 * 1024i64, 48 * 1024, 512 * 1024, 4 << 20]))
             .factor(Factor::new("nloops", vec![500i64]))
             .replicates(4)
-            .build()
-            .unwrap();
+            .build();
         let mut target = MemoryTarget::new(
             "opteron",
             MachineSim::new(

@@ -74,8 +74,7 @@ mod tests {
             .factor(Factor::new("stride", vec![1i64, 2]))
             .factor(Factor::new("nloops", vec![500i64, 501])) // near-inert
             .replicates(6)
-            .build()
-            .unwrap();
+            .build();
         let mut target = MemoryTarget::new(
             "opteron",
             MachineSim::new(
@@ -112,8 +111,7 @@ mod tests {
             .factor(Factor::new("size_bytes", vec![8192i64, 16384]))
             .factor(Factor::new("nloops", vec![100i64]))
             .replicates(4)
-            .build()
-            .unwrap();
+            .build();
         let mut target = MemoryTarget::new(
             "arm",
             MachineSim::new(

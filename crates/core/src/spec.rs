@@ -810,6 +810,25 @@ order = \"randomized\"
     }
 
     #[test]
+    fn a_design_whose_row_count_overflows_usize_is_refused() {
+        // 65536^4 = 2^64 rows: one more than usize holds on 64-bit hosts
+        let factors = ["a", "b", "c", "d"]
+            .map(|f| {
+                format!("[factors.{f}]\ngenerator = \"range\"\nfrom = 1\nto = 65536\nstep = 1\n")
+            })
+            .concat();
+        let spec = BenchmarkSpec::parse(&format!(
+            "[benchmark]\nname = \"huge\"\n[target]\nmodel = \"network\"\npreset = \"taurus\"\n{factors}"
+        ))
+        .unwrap();
+        let e = spec.resolve(0, &[]).unwrap_err();
+        assert!(
+            e.message.starts_with("factor expansion failed: ") && e.message.contains("rows"),
+            "{e}"
+        );
+    }
+
+    #[test]
     fn dsl_lowers_into_the_same_representation() {
         let r = ResolvedBenchmark::from_dsl(
             "factor op in [a, b]\nfactor size from 8 to 24 step 8\nreplicates 2\norder randomized 42\n",

@@ -9,7 +9,7 @@
 //!
 //! This module computes per-cell empirical quantile bands over retained
 //! raw data ([`VariabilityProfile`]) and names the cells whose band is
-//! wide ([`VariabilityProfile::volatile_cells`]).
+//! wide (`VariabilityProfile::volatile_cells`).
 
 use charm_analysis::descriptive::Summary;
 use charm_analysis::ecdf::Ecdf;
@@ -93,8 +93,7 @@ mod tests {
             .factor(Factor::new("op", vec!["blocking_recv"]))
             .factor(Factor::new("size", sizes))
             .replicates(40)
-            .build()
-            .unwrap();
+            .build();
         let mut target = NetworkTarget::new("taurus", presets::taurus_openmpi_tcp(seed));
         Study::new(plan).randomized(seed).run(&mut target).unwrap()
     }

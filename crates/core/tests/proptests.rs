@@ -19,8 +19,7 @@ fn quick_model(seed: u64) -> NetworkModel {
         .factor(Factor::new("op", vec!["async_send", "blocking_recv", "ping_pong"]))
         .factor(Factor::new("size", sizes))
         .replicates(3)
-        .build()
-        .unwrap();
+        .build();
     plan.shuffle(seed);
     let mut sim = presets::taurus_openmpi_tcp(seed);
     sim.set_noise(NoiseModel::silent(0));

@@ -32,10 +32,16 @@ pub struct Design {
 impl Design {
     /// Expands the design into its plan: every combination times every
     /// replicate, then ordered.
+    ///
+    /// # Errors
+    ///
+    /// [`PlanError::TooManyRows`] when the row count overflows `usize`;
+    /// nothing is allocated then.
     pub fn expand(&self) -> Result<ExperimentPlan, PlanError> {
         let full =
             FullFactorial { factors: self.factors.clone(), replicates: self.replicates.max(1) };
-        let mut plan = full.build()?;
+        full.size().ok_or(PlanError::TooManyRows)?;
+        let mut plan = full.build();
         match self.order {
             Order::AsDeclared => {}
             Order::Sequential => plan = plan.sequential(),
@@ -64,8 +70,7 @@ pub fn range_levels(from: i64, to: i64, step: i64) -> Option<Vec<Level>> {
 ///     .factor(Factor::new("size_kb", vec![1usize, 2, 4, 8]))
 ///     .factor(Factor::new("stride", vec![1usize, 2]))
 ///     .replicates(3)
-///     .build()
-///     .unwrap();
+///     .build();
 /// assert_eq!(plan.len(), 4 * 2 * 3);
 /// ```
 #[derive(Debug, Clone, Default)]
@@ -92,22 +97,34 @@ impl FullFactorial {
         self
     }
 
-    /// Total number of rows the built plan will have.
-    pub(crate) fn size(&self) -> usize {
-        self.factors.iter().map(Factor::cardinality).product::<usize>() * self.replicates as usize
+    /// Total number of rows the built plan will have, or `None` when
+    /// that count overflows `usize`. A factor without levels makes it 0.
+    pub(crate) fn size(&self) -> Option<usize> {
+        let mut counts =
+            self.factors.iter().map(Factor::cardinality).chain([self.replicates as usize]);
+        if counts.clone().any(|n| n == 0) {
+            return Some(0);
+        }
+        counts.try_fold(1, usize::checked_mul)
     }
 
     /// Builds the plan in *systematic* order (replicates innermost). Call
     /// [`ExperimentPlan::shuffle`] afterwards — the methodology demands it.
-    pub fn build(self) -> Result<ExperimentPlan, PlanError> {
+    ///
+    /// This is the only constructor of a plan outside this crate's tests,
+    /// and it interns: every replicate of a combination shares one
+    /// [`Levels`] tuple.
+    ///
+    /// # Panics
+    ///
+    /// When the row count overflows `usize`, as `Vec::with_capacity`
+    /// would; [`Design::expand`] refuses such a design with an error.
+    pub fn build(self) -> ExperimentPlan {
         let names = self.factors.iter().map(|f| f.name.clone()).collect::<Vec<_>>();
-        let mut rows = Vec::with_capacity(self.size());
+        let len = self.size().expect("a plan's row count fits in usize");
+        let mut rows = Vec::with_capacity(len);
         let cards: Vec<usize> = self.factors.iter().map(Factor::cardinality).collect();
-        if cards.contains(&0) {
-            // a factor without levels yields an empty plan
-            return ExperimentPlan::new(names, Vec::new());
-        }
-        let combos: usize = cards.iter().product();
+        let combos = len.checked_div(self.replicates as usize).unwrap_or(0);
         for idx in 0..combos {
             // mixed-radix decomposition of idx over factor cardinalities
             let mut rem = idx;
@@ -138,8 +155,7 @@ mod tests {
         let plan = FullFactorial::new()
             .factor(Factor::new("a", vec![1i64, 2, 3]))
             .factor(Factor::new("b", vec!["x", "y"]))
-            .build()
-            .unwrap();
+            .build();
         assert_eq!(plan.len(), 6);
         // every (a, b) combination appears exactly once
         let mut seen = std::collections::HashSet::new();
@@ -153,11 +169,8 @@ mod tests {
 
     #[test]
     fn replicates_multiply_rows() {
-        let plan = FullFactorial::new()
-            .factor(Factor::new("a", vec![1i64, 2]))
-            .replicates(5)
-            .build()
-            .unwrap();
+        let plan =
+            FullFactorial::new().factor(Factor::new("a", vec![1i64, 2])).replicates(5).build();
         assert_eq!(plan.len(), 10);
         // replicate indices 0..5 for each level
         for lvl in [1i64, 2] {
@@ -175,7 +188,7 @@ mod tests {
 
     #[test]
     fn empty_factor_list_gives_single_empty_combo() {
-        let plan = FullFactorial::new().replicates(3).build().unwrap();
+        let plan = FullFactorial::new().replicates(3).build();
         assert_eq!(plan.len(), 3);
         assert!(plan.rows()[0].levels.is_empty());
     }
@@ -185,8 +198,7 @@ mod tests {
         let plan = FullFactorial::new()
             .factor(Factor::new("a", Vec::<i64>::new()))
             .factor(Factor::new("b", vec![1i64]))
-            .build()
-            .unwrap();
+            .build();
         assert!(plan.is_empty());
     }
 
@@ -196,17 +208,13 @@ mod tests {
             .factor(Factor::new("a", vec![1i64, 2, 3, 4]))
             .factor(Factor::new("b", vec![1i64, 2, 3]))
             .replicates(7);
-        assert_eq!(ff.size(), 84);
-        assert_eq!(ff.build().unwrap().len(), 84);
+        assert_eq!(ff.size(), Some(84));
+        assert_eq!(ff.build().len(), 84);
     }
 
     #[test]
     fn zero_replicates_clamped_to_one() {
-        let plan = FullFactorial::new()
-            .factor(Factor::new("a", vec![1i64]))
-            .replicates(0)
-            .build()
-            .unwrap();
+        let plan = FullFactorial::new().factor(Factor::new("a", vec![1i64])).replicates(0).build();
         assert_eq!(plan.len(), 1);
     }
 
@@ -222,8 +230,7 @@ mod tests {
             .factor(Factor::new("a", vec![3i64, 1, 2]))
             .factor(Factor::new("b", vec!["x", "y"]))
             .replicates(2)
-            .build()
-            .unwrap();
+            .build();
         assert_eq!(declared, built);
         assert_eq!(design(Order::Sequential).expand().unwrap(), built.sequential());
         let mut shuffled = built.clone();
@@ -248,8 +255,7 @@ mod tests {
             .factor(Factor::new("size_kb", vec![1usize, 2, 4, 8]))
             .factor(Factor::new("stride", vec![1usize, 2]))
             .replicates(3)
-            .build()
-            .unwrap();
+            .build();
         assert_eq!(plan.factor_names(), &["size_kb".to_string(), "stride".to_string()]);
         assert_eq!(plan.len(), 24);
     }

@@ -270,11 +270,23 @@ mod tests {
 
     #[test]
     fn compiled_plan_feeds_the_engine_shape() {
-        // the DSL output is a normal plan: CSV round-trip works
+        // the DSL output is a normal plan: named columns, one row per
+        // combination and replicate, in declared order
         let plan =
             compile("factor op in [ping_pong]\nfactor size from 64 to 256 step 64\nreplicates 2\n")
                 .unwrap();
-        let back = crate::plan::ExperimentPlan::from_csv(&plan.to_csv()).unwrap();
-        assert_eq!(plan, back);
+        assert_eq!(plan.factor_names(), ["op", "size"]);
+        assert_eq!(plan.len(), 4 * 2);
+        assert!(plan.to_csv().starts_with("op,size,replicate\nping_pong,64,0\nping_pong,64,1\n"));
+    }
+
+    #[test]
+    fn a_design_whose_row_count_overflows_usize_is_refused() {
+        // 65536^4 = 2^64 rows: one more than usize holds on 64-bit hosts
+        let text =
+            ["a", "b", "c", "d"].map(|f| format!("factor {f} from 1 to 65536 step 1\n")).concat();
+        let e = compile(&text).unwrap_err();
+        assert!(e.message.contains("rows"), "{e}");
+        assert!(parse(&text).is_ok(), "the design itself is well formed");
     }
 }

@@ -114,22 +114,25 @@ impl From<bool> for Level {
     }
 }
 
-/// A shared, immutable level tuple: one design cell's levels stored
-/// once, referenced by every record of that cell.
+/// A shared, immutable level tuple: one factor combination's levels
+/// stored once, referenced by every replicate of that combination.
 ///
 /// This is the unit of the columnar record pipeline (DESIGN.md §18):
-/// the engine interns one `Levels` per distinct plan cell, and each
-/// record holds a reference into that table — so building, forking,
-/// merging, filtering, and grouping records costs a refcount bump per
-/// row instead of a `Vec` allocation plus a `String` clone per `Text`
-/// level. Dereferences to `[Level]`, so indexing and iteration read
-/// exactly like the `Vec<Level>` it replaced.
+/// [`FullFactorial::build`] interns one `Levels` per factor
+/// combination, every replicate's plan row holds a reference to it, and
+/// the engine copies that reference into each record — so building,
+/// forking, merging, filtering, and grouping records costs a refcount
+/// bump per row instead of a `Vec` allocation plus a `String` clone per
+/// `Text` level. Dereferences to `[Level]`, so indexing and iteration
+/// read exactly like the `Vec<Level>` it replaced.
+///
+/// [`FullFactorial::build`]: crate::doe::FullFactorial::build
 #[derive(Debug, Clone)]
 pub struct Levels(Arc<[Level]>);
 
 impl Levels {
     /// A stable identity of the shared allocation: two `Levels` with
-    /// equal ids are the *same* interned tuple. The converse does not
+    /// equal ids are the *same* tuple. The converse does not
     /// hold — independently built tuples may still be equal by content
     /// — so this is a grouping fast path, never an equality substitute.
     pub fn shared_id(&self) -> usize {

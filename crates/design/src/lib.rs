@@ -10,9 +10,13 @@
 //!
 //! * [`factors`] — typed factors and levels;
 //! * [`plan`] — experiment plans (ordered lists of factor combinations with
-//!   replicate indices) and their CSV round-trip, the text file handed to
-//!   the measurement engine;
-//! * [`doe`] — full-factorial construction and replication;
+//!   replicate indices), the artifact handed to the measurement engine,
+//!   and their CSV rendering, which the campaign archive hashes;
+//! * [`doe`] — full-factorial construction and replication, the only way
+//!   to build a plan, and the [`doe::Design`] both plan front ends lower
+//!   into;
+//! * [`dsl`] — the experiment-description language that compiles to a
+//!   plan;
 //! * [`sampling`] — message-size distributions: the paper's log-uniform
 //!   `10^X, X ~ U(log10 a, log10 b)` (Eq. 1) and the *biased* ladders
 //!   (powers of two, linear increments) that opaque tools use;

@@ -1,11 +1,18 @@
 //! Experiment plans: the ordered, randomized list of factor combinations
 //! the measurement engine executes.
 //!
-//! The plan is serialized to a simple CSV text file — "the resulting
-//! combinations …, one per line, are registered in a text file that is
-//! provided to the measurement engine" (paper §V-A). Keeping the design as
-//! an explicit artifact (rather than loops inside the benchmark binary) is
-//! what separates stage 1 from stage 2.
+//! "The resulting combinations …, one per line, are registered in a text
+//! file that is provided to the measurement engine" (paper §V-A). Here
+//! that hand-off is a value, not a file: [`FullFactorial::build`]
+//! (reached through [`Design::expand`] from the DSL and from
+//! charm-spec/1) is the only way to construct a plan, and the engine
+//! runs the result as it is. [`ExperimentPlan::to_csv`] renders the same
+//! text the paper describes, which the campaign archive hashes to key a
+//! run. Keeping the design as an explicit artifact (rather than loops
+//! inside the benchmark binary) is what separates stage 1 from stage 2.
+//!
+//! [`FullFactorial::build`]: crate::doe::FullFactorial::build
+//! [`Design::expand`]: crate::doe::Design::expand
 
 use crate::factors::{Level, Levels};
 use rand::seq::SliceRandom;
@@ -18,11 +25,11 @@ use std::fmt::Write as _;
 /// One row of an experiment plan: a full assignment of factor levels plus
 /// the replicate index within its combination.
 ///
-/// The level tuple is an interned [`Levels`] — the DOE builder and the
-/// CSV parser hand every replicate of a design cell the *same* shared
+/// The level tuple is an interned [`Levels`]: the DOE builder hands
+/// every replicate of a factor combination the *same* shared
 /// allocation, so cloning a row (shuffling, sharding, recording) is a
-/// refcount bump and the engine's record pipeline can resolve cells by
-/// pointer identity instead of re-hashing level contents per row.
+/// refcount bump, and the engine copies that reference into each
+/// record as it is.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlanRow {
     /// Values for each factor, ordered as in [`ExperimentPlan::factor_names`].
@@ -31,30 +38,22 @@ pub struct PlanRow {
     pub replicate: u32,
 }
 
-/// Errors arising when constructing or parsing a plan.
+/// Why a design cannot be expanded into a plan.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PlanError {
-    /// A row has a different number of level values than there are factors.
-    ArityMismatch {
-        /// Expected number of columns.
-        expected: usize,
-        /// Number found.
-        got: usize,
-    },
-    /// The CSV input was empty or missing a header.
-    MissingHeader,
-    /// A named factor does not exist in this plan.
-    UnknownFactor(String),
+    /// The design's row count — the product of the factors' level
+    /// counts times the replicates — does not fit in `usize`.
+    TooManyRows,
 }
 
 impl fmt::Display for PlanError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            PlanError::ArityMismatch { expected, got } => {
-                write!(f, "row has {got} values, expected {expected}")
-            }
-            PlanError::MissingHeader => write!(f, "missing CSV header"),
-            PlanError::UnknownFactor(name) => write!(f, "unknown factor {name:?}"),
+            PlanError::TooManyRows => write!(
+                f,
+                "the design expands to more than {} rows (levels per factor multiplied, times replicates)",
+                usize::MAX
+            ),
         }
     }
 }
@@ -69,17 +68,10 @@ pub struct ExperimentPlan {
 }
 
 impl ExperimentPlan {
-    /// Creates a plan with the given factor names and rows.
-    pub fn new(factor_names: Vec<String>, rows: Vec<PlanRow>) -> Result<Self, PlanError> {
-        for row in &rows {
-            if row.levels.len() != factor_names.len() {
-                return Err(PlanError::ArityMismatch {
-                    expected: factor_names.len(),
-                    got: row.levels.len(),
-                });
-            }
-        }
-        Ok(ExperimentPlan { factor_names, rows })
+    /// Creates a plan with the given factor names and rows; every row
+    /// holds one level per factor.
+    pub(crate) fn new(factor_names: Vec<String>, rows: Vec<PlanRow>) -> Self {
+        ExperimentPlan { factor_names, rows }
     }
 
     /// The factor names, in column order.
@@ -124,10 +116,11 @@ impl ExperimentPlan {
     /// Serializes the plan as CSV: header of factor names plus
     /// `replicate`, one row per line.
     ///
-    /// Each design cell's level prefix is rendered once and memoised by
+    /// Each combination's level prefix is rendered once and memoised by
     /// [`Levels::shared_id`], so the replicates of an interned cell copy
-    /// bytes instead of re-formatting levels. Rows built without
-    /// interning simply miss the memo; the bytes are the same either way.
+    /// bytes instead of re-formatting levels. Two combinations with equal
+    /// levels (a factor that lists a level twice) each render their own
+    /// prefix; the bytes are the same either way.
     pub fn to_csv(&self) -> String {
         let mut out = String::new();
         out.push_str(&self.factor_names.join(","));
@@ -142,43 +135,6 @@ impl ExperimentPlan {
             writeln!(out, "{}", row.replicate).expect("writing to a String cannot fail");
         }
         out
-    }
-
-    /// Parses a plan from its CSV representation.
-    pub fn from_csv(text: &str) -> Result<Self, PlanError> {
-        let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-        let header = lines.next().ok_or(PlanError::MissingHeader)?;
-        let mut cols: Vec<String> = header.split(',').map(|s| s.trim().to_string()).collect();
-        if cols.last().map(String::as_str) != Some("replicate") {
-            return Err(PlanError::MissingHeader);
-        }
-        cols.pop();
-        let ncols = cols.len();
-        let mut rows = Vec::new();
-        // Intern level tuples while parsing: shuffled plans repeat each
-        // cell once per replicate, and `Level::parse` is deterministic,
-        // so the pre-parse field text identifies the tuple exactly.
-        let mut interned: HashMap<String, Levels> = HashMap::new();
-        for line in lines {
-            let fields: Vec<&str> = line.split(',').map(str::trim).collect();
-            if fields.len() != ncols + 1 {
-                return Err(PlanError::ArityMismatch { expected: ncols + 1, got: fields.len() });
-            }
-            let key = fields[..ncols].join(",");
-            let levels = match interned.get(&key) {
-                Some(l) => l.clone(),
-                None => {
-                    let fresh: Levels = fields[..ncols].iter().map(|s| Level::parse(s)).collect();
-                    interned.insert(key, fresh.clone());
-                    fresh
-                }
-            };
-            let replicate = fields[ncols]
-                .parse::<u32>()
-                .map_err(|_| PlanError::ArityMismatch { expected: ncols + 1, got: fields.len() })?;
-            rows.push(PlanRow { levels, replicate });
-        }
-        ExperimentPlan::new(cols, rows)
     }
 }
 
@@ -242,7 +198,7 @@ mod tests {
             doe =
                 doe.factor(Factor { name: format!("f{f}"), levels: random_levels(&mut rng, kind) });
         }
-        let mut plan = doe.build().unwrap();
+        let mut plan = doe.build();
         plan.shuffle(seed);
         if interned {
             return plan;
@@ -252,7 +208,7 @@ mod tests {
             .iter()
             .map(|r| PlanRow { levels: r.levels.to_vec().into(), replicate: r.replicate })
             .collect();
-        ExperimentPlan::new(plan.factor_names().to_vec(), rows).unwrap()
+        ExperimentPlan::new(plan.factor_names().to_vec(), rows)
     }
 
     proptest! {
@@ -266,12 +222,7 @@ mod tests {
             interned in any::<bool>(),
         ) {
             let plan = random_plan(seed, n_factors, reps, interned);
-            let csv = plan.to_csv();
-            prop_assert_eq!(&csv, &reference::to_csv(&plan));
-            if n_factors > 0 {
-                let back = ExperimentPlan::from_csv(&csv).unwrap();
-                prop_assert_eq!(back.to_csv(), csv);
-            }
+            prop_assert_eq!(plan.to_csv(), reference::to_csv(&plan));
         }
     }
 
@@ -281,24 +232,7 @@ mod tests {
             PlanRow { levels: vec![Level::Int(1), Level::Text("a".into())].into(), replicate: 1 },
             PlanRow { levels: vec![Level::Int(2), Level::Text("b".into())].into(), replicate: 0 },
         ];
-        ExperimentPlan::new(vec!["size".into(), "mode".into()], rows).unwrap()
-    }
-
-    #[test]
-    fn arity_checked_on_construction() {
-        let bad = vec![PlanRow { levels: vec![Level::Int(1)].into(), replicate: 0 }];
-        assert!(matches!(
-            ExperimentPlan::new(vec!["a".into(), "b".into()], bad),
-            Err(PlanError::ArityMismatch { expected: 2, got: 1 })
-        ));
-    }
-
-    #[test]
-    fn csv_roundtrip() {
-        let p = small_plan();
-        let csv = p.to_csv();
-        let q = ExperimentPlan::from_csv(&csv).unwrap();
-        assert_eq!(p, q);
+        ExperimentPlan::new(vec!["size".into(), "mode".into()], rows)
     }
 
     #[test]
@@ -331,7 +265,7 @@ mod tests {
         // with 20 rows, collision of two seeded shuffles is essentially nil
         let rows: Vec<PlanRow> =
             (0..20).map(|i| PlanRow { levels: vec![Level::Int(i)].into(), replicate: 0 }).collect();
-        let base = ExperimentPlan::new(vec!["i".into()], rows).unwrap();
+        let base = ExperimentPlan::new(vec!["i".into()], rows);
         let mut a = base.clone();
         let mut b = base;
         a.shuffle(1);
@@ -348,12 +282,5 @@ mod tests {
         let mut expected = sizes.clone();
         expected.sort_unstable();
         assert_eq!(sizes, expected);
-    }
-
-    #[test]
-    fn from_csv_rejects_garbage() {
-        assert!(ExperimentPlan::from_csv("").is_err());
-        assert!(ExperimentPlan::from_csv("a,b\n1,2\n").is_err()); // no replicate col
-        assert!(ExperimentPlan::from_csv("a,replicate\n1\n").is_err()); // short row
     }
 }

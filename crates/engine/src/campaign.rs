@@ -29,11 +29,9 @@ use crate::checkpoint::{CheckpointSink, ShardCheckpoint};
 use crate::meta::MetadataBuilder;
 use crate::record::{Campaign as CampaignData, RawRecord};
 use crate::target::{Assignment, ParallelTarget, Target, TargetError};
-use charm_design::factors::{Level, Levels};
 use charm_design::plan::ExperimentPlan;
 use charm_obs::{CampaignReport, Counters, Observation, Observer, Span};
 use charm_trace::{Profiler, WallSpan};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -82,108 +80,11 @@ pub fn batch_bounds(rows: usize, workers: usize) -> Vec<(usize, usize)> {
     bounds
 }
 
-/// FNV-1a over a level tuple's stable encoding (discriminant byte plus
-/// payload bytes, text terminated so `("ab","c")` and `("a","bc")`
-/// differ). Used to bucket plan rows during interning.
-fn fnv_word(h: u64, w: u64) -> u64 {
-    (h ^ w).wrapping_mul(0x100_0000_01b3)
-}
-
-/// FNV-style mix over `bytes` a word at a time (a length word up front
-/// keeps prefixes distinct), called once per plan row — byte-at-a-time
-/// mixing was measurable on the campaign hot path.
-fn fnv_bytes(mut h: u64, bytes: &[u8]) -> u64 {
-    h = fnv_word(h, bytes.len() as u64);
-    let mut chunks = bytes.chunks_exact(8);
-    for c in &mut chunks {
-        h = fnv_word(h, u64::from_le_bytes(c.try_into().expect("chunk of 8")));
-    }
-    let mut tail = 0u64;
-    for &b in chunks.remainder() {
-        tail = tail << 8 | u64::from(b);
-    }
-    fnv_word(h, tail)
-}
-
-fn levels_hash(levels: &[Level]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for l in levels {
-        h = match l {
-            Level::Int(v) => fnv_word(fnv_word(h, 0), *v as u64),
-            Level::Float(v) => fnv_word(fnv_word(h, 1), v.to_bits()),
-            Level::Text(s) => fnv_bytes(fnv_word(h, 2), s.as_bytes()),
-            Level::Flag(b) => fnv_word(fnv_word(h, 3), *b as u64),
-        };
-    }
-    h
-}
-
 /// How many times the guided geometry stepped its batch size down — the
 /// `engine.scheduler.splits` diagnostic: how much finer the scheduler
 /// carved the tail than the head.
 fn scheduler_splits(bounds: &[(usize, usize)]) -> u64 {
     bounds.windows(2).filter(|w| (w[1].1 - w[1].0) < (w[0].1 - w[0].0)).count() as u64
-}
-
-/// Identity hasher for `intern_rows`' bucket map: its keys are already
-/// FNV-mixed `u64`s, so running SipHash on top would pay the hash cost
-/// twice per plan row.
-#[derive(Default)]
-struct PremixedHasher(u64);
-
-impl std::hash::Hasher for PremixedHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("bucket keys are u64");
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.0 = v;
-    }
-
-    fn write_usize(&mut self, v: usize) {
-        self.0 = v as u64;
-    }
-}
-
-/// Builds the interned level table (DESIGN.md §18): one shared
-/// [`Levels`] tuple per *distinct design cell*, and a per-row reference
-/// into it. Every record the run produces clones one of these
-/// references — a refcount bump — instead of deep-copying the row's
-/// levels; downstream `group_by` resolves cells by shared identity.
-fn intern_rows(plan: &ExperimentPlan) -> Vec<Levels> {
-    // Plans already carry interned tuples (the DOE builder and the CSV
-    // parser share one allocation across a cell's replicates), so the
-    // common case is a pointer-keyed memo hit. The content-hash buckets
-    // below only run once per distinct allocation, and exist to merge
-    // equal-by-content tuples from hand-built plans into one canonical
-    // `Levels` — group_by's shared-identity contract requires it.
-    let mut by_id: HashMap<usize, Levels, std::hash::BuildHasherDefault<PremixedHasher>> =
-        HashMap::default();
-    let mut buckets: HashMap<u64, Vec<Levels>, std::hash::BuildHasherDefault<PremixedHasher>> =
-        HashMap::default();
-    plan.rows()
-        .iter()
-        .map(|row| {
-            if let Some(t) = by_id.get(&row.levels.shared_id()) {
-                return t.clone();
-            }
-            let bucket = buckets.entry(levels_hash(&row.levels)).or_default();
-            let canonical = match bucket.iter().find(|t| **t == row.levels) {
-                Some(t) => t.clone(),
-                None => {
-                    let fresh = row.levels.clone();
-                    bucket.push(fresh.clone());
-                    fresh
-                }
-            };
-            by_id.insert(row.levels.shared_id(), canonical.clone());
-            canonical
-        })
-        .collect()
 }
 
 /// For every `X.hits`/`X.misses` pair in `diag`, derives
@@ -295,14 +196,13 @@ impl<'p, T: Target> Campaign<'p, T> {
         {
             let _execute_span =
                 self.profiler.span_on("engine", "engine.execute").arg("rows", self.plan.len());
-            let interned = intern_rows(self.plan);
             for (sequence, row) in self.plan.rows().iter().enumerate() {
                 if self.cancel.is_cancelled() {
                     return Err(TargetError::Cancelled);
                 }
                 let m = self.target.measure(&Assignment::new(self.plan, row))?;
                 records.push(RawRecord {
-                    levels: interned[sequence].clone(),
+                    levels: row.levels.clone(),
                     replicate: row.replicate,
                     sequence: sequence as u64,
                     start_us: m.start_us,
@@ -445,7 +345,6 @@ fn replay_batch(
 /// clock and RNG stream, so it cannot change values.
 fn run_batch<T: ParallelTarget>(
     plan: &ExperimentPlan,
-    interned: &[Levels],
     mut target: T,
     observer: Option<&Observer>,
     sink: Option<&dyn CheckpointSink>,
@@ -458,10 +357,10 @@ fn run_batch<T: ParallelTarget>(
     target.skip_to(span.lo as u64);
     let mut records = Vec::with_capacity(span.hi - span.lo);
     let rows = &plan.rows()[span.lo..span.hi];
-    for (offset, (row, levels)) in rows.iter().zip(&interned[span.lo..span.hi]).enumerate() {
+    for (offset, row) in rows.iter().enumerate() {
         let m = target.measure(&Assignment::new(plan, row))?;
         records.push(RawRecord {
-            levels: levels.clone(),
+            levels: row.levels.clone(),
             replicate: row.replicate,
             sequence: (span.lo + offset) as u64,
             start_us: m.start_us,
@@ -505,10 +404,10 @@ impl<'p, T: ParallelTarget> ShardedCampaign<'p, T> {
         self
     }
 
-    /// Attaches a cooperative [`CancelToken`] (see
-    /// [`Campaign::cancel_token`]). Workers check the token each time
-    /// they go to claim a batch, so a fired token stops the campaign
-    /// after at most one in-flight batch per worker — and because
+    /// Attaches a cooperative [`CancelToken`]; keep a clone of the
+    /// token to cancel from another thread. Workers check the token
+    /// each time they go to claim a batch, so a fired token stops the
+    /// campaign after at most one in-flight batch per worker — and because
     /// checkpoints flush per finished batch, a cancelled stored campaign
     /// leaves only whole, resumable segments behind.
     pub fn cancel_token(mut self, cancel: CancelToken) -> Self {
@@ -623,7 +522,6 @@ impl<'p, T: ParallelTarget> ShardedCampaign<'p, T> {
         // pays and coarse where it does not.
         let bounds = batch_bounds(n, workers);
         let nbatches = bounds.len();
-        let interned = intern_rows(plan);
         // Stored segments can be replayed only where no observation is
         // owed: checkpoints retain records, not counter streams.
         let replay_from = sink.filter(|_| observer.is_none());
@@ -639,8 +537,8 @@ impl<'p, T: ParallelTarget> ShardedCampaign<'p, T> {
                 .enumerate()
                 .map(|(w, proto)| {
                     let profiler = profiler.clone();
-                    let (next, abort, bounds, observer, cancel, interned) =
-                        (&next, &abort, &bounds, &observer, &cancel, &interned);
+                    let (next, abort, bounds, observer, cancel) =
+                        (&next, &abort, &bounds, &observer, &cancel);
                     scope.spawn(move || {
                         let mut batches: Vec<(usize, Result<BatchYield, TargetError>)> = Vec::new();
                         let (mut steals, mut replayed) = (0u64, 0usize);
@@ -671,22 +569,18 @@ impl<'p, T: ParallelTarget> ShardedCampaign<'p, T> {
                                     .arg("rows", hi - lo)
                             });
                             let span = BatchSpan { batch: b, batches: bounds.len(), lo, hi };
-                            let result =
-                                match replay_from.map_or(Ok(None), |s| replay_batch(s, span)) {
-                                    Ok(Some(stored)) => {
-                                        replayed += 1;
-                                        Ok(stored)
-                                    }
-                                    Ok(None) => run_batch(
-                                        plan,
-                                        interned,
-                                        proto.fork(seed),
-                                        observer.as_ref(),
-                                        sink,
-                                        span,
-                                    ),
-                                    Err(e) => Err(e),
-                                };
+                            let result = match replay_from
+                                .map_or(Ok(None), |s| replay_batch(s, span))
+                            {
+                                Ok(Some(stored)) => {
+                                    replayed += 1;
+                                    Ok(stored)
+                                }
+                                Ok(None) => {
+                                    run_batch(plan, proto.fork(seed), observer.as_ref(), sink, span)
+                                }
+                                Err(e) => Err(e),
+                            };
                             let failed = result.is_err();
                             batches.push((b, result));
                             if failed {
@@ -844,7 +738,7 @@ mod tests {
     use super::*;
     use crate::target::{MemoryTarget, NetworkTarget};
     use charm_design::doe::FullFactorial;
-    use charm_design::Factor;
+    use charm_design::{Factor, Level, Levels};
     use charm_simmem::dvfs::GovernorPolicy;
     use charm_simmem::machine::{CpuSpec, MachineSim};
     use charm_simmem::paging::AllocPolicy;
@@ -856,8 +750,7 @@ mod tests {
             .factor(Factor::new("op", vec!["ping_pong", "async_send", "blocking_recv"]))
             .factor(Factor::new("size", vec![64i64, 1024, 16384, 262144]))
             .replicates(reps)
-            .build()
-            .unwrap();
+            .build();
         plan.shuffle(seed);
         plan
     }
@@ -902,8 +795,7 @@ mod tests {
             .factor(Factor::new("size_bytes", vec![4096i64, 8192]))
             .factor(Factor::new("stride", vec![1i64, 2]))
             .replicates(2)
-            .build()
-            .unwrap();
+            .build();
         let target = MemoryTarget::new(
             "opteron",
             MachineSim::new(
@@ -936,8 +828,7 @@ mod tests {
         let plan = FullFactorial::new()
             .factor(Factor::new("op", vec!["nonsense"]))
             .factor(Factor::new("size", vec![1i64]))
-            .build()
-            .unwrap();
+            .build();
         let target = NetworkTarget::new("x", presets::myrinet_gm(1));
         assert!(Campaign::new(&plan, target).run().is_err());
     }
@@ -948,14 +839,42 @@ mod tests {
             .factor(Factor::new("op", vec!["ping_pong"]))
             .factor(Factor::new("size", vec![64i64, 512]))
             .replicates(5)
-            .build()
-            .unwrap();
+            .build();
         plan.shuffle(2);
         let target = NetworkTarget::new("t", presets::taurus_openmpi_tcp(2));
         let campaign = Campaign::new(&plan, target).seed(2).run().unwrap().data;
         let groups = campaign.group_by(&["size"]);
         assert_eq!(groups.len(), 2);
         assert!(groups.iter().all(|(_, vs)| vs.len() == 5));
+    }
+
+    #[test]
+    fn a_level_listed_twice_groups_with_its_twin() {
+        // The two 64 combinations hold separate but equal tuples: they
+        // run as themselves and group as one.
+        let mut plan = FullFactorial::new()
+            .factor(Factor::new("op", vec!["ping_pong"]))
+            .factor(Factor::new("size", vec![64i64, 64, 4096]))
+            .replicates(4)
+            .build();
+        plan.shuffle(6);
+        let run = |shards| {
+            let target = NetworkTarget::new("t", presets::taurus_openmpi_tcp(6));
+            Campaign::new(&plan, target).shards(shards).seed(6).run().unwrap().data
+        };
+        let (sequential, sharded) = (run(1), run(3));
+        // start_us is rebuilt from per-shard clocks, so it is left out
+        let rows = |c: &CampaignData| {
+            let rows = c.records.iter();
+            rows.map(|r| (r.levels.to_vec(), r.replicate, r.sequence, r.value.to_bits()))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(rows(&sequential), rows(&sharded));
+        for campaign in [&sequential, &sharded] {
+            let groups = campaign.group_by(&["size"]);
+            assert_eq!(groups.len(), 2);
+            assert_eq!(groups.iter().find(|(k, _)| k[0] == Level::Int(64)).unwrap().1.len(), 8);
+        }
     }
 
     #[test]
@@ -1081,8 +1000,7 @@ mod tests {
             .factor(Factor::new("size_bytes", vec![4096i64, 16384, 65536, 262144]))
             .factor(Factor::new("stride", vec![1i64, 4]))
             .replicates(4)
-            .build()
-            .unwrap();
+            .build();
         plan.shuffle(8);
         let sequential =
             Campaign::new(&plan, MemoryTarget::new("arm", arm_machine(21))).seed(8).run().unwrap();
@@ -1151,8 +1069,7 @@ mod tests {
             .factor(Factor::new("op", vec!["nonsense"]))
             .factor(Factor::new("size", vec![64i64]))
             .replicates(6)
-            .build()
-            .unwrap();
+            .build();
         let target = NetworkTarget::new("m", presets::myrinet_gm(1));
         let err = Campaign::new(&plan, target).shards(3).run().unwrap_err();
         assert!(matches!(err, TargetError::BadFactor { name: "op", .. }));
@@ -1220,8 +1137,7 @@ mod tests {
         let plan = FullFactorial::new()
             .factor(Factor::new("size_bytes", vec![8192i64]))
             .replicates(4)
-            .build()
-            .unwrap();
+            .build();
         let mk = || {
             MemoryTarget::new(
                 "i7",
@@ -1239,8 +1155,7 @@ mod tests {
         // one shard is always fine: it is just the sequential run
         assert!(Campaign::new(&plan, mk()).shards(1).run().is_ok());
         // so is any request on a one-row plan: it clamps to one worker
-        let one_row =
-            FullFactorial::new().factor(Factor::new("size_bytes", vec![8192i64])).build().unwrap();
+        let one_row = FullFactorial::new().factor(Factor::new("size_bytes", vec![8192i64])).build();
         assert!(Campaign::new(&one_row, mk()).shards(2).run().is_ok());
     }
 
@@ -1250,8 +1165,7 @@ mod tests {
             .factor(Factor::new("size_bytes", vec![4096i64, 16384, 65536]))
             .factor(Factor::new("stride", vec![1i64, 4]))
             .replicates(3)
-            .build()
-            .unwrap();
+            .build();
         plan.shuffle(31);
         let run_with = |shards: usize| {
             let target = MemoryTarget::new("arm", arm_machine(21));
@@ -1373,8 +1287,7 @@ mod tests {
             .factor(Factor::new("size_bytes", vec![4096i64, 16384, 65536]))
             .factor(Factor::new("stride", vec![1i64, 4]))
             .replicates(4)
-            .build()
-            .unwrap();
+            .build();
         plan.shuffle(43);
         let machine = MachineSim::new(
             CpuSpec::arm_snowball(),

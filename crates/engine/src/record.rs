@@ -17,10 +17,10 @@ use std::fmt::Write as _;
 /// One raw measurement.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RawRecord {
-    /// Factor levels, ordered as in [`Campaign::factor_names`]. A
-    /// shared reference into the campaign's interned level table
-    /// (DESIGN.md §18): records of one design cell point at one tuple,
-    /// so cloning a record never deep-copies levels.
+    /// Factor levels, ordered as in [`Campaign::factor_names`]. The
+    /// engine copies the plan row's shared tuple here (DESIGN.md §18):
+    /// every replicate of a combination points at one tuple, so cloning
+    /// a record never deep-copies levels.
     pub levels: Levels,
     /// Replicate index within the factor combination.
     pub replicate: u32,
@@ -143,14 +143,14 @@ impl Campaign {
     /// Groups record values by the levels of the given factors, keyed by
     /// the rendered level tuple. Order of groups follows first appearance.
     ///
-    /// Keys are built once per *distinct interned tuple*, not once per
-    /// record: records sharing a [`Levels`] allocation (every campaign
-    /// the engine produces) resolve their group through a shared-id
-    /// memo, so the per-record cost is a pointer lookup instead of a
-    /// `Vec<Level>` clone plus a linear key scan. Campaigns whose
-    /// records were built without interning still group correctly —
-    /// the memo is a fast path over content equality, never a
-    /// substitute for it.
+    /// Keys are built once per *distinct tuple*, not once per record:
+    /// records sharing a [`Levels`] allocation (every replicate of a
+    /// combination the engine runs) resolve their group through a
+    /// shared-id memo, so the per-record cost is a pointer lookup
+    /// instead of a `Vec<Level>` clone plus a linear key scan. Equal
+    /// levels held in separate tuples (a factor listing a level twice,
+    /// records built by hand) still land in one group — the memo is a
+    /// fast path over content equality, never a substitute for it.
     pub fn group_by(&self, factors: &[&str]) -> Vec<(Vec<Level>, Vec<f64>)> {
         let idxs: Vec<usize> = factors.iter().filter_map(|f| self.factor_index(f)).collect();
         let mut order: Vec<Vec<Level>> = Vec::new();
@@ -236,8 +236,7 @@ impl Campaign {
     /// Each row splits off only its four fixed columns (from the right);
     /// the factor fields before them are parsed once per distinct field
     /// text and interned, so every record of a design cell shares one
-    /// [`Levels`] — cell identity ⇔ tuple identity (DESIGN.md §18) holds
-    /// for parsed campaigns too, not only for consecutive rows. A row
+    /// [`Levels`] (DESIGN.md §18), consecutive rows or not. A row
     /// with the wrong field count or a non-numeric fixed column is a
     /// [`CampaignParseError::BadRow`] naming the line.
     pub fn from_csv(text: &str) -> Result<Self, CampaignParseError> {
@@ -395,7 +394,7 @@ mod tests {
             doe =
                 doe.factor(Factor { name: format!("f{f}"), levels: random_levels(&mut rng, kind) });
         }
-        let mut plan = doe.build().unwrap();
+        let mut plan = doe.build();
         plan.shuffle(seed);
         let records = plan
             .rows()

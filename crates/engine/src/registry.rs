@@ -80,8 +80,8 @@ pub enum TargetSpec {
         program: String,
         /// Arguments, after `$param` substitution.
         args: Vec<String>,
-        /// Per-frame deadline in ms; `None` means
-        /// [`DEFAULT_EXTERNAL_TIMEOUT_MS`].
+        /// Per-frame deadline in ms; `None` means the default,
+        /// 10 000 ms.
         timeout_ms: Option<u64>,
         /// Platform label; defaults to the program's file stem.
         label: Option<String>,

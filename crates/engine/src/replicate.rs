@@ -59,7 +59,6 @@ mod tests {
             .factor(Factor::new("size", vec![512i64, 4096, 32768]))
             .replicates(6)
             .build()
-            .unwrap()
     }
 
     #[test]
@@ -101,8 +100,7 @@ mod tests {
         let bad_plan = FullFactorial::new()
             .factor(Factor::new("op", vec!["nonsense"]))
             .factor(Factor::new("size", vec![64i64]))
-            .build()
-            .unwrap();
+            .build();
         let result = run_replicated(&bad_plan, &[1, 2], |seed| {
             NetworkTarget::new("m", presets::myrinet_gm(seed))
         });

@@ -535,7 +535,6 @@ mod tests {
             .factor(Factor::new("op", vec!["ping_pong", "async_send"]))
             .factor(Factor::new("size", vec![64i64, 4096]))
             .build()
-            .unwrap()
     }
 
     #[test]
@@ -554,8 +553,7 @@ mod tests {
         let plan = FullFactorial::new()
             .factor(Factor::new("op", vec!["warp_drive"]))
             .factor(Factor::new("size", vec![64i64]))
-            .build()
-            .unwrap();
+            .build();
         let mut t = NetworkTarget::new("x", presets::myrinet_gm(1));
         let err = t.measure(&Assignment::new(&plan, &plan.rows()[0])).unwrap_err();
         assert!(matches!(err, TargetError::BadFactor { name: "op", .. }));
@@ -563,7 +561,7 @@ mod tests {
 
     #[test]
     fn network_target_missing_factor() {
-        let plan = FullFactorial::new().factor(Factor::new("size", vec![64i64])).build().unwrap();
+        let plan = FullFactorial::new().factor(Factor::new("size", vec![64i64])).build();
         let mut t = NetworkTarget::new("x", presets::myrinet_gm(1));
         let err = t.measure(&Assignment::new(&plan, &plan.rows()[0])).unwrap_err();
         assert_eq!(err, TargetError::MissingFactor("op"));
@@ -577,8 +575,7 @@ mod tests {
             .factor(Factor::new("width", vec!["64b_long_long"]))
             .factor(Factor::new("unroll", vec![true]))
             .factor(Factor::new("nloops", vec![10i64]))
-            .build()
-            .unwrap();
+            .build();
         let mut t = MemoryTarget::new(
             "i7",
             MachineSim::new(
@@ -596,8 +593,7 @@ mod tests {
 
     #[test]
     fn memory_target_defaults_optional_factors() {
-        let plan =
-            FullFactorial::new().factor(Factor::new("size_bytes", vec![4096i64])).build().unwrap();
+        let plan = FullFactorial::new().factor(Factor::new("size_bytes", vec![4096i64])).build();
         let mut t = MemoryTarget::new(
             "arm",
             MachineSim::new(
@@ -613,8 +609,7 @@ mod tests {
 
     #[test]
     fn memory_target_validates_values() {
-        let plan =
-            FullFactorial::new().factor(Factor::new("size_bytes", vec![0i64])).build().unwrap();
+        let plan = FullFactorial::new().factor(Factor::new("size_bytes", vec![0i64])).build();
         let mut t = MemoryTarget::new(
             "arm",
             MachineSim::new(

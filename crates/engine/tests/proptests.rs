@@ -26,8 +26,7 @@ fn plan_of(sizes: Vec<i64>, reps: u32, shuffle_seed: Option<u64>) -> ExperimentP
         .factor(Factor::new("op", vec!["ping_pong"]))
         .factor(Factor::new("size", sizes))
         .replicates(reps)
-        .build()
-        .unwrap();
+        .build();
     if let Some(seed) = shuffle_seed {
         plan.shuffle(seed);
     }
@@ -188,8 +187,7 @@ fn mem_plan(sizes: Vec<i64>, reps: u32, shuffle_seed: u64) -> ExperimentPlan {
         .factor(Factor::new("size_bytes", sizes))
         .factor(Factor::new("stride", vec![1i64, 4]))
         .replicates(reps)
-        .build()
-        .unwrap();
+        .build();
     plan.shuffle(shuffle_seed);
     plan
 }
@@ -387,8 +385,7 @@ fn wide_plan_of(
             levels: dedup(negatives.iter().map(|&n| Level::Int(n)).collect()),
         })
         .replicates(reps)
-        .build()
-        .unwrap();
+        .build();
     plan.shuffle(seed);
     plan
 }

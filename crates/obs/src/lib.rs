@@ -476,7 +476,7 @@ impl std::error::Error for JsonlError {}
 
 /// Minimal JSON formatting and parsing for the report schema: objects
 /// whose values are strings, numbers, booleans, arrays or nested
-/// objects (`attrs`), at most [`json::MAX_DEPTH`] levels deep. `null`
+/// objects (`attrs`), at most 32 levels deep. `null`
 /// is not part of the dialect.
 ///
 /// Public so downstream crates that share the no-external-JSON policy
@@ -749,8 +749,9 @@ pub mod json {
 /// [`Recorder`] on (e.g. the analysis crate's dynamic-programming
 /// segmentation search).
 ///
-/// Disabled by default; [`enable`] switches the current thread on and
-/// [`take`] drains and disables again. Instrumented hot loops should
+/// Disabled by default; [`enable`](process::enable) switches the
+/// current thread on and [`take`](process::take) drains and disables
+/// again. Instrumented hot loops should
 /// accumulate locally and flush once per call.
 pub mod process {
     use super::Counters;

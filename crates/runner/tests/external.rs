@@ -27,7 +27,6 @@ fn small_plan() -> charm_design::ExperimentPlan {
         .factor(Factor::new("size", vec![64i64, 4096]))
         .replicates(2)
         .build()
-        .unwrap()
 }
 
 #[test]

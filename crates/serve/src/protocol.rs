@@ -125,7 +125,7 @@ pub enum Request {
     /// Opens the connection: protocol version plus the tenant the
     /// connection's submissions are accounted to.
     Hello {
-        /// Must equal [`PROTOCOL`].
+        /// Must equal the protocol version, `charm-serve/1`.
         proto: String,
         /// Client-supplied tenant ID (quota accounting key).
         tenant: String,
@@ -234,7 +234,7 @@ impl Request {
 pub enum Event {
     /// Handshake answer.
     Hello {
-        /// Echoes [`PROTOCOL`].
+        /// Echoes the protocol version, `charm-serve/1`.
         proto: String,
         /// Server software identifier.
         server: String,

@@ -143,11 +143,8 @@ mod tests {
     fn scratch_session(tag: &str) -> (tempish::Dir, Store, CheckpointSession) {
         let dir = tempish::Dir::new(tag);
         let store = Store::open(dir.path()).unwrap();
-        let plan = FullFactorial::new()
-            .factor(Factor::new("size", vec![64i64]))
-            .replicates(4)
-            .build()
-            .unwrap();
+        let plan =
+            FullFactorial::new().factor(Factor::new("size", vec![64i64])).replicates(4).build();
         let session = store.session(&plan, "t#0", Some(1), 2).unwrap();
         (dir, store, session)
     }

@@ -110,11 +110,24 @@ mod tests {
 
     #[test]
     fn bad_inputs_reject_as_bad_plan() {
+        // 65536^4 = 2^64 rows: one more than usize holds on 64-bit hosts
+        let axes = ["a", "b", "c", "d"];
+        let huge_dsl = axes.map(|f| format!("factor {f} from 1 to 65536 step 1\n")).concat();
+        let huge_spec = axes
+            .map(|f| {
+                format!("[factors.{f}]\ngenerator = \"range\"\nfrom = 1\nto = 65536\nstep = 1\n")
+            })
+            .concat();
+        let huge_spec = format!(
+            "[benchmark]\nname = \"x\"\n[target]\nmodel = \"network\"\npreset = \"taurus\"\n{huge_spec}"
+        );
         for (kind, plan, platform) in [
             (PlanKind::Dsl, "factor", "taurus"),   // DSL parse error
             (PlanKind::Dsl, DSL, "plan9"),         // unknown platform
             (PlanKind::Spec, "not = toml =", ""),  // spec parse error
             (PlanKind::Spec, "[benchmark]\n", ""), // incomplete spec
+            (PlanKind::Dsl, &huge_dsl, "taurus"),  // too many rows
+            (PlanKind::Spec, &huge_spec, ""),      // too many rows
         ] {
             let err = prepare(kind, plan, platform, 1).unwrap_err();
             assert_eq!(err.0, RejectReason::BadPlan, "{plan:?}: {}", err.1);

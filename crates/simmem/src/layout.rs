@@ -215,7 +215,7 @@ impl SetIndexer {
     }
 }
 
-/// Reusable scratch for [`ServiceProfile::compute_with`] and
+/// Reusable scratch for `ServiceProfile::compute_with` and
 /// [`profile_segments`]: per-set line counts for the materialising path,
 /// the colour-block tables of the run-based path, and a recycled line
 /// buffer. One instance per simulator amortises every allocation in the
@@ -270,7 +270,7 @@ pub struct PatternSegment<'a> {
 /// Geometries outside those conditions (non-uniform line sizes,
 /// non-power-of-two set counts or lines per page, strides ≥ line) fall
 /// back to materialising the merged pattern and the fused single-pass
-/// [`ServiceProfile::compute_with`].
+/// `ServiceProfile::compute_with`.
 pub fn profile_segments(
     segments: &[PatternSegment<'_>],
     page_bytes: u64,

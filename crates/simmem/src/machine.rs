@@ -432,7 +432,7 @@ impl MachineSim {
     /// different threads share no lock (`DESIGN.md` §14).
     ///
     /// Forks are clone-and-reset, not full reconstructions: the page
-    /// allocator restores its boot snapshot via [`PageAllocator::fork`]
+    /// allocator restores its boot snapshot via `PageAllocator::fork`
     /// (no per-fork pool shuffle when the seed matches, which it always
     /// does for the engine's per-batch forks), and the memo side-car
     /// keeps its interned counter names and scratch capacity. Both are
@@ -679,7 +679,7 @@ impl MachineSim {
     /// Noise-free bandwidth the analytic model predicts for a
     /// configuration at a fixed frequency (the "true" machine signature a
     /// calibration should recover). Uses identity paging (best case);
-    /// memoized under [`PlacementKey::Identity`], which no allocator can
+    /// memoized under an identity-placement key, which no allocator can
     /// produce, so calibration loops stop recomputing the same profile.
     pub fn ideal_bandwidth_mbps(&self, cfg: &KernelConfig, freq_ghz: f64) -> f64 {
         let elem_bytes = cfg.codegen.width.bytes();

@@ -5,7 +5,7 @@
 //! decided by [`crate::paging::PageAllocator`], whose `allocate_at` is
 //! side-effect-free, `MallocPerSize` reuses one fixed placement forever,
 //! and `PooledRandomOffset` slices a fixed block at a start offset — so
-//! the placement is fully identified by a tiny [`PlacementKey`] instead
+//! the placement is fully identified by a tiny `PlacementKey` instead
 //! of the page vector itself. Replicates and repeated design cells
 //! therefore skip pattern resolution and profile computation entirely;
 //! only the governor/scheduler/jitter stage (which carries all the
@@ -16,7 +16,7 @@
 //! are bit-identical with the cache on, off, or at any capacity — see
 //! `DESIGN.md` §13 and the property tests in `tests/fastpath.rs`.
 //!
-//! Every machine owns its [`ProfileCache`]: forks and clones start
+//! Every machine owns its `ProfileCache`: forks and clones start
 //! empty at the parent's capacity (see `DESIGN.md` §14), so campaign
 //! shards never share a lock or a refcount on the per-row path.
 

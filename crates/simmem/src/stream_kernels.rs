@@ -1,6 +1,6 @@
 //! The classic STREAM kernel family over the substrate.
 //!
-//! STREAM (McCalpin 1995, the paper's [23]) defines four kernels — Copy,
+//! STREAM (McCalpin 1995, the paper's ref. 23) defines four kernels — Copy,
 //! Scale, Add, Triad — each touching two or three arrays per element; the
 //! paper's MultiMAPS descends from the single-array read Sum. This module
 //! generalizes the substrate's access model to multi-array kernels:

@@ -102,7 +102,7 @@ pub fn validate_spec(spec: &crate::machine::CpuSpec) -> Option<(usize, u64, u64,
 }
 
 /// Validates the optimised resolve/profile paths against the kept
-/// pre-optimisation implementations ([`reference`]) for a spec: over the
+/// pre-optimisation implementations ([`mod@reference`]) for a spec: over the
 /// same size/stride grid as [`validate_spec`], plus one buffer that is
 /// not a whole number of pages, with both identity and
 /// scrambled paging, the O(lines) resolve must produce the exact line

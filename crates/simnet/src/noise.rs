@@ -92,7 +92,7 @@ impl BurstConfig {
 /// Draws are counter-based (see the module docs): the perturbation of
 /// measurement `i` depends only on `(stream_seed, i)` and the call's
 /// arguments, never on the call history. [`NoiseModel::perturb`] keeps a
-/// running index for sequential use; [`NoiseModel::perturb_at`] addresses
+/// running index for sequential use; `NoiseModel::perturb_at` addresses
 /// an explicit index (what the parallel campaign runner uses).
 #[derive(Debug, Clone)]
 pub struct NoiseModel {

@@ -138,7 +138,7 @@ impl NetworkSim {
     /// A fresh simulator on the same protocol and noise configuration,
     /// drawing from `stream_seed`'s random stream, with clock and
     /// measurement counter reset. Forking with the parent's own
-    /// [`NoiseModel::stream_seed`] reproduces its measurement values.
+    /// [`NetworkSim::stream_seed`] reproduces its measurement values.
     pub fn fork(&self, stream_seed: u64) -> Self {
         NetworkSim {
             protocol: self.protocol.clone(),

@@ -827,14 +827,12 @@ impl CheckpointSink for CheckpointSession {
         segment.push_str(&body);
         let path = self.segment_path(shard, shards);
         write_atomic(&path, segment.as_bytes())
-            .or_else(|e| {
+            .or_else(|_| {
                 // A concurrent `put_run` of this campaign finalized the
-                // run and deleted checkpoints/ under this session:
-                // recreate it and retry once. gc reclaims the stray.
+                // run and deleted checkpoints/ under this session (and
+                // another worker may have recreated it since): make sure
+                // it exists and retry once. gc reclaims the stray.
                 let checkpoints = self.dir.join("checkpoints");
-                if checkpoints.is_dir() {
-                    return Err(e);
-                }
                 fs::create_dir_all(&checkpoints).map_err(|e| io_err(&checkpoints, e))?;
                 write_atomic(&path, segment.as_bytes())
             })
@@ -983,7 +981,7 @@ mod tests {
         for i in 0..n_factors {
             doe = doe.factor(kinds[(first + i) % kinds.len()].clone());
         }
-        let mut plan = doe.build().unwrap();
+        let mut plan = doe.build();
         plan.shuffle(seed);
         plan
     }

@@ -37,8 +37,7 @@ fn plan_of(sizes: &[i64], reps: u32, seed: u64) -> ExperimentPlan {
         .factor(Factor::new("op", vec!["ping_pong", "async_send"]))
         .factor(Factor::new("size", sizes.to_vec()))
         .replicates(reps)
-        .build()
-        .unwrap();
+        .build();
     plan.shuffle(seed);
     plan
 }

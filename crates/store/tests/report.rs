@@ -30,7 +30,6 @@ fn plan() -> ExperimentPlan {
         .factor(Factor::new("size", vec![64i64, 4096]))
         .replicates(8)
         .build()
-        .unwrap()
 }
 
 /// Runs the shared plan against the taurus preset noised by `seed`.

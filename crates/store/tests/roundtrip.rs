@@ -39,8 +39,7 @@ fn plan_of(seed: u64) -> ExperimentPlan {
         .factor(Factor::new("op", vec!["ping_pong", "async_send"]))
         .factor(Factor::new("size", vec![64i64, 4096, 65536]))
         .replicates(3)
-        .build()
-        .unwrap();
+        .build();
     plan.shuffle(seed);
     plan
 }

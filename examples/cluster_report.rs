@@ -27,8 +27,7 @@ fn network_campaign(seed: u64, bursty: bool) -> Campaign {
         .factor(Factor::new("op", vec!["async_send", "blocking_recv", "ping_pong"]))
         .factor(Factor::new("size", sizes))
         .replicates(10)
-        .build()
-        .expect("plan");
+        .build();
     let mut sim = presets::taurus_openmpi_tcp(seed);
     if bursty {
         sim.set_noise(NoiseModel::new(
@@ -47,8 +46,7 @@ fn memory_campaign(seed: u64) -> Campaign {
         .factor(Factor::new("size_bytes", sizes))
         .factor(Factor::new("nloops", vec![500i64]))
         .replicates(6)
-        .build()
-        .expect("plan");
+        .build();
     let mut target = MemoryTarget::new(
         "opteron",
         MachineSim::new(

@@ -35,8 +35,7 @@ fn main() {
             .factor(Factor::new("stride", vec![1i64]))
             .factor(Factor::new("nloops", vec![500i64]))
             .replicates(6)
-            .build()
-            .expect("plan");
+            .build();
         let name = spec.name;
         let mut target = MemoryTarget::new(
             name,

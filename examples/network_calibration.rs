@@ -21,8 +21,7 @@ fn main() {
         .factor(Factor::new("op", vec!["async_send", "blocking_recv", "ping_pong"]))
         .factor(Factor::new("size", sizes))
         .replicates(12)
-        .build()
-        .expect("plan");
+        .build();
     let mut target = NetworkTarget::new("taurus", presets::taurus_openmpi_tcp(7));
     let campaign = Study::new(plan).randomized(7).run(&mut target).expect("campaign");
 

@@ -24,8 +24,7 @@ fn main() {
         .factor(Factor::new("size_bytes", vec![4096i64, 8192, 12288, 16384]))
         .factor(Factor::new("nloops", vec![40i64]))
         .replicates(80)
-        .build()
-        .expect("plan");
+        .build();
     plan.shuffle(3);
     let mut target = MemoryTarget::new(
         "arm-rt",

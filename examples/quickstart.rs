@@ -20,8 +20,7 @@ fn main() {
         .factor(Factor::new("op", vec!["async_send", "blocking_recv", "ping_pong"]))
         .factor(Factor::new("size", sizes))
         .replicates(8)
-        .build()
-        .expect("valid plan");
+        .build();
     let study = Study::new(plan).randomized(42);
 
     // Stage 2 — measurement: raw retention on a (simulated) platform.

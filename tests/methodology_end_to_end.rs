@@ -25,8 +25,7 @@ fn network_campaign(seed: u64) -> Campaign {
         .factor(Factor::new("op", vec!["async_send", "blocking_recv", "ping_pong"]))
         .factor(Factor::new("size", sizes))
         .replicates(6)
-        .build()
-        .unwrap();
+        .build();
     let mut target = NetworkTarget::new("taurus", presets::taurus_openmpi_tcp(seed));
     Study::new(plan).randomized(seed).run(&mut target).unwrap()
 }
@@ -39,8 +38,7 @@ fn memory_campaign(seed: u64) -> Campaign {
         .factor(Factor::new("stride", vec![2i64]))
         .factor(Factor::new("nloops", vec![600i64]))
         .replicates(5)
-        .build()
-        .unwrap();
+        .build();
     let mut target = MemoryTarget::new(
         "opteron",
         MachineSim::new(

@@ -34,8 +34,7 @@ fn memory_plan(seed: u64) -> charm::design::plan::ExperimentPlan {
         .factor(Factor::new("size_bytes", vec![8192i64, 65536, 1 << 20]))
         .factor(Factor::new("nloops", vec![20i64]))
         .replicates(6)
-        .build()
-        .unwrap();
+        .build();
     plan.shuffle(seed);
     plan
 }
@@ -99,8 +98,7 @@ fn network_counters_are_shard_count_invariant() {
         .factor(Factor::new("op", vec!["ping_pong", "async_send"]))
         .factor(Factor::new("size", sizes))
         .replicates(4)
-        .build()
-        .unwrap();
+        .build();
     plan.shuffle(SEED);
     let base = NetworkTarget::new("taurus", presets::taurus_openmpi_tcp(SEED));
     let reference = Campaign::new(&plan, base.fork(base.stream_seed()))

@@ -57,8 +57,7 @@ fn temporal_burst_fools_netgauge_not_the_methodology() {
             .factor(Factor::new("op", vec!["ping_pong"]))
             .factor(Factor::new("size", sizes))
             .replicates(72)
-            .build()
-            .unwrap();
+            .build();
         plan.shuffle(seed);
         let mut sim2 = presets::myrinet_gm(seed);
         sim2.set_noise(bursty_noise(seed + 1000));
@@ -179,8 +178,7 @@ fn multimaps_mean_hides_modes_methodology_splits_them() {
         .factor(Factor::new("size_bytes", vec![8192i64]))
         .factor(Factor::new("nloops", vec![30i64]))
         .replicates(150)
-        .build()
-        .unwrap();
+        .build();
     plan.shuffle(17);
     let mut target = MemoryTarget::new("arm-rt", machine());
     let campaign = charm::engine::Campaign::new(&plan, &mut target).seed(17).run().unwrap().data;

@@ -55,8 +55,7 @@ proptest! {
             .factor(Factor::new("op", vec!["blocking_recv"]))
             .factor(Factor::new("size", sizes))
             .replicates(5)
-            .build()
-            .unwrap();
+            .build();
         let study = Study::new(plan).randomized(seed);
 
         let mut sequential_target =
