@@ -13,7 +13,7 @@
 //! Exit codes: `0` the runs are bit-identical (clean diff), `1` they
 //! differ (the report says how), `2` usage or store error.
 
-use charm_store::{RunId, Store};
+use charm_store::RunId;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -22,12 +22,9 @@ fn main() -> ExitCode {
         eprintln!("usage: store_diff <store_dir> <run_a> <run_b>");
         return ExitCode::from(2);
     }
-    let store = match Store::open(&args[0]) {
+    let store = match charm_bench::open_existing_store(&args[0]) {
         Ok(s) => s,
-        Err(e) => {
-            eprintln!("cannot open store: {e}");
-            return ExitCode::from(2);
-        }
+        Err(code) => return code,
     };
     let parse = |raw: &str| match RunId::parse(raw) {
         Ok(id) => Some(id),

@@ -21,10 +21,13 @@
 //! so external tooling and the CI smoke steps stop scraping columns.
 //! Machine facts appear as a nested object when the manifest records
 //! them (format v3+); pre-v3 manifests simply omit the field.
+//!
+//! A path that is not a store (no `runs/` directory) exits 2 and is
+//! left as it was, `--gc` or not.
 
 use charm_obs::json;
 use charm_store::manifest::seed_str;
-use charm_store::{MachineFacts, Manifest, RunQuery, Store};
+use charm_store::{MachineFacts, Manifest, RunQuery};
 use std::process::ExitCode;
 
 /// One run as a JSONL record.
@@ -79,12 +82,9 @@ fn main() -> ExitCode {
         host: host.map(|h| if h == "current" { MachineFacts::current().host_class() } else { h }),
         ..Default::default()
     };
-    let store = match Store::open(positional[0]) {
+    let store = match charm_bench::open_existing_store(positional[0]) {
         Ok(s) => s,
-        Err(e) => {
-            eprintln!("cannot open store: {e}");
-            return ExitCode::from(2);
-        }
+        Err(code) => return code,
     };
     if gc {
         match store.gc() {

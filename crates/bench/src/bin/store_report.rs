@@ -27,7 +27,7 @@
 //!   digest-verification failure while loading a run.
 
 use charm_analysis::speedup::SpeedupConfig;
-use charm_store::{build_report, RunQuery, Store};
+use charm_store::{build_report, RunQuery};
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: store_report <store_dir> [--out DIR] [--level L] [--reps N] \
@@ -98,12 +98,9 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let store = match Store::open(&args.store_dir) {
+    let store = match charm_bench::open_existing_store(&args.store_dir) {
         Ok(s) => s,
-        Err(e) => {
-            eprintln!("cannot open store: {e}");
-            return ExitCode::from(2);
-        }
+        Err(code) => return code,
     };
     let report = match build_report(&store, &args.query, &args.cfg) {
         Ok(r) => r,

@@ -5,9 +5,8 @@
 //! rows/series into `results/` and printing an ASCII report), each a
 //! shim over the one [`figures`] driver that `all_figures` also runs;
 //! `run_campaign` for DSL plans and declarative specs ([`specload`]);
-//! the store and perf-gate tools; Criterion microbenchmarks of the
-//! substrates and the analysis kernels; and the ablation binaries
-//! DESIGN.md §5 calls for.
+//! the store and perf-gate tools; and the ablation binaries DESIGN.md
+//! §5 calls for.
 //!
 //! Run e.g. `cargo run -p charm-bench --release --bin fig07`.
 
@@ -20,6 +19,7 @@ pub mod figures;
 pub mod profile;
 pub mod specload;
 
+use charm_store::Store;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -74,6 +74,24 @@ pub fn exit_status(written: io::Result<()>) -> ExitCode {
             ExitCode::from(specload::EXIT_TARGET)
         }
     }
+}
+
+/// Opens the campaign store at `dir` for a read-only tool (`store_ls`,
+/// `store_diff`, `store_report`). Unlike [`Store::open`], which creates
+/// the store, a directory without `runs/` is refused, so a mistyped
+/// path creates nothing. On failure the reason is on stderr and the
+/// error is the tools' usage/store exit code, 2.
+pub fn open_existing_store(dir: impl AsRef<Path>) -> Result<Store, ExitCode> {
+    let dir = dir.as_ref();
+    let opened = if dir.join("runs").is_dir() {
+        Store::open(dir).map_err(|e| e.to_string())
+    } else {
+        Err(format!("{}: not a campaign store (no runs/ directory)", dir.display()))
+    };
+    opened.map_err(|e| {
+        eprintln!("cannot open store: {e}");
+        ExitCode::from(2)
+    })
 }
 
 /// The seed every regenerator uses unless `--seed` is given.
