@@ -289,6 +289,19 @@ fn bad_platforms_and_usage_exit_2() {
 }
 
 #[test]
+fn a_buffer_larger_than_the_page_pool_exits_3_naming_size_bytes() {
+    let dir = Scratch::new("over_pool");
+    // the arm pool is 2 MiB
+    let plan = dir.write("over.dsl", "factor size_bytes in [4194304]\nreplicates 6\n");
+    let out = dir.join("out");
+    let result = run_campaign(&[&plan, "arm", "--shards", "4", "--out", path(&out)]);
+    let stderr = String::from_utf8_lossy(&result.stderr);
+    assert_eq!(result.status.code(), Some(3), "{stderr}");
+    assert!(stderr.contains("\"size_bytes\"") && stderr.contains("page pool"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
 fn a_spec_level_a_csv_row_cannot_carry_exits_2_before_measuring() {
     let dir = Scratch::new("csv_level");
     let spec = dir.write(

@@ -448,6 +448,15 @@ impl Target for MemoryTarget {
         if size <= 0 {
             return Err(TargetError::BadFactor { name: "size_bytes", got: size.to_string() });
         }
+        // The buffer is placed in the machine's page pool, which panics on
+        // a buffer it cannot hold.
+        let pool = self.machine.max_buffer_bytes();
+        if size as u64 > pool {
+            return Err(TargetError::BadFactor {
+                name: "size_bytes",
+                got: format!("{size} (larger than the {pool}-byte page pool)"),
+            });
+        }
         let stride = a.int_or("stride", 1)?;
         if stride < 1 {
             return Err(TargetError::BadFactor { name: "stride", got: stride.to_string() });
@@ -624,6 +633,43 @@ mod tests {
             t.measure(&Assignment::new(&plan, &plan.rows()[0])),
             Err(TargetError::BadFactor { name: "size_bytes", .. })
         ));
+    }
+
+    /// The page pool bounds `size_bytes`: a buffer of exactly the pool
+    /// runs, and one byte or one page more is a bad factor, not a panic.
+    #[test]
+    fn memory_target_refuses_a_buffer_larger_than_the_page_pool() {
+        for spec in CpuSpec::all() {
+            for policy in [AllocPolicy::MallocPerSize, AllocPolicy::PooledRandomOffset] {
+                let limit = spec.pool_pages as i64 * spec.page_bytes as i64;
+                let sizes = vec![limit, limit + 1, limit + spec.page_bytes as i64];
+                let plan = FullFactorial::new()
+                    .factor(Factor::new("size_bytes", sizes))
+                    .factor(Factor::new("nloops", vec![1i64]))
+                    .build();
+                let machine = MachineSim::new(
+                    spec.clone(),
+                    GovernorPolicy::Performance,
+                    SchedPolicy::PinnedDefault,
+                    policy,
+                    4,
+                );
+                assert_eq!(machine.max_buffer_bytes(), limit as u64, "{}", spec.name);
+                let mut t = MemoryTarget::new("m", machine);
+                let rows = plan.rows();
+                let measure =
+                    |t: &mut MemoryTarget, i: usize| t.measure(&Assignment::new(&plan, &rows[i]));
+                assert!(measure(&mut t, 0).is_ok(), "{} {policy:?} at the limit", spec.name);
+                for i in [1, 2] {
+                    match measure(&mut t, i) {
+                        Err(TargetError::BadFactor { name: "size_bytes", got }) => {
+                            assert!(got.contains("page pool"), "{got}")
+                        }
+                        other => panic!("{} {policy:?} row {i}: {other:?}", spec.name),
+                    }
+                }
+            }
+        }
     }
 
     #[test]

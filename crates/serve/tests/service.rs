@@ -366,6 +366,29 @@ fn observed_jobs_stream_counters_after_records() {
 }
 
 #[test]
+fn a_buffer_larger_than_the_page_pool_fails_its_job_and_the_worker_serves_on() {
+    let (_scratch, server, addr) = start("over_pool", |c| c.workers = 1);
+    let mut c = Client::connect(&addr, "t1").unwrap();
+    // the arm's page pool is 2 MiB
+    let over = "factor size_bytes in [4194304]\nreplicates 4\n";
+    let failed = c.run(PlanKind::Dsl, over, "arm", 3, 2, false).unwrap().unwrap();
+    match &failed.terminal {
+        Event::Failed { reason, detail, .. } => {
+            assert_eq!(reason, "error");
+            assert!(detail.contains("\"size_bytes\"") && detail.contains("page pool"), "{detail}");
+        }
+        other => panic!("an oversized buffer should fail its job: {other:?}"),
+    }
+    // The one worker survived it: the next job runs to completion.
+    let fits = "factor size_bytes in [4096, 65536]\nreplicates 2\n";
+    let done = c.run(PlanKind::Dsl, fits, "arm", 3, 2, false).unwrap().unwrap();
+    assert!(matches!(&done.terminal, Event::Done { source: Source::Engine, .. }), "{done:?}");
+    assert_eq!(done.rows.len(), 4);
+    assert_eq!(server.metrics().get("serve.jobs_failed"), 1);
+    server.shutdown();
+}
+
+#[test]
 fn a_spec_level_a_csv_row_cannot_carry_is_refused_at_admission() {
     let (_scratch, server, addr) = start("csv_level", |_| {});
     let mut c = Client::connect(&addr, "t1").unwrap();

@@ -17,6 +17,8 @@
 //! [`crate::cache`].
 
 use crate::machine::CacheLevelSpec;
+use crate::memo::PlacementKey;
+use crate::paging::{add_walked, PageAllocator};
 
 /// The access pattern of one kernel pass, physically resolved.
 #[derive(Debug, Clone)]
@@ -236,6 +238,8 @@ pub struct ProfileScratch {
     level_counts: Vec<u64>,
     /// Each level's offset into `level_counts` and its class mask.
     level_at: Vec<(usize, usize)>,
+    /// Lines per serving level: L1 (dropped), deeper levels, DRAM.
+    served: Vec<u64>,
     /// Recycled `line_addrs` buffer for the materialising fallback.
     lines: Vec<u64>,
 }
@@ -265,8 +269,10 @@ pub struct PatternSegment<'a> {
 /// block* `pp mod (N / L)`. A buffer's profile therefore depends only on
 /// how many of its full pages fall in each block plus its one partial
 /// last page: one pass over the pages counts the blocks, and the lines
-/// are classified per block and offset *piece* (see
-/// `try_profile_from_runs`) — no per-line or per-set work at all.
+/// are classified per block and offset *piece* (see `RunGeometry`) — no
+/// per-line or per-set work at all. (A machine's own kernels skip even
+/// the pass: their buffers are pool slices, whose block counts the
+/// pool's table holds.)
 /// Geometries outside those conditions (non-uniform line sizes,
 /// non-power-of-two set counts or lines per page, strides ≥ line) fall
 /// back to materialising the merged pattern and the fused single-pass
@@ -316,20 +322,8 @@ pub fn profile_segments(
 }
 
 /// The run-based fast path of [`profile_segments`]; `None` when the
-/// geometry falls outside its validity conditions.
-///
-/// With `L` lines per page and `nb = N / L` colour blocks, the line at
-/// offset `j` of page `pp` has residue `(pp mod nb)·L + j` modulo `N`. A
-/// level with `S ≥ L` sets puts it in set `(pp mod S/L)·L + j`, so its
-/// per-set counts sum the blocks of one *class* `b mod S/L`; a level with
-/// `S < L` sets puts it in set `j mod S`, whatever the block. Counts are
-/// constant over each *piece* — one block times one offset interval
-/// `[cuts[p], cuts[p + 1])` — once the intervals are cut at every partial
-/// page's length (where its block's count steps down) and, for each level
-/// with `S < L`, at every `m·S + x` with `x` zero or a partial length
-/// modulo `S` (where that level's set counts step). Each piece is then
-/// classified once and weighted by its width: O(pages) to count, then
-/// O(blocks · pieces · levels) to classify, with no division per page.
+/// geometry falls outside its validity conditions. Counts each segment's
+/// full pages per colour block by walking them.
 #[allow(clippy::too_many_arguments)]
 fn try_profile_from_runs(
     segments: &[PatternSegment<'_>],
@@ -342,16 +336,10 @@ fn try_profile_from_runs(
 ) -> Option<ServiceProfile> {
     assert!(stride_elems >= 1, "stride must be >= 1");
     assert!(elem_bytes >= 1 && line_bytes >= 1 && page_bytes >= line_bytes);
-    let stride_bytes = stride_elems * elem_bytes;
-    if stride_bytes >= line_bytes || !page_bytes.is_multiple_of(line_bytes) || levels.is_empty() {
+    if stride_elems * elem_bytes >= line_bytes {
         return None;
     }
-    let lines_per_page = page_bytes / line_bytes;
-    if !lines_per_page.is_power_of_two()
-        || !levels.iter().all(|l| l.line_bytes == line_bytes && l.num_sets().is_power_of_two())
-    {
-        return None;
-    }
+    let geometry = RunGeometry::new(levels, page_bytes, line_bytes)?;
     // The dense line walk differs from per-access dedup only when
     // `line == page` meets consecutive duplicate pages (see
     // `resolve_reusing`); punt on that corner.
@@ -360,121 +348,235 @@ fn try_profile_from_runs(
     {
         return None;
     }
-    let n_max = levels.iter().map(|l| l.num_sets()).max().unwrap();
-    let n_blocks = (n_max / lines_per_page).max(1) as usize;
-    let block_mask = n_blocks as u64 - 1;
+    let mask = geometry.n_blocks as u64 - 1;
+    geometry.profile(segments, elem_bytes, stride_elems, scratch, |s, full, blocks| {
+        add_walked(&segments[s].phys_pages[..full], mask, blocks)
+    })
+}
 
-    // One pass over the pages: full pages per block, and each segment's
-    // partial last page as (block, lines).
-    scratch.blocks.clear();
-    scratch.blocks.resize(n_blocks, 0);
-    scratch.partials.clear();
-    let mut distinct_lines = 0u64;
-    let mut accesses_per_pass = 0u64;
-    for seg in segments {
-        let n_elems = seg.buffer_bytes / elem_bytes;
-        let accesses = n_elems / stride_elems;
-        accesses_per_pass += accesses;
-        if accesses == 0 {
-            continue;
+/// What the run-based fast path of [`profile_segments`] derives from a
+/// hierarchy alone: a machine, whose cache never changes, derives it
+/// once instead of on every miss.
+///
+/// With `L` lines per page and `nb = N / L` colour blocks, the line at
+/// offset `j` of page `pp` has residue `(pp mod nb)·L + j` modulo `N`. A
+/// level with `S ≥ L` sets puts it in set `(pp mod S/L)·L + j`, so its
+/// per-set counts sum the blocks of one *class* `b mod S/L`; a level with
+/// `S < L` sets puts it in set `j mod S`, whatever the block. Counts are
+/// constant over each *piece* — one block times one offset interval
+/// `[cuts[p], cuts[p + 1])` — once the intervals are cut at every partial
+/// page's length (where its block's count steps down) and, for each level
+/// with `S < L`, at every `m·S + x` with `x` zero or a partial length
+/// modulo `S` (where that level's set counts step). Each piece is then
+/// classified once and weighted by its width: O(blocks) to count a pool
+/// slice (see [`crate::paging::PageAllocator::add_block_counts`]) or
+/// O(pages) to walk any other segment, then O(blocks · pieces · levels) to
+/// classify, with no division per page or per piece.
+#[derive(Debug, Clone)]
+pub(crate) struct RunGeometry {
+    /// The one line size of every level.
+    line_bytes: u64,
+    /// Lines per page `L`, a power of two.
+    lines_per_page: u64,
+    /// Colour blocks `nb = max(n_max / L, 1)`, a power of two.
+    n_blocks: usize,
+    /// Each level's set count (a power of two) and associativity, L1
+    /// first.
+    levels: Vec<(u64, u64)>,
+}
+
+impl RunGeometry {
+    /// The geometry of `levels` profiled at `line_bytes` over pages of
+    /// `page_bytes`; `None` unless the lines per page and every level's
+    /// set count are powers of two and every level has lines of
+    /// `line_bytes`.
+    pub(crate) fn new(levels: &[CacheLevelSpec], page_bytes: u64, line_bytes: u64) -> Option<Self> {
+        if levels.is_empty() || line_bytes == 0 || !page_bytes.is_multiple_of(line_bytes) {
+            return None;
         }
-        let n_lines = (accesses - 1) * stride_bytes / line_bytes + 1;
-        distinct_lines += n_lines;
-        let full = (n_lines / lines_per_page) as usize;
-        let blocks = &mut scratch.blocks[..];
-        for &pp in &seg.phys_pages[..full] {
-            blocks[(pp & block_mask) as usize] += 1;
+        let lines_per_page = page_bytes / line_bytes;
+        let sets: Vec<(u64, u64)> = levels.iter().map(|l| (l.num_sets(), l.assoc as u64)).collect();
+        if !lines_per_page.is_power_of_two()
+            || !levels
+                .iter()
+                .zip(&sets)
+                .all(|(l, s)| l.line_bytes == line_bytes && s.0.is_power_of_two())
+        {
+            return None;
         }
-        let rem = n_lines % lines_per_page;
-        if rem > 0 {
-            scratch.partials.push(((seg.phys_pages[full] & block_mask) as usize, rem));
-        }
+        let n_max = sets.iter().map(|s| s.0).max().expect("levels is not empty");
+        let n_blocks = (n_max / lines_per_page).max(1) as usize;
+        Some(RunGeometry { line_bytes, lines_per_page, n_blocks, levels: sets })
     }
 
-    scratch.cuts.clear();
-    scratch.cuts.extend([0, lines_per_page]);
-    scratch.cuts.extend(scratch.partials.iter().map(|&(_, rem)| rem));
-    for level in levels {
-        let sets = level.num_sets();
-        if sets < lines_per_page {
-            for &x in std::iter::once(&0).chain(scratch.partials.iter().map(|(_, rem)| rem)) {
-                scratch.cuts.extend((x & (sets - 1)..lines_per_page).step_by(sets as usize));
+    /// Number of colour blocks; page `pp` lies in block `pp & (nb - 1)`.
+    pub(crate) fn n_blocks(&self) -> usize {
+        self.n_blocks
+    }
+
+    /// The profile of the `buffer_bytes` buffer at `placement` in
+    /// `allocator`'s pool, with its full pages counted from the pool's
+    /// block table in O(blocks) whatever the buffer's length; `None` when
+    /// the stride is not below the line size. (A pool slice never repeats
+    /// a page, so the `line == page` corner cannot arise.)
+    pub(crate) fn profile_pool_slice(
+        &self,
+        allocator: &PageAllocator,
+        placement: PlacementKey,
+        buffer_bytes: u64,
+        elem_bytes: u64,
+        stride_elems: u64,
+        scratch: &mut ProfileScratch,
+    ) -> Option<ServiceProfile> {
+        let segment =
+            [PatternSegment { phys_pages: allocator.pages(placement, buffer_bytes), buffer_bytes }];
+        self.profile(&segment, elem_bytes, stride_elems, scratch, |_, full, blocks| {
+            allocator.add_block_counts(placement, full, self.n_blocks, blocks)
+        })
+    }
+
+    /// The union profile of `segments`, or `None` when the stride is not
+    /// below the line size. `count_full(s, full, blocks)` must add the
+    /// first `full` pages of segment `s` to `blocks` by colour block; the
+    /// partial last page is read from the segment itself.
+    pub(crate) fn profile(
+        &self,
+        segments: &[PatternSegment<'_>],
+        elem_bytes: u64,
+        stride_elems: u64,
+        scratch: &mut ProfileScratch,
+        mut count_full: impl FnMut(usize, usize, &mut [u64]),
+    ) -> Option<ServiceProfile> {
+        assert!(stride_elems >= 1 && elem_bytes >= 1, "stride and element must be >= 1");
+        let stride_bytes = stride_elems * elem_bytes;
+        if stride_bytes >= self.line_bytes {
+            return None;
+        }
+        let lines_per_page = self.lines_per_page;
+        let block_mask = self.n_blocks as u64 - 1;
+        scratch.blocks.clear();
+        scratch.blocks.resize(self.n_blocks, 0);
+        scratch.partials.clear();
+        let mut distinct_lines = 0u64;
+        let mut accesses_per_pass = 0u64;
+        for (s, seg) in segments.iter().enumerate() {
+            let accesses = seg.buffer_bytes / elem_bytes / stride_elems;
+            accesses_per_pass += accesses;
+            if accesses == 0 {
+                continue;
+            }
+            let n_lines = (accesses - 1) * stride_bytes / self.line_bytes + 1;
+            distinct_lines += n_lines;
+            let full = (n_lines / lines_per_page) as usize;
+            count_full(s, full, &mut scratch.blocks);
+            let rem = n_lines % lines_per_page;
+            if rem > 0 {
+                scratch.partials.push(((seg.phys_pages[full] & block_mask) as usize, rem));
             }
         }
-    }
-    scratch.cuts.sort_unstable();
-    scratch.cuts.dedup();
-    let cuts = &scratch.cuts;
-    let n_pieces = cuts.len() - 1;
-
-    // Lines per offset of each (block, piece): the block's full pages,
-    // plus each partial page of the block that covers the whole piece.
-    scratch.counts.clear();
-    scratch.counts.resize(n_blocks * n_pieces, 0);
-    for (row, &full) in scratch.counts.chunks_exact_mut(n_pieces).zip(&scratch.blocks) {
-        row.fill(full);
-    }
-    for &(block, rem) in &scratch.partials {
-        let covered = cuts[1..].iter().take_while(|&&end| end <= rem).count();
-        for c in &mut scratch.counts[block * n_pieces..][..covered] {
-            *c += 1;
-        }
+        Some(self.classify(scratch, distinct_lines, accesses_per_pass))
     }
 
-    // Each level's set counts per (class, piece); `level_at[li]` holds
-    // the level's offset into `level_counts` and its class mask.
-    let full_pages: u64 = scratch.blocks.iter().sum();
-    scratch.level_counts.clear();
-    scratch.level_at.clear();
-    for level in levels {
-        let sets = level.num_sets();
-        let offset = scratch.level_counts.len();
-        if sets >= lines_per_page {
-            let classes = (sets / lines_per_page) as usize;
-            scratch.level_counts.resize(offset + classes * n_pieces, 0);
-            for (b, row) in scratch.counts.chunks_exact(n_pieces).enumerate() {
-                let dst = &mut scratch.level_counts[offset + (b & (classes - 1)) * n_pieces..];
-                for (d, &c) in dst.iter_mut().zip(row) {
-                    *d += c;
+    /// Classifies the full-page block counts and partial pages in
+    /// `scratch` into a profile.
+    fn classify(
+        &self,
+        scratch: &mut ProfileScratch,
+        distinct_lines: u64,
+        accesses_per_pass: u64,
+    ) -> ServiceProfile {
+        let lines_per_page = self.lines_per_page;
+        scratch.cuts.clear();
+        scratch.cuts.extend([0, lines_per_page]);
+        scratch.cuts.extend(scratch.partials.iter().map(|&(_, rem)| rem));
+        for &(sets, _) in &self.levels {
+            if sets < lines_per_page {
+                for &x in std::iter::once(&0).chain(scratch.partials.iter().map(|(_, rem)| rem)) {
+                    scratch.cuts.extend((x & (sets - 1)..lines_per_page).step_by(sets as usize));
                 }
             }
-            scratch.level_at.push((offset, classes - 1));
-        } else {
-            // Set `s` holds L/S lines of every full page and, of a partial
-            // page of `rem` lines, rem/S plus one when `s < rem mod S`.
-            for &start in &cuts[..n_pieces] {
-                let s = start & (sets - 1);
-                let partial: u64 = scratch
-                    .partials
-                    .iter()
-                    .map(|&(_, rem)| rem / sets + u64::from(s < rem & (sets - 1)))
-                    .sum();
-                scratch.level_counts.push(full_pages * (lines_per_page / sets) + partial);
-            }
-            scratch.level_at.push((offset, 0));
         }
-    }
+        scratch.cuts.sort_unstable();
+        scratch.cuts.dedup();
+        let cuts = &scratch.cuts;
+        let n_pieces = cuts.len() - 1;
 
-    let fits = |li: usize, block: usize, piece: usize| {
-        let (offset, class_mask) = scratch.level_at[li];
-        scratch.level_counts[offset + (block & class_mask) * n_pieces + piece]
-            <= levels[li].assoc as u64
-    };
-    let mut served_by_level = vec![0u64; levels.len() - 1];
-    let mut served_by_dram = 0u64;
-    for (block, row) in scratch.counts.chunks_exact(n_pieces).enumerate() {
-        for (piece, &c) in row.iter().enumerate() {
-            if c == 0 || fits(0, block, piece) {
-                continue; // no lines, or steady L1 hits
-            }
-            let lines = c * (cuts[piece + 1] - cuts[piece]);
-            match (1..levels.len()).find(|&li| fits(li, block, piece)) {
-                Some(li) => served_by_level[li - 1] += lines,
-                None => served_by_dram += lines,
+        // Lines per offset of each (block, piece): the block's full pages,
+        // plus each partial page of the block that covers the whole piece.
+        scratch.counts.clear();
+        scratch.counts.resize(self.n_blocks * n_pieces, 0);
+        for (row, &full) in scratch.counts.chunks_exact_mut(n_pieces).zip(&scratch.blocks) {
+            row.fill(full);
+        }
+        for &(block, rem) in &scratch.partials {
+            let covered = cuts[1..].iter().take_while(|&&end| end <= rem).count();
+            for c in &mut scratch.counts[block * n_pieces..][..covered] {
+                *c += 1;
             }
         }
+
+        // Each level's set counts per (class, piece); `level_at[li]` holds
+        // the level's offset into `level_counts` and its class mask.
+        let full_pages: u64 = scratch.blocks.iter().sum();
+        scratch.level_counts.clear();
+        scratch.level_at.clear();
+        for &(sets, _) in &self.levels {
+            let offset = scratch.level_counts.len();
+            if sets >= lines_per_page {
+                let classes = (sets / lines_per_page) as usize;
+                scratch.level_counts.resize(offset + classes * n_pieces, 0);
+                for (b, row) in scratch.counts.chunks_exact(n_pieces).enumerate() {
+                    let dst = &mut scratch.level_counts[offset + (b & (classes - 1)) * n_pieces..];
+                    for (d, &c) in dst.iter_mut().zip(row) {
+                        *d += c;
+                    }
+                }
+                scratch.level_at.push((offset, classes - 1));
+            } else {
+                // Set `s` holds L/S lines of every full page and, of a partial
+                // page of `rem` lines, rem/S plus one when `s < rem mod S`.
+                for &start in &cuts[..n_pieces] {
+                    let s = start & (sets - 1);
+                    let partial: u64 = scratch
+                        .partials
+                        .iter()
+                        .map(|&(_, rem)| rem / sets + u64::from(s < rem & (sets - 1)))
+                        .sum();
+                    scratch.level_counts.push(full_pages * (lines_per_page / sets) + partial);
+                }
+                scratch.level_at.push((offset, 0));
+            }
+        }
+
+        // Each piece's lines go to the first level whose set fits them
+        // (`served[0]`, steady L1 hits, is dropped), or to DRAM
+        // (`served[n]`). The serving level is selected, not branched to.
+        let n = self.levels.len();
+        scratch.served.clear();
+        scratch.served.resize(n + 1, 0);
+        for (block, row) in scratch.counts.chunks_exact(n_pieces).enumerate() {
+            for (piece, &c) in row.iter().enumerate() {
+                if c == 0 {
+                    continue; // most blocks of a small buffer are empty
+                }
+                let mut serving = n;
+                for (li, (&(offset, class_mask), &(_, assoc))) in
+                    scratch.level_at.iter().zip(&self.levels).enumerate().rev()
+                {
+                    let count =
+                        scratch.level_counts[offset + (block & class_mask) * n_pieces + piece];
+                    serving = if count <= assoc { li } else { serving };
+                }
+                scratch.served[serving] += c * (cuts[piece + 1] - cuts[piece]);
+            }
+        }
+        ServiceProfile {
+            served_by_level: scratch.served[1..n].to_vec(),
+            served_by_dram: scratch.served[n],
+            distinct_lines,
+            accesses_per_pass,
+        }
     }
-    Some(ServiceProfile { served_by_level, served_by_dram, distinct_lines, accesses_per_pass })
 }
 
 /// The pre-optimisation implementations, kept verbatim as the oracle for
@@ -515,6 +617,18 @@ pub mod reference {
             off += stride_bytes;
         }
         PhysicalPattern { line_addrs, accesses_per_pass }
+    }
+
+    /// Pages per colour block `pp mod n_blocks`, one page at a time: what
+    /// the pool's colour-block table (see
+    /// [`crate::paging::PageAllocator`]) answers for a slice without
+    /// walking it.
+    pub fn block_counts(pages: &[u64], n_blocks: u64) -> Vec<u64> {
+        let mut counts = vec![0u64; n_blocks as usize];
+        for &pp in pages {
+            counts[(pp % n_blocks) as usize] += 1;
+        }
+        counts
     }
 
     /// Original `ServiceProfile::compute`: a fresh thrash mask per level,

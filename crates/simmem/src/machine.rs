@@ -4,10 +4,10 @@
 use crate::compiler::{CodegenConfig, ElementWidth, IssueModel};
 use crate::dvfs::{Governor, GovernorPolicy};
 use crate::kernel::{KernelConfig, KernelResult};
-use crate::layout::{profile_segments, PatternSegment, ProfileScratch, ServiceProfile};
-use crate::memo::{
-    level_geometries, LevelGeometry, PlacementKey, ProfileCache, ProfileKey, SEGMENT_WHOLE,
+use crate::layout::{
+    profile_segments, PatternSegment, ProfileScratch, RunGeometry, ServiceProfile,
 };
+use crate::memo::{PlacementKey, ProfileCache, ProfileKey, SEGMENT_WHOLE};
 use crate::paging::{color_histogram, AllocPolicy, PageAllocator};
 use crate::sched::{IntruderConfig, SchedPolicy, Scheduler};
 use crate::stream;
@@ -281,6 +281,9 @@ pub struct MachineSim {
     pub inter_measurement_us: f64,
     measurements_taken: u64,
     recorder: Recorder,
+    /// The run-based profile path's view of `spec.levels`, derived once:
+    /// `None` when the hierarchy falls outside it.
+    run_geometry: Option<RunGeometry>,
     /// Profile memoization + reusable scratch. `RefCell` because
     /// [`MachineSim::ideal_bandwidth_mbps`] takes `&self`; `&mut self`
     /// paths use `get_mut` (no runtime borrow). Private to this machine:
@@ -309,22 +312,17 @@ struct MemoState {
     local_hits: u64,
     local_misses: u64,
     scratch: ProfileScratch,
-    /// Interned geometry of `spec.levels`, shared by every key of this
-    /// machine (each machine allocates its own, so no refcount is shared
-    /// across threads).
-    levels_key: Arc<[LevelGeometry]>,
     color_names: IndexedNames,
     level_names: LevelCounterNames,
 }
 
 impl MemoState {
-    fn new(levels: &[CacheLevelSpec]) -> Self {
+    fn new() -> Self {
         MemoState {
             cache: ProfileCache::default(),
             local_hits: 0,
             local_misses: 0,
             scratch: ProfileScratch::default(),
-            levels_key: level_geometries(levels),
             color_names: IndexedNames::new("simmem.paging.color.", ""),
             level_names: LevelCounterNames {
                 hits: IndexedNames::new("simmem.cache.l", ".hits"),
@@ -353,8 +351,8 @@ impl MemoState {
     }
 }
 
-/// A cold copy: an empty cache at the same capacity, zeroed tallies and
-/// a fresh geometry key; scratch capacity and interned names carry over.
+/// A cold copy: an empty cache at the same capacity and zeroed tallies;
+/// scratch capacity and interned names carry over.
 impl Clone for MemoState {
     fn clone(&self) -> Self {
         MemoState {
@@ -362,7 +360,6 @@ impl Clone for MemoState {
             local_hits: 0,
             local_misses: 0,
             scratch: self.scratch.clone(),
-            levels_key: Arc::from(&*self.levels_key),
             color_names: self.color_names.clone(),
             level_names: self.level_names.clone(),
         }
@@ -382,7 +379,10 @@ impl MachineSim {
         let scheduler = Scheduler::new(sched_policy, IntruderConfig::figure11(), seed ^ 0x5eed);
         let allocator =
             PageAllocator::new(alloc_policy, spec.page_bytes, spec.pool_pages, seed ^ 0x9a9e);
-        let memo = RefCell::new(MemoState::new(&spec.levels));
+        let run_geometry = spec
+            .levels
+            .first()
+            .and_then(|l1| RunGeometry::new(&spec.levels, spec.page_bytes, l1.line_bytes));
         MachineSim {
             spec,
             governor,
@@ -394,7 +394,8 @@ impl MachineSim {
             inter_measurement_us: 300.0,
             measurements_taken: 0,
             recorder: Recorder::disabled(),
-            memo,
+            run_geometry,
+            memo: RefCell::new(MemoState::new()),
         }
     }
 
@@ -434,7 +435,8 @@ impl MachineSim {
     /// Forks are clone-and-reset, not full reconstructions: the page
     /// allocator restores its boot snapshot via `PageAllocator::fork`
     /// (no per-fork pool shuffle when the seed matches, which it always
-    /// does for the engine's per-batch forks), and the memo side-car
+    /// does for the engine's per-batch forks; the fork then shares the
+    /// boot pool and its colour-block table), and the memo side-car
     /// keeps its interned counter names and scratch capacity. Both are
     /// bit-identical to a fresh construction by construction: the
     /// allocator proves it in `paging::tests`, and the memo state only
@@ -456,6 +458,7 @@ impl MachineSim {
             inter_measurement_us: self.inter_measurement_us,
             measurements_taken: 0,
             recorder: self.recorder.fork(),
+            run_geometry: self.run_geometry.clone(),
             memo: RefCell::new(memo),
         }
     }
@@ -520,10 +523,10 @@ impl MachineSim {
         self.allocator.draw_placement(bytes)
     }
 
-    /// The interned geometry of this machine's hierarchy, for building
-    /// [`ProfileKey`]s.
-    pub(crate) fn levels_key(&self) -> Arc<[LevelGeometry]> {
-        Arc::clone(&self.memo.borrow().levels_key)
+    /// The largest `buffer_bytes` a kernel can run on: the machine's page
+    /// pool. A larger buffer makes [`MachineSim::run_kernel`] panic.
+    pub fn max_buffer_bytes(&self) -> u64 {
+        self.allocator.max_buffer_bytes()
     }
 
     /// Looks `key` up in the profile cache. Only on a miss does it borrow
@@ -561,18 +564,35 @@ impl MachineSim {
             elem_bytes,
             segment: SEGMENT_WHOLE,
             arrays: 1,
-            levels: Arc::clone(&self.memo.get_mut().levels_key),
         };
-        let profile = self.cached_profile(key, cfg.buffer_bytes, |spec, pages, scratch| {
-            profile_segments(
-                &[PatternSegment { phys_pages: pages, buffer_bytes: cfg.buffer_bytes }],
-                spec.page_bytes,
-                elem_bytes,
-                cfg.stride_elems,
-                line,
-                &spec.levels,
-                scratch,
-            )
+        let (spec, allocator, geometry) = (&self.spec, &self.allocator, &self.run_geometry);
+        let profile = self.memo.get_mut().profile(key, |scratch| {
+            geometry
+                .as_ref()
+                .and_then(|g| {
+                    g.profile_pool_slice(
+                        allocator,
+                        placement,
+                        cfg.buffer_bytes,
+                        elem_bytes,
+                        cfg.stride_elems,
+                        scratch,
+                    )
+                })
+                .unwrap_or_else(|| {
+                    profile_segments(
+                        &[PatternSegment {
+                            phys_pages: allocator.pages(placement, cfg.buffer_bytes),
+                            buffer_bytes: cfg.buffer_bytes,
+                        }],
+                        spec.page_bytes,
+                        elem_bytes,
+                        cfg.stride_elems,
+                        line,
+                        &spec.levels,
+                        scratch,
+                    )
+                })
         });
         if self.recorder.is_enabled() {
             let memo = self.memo.get_mut();
@@ -692,7 +712,6 @@ impl MachineSim {
             elem_bytes,
             segment: SEGMENT_WHOLE,
             arrays: 1,
-            levels: Arc::clone(&memo.levels_key),
         };
         let profile = memo.profile(key, |scratch| {
             let n_pages = cfg.buffer_bytes.div_ceil(self.spec.page_bytes).max(1);
@@ -920,6 +939,97 @@ mod tests {
             merged.merge_from(&shard.take_observation().counters);
         }
         assert_eq!(merged, sequential);
+    }
+
+    fn pooled(spec: CpuSpec, policy: AllocPolicy, seed: u64) -> MachineSim {
+        MachineSim::new(spec, GovernorPolicy::Performance, SchedPolicy::PinnedDefault, policy, seed)
+    }
+
+    /// Kernels whose buffers span one page to the whole pool, ending
+    /// inside a page or on its boundary, at strides on both sides of the
+    /// line size.
+    fn pool_spanning_kernels(spec: &CpuSpec) -> Vec<KernelConfig> {
+        let (page, pool) = (spec.page_bytes, spec.pool_pages as u64 * spec.page_bytes);
+        let sizes = [1, page, 3 * page + 100, 64 * page + 7, pool / 3 + 12, pool - page + 1, pool];
+        sizes
+            .iter()
+            .enumerate()
+            .map(|(i, &b)| KernelConfig::baseline(b, 2).with_stride([1, 2, 5, 40][i % 4]))
+            .collect()
+    }
+
+    #[test]
+    fn the_block_table_path_matches_a_machine_forced_onto_the_page_walk() {
+        for spec in CpuSpec::all() {
+            for policy in [AllocPolicy::MallocPerSize, AllocPolicy::PooledRandomOffset] {
+                let mut table = pooled(spec.clone(), policy, 21);
+                let mut walk = pooled(spec.clone(), policy, 21);
+                assert!(table.run_geometry.is_some(), "{} has a table path", spec.name);
+                walk.run_geometry = None;
+                for m in [&mut table, &mut walk] {
+                    m.set_profile_cache_capacity(0);
+                    m.enable_observability(64);
+                }
+                for cfg in pool_spanning_kernels(&spec) {
+                    let (a, b) = (table.run_kernel(&cfg), walk.run_kernel(&cfg));
+                    assert_eq!(a.elapsed_us.to_bits(), b.elapsed_us.to_bits(), "{}", spec.name);
+                    assert_eq!(a.bandwidth_mbps.to_bits(), b.bandwidth_mbps.to_bits());
+                }
+                assert_eq!(table.take_observation().counters, walk.take_observation().counters);
+                assert!(walk.allocator.block_table().is_none(), "the walk built no table");
+            }
+        }
+    }
+
+    #[test]
+    fn same_seed_forks_share_one_block_table() {
+        let cfg = KernelConfig::baseline(1 << 20, 2);
+        let mut parent = pooled(CpuSpec::opteron(), AllocPolicy::PooledRandomOffset, 8);
+        // A fork taken before any miss builds the table its parent reads...
+        let mut early = parent.fork(parent.stream_seed());
+        assert!(early.allocator.block_table().is_none());
+        early.run_kernel(&cfg);
+        let built: *const _ = early.allocator.block_table().expect("a miss builds the table");
+        let shared: *const _ = parent.allocator.block_table().expect("the parent shares it");
+        assert!(std::ptr::eq(built, shared));
+        // ...and one taken after reuses it without building another.
+        parent.run_kernel(&cfg);
+        let mut late = parent.fork(parent.stream_seed());
+        late.run_kernel(&cfg);
+        assert!(std::ptr::eq(late.allocator.block_table().unwrap(), shared));
+    }
+
+    #[test]
+    fn a_fork_with_another_seed_builds_its_own_table_and_matches_a_fresh_machine() {
+        for policy in [AllocPolicy::MallocPerSize, AllocPolicy::PooledRandomOffset] {
+            let spec = CpuSpec::pentium4();
+            let mut parent = pooled(spec.clone(), policy, 8);
+            parent.run_kernel(&KernelConfig::baseline(4 << 20, 2));
+            let mut fork = parent.fork(99);
+            let mut fresh = pooled(spec.clone(), policy, 99);
+            for cfg in pool_spanning_kernels(&spec) {
+                let (a, b) = (fork.run_kernel(&cfg), fresh.run_kernel(&cfg));
+                assert_eq!(a.elapsed_us.to_bits(), b.elapsed_us.to_bits(), "{policy:?}");
+                assert_eq!(a.start_us.to_bits(), b.start_us.to_bits());
+            }
+            let (own, parents) = (fork.allocator.block_table(), parent.allocator.block_table());
+            assert!(!std::ptr::eq(own.unwrap(), parents.unwrap()), "{policy:?}");
+        }
+    }
+
+    /// The table costs at most 4 bytes per pool page plus one row of
+    /// `n_blocks` counts: half the pool's own 8 bytes per page, where a
+    /// dense pages × blocks table would cost `4 · n_blocks` per page.
+    #[test]
+    fn each_presets_block_table_stays_within_half_its_pool() {
+        for spec in CpuSpec::all() {
+            let mut m = pooled(spec.clone(), AllocPolicy::PooledRandomOffset, 1);
+            m.run_kernel(&KernelConfig::baseline(m.max_buffer_bytes(), 1));
+            let n_blocks = m.run_geometry.as_ref().unwrap().n_blocks();
+            let bytes = m.allocator.block_table().unwrap().bytes();
+            let bound = 4 * (spec.pool_pages + n_blocks);
+            assert!(bytes <= bound, "{}: {bytes} B > {bound} B", spec.name);
+        }
     }
 
     #[test]

@@ -18,10 +18,17 @@
 //!
 //! Every machine owns its `ProfileCache`: forks and clones start
 //! empty at the parent's capacity (see `DESIGN.md` §14), so campaign
-//! shards never share a lock or a refcount on the per-row path.
+//! shards never share a lock or a refcount on the per-row path. Because
+//! a machine's cache geometry is fixed when it is built, the key leaves
+//! the geometry out: a lookup, insert or eviction hashes a few integers
+//! and clones nothing.
+//!
+//! Under `PooledRandomOffset` nearly every row misses, so the miss is
+//! the cost: the profile is computed from how many of the slice's pages
+//! fall in each page-colour block, which the pool's block table (see
+//! [`crate::paging`]) answers in O(blocks) whatever the buffer's length.
 
 use crate::layout::ServiceProfile;
-use crate::machine::CacheLevelSpec;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
@@ -104,32 +111,11 @@ pub(crate) enum PlacementKey {
     Identity,
 }
 
-/// The profile-relevant part of a [`CacheLevelSpec`]: hit latency is
-/// deliberately excluded (it prices a profile, it does not shape it).
+/// Everything a service profile depends on, apart from the cache
+/// geometry: a cache belongs to one machine, whose geometry is fixed at
+/// `MachineSim::new`, and `run_kernel_parallel`'s contention-shrunk
+/// geometry is a function of its thread count, which `arrays` carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) struct LevelGeometry {
-    /// Total capacity in bytes.
-    pub size_bytes: u64,
-    /// Associativity (ways).
-    pub assoc: usize,
-    /// Line size in bytes.
-    pub line_bytes: u64,
-}
-
-/// Interns the geometry of a hierarchy for cheap key cloning.
-pub(crate) fn level_geometries(levels: &[CacheLevelSpec]) -> Arc<[LevelGeometry]> {
-    levels
-        .iter()
-        .map(|l| LevelGeometry {
-            size_bytes: l.size_bytes,
-            assoc: l.assoc,
-            line_bytes: l.line_bytes,
-        })
-        .collect()
-}
-
-/// Everything a service profile depends on.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct ProfileKey {
     /// Where the (first) buffer landed.
     pub placement: PlacementKey,
@@ -146,8 +132,6 @@ pub(crate) struct ProfileKey {
     /// Number of arrays/threads sharing the allocation (1 for plain
     /// kernels).
     pub arrays: u32,
-    /// Cache geometry the profile was computed against.
-    pub levels: Arc<[LevelGeometry]>,
 }
 
 /// [`ProfileKey::segment`] for single-buffer kernels.
@@ -209,7 +193,7 @@ impl ProfileCache {
     /// Inserts a profile computed after a miss, evicting the oldest key
     /// when full. A no-op at capacity 0.
     pub(crate) fn insert(&mut self, key: ProfileKey, profile: Arc<ServiceProfile>) {
-        if self.capacity == 0 || self.map.insert(key.clone(), profile).is_some() {
+        if self.capacity == 0 || self.map.insert(key, profile).is_some() {
             return;
         }
         self.order.push_back(key);
@@ -225,7 +209,7 @@ impl ProfileCache {
 mod tests {
     use super::*;
 
-    fn key(start: u64, buffer: u64, levels: &Arc<[LevelGeometry]>) -> ProfileKey {
+    fn key(start: u64, buffer: u64) -> ProfileKey {
         ProfileKey {
             placement: PlacementKey::PooledStart(start),
             buffer_bytes: buffer,
@@ -233,7 +217,6 @@ mod tests {
             elem_bytes: 4,
             segment: SEGMENT_WHOLE,
             arrays: 1,
-            levels: Arc::clone(levels),
         }
     }
 
@@ -246,10 +229,6 @@ mod tests {
         })
     }
 
-    fn geo() -> Arc<[LevelGeometry]> {
-        Arc::from(vec![LevelGeometry { size_bytes: 65536, assoc: 2, line_bytes: 64 }])
-    }
-
     /// Number of cached profiles.
     fn cached(c: &ProfileCache) -> usize {
         c.map.len()
@@ -257,82 +236,57 @@ mod tests {
 
     #[test]
     fn lookup_hits_only_inserted_keys() {
-        let levels = geo();
         let mut c = ProfileCache::default();
-        assert!(c.lookup(&key(0, 4096, &levels)).is_none());
-        c.insert(key(0, 4096, &levels), entry(1));
-        assert!(c.lookup(&key(0, 4096, &levels)).is_some());
-        assert!(c.lookup(&key(1, 4096, &levels)).is_none());
+        assert!(c.lookup(&key(0, 4096)).is_none());
+        c.insert(key(0, 4096), entry(1));
+        assert!(c.lookup(&key(0, 4096)).is_some());
+        assert!(c.lookup(&key(1, 4096)).is_none());
     }
 
     #[test]
     fn fifo_eviction_respects_capacity() {
-        let levels = geo();
         let mut c = ProfileCache::with_capacity(2);
         for start in 0..5u64 {
-            c.insert(key(start, 4096, &levels), entry(start));
+            c.insert(key(start, 4096), entry(start));
         }
         assert_eq!(cached(&c), 2);
-        assert!(c.lookup(&key(0, 4096, &levels)).is_none(), "oldest evicted");
-        assert!(c.lookup(&key(4, 4096, &levels)).is_some(), "newest kept");
+        assert!(c.lookup(&key(0, 4096)).is_none(), "oldest evicted");
+        assert!(c.lookup(&key(4, 4096)).is_some(), "newest kept");
     }
 
     #[test]
     fn capacity_zero_disables_caching() {
-        let levels = geo();
         let mut c = ProfileCache::with_capacity(0);
-        c.insert(key(0, 4096, &levels), entry(1));
+        c.insert(key(0, 4096), entry(1));
         assert_eq!(cached(&c), 0);
-        assert!(c.lookup(&key(0, 4096, &levels)).is_none());
+        assert!(c.lookup(&key(0, 4096)).is_none());
     }
 
     #[test]
     fn keys_separate_every_dimension() {
-        let levels = geo();
-        let other_levels: Arc<[LevelGeometry]> =
-            Arc::from(vec![LevelGeometry { size_bytes: 32768, assoc: 2, line_bytes: 64 }]);
-        let base = key(3, 8192, &levels);
-        let mut variants = vec![base.clone()];
-        variants.push(ProfileKey { placement: PlacementKey::MallocPrefix, ..base.clone() });
-        variants.push(ProfileKey { placement: PlacementKey::Identity, ..base.clone() });
-        variants.push(ProfileKey { buffer_bytes: 4096, ..base.clone() });
-        variants.push(ProfileKey { stride_elems: 2, ..base.clone() });
-        variants.push(ProfileKey { elem_bytes: 8, ..base.clone() });
-        variants.push(ProfileKey { segment: 0, ..base.clone() });
-        variants.push(ProfileKey { arrays: 3, ..base.clone() });
-        variants.push(ProfileKey { levels: other_levels, ..base.clone() });
+        let base = key(3, 8192);
+        let mut variants = vec![base];
+        variants.push(ProfileKey { placement: PlacementKey::MallocPrefix, ..base });
+        variants.push(ProfileKey { placement: PlacementKey::Identity, ..base });
+        variants.push(ProfileKey { buffer_bytes: 4096, ..base });
+        variants.push(ProfileKey { stride_elems: 2, ..base });
+        variants.push(ProfileKey { elem_bytes: 8, ..base });
+        variants.push(ProfileKey { segment: 0, ..base });
+        variants.push(ProfileKey { arrays: 3, ..base });
         let mut c = ProfileCache::default();
         for (i, v) in variants.iter().enumerate() {
-            c.insert(v.clone(), entry(i as u64));
+            c.insert(*v, entry(i as u64));
         }
         assert_eq!(cached(&c), variants.len(), "every dimension must distinguish keys");
     }
 
     #[test]
     fn clones_start_empty_at_the_same_capacity() {
-        let levels = geo();
         let mut c = ProfileCache::with_capacity(3);
-        c.insert(key(0, 4096, &levels), entry(1));
+        c.insert(key(0, 4096), entry(1));
         let clone = c.clone();
         assert_eq!(cached(&clone), 0);
         assert_eq!(clone.capacity(), 3);
-        assert!(c.lookup(&key(0, 4096, &levels)).is_some(), "the original keeps its entries");
-    }
-
-    #[test]
-    fn geometry_drops_latency() {
-        let a = level_geometries(&[CacheLevelSpec {
-            size_bytes: 65536,
-            assoc: 2,
-            line_bytes: 64,
-            hit_latency_cycles: 10.0,
-        }]);
-        let b = level_geometries(&[CacheLevelSpec {
-            size_bytes: 65536,
-            assoc: 2,
-            line_bytes: 64,
-            hit_latency_cycles: 99.0,
-        }]);
-        assert_eq!(a, b, "latency must not shape the key");
+        assert!(c.lookup(&key(0, 4096)).is_some(), "the original keeps its entries");
     }
 }

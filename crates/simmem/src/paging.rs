@@ -13,12 +13,19 @@
 //! * the fix: allocate **one large block** once and take each measurement
 //!   at a random offset inside it, sampling many physical layouts within a
 //!   single run ("physical address randomization").
+//!
+//! Either way a buffer is a contiguous slice of the pool, whose order is
+//! fixed at boot. A profile miss needs only how many of a slice's pages
+//! fall in each page-colour block, so the pool carries per-block prefix
+//! counts (`BlockTable`) that answer it in O(blocks) for any slice
+//! length; the pool and its table are shared by every same-seed fork.
 
 use crate::memo::PlacementKey;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::sync::{Arc, OnceLock};
 
 /// Allocation policy of the benchmark buffer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -48,9 +55,8 @@ impl AllocPolicy {
 #[derive(Debug, Clone)]
 pub struct PageAllocator {
     page_bytes: u64,
-    /// Physical page numbers in pool order; `MallocPerSize` buffers always
-    /// occupy a prefix of this order.
-    pool: Vec<u64>,
+    /// The boot-time pool, immutable and shared by same-seed forks.
+    pool: Arc<BootPool>,
     policy: AllocPolicy,
     rng: ChaCha8Rng,
     /// RNG state right after boot (pool shuffled, no offsets drawn yet):
@@ -60,9 +66,18 @@ pub struct PageAllocator {
     /// derives per-index offsets from it so that the pages backing
     /// measurement `i` do not depend on allocation order.
     seed: u64,
-    /// Contiguous physical mapping of the pooled block (pool order) —
-    /// fixed once per run, like a real long-lived allocation.
-    pooled_block_pages: usize,
+}
+
+/// The pool as shuffled at boot and, once a profile miss asks for them,
+/// its colour-block prefix counts. Under `PooledRandomOffset` the whole
+/// pool is the pooled block: a contiguous physical mapping fixed once
+/// per run, like a real long-lived allocation.
+#[derive(Debug)]
+struct BootPool {
+    /// Physical page numbers in pool order; `MallocPerSize` buffers always
+    /// occupy a prefix of this order.
+    pages: Vec<u64>,
+    blocks: OnceLock<BlockTable>,
 }
 
 impl PageAllocator {
@@ -74,32 +89,40 @@ impl PageAllocator {
         assert!(page_bytes.is_power_of_two(), "page size must be a power of two");
         assert!(pool_pages > 0, "empty page pool");
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        let mut pool: Vec<u64> = (0..pool_pages as u64).collect();
-        pool.shuffle(&mut rng);
+        let mut pages: Vec<u64> = (0..pool_pages as u64).collect();
+        pages.shuffle(&mut rng);
         let boot_rng = rng.clone();
         PageAllocator {
             page_bytes,
-            pool,
+            pool: Arc::new(BootPool { pages, blocks: OnceLock::new() }),
             policy,
             rng,
             boot_rng,
             seed,
-            pooled_block_pages: pool_pages,
         }
     }
 
     /// An allocator at boot state for `seed`, bit-identical to
     /// [`PageAllocator::new`] with the same geometry. When `seed` matches
-    /// this allocator's own, the shuffled pool is copied and the RNG
-    /// restored from the boot snapshot instead of re-deriving both — the
-    /// campaign engine forks every batch with the parent's seed, so the
-    /// per-fork shuffle (O(pool) RNG draws) vanishes from the hot path.
+    /// this allocator's own, the fork shares the boot pool (and its
+    /// colour-block table, built or not) and restores the RNG from the
+    /// boot snapshot instead of re-deriving both — the campaign engine
+    /// forks every batch with the parent's seed, so the per-fork shuffle
+    /// (O(pool) RNG draws), pool copy and table build vanish from the hot
+    /// path.
     pub(crate) fn fork(&self, seed: u64) -> Self {
         if seed == self.seed {
             PageAllocator { rng: self.boot_rng.clone(), ..self.clone() }
         } else {
-            PageAllocator::new(self.policy, self.page_bytes, self.pooled_block_pages, seed)
+            PageAllocator::new(self.policy, self.page_bytes, self.pool.pages.len(), seed)
         }
+    }
+
+    /// The largest buffer this allocator can place: the whole pool. Under
+    /// either policy a larger buffer makes [`PageAllocator::allocate`] and
+    /// [`PageAllocator::allocate_at`] panic.
+    pub fn max_buffer_bytes(&self) -> u64 {
+        self.pool.pages.len() as u64 * self.page_bytes
     }
 
     /// Returns the physical page numbers backing a fresh buffer of
@@ -139,15 +162,15 @@ impl PageAllocator {
         let pages_needed = self.pages_needed(buffer_bytes);
         match self.policy {
             AllocPolicy::MallocPerSize => {
-                assert!(pages_needed <= self.pool.len(), "buffer exceeds page pool");
+                assert!(pages_needed <= self.pool.pages.len(), "buffer exceeds page pool");
                 // Freed pages are immediately reused in LIFO order, so a
                 // same-or-smaller allocation always lands on the same
                 // physical prefix.
                 PlacementKey::MallocPrefix
             }
             AllocPolicy::PooledRandomOffset => {
-                assert!(pages_needed <= self.pooled_block_pages, "buffer exceeds pooled block");
-                let max_start = self.pooled_block_pages - pages_needed;
+                assert!(pages_needed <= self.pool.pages.len(), "buffer exceeds pooled block");
+                let max_start = self.pool.pages.len() - pages_needed;
                 let start = if max_start == 0 { 0 } else { self.rng.random_range(0..=max_start) };
                 PlacementKey::PooledStart(start as u64)
             }
@@ -162,12 +185,49 @@ impl PageAllocator {
     /// Panics on [`PlacementKey::Identity`], which the pool does not back,
     /// and when the slice runs past the pool.
     pub(crate) fn pages(&self, placement: PlacementKey, buffer_bytes: u64) -> &[u64] {
-        let start = match placement {
-            PlacementKey::MallocPrefix => 0,
-            PlacementKey::PooledStart(start) => start as usize,
-            PlacementKey::Identity => panic!("identity placements are not backed by the pool"),
-        };
-        &self.pool[start..start + self.pages_needed(buffer_bytes)]
+        let start = pool_start(placement);
+        &self.pool.pages[start..start + self.pages_needed(buffer_bytes)]
+    }
+
+    /// Adds, per colour block `pp & (n_blocks - 1)`, the first `n_pages`
+    /// pages at `placement` into `blocks` (`n_blocks` long, a power of
+    /// two) — what a walk over `pages(placement, ..)[..n_pages]` counts,
+    /// in O(`n_blocks`) steps from the pool's [`BlockTable`], which the
+    /// first slice longer than `2 · n_blocks` pages builds for this pool
+    /// and every same-seed fork. A shorter slice is walked: that costs no
+    /// more than the table's row difference and end walks, and spares a
+    /// machine that only places small buffers the O(pool) build.
+    ///
+    /// # Panics
+    /// As [`PageAllocator::pages`].
+    pub(crate) fn add_block_counts(
+        &self,
+        placement: PlacementKey,
+        n_pages: usize,
+        n_blocks: usize,
+        blocks: &mut [u64],
+    ) {
+        let start = pool_start(placement);
+        let pool = &self.pool.pages;
+        let slice = &pool[start..start + n_pages];
+        let mask = n_blocks as u64 - 1;
+        if n_pages <= 2 * n_blocks {
+            return add_walked(slice, mask, blocks);
+        }
+        let table = self.pool.blocks.get_or_init(|| BlockTable::build(pool, n_blocks));
+        if table.n_blocks == n_blocks {
+            table.add_counts(pool, start, start + n_pages, blocks);
+        } else {
+            // A pool serves one machine's geometry, so this walk is only
+            // reached by a caller asking for a second block count.
+            add_walked(slice, mask, blocks);
+        }
+    }
+
+    /// The pool's colour-block table, if a profile miss has built it.
+    #[cfg(test)]
+    pub(crate) fn block_table(&self) -> Option<&BlockTable> {
+        self.pool.blocks.get()
     }
 
     /// The [`PlacementKey`] that [`PageAllocator::allocate_at`] resolves
@@ -181,11 +241,11 @@ impl PageAllocator {
         let pages_needed = self.pages_needed(buffer_bytes);
         match self.policy {
             AllocPolicy::MallocPerSize => {
-                assert!(pages_needed <= self.pool.len(), "buffer exceeds page pool");
+                assert!(pages_needed <= self.pool.pages.len(), "buffer exceeds page pool");
                 PlacementKey::MallocPrefix
             }
             AllocPolicy::PooledRandomOffset => {
-                assert!(pages_needed <= self.pooled_block_pages, "buffer exceeds pooled block");
+                assert!(pages_needed <= self.pool.pages.len(), "buffer exceeds pooled block");
                 PlacementKey::PooledStart(self.start_at(index, pages_needed) as u64)
             }
         }
@@ -198,7 +258,7 @@ impl PageAllocator {
     /// The pure per-index start offset of `allocate_at` under
     /// `PooledRandomOffset`.
     fn start_at(&self, index: u64, pages_needed: usize) -> usize {
-        let max_start = self.pooled_block_pages - pages_needed;
+        let max_start = self.pool.pages.len() - pages_needed;
         if max_start == 0 {
             0
         } else {
@@ -212,6 +272,84 @@ impl PageAllocator {
     /// colour compete for the same sets.
     pub fn page_color(&self, phys_page: u64, way_bytes: u64) -> u64 {
         phys_page % color_count(way_bytes, self.page_bytes)
+    }
+}
+
+/// The pool offset a placement's slice starts at.
+///
+/// # Panics
+/// Panics on [`PlacementKey::Identity`], which the pool does not back.
+fn pool_start(placement: PlacementKey) -> usize {
+    match placement {
+        PlacementKey::MallocPrefix => 0,
+        PlacementKey::PooledStart(start) => start as usize,
+        PlacementKey::Identity => panic!("identity placements are not backed by the pool"),
+    }
+}
+
+/// Adds `pages` per colour block `pp & mask` into `blocks`.
+pub(crate) fn add_walked(pages: &[u64], mask: u64, blocks: &mut [u64]) {
+    for &pp in pages {
+        blocks[(pp & mask) as usize] += 1;
+    }
+}
+
+/// Per-colour-block prefix counts of a pool, checkpointed every
+/// `n_blocks` pages: row `c` holds, for each block, how many of
+/// `pool[..c · n_blocks]` fall in it. A slice's counts are then the
+/// difference of the last and first checkpoint rows inside it plus the
+/// fewer than `n_blocks` pages walked at each end, so counting any slice
+/// costs O(`n_blocks`) steps, not O(pages). The table holds
+/// `(pool / n_blocks + 1) · n_blocks` four-byte counts: about 4 bytes
+/// per pool page, half of the 8 the pool itself takes (a dense
+/// pages × blocks table would be `n_blocks` times larger).
+#[derive(Debug)]
+pub(crate) struct BlockTable {
+    /// Colour blocks, a power of two; also the checkpoint stride.
+    n_blocks: usize,
+    /// `rows[c · n_blocks + b]`: pages of block `b` in `pool[..c · n_blocks]`.
+    rows: Vec<u32>,
+}
+
+impl BlockTable {
+    fn build(pool: &[u64], n_blocks: usize) -> Self {
+        assert!(n_blocks.is_power_of_two(), "colour blocks must be a power of two");
+        assert!(u32::try_from(pool.len()).is_ok(), "pool too large for 32-bit block counts");
+        let mask = n_blocks as u64 - 1;
+        let mut rows = vec![0u32; (pool.len() / n_blocks + 1) * n_blocks];
+        let (mut prev, mut rest) = rows.split_at_mut(n_blocks);
+        for chunk in pool.chunks_exact(n_blocks) {
+            let (row, tail) = rest.split_at_mut(n_blocks);
+            row.copy_from_slice(prev);
+            for &pp in chunk {
+                row[(pp & mask) as usize] += 1;
+            }
+            (prev, rest) = (row, tail);
+        }
+        BlockTable { n_blocks, rows }
+    }
+
+    /// Adds the pages of `pool[lo..hi]` per colour block into `blocks`.
+    fn add_counts(&self, pool: &[u64], lo: usize, hi: usize, blocks: &mut [u64]) {
+        let nb = self.n_blocks;
+        let mask = nb as u64 - 1;
+        let (first, last) = (lo.div_ceil(nb), hi / nb);
+        if first >= last {
+            add_walked(&pool[lo..hi], mask, blocks);
+            return;
+        }
+        let (head, tail) = (&self.rows[first * nb..][..nb], &self.rows[last * nb..][..nb]);
+        for ((b, &h), &t) in blocks.iter_mut().zip(head).zip(tail) {
+            *b += u64::from(t - h);
+        }
+        add_walked(&pool[lo..first * nb], mask, blocks);
+        add_walked(&pool[last * nb..hi], mask, blocks);
+    }
+
+    /// Bytes of the count table.
+    #[cfg(test)]
+    pub(crate) fn bytes(&self) -> usize {
+        self.rows.len() * std::mem::size_of::<u32>()
     }
 }
 
@@ -241,6 +379,7 @@ pub(crate) fn color_histogram(pages: &[u64], way_bytes: u64, page_bytes: u64) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layout::reference;
 
     #[test]
     fn malloc_per_size_reuses_pages() {
@@ -343,7 +482,11 @@ mod tests {
             match a.placement_at(i, 16_384) {
                 PlacementKey::PooledStart(start) => {
                     let start = start as usize;
-                    assert_eq!(pages, a.pool[start..start + pages.len()].to_vec(), "index {i}");
+                    assert_eq!(
+                        pages,
+                        a.pool.pages[start..start + pages.len()].to_vec(),
+                        "index {i}"
+                    );
                 }
                 other => panic!("pooled placement must be PooledStart, got {other:?}"),
             }
@@ -366,7 +509,7 @@ mod tests {
             match key {
                 PlacementKey::PooledStart(start) => {
                     let start = start as usize;
-                    assert_eq!(plain, b.pool[start..start + plain.len()].to_vec());
+                    assert_eq!(plain, b.pool.pages[start..start + plain.len()].to_vec());
                 }
                 other => panic!("pooled placement must be PooledStart, got {other:?}"),
             }
@@ -397,6 +540,50 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn block_counts_match_a_page_walk_for_every_slice() {
+        // 300 pages: not a multiple of any block count
+        for n_blocks in [1usize, 8, 128] {
+            let a = PageAllocator::new(AllocPolicy::PooledRandomOffset, 4096, 300, n_blocks as u64);
+            // the first slice longer than 2 · n_blocks builds the table
+            a.add_block_counts(PlacementKey::PooledStart(0), 300, n_blocks, &mut [0; 128]);
+            assert_eq!(a.block_table().unwrap().n_blocks, n_blocks);
+            for start in 0..=300usize {
+                for len in 0..=300 - start {
+                    let placement = PlacementKey::PooledStart(start as u64);
+                    let pages = &a.pool.pages[start..start + len];
+                    let mut got = vec![0u64; n_blocks];
+                    a.add_block_counts(placement, len, n_blocks, &mut got);
+                    assert_eq!(got, reference::block_counts(pages, n_blocks as u64));
+                    // the table is built for the first block count asked;
+                    // another is walked
+                    let mut other = vec![0u64; 4];
+                    a.add_block_counts(placement, len, 4, &mut other);
+                    assert_eq!(other, reference::block_counts(pages, 4));
+                }
+            }
+        }
+        let mut prefix = vec![0u64; 8];
+        let m = PageAllocator::new(AllocPolicy::MallocPerSize, 4096, 100, 5);
+        m.add_block_counts(PlacementKey::MallocPrefix, 16, 8, &mut prefix);
+        assert!(m.block_table().is_none(), "a slice of 2 · n_blocks pages is walked");
+        m.add_block_counts(PlacementKey::MallocPrefix, 37, 8, &mut prefix);
+        assert!(m.block_table().is_some());
+        let walked = reference::block_counts(&m.pool.pages[..16], 8).into_iter();
+        let expected: Vec<u64> = walked
+            .zip(reference::block_counts(&m.pool.pages[..37], 8))
+            .map(|(a, b)| a + b)
+            .collect();
+        assert_eq!(prefix, expected);
+    }
+
+    #[test]
+    fn same_seed_forks_share_the_pool() {
+        let a = PageAllocator::new(AllocPolicy::PooledRandomOffset, 4096, 64, 3);
+        assert!(Arc::ptr_eq(&a.pool, &a.fork(3).pool));
+        assert!(!Arc::ptr_eq(&a.pool, &a.fork(4).pool));
     }
 
     #[test]

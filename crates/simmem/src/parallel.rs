@@ -18,7 +18,7 @@
 use crate::kernel::{KernelConfig, KernelResult};
 use crate::layout::{profile_segments, PatternSegment};
 use crate::machine::{CacheLevelSpec, MachineSim};
-use crate::memo::{level_geometries, ProfileKey};
+use crate::memo::ProfileKey;
 
 /// Result of a parallel kernel run.
 #[derive(Debug, Clone, PartialEq)]
@@ -82,9 +82,6 @@ pub fn run_kernel_parallel(
     let placement = machine.draw_placement(alloc_bytes);
     let pages_per_thread = cfg.buffer_bytes.div_ceil(spec.page_bytes) as usize;
     let issue = spec.issue.cycles_per_access(cfg.codegen);
-    // keyed by the *effective* (contention-shrunk) geometry, so the same
-    // placement at a different thread count never aliases
-    let levels_key = level_geometries(&levels);
 
     let mut per_thread_cycles = Vec::with_capacity(threads as usize);
     for t in 0..threads as usize {
@@ -94,8 +91,9 @@ pub fn run_kernel_parallel(
             stride_elems: cfg.stride_elems,
             elem_bytes: cfg.codegen.width.bytes(),
             segment: t as u32,
+            // the effective (contention-shrunk) geometry is a function of
+            // the thread count, so keying by it keeps thread counts apart
             arrays: threads,
-            levels: std::sync::Arc::clone(&levels_key),
         };
         let levels_ref = &levels;
         let profile = machine.cached_profile(key, alloc_bytes, |_, pages, scratch| {

@@ -103,7 +103,6 @@ pub fn run_stream(machine: &mut MachineSim, cfg: &StreamRunConfig) -> KernelResu
         elem_bytes: elem,
         segment: SEGMENT_MERGED,
         arrays: n_arrays as u32,
-        levels: machine.levels_key(),
     };
     let profile = machine.cached_profile(key, alloc_bytes, |spec, total_pages, scratch| {
         // union of the arrays' line sets

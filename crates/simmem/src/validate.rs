@@ -9,8 +9,12 @@
 //! for *their* geometry before relying on sweep results.
 
 use crate::cache::{Access, SetAssocCache};
-use crate::layout::{profile_segments, reference, PatternSegment, PhysicalPattern, ProfileScratch};
-use crate::machine::CacheLevelSpec;
+use crate::layout::{
+    profile_segments, reference, PatternSegment, PhysicalPattern, ProfileScratch, RunGeometry,
+};
+use crate::machine::{CacheLevelSpec, CpuSpec};
+use crate::memo::PlacementKey;
+use crate::paging::{AllocPolicy, PageAllocator};
 
 /// Outcome of one validation run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -144,6 +148,59 @@ pub fn validate_fast_path(spec: &crate::machine::CpuSpec) -> Option<(u64, u64, &
                 }
             }
         }
+    }
+    None
+}
+
+/// Validates the pooled placement path for a spec: on a pool of the
+/// spec's `pool_pages` shuffled under `seed`, the `buffer_bytes` slice
+/// starting at pool offset `start` (offset 0 is where every
+/// `MallocPerSize` buffer lands) must get the page walk's colour-block
+/// counts ([`reference::block_counts`]) from the pool's block table, and
+/// the profile built from them must equal both [`profile_segments`] over
+/// the slice's pages and [`reference::compute`] over
+/// [`reference::resolve`]. Returns what disagreed first; `None` also when
+/// the spec's geometry has no block-table path.
+///
+/// # Panics
+/// Panics when the slice runs past the pool.
+pub fn validate_pool_slice(
+    spec: &CpuSpec,
+    seed: u64,
+    start: usize,
+    buffer_bytes: u64,
+    stride_elems: u64,
+) -> Option<&'static str> {
+    let line = spec.levels[0].line_bytes;
+    let geometry = RunGeometry::new(&spec.levels, spec.page_bytes, line)?;
+    let n_blocks = geometry.n_blocks();
+    let pool =
+        PageAllocator::new(AllocPolicy::MallocPerSize, spec.page_bytes, spec.pool_pages, seed);
+    let placement = PlacementKey::PooledStart(start as u64);
+    let pages = pool.pages(placement, buffer_bytes);
+    let mut blocks = vec![0u64; n_blocks];
+    pool.add_block_counts(placement, pages.len(), n_blocks, &mut blocks);
+    if blocks != reference::block_counts(pages, n_blocks as u64) {
+        return Some("block counts");
+    }
+    let mut scratch = ProfileScratch::default();
+    let table =
+        geometry.profile_pool_slice(&pool, placement, buffer_bytes, 4, stride_elems, &mut scratch);
+    let walked = profile_segments(
+        &[PatternSegment { phys_pages: pages, buffer_bytes }],
+        spec.page_bytes,
+        4,
+        stride_elems,
+        line,
+        &spec.levels,
+        &mut scratch,
+    );
+    if table.is_some_and(|t| t != walked) {
+        return Some("profile vs page walk");
+    }
+    let slow = reference::resolve(pages, spec.page_bytes, 4, stride_elems, buffer_bytes, line);
+    if walked != reference::compute(&slow, &spec.levels) {
+        return Some("profile vs reference");
     }
     None
 }

@@ -13,7 +13,13 @@
 //!    it — never changes a [`KernelResult`] bit or an `Observation`
 //!    counter, for plain, stream, and parallel kernels;
 //! 3. `ideal_bandwidth_mbps` memoization returns bit-identical values on
-//!    repeated calls and against an uncached machine.
+//!    repeated calls and against an uncached machine;
+//! 4. a pooled buffer's colour-block counts, read from the pool's block
+//!    table instead of walking its pages, equal the page walk's
+//!    ([`charm_simmem::layout::reference::block_counts`]) and give the
+//!    profile of `profile_segments` and of the reference oracle, for
+//!    slices of any length anywhere in every preset's pool, its first
+//!    and last page included.
 
 use charm_simmem::compiler::{CodegenConfig, ElementWidth};
 use charm_simmem::dvfs::GovernorPolicy;
@@ -26,6 +32,7 @@ use charm_simmem::paging::AllocPolicy;
 use charm_simmem::parallel::run_kernel_parallel;
 use charm_simmem::sched::SchedPolicy;
 use charm_simmem::stream_kernels::{run_stream, StreamKernel, StreamRunConfig};
+use charm_simmem::validate::validate_pool_slice;
 use proptest::prelude::*;
 
 fn assert_results_bit_identical(a: &KernelResult, b: &KernelResult) -> Result<(), TestCaseError> {
@@ -158,6 +165,35 @@ proptest! {
         }
         let slow = reference::compute(&merged, &levels);
         prop_assert_eq!(fast, slow);
+    }
+
+    #[test]
+    fn pool_slices_count_and_profile_like_the_page_walk(
+        spec_idx in 0usize..4,
+        seed in any::<u64>(),
+        pages in 1usize..700,
+        tail in 1u64..=4096,
+        edge in 0usize..3,
+        offset in any::<u64>(),
+        stride in 1u64..20,
+    ) {
+        let spec = spec_by_index(spec_idx);
+        let pages = pages.min(spec.pool_pages);
+        // a buffer ending anywhere inside its last page
+        let buffer_bytes = (pages as u64 - 1) * spec.page_bytes + tail.min(spec.page_bytes);
+        let last_start = spec.pool_pages - pages;
+        // edge 0: the pool's first page (every `MallocPerSize` slice);
+        // edge 1: its last page; else anywhere in between
+        let start = match edge {
+            0 => 0,
+            1 => last_start,
+            _ => (offset % (last_start as u64 + 1)) as usize,
+        };
+        prop_assert_eq!(
+            validate_pool_slice(&spec, seed, start, buffer_bytes, stride),
+            None,
+            "{} start {} bytes {} stride {}", spec.name, start, buffer_bytes, stride
+        );
     }
 
     #[test]
