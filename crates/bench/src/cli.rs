@@ -15,20 +15,22 @@
 //!   separate process tracks (see `charm_trace::chrome`);
 //! * `--help` — print usage.
 //!
-//! Two groups only some binaries read ([`Reads`]); a binary given a
-//! flag it does not read exits 2 with its usage instead of ignoring it:
+//! Positional arguments land in [`CommonArgs::rest`]: `run_campaign`'s
+//! plan and platform, `all_figures`'s entry ids. Two groups only some
+//! binaries read ([`Reads`]); a binary given a flag it does not read
+//! exits 2 with its usage instead of ignoring it:
 //!
 //! * campaign flags, read by `run_campaign` only: `--shards N` runs the
 //!   campaign on N worker threads (default 1; clamped only to the plan's
 //!   rows, and part of the run ID); `--store DIR` archives the campaign
 //!   into a `charm_store` store, flushing shard checkpoints as they
 //!   complete and replaying the ones an interrupted run of the same
-//!   campaign left there; positional arguments land in
-//!   [`CommonArgs::rest`];
-//! * spec flags, read by `run_campaign`, `fig04`, `fig07` and
-//!   `pchase_interference`: `--benchmark PATH` runs a declarative spec
-//!   (DESIGN.md §15) instead of the built-in one; `--param NAME=VALUE`
-//!   overrides one of its `[params]` (repeatable).
+//!   campaign left there;
+//! * spec flags, read by `run_campaign`, and by `all_figures` when
+//!   exactly one of the spec entries `fig04`, `fig07` and
+//!   `pchase_interference` is selected: `--benchmark PATH` runs a
+//!   declarative spec (DESIGN.md §15) instead of the built-in one;
+//!   `--param NAME=VALUE` overrides one of its `[params]` (repeatable).
 //!
 //! The command line is the only input: no environment variable sets a
 //! flag's value.
@@ -71,24 +73,18 @@ impl CommonArgs {
     /// `extra_usage` documents the positional arguments (empty when the
     /// binary takes none).
     pub fn parse(extra_usage: &str, reads: Reads) -> CommonArgs {
-        let bin = std::env::args().next().unwrap_or_else(|| "bin".into());
-        let parsed = Self::try_parse(std::env::args().skip(1), crate::DEFAULT_SEED);
-        match parsed.and_then(|args| match args.unread(reads) {
-            Some(flag) => {
-                eprintln!("{bin} does not read {flag}");
-                Err(Exit::Error)
-            }
-            None => Ok(args),
-        }) {
-            Ok(args) => args,
+        match Self::try_parse(std::env::args().skip(1), crate::DEFAULT_SEED) {
+            Ok(args) => match args.unread(reads) {
+                Some(flag) => {
+                    refuse(&format!("{} does not read {flag}", bin()), extra_usage, reads)
+                }
+                None => args,
+            },
             Err(Exit::Help) => {
-                println!("{}", usage(&bin, extra_usage, reads));
+                println!("{}", usage(&bin(), extra_usage, reads));
                 std::process::exit(0);
             }
-            Err(Exit::Error) => {
-                eprintln!("{}", usage(&bin, extra_usage, reads));
-                std::process::exit(2);
-            }
+            Err(Exit::Error) => refuse("", extra_usage, reads),
         }
     }
 
@@ -98,7 +94,6 @@ impl CommonArgs {
         [
             ("--shards", self.shards.is_some()),
             ("--store", self.store.is_some()),
-            ("positional arguments", !self.rest.is_empty()),
             ("--benchmark", self.benchmark.is_some()),
             ("--param", !self.params.is_empty()),
         ]
@@ -153,6 +148,22 @@ impl CommonArgs {
     }
 }
 
+/// The running binary's name as invoked.
+fn bin() -> String {
+    std::env::args().next().unwrap_or_else(|| "bin".into())
+}
+
+/// Exits 2 with `complaint` (when not empty) and the usage of a binary
+/// that reads `reads` on stderr: what a binary does with a command line
+/// it will not run.
+pub fn refuse(complaint: &str, extra_usage: &str, reads: Reads) -> ! {
+    if !complaint.is_empty() {
+        eprintln!("{complaint}");
+    }
+    eprintln!("{}", usage(&bin(), extra_usage, reads));
+    std::process::exit(2)
+}
+
 /// Why parsing stopped: the user asked for usage, or a flag was
 /// malformed (usage goes to stderr, exit code 2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -166,7 +177,7 @@ pub(crate) enum Exit {
 /// The flag groups a binary reads beyond the shared flags.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Reads {
-    /// `--shards`, `--store` and positional arguments.
+    /// `--shards` and `--store`.
     pub campaign: bool,
     /// `--benchmark` and `--param`.
     pub spec: bool,
@@ -175,13 +186,11 @@ pub struct Reads {
 impl Reads {
     /// Every flag (`run_campaign`).
     pub const ALL: Reads = Reads { campaign: true, spec: true };
-    /// The shared flags only.
-    pub const SHARED: Reads = Reads { campaign: false, spec: false };
 
-    /// Whether the binary reads `flag` (or takes positional arguments).
+    /// Whether the binary reads `flag`.
     fn reads(self, flag: &str) -> bool {
         match flag {
-            "--shards" | "--store" | "positional arguments" => self.campaign,
+            "--shards" | "--store" => self.campaign,
             "--benchmark" | "--param" => self.spec,
             _ => true,
         }

@@ -1,22 +1,25 @@
-//! The one driver behind `all_figures` and every per-figure binary.
+//! `all_figures [ENTRY …]`: the one driver of
+//! `charm_core::experiments::catalog`.
 //!
-//! A figure binary is a shim naming its entry of
-//! `charm_core::experiments::catalog` ([`main`]); `all_figures` runs
-//! every entry in catalog order ([`all`]). Both take the same steps, so
-//! both write the same bytes:
+//! [`run`] runs the entries named on the command line, in the order
+//! given, or every entry in catalog order when none is named. Each entry
+//! takes the same steps, so a run of one entry writes the same bytes as
+//! the whole-catalog run:
 //!
-//! * refuse (exit 2, with the usage) a flag the binary does not read:
-//!   the campaign flags everywhere, `--benchmark`/`--param` on
-//!   `all_figures` and on entries without a spec;
+//! * refuse (exit 2, with the usage) an unknown or repeated entry (the
+//!   complaint lists the ids), the campaign flags, and
+//!   `--benchmark`/`--param` unless exactly one spec entry (fig04, fig07,
+//!   pchase_interference) is selected;
 //! * run the entry: a bad spec exits 2, a failed experiment or an
 //!   artifact it cannot write 3, both with `<id> (seed N): …` on stderr;
-//! * stamp each CSV with `generator`, `seed` (when the entry reads one)
-//!   and `observed` (fig10, fig11);
+//!   a run of several entries stops at the first that fails;
+//! * stamp each CSV with `generator` (the entry's id), `seed` (when the
+//!   entry reads one) and `observed` (fig10, fig11);
 //! * with `--obs-jsonl`, write an observed entry's report as
 //!   `<id>_obs.jsonl` once it provably parses back identical (else exit
 //!   3), and hand it to the `--profile`/`--trace-out` session.
 
-use crate::cli::{CommonArgs, Reads};
+use crate::cli::{self, CommonArgs, Reads};
 use crate::profile::Session;
 use crate::specload::{self, EXIT_BAD_SPEC, EXIT_TARGET};
 use charm_core::error::CharmError;
@@ -25,37 +28,66 @@ use charm_engine::TargetError;
 use charm_obs::CampaignReport;
 use std::process::ExitCode;
 
-/// Runs catalog entry `id` as its own binary (panics if there is none).
-pub fn main(id: &str) -> ExitCode {
-    let entry = catalog().iter().find(|e| e.id == id).expect("each shim names a catalog entry");
-    let args = CommonArgs::parse("", Reads { campaign: false, spec: entry.spec });
+const USAGE_POSITIONAL: &str = "[ENTRY ...]";
+/// `all_figures` reads the spec flags, but only for one spec entry.
+const READS: Reads = Reads { campaign: false, spec: true };
+
+/// Runs `all_figures` on this process's command line.
+pub fn run() -> ExitCode {
+    let args = CommonArgs::parse(USAGE_POSITIONAL, READS);
+    let entries = select(&args.rest).unwrap_or_else(|m| cli::refuse(&m, USAGE_POSITIONAL, READS));
+    let one_spec_entry = matches!(entries[..], [e] if e.spec);
+    for (flag, given) in
+        [("--benchmark", args.benchmark.is_some()), ("--param", !args.params.is_empty())]
+    {
+        if given && !one_spec_entry {
+            let spec_ids: Vec<&str> = catalog().iter().filter(|e| e.spec).map(|e| e.id).collect();
+            let complaint = format!(
+                "all_figures does not read {flag} unless exactly one spec entry ({}) is named",
+                spec_ids.join(", ")
+            );
+            cli::refuse(&complaint, USAGE_POSITIONAL, READS);
+        }
+    }
     let text = match args.benchmark.as_deref().map(specload::read).transpose() {
         Ok(text) => text,
         Err(code) => return code,
     };
     let spec = SpecArgs { text, params: args.params.clone() };
-    run(std::slice::from_ref(entry), &args, &spec, false)
-}
-
-/// Runs every catalog entry in order (`all_figures`), stopping at the
-/// first that fails.
-pub fn all() -> ExitCode {
-    let args = CommonArgs::parse("", Reads::SHARED);
-    run(catalog(), &args, &SpecArgs::default(), true)
-}
-
-fn run(entries: &[Entry], args: &CommonArgs, spec: &SpecArgs, banner: bool) -> ExitCode {
-    let session = Session::from_args(args);
+    let session = Session::from_args(&args);
     for (i, e) in entries.iter().enumerate() {
-        if banner {
+        if entries.len() > 1 {
             println!("{}== {} ({}) ==", if i == 0 { "" } else { "\n" }, e.id, e.paper_ref);
         }
-        if let Err((code, message)) = run_entry(e, args, spec, &session) {
+        if let Err((code, message)) = run_entry(e, &args, &spec, &session) {
             eprintln!("{} (seed {}): {message}", e.id, args.seed);
             return ExitCode::from(code);
         }
     }
     crate::exit_status(session.finish())
+}
+
+/// The entries `names` select, in the order given; the whole catalog
+/// when `names` is empty. An unknown or repeated name is refused with a
+/// complaint that lists the ids.
+fn select(names: &[String]) -> Result<Vec<&'static Entry>, String> {
+    if names.is_empty() {
+        return Ok(catalog().iter().collect());
+    }
+    let mut picked: Vec<&'static Entry> = Vec::with_capacity(names.len());
+    for name in names {
+        let problem = match catalog().iter().find(|e| e.id == name) {
+            None => "is not a catalog entry",
+            Some(e) if picked.iter().any(|p| p.id == e.id) => "is named twice",
+            Some(e) => {
+                picked.push(e);
+                continue;
+            }
+        };
+        let ids: Vec<&str> = catalog().iter().map(|e| e.id).collect();
+        return Err(format!("{name:?} {problem}; the entries are: {}", ids.join(" ")));
+    }
+    Ok(picked)
 }
 
 fn run_entry(
@@ -91,12 +123,12 @@ fn run_entry(
 /// Entry `e`'s CSV artifacts from a run at `seed`, `(file name, text)`
 /// in write order, each stamped with `generator`, `seed` (when the
 /// entry reads one) and `observed` (when the run was observed): the
-/// exact bytes a binary writes.
+/// exact bytes `all_figures` writes.
 pub fn stamped(e: &Entry, seed: u64, out: &Outputs) -> Vec<(&'static str, String)> {
     out.artifacts
         .iter()
         .map(|(name, body)| {
-            let mut artifact = crate::csvout::artifact(name).meta("generator", e.binary);
+            let mut artifact = crate::csvout::artifact().meta("generator", e.id);
             if e.seeded {
                 artifact = artifact.meta("seed", seed);
             }

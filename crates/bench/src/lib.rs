@@ -1,14 +1,13 @@
 //! # charm-bench
 //!
-//! The benchmark harness: one binary per entry of
-//! `charm_core::experiments::catalog` (regenerating the corresponding
-//! rows/series into `results/` and printing an ASCII report), each a
-//! shim over the one [`figures`] driver that `all_figures` also runs;
-//! `run_campaign` for DSL plans and declarative specs ([`specload`]);
-//! the store and perf-gate tools; and the ablation binaries DESIGN.md
-//! §5 calls for.
+//! The benchmark harness: `all_figures [ENTRY …]` runs the entries of
+//! `charm_core::experiments::catalog` (the paper's tables and figures,
+//! the extension experiments and the ablations DESIGN.md §5 calls for),
+//! writing each one's CSVs into `results/` and printing its report,
+//! through the one [`figures`] driver; `run_campaign` runs DSL plans and
+//! declarative specs ([`specload`]); and the store and perf-gate tools.
 //!
-//! Run e.g. `cargo run -p charm-bench --release --bin fig07`.
+//! Run e.g. `cargo run -p charm-bench --release --bin all_figures -- fig07`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

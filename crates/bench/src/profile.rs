@@ -8,7 +8,7 @@
 //! disabled profiler and everything stays zero-cost.
 //!
 //! ```no_run
-//! let args = charm_bench::cli::CommonArgs::parse("", charm_bench::cli::Reads::SHARED);
+//! let args = charm_bench::cli::CommonArgs::parse("", charm_bench::cli::Reads::ALL);
 //! let session = charm_bench::profile::Session::from_args(&args);
 //! // ... run experiments; engine + analysis spans accumulate ...
 //! // prints the --profile table, writes --trace-out (exit 3 if it cannot)

@@ -1,7 +1,8 @@
-//! The figure binaries end to end: each is its catalog entry run through
-//! the one driver, so it writes exactly the entry's artifacts, refuses
-//! flags it does not read, fails closed on a failed experiment, and
-//! finds its design without a `benchmarks/` directory nearby.
+//! `all_figures` end to end: each catalog entry it runs goes through the
+//! one driver, so a run of one entry writes exactly the entry's
+//! artifacts, byte-equal to the whole-catalog run; it refuses entries
+//! and flags it will not run, fails closed on a failed experiment, and
+//! finds its designs without a `benchmarks/` directory nearby.
 
 mod common;
 
@@ -11,26 +12,11 @@ use std::collections::BTreeSet;
 use std::path::Path;
 use std::process::{Command, Output};
 
-/// Every per-figure binary, in catalog order.
-const BINARIES: [(&str, &str); 12] = [
-    ("fig03", env!("CARGO_BIN_EXE_fig03")),
-    ("fig04", env!("CARGO_BIN_EXE_fig04")),
-    ("table05", env!("CARGO_BIN_EXE_table05")),
-    ("fig07", env!("CARGO_BIN_EXE_fig07")),
-    ("fig08", env!("CARGO_BIN_EXE_fig08")),
-    ("fig09", env!("CARGO_BIN_EXE_fig09")),
-    ("fig10", env!("CARGO_BIN_EXE_fig10")),
-    ("fig11", env!("CARGO_BIN_EXE_fig11")),
-    ("fig12", env!("CARGO_BIN_EXE_fig12")),
-    ("fig13", env!("CARGO_BIN_EXE_fig13")),
-    ("convolution", env!("CARGO_BIN_EXE_convolution")),
-    ("pchase", env!("CARGO_BIN_EXE_pchase_interference")),
-];
 const ALL_FIGURES: &str = env!("CARGO_BIN_EXE_all_figures");
 
-/// Runs `bin` from `dir`, writing into `<dir>/<out>`.
-fn run(dir: &Scratch, bin: &str, out: &str, args: &[&str]) -> Output {
-    Command::new(bin)
+/// Runs `all_figures` from `dir`, writing into `<dir>/<out>`.
+fn run(dir: &Scratch, out: &str, args: &[&str]) -> Output {
+    Command::new(ALL_FIGURES)
         .args(args)
         .args(["--out", dir.join(out).to_str().unwrap()])
         .current_dir(&dir.0)
@@ -52,20 +38,25 @@ fn stderr(out: &Output) -> String {
 }
 
 #[test]
-fn each_quick_run_writes_exactly_the_declared_artifacts() {
-    let ids: Vec<&str> = catalog().iter().map(|e| e.id).collect();
-    assert_eq!(ids, BINARIES.map(|(id, _)| id), "one binary per entry");
+fn each_entry_run_alone_writes_exactly_its_artifacts_byte_equal_to_the_whole_catalog() {
     let dir = Scratch::new("artifacts");
     let mut every = BTreeSet::new();
-    for (e, (_, bin)) in catalog().iter().zip(BINARIES) {
-        assert!(Path::new(bin).ends_with(e.binary), "{} is built as {bin}", e.id);
-        let out = run(&dir, bin, e.id, &["--quick"]);
+    for e in catalog() {
+        let out = run(&dir, e.id, &[e.id, "--quick"]);
         assert!(out.status.success(), "{}: {}", e.id, stderr(&out));
         let declared: BTreeSet<String> = e.artifacts.iter().map(|a| a.to_string()).collect();
         assert_eq!(files(&dir, e.id), declared, "{}", e.id);
+        for name in &declared {
+            let generator = format!("# generator: {}\n", e.id);
+            assert!(
+                read(&dir, e.id, name).starts_with(&generator),
+                "{name} is not stamped {}",
+                e.id
+            );
+        }
         every.extend(declared.into_iter().map(|a| (e.id, a)));
     }
-    let out = run(&dir, ALL_FIGURES, "all", &["--quick"]);
+    let out = run(&dir, "all", &["--quick"]);
     assert!(out.status.success(), "{}", stderr(&out));
     assert_eq!(files(&dir, "all"), every.iter().map(|(_, a)| a.clone()).collect());
     for (id, name) in &every {
@@ -74,44 +65,50 @@ fn each_quick_run_writes_exactly_the_declared_artifacts() {
 }
 
 #[test]
-fn flags_a_binary_does_not_read_exit_2_with_usage() {
+fn entries_and_flags_all_figures_will_not_run_exit_2_with_usage() {
     let dir = Scratch::new("unread");
-    let (fig03, fig04) = (BINARIES[0].1, BINARIES[1].1);
-    let cases: [(&str, &[&str]); 11] = [
-        (fig03, &["garbage"]),
-        (fig03, &["--store", "/tmp/x"]),
-        (fig03, &["--shards", "2"]),
-        (fig03, &["--benchmark", "x.toml"]),
-        (fig03, &["--param", "a=b"]),
-        (ALL_FIGURES, &["--benchmark", "x.toml"]),
-        (ALL_FIGURES, &["--param", "n_sizes=30"]),
-        (ALL_FIGURES, &["garbage"]),
-        (ALL_FIGURES, &["--store", "/tmp/x"]),
-        (ALL_FIGURES, &["--shards", "2"]),
-        (fig04, &["--shards", "2"]),
+    let ids: Vec<&str> = catalog().iter().map(|e| e.id).collect();
+    let lists_ids = format!("the entries are: {}", ids.join(" "));
+    let spec_only = "does not read --benchmark unless exactly one spec entry \
+                     (fig04, fig07, pchase_interference) is named";
+    let param_only = spec_only.replace("--benchmark", "--param");
+    let cases: [(&[&str], &str); 11] = [
+        (&["garbage"], "\"garbage\" is not a catalog entry"),
+        (&["fig03", "fig03"], "\"fig03\" is named twice"),
+        (&["--store", "/tmp/x"], "does not read --store"),
+        (&["--shards", "2"], "does not read --shards"),
+        (&["fig04", "--shards", "2"], "does not read --shards"),
+        (&["--benchmark", "x.toml"], spec_only),
+        (&["--param", "n_sizes=30"], &param_only),
+        (&["fig04", "fig07", "--param", "n_sizes=30"], &param_only),
+        (&["fig04", "fig07", "--benchmark", "x.toml"], spec_only),
+        (&["fig03", "--benchmark", "x.toml"], spec_only),
+        (&["fig03", "--param", "a=b"], &param_only),
     ];
-    for (bin, args) in cases {
-        let result = run(&dir, bin, "out", args);
-        assert_eq!(result.status.code(), Some(2), "{bin} {args:?}");
+    for (args, expected) in cases {
+        let result = run(&dir, "out", args);
+        assert_eq!(result.status.code(), Some(2), "{args:?}");
         let err = stderr(&result);
         let (complaint, usage) = err.split_once("usage:").expect("usage on stderr");
-        assert!(complaint.contains("does not read"), "{err}");
-        // fig04 reads the spec flags; no figure binary reads a campaign flag
-        let unread = ["--shards", "--store", "--benchmark", "--param"];
-        for flag in &unread[..if bin == fig04 { 2 } else { 4 }] {
-            assert!(!usage.contains(flag), "{bin}'s usage lists {flag}, which it does not read");
+        assert!(complaint.contains(expected), "{args:?}: {err}");
+        if expected.starts_with('"') {
+            assert!(complaint.contains(&lists_ids), "{args:?} does not list the ids: {err}");
         }
-        assert!(files(&dir, "out").is_empty(), "{bin} {args:?} wrote artifacts");
+        assert!(usage.contains("[ENTRY ...]"), "{err}");
+        for flag in ["--shards", "--store"] {
+            assert!(!usage.contains(flag), "the usage lists {flag}, which all_figures never reads");
+        }
+        assert!(files(&dir, "out").is_empty(), "{args:?} wrote artifacts");
     }
 }
 
 #[test]
 fn a_failed_fit_exits_3_naming_the_experiment_and_seed() {
     let dir = Scratch::new("fit");
-    for bin in [ALL_FIGURES, BINARIES[1].1] {
-        let result = run(&dir, bin, "out", &["--quick", "--seed", "3"]);
+    for args in [&["--quick", "--seed", "3"][..], &["fig04", "--quick", "--seed", "3"]] {
+        let result = run(&dir, "out", args);
         let err = stderr(&result);
-        assert_eq!(result.status.code(), Some(3), "{bin}: {err}");
+        assert_eq!(result.status.code(), Some(3), "{args:?}: {err}");
         assert!(
             err.contains("fig04 (seed 3): analysis failed") && !err.contains("panicked"),
             "{err}"
@@ -128,7 +125,7 @@ fn a_failed_fit_names_the_op_and_the_segment() {
         ("3", "with 0 distinct x: need at least 2 observations, got 0"),
         ("6", "with 1 distinct x: all predictor values identical"),
     ] {
-        let result = run(&dir, BINARIES[1].1, "out", &["--quick", "--seed", seed]);
+        let result = run(&dir, "out", &["fig04", "--quick", "--seed", seed]);
         let err = stderr(&result);
         assert_eq!(result.status.code(), Some(3), "seed {seed}: {err}");
         let named = format!("analysis failed: async_send: segment 1 [32768, 131072) {cause}");
@@ -141,10 +138,10 @@ fn a_failed_convolution_fit_exits_3_instead_of_panicking() {
     // At seed 9 the white-box network model's fit meets a degenerate
     // predictor; the convolution entry reports it like any failed fit.
     let dir = Scratch::new("convolution");
-    for bin in [ALL_FIGURES, BINARIES[10].1] {
-        let result = run(&dir, bin, "out", &["--seed", "9"]);
+    for args in [&["--seed", "9"][..], &["convolution", "--seed", "9"]] {
+        let result = run(&dir, "out", args);
         let err = stderr(&result);
-        assert_eq!(result.status.code(), Some(3), "{bin}: {err}");
+        assert_eq!(result.status.code(), Some(3), "{args:?}: {err}");
         assert!(
             err.contains("convolution (seed 9): analysis failed") && !err.contains("panicked"),
             "{err}"
@@ -158,10 +155,10 @@ fn an_unwritable_results_directory_exits_3_naming_it() {
     // created there.
     let dir = Scratch::new("unwritable");
     let file = dir.write("occupied", "");
-    for (bin, args) in [(BINARIES[9].1, &[][..]), (ALL_FIGURES, &["--quick"][..])] {
-        let result = run(&dir, bin, "occupied", args);
+    for args in [&["fig13"][..], &["--quick"]] {
+        let result = run(&dir, "occupied", args);
         let err = stderr(&result);
-        assert_eq!(result.status.code(), Some(3), "{bin}: {err}");
+        assert_eq!(result.status.code(), Some(3), "{args:?}: {err}");
         assert!(
             err.contains(&format!("cannot write {file}: ")) && !err.contains("panicked"),
             "{err}"
@@ -173,7 +170,7 @@ fn an_unwritable_results_directory_exits_3_naming_it() {
 fn fig04_needs_no_benchmarks_directory() {
     // The scratch directory has no benchmarks/: the design is embedded.
     let dir = Scratch::new("cwd");
-    let result = run(&dir, BINARIES[1].1, "out", &[]);
+    let result = run(&dir, "out", &["fig04"]);
     assert!(result.status.success(), "{}", stderr(&result));
     let results = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
     for name in ["fig04_raw.csv", "fig04_model.csv"] {
@@ -189,17 +186,16 @@ fn benchmark_replaces_the_embedded_spec_and_a_bad_one_exits_2() {
     let spec =
         charm_core::experiments::pchase::SPEC.replace(both, "levels = [\"l1_resident_8KiB\"]");
     let file = dir.write("one_workload.toml", &spec);
-    let result = run(&dir, BINARIES[11].1, "out", &["--benchmark", &file]);
+    let result = run(&dir, "out", &["pchase_interference", "--benchmark", &file]);
     assert!(result.status.success(), "{}", stderr(&result));
     let csv = read(&dir, "out", "pchase_interference.csv");
     assert!(csv.contains("l1_resident_8KiB") && !csv.contains("dram_bound_8MiB"), "{csv}");
 
     let file = dir.write("bad.toml", "[benchmark\n");
-    let fig07 = BINARIES[3].1;
-    let result = run(&dir, fig07, "bad", &["--benchmark", &file, "--seed", "4"]);
+    let result = run(&dir, "bad", &["fig07", "--benchmark", &file, "--seed", "4"]);
     assert_eq!(result.status.code(), Some(2));
     assert!(stderr(&result).contains("fig07 (seed 4): bad benchmark spec"), "{}", stderr(&result));
-    let result = run(&dir, fig07, "bad", &["--param", "reps=2"]);
+    let result = run(&dir, "bad", &["fig07", "--param", "reps=2"]);
     assert_eq!(result.status.code(), Some(2));
     assert!(stderr(&result).contains("declared: repetitions"), "{}", stderr(&result));
 }
@@ -207,7 +203,7 @@ fn benchmark_replaces_the_embedded_spec_and_a_bad_one_exits_2() {
 #[test]
 fn fig10_obs_jsonl_goes_through_the_round_trip_check() {
     let dir = Scratch::new("obs");
-    let result = run(&dir, BINARIES[6].1, "out", &["--quick", "--obs-jsonl"]);
+    let result = run(&dir, "out", &["fig10", "--quick", "--obs-jsonl"]);
     assert!(result.status.success(), "{}", stderr(&result));
     let stdout = String::from_utf8_lossy(&result.stdout);
     assert!(stdout.contains("verified fig10_obs.jsonl"), "{stdout}");
@@ -215,4 +211,29 @@ fn fig10_obs_jsonl_goes_through_the_round_trip_check() {
     assert_eq!(charm_obs::CampaignReport::from_jsonl(&text).unwrap().to_jsonl(), text);
     let csv = read(&dir, "out", "fig10.csv");
     assert!(csv.starts_with("# generator: fig10\n# seed: 20170529\n# observed: true\n"), "{csv}");
+}
+
+#[test]
+fn a_pchase_working_set_larger_than_the_page_pool_exits_3_naming_buffer_bytes() {
+    // The arm's page pool is 2 MiB: its two threads' 8 MiB buffers cannot
+    // be placed.
+    let dir = Scratch::new("pchase_pool");
+    let spec = charm_core::experiments::pchase::SPEC.replace("cpu = \"i7\"", "cpu = \"arm\"");
+    let file = dir.write("arm.toml", &spec);
+    let result = run(&dir, "out", &["pchase_interference", "--benchmark", &file]);
+    let err = stderr(&result);
+    assert_eq!(result.status.code(), Some(3), "{err}");
+    assert!(err.contains("pchase_interference (seed 20170529): measurement failed"), "{err}");
+    assert!(err.contains("\"buffer_bytes\"") && !err.contains("panicked"), "{err}");
+    assert!(files(&dir, "out").is_empty(), "a failed sweep wrote artifacts");
+}
+
+#[test]
+fn more_fig04_sizes_than_its_range_holds_exit_2() {
+    let dir = Scratch::new("n_sizes");
+    let result = run(&dir, "out", &["fig04", "--param", "n_sizes=100000000"]);
+    let err = stderr(&result);
+    assert_eq!(result.status.code(), Some(2), "{err}");
+    assert!(err.contains("fig04 (seed 20170529): bad benchmark spec"), "{err}");
+    assert!(err.contains("[factors.size]") && !err.contains("panicked"), "{err}");
 }

@@ -321,6 +321,23 @@ fn a_spec_level_a_csv_row_cannot_carry_exits_2_before_measuring() {
 }
 
 #[test]
+fn more_unique_sizes_than_the_range_holds_exit_2_naming_the_factor() {
+    let dir = Scratch::new("unique_count");
+    let spec = dir.write(
+        "sizes.toml",
+        "[benchmark]\nname = \"sizes\"\n\n[target]\nmodel = \"network\"\npreset = \"taurus\"\n\n\
+         [factors.op]\nlevels = [\"ping_pong\"]\n\n[factors.size]\ngenerator = \"loguniform_unique\"\n\
+         min = 8\nmax = 16\ncount = 100\nseed = 1\n",
+    );
+    let out = dir.join("out");
+    let result = run_campaign(&["--benchmark", &spec, "--out", path(&out)]);
+    let stderr = String::from_utf8_lossy(&result.stderr);
+    assert_eq!(result.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("[factors.size]") && !stderr.contains("panicked"), "{stderr}");
+    assert!(!out.exists(), "{stderr}");
+}
+
+#[test]
 fn external_engines_refuse_shards() {
     let dir = Scratch::new("external");
     let spec = concat!(env!("CARGO_MANIFEST_DIR"), "/../../benchmarks/external_smoke.toml");

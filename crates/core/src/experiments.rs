@@ -1,7 +1,8 @@
 //! Experiment drivers: one module per table/figure of the paper's
-//! evaluation, each producing plain data that the `charm-bench` binaries
-//! render as CSV and ASCII plots. [`catalog`] is the one list of them:
-//! `all_figures` and every per-figure binary run its entries.
+//! evaluation, each producing plain data that `charm-bench`'s
+//! `all_figures` renders as CSV and ASCII plots. [`catalog`] is the one
+//! list of them, and of the five ablations (the private `ablations`
+//! module): `all_figures [ENTRY …]` runs its entries.
 //!
 //! | module | reproduces |
 //! |---|---|
@@ -22,6 +23,7 @@
 //! embeds its committed `benchmarks/*.toml` spec as `SPEC` and resolves
 //! it (or a replacement text) through [`crate::spec`].
 
+mod ablations;
 pub mod catalog;
 pub mod convolution;
 pub mod fig03;

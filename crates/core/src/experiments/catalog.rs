@@ -1,14 +1,16 @@
 //! The one list of reproduction experiments.
 //!
-//! One entry per table/figure (and per extension experiment), carrying
-//! its identifiers, the paper reference, the regenerator binary, the
-//! headline claim, the artifacts it writes and the function that runs
-//! it. `all_figures` iterates this table and every per-figure binary
-//! runs its entry through the same `charm_bench` driver, so the binaries
-//! and the refresh path cannot drift apart.
+//! One entry per table/figure, per extension experiment and per
+//! ablation, carrying its id (which is also the `generator` its
+//! artifacts are stamped with), the paper reference, the headline
+//! claim, the artifacts it writes and the function that runs it.
+//! `all_figures [ENTRY …]` runs the entries it names, or all of them,
+//! through one `charm_bench` driver, so a single entry and the full
+//! refresh cannot drift apart.
 
 use super::{
-    convolution, fig03, fig04, fig07, fig08, fig09, fig10, fig11, fig12, fig13, pchase, table05,
+    ablations, convolution, fig03, fig04, fig07, fig08, fig09, fig10, fig11, fig12, fig13, pchase,
+    table05,
 };
 use crate::error::CharmError;
 use charm_obs::CampaignReport;
@@ -47,7 +49,7 @@ pub struct Outputs {
 }
 
 impl Outputs {
-    fn new(report: String, artifacts: Vec<(&'static str, String)>) -> Outputs {
+    pub(crate) fn new(report: String, artifacts: Vec<(&'static str, String)>) -> Outputs {
         Outputs { artifacts, report, observed: None }
     }
 }
@@ -55,13 +57,11 @@ impl Outputs {
 /// One catalog entry.
 #[derive(Debug, Clone, Copy)]
 pub struct Entry {
-    /// Experiment id (e.g. `"fig07"`).
+    /// Experiment id (e.g. `"fig07"`): the `all_figures` argument that
+    /// selects it and the `generator` its artifacts are stamped with.
     pub id: &'static str,
     /// What the paper calls it.
     pub paper_ref: &'static str,
-    /// The `charm-bench` binary that regenerates it (and the
-    /// `generator` its artifacts are stamped with).
-    pub binary: &'static str,
     /// One-sentence headline claim being reproduced.
     pub claim: &'static str,
     /// Artifacts written into `results/`, in write order.
@@ -78,16 +78,16 @@ pub struct Entry {
     pub run: fn(u64, bool, &SpecArgs) -> Result<Outputs, CharmError>,
 }
 
-/// The full catalog, paper order first, extensions last.
+/// The full catalog: paper order first, then the extension experiments,
+/// then the ablations.
 pub fn catalog() -> &'static [Entry] {
     &CATALOG
 }
 
-static CATALOG: [Entry; 12] = [
+static CATALOG: [Entry; 17] = [
     Entry {
         id: "fig03",
         paper_ref: "Figure 3 / §III-3",
-        binary: "fig03",
         claim: "forcing one breakpoint hides the 16 KiB slope change a free segmentation exposes",
         artifacts: &["fig03.csv"],
         seeded: true,
@@ -100,7 +100,6 @@ static CATALOG: [Entry; 12] = [
     Entry {
         id: "fig04",
         paper_ref: "Figure 4 / §III",
-        binary: "fig04",
         claim: "randomized log-uniform sizes expose per-regime variability bands, strongest on detached receive",
         artifacts: &["fig04_raw.csv", "fig04_model.csv"],
         seeded: true,
@@ -117,7 +116,6 @@ static CATALOG: [Entry; 12] = [
     Entry {
         id: "table05",
         paper_ref: "Figure 5",
-        binary: "table05",
         claim: "the four CPUs under study",
         artifacts: &["table05.csv"],
         seeded: false,
@@ -130,7 +128,6 @@ static CATALOG: [Entry; 12] = [
     Entry {
         id: "fig07",
         paper_ref: "Figure 7 / §IV",
-        binary: "fig07",
         claim: "MultiMAPS plateaus at L1/L2/DRAM; strides halve bandwidth beyond L1",
         artifacts: &["fig07.csv"],
         seeded: true,
@@ -145,7 +142,6 @@ static CATALOG: [Entry; 12] = [
     Entry {
         id: "fig08",
         paper_ref: "Figure 8 / §IV",
-        binary: "fig08",
         claim: "an uncontrolled environment buries the stride effect in noise",
         artifacts: &["fig08_raw.csv", "fig08_trends.csv"],
         seeded: true,
@@ -161,7 +157,6 @@ static CATALOG: [Entry; 12] = [
     Entry {
         id: "fig09",
         paper_ref: "Figure 9 / §IV-1",
-        binary: "fig09",
         claim: "element width and unrolling scale bandwidth; the 256-bit+unroll anomaly; no L1 drop until issue-bound",
         artifacts: &["fig09.csv"],
         seeded: true,
@@ -174,7 +169,6 @@ static CATALOG: [Entry; 12] = [
     Entry {
         id: "fig10",
         paper_ref: "Figure 10 / §IV-2",
-        binary: "fig10",
         claim: "the ondemand governor makes nloops — a 'neutral' parameter — decide the measured bandwidth",
         artifacts: &["fig10.csv"],
         seeded: true,
@@ -190,7 +184,6 @@ static CATALOG: [Entry; 12] = [
     Entry {
         id: "fig11",
         paper_ref: "Figure 11 / §IV-3",
-        binary: "fig11",
         claim: "RT scheduling produces a 5x-slower temporal mode that mean±sd reporting hides",
         artifacts: &["fig11_raw.csv"],
         seeded: true,
@@ -206,7 +199,6 @@ static CATALOG: [Entry; 12] = [
     Entry {
         id: "fig12",
         paper_ref: "Figure 12 / §IV-4",
-        binary: "fig12",
         claim: "physical-page reuse freezes each run while the drop point wanders across runs",
         artifacts: &["fig12.csv"],
         seeded: true,
@@ -219,7 +211,6 @@ static CATALOG: [Entry; 12] = [
     Entry {
         id: "fig13",
         paper_ref: "Figure 13 / §V-B",
-        binary: "fig13",
         claim: "the influential-factor diagram",
         artifacts: &["fig13.csv"],
         seeded: false,
@@ -232,7 +223,6 @@ static CATALOG: [Entry; 12] = [
     Entry {
         id: "convolution",
         paper_ref: "Figure 1 (context)",
-        binary: "convolution",
         claim: "opaque calibration degrades convolution predictions by up to ~50%",
         artifacts: &["convolution.csv"],
         seeded: true,
@@ -243,9 +233,8 @@ static CATALOG: [Entry; 12] = [
         },
     },
     Entry {
-        id: "pchase",
+        id: "pchase_interference",
         paper_ref: "§II-C (extension)",
-        binary: "pchase_interference",
         claim: "multi-core interference: cache-resident work scales, DRAM-bound work saturates",
         artifacts: &["pchase_interference.csv"],
         seeded: true,
@@ -255,6 +244,51 @@ static CATALOG: [Entry; 12] = [
             let p = pchase::from_spec(text, seed, &spec.params)?;
             Ok(Outputs::new(p.report(), vec![("pchase_interference.csv", p.to_csv())]))
         },
+    },
+    Entry {
+        id: "ablation_randomization",
+        paper_ref: "§III-1 / §IV-3 (ablation)",
+        claim: "sequential order turns a temporal burst into a phantom size effect; randomized order exposes it as temporal",
+        artifacts: &["ablation_randomization.csv"],
+        seeded: true,
+        spec: false,
+        run: |seed, _, _| ablations::randomization(seed),
+    },
+    Entry {
+        id: "ablation_sizegrids",
+        paper_ref: "§III-2 (ablation)",
+        claim: "the power-of-two grid lands on the 1024-byte fast path; the neighbour probe flags exactly that size",
+        artifacts: &["ablation_sizegrids.csv"],
+        seeded: true,
+        spec: false,
+        run: |seed, _, _| ablations::sizegrids(seed),
+    },
+    Entry {
+        id: "ablation_aggregation",
+        paper_ref: "§IV-3 / Figure 11 (ablation)",
+        claim: "mean ± sd of the RT-ARM campaign describes no behaviour the machine has; raw retention recovers both modes",
+        artifacts: &["ablation_aggregation.csv"],
+        seeded: true,
+        spec: false,
+        run: |seed, _, _| ablations::aggregation(seed),
+    },
+    Entry {
+        id: "ablation_allocation",
+        paper_ref: "§IV-4 / Figure 12 (ablation)",
+        claim: "malloc-per-size runs are stable but disagree across runs; the pooled allocator reproduces across runs",
+        artifacts: &["ablation_allocation.csv"],
+        seeded: true,
+        spec: false,
+        run: |seed, _, _| ablations::allocation(seed),
+    },
+    Entry {
+        id: "ablation_breakpoints",
+        paper_ref: "§III-3 (ablation)",
+        claim: "forcing one breakpoint hides the 16 KiB regime a free segmentation finds",
+        artifacts: &["ablation_breakpoints.csv"],
+        seeded: true,
+        spec: false,
+        run: |seed, _, _| ablations::breakpoints(seed),
     },
 ];
 
@@ -268,9 +302,8 @@ mod tests {
         let mut seen = HashSet::new();
         for e in catalog() {
             assert!(!e.artifacts.is_empty(), "{} has no artifacts", e.id);
-            let names: HashSet<&str> =
-                [e.id, e.binary].into_iter().chain(e.artifacts.iter().copied()).collect();
-            for name in names {
+            assert!(seen.insert(e.id), "two entries have id {}", e.id);
+            for name in e.artifacts {
                 assert!(seen.insert(name), "{name} is claimed by two entries");
             }
         }

@@ -10,6 +10,7 @@
 
 use crate::error::CharmError;
 use crate::spec::ResolvedBenchmark;
+use charm_engine::TargetError;
 use charm_opaque::pchase::{self, PchaseConfig, PchaseRow};
 
 /// The experiment's design, `benchmarks/pchase.toml`: an L1-resident and
@@ -55,8 +56,13 @@ pub(crate) fn from_spec(
             nloops: ResolvedBenchmark::u64_value(wl, "nloops")?,
             repetitions: r.replicates,
         };
-        let mut target = super::memory_target(&r, seed, "pchase")?;
-        let rows = pchase::run(target.machine_mut(), &config);
+        let mut target = super::memory_target(&r, seed, "pchase_interference")?;
+        // the page pool must hold every thread's buffer at once
+        let rows =
+            pchase::run(target.machine_mut(), &config).map_err(|e| TargetError::BadFactor {
+                name: "buffer_bytes",
+                got: format!("{} ({e})", e.buffer_bytes),
+            })?;
         workloads.push(Workload { label, rows });
     }
     Ok(Pchase { workloads })

@@ -561,6 +561,12 @@ fn parse_factor(name: &str, t: &Table) -> Result<Factor, SpecError> {
                     "[factors.{name}] loguniform needs 0 < min <= max and count > 0"
                 )));
             }
+            if generator == "loguniform_unique" && count > max - min + 1 {
+                return Err(err(format!(
+                    "[factors.{name}] loguniform_unique range [{min}, {max}] cannot hold \
+                     {count} distinct sizes"
+                )));
+            }
             let sizes = if generator == "loguniform_unique" {
                 sampling::log_uniform_sizes_unique(
                     min as u64,
@@ -679,6 +685,27 @@ order = \"randomized\"
         let e = spec.resolve(7, &[("typo".to_string(), "1".to_string())]).unwrap_err();
         assert!(e.message.contains("typo"), "{e}");
         assert!(e.message.contains("cpu, n"), "{e}");
+    }
+
+    #[test]
+    fn a_unique_size_count_its_range_cannot_hold_is_a_spec_error() {
+        let spec = |count: u32| {
+            BenchmarkSpec::parse(&format!(
+                "[benchmark]\nname = \"u\"\n[target]\nmodel = \"network\"\npreset = \"taurus\"\n\
+                 [factors.size]\ngenerator = \"loguniform_unique\"\nmin = 8\nmax = 16\n\
+                 count = {count}\nseed = 1\n"
+            ))
+            .unwrap()
+        };
+        // [8, 16] holds exactly 9 distinct sizes
+        let full = spec(9).resolve(1, &[]).unwrap();
+        let mut sizes: Vec<i64> =
+            full.plan.rows().iter().map(|r| r.levels[0].as_int().unwrap()).collect();
+        sizes.sort_unstable();
+        assert_eq!(sizes, (8..=16).collect::<Vec<i64>>());
+        let e = spec(10).resolve(1, &[]).unwrap_err();
+        assert!(e.message.contains("[factors.size]"), "{e}");
+        assert!(e.message.contains("[8, 16] cannot hold 10 distinct sizes"), "{e}");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use crate::report::{AggregatedCell, Welford};
 use charm_simmem::kernel::KernelConfig;
-use charm_simmem::machine::MachineSim;
+use charm_simmem::machine::{MachineSim, PoolExceeded};
 use charm_simmem::parallel::run_kernel_parallel;
 
 /// PChase-style configuration.
@@ -40,20 +40,24 @@ pub struct PchaseRow {
     pub cell: AggregatedCell,
 }
 
-/// Runs the sweep: thread counts `1..=max_threads` in ascending order.
-pub fn run(machine: &mut MachineSim, config: &PchaseConfig) -> Vec<PchaseRow> {
+/// Runs the sweep: thread counts `1..=max_threads` in ascending order,
+/// or an error when the largest count's buffers do not fit the page pool.
+pub fn run(
+    machine: &mut MachineSim,
+    config: &PchaseConfig,
+) -> Result<Vec<PchaseRow>, PoolExceeded> {
     let max_threads = config.max_threads.clamp(1, machine.spec().cores);
     let kcfg = KernelConfig::baseline(config.buffer_bytes, config.nloops);
     let mut rows = Vec::with_capacity(max_threads as usize);
     for threads in 1..=max_threads {
         let mut w = Welford::new();
         for _ in 0..config.repetitions {
-            let r = run_kernel_parallel(machine, &kcfg, threads);
+            let r = run_kernel_parallel(machine, &kcfg, threads)?;
             w.push(r.measurement.bandwidth_mbps);
         }
         rows.push(PchaseRow { threads, cell: AggregatedCell::from_welford(threads as u64, &w) });
     }
-    rows
+    Ok(rows)
 }
 
 /// Scaling efficiency at the largest thread count:
@@ -89,7 +93,8 @@ mod tests {
         let rows = run(
             &mut m,
             &PchaseConfig { buffer_bytes: 8 << 20, max_threads: 8, nloops: 4, repetitions: 3 },
-        );
+        )
+        .unwrap();
         assert_eq!(rows.len(), 8);
         let eff = scaling_efficiency(&rows);
         assert!(eff < 0.6, "DRAM-bound scaling efficiency should collapse: {eff}");
@@ -104,7 +109,8 @@ mod tests {
         let rows = run(
             &mut m,
             &PchaseConfig { buffer_bytes: 8 * 1024, max_threads: 4, nloops: 200, repetitions: 3 },
-        );
+        )
+        .unwrap();
         let eff = scaling_efficiency(&rows);
         assert!(eff > 0.8, "L1-resident scaling efficiency should be high: {eff}");
     }
@@ -115,7 +121,8 @@ mod tests {
         let rows = run(
             &mut m,
             &PchaseConfig { buffer_bytes: 64 * 1024, max_threads: 5, nloops: 10, repetitions: 2 },
-        );
+        )
+        .unwrap();
         let counts: Vec<u32> = rows.iter().map(|r| r.threads).collect();
         assert_eq!(counts, vec![1, 2, 3, 4, 5]);
     }

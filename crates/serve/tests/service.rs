@@ -406,6 +406,30 @@ fn a_spec_level_a_csv_row_cannot_carry_is_refused_at_admission() {
 }
 
 #[test]
+fn a_spec_asking_more_unique_sizes_than_its_range_holds_is_rejected_and_the_next_job_runs() {
+    let (_scratch, server, addr) = start("unique_count", |_| {});
+    let mut c = Client::connect(&addr, "t1").unwrap();
+    let spec = |count: u32| {
+        format!(
+            "[benchmark]\nname = \"svc\"\n\n[target]\nmodel = \"network\"\npreset = \"taurus\"\n\n\
+             [factors.op]\nlevels = [\"ping_pong\"]\n\n[factors.size]\ngenerator = \"loguniform_unique\"\n\
+             min = 8\nmax = 16\ncount = {count}\nseed = 1\n"
+        )
+    };
+    match c.run(PlanKind::Spec, &spec(100), "", 11, 1, false).unwrap() {
+        Err(Event::Rejected { reason: RejectReason::BadPlan, detail }) => {
+            assert!(detail.contains("[factors.size]"), "{detail}");
+        }
+        other => panic!("an impossible size count should bounce at admission: {other:?}"),
+    }
+    // The same connection serves on: a count the range holds completes.
+    let done = c.run(PlanKind::Spec, &spec(9), "", 11, 1, false).unwrap().unwrap();
+    assert!(matches!(&done.terminal, Event::Done { source: Source::Engine, .. }), "{done:?}");
+    assert_eq!(done.rows.len(), 9);
+    server.shutdown();
+}
+
+#[test]
 fn an_unbounded_request_line_is_refused_and_the_connection_closed() {
     use std::io::{BufRead, BufReader, Read, Write};
     let (_scratch, server, addr) = start("longline", |_| {});

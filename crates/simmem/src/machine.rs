@@ -257,6 +257,30 @@ impl CpuSpec {
     }
 }
 
+/// A multi-buffer kernel's working set that the machine's page pool
+/// cannot hold ([`MachineSim::max_buffer_bytes`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PoolExceeded {
+    /// Buffers in the working set: threads or arrays.
+    pub buffers: u64,
+    /// The size of each buffer.
+    pub buffer_bytes: u64,
+    /// The page pool's size.
+    pub pool_bytes: u64,
+}
+
+impl std::fmt::Display for PoolExceeded {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let PoolExceeded { buffers, buffer_bytes, pool_bytes } = self;
+        write!(
+            f,
+            "{buffers} buffers of {buffer_bytes} bytes do not fit the {pool_bytes}-byte page pool"
+        )
+    }
+}
+
+impl std::error::Error for PoolExceeded {}
+
 /// The combined machine: CPU spec + governor + scheduler + page allocator
 /// + virtual clock.
 ///
@@ -527,6 +551,21 @@ impl MachineSim {
     /// pool. A larger buffer makes [`MachineSim::run_kernel`] panic.
     pub fn max_buffer_bytes(&self) -> u64 {
         self.allocator.max_buffer_bytes()
+    }
+
+    /// The size of one allocation holding `buffers` page-aligned buffers
+    /// of `buffer_bytes` each, the working set of a multi-buffer kernel
+    /// (`run_kernel_parallel`'s threads, `run_stream`'s arrays); an error
+    /// when it is larger than the page pool, which could not place it.
+    pub(crate) fn working_set(&self, buffers: u64, buffer_bytes: u64) -> Result<u64, PoolExceeded> {
+        let page = self.spec.page_bytes;
+        let pool_bytes = self.max_buffer_bytes();
+        buffer_bytes
+            .div_ceil(page)
+            .checked_mul(buffers)
+            .and_then(|pages| pages.checked_mul(page))
+            .filter(|&bytes| bytes <= pool_bytes)
+            .ok_or(PoolExceeded { buffers, buffer_bytes, pool_bytes })
     }
 
     /// Looks `key` up in the profile cache. Only on a miss does it borrow

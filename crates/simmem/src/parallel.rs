@@ -17,7 +17,7 @@
 
 use crate::kernel::{KernelConfig, KernelResult};
 use crate::layout::{profile_segments, PatternSegment};
-use crate::machine::{CacheLevelSpec, MachineSim};
+use crate::machine::{CacheLevelSpec, MachineSim, PoolExceeded};
 use crate::memo::ProfileKey;
 
 /// Result of a parallel kernel run.
@@ -61,14 +61,16 @@ fn effective_levels(
 }
 
 /// Runs the Figure 6 kernel on `threads` cores simultaneously (one
-/// private buffer each) and returns the aggregate measurement.
+/// private buffer each) and returns the aggregate measurement, or an
+/// error when the threads' buffers together do not fit the page pool.
 pub fn run_kernel_parallel(
     machine: &mut MachineSim,
     cfg: &KernelConfig,
     threads: u32,
-) -> ParallelResult {
+) -> Result<ParallelResult, PoolExceeded> {
     assert!(cfg.nloops >= 1, "nloops must be >= 1");
     let threads = threads.clamp(1, machine.spec().cores);
+    let alloc_bytes = machine.working_set(threads as u64, cfg.buffer_bytes)?;
     let spec = machine.spec().clone();
     let levels = effective_levels(&spec.levels, spec.first_shared_level, threads);
     // DRAM contention: streams beyond the channel count stretch stalls
@@ -78,7 +80,6 @@ pub fn run_kernel_parallel(
     // all buffers from one allocation so the layout policy applies to the
     // union of the threads' working sets; the RNG draw happens whether or
     // not the per-thread profiles are cached
-    let alloc_bytes = threads as u64 * cfg.buffer_bytes;
     let placement = machine.draw_placement(alloc_bytes);
     let pages_per_thread = cfg.buffer_bytes.div_ceil(spec.page_bytes) as usize;
     let issue = spec.issue.cycles_per_access(cfg.codegen);
@@ -123,7 +124,7 @@ pub fn run_kernel_parallel(
         * cfg.nloops as f64
         * cfg.codegen.width.bytes() as f64;
     let measurement = machine.execute_cycles(max_cycles, bytes);
-    ParallelResult { measurement, threads, per_thread_cycles }
+    Ok(ParallelResult { measurement, threads, per_thread_cycles })
 }
 
 #[cfg(test)]
@@ -149,8 +150,8 @@ mod tests {
         // 8 KiB per thread on the i7: private L1 resident, no contention
         let mut m = machine(CpuSpec::core_i7_2600(), 1);
         let cfg = KernelConfig::baseline(8 * 1024, 400);
-        let one = run_kernel_parallel(&mut m, &cfg, 1).measurement.bandwidth_mbps;
-        let four = run_kernel_parallel(&mut m, &cfg, 4).measurement.bandwidth_mbps;
+        let one = run_kernel_parallel(&mut m, &cfg, 1).unwrap().measurement.bandwidth_mbps;
+        let four = run_kernel_parallel(&mut m, &cfg, 4).unwrap().measurement.bandwidth_mbps;
         let scaling = four / one;
         assert!((3.2..=4.8).contains(&scaling), "L1-resident scaling {scaling}");
     }
@@ -161,8 +162,8 @@ mod tests {
         // threads aggregate bandwidth stops growing
         let mut m = machine(CpuSpec::core_i7_2600(), 2);
         let cfg = KernelConfig::baseline(16 << 20, 4);
-        let two = run_kernel_parallel(&mut m, &cfg, 2).measurement.bandwidth_mbps;
-        let eight = run_kernel_parallel(&mut m, &cfg, 8).measurement.bandwidth_mbps;
+        let two = run_kernel_parallel(&mut m, &cfg, 2).unwrap().measurement.bandwidth_mbps;
+        let eight = run_kernel_parallel(&mut m, &cfg, 8).unwrap().measurement.bandwidth_mbps;
         assert!(eight < 1.3 * two, "DRAM-bound aggregate should saturate: 2T {two} vs 8T {eight}");
     }
 
@@ -173,8 +174,8 @@ mod tests {
         let mut m = machine(CpuSpec::core_i7_2600(), 3);
         let cfg = KernelConfig::baseline(1536 * 1024, 20);
         let per_thread = |r: ParallelResult| r.measurement.bandwidth_mbps / r.threads as f64;
-        let solo = per_thread(run_kernel_parallel(&mut m, &cfg, 1));
-        let crowded = per_thread(run_kernel_parallel(&mut m, &cfg, 8));
+        let solo = per_thread(run_kernel_parallel(&mut m, &cfg, 1).unwrap());
+        let crowded = per_thread(run_kernel_parallel(&mut m, &cfg, 8).unwrap());
         assert!(
             crowded < 0.7 * solo,
             "shared-L3 contention missing: solo {solo} vs crowded {crowded}"
@@ -182,10 +183,29 @@ mod tests {
     }
 
     #[test]
+    fn buffers_filling_the_page_pool_run_and_one_page_more_is_an_error() {
+        let mut m = machine(CpuSpec::arm_snowball(), 6);
+        let (pool, page) = (m.max_buffer_bytes(), m.spec().page_bytes);
+        for threads in [1u32, 2] {
+            let exact = pool / threads as u64;
+            let run = |m: &mut MachineSim, bytes| {
+                run_kernel_parallel(m, &KernelConfig::baseline(bytes, 1), threads)
+            };
+            assert_eq!(run(&mut m, exact).unwrap().threads, threads);
+            let err = run(&mut m, exact + page).unwrap_err();
+            let buffers = threads as u64;
+            assert_eq!(err, PoolExceeded { buffers, buffer_bytes: exact + page, pool_bytes: pool });
+        }
+        // a buffer that is not a whole number of pages takes whole pages
+        let r = run_kernel_parallel(&mut m, &KernelConfig::baseline(page + 1, 1), 2).unwrap();
+        assert_eq!(r.per_thread_cycles.len(), 2);
+    }
+
+    #[test]
     fn thread_count_clamped_to_cores() {
         let mut m = machine(CpuSpec::arm_snowball(), 4);
         let cfg = KernelConfig::baseline(8 * 1024, 10);
-        let r = run_kernel_parallel(&mut m, &cfg, 64);
+        let r = run_kernel_parallel(&mut m, &cfg, 64).unwrap();
         assert_eq!(r.threads, 2);
         assert_eq!(r.per_thread_cycles.len(), 2);
     }
@@ -213,7 +233,7 @@ mod tests {
         let mut a = machine(CpuSpec::opteron(), 5);
         let mut b = machine(CpuSpec::opteron(), 5);
         let plain = a.run_kernel(&cfg).bandwidth_mbps;
-        let par = run_kernel_parallel(&mut b, &cfg, 1).measurement.bandwidth_mbps;
+        let par = run_kernel_parallel(&mut b, &cfg, 1).unwrap().measurement.bandwidth_mbps;
         let ratio = par / plain;
         assert!((0.9..1.1).contains(&ratio), "plain {plain} vs parallel-1 {par}");
     }

@@ -18,7 +18,7 @@
 use crate::compiler::CodegenConfig;
 use crate::kernel::KernelResult;
 use crate::layout::{profile_segments, PatternSegment};
-use crate::machine::MachineSim;
+use crate::machine::{MachineSim, PoolExceeded};
 use crate::memo::{ProfileKey, SEGMENT_MERGED};
 
 /// One of the STREAM kernels (plus the paper's single-array Sum).
@@ -81,8 +81,11 @@ pub struct StreamRunConfig {
 
 /// Runs a STREAM kernel on the machine and returns the measurement with
 /// the STREAM bandwidth convention (`n_arrays · array_bytes` moved per
-/// pass).
-pub fn run_stream(machine: &mut MachineSim, cfg: &StreamRunConfig) -> KernelResult {
+/// pass), or an error when the arrays together do not fit the page pool.
+pub fn run_stream(
+    machine: &mut MachineSim,
+    cfg: &StreamRunConfig,
+) -> Result<KernelResult, PoolExceeded> {
     assert!(cfg.nloops >= 1, "nloops must be >= 1");
     let n_arrays = cfg.kernel.n_arrays();
     let spec_page = machine.spec().page_bytes;
@@ -92,7 +95,7 @@ pub fn run_stream(machine: &mut MachineSim, cfg: &StreamRunConfig) -> KernelResu
     // one contiguous allocation split into the arrays, so MallocPerSize
     // reuse semantics apply to the whole working set; the RNG draw
     // happens here whether or not the profile is cached
-    let alloc_bytes = n_arrays * cfg.array_bytes;
+    let alloc_bytes = machine.working_set(n_arrays, cfg.array_bytes)?;
     let placement = machine.draw_placement(alloc_bytes);
     let pages_per_array = cfg.array_bytes.div_ceil(spec_page) as usize;
 
@@ -131,7 +134,7 @@ pub fn run_stream(machine: &mut MachineSim, cfg: &StreamRunConfig) -> KernelResu
     let cycles = issue_only + stall_cycles;
 
     let bytes = profile.accesses_per_pass as f64 * elem as f64 * cfg.nloops as f64;
-    machine.execute_cycles(cycles, bytes)
+    Ok(machine.execute_cycles(cycles, bytes))
 }
 
 #[cfg(test)]
@@ -171,6 +174,29 @@ mod tests {
     }
 
     #[test]
+    fn arrays_filling_the_page_pool_run_and_one_page_more_is_an_error() {
+        let mut m = machine(2);
+        let (pool, page) = (m.max_buffer_bytes(), m.spec().page_bytes);
+        for (kernel, arrays) in [(StreamKernel::Sum, 1), (StreamKernel::Copy, 2)] {
+            let run = |m: &mut MachineSim, array_bytes| {
+                let cfg = StreamRunConfig { array_bytes, nloops: 1, ..cfg(kernel, 0) };
+                run_stream(m, &cfg)
+            };
+            let exact = pool / arrays;
+            assert!(run(&mut m, exact).is_ok(), "{kernel:?} at the pool size");
+            let err = run(&mut m, exact + page).unwrap_err();
+            assert_eq!(
+                err,
+                PoolExceeded { buffers: arrays, buffer_bytes: exact + page, pool_bytes: pool }
+            );
+        }
+        // an array that is not a whole number of pages takes whole pages
+        let cfg =
+            StreamRunConfig { array_bytes: page + 1, nloops: 1, ..cfg(StreamKernel::Triad, 0) };
+        assert!(run_stream(&mut m, &cfg).is_ok());
+    }
+
+    #[test]
     fn all_kernels_run_and_report_positive_bandwidth() {
         let mut m = machine(1);
         for k in [
@@ -180,7 +206,7 @@ mod tests {
             StreamKernel::Add,
             StreamKernel::Triad,
         ] {
-            let r = run_stream(&mut m, &cfg(k, 2048));
+            let r = run_stream(&mut m, &cfg(k, 2048)).unwrap();
             assert!(r.bandwidth_mbps > 0.0 && r.bandwidth_mbps.is_finite(), "{k:?}");
         }
     }
@@ -190,8 +216,8 @@ mod tests {
         // same total traffic volume: Sum over 4 MiB vs Copy over 2x2 MiB;
         // Copy writes half its lines -> lower bandwidth
         let mut m = machine(2);
-        let sum = run_stream(&mut m, &cfg(StreamKernel::Sum, 4096));
-        let copy = run_stream(&mut m, &cfg(StreamKernel::Copy, 2048));
+        let sum = run_stream(&mut m, &cfg(StreamKernel::Sum, 4096)).unwrap();
+        let copy = run_stream(&mut m, &cfg(StreamKernel::Copy, 2048)).unwrap();
         assert!(
             copy.bandwidth_mbps < 0.95 * sum.bandwidth_mbps,
             "write-allocate should cost: sum {} vs copy {}",
@@ -203,8 +229,8 @@ mod tests {
     #[test]
     fn triad_and_add_equal_traffic() {
         let mut m = machine(3);
-        let add = run_stream(&mut m, &cfg(StreamKernel::Add, 2048));
-        let triad = run_stream(&mut m, &cfg(StreamKernel::Triad, 2048));
+        let add = run_stream(&mut m, &cfg(StreamKernel::Add, 2048)).unwrap();
+        let triad = run_stream(&mut m, &cfg(StreamKernel::Triad, 2048)).unwrap();
         let ratio = add.bandwidth_mbps / triad.bandwidth_mbps;
         assert!(
             (0.8..1.25).contains(&ratio),
@@ -219,8 +245,8 @@ mod tests {
         // three 28 KiB arrays = 84 KiB total > 64 KiB L1: Triad misses
         // where Sum (28 KiB) still fits
         let mut m = machine(4);
-        let sum = run_stream(&mut m, &cfg(StreamKernel::Sum, 28));
-        let triad = run_stream(&mut m, &cfg(StreamKernel::Triad, 28));
+        let sum = run_stream(&mut m, &cfg(StreamKernel::Sum, 28)).unwrap();
+        let triad = run_stream(&mut m, &cfg(StreamKernel::Triad, 28)).unwrap();
         assert!(
             sum.bandwidth_mbps > 1.2 * triad.bandwidth_mbps,
             "sum {} vs triad {}",
@@ -234,8 +260,8 @@ mod tests {
         // tiny arrays: everything L1-resident, bandwidth ~ issue-limited,
         // equal for all kernels
         let mut m = machine(5);
-        let copy = run_stream(&mut m, &cfg(StreamKernel::Copy, 4));
-        let add = run_stream(&mut m, &cfg(StreamKernel::Add, 4));
+        let copy = run_stream(&mut m, &cfg(StreamKernel::Copy, 4)).unwrap();
+        let add = run_stream(&mut m, &cfg(StreamKernel::Add, 4)).unwrap();
         let ratio = copy.bandwidth_mbps / add.bandwidth_mbps;
         assert!(
             (0.85..1.18).contains(&ratio),

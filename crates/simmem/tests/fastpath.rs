@@ -232,12 +232,13 @@ proptest! {
         seed in any::<u64>(),
         kernel_idx in 0usize..5,
         array_pages in 1u64..16,
+        short_by in 0u64..4096,
         threads in 1u32..6,
         reps in 2usize..5,
     ) {
-        // page-multiple sizes: the contiguous-split slicing in
-        // run_stream/run_kernel_parallel assumes them (as every caller does)
-        let array_bytes = array_pages * 4096;
+        // each buffer takes whole pages, so a size short of a page
+        // multiple splits the allocation like the multiple does
+        let array_bytes = array_pages * 4096 - short_by;
         let kernel = [
             StreamKernel::Sum,
             StreamKernel::Copy,
@@ -256,11 +257,11 @@ proptest! {
         let mut uncached = machine(spec_by_index(spec_idx), AllocPolicy::PooledRandomOffset, seed);
         uncached.set_profile_cache_capacity(0);
         for _ in 0..reps {
-            let a = run_stream(&mut cached, &scfg);
-            let b = run_stream(&mut uncached, &scfg);
+            let a = run_stream(&mut cached, &scfg).unwrap();
+            let b = run_stream(&mut uncached, &scfg).unwrap();
             assert_results_bit_identical(&a, &b)?;
-            let pa = run_kernel_parallel(&mut cached, &kcfg, threads);
-            let pb = run_kernel_parallel(&mut uncached, &kcfg, threads);
+            let pa = run_kernel_parallel(&mut cached, &kcfg, threads).unwrap();
+            let pb = run_kernel_parallel(&mut uncached, &kcfg, threads).unwrap();
             assert_results_bit_identical(&pa.measurement, &pb.measurement)?;
             prop_assert_eq!(pa.threads, pb.threads);
             prop_assert_eq!(&pa.per_thread_cycles, &pb.per_thread_cycles);

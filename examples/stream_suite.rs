@@ -49,7 +49,8 @@ fn main() {
                         codegen: CodegenConfig::new(ElementWidth::W64, true),
                         nloops: 5,
                     },
-                );
+                )
+                .expect("three arrays of at most a quarter of the pool fit it");
                 best = best.max(r.bandwidth_mbps);
             }
             if kernel == StreamKernel::Triad {

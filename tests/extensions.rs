@@ -132,7 +132,8 @@ fn stream_and_interference_end_to_end() {
             codegen: CodegenConfig::new(ElementWidth::W64, true),
             nloops: 3,
         },
-    );
+    )
+    .unwrap();
     let small = run_stream(
         &mut m,
         &StreamRunConfig {
@@ -141,13 +142,14 @@ fn stream_and_interference_end_to_end() {
             codegen: CodegenConfig::new(ElementWidth::W64, true),
             nloops: 200,
         },
-    );
+    )
+    .unwrap();
     assert!(small.bandwidth_mbps > 2.0 * big.bandwidth_mbps);
 
     // interference: DRAM-bound parallel scaling is sublinear
     let cfg = KernelConfig::baseline(8 << 20, 3);
-    let one = run_kernel_parallel(&mut m, &cfg, 1).measurement.bandwidth_mbps;
-    let eight = run_kernel_parallel(&mut m, &cfg, 8).measurement.bandwidth_mbps;
+    let one = run_kernel_parallel(&mut m, &cfg, 1).unwrap().measurement.bandwidth_mbps;
+    let eight = run_kernel_parallel(&mut m, &cfg, 8).unwrap().measurement.bandwidth_mbps;
     assert!(eight < 4.0 * one, "DRAM-bound scaling must be sublinear: {one} -> {eight}");
 }
 
