@@ -47,7 +47,7 @@ fn bisquare(u: f64) -> f64 {
 ///
 /// Returns the smoothed values in the order of `eval_x`.
 pub fn loess(x: &[f64], y: &[f64], eval_x: &[f64], config: &LoessConfig) -> Result<Vec<f64>> {
-    let _span = charm_trace::thread_span("analysis.loess");
+    let span = charm_trace::thread_span("analysis.loess");
     crate::error::ensure_paired(x, y)?;
     if !(0.0 < config.span && config.span <= 1.0) {
         return Err(AnalysisError::InvalidParameter("loess span must be in (0,1]"));
@@ -64,9 +64,7 @@ pub fn loess(x: &[f64], y: &[f64], eval_x: &[f64], config: &LoessConfig) -> Resu
     let sx: Vec<f64> = idx.iter().map(|&i| x[i]).collect();
     let sy: Vec<f64> = idx.iter().map(|&i| y[i]).collect();
 
-    // Local tally of local-fit evaluations, flushed once at the end:
-    // keeps the fitting loops free of thread-local lookups while still
-    // reporting smoothing effort (same pattern as the segment DP).
+    // Local fits computed, reported on the span.
     let mut evals = 0u64;
 
     // Robustness weights start at 1. Each iteration fits every data
@@ -89,12 +87,8 @@ pub fn loess(x: &[f64], y: &[f64], eval_x: &[f64], config: &LoessConfig) -> Resu
     }
 
     evals += eval_x.len() as u64;
-    let out = eval_x.iter().map(|&ex| local_fit(&sx, &sy, &rw, ex, q)).collect();
-    if charm_obs::process::is_enabled() {
-        charm_obs::process::add("analysis.loess.evals", evals);
-        charm_obs::process::add("analysis.loess.calls", 1);
-    }
-    out
+    let _span = span.arg("evals", evals);
+    eval_x.iter().map(|&ex| local_fit(&sx, &sy, &rw, ex, q)).collect()
 }
 
 /// Fits the local line at every sorted data point into `fitted` and
@@ -329,29 +323,19 @@ mod tests {
     }
 
     #[test]
-    fn process_counters_report_evals() {
-        let x: Vec<f64> = (0..40).map(|i| i as f64).collect();
-        let y: Vec<f64> = x.iter().map(|v| 2.0 * v).collect();
-        charm_obs::process::enable();
-        loess(&x, &y, &[3.0, 7.0], &LoessConfig { span: 0.5, robustness_iters: 1 }).unwrap();
-        let counters = charm_obs::process::take();
-        // One robustness pass over the 40 distinct x plus the 2
-        // requested evaluation points.
-        assert_eq!(counters.get("analysis.loess.evals"), 40 + 2);
-        assert_eq!(counters.get("analysis.loess.calls"), 1);
-        // disabled again: nothing accumulates
-        loess(&x, &y, &[3.0], &LoessConfig::default()).unwrap();
-        assert!(charm_obs::process::take().is_empty());
-    }
-
-    #[test]
-    fn thread_profiler_times_loess() {
+    fn thread_profiler_times_loess_and_counts_its_fits() {
         let p = charm_trace::Profiler::enabled();
         p.install_thread("main");
-        let x: Vec<f64> = (0..20).map(|i| i as f64).collect();
-        loess(&x, &x, &[5.0], &LoessConfig::default()).unwrap();
+        let x: Vec<f64> = (0..40).map(|i| i as f64).collect();
+        let y: Vec<f64> = x.iter().map(|v| 2.0 * v).collect();
+        loess(&x, &y, &[3.0, 7.0], &LoessConfig { span: 0.5, robustness_iters: 1 }).unwrap();
         charm_trace::Profiler::uninstall_thread();
-        assert!(p.take().iter().any(|s| s.name == "analysis.loess"));
+        let spans = p.take();
+        let [span] = spans.as_slice() else { panic!("one span: {spans:?}") };
+        assert_eq!(span.name, "analysis.loess");
+        // One robustness pass over the 40 distinct x plus the 2
+        // requested evaluation points.
+        assert_eq!(span.args, [("evals".to_string(), (40 + 2).to_string())]);
     }
 
     #[test]

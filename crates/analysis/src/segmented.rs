@@ -178,7 +178,7 @@ impl Problem {
 /// `InvalidParameter` for a NaN, infinite or negative `penalty`;
 /// `TooFewObservations` when no segmentation fits the data.
 pub fn segment(x: &[f64], y: &[f64], config: &SegmentConfig) -> Result<Segmentation> {
-    let _span = charm_trace::thread_span("analysis.segment");
+    let span = charm_trace::thread_span("analysis.segment");
     let problem = Problem::new(x, y, config)?;
     let (n, m, kmax) = (problem.sx.len(), problem.m, problem.kmax);
     // Prefix-sum least squares: every candidate stretch's SSE in O(1)
@@ -216,11 +216,7 @@ pub fn segment(x: &[f64], y: &[f64], config: &SegmentConfig) -> Result<Segmentat
             }
         }
     }
-    if charm_obs::process::is_enabled() {
-        charm_obs::process::add("analysis.sse_evals", sse_evals);
-        charm_obs::process::add("analysis.segment_calls", 1);
-    }
-
+    let _span = span.arg("sse_evals", sse_evals);
     problem.finish(|j, k| cost[k * stride + j], |j, k| back[k * stride + j])
 }
 
@@ -484,17 +480,21 @@ mod tests {
     }
 
     #[test]
-    fn process_counters_report_search_effort() {
+    fn the_segment_span_reports_search_effort() {
         let (x, y) = three_regime(20);
-        charm_obs::process::enable();
+        let p = charm_trace::Profiler::enabled();
+        p.install_thread("main");
         let with = segment(&x, &y, &SegmentConfig::default()).unwrap();
-        let counters = charm_obs::process::take();
-        assert_eq!(counters.get("analysis.segment_calls"), 1);
+        charm_trace::Profiler::uninstall_thread();
+        let spans = p.take();
+        let [span] = spans.as_slice() else { panic!("one span: {spans:?}") };
+        assert_eq!(span.name, "analysis.segment");
+        let [(key, evals)] = span.args.as_slice() else { panic!("one arg: {span:?}") };
         // the free DP over 60 points touches far more than n stretches
-        assert!(counters.get("analysis.sse_evals") > 60, "counters: {counters:?}");
-        // counting must not change the result
+        assert_eq!(key, "sse_evals");
+        assert!(evals.parse::<u64>().unwrap() > 60, "{span:?}");
+        // profiling must not change the result
         let without = segment(&x, &y, &SegmentConfig::default()).unwrap();
-        assert!(charm_obs::process::take().is_empty());
         assert_eq!(with.breakpoints, without.breakpoints);
         assert_eq!(with.sse.to_bits(), without.sse.to_bits());
     }

@@ -2,13 +2,12 @@
 //!
 //! ```text
 //! bench_engine_gate <parent.jsonl> <change.jsonl>
-//! bench_engine_gate --report <report.csv>
 //! ```
 //!
-//! **Paired mode** compares a parent and a change measured on the same
-//! host. Each file holds the result lines of N `charm_perf --workload W`
-//! runs (`perf/`), one run per line, the two sides' runs alternating in
-//! time so that both see the same host drift. No absolute baseline is
+//! Compares a parent and a change measured on the same host. Each file
+//! holds the result lines of N `charm_perf --workload W` runs (`perf/`),
+//! one run per line, the two sides' runs alternating in time so that
+//! both see the same host drift. No absolute baseline is
 //! committed: a number from another host class would be the
 //! missing-context pitfall this repository is about.
 //!
@@ -29,17 +28,11 @@
 //! of failed operations (`failed/attempted`, summed over its runs) is
 //! larger than the parent's.
 //!
-//! **`--report` mode** reads a fleet report CSV from `store_report` and
-//! fails only on a `slower` verdict, a run whose paired-bootstrap
-//! interval against its group's best lies entirely below 1.
-//! `indistinguishable` and `incomparable` rows pass with a note.
-//!
 //! * exit 0 — nothing regressed;
-//! * exit 1 — a metric regressed, a change run is incorrect or fails
-//!   more operations, or a report row is `slower`;
+//! * exit 1 — a metric regressed, or a change run is incorrect or fails
+//!   more operations;
 //! * exit 2 — the inputs are not comparable: unequal run counts, fewer
-//!   than 2 runs a side, a malformed line or report row, an unreadable
-//!   file;
+//!   than 2 runs a side, a malformed line, an unreadable file;
 //! * exit 3 — a file does not exist;
 //! * exit 4 — a result line lacks an end-to-end metric or reports it in
 //!   another unit: it was written by an incompatible `charm_perf`.
@@ -183,8 +176,8 @@ fn load(path: &str, declared: &[Declared]) -> Result<Vec<Run>, LoadError> {
     .collect()
 }
 
-/// Paired mode: the parent's runs against the change's.
-fn gate_paired(parent_path: &str, change_path: &str) -> ExitCode {
+/// The gate: the parent's runs against the change's.
+fn gate(parent_path: &str, change_path: &str) -> ExitCode {
     let declared = match declared() {
         Ok(d) => d,
         Err(e) => {
@@ -296,84 +289,12 @@ fn gate_paired(parent_path: &str, change_path: &str) -> ExitCode {
     }
 }
 
-/// `--report` mode: a CI-backed verdict from a `store_report` CSV.
-fn gate_report(path: &str) -> ExitCode {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            eprintln!("{path} does not exist; generate it: store_report <store> --out <dir>");
-            return ExitCode::from(3);
-        }
-        Err(e) => {
-            eprintln!("cannot read {path}: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let rows = match charm_store::report::parse_csv(&text) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("{path}: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let mut compared = 0usize;
-    let mut regressed = Vec::new();
-    for row in &rows {
-        let bench = if row.benchmark.is_empty() { "-" } else { row.benchmark.as_str() };
-        // Run IDs are validated 32-hex-character strings.
-        let short = &row.run_id.as_str()[..12];
-        match (row.verdict.as_str(), row.ratio_vs_best, row.ci) {
-            ("best", _, _) => {
-                println!(
-                    "{} · {}: rank {} run {short} is the group's best",
-                    row.target, bench, row.rank
-                );
-            }
-            ("incomparable", _, _) => {
-                println!(
-                    "{} · {}: run {short} shares no usable cells with the best — no claim",
-                    row.target, bench
-                );
-            }
-            (verdict, Some(ratio), Some((lo, hi))) => {
-                compared += 1;
-                println!(
-                    "{} · {}: rank {} run {short} ratio {:.4} CI [{:.4}, {:.4}] -> {verdict}",
-                    row.target, bench, row.rank, ratio, lo, hi
-                );
-                if verdict == "slower" {
-                    regressed.push(format!("{} · {bench} run {}", row.target, row.run_id));
-                }
-            }
-            (verdict, _, _) => {
-                eprintln!("{path}: verdict {verdict:?} without a confidence interval");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    println!("{} row(s), {} CI-backed comparison(s)", rows.len(), compared);
-    if regressed.is_empty() {
-        println!("report gate passed: no statistically supported regression");
-        ExitCode::SUCCESS
-    } else {
-        for r in &regressed {
-            eprintln!("statistically slower than the group's best: {r}");
-        }
-        eprintln!("report gate FAILED");
-        ExitCode::from(1)
-    }
-}
-
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     match argv.iter().map(String::as_str).collect::<Vec<_>>().as_slice() {
-        ["--report", path] => gate_report(path),
-        [parent, change] if !parent.starts_with("--") => gate_paired(parent, change),
+        [parent, change] if !parent.starts_with("--") => gate(parent, change),
         _ => {
-            eprintln!(
-                "usage: bench_engine_gate <parent.jsonl> <change.jsonl>\n\
-                 \x20      bench_engine_gate --report <report.csv>"
-            );
+            eprintln!("usage: bench_engine_gate <parent.jsonl> <change.jsonl>");
             ExitCode::from(2)
         }
     }

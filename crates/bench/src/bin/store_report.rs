@@ -15,19 +15,26 @@
 //! indistinguishable" with an interval, never a bare point ratio.
 //!
 //! Markdown goes to stdout; with `--out DIR`, `report.md` and
-//! `report.csv` are written there too (the CSV is what
-//! `bench_engine_gate --report` consumes). The report is deterministic:
+//! `report.csv` are written there too. The report is deterministic:
 //! the same store and flags yield byte-identical output, regardless of
 //! the order runs were archived in.
 //!
-//! * exit 0 — report rendered;
+//! The exit status is the report's verdict, decided from the same
+//! comparisons the tables print: after the report is rendered and
+//! written, every `slower` run — one whose interval against its
+//! group's best lies wholly below 1 — is named on stderr.
+//!
+//! * exit 0 — no run is statistically slower than its group's best
+//!   (`faster`, `indistinguishable` and `incomparable` rows pass);
+//! * exit 1 — at least one run is `slower`;
 //! * exit 2 — bad usage (including `--reps` outside 10 to
 //!   `charm_analysis::speedup::MAX_REPS` or `--level` outside (0,1),
-//!   refused before any run is loaded), unreadable store, or a
-//!   digest-verification failure while loading a run.
+//!   refused before any run is loaded), unreadable store, a
+//!   digest-verification failure while loading a run, or an `--out`
+//!   it cannot write.
 
-use charm_analysis::speedup::SpeedupConfig;
-use charm_store::{build_report, RunQuery};
+use charm_analysis::speedup::{SpeedupConfig, Verdict};
+use charm_store::{build_report, RunQuery, VsBest};
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: store_report <store_dir> [--out DIR] [--level L] [--reps N] \
@@ -124,6 +131,28 @@ fn main() -> ExitCode {
             }
             eprintln!("wrote {}", path.display());
         }
+    }
+    let mut slower = 0usize;
+    for g in &report.groups {
+        for r in &g.runs {
+            let VsBest::Ci { ci, verdict: Verdict::Slower, .. } = &r.vs_best else { continue };
+            slower += 1;
+            let bench = if g.key.benchmark.is_empty() { "-" } else { g.key.benchmark.as_str() };
+            eprintln!(
+                "slower than its group's best: {} · {bench} · run {} · ratio {:.4} · {:.0}% CI \
+                 [{:.4}, {:.4}]",
+                g.key.target,
+                r.run_id,
+                ci.estimate,
+                ci.level * 100.0,
+                ci.lo,
+                ci.hi
+            );
+        }
+    }
+    if slower > 0 {
+        eprintln!("{slower} run(s) statistically slower than their group's best");
+        return ExitCode::from(1);
     }
     ExitCode::SUCCESS
 }

@@ -745,53 +745,6 @@ pub mod json {
     }
 }
 
-/// Thread-local counters for code with no natural owner to hang a
-/// [`Recorder`] on (e.g. the analysis crate's dynamic-programming
-/// segmentation search).
-///
-/// Disabled by default; [`enable`](process::enable) switches the
-/// current thread on and [`take`](process::take) drains and disables
-/// again. Instrumented hot loops should
-/// accumulate locally and flush once per call.
-pub mod process {
-    use super::Counters;
-    use std::cell::RefCell;
-
-    thread_local! {
-        static COUNTERS: RefCell<Option<Counters>> = const { RefCell::new(None) };
-    }
-
-    /// Switches process counters on for the current thread (resetting
-    /// any previous values).
-    pub fn enable() {
-        COUNTERS.with(|c| *c.borrow_mut() = Some(Counters::new()));
-    }
-
-    /// Whether process counters are live on this thread.
-    pub fn is_enabled() -> bool {
-        COUNTERS.with(|c| c.borrow().is_some())
-    }
-
-    /// Adds `n` to counter `key` (no-op when disabled).
-    pub fn add(key: &str, n: u64) {
-        COUNTERS.with(|c| {
-            if let Some(counters) = c.borrow_mut().as_mut() {
-                counters.add(key, n);
-            }
-        });
-    }
-
-    /// Drains the counters and disables recording on this thread.
-    pub fn take() -> Counters {
-        COUNTERS.with(|c| c.borrow_mut().take()).unwrap_or_default()
-    }
-
-    /// A copy of the current values without disabling (empty if disabled).
-    pub fn snapshot() -> Counters {
-        COUNTERS.with(|c| c.borrow().clone()).unwrap_or_default()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1098,20 +1051,5 @@ mod tests {
         };
         let parsed = CampaignReport::from_jsonl(&report.to_jsonl()).expect("parse");
         assert_eq!(parsed.events[0].t_us, 0.0);
-    }
-
-    #[test]
-    fn process_counters_enable_take() {
-        assert!(!process::is_enabled());
-        process::add("k", 5); // ignored while disabled
-        assert!(process::take().is_empty());
-        process::enable();
-        assert!(process::is_enabled());
-        process::add("k", 5);
-        process::add("k", 2);
-        assert_eq!(process::snapshot().get("k"), 7);
-        let taken = process::take();
-        assert_eq!(taken.get("k"), 7);
-        assert!(!process::is_enabled());
     }
 }

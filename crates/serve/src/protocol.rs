@@ -35,8 +35,6 @@ pub enum RejectReason {
     /// The plan/spec did not compile or resolve (or asks for something
     /// the service refuses, e.g. an external-engine target).
     BadPlan,
-    /// The request itself was malformed (missing fields, bad values).
-    BadRequest,
 }
 
 impl RejectReason {
@@ -47,7 +45,6 @@ impl RejectReason {
             RejectReason::QuotaJobs => "quota_jobs",
             RejectReason::QuotaRows => "quota_rows",
             RejectReason::BadPlan => "bad_plan",
-            RejectReason::BadRequest => "bad_request",
         }
     }
 
@@ -57,7 +54,6 @@ impl RejectReason {
             "quota_jobs" => RejectReason::QuotaJobs,
             "quota_rows" => RejectReason::QuotaRows,
             "bad_plan" => RejectReason::BadPlan,
-            "bad_request" => RejectReason::BadRequest,
             _ => return None,
         })
     }

@@ -37,6 +37,7 @@ use charm_store::{CampaignKey, CheckpointSession, RunId, Store, StoreError};
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Sender};
@@ -190,9 +191,12 @@ impl JobTable {
         self.inner.lock().unwrap().insert(id.to_string(), JobHandle { cancel, finished: false });
     }
 
-    fn finish(&self, id: &str) {
-        if let Some(h) = self.inner.lock().unwrap().get_mut(id) {
-            h.finished = true;
+    /// Marks a job finished; `false` when it was already finished or
+    /// is unknown.
+    fn finish(&self, id: &str) -> bool {
+        match self.inner.lock().expect("job table lock").get_mut(id) {
+            Some(h) => !std::mem::replace(&mut h.finished, true),
+            None => false,
         }
     }
 
@@ -258,11 +262,7 @@ impl Server {
         let workers = (0..shared.config.workers.max(1))
             .map(|_| {
                 let shared = Arc::clone(&shared);
-                std::thread::spawn(move || {
-                    while let Some(job) = shared.queue.pop() {
-                        execute_job(&shared, *job);
-                    }
-                })
+                std::thread::spawn(move || work(&shared, execute_job))
             })
             .collect();
         let accept = {
@@ -666,11 +666,34 @@ fn stream_archive(
     )
 }
 
+/// A worker thread: pops jobs until the queue stops and runs each
+/// through `run`. A panic under one job fails that job, not the
+/// worker: the client gets a terminal `failed` event, the tenant's slot
+/// is released and the next job runs on the same thread.
+fn work(shared: &Shared, run: impl Fn(&Shared, Job)) {
+    while let Some(job) = shared.queue.pop() {
+        let (id, tenant, tx) = (job.id.clone(), job.tenant.clone(), job.tx.clone());
+        let Err(panic) = catch_unwind(AssertUnwindSafe(|| run(shared, *job))) else { continue };
+        let message = panic
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("a non-string payload");
+        shared.metrics.bump("serve.jobs_failed", 1);
+        finish(shared, &id, &tenant);
+        let _ = tx.send(Event::Failed {
+            job: id,
+            reason: "error".into(),
+            detail: format!("job panicked: {message}"),
+        });
+    }
+}
+
 /// Worker-side execution of an admitted job.
 fn execute_job(shared: &Shared, job: Job) {
     // A job cancelled while queued dies here, before any engine work.
     if job.cancel.is_cancelled() {
-        finish(shared, &job);
+        finish(shared, &job.id, &job.tenant);
         let _ = job.tx.send(Event::Failed {
             job: job.id.clone(),
             reason: "cancelled".into(),
@@ -701,7 +724,7 @@ fn execute_job(shared: &Shared, job: Job) {
                 &run.data,
                 run.report.as_ref(),
             );
-            finish(shared, &job);
+            finish(shared, &job.id, &job.tenant);
             match archived {
                 Ok(id) => {
                     shared.metrics.bump("serve.engine_rows", run.data.records.len() as u64);
@@ -734,7 +757,7 @@ fn execute_job(shared: &Shared, job: Job) {
         }
         Err(TargetError::Cancelled) => {
             shared.metrics.bump("serve.jobs_cancelled", 1);
-            finish(shared, &job);
+            finish(shared, &job.id, &job.tenant);
             let _ = job.tx.send(Event::Failed {
                 job: job.id.clone(),
                 reason: "cancelled".into(),
@@ -743,7 +766,7 @@ fn execute_job(shared: &Shared, job: Job) {
         }
         Err(e) => {
             shared.metrics.bump("serve.jobs_failed", 1);
-            finish(shared, &job);
+            finish(shared, &job.id, &job.tenant);
             let _ = job.tx.send(Event::Failed {
                 job: job.id.clone(),
                 reason: "error".into(),
@@ -753,9 +776,12 @@ fn execute_job(shared: &Shared, job: Job) {
     }
 }
 
-fn finish(shared: &Shared, job: &Job) {
-    shared.metrics.job_finished(&job.tenant);
-    shared.jobs.finish(&job.id);
+/// Marks a job finished and releases its tenant's slot, once: a panic
+/// after the job already finished releases nothing more.
+fn finish(shared: &Shared, id: &str, tenant: &str) {
+    if shared.jobs.finish(id) {
+        shared.metrics.job_finished(tenant);
+    }
 }
 
 /// Runs one job's campaign on the work-stealing engine, streaming
@@ -776,4 +802,113 @@ fn run_sharded<T: ParallelTarget>(
         sharded = sharded.observer(Observer::default());
     }
     sharded.run()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc::Receiver;
+
+    const DSL: &str = "factor op in [ping_pong]\nfactor size in [64, 1024]\nreplicates 2\n";
+
+    fn shared(dir: &std::path::Path) -> Shared {
+        let config =
+            ServerConfig { store_dir: dir.to_path_buf(), workers: 1, ..Default::default() };
+        Shared {
+            store: Store::open(dir).unwrap(),
+            queue: JobQueue::new(config.queue),
+            config,
+            metrics: Metrics::new(),
+            jobs: JobTable::default(),
+            stopping: AtomicBool::new(false),
+            next_job: AtomicU64::new(1),
+        }
+    }
+
+    /// Admits and queues a job for tenant `t` the way `handle_submit`
+    /// does; returns its ID and event stream.
+    fn admit(shared: &Shared, seed: u64) -> (String, Receiver<Event>) {
+        let Prepared { plan, target, target_id, shuffle_seed } =
+            submit::prepare(PlanKind::Dsl, DSL, "taurus", seed).unwrap();
+        shared.metrics.try_admit("t", plan.len() as u64, &shared.config.quotas()).unwrap();
+        let session = shared.store.session(&plan, &target_id, Some(seed), 1).unwrap();
+        let key = CampaignKey::of(&plan, &target_id, Some(seed), 1);
+        let id = next_job_id(shared);
+        let cancel = CancelToken::new();
+        let (tx, rx) = channel();
+        shared.jobs.register(&id, cancel.clone());
+        let job = Job {
+            id: id.clone(),
+            tenant: "t".into(),
+            plan,
+            target,
+            shuffle_seed,
+            seed,
+            shards: 1,
+            observe: false,
+            resume: false,
+            key,
+            session,
+            cancel,
+            tx,
+        };
+        assert!(shared.queue.try_push(Box::new(job)).is_ok());
+        (id, rx)
+    }
+
+    #[test]
+    fn a_panicking_job_fails_alone_and_its_worker_runs_the_next() {
+        let dir = std::env::temp_dir().join(format!("charm_serve_panic_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let shared = shared(&dir);
+        let (first, first_rx) = admit(&shared, 1);
+        let (second, second_rx) = admit(&shared, 2);
+        // A job's events up to its terminal one; none once its senders
+        // are gone or after a generous wait.
+        let events = |rx: &Receiver<Event>| {
+            let mut out = Vec::new();
+            while let Ok(e) = rx.recv_timeout(Duration::from_secs(20)) {
+                let terminal = matches!(e, Event::Done { .. } | Event::Failed { .. });
+                out.push(e);
+                if terminal {
+                    break;
+                }
+            }
+            out
+        };
+        let (first_events, second_events, worker) = std::thread::scope(|s| {
+            // One worker runs both jobs; the first one's body panics.
+            let worker = s.spawn(|| {
+                work(&shared, |shared, job| {
+                    if job.id == first {
+                        panic!("injected fault");
+                    }
+                    execute_job(shared, job)
+                })
+            });
+            let (first_events, second_events) = (events(&first_rx), events(&second_rx));
+            shared.queue.stop();
+            (first_events, second_events, worker.join())
+        });
+        assert!(worker.is_ok(), "the worker outlives the panic");
+        assert_eq!(
+            first_events,
+            [Event::Failed {
+                job: first.clone(),
+                reason: "error".into(),
+                detail: "job panicked: injected fault".into(),
+            }]
+        );
+        assert!(
+            matches!(second_events.last(), Some(Event::Done { job, records: 4, .. }) if *job == second),
+            "{second_events:?}"
+        );
+        assert_eq!(shared.metrics.get("serve.jobs_failed"), 1);
+        assert_eq!(shared.metrics.get("serve.jobs_executed"), 1);
+        let (_, tenants) = shared.metrics.snapshot();
+        let active = tenants[0].1.iter().find(|(k, _)| k == "active").map(|(_, v)| *v);
+        assert_eq!((tenants[0].0.as_str(), active), ("t", Some(0)), "both slots released");
+        assert_eq!(shared.jobs.cancel(&first), "finished");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

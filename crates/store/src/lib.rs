@@ -50,7 +50,7 @@ pub mod store;
 
 pub use diff::{CellDiff, MetadataDrift, RunDiff};
 pub use manifest::{Artifact, MachineFacts, Manifest};
-pub use report::{build_report, FleetReport, GroupReport, RankedRun, ReportRow, VsBest};
+pub use report::{build_report, FleetReport, GroupReport, RankedRun, VsBest};
 pub use store::{
     target_identity, CampaignKey, CheckpointSession, GcReport, RunId, RunQuery, Store, StoreError,
     StoredRun,

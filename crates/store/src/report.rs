@@ -412,7 +412,7 @@ impl FleetReport {
     }
 
     /// Deterministic CSV rendering — the machine-readable twin of the
-    /// markdown table, consumed by `bench_engine_gate --report`.
+    /// markdown table, written next to it by `store_report --out`.
     ///
     /// Schema (one header line, then one row per ranked run):
     /// `target,benchmark,host,rank,run_id,seed,shards,cells,shared_cells,score,ratio_vs_best,ci_lo,ci_hi,level,verdict`.
@@ -476,85 +476,3 @@ impl FleetReport {
 /// The CSV schema's header line (without trailing newline).
 pub const CSV_HEADER: &str =
     "target,benchmark,host,rank,run_id,seed,shards,cells,shared_cells,score,ratio_vs_best,ci_lo,ci_hi,level,verdict";
-
-/// One parsed row of the CSV report (as read back by the CI gate).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReportRow {
-    /// Target identity.
-    pub target: String,
-    /// Benchmark label.
-    pub benchmark: String,
-    /// Host class.
-    pub host: String,
-    /// Rank within the group.
-    pub rank: usize,
-    /// Full run ID.
-    pub run_id: RunId,
-    /// Benefit ratio vs the group's best, when compared.
-    pub ratio_vs_best: Option<f64>,
-    /// Interval bounds, when compared.
-    pub ci: Option<(f64, f64)>,
-    /// Verdict column: `best`, `faster`, `slower`, `indistinguishable`
-    /// or `incomparable`.
-    pub verdict: String,
-}
-
-/// Parses a CSV report produced by [`FleetReport::render_csv`].
-/// Rejects unknown schemas loudly — a gate silently misreading a
-/// column would be worse than no gate.
-pub fn parse_csv(text: &str) -> Result<Vec<ReportRow>, String> {
-    let mut lines = text.lines();
-    match lines.next() {
-        Some(header) if header == CSV_HEADER => {}
-        Some(header) => return Err(format!("unexpected report schema: {header}")),
-        None => return Err("empty report".to_string()),
-    }
-    let mut rows = Vec::new();
-    for (i, line) in lines.enumerate() {
-        if line.is_empty() {
-            continue;
-        }
-        let fields: Vec<&str> = line.split(',').collect();
-        if fields.len() != 15 {
-            return Err(format!("row {}: expected 15 fields, got {}", i + 2, fields.len()));
-        }
-        let rank: usize =
-            fields[3].parse().map_err(|_| format!("row {}: bad rank {:?}", i + 2, fields[3]))?;
-        let run_id = RunId::parse(fields[4])
-            .map_err(|_| format!("row {}: bad run ID {:?}", i + 2, fields[4]))?;
-        let opt_f = |field: &str, name: &str| -> Result<Option<f64>, String> {
-            if field.is_empty() {
-                Ok(None)
-            } else {
-                field
-                    .parse::<f64>()
-                    .map(Some)
-                    .map_err(|_| format!("row {}: bad {name} {field:?}", i + 2))
-            }
-        };
-        let ratio = opt_f(fields[10], "ratio_vs_best")?;
-        let lo = opt_f(fields[11], "ci_lo")?;
-        let hi = opt_f(fields[12], "ci_hi")?;
-        let ci = match (lo, hi) {
-            (Some(lo), Some(hi)) => Some((lo, hi)),
-            (None, None) => None,
-            _ => return Err(format!("row {}: half-open interval", i + 2)),
-        };
-        let verdict = fields[14];
-        match verdict {
-            "best" | "faster" | "slower" | "indistinguishable" | "incomparable" => {}
-            other => return Err(format!("row {}: unknown verdict {other:?}", i + 2)),
-        }
-        rows.push(ReportRow {
-            target: fields[0].to_string(),
-            benchmark: fields[1].to_string(),
-            host: fields[2].to_string(),
-            rank,
-            run_id,
-            ratio_vs_best: ratio,
-            ci,
-            verdict: verdict.to_string(),
-        });
-    }
-    Ok(rows)
-}

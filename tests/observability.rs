@@ -1,7 +1,7 @@
 //! End-to-end observability guarantees through the facade crate:
 //! attaching an observer never changes the retained records, counter
 //! totals are shard-count-invariant, the JSONL export round-trips, and
-//! the analysis process counters tally real work.
+//! the analysis spans tally real work.
 
 use charm::design::doe::FullFactorial;
 use charm::design::Factor;
@@ -123,20 +123,30 @@ fn network_counters_are_shard_count_invariant() {
 }
 
 #[test]
-fn analysis_process_counters_tally_segmentation_work() {
+fn analysis_spans_tally_segmentation_work() {
     let xs: Vec<f64> = (0..120).map(|i| i as f64).collect();
     let ys: Vec<f64> = xs.iter().map(|&x| if x < 60.0 { 2.0 * x } else { 60.0 + x }).collect();
-    charm::obs::process::enable();
+    let profiler = charm::trace::Profiler::enabled();
+    profiler.install_thread("main");
     let fit = charm::analysis::segmented::segment(
         &xs,
         &ys,
         &charm::analysis::segmented::SegmentConfig::default(),
     )
     .unwrap();
-    let counters = charm::obs::process::take();
+    charm::trace::Profiler::uninstall_thread();
     assert!(!fit.breakpoints.is_empty());
-    assert_eq!(counters.get("analysis.segment_calls"), 1);
-    assert!(counters.get("analysis.sse_evals") > 0);
-    // disabled again after take(): further work leaves no trace
-    assert!(charm::obs::process::snapshot().is_empty());
+    let spans = profiler.take();
+    let segment: Vec<_> = spans.iter().filter(|s| s.name == "analysis.segment").collect();
+    let [span] = segment.as_slice() else { panic!("one segment span: {spans:?}") };
+    let evals = span.args.iter().find(|(k, _)| k == "sse_evals").map(|(_, v)| v.parse::<u64>());
+    assert!(matches!(evals, Some(Ok(n)) if n > 0), "{span:?}");
+    // uninstalled: further work leaves no trace
+    charm::analysis::segmented::segment(
+        &xs,
+        &ys,
+        &charm::analysis::segmented::SegmentConfig::default(),
+    )
+    .unwrap();
+    assert!(profiler.take().is_empty());
 }
