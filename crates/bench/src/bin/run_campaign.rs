@@ -68,6 +68,7 @@ use charm_engine::registry::{self, ExternalEngineSpec, ResolvedTarget};
 use charm_engine::{Campaign, CampaignRun, ParallelTarget};
 use charm_obs::Observer;
 use charm_runner::ExternalTarget;
+use charm_store::CampaignKey;
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -108,16 +109,14 @@ fn write_outputs(out: Option<&Path>, label: &str, run: &CampaignRun) -> std::io:
     Ok(())
 }
 
-/// Writes the artifacts and then archives the run; shared by every
-/// target. An artifact it cannot write exits 3 before anything is
-/// archived.
+/// Writes the artifacts and then archives the run under `archive`'s
+/// key; shared by every target. An artifact it cannot write exits 3
+/// before anything is archived.
 fn finish_run(
     args: &CommonArgs,
     session: Session,
     bench: &ResolvedBenchmark,
-    target_id: &str,
-    store: Option<&charm_store::Store>,
-    shards: u64,
+    archive: Option<(&charm_store::Store, &CampaignKey)>,
     run: &CampaignRun,
 ) -> ExitCode {
     let label = bench.target.label();
@@ -127,12 +126,11 @@ fn finish_run(
     if let Some(report) = &run.report {
         session.attach_virtual(&label, report);
     }
-    if let Some(store) = store {
+    if let Some((store, key)) = archive {
         let batches = run.data.metadata.get("batches").map_or("1", String::as_str);
         println!("replayed {} of {batches} batches", run.replayed_batches);
         let cli_args: Vec<String> = std::env::args().collect();
-        let key = charm_store::CampaignKey::of(&bench.plan, target_id, Some(args.seed), shards);
-        match store.put_run(&key, &label, &cli_args.join(" "), &run.data, run.report.as_ref()) {
+        match store.put_run(key, &label, &cli_args.join(" "), &run.data, run.report.as_ref()) {
             Ok(id) => println!("archived run {id}"),
             Err(e) => {
                 eprintln!("archive failed: {e}");
@@ -174,9 +172,11 @@ fn run_external(
             return specload::exit_for(&e);
         }
     };
-    let target_id = charm_store::target_identity(&engine);
-    let store = match open_store(args) {
-        Ok(s) => s,
+    let archive = match open_store(args) {
+        Ok(store) => store.map(|store| {
+            let target_id = charm_store::target_identity(&engine);
+            (store, CampaignKey::of(&bench.plan, &target_id, Some(args.seed), 1))
+        }),
         Err(code) => return code,
     };
     let mut campaign = Campaign::new(&bench.plan, engine).seed(bench.order_seed);
@@ -184,7 +184,9 @@ fn run_external(
         campaign = campaign.observer(Observer::default());
     }
     match campaign.run() {
-        Ok(run) => finish_run(args, session, bench, &target_id, store.as_ref(), 1, &run),
+        Ok(run) => {
+            finish_run(args, session, bench, archive.as_ref().map(|(s, key)| (s, key)), &run)
+        }
         Err(e) => {
             eprintln!("campaign failed: {e}");
             specload::exit_for(&e)
@@ -202,14 +204,13 @@ fn run_sharded<T: ParallelTarget>(
 ) -> ExitCode {
     let plan = &bench.plan;
     let shards = args.shards.unwrap_or(1);
-    // The target's identity folds into the run ID, so the same plan
-    // against two platforms can never share a run directory.
-    let target_id = charm_store::target_identity(&target);
-
     // Open the campaign store (and its checkpoint session for this
     // run's identity) before executing, so shards flush as they finish.
     let store_ctx = match open_store(args) {
         Ok(Some(store)) => {
+            // The target's identity folds into the run ID, so the same
+            // plan against two platforms can never share a run directory.
+            let target_id = charm_store::target_identity(&target);
             let checkpoint = match store.session(plan, &target_id, Some(args.seed), shards as u64) {
                 Ok(s) => s,
                 Err(e) => {
@@ -232,8 +233,8 @@ fn run_sharded<T: ParallelTarget>(
     }
     match campaign.run() {
         Ok(run) => {
-            let store = store_ctx.as_ref().map(|(store, _)| store);
-            finish_run(args, session, bench, &target_id, store, shards as u64, &run)
+            let archive = store_ctx.as_ref().map(|(store, checkpoint)| (store, checkpoint.key()));
+            finish_run(args, session, bench, archive, &run)
         }
         Err(e) => {
             eprintln!("campaign failed: {e}");

@@ -16,6 +16,7 @@
 //! assert_eq!(text, "# generator: fig00\n# seed: 42\nx,y\n1,2\n");
 //! ```
 
+use charm_engine::record::write_metadata;
 use std::collections::BTreeSet;
 
 /// A CSV artifact's metadata stamps, being assembled.
@@ -52,11 +53,8 @@ impl CsvArtifact {
     pub fn stamped(&self, body: &str) -> String {
         let present = existing_keys(body);
         let mut out = String::new();
-        for (k, v) in &self.meta {
-            if !present.contains(k.as_str()) {
-                out.push_str(&format!("# {k}: {v}\n"));
-            }
-        }
+        let fresh = self.meta.iter().filter(|(k, _)| !present.contains(k.as_str()));
+        write_metadata(&mut out, fresh.map(|(k, v)| (k, v)));
         out.push_str(body);
         out
     }

@@ -32,7 +32,9 @@ use crate::target::{Assignment, ParallelTarget, Target, TargetError};
 use charm_design::plan::ExperimentPlan;
 use charm_obs::{CampaignReport, Counters, Observation, Observer, Span};
 use charm_trace::{Profiler, WallSpan};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc;
 use std::time::Instant;
 
 /// Batches carved per worker for dynamic claiming: enough slack that a
@@ -283,15 +285,6 @@ struct BatchYield {
     wall_ns: u64,
 }
 
-/// What one worker thread reports back: the batches it claimed (with
-/// their outcomes), how many of those claims were steals, and how many
-/// of them it replayed from the checkpoint store.
-struct WorkerYield {
-    batches: Vec<(usize, Result<BatchYield, TargetError>)>,
-    steals: u64,
-    replayed: usize,
-}
-
 /// One batch's place in the run geometry: which batch of how many, and
 /// the contiguous plan-row range it covers.
 #[derive(Clone, Copy)]
@@ -438,7 +431,7 @@ impl<'p, T: ParallelTarget> ShardedCampaign<'p, T> {
 
     /// Executes the plan on a pool of worker threads that dynamically
     /// claim contiguous row batches off a shared counter, and merges the
-    /// per-batch records back into canonical plan order.
+    /// per-batch records back into canonical plan order as they finish.
     ///
     /// # Scheduling
     ///
@@ -456,6 +449,13 @@ impl<'p, T: ParallelTarget> ShardedCampaign<'p, T> {
     /// positioned by measurement index (see below). Steal and split
     /// counts surface as diagnostics (`engine.scheduler.steals`,
     /// `engine.scheduler.splits`), not as scientific counters.
+    ///
+    /// # Merge
+    ///
+    /// Workers send each finished batch to the thread that called
+    /// `run`, which merges while they keep measuring: a batch joins the
+    /// campaign timeline once every batch before it has, and then goes
+    /// to the store's [`CheckpointSink::deliver`], replayed or not.
     ///
     /// # Determinism
     ///
@@ -531,16 +531,29 @@ impl<'p, T: ParallelTarget> ShardedCampaign<'p, T> {
         let next = AtomicUsize::new(0);
         let abort = AtomicBool::new(false);
         let parallel_start_ns = profiler.elapsed_ns();
-        let worker_yields: Vec<WorkerYield> = std::thread::scope(|scope| {
+        // The campaign timeline, built in plan order as batches finish.
+        let mut records = Vec::with_capacity(n);
+        let mut offsets = Vec::with_capacity(nbatches);
+        let mut observations = Vec::with_capacity(nbatches);
+        let mut diagnostics = Counters::new();
+        let mut spans = Vec::with_capacity(nbatches);
+        let mut clock_us = 0.0f64;
+        // Finished batches waiting for an earlier one, by batch index,
+        // and the earliest failing batch with its error.
+        let mut waiting: BTreeMap<usize, (usize, BatchYield)> = BTreeMap::new();
+        let mut failure: Option<(usize, TargetError)> = None;
+        let mut busy_ns = 0u64;
+        let (done_tx, done_rx) = mpsc::channel();
+        let per_worker: Vec<(u64, usize)> = std::thread::scope(|scope| {
             let handles: Vec<_> = protos
                 .into_iter()
                 .enumerate()
                 .map(|(w, proto)| {
                     let profiler = profiler.clone();
+                    let done_tx = done_tx.clone();
                     let (next, abort, bounds, observer, cancel) =
                         (&next, &abort, &bounds, &observer, &cancel);
                     scope.spawn(move || {
-                        let mut batches: Vec<(usize, Result<BatchYield, TargetError>)> = Vec::new();
                         let (mut steals, mut replayed) = (0u64, 0usize);
                         loop {
                             // Batch-claim boundary: an aborted (failed)
@@ -582,7 +595,8 @@ impl<'p, T: ParallelTarget> ShardedCampaign<'p, T> {
                                 Err(e) => Err(e),
                             };
                             let failed = result.is_err();
-                            batches.push((b, result));
+                            // The merging thread outlives every worker.
+                            done_tx.send((b, w, result)).expect("the merge stopped early");
                             if failed {
                                 // Fail fast: stop handing out batches;
                                 // in-flight batches on other workers finish.
@@ -590,27 +604,68 @@ impl<'p, T: ParallelTarget> ShardedCampaign<'p, T> {
                                 break;
                             }
                         }
-                        WorkerYield { batches, steals, replayed }
+                        (steals, replayed)
                     })
                 })
                 .collect();
+            drop(done_tx);
+            // Merge as batches arrive. Batches are claimed in index
+            // order, so every batch before the earliest failure finishes
+            // and joins the timeline; none at or after it does.
+            for (b, w, outcome) in done_rx {
+                match outcome {
+                    Ok(y) => {
+                        busy_ns += y.wall_ns;
+                        waiting.insert(b, (w, y));
+                    }
+                    Err(e) if failure.as_ref().is_none_or(|(first, _)| b < *first) => {
+                        failure = Some((b, e));
+                    }
+                    Err(_) => {}
+                }
+                while let Some((w, mut y)) = waiting.remove(&offsets.len()) {
+                    // Shift the batch's timestamps (records *and* events)
+                    // by the summed elapsed time of the batches before
+                    // it. Replayed batches carry their stored clock
+                    // reading, so every timestamp matches the
+                    // uninterrupted run.
+                    let batch = offsets.len();
+                    offsets.push(clock_us);
+                    for r in &mut y.records {
+                        r.start_us += clock_us;
+                    }
+                    if let Some(sink) = sink {
+                        sink.deliver(&y.records);
+                    }
+                    records.append(&mut y.records);
+                    for (k, v) in y.diagnostics {
+                        // Campaign total plus a per-worker breakdown keyed
+                        // by the worker that actually executed the batch.
+                        diagnostics.add_owned(format!("shard{w}.{k}"), v);
+                        diagnostics.add_owned(k, v);
+                    }
+                    if let Some(mut obs) = y.observation {
+                        // Sequence numbers are already global (skip_to
+                        // set the index).
+                        for e in &mut obs.events {
+                            e.t_us += clock_us;
+                        }
+                        spans.push(Span {
+                            name: format!("batch{batch}"),
+                            t_start_us: clock_us,
+                            t_end_us: clock_us + y.elapsed_us,
+                            wall_ns: y.wall_ns,
+                        });
+                        observations.push(obs);
+                    }
+                    clock_us += y.elapsed_us;
+                }
+            }
             handles.into_iter().map(|h| h.join().expect("worker thread panicked")).collect()
         });
-        let mut executed: Vec<Option<Result<BatchYield, TargetError>>> =
-            (0..nbatches).map(|_| None).collect();
-        let mut steals_per_worker = vec![0u64; workers];
-        let mut total_steals = 0u64;
-        let mut replayed_batches = 0usize;
-        let mut worker_of: Vec<usize> = vec![0; nbatches];
-        for (w, wy) in worker_yields.into_iter().enumerate() {
-            steals_per_worker[w] = wy.steals;
-            total_steals += wy.steals;
-            replayed_batches += wy.replayed;
-            for (b, res) in wy.batches {
-                worker_of[b] = w;
-                executed[b] = Some(res);
-            }
-        }
+        let (steals_per_worker, replayed): (Vec<u64>, Vec<usize>) = per_worker.into_iter().unzip();
+        let total_steals: u64 = steals_per_worker.iter().sum();
+        let replayed_batches = replayed.iter().sum();
         if profiler.is_enabled() {
             // Worker utilization: summed batch busy time over the
             // parallel region's wall time × worker count. 1.0 means every
@@ -618,8 +673,6 @@ impl<'p, T: ParallelTarget> ShardedCampaign<'p, T> {
             // batches or an oversubscribed host. A replayed batch counts
             // the time its segment took to load.
             let parallel_dur_ns = profiler.elapsed_ns().saturating_sub(parallel_start_ns);
-            let busy_ns: u64 =
-                executed.iter().flatten().filter_map(|r| r.as_ref().ok().map(|y| y.wall_ns)).sum();
             let capacity_ns = parallel_dur_ns.saturating_mul(workers as u64);
             let utilization =
                 if capacity_ns == 0 { 0.0 } else { busy_ns as f64 / capacity_ns as f64 };
@@ -639,56 +692,16 @@ impl<'p, T: ParallelTarget> ShardedCampaign<'p, T> {
         }
 
         let _merge_span = profiler.span_on("engine", "engine.merge");
-        let mut records = Vec::with_capacity(n);
-        let mut offsets = Vec::with_capacity(nbatches);
-        let mut observations = Vec::with_capacity(nbatches);
-        let mut diagnostics = Counters::new();
-        let mut spans = Vec::with_capacity(nbatches);
-        let mut clock_us = 0.0f64;
-        for (b, outcome) in executed.into_iter().enumerate() {
-            // Batches are claimed in index order, so every batch before
-            // the earliest failure has a result, and the first failing
-            // batch holds the earliest failing plan row. Replayed batches
-            // carry their stored clock reading, so the offset arithmetic
-            // — and therefore every timestamp — matches the uninterrupted
-            // run.
-            let mut y = match outcome {
-                Some(Ok(y)) => y,
-                Some(Err(e)) => return Err(e),
-                // A hole means the claim loop stopped handing out
-                // batches — with a fired token that is cancellation
-                // (whole segments for every batch that did run are
-                // already in the sink).
-                None if cancel.is_cancelled() => return Err(TargetError::Cancelled),
+        if offsets.len() < nbatches {
+            // A hole with no failure means the claim loop stopped
+            // handing out batches — with a fired token that is
+            // cancellation (whole segments for every batch that did run
+            // are already in the sink).
+            return Err(match failure {
+                Some((_, e)) => e,
+                None if cancel.is_cancelled() => TargetError::Cancelled,
                 None => unreachable!("batch never claimed"),
-            };
-            offsets.push(clock_us);
-            for r in &mut y.records {
-                r.start_us += clock_us;
-            }
-            records.append(&mut y.records);
-            for (k, v) in y.diagnostics {
-                // Campaign total plus a per-worker breakdown keyed by the
-                // worker that actually executed the batch.
-                diagnostics.add_owned(format!("shard{}.{k}", worker_of[b]), v);
-                diagnostics.add_owned(k, v);
-            }
-            if let Some(mut obs) = y.observation {
-                // Shift batch-local event timestamps onto the campaign
-                // timeline, like record timestamps above. Sequence
-                // numbers are already global (skip_to set the index).
-                for e in &mut obs.events {
-                    e.t_us += clock_us;
-                }
-                spans.push(Span {
-                    name: format!("batch{b}"),
-                    t_start_us: clock_us,
-                    t_end_us: clock_us + y.elapsed_us,
-                    wall_ns: y.wall_ns,
-                });
-                observations.push(obs);
-            }
-            clock_us += y.elapsed_us;
+            });
         }
         let offsets_str = offsets.iter().map(|o| format!("{o:.3}")).collect::<Vec<_>>().join(",");
         let mut metadata = MetadataBuilder::new()
@@ -1342,11 +1355,13 @@ mod tests {
     }
 
     /// In-memory checkpoint sink: segments keyed by (batch, batches),
-    /// plus save/load counters so tests can assert which batches executed.
+    /// a save counter so tests can assert which batches executed, and
+    /// every delivered batch.
     #[derive(Default)]
     struct MemorySink {
         segments: std::sync::Mutex<std::collections::HashMap<(usize, usize), ShardCheckpoint>>,
         saves: std::sync::atomic::AtomicUsize,
+        deliveries: std::sync::Mutex<Vec<Vec<RawRecord>>>,
     }
 
     impl MemorySink {
@@ -1356,6 +1371,11 @@ mod tests {
 
         fn saves(&self) -> usize {
             self.saves.load(std::sync::atomic::Ordering::SeqCst)
+        }
+
+        /// The batches delivered since the last call, in delivery order.
+        fn take_deliveries(&self) -> Vec<Vec<RawRecord>> {
+            std::mem::take(&mut *self.deliveries.lock().unwrap())
         }
     }
 
@@ -1377,6 +1397,10 @@ mod tests {
             shards: usize,
         ) -> Result<Option<ShardCheckpoint>, crate::checkpoint::CheckpointError> {
             Ok(self.segments.lock().unwrap().get(&(shard, shards)).cloned())
+        }
+
+        fn deliver(&self, records: &[RawRecord]) {
+            self.deliveries.lock().unwrap().push(records.to_vec());
         }
     }
 
@@ -1525,6 +1549,144 @@ mod tests {
             .run()
             .unwrap_err();
         assert!(matches!(err, TargetError::Checkpoint { .. }));
+    }
+
+    /// Asserts that `deliveries` are the campaign's batches in plan
+    /// order, each shifted by the summed stored clock of the batches
+    /// before it — the same `f64` additions, so the same bits — and
+    /// that together they are `run`'s records.
+    fn assert_merged_deliveries(
+        deliveries: &[Vec<RawRecord>],
+        sink: &MemorySink,
+        run: &CampaignData,
+        shards: usize,
+    ) {
+        let bounds = batch_bounds(run.records.len(), shards);
+        assert_eq!(deliveries.len(), bounds.len(), "one delivery per batch");
+        let segments = sink.segments.lock().unwrap();
+        let mut clock_us = 0.0f64;
+        for (b, (delivered, &(lo, hi))) in deliveries.iter().zip(&bounds).enumerate() {
+            let stored = &segments[&(b, bounds.len())];
+            let sequences: Vec<u64> = delivered.iter().map(|r| r.sequence).collect();
+            assert_eq!(sequences, (lo as u64..hi as u64).collect::<Vec<_>>(), "batch {b}");
+            for (d, local) in delivered.iter().zip(&stored.records) {
+                assert_eq!(d.start_us.to_bits(), (local.start_us + clock_us).to_bits());
+                assert_eq!(d.value.to_bits(), local.value.to_bits());
+            }
+            clock_us += stored.elapsed_us;
+        }
+        assert_eq!(deliveries.concat(), run.records);
+    }
+
+    /// Holds batch 0's save until batch 1's has landed, so batch 1
+    /// finishes first; records the order saves land in.
+    struct HoldFirstSink<'s> {
+        inner: &'s MemorySink,
+        landed: std::sync::Mutex<Vec<usize>>,
+        cv: std::sync::Condvar,
+    }
+
+    impl CheckpointSink for HoldFirstSink<'_> {
+        fn save_shard(
+            &self,
+            shard: usize,
+            shards: usize,
+            checkpoint: &ShardCheckpoint,
+        ) -> Result<(), crate::checkpoint::CheckpointError> {
+            let mut landed = self.landed.lock().unwrap();
+            if shard == 0 {
+                // Bounded, so a scheduling surprise fails the order
+                // assertion instead of hanging the test.
+                let wait = std::time::Duration::from_secs(20);
+                landed = self.cv.wait_timeout_while(landed, wait, |l| !l.contains(&1)).unwrap().0;
+            }
+            self.inner.save_shard(shard, shards, checkpoint)?;
+            landed.push(shard);
+            self.cv.notify_all();
+            Ok(())
+        }
+
+        fn load_shard(
+            &self,
+            shard: usize,
+            shards: usize,
+        ) -> Result<Option<ShardCheckpoint>, crate::checkpoint::CheckpointError> {
+            self.inner.load_shard(shard, shards)
+        }
+
+        fn deliver(&self, records: &[RawRecord]) {
+            self.inner.deliver(records);
+        }
+    }
+
+    #[test]
+    fn out_of_order_batches_stream_in_batch_order_with_offsets() {
+        let plan = shuffled_net_plan(4, 17);
+        let sink = MemorySink::default();
+        let holding =
+            HoldFirstSink { inner: &sink, landed: Default::default(), cv: Default::default() };
+        let run = Campaign::new(&plan, NetworkTarget::new("t", presets::taurus_openmpi_tcp(17)))
+            .shards(2)
+            .seed(17)
+            .store(&holding)
+            .run()
+            .unwrap()
+            .data;
+        let landed = holding.landed.into_inner().unwrap();
+        assert_eq!(landed[0], 1, "batch 1 finished before batch 0");
+        assert_merged_deliveries(&sink.take_deliveries(), &sink, &run, 2);
+    }
+
+    #[test]
+    fn replayed_segments_stream_like_fresh_ones() {
+        let plan = shuffled_net_plan(5, 19);
+        let sink = MemorySink::default();
+        let run = || {
+            Campaign::new(&plan, NetworkTarget::new("m", presets::myrinet_gm(19)))
+                .shards(3)
+                .seed(19)
+                .store(&sink)
+                .run()
+                .unwrap()
+        };
+        let fresh = run();
+        let fresh_deliveries = sink.take_deliveries();
+        let batches = batch_bounds(plan.len(), 3).len();
+        sink.remove(0, batches);
+        sink.remove(batches / 2, batches);
+        let resumed = run();
+        assert_eq!(resumed.replayed_batches, batches - 2);
+        assert_eq!(sink.take_deliveries(), fresh_deliveries, "replays deliver like measurements");
+        assert_bit_identical(&fresh.data, &resumed.data);
+        assert_merged_deliveries(&fresh_deliveries, &sink, &resumed.data, 3);
+    }
+
+    #[test]
+    fn delivery_stops_before_the_failing_batch() {
+        // Every "nonsense" row fails; the plan runs the ping_pong rows
+        // first, so the batches before the first failing row succeed.
+        let plan = FullFactorial::new()
+            .factor(Factor::new("op", vec!["ping_pong", "nonsense"]))
+            .factor(Factor::new("size", vec![64i64, 1024]))
+            .replicates(6)
+            .build();
+        let first_bad = plan.rows().iter().position(|r| r.levels[0] != Level::from("ping_pong"));
+        let first_bad = first_bad.unwrap();
+        let bounds = batch_bounds(plan.len(), 2);
+        let failing_batch = bounds.iter().position(|&(lo, hi)| (lo..hi).contains(&first_bad));
+        let failing_batch = failing_batch.unwrap();
+        assert!(failing_batch > 0, "some batch must succeed first");
+        let sink = MemorySink::default();
+        let err = Campaign::new(&plan, NetworkTarget::new("m", presets::myrinet_gm(1)))
+            .shards(2)
+            .store(&sink)
+            .run()
+            .unwrap_err();
+        assert!(matches!(err, TargetError::BadFactor { name: "op", .. }));
+        let deliveries = sink.take_deliveries();
+        assert_eq!(deliveries.len(), failing_batch, "every batch before the failure, no more");
+        let delivered: Vec<u64> = deliveries.concat().iter().map(|r| r.sequence).collect();
+        assert_eq!(delivered, (0..bounds[failing_batch].0 as u64).collect::<Vec<_>>());
     }
 
     /// Checkpoint sink that fires a [`CancelToken`] after `after` saved

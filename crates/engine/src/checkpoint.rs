@@ -8,7 +8,8 @@
 //! flushes each finished shard through [`CheckpointSink::save_shard`]
 //! and, unless the campaign is observed, replays every shard the sink
 //! already holds via [`CheckpointSink::load_shard`] instead of
-//! re-measuring it.
+//! re-measuring it. Each batch that joins the campaign timeline then
+//! goes to [`CheckpointSink::deliver`], in plan order.
 //!
 //! The trait lives here — not in the store crate — so the engine stays
 //! free of storage concerns and the store crate depends on the engine,
@@ -56,10 +57,11 @@ impl std::error::Error for CheckpointError {}
 
 /// A durable destination for per-shard checkpoint segments.
 ///
-/// Implementations must be safe to call from the engine's shard threads
-/// concurrently (each shard writes only its own segment, so a
+/// `save_shard` and `load_shard` are called from the engine's shard
+/// threads concurrently (each shard writes only its own segment, so a
 /// file-per-shard layout needs no locking). `save_shard` must be atomic
-/// — a half-written segment must never be loadable.
+/// — a half-written segment must never be loadable. `deliver` is called
+/// from the thread running the campaign only, one batch at a time.
 pub trait CheckpointSink: Sync {
     /// Persists `checkpoint` as the segment for `shard` of `shards`.
     /// Overwrites any previous segment for the same geometry.
@@ -80,6 +82,13 @@ pub trait CheckpointSink: Sync {
         shard: usize,
         shards: usize,
     ) -> Result<Option<ShardCheckpoint>, CheckpointError>;
+
+    /// Receives the next merged batch: its records as they appear in
+    /// the finished campaign. Batches arrive in plan order, measured or
+    /// replayed, and stop before the earliest failing or unclaimed one;
+    /// a measured batch arrives after its `save_shard` returned. The
+    /// default does nothing.
+    fn deliver(&self, _records: &[RawRecord]) {}
 }
 
 /// A `&S` to a sink is itself a sink, so builders can hold borrowed
@@ -101,6 +110,10 @@ impl<S: CheckpointSink + ?Sized> CheckpointSink for &S {
     ) -> Result<Option<ShardCheckpoint>, CheckpointError> {
         (**self).load_shard(shard, shards)
     }
+
+    fn deliver(&self, records: &[RawRecord]) {
+        (**self).deliver(records)
+    }
 }
 
 #[cfg(test)]
@@ -111,5 +124,49 @@ mod tests {
     fn checkpoint_error_displays_message() {
         let e = CheckpointError("segment is torn".into());
         assert_eq!(e.to_string(), "segment is torn");
+    }
+
+    /// Stores nothing; counts the rows delivered to it.
+    #[derive(Default)]
+    struct Counting(std::sync::atomic::AtomicUsize);
+
+    impl CheckpointSink for Counting {
+        fn save_shard(
+            &self,
+            _: usize,
+            _: usize,
+            _: &ShardCheckpoint,
+        ) -> Result<(), CheckpointError> {
+            Ok(())
+        }
+
+        fn load_shard(
+            &self,
+            _: usize,
+            _: usize,
+        ) -> Result<Option<ShardCheckpoint>, CheckpointError> {
+            Ok(None)
+        }
+
+        fn deliver(&self, records: &[RawRecord]) {
+            self.0.fetch_add(records.len(), std::sync::atomic::Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn a_borrowed_sink_forwards_deliveries() {
+        fn deliver_through<S: CheckpointSink>(sink: S, records: &[RawRecord]) {
+            sink.deliver(records);
+        }
+        let record = RawRecord {
+            levels: vec![charm_design::factors::Level::Int(64)].into(),
+            replicate: 0,
+            sequence: 0,
+            start_us: 1.0,
+            value: 2.0,
+        };
+        let sink = Counting::default();
+        deliver_through(&sink, &[record.clone(), record]);
+        assert_eq!(sink.0.load(std::sync::atomic::Ordering::SeqCst), 2);
     }
 }

@@ -46,9 +46,8 @@ impl RawRecord {
     }
 
     /// Writes the CSV data row into `out` without intermediate
-    /// allocations — the hot serialization path. [`Campaign::to_csv`],
-    /// the checkpoint segment flush, and the serve stream tee all call
-    /// this with one reused buffer across their row loops; the bytes
+    /// allocations — the hot serialization path. [`write_csv`] calls
+    /// this with one reused buffer across its row loop; the bytes
     /// written are exactly [`RawRecord::csv_row`]'s.
     ///
     /// The row is gathered in a stack buffer and reaches `out` in one
@@ -105,9 +104,8 @@ const FIXED_COLS: [&str; 4] = ["replicate", "sequence", "start_us", "value"];
 
 /// The campaign CSV header line (no trailing newline) for the given
 /// factor names: the factor columns followed by the fixed columns,
-/// exactly as [`Campaign::to_csv`] writes it. Exposed so artifact
-/// digests (checkpoint segments) can render a record body without
-/// assembling a throwaway [`Campaign`].
+/// exactly as [`write_csv`] writes it. Streaming consumers send it as
+/// the column line ahead of rows rendered by [`RawRecord::write_csv_row`].
 pub fn csv_header(factor_names: &[String]) -> String {
     let mut out = String::new();
     out.push_str(&factor_names.join(","));
@@ -116,6 +114,46 @@ pub fn csv_header(factor_names: &[String]) -> String {
     }
     out.push_str(&FIXED_COLS.join(","));
     out
+}
+
+/// Writes one `# key: value` line per metadata entry into `out`: the
+/// head of the campaign-CSV layout, as [`write_csv`] renders it.
+pub fn write_metadata<K: fmt::Display, V: fmt::Display>(
+    out: &mut String,
+    metadata: impl IntoIterator<Item = (K, V)>,
+) {
+    for (k, v) in metadata {
+        writeln!(out, "# {k}: {v}").expect("writing to a String cannot fail");
+    }
+}
+
+/// Renders the campaign-CSV layout — the `# key: value` lines, the
+/// header, one row per record — for [`Campaign::to_csv`] and the
+/// store's `records.csv` and checkpoint segments alike. The text
+/// reaches `emit` in whole lines, a chunk as soon as it holds `chunk`
+/// bytes or more and the rest at the end (all at once for
+/// `usize::MAX`); rendering stops early once `emit` returns `false`.
+pub fn write_csv<K: fmt::Display, V: fmt::Display>(
+    metadata: impl IntoIterator<Item = (K, V)>,
+    factor_names: &[String],
+    records: &[RawRecord],
+    chunk: usize,
+    mut emit: impl FnMut(String) -> bool,
+) {
+    // Bounded chunks start at their final size; an unbounded one grows.
+    let fresh = || String::with_capacity(chunk.checked_add(256).unwrap_or(0));
+    let mut buf = fresh();
+    write_metadata(&mut buf, metadata);
+    buf.push_str(&csv_header(factor_names));
+    buf.push('\n');
+    for r in records {
+        if buf.len() >= chunk && !emit(std::mem::replace(&mut buf, fresh())) {
+            return;
+        }
+        r.write_csv_row(&mut buf).expect("writing to a String cannot fail");
+        buf.push('\n');
+    }
+    emit(buf);
 }
 
 /// A complete campaign: metadata + raw records.
@@ -214,20 +252,15 @@ impl Campaign {
         }
     }
 
-    /// Serializes the campaign to CSV with metadata comments. The row
-    /// loop writes into one output buffer via
+    /// Serializes the campaign to CSV with metadata comments (see
+    /// [`write_csv`]). The row loop writes into one output buffer via
     /// [`RawRecord::write_csv_row`] — no per-row `String`.
     pub fn to_csv(&self) -> String {
         let mut out = String::new();
-        for (k, v) in &self.metadata {
-            writeln!(out, "# {k}: {v}").expect("writing to a String cannot fail");
-        }
-        out.push_str(&csv_header(&self.factor_names));
-        out.push('\n');
-        for r in &self.records {
-            r.write_csv_row(&mut out).expect("writing to a String cannot fail");
-            out.push('\n');
-        }
+        write_csv(&self.metadata, &self.factor_names, &self.records, usize::MAX, |all| {
+            out = all;
+            true
+        });
         out
     }
 

@@ -8,7 +8,7 @@ use charm_design::factors::Level;
 use charm_design::plan::ExperimentPlan;
 use charm_design::Factor;
 use charm_engine::checkpoint::{CheckpointError, CheckpointSink, ShardCheckpoint};
-use charm_engine::record::Campaign;
+use charm_engine::record::{Campaign, RawRecord};
 use charm_engine::target::{MemoryTarget, NetworkTarget, ParallelTarget};
 use charm_engine::{batch_bounds, effective_workers};
 use charm_obs::Observer;
@@ -234,18 +234,25 @@ proptest! {
 
 /// In-memory checkpoint sink keyed on `(batch, batches)`, with a kill
 /// switch so proptests can simulate a campaign dying after an arbitrary
-/// subset of batches was persisted.
+/// subset of batches was persisted, and a log of delivered batches.
+#[derive(Default)]
 struct MemorySink {
     segments: std::sync::Mutex<std::collections::HashMap<(usize, usize), ShardCheckpoint>>,
+    deliveries: std::sync::Mutex<Vec<Vec<RawRecord>>>,
 }
 
 impl MemorySink {
     fn new() -> Self {
-        MemorySink { segments: std::sync::Mutex::new(std::collections::HashMap::new()) }
+        MemorySink::default()
     }
 
     fn kill(&self, batch: usize, batches: usize) {
         self.segments.lock().unwrap().remove(&(batch, batches));
+    }
+
+    /// The records delivered since the last call, concatenated.
+    fn take_delivered(&self) -> Vec<RawRecord> {
+        std::mem::take(&mut *self.deliveries.lock().unwrap()).concat()
     }
 }
 
@@ -266,6 +273,10 @@ impl CheckpointSink for MemorySink {
         shards: usize,
     ) -> Result<Option<ShardCheckpoint>, CheckpointError> {
         Ok(self.segments.lock().unwrap().get(&(shard, shards)).cloned())
+    }
+
+    fn deliver(&self, records: &[RawRecord]) {
+        self.deliveries.lock().unwrap().push(records.to_vec());
     }
 }
 
@@ -322,6 +333,43 @@ proptest! {
             .unwrap()
             .data;
         prop_assert_eq!(&resumed, &uninterrupted);
+    }
+
+    /// Merged delivery: whatever the plan, the shard count and the
+    /// subset of batches the store already holds, the batches a sink
+    /// receives concatenate to exactly the campaign's records, replayed
+    /// and measured batches alike.
+    #[test]
+    fn deliveries_concatenate_to_the_campaign_records(
+        sizes in prop::collection::vec(1i64..1_000_000, 1..6),
+        reps in 1u32..4,
+        seed in any::<u64>(),
+        shards in 1usize..6,
+        kill_bits in any::<u32>(),
+    ) {
+        let distinct: std::collections::HashSet<i64> = sizes.iter().copied().collect();
+        let plan = plan_of(distinct.into_iter().collect(), reps, Some(seed));
+        let base = NetworkTarget::new("m", presets::myrinet_gm(seed));
+        let nbatches = batch_bounds(plan.len(), effective_workers(plan.len(), shards)).len();
+        let sink = MemorySink::new();
+        let run = || {
+            charm_engine::Campaign::new(&plan, base.fork(base.stream_seed()))
+                .shards(shards)
+                .seed(seed)
+                .store(&sink)
+                .run()
+                .unwrap()
+        };
+        let fresh = run();
+        prop_assert_eq!(&sink.take_delivered(), &fresh.data.records);
+        for b in 0..nbatches {
+            if kill_bits >> (b % 32) & 1 == 1 {
+                sink.kill(b, nbatches);
+            }
+        }
+        let resumed = run();
+        prop_assert_eq!(&sink.take_delivered(), &resumed.data.records);
+        prop_assert_eq!(&resumed.data, &fresh.data);
     }
 }
 

@@ -9,7 +9,8 @@
 //!   socket until the terminal event;
 //! * a fixed pool of **worker** threads pops jobs off a bounded queue
 //!   and executes them with the work-stealing `ShardedCampaign` engine,
-//!   streaming finished batches through [`crate::stream::StreamSink`].
+//!   streaming the engine's merged batches through
+//!   [`crate::stream::StreamSink`].
 //!
 //! Admission order for a submission: compile → dedupe (an archived
 //! identical campaign streams straight from the store, zero engine
@@ -107,7 +108,6 @@ struct Job {
     shards: u64,
     observe: bool,
     resume: bool,
-    key: CampaignKey,
     session: CheckpointSession,
     cancel: CancelToken,
     tx: Sender<Event>,
@@ -564,7 +564,6 @@ fn handle_submit(
         shards,
         observe,
         resume,
-        key,
         session,
         cancel: cancel.clone(),
         tx,
@@ -639,11 +638,8 @@ fn stream_archive(
     if !send(writer, &head) {
         return false;
     }
-    let mut row = String::new();
     for r in &stored.data.records {
-        row.clear();
-        r.write_csv_row(&mut row).expect("writing to a String cannot fail");
-        if !send(writer, &Event::Record { job: job.to_string(), row: row.clone() }) {
+        if !send(writer, &Event::Record { job: job.to_string(), row: r.csv_row() }) {
             return false;
         }
     }
@@ -718,7 +714,7 @@ fn execute_job(shared: &Shared, job: Job) {
     match result {
         Ok(run) => {
             let archived = shared.store.put_run(
-                &job.key,
+                job.session.key(),
                 &job.target.label(),
                 "charm_serve_d",
                 &run.data,
@@ -832,7 +828,6 @@ mod tests {
             submit::prepare(PlanKind::Dsl, DSL, "taurus", seed).unwrap();
         shared.metrics.try_admit("t", plan.len() as u64, &shared.config.quotas()).unwrap();
         let session = shared.store.session(&plan, &target_id, Some(seed), 1).unwrap();
-        let key = CampaignKey::of(&plan, &target_id, Some(seed), 1);
         let id = next_job_id(shared);
         let cancel = CancelToken::new();
         let (tx, rx) = channel();
@@ -847,7 +842,6 @@ mod tests {
             shards: 1,
             observe: false,
             resume: false,
-            key,
             session,
             cancel,
             tx,

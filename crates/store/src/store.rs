@@ -31,11 +31,11 @@ use crate::digest::{hex, sha256_hex, Sha256};
 use crate::manifest::{seed_str, Artifact, MachineFacts, Manifest};
 use charm_design::ExperimentPlan;
 use charm_engine::checkpoint::{CheckpointError, CheckpointSink, ShardCheckpoint};
+use charm_engine::record::{write_csv, write_metadata};
 use charm_engine::{CampaignData, RawRecord, Target};
 use charm_obs::CampaignReport;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::fmt::Write as _;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -615,41 +615,18 @@ fn artifact(name: &str, contents: &[u8]) -> Artifact {
     Artifact { name: name.to_string(), bytes: contents.len() as u64, sha256: sha256_hex(contents) }
 }
 
-/// About how many bytes of `records.csv` [`render_chunks`] hands on at
-/// a time.
+/// About how many bytes of `records.csv` each rendered chunk holds.
 const CHUNK_BYTES: usize = 64 * 1024;
 
 /// Chunks rendered but not yet hashed and written: bounds what
 /// `write_records` holds in memory to a few chunks.
 const CHUNKS_IN_FLIGHT: usize = 4;
 
-/// Renders `data` exactly as `CampaignData::to_csv` does, handing the
-/// bytes to `emit` in whole lines, a chunk at a time: a chunk is passed
-/// on as soon as it holds `chunk` bytes or more. Stops early once `emit`
-/// returns `false`.
-fn render_chunks(data: &CampaignData, chunk: usize, mut emit: impl FnMut(String) -> bool) {
-    let fresh = || String::with_capacity(chunk + 256);
-    let mut buf = fresh();
-    for (k, v) in &data.metadata {
-        writeln!(buf, "# {k}: {v}").expect("writing to a String cannot fail");
-    }
-    buf.push_str(&charm_engine::record::csv_header(&data.factor_names));
-    buf.push('\n');
-    for r in &data.records {
-        if buf.len() >= chunk && !emit(std::mem::replace(&mut buf, fresh())) {
-            return;
-        }
-        r.write_csv_row(&mut buf).expect("writing to a String cannot fail");
-        buf.push('\n');
-    }
-    emit(buf);
-}
-
 /// The SHA-256 of `data`'s `records.csv`, rendered chunk by chunk and
 /// never written or held whole.
 fn records_digest(data: &CampaignData, chunk: usize) -> String {
     let mut hasher = Sha256::new();
-    render_chunks(data, chunk, |c| {
+    write_csv(&data.metadata, &data.factor_names, &data.records, chunk, |c| {
         hasher.update(c.as_bytes());
         true
     });
@@ -658,9 +635,10 @@ fn records_digest(data: &CampaignData, chunk: usize) -> String {
 
 /// Writes `data`'s `records.csv` to `path` atomically and returns its
 /// manifest entry. This thread renders chunks of about `chunk` bytes
-/// into a bounded channel; one scoped worker hashes each and appends it
-/// to the temp file, so rendering overlaps hashing and writing on a
-/// second core and the whole CSV is never held in memory.
+/// (see [`write_csv`]) into a bounded channel; one scoped worker hashes
+/// each and appends it to the temp file, so rendering overlaps hashing
+/// and writing on a second core and the whole CSV is never held in
+/// memory.
 fn write_records(path: &Path, data: &CampaignData, chunk: usize) -> Result<Artifact, StoreError> {
     let tmp = temp_path(path);
     let written = std::thread::scope(|s| {
@@ -678,7 +656,7 @@ fn write_records(path: &Path, data: &CampaignData, chunk: usize) -> Result<Artif
         });
         // A send fails only once the worker has stopped on an error,
         // which its join below returns.
-        render_chunks(data, chunk, |c| tx.send(c).is_ok());
+        write_csv(&data.metadata, &data.factor_names, &data.records, chunk, |c| tx.send(c).is_ok());
         drop(tx);
         joined(worker)
     });
@@ -748,21 +726,6 @@ fn collision(id: &RunId, stored: &Manifest, incoming: &CampaignKey) -> StoreErro
     }
 }
 
-/// A segment's measurement body: the campaign-CSV rendering of its
-/// records (header + rows, no metadata comments). Its digest is stamped
-/// into the segment at save time and recomputed over the body's bytes on
-/// disk at load time, so a flipped value in a checkpoint is caught even
-/// though interrupted runs have no manifest to verify against yet.
-fn records_body(factor_names: &[String], records: &[RawRecord]) -> String {
-    let mut body = charm_engine::record::csv_header(factor_names);
-    body.push('\n');
-    for r in records {
-        r.write_csv_row(&mut body).expect("writing to a String cannot fail");
-        body.push('\n');
-    }
-    body
-}
-
 /// The checkpoint sink for one campaign's run directory: what
 /// `Campaign::store` writes segments through and replays them from.
 /// Segments are mini campaign CSVs carrying their own provenance
@@ -778,6 +741,12 @@ pub struct CheckpointSession {
 }
 
 impl CheckpointSession {
+    /// The key this session's campaign archives under: pass it to
+    /// [`Store::put_run`] once the campaign finished.
+    pub fn key(&self) -> &CampaignKey {
+        &self.key
+    }
+
     /// The run ID this session's campaign addresses.
     pub fn run_id(&self) -> &RunId {
         &self.run_id
@@ -808,11 +777,19 @@ impl CheckpointSink for CheckpointSession {
         shards: usize,
         checkpoint: &ShardCheckpoint,
     ) -> Result<(), CheckpointError> {
-        // Render the body once: its digest goes into the metadata, and
-        // the sorted `# k: v` lines followed by the same body are what
-        // `CampaignData { metadata, factor_names, records }.to_csv()`
-        // would write.
-        let body = records_body(&self.factor_names, &checkpoint.records);
+        // A segment's measurement body is the campaign-CSV rendering of
+        // its records (header + rows, no metadata). Its digest is stamped
+        // into the segment at save time and recomputed over the body's
+        // bytes on disk at load time, so a flipped value in a checkpoint
+        // is caught even though interrupted runs have no manifest to
+        // verify against yet. Rendered once: the sorted `# k: v` lines
+        // followed by the same body are what `write_csv` would write for
+        // the whole segment.
+        let mut body = String::new();
+        write_csv(None::<(&str, &str)>, &self.factor_names, &checkpoint.records, usize::MAX, |b| {
+            body = b;
+            true
+        });
         let mut metadata = BTreeMap::new();
         metadata.insert("checkpoint_shard", shard.to_string());
         metadata.insert("checkpoint_shards", shards.to_string());
@@ -821,9 +798,7 @@ impl CheckpointSink for CheckpointSession {
         metadata.insert("checkpoint_records_sha256", sha256_hex(body.as_bytes()));
         metadata.insert("checkpoint_elapsed_us", format!("{}", checkpoint.elapsed_us));
         let mut segment = String::with_capacity(body.len() + 512);
-        for (k, v) in &metadata {
-            writeln!(segment, "# {k}: {v}").expect("writing to a String cannot fail");
-        }
+        write_metadata(&mut segment, &metadata);
         segment.push_str(&body);
         let path = self.segment_path(shard, shards);
         write_atomic(&path, segment.as_bytes())
