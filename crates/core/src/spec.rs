@@ -147,6 +147,16 @@ impl BenchmarkSpec {
         seed: u64,
         overrides: &[(String, String)],
     ) -> Result<ResolvedBenchmark, SpecError> {
+        self.resolve_unexpanded(seed, overrides)?.expand()
+    }
+
+    /// [`Self::resolve`] up to, but not including, the expansion of the
+    /// design into plan rows.
+    pub fn resolve_unexpanded(
+        &self,
+        seed: u64,
+        overrides: &[(String, String)],
+    ) -> Result<UnexpandedBenchmark, SpecError> {
         let params = self.final_params(seed, overrides)?;
         let target = parse_target(&substitute_table(
             self.root.table("target").expect("validated in parse"),
@@ -210,15 +220,13 @@ impl BenchmarkSpec {
             None => Table::default(),
         };
 
-        Ok(ResolvedBenchmark {
+        Ok(UnexpandedBenchmark {
+            name: self.name.clone(),
+            target,
+            design: Design { factors, replicates, order },
             params: params.iter().map(|(k, v)| (k.clone(), v.render())).collect(),
             analysis,
             tool,
-            ..ResolvedBenchmark::lower(
-                self.name.clone(),
-                target,
-                Design { factors, replicates, order },
-            )?
         })
     }
 
@@ -300,23 +308,50 @@ pub struct ResolvedBenchmark {
     pub tool: Table,
 }
 
-impl ResolvedBenchmark {
+/// A resolved benchmark whose design is not yet expanded into plan
+/// rows: what a caller bounds the row count of (see
+/// [`UnexpandedBenchmark::rows`]) before the rows are allocated.
+#[derive(Debug, Clone)]
+pub struct UnexpandedBenchmark {
+    name: String,
+    target: TargetSpec,
+    design: Design,
+    params: Vec<(String, String)>,
+    analysis: Table,
+    tool: Table,
+}
+
+impl UnexpandedBenchmark {
     /// Lowers a DSL plan (`charm_design::dsl`) run on the named platform
-    /// into the same representation [`BenchmarkSpec::resolve`] produces,
-    /// so both front ends share one submission path downstream. The
-    /// benchmark is named after the platform, `order randomized N`
+    /// into the same representation [`BenchmarkSpec::resolve_unexpanded`]
+    /// produces, so both front ends share one submission path downstream.
+    /// The benchmark is named after the platform, `order randomized N`
     /// records `order_seed = Some(N)`, and the target is
-    /// [`TargetSpec::platform`] with its default policies and label.
-    pub fn from_dsl(text: &str, platform: &str) -> Result<ResolvedBenchmark, SpecError> {
+    /// [`TargetSpec::platform`] with its default policies and label (no
+    /// params, empty `[analysis]` and `[tool]`).
+    pub fn from_dsl(text: &str, platform: &str) -> Result<UnexpandedBenchmark, SpecError> {
         let design = dsl::parse(text).map_err(|e| err(format!("DSL error: {e}")))?;
         let target = TargetSpec::platform(platform).map_err(|e| err(e.to_string()))?;
-        ResolvedBenchmark::lower(platform.to_string(), target, design)
+        Ok(UnexpandedBenchmark {
+            name: platform.to_string(),
+            target,
+            design,
+            params: Vec::new(),
+            analysis: Table::default(),
+            tool: Table::default(),
+        })
     }
 
-    /// The one lowering both front ends end in: expands the design and
-    /// records its replicates and shuffle seed (no params, empty
-    /// `[analysis]` and `[tool]`).
-    fn lower(name: String, target: TargetSpec, design: Design) -> Result<Self, SpecError> {
+    /// The number of plan rows [`Self::expand`] builds, or `None` when it
+    /// overflows `usize`; counted without building any.
+    pub fn rows(&self) -> Option<usize> {
+        self.design.rows()
+    }
+
+    /// The one expansion both front ends end in: builds the plan and
+    /// records the design's replicates and shuffle seed.
+    pub fn expand(self) -> Result<ResolvedBenchmark, SpecError> {
+        let UnexpandedBenchmark { name, target, design, params, analysis, tool } = self;
         let plan = design.expand().map_err(|e| err(format!("factor expansion failed: {e}")))?;
         Ok(ResolvedBenchmark {
             name,
@@ -328,10 +363,17 @@ impl ResolvedBenchmark {
             replicates: design.replicates,
             factors: design.factors,
             plan,
-            params: Vec::new(),
-            analysis: Table::default(),
-            tool: Table::default(),
+            params,
+            analysis,
+            tool,
         })
+    }
+}
+
+impl ResolvedBenchmark {
+    /// [`UnexpandedBenchmark::from_dsl`], expanded.
+    pub fn from_dsl(text: &str, platform: &str) -> Result<ResolvedBenchmark, SpecError> {
+        UnexpandedBenchmark::from_dsl(text, platform)?.expand()
     }
 
     /// An `[analysis]` or `[tool]` integer array (e.g. breakpoints),

@@ -30,6 +30,14 @@ pub struct Design {
 }
 
 impl Design {
+    /// The number of rows [`Design::expand`] builds, or `None` when that
+    /// count overflows `usize`. It is counted from the level counts, so
+    /// a caller can bound a design before anything is allocated for its
+    /// rows.
+    pub fn rows(&self) -> Option<usize> {
+        row_count(&self.factors, self.replicates.max(1))
+    }
+
     /// Expands the design into its plan: every combination times every
     /// replicate, then ordered.
     ///
@@ -38,9 +46,9 @@ impl Design {
     /// [`PlanError::TooManyRows`] when the row count overflows `usize`;
     /// nothing is allocated then.
     pub fn expand(&self) -> Result<ExperimentPlan, PlanError> {
+        self.rows().ok_or(PlanError::TooManyRows)?;
         let full =
             FullFactorial { factors: self.factors.clone(), replicates: self.replicates.max(1) };
-        full.size().ok_or(PlanError::TooManyRows)?;
         let mut plan = full.build();
         match self.order {
             Order::AsDeclared => {}
@@ -49,6 +57,16 @@ impl Design {
         }
         Ok(plan)
     }
+}
+
+/// The product of the factors' level counts and `replicates`, or `None`
+/// when it overflows `usize`. A factor without levels makes it 0.
+fn row_count(factors: &[Factor], replicates: u32) -> Option<usize> {
+    let mut counts = factors.iter().map(Factor::cardinality).chain([replicates as usize]);
+    if counts.clone().any(|n| n == 0) {
+        return Some(0);
+    }
+    counts.try_fold(1, usize::checked_mul)
 }
 
 /// The integer levels `from, from + step, …` up to and including `to`;
@@ -100,12 +118,7 @@ impl FullFactorial {
     /// Total number of rows the built plan will have, or `None` when
     /// that count overflows `usize`. A factor without levels makes it 0.
     pub(crate) fn size(&self) -> Option<usize> {
-        let mut counts =
-            self.factors.iter().map(Factor::cardinality).chain([self.replicates as usize]);
-        if counts.clone().any(|n| n == 0) {
-            return Some(0);
-        }
-        counts.try_fold(1, usize::checked_mul)
+        row_count(&self.factors, self.replicates)
     }
 
     /// Builds the plan in *systematic* order (replicates innermost). Call

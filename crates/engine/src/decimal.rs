@@ -147,6 +147,15 @@ static PAIRS: [u8; 200] = {
     t
 };
 
+/// Appends `v` to `out` exactly as `write!(out, "{v}")` does: the row
+/// buffer's digit loop for a caller that writes a whole row itself.
+pub(crate) fn push_u64(out: &mut String, v: u64) {
+    let mut digits = [0u8; 20];
+    let n = decimal_len(v);
+    write_digits(&mut digits[..n], v);
+    out.push_str(std::str::from_utf8(&digits[..n]).expect("ASCII digits"));
+}
+
 /// The number of decimal digits of `v` (1 for 0).
 fn decimal_len(v: u64) -> usize {
     // 1233 / 4096 ≈ log10(2); the guess is exact or one short.

@@ -8,8 +8,9 @@
 //! output files: `# key: value` metadata comments, a header, one row per
 //! measurement.
 
-use crate::decimal::RowBuf;
+use crate::decimal::{push_u64, RowBuf};
 use charm_design::factors::{Level, Levels};
+use charm_design::plan::ExperimentPlan;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::fmt::Write as _;
@@ -57,15 +58,7 @@ impl RawRecord {
     /// NaN, ±inf and layouts over 40 bytes still take `core::fmt`.
     pub fn write_csv_row(&self, out: &mut impl fmt::Write) -> fmt::Result {
         let mut row = RowBuf::new(out);
-        for l in &self.levels {
-            match l {
-                Level::Int(v) => row.i64(*v)?,
-                Level::Float(v) => row.f64(*v)?,
-                Level::Text(s) => row.write_str(s)?,
-                Level::Flag(b) => row.write_str(if *b { "true" } else { "false" })?,
-            }
-            row.byte(b',')?;
-        }
+        write_levels(&mut row, &self.levels)?;
         row.u64(self.replicate.into())?;
         row.byte(b',')?;
         row.u64(self.sequence)?;
@@ -99,6 +92,60 @@ impl fmt::Display for CampaignParseError {
 }
 
 impl std::error::Error for CampaignParseError {}
+
+/// Writes each level of `levels` followed by a comma, exactly as `{}`
+/// renders the level.
+fn write_levels<W: fmt::Write>(row: &mut RowBuf<'_, W>, levels: &[Level]) -> fmt::Result {
+    for l in levels {
+        match l {
+            Level::Int(v) => row.i64(*v)?,
+            Level::Float(v) => row.f64(*v)?,
+            Level::Text(s) => row.write_str(s)?,
+            Level::Flag(b) => row.write_str(if *b { "true" } else { "false" })?,
+        }
+        row.byte(b',')?;
+    }
+    Ok(())
+}
+
+/// Renders `plan` exactly as [`ExperimentPlan::to_csv`] does — the
+/// factor names and `replicate`, then one line of levels and replicate
+/// per row. The text reaches `emit` in whole lines, a chunk as soon as
+/// it holds `chunk` bytes or more and the rest at the end, so a caller
+/// that only hashes the plan never holds all of it.
+///
+/// Each combination's levels are rendered once, memoised by
+/// [`Levels::shared_id`]: the replicates of an interned cell copy that
+/// prefix and write their replicate with the digit loop. Two
+/// combinations with equal levels each render their own prefix; the
+/// bytes are the same either way.
+pub fn write_plan_csv(plan: &ExperimentPlan, chunk: usize, mut emit: impl FnMut(&str)) {
+    let mut buf = String::with_capacity(chunk.checked_add(256).unwrap_or(0));
+    buf.push_str(&plan.factor_names().join(","));
+    buf.push_str(",replicate\n");
+    let mut prefixes: HashMap<usize, String> = HashMap::new();
+    for row in plan.rows() {
+        if buf.len() >= chunk {
+            emit(&buf);
+            buf.clear();
+        }
+        let prefix = prefixes.entry(row.levels.shared_id()).or_insert_with(|| {
+            if row.levels.is_empty() {
+                return ",".to_string(); // as `to_csv` writes an empty level list
+            }
+            let mut prefix = String::new();
+            let mut line = RowBuf::new(&mut prefix);
+            write_levels(&mut line, &row.levels)
+                .and_then(|()| line.finish())
+                .expect("writing to a String cannot fail");
+            prefix
+        });
+        buf.push_str(prefix);
+        push_u64(&mut buf, row.replicate.into());
+        buf.push('\n');
+    }
+    emit(&buf);
+}
 
 const FIXED_COLS: [&str; 4] = ["replicate", "sequence", "start_us", "value"];
 

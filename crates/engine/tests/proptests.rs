@@ -8,7 +8,7 @@ use charm_design::factors::Level;
 use charm_design::plan::ExperimentPlan;
 use charm_design::Factor;
 use charm_engine::checkpoint::{CheckpointError, CheckpointSink, ShardCheckpoint};
-use charm_engine::record::{Campaign, RawRecord};
+use charm_engine::record::{write_plan_csv, Campaign, RawRecord};
 use charm_engine::target::{MemoryTarget, NetworkTarget, ParallelTarget};
 use charm_engine::{batch_bounds, effective_workers};
 use charm_obs::Observer;
@@ -398,6 +398,15 @@ fn reference_csv(c: &Campaign) -> String {
     out
 }
 
+#[test]
+fn a_plan_without_factors_renders_like_to_csv() {
+    let plan = FullFactorial::new().replicates(3).build();
+    assert_eq!(plan.len(), 3);
+    let mut joined = String::new();
+    write_plan_csv(&plan, 1, |c| joined.push_str(c));
+    assert_eq!(joined, plan.to_csv());
+}
+
 /// The `plan_of` plan widened by one factor of every other level kind:
 /// text (a space and non-ASCII included), floats from arbitrary finite
 /// bit patterns, flags, and negative integers. The network target
@@ -471,6 +480,31 @@ proptest! {
             r.value = f64::from_bits(bits.next_u64());
         }
         prop_assert_eq!(c.to_csv(), reference_csv(&c));
+    }
+
+    /// Plan rendering contract: `write_plan_csv` hands out whole lines
+    /// that join to exactly `ExperimentPlan::to_csv`'s bytes, at any
+    /// chunk size and for every level kind.
+    #[test]
+    fn plan_csv_chunks_join_to_the_to_csv_bytes(
+        sizes in prop::collection::vec(1i64..1_000_000, 1..6),
+        float_bits in prop::collection::vec(any::<u64>(), 1..4),
+        negatives in prop::collection::vec(i64::MIN..0, 1..3),
+        reps in 1u32..4,
+        seed in any::<u64>(),
+        chunk_idx in 0usize..4,
+    ) {
+        let distinct: std::collections::HashSet<i64> = sizes.iter().copied().collect();
+        let plan = wide_plan_of(distinct.into_iter().collect(), &float_bits, &negatives, reps, seed);
+        let chunk = [1, 7, 64, usize::MAX][chunk_idx];
+        let mut joined = String::new();
+        let mut whole_lines = true;
+        write_plan_csv(&plan, chunk, |c| {
+            whole_lines &= c.ends_with('\n');
+            joined.push_str(c);
+        });
+        prop_assert!(whole_lines);
+        prop_assert_eq!(joined, plan.to_csv());
     }
 
     /// Columnar layout contract: every record of a design cell points at

@@ -487,7 +487,7 @@ fn handle_submit(
 ) -> bool {
     shared.metrics.bump("serve.submissions", 1);
     let Prepared { plan, target, target_id, shuffle_seed } =
-        match submit::prepare(kind, plan_text, platform, seed) {
+        match submit::prepare(kind, plan_text, platform, seed, shared.config.tenant_max_rows) {
             Ok(p) => p,
             Err((reason, detail)) => return reject(shared, writer, tenant, reason, detail),
         };
@@ -825,7 +825,7 @@ mod tests {
     /// does; returns its ID and event stream.
     fn admit(shared: &Shared, seed: u64) -> (String, Receiver<Event>) {
         let Prepared { plan, target, target_id, shuffle_seed } =
-            submit::prepare(PlanKind::Dsl, DSL, "taurus", seed).unwrap();
+            submit::prepare(PlanKind::Dsl, DSL, "taurus", seed, u64::MAX).unwrap();
         shared.metrics.try_admit("t", plan.len() as u64, &shared.config.quotas()).unwrap();
         let session = shared.store.session(&plan, &target_id, Some(seed), 1).unwrap();
         let id = next_job_id(shared);

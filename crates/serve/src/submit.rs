@@ -2,8 +2,9 @@
 //! everything the scheduler and the engine need.
 //!
 //! This is deliberately the same lowering the `run_campaign` CLI uses —
-//! a DSL plan through `ResolvedBenchmark::from_dsl`, a spec through
-//! `BenchmarkSpec::resolve`, both into one `ResolvedBenchmark` — so a
+//! a DSL plan through `UnexpandedBenchmark::from_dsl`, a spec through
+//! `BenchmarkSpec::resolve_unexpanded`, both expanded into one
+//! `ResolvedBenchmark` once their row count fits the quota — so a
 //! campaign submitted to the service derives the *same*
 //! content-addressed run ID, the same metadata, and the same record
 //! bytes as one run directly. That equivalence is what makes
@@ -11,7 +12,7 @@
 //! an engine run would have produced.
 
 use crate::protocol::{PlanKind, RejectReason};
-use charm_core::spec::{BenchmarkSpec, ResolvedBenchmark};
+use charm_core::spec::{BenchmarkSpec, ResolvedBenchmark, SpecError, UnexpandedBenchmark};
 use charm_design::ExperimentPlan;
 use charm_engine::registry::{self, ResolvedTarget, TargetSpec};
 use charm_store::target_identity;
@@ -38,20 +39,34 @@ fn bad_plan(detail: impl Into<String>) -> (RejectReason, String) {
 
 /// Compiles a submission. `seed` is the stream seed the campaign will
 /// run with (it parameterizes spec resolution and the target identity).
+/// A design of more than `max_rows` rows, which no tenant's row budget
+/// can admit, is refused with [`RejectReason::QuotaRows`] before a row
+/// of it is built.
 pub(crate) fn prepare(
     kind: PlanKind,
     plan_text: &str,
     platform: &str,
     seed: u64,
+    max_rows: u64,
 ) -> Result<Prepared, (RejectReason, String)> {
-    let ResolvedBenchmark { plan, target, order_seed, .. } = match kind {
-        PlanKind::Dsl => {
-            ResolvedBenchmark::from_dsl(plan_text, platform).map_err(|e| bad_plan(e.to_string()))?
-        }
-        PlanKind::Spec => BenchmarkSpec::parse(plan_text)
-            .and_then(|spec| spec.resolve(seed, &[]))
-            .map_err(|e| bad_plan(format!("spec error: {e}")))?,
+    let refuse = |e: SpecError| match kind {
+        PlanKind::Dsl => bad_plan(e.to_string()),
+        PlanKind::Spec => bad_plan(format!("spec error: {e}")),
     };
+    let unexpanded = match kind {
+        PlanKind::Dsl => UnexpandedBenchmark::from_dsl(plan_text, platform),
+        PlanKind::Spec => {
+            BenchmarkSpec::parse(plan_text).and_then(|spec| spec.resolve_unexpanded(seed, &[]))
+        }
+    }
+    .map_err(refuse)?;
+    if let Some(rows) = unexpanded.rows().filter(|&rows| rows as u64 > max_rows) {
+        return Err((
+            RejectReason::QuotaRows,
+            format!("the plan expands to {rows} rows, more than the {max_rows} a tenant may run"),
+        ));
+    }
+    let ResolvedBenchmark { plan, target, order_seed, .. } = unexpanded.expand().map_err(refuse)?;
     if plan.is_empty() {
         return Err(bad_plan("plan has no rows"));
     }
@@ -77,7 +92,7 @@ mod tests {
 
     #[test]
     fn dsl_submissions_compile_with_registry_defaults() {
-        let p = prepare(PlanKind::Dsl, DSL, "taurus", 7).unwrap();
+        let p = prepare(PlanKind::Dsl, DSL, "taurus", 7, u64::MAX).unwrap();
         assert_eq!(p.plan.len(), 4);
         assert_eq!(p.target.label(), "taurus");
         assert_eq!(p.shuffle_seed, None);
@@ -88,7 +103,7 @@ mod tests {
     #[test]
     fn memory_platforms_resolve_with_default_policies() {
         let dsl = "factor size_bytes in [4096, 8192]\nreplicates 2\n";
-        let p = prepare(PlanKind::Dsl, dsl, "opteron", 3).unwrap();
+        let p = prepare(PlanKind::Dsl, dsl, "opteron", 3, u64::MAX).unwrap();
         assert!(p.target_id.starts_with("opteron#"));
         match p.target {
             TargetSpec::Memory { governor, sched, alloc, .. } => {
@@ -103,8 +118,8 @@ mod tests {
         // Same seed → same identity (admission and execution agree);
         // the identity folds the stream seed's configuration in exactly
         // as run_campaign's direct construction does.
-        let a = prepare(PlanKind::Dsl, DSL, "myrinet", 11).unwrap();
-        let b = prepare(PlanKind::Dsl, DSL, "myrinet", 11).unwrap();
+        let a = prepare(PlanKind::Dsl, DSL, "myrinet", 11, u64::MAX).unwrap();
+        let b = prepare(PlanKind::Dsl, DSL, "myrinet", 11, u64::MAX).unwrap();
         assert_eq!(a.target_id, b.target_id);
     }
 
@@ -129,9 +144,34 @@ mod tests {
             (PlanKind::Dsl, &huge_dsl, "taurus"),  // too many rows
             (PlanKind::Spec, &huge_spec, ""),      // too many rows
         ] {
-            let err = prepare(kind, plan, platform, 1).unwrap_err();
+            let err = prepare(kind, plan, platform, 1, u64::MAX).unwrap_err();
             assert_eq!(err.0, RejectReason::BadPlan, "{plan:?}: {}", err.1);
         }
+    }
+
+    #[test]
+    fn a_design_over_the_row_quota_is_refused_before_it_expands() {
+        // 10^5 · 10^5 · 10^3 = 10^13 rows: building them would abort
+        let dsl = "factor a from 1 to 100000 step 1\nfactor b from 1 to 100000 step 1\n\
+                   replicates 1000\n";
+        let spec = "[benchmark]\nname = \"x\"\n[target]\nmodel = \"network\"\n\
+                    preset = \"taurus\"\n[factors.a]\ngenerator = \"range\"\nfrom = 1\n\
+                    to = 100000\nstep = 1\n[factors.b]\ngenerator = \"range\"\nfrom = 1\n\
+                    to = 100000\nstep = 1\n[design]\nreplicates = 1000\n";
+        for (kind, plan, platform) in [(PlanKind::Dsl, dsl, "taurus"), (PlanKind::Spec, spec, "")] {
+            match prepare(kind, plan, platform, 1, 50_000_000) {
+                Err((RejectReason::QuotaRows, detail)) => {
+                    assert!(detail.contains("10000000000000 rows"), "{detail}");
+                    assert!(detail.contains("50000000"), "{detail}");
+                }
+                other => panic!("expected quota_rows, got {other:?}"),
+            }
+        }
+        // the budget is inclusive
+        let four = prepare(PlanKind::Dsl, DSL, "taurus", 1, 4).unwrap();
+        assert_eq!(four.plan.len(), 4);
+        let err = prepare(PlanKind::Dsl, DSL, "taurus", 1, 3).unwrap_err();
+        assert_eq!(err.0, RejectReason::QuotaRows, "{}", err.1);
     }
 
     #[test]
@@ -139,7 +179,7 @@ mod tests {
         let spec = "[benchmark]\nname = \"x\"\n\n\
                     [target]\nmodel = \"network\"\npreset = \"taurus\"\n\n\
                     [factors.tag]\nlevels = [\"a,b\", \"c\"]\n";
-        match prepare(PlanKind::Spec, spec, "", 1) {
+        match prepare(PlanKind::Spec, spec, "", 1, u64::MAX) {
             Err((RejectReason::BadPlan, detail)) => {
                 assert!(detail.contains(r#"[factors.tag] level "a,b" contains ','"#), "{detail}");
             }
@@ -153,7 +193,7 @@ mod tests {
                     [target]\nmodel = \"external\"\nprogram = \"/bin/true\"\n\n\
                     [factors.size]\nlevels = [1, 2]\n\n\
                     [design]\nreplicates = 1\n";
-        match prepare(PlanKind::Spec, spec, "", 1) {
+        match prepare(PlanKind::Spec, spec, "", 1, u64::MAX) {
             Err((RejectReason::BadPlan, detail)) => {
                 assert!(detail.contains("external"), "{detail}");
             }

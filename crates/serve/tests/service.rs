@@ -389,6 +389,27 @@ fn a_buffer_larger_than_the_page_pool_fails_its_job_and_the_worker_serves_on() {
 }
 
 #[test]
+fn a_design_no_memory_could_hold_is_refused_on_its_row_count_and_the_daemon_serves_on() {
+    // 10^6 · 10^6 · 10^3 = 10^15 rows: expanding them would abort the
+    // daemon, so admission has to refuse the design from its level
+    // counts alone. The test builds no plan itself.
+    let (_scratch, server, addr) = start("huge_design", |_| {});
+    let mut c = Client::connect(&addr, "t1").unwrap();
+    let huge = "factor a from 1 to 1000000 step 1\nfactor b from 1 to 1000000 step 1\n\
+                replicates 1000\n";
+    match c.run(PlanKind::Dsl, huge, "taurus", 5, 1, false).unwrap() {
+        Err(Event::Rejected { reason: RejectReason::QuotaRows, detail }) => {
+            assert!(detail.contains("1000000000000000 rows"), "{detail}");
+        }
+        other => panic!("a 10^15-row design should bounce at admission: {other:?}"),
+    }
+    assert_eq!(server.metrics().get("serve.rejected.quota_rows"), 1);
+    let done = c.run(PlanKind::Dsl, SMALL_PLAN, "taurus", 5, 1, false).unwrap().unwrap();
+    assert!(matches!(&done.terminal, Event::Done { source: Source::Engine, .. }), "{done:?}");
+    server.shutdown();
+}
+
+#[test]
 fn a_spec_level_a_csv_row_cannot_carry_is_refused_at_admission() {
     let (_scratch, server, addr) = start("csv_level", |_| {});
     let mut c = Client::connect(&addr, "t1").unwrap();

@@ -232,14 +232,15 @@ pub struct ProfileScratch {
     partials: Vec<(usize, u64)>,
     /// Sorted piece boundaries over a block's line offsets `0..=L`.
     cuts: Vec<u64>,
-    /// Lines per offset of each `(block, piece)`, row-major by block.
+    /// The colour blocks that hold any of the pages, ascending.
+    occupied: Vec<usize>,
+    /// The current piece's lines per offset in each occupied block.
     counts: Vec<u64>,
-    /// Per-level set counts per `(class, piece)`, levels concatenated.
-    level_counts: Vec<u64>,
-    /// Each level's offset into `level_counts` and its class mask.
-    level_at: Vec<(usize, usize)>,
-    /// Lines per serving level: L1 (dropped), deeper levels, DRAM.
-    served: Vec<u64>,
+    /// One level's lines per set in each class of the current piece.
+    classes: Vec<u64>,
+    /// Per occupied block, bit `i` set when level `i`'s set holds the
+    /// current piece's lines.
+    fits: Vec<u32>,
     /// Recycled `line_addrs` buffer for the materialising fallback.
     lines: Vec<u64>,
 }
@@ -478,7 +479,11 @@ impl RunGeometry {
     }
 
     /// Classifies the full-page block counts and partial pages in
-    /// `scratch` into a profile.
+    /// `scratch` into a profile, piece by piece: the occupied blocks'
+    /// counts fold into each level's class counts, one "fits" bit mask
+    /// per occupied block collects the levels whose set holds the piece,
+    /// and its lowest set bit (or DRAM) serves the block's lines. Adds
+    /// the partial pages into `scratch`'s block counts.
     fn classify(
         &self,
         scratch: &mut ProfileScratch,
@@ -486,93 +491,102 @@ impl RunGeometry {
         accesses_per_pass: u64,
     ) -> ServiceProfile {
         let lines_per_page = self.lines_per_page;
-        scratch.cuts.clear();
-        scratch.cuts.extend([0, lines_per_page]);
-        scratch.cuts.extend(scratch.partials.iter().map(|&(_, rem)| rem));
+        let ProfileScratch { blocks, partials, cuts, occupied, counts, classes, fits, .. } =
+            scratch;
+        cuts.clear();
+        cuts.extend([0, lines_per_page]);
+        cuts.extend(partials.iter().map(|&(_, rem)| rem));
         for &(sets, _) in &self.levels {
             if sets < lines_per_page {
-                for &x in std::iter::once(&0).chain(scratch.partials.iter().map(|(_, rem)| rem)) {
-                    scratch.cuts.extend((x & (sets - 1)..lines_per_page).step_by(sets as usize));
+                for &x in std::iter::once(&0).chain(partials.iter().map(|(_, rem)| rem)) {
+                    cuts.extend((x & (sets - 1)..lines_per_page).step_by(sets as usize));
                 }
             }
         }
-        scratch.cuts.sort_unstable();
-        scratch.cuts.dedup();
-        let cuts = &scratch.cuts;
-        let n_pieces = cuts.len() - 1;
+        cuts.sort_unstable();
+        cuts.dedup();
 
-        // Lines per offset of each (block, piece): the block's full pages,
-        // plus each partial page of the block that covers the whole piece.
-        scratch.counts.clear();
-        scratch.counts.resize(self.n_blocks * n_pieces, 0);
-        for (row, &full) in scratch.counts.chunks_exact_mut(n_pieces).zip(&scratch.blocks) {
-            row.fill(full);
+        // The first piece holds every block's full pages and every
+        // partial page; a partial page of `rem` lines leaves the counts
+        // once a piece starts at `rem`. Only blocks that hold a page are
+        // visited: a small buffer leaves most of the i7's 128 empty.
+        let full_pages: u64 = blocks.iter().sum();
+        partials.sort_unstable_by_key(|&(_, rem)| rem);
+        for &(block, _) in partials.iter() {
+            blocks[block] += 1;
         }
-        for &(block, rem) in &scratch.partials {
-            let covered = cuts[1..].iter().take_while(|&&end| end <= rem).count();
-            for c in &mut scratch.counts[block * n_pieces..][..covered] {
-                *c += 1;
-            }
+        occupied.clear();
+        counts.clear();
+        for (b, &c) in blocks.iter().enumerate().filter(|&(_, &c)| c > 0) {
+            occupied.push(b);
+            counts.push(c);
         }
-
-        // Each level's set counts per (class, piece); `level_at[li]` holds
-        // the level's offset into `level_counts` and its class mask.
-        let full_pages: u64 = scratch.blocks.iter().sum();
-        scratch.level_counts.clear();
-        scratch.level_at.clear();
-        for &(sets, _) in &self.levels {
-            let offset = scratch.level_counts.len();
-            if sets >= lines_per_page {
-                let classes = (sets / lines_per_page) as usize;
-                scratch.level_counts.resize(offset + classes * n_pieces, 0);
-                for (b, row) in scratch.counts.chunks_exact(n_pieces).enumerate() {
-                    let dst = &mut scratch.level_counts[offset + (b & (classes - 1)) * n_pieces..];
-                    for (d, &c) in dst.iter_mut().zip(row) {
-                        *d += c;
+        fits.resize(occupied.len(), 0);
+        let n = self.levels.len();
+        // Lines per serving level: L1 (dropped), deeper levels, DRAM.
+        let mut served = [0u64; MAX_LEVELS + 1];
+        let mut ended = 0;
+        for piece in cuts.windows(2) {
+            let (start, end) = (piece[0], piece[1]);
+            fits.fill(0);
+            for (li, &(sets, assoc)) in self.levels.iter().enumerate() {
+                if sets >= lines_per_page {
+                    // Block `b` falls in class `b mod S/L` of this level.
+                    let class_mask = (sets / lines_per_page) as usize - 1;
+                    if class_mask + 1 == self.n_blocks {
+                        // The largest level: every block is a class.
+                        for (m, &c) in fits.iter_mut().zip(counts.iter()) {
+                            *m |= u32::from(c <= assoc) << li;
+                        }
+                        continue;
                     }
-                }
-                scratch.level_at.push((offset, classes - 1));
-            } else {
-                // Set `s` holds L/S lines of every full page and, of a partial
-                // page of `rem` lines, rem/S plus one when `s < rem mod S`.
-                for &start in &cuts[..n_pieces] {
+                    classes.clear();
+                    classes.resize(class_mask + 1, 0);
+                    let classes = &mut classes[..=class_mask];
+                    for (&b, &c) in occupied.iter().zip(counts.iter()) {
+                        classes[b & class_mask] += c;
+                    }
+                    for (m, &b) in fits.iter_mut().zip(occupied.iter()) {
+                        *m |= u32::from(classes[b & class_mask] <= assoc) << li;
+                    }
+                } else {
+                    // Set `s` holds L/S lines of every full page and, of a
+                    // partial page of `rem` lines, rem/S plus one when
+                    // `s < rem mod S`: the same count in every block.
                     let s = start & (sets - 1);
-                    let partial: u64 = scratch
-                        .partials
+                    let partial: u64 = partials
                         .iter()
                         .map(|&(_, rem)| rem / sets + u64::from(s < rem & (sets - 1)))
                         .sum();
-                    scratch.level_counts.push(full_pages * (lines_per_page / sets) + partial);
+                    if full_pages * (lines_per_page / sets) + partial <= assoc {
+                        for m in fits.iter_mut() {
+                            *m |= 1 << li;
+                        }
+                    }
                 }
-                scratch.level_at.push((offset, 0));
+            }
+            // Each block's lines go to the first level whose set fits
+            // them (`served[0]`, steady L1 hits, is dropped), or to DRAM
+            // (`served[n]`). The serving level is selected, not branched to.
+            let width = end - start;
+            for (&m, &c) in fits.iter().zip(counts.iter()) {
+                served[(m | 1 << n).trailing_zeros() as usize] += c * width;
+            }
+            while let Some(&(block, rem)) = partials.get(ended) {
+                if rem > end {
+                    break;
+                }
+                let at =
+                    occupied.binary_search(&block).expect("a partial page's block is occupied");
+                counts[at] -= 1;
+                ended += 1;
             }
         }
-
-        // Each piece's lines go to the first level whose set fits them
-        // (`served[0]`, steady L1 hits, is dropped), or to DRAM
-        // (`served[n]`). The serving level is selected, not branched to.
-        let n = self.levels.len();
-        scratch.served.clear();
-        scratch.served.resize(n + 1, 0);
-        for (block, row) in scratch.counts.chunks_exact(n_pieces).enumerate() {
-            for (piece, &c) in row.iter().enumerate() {
-                if c == 0 {
-                    continue; // most blocks of a small buffer are empty
-                }
-                let mut serving = n;
-                for (li, (&(offset, class_mask), &(_, assoc))) in
-                    scratch.level_at.iter().zip(&self.levels).enumerate().rev()
-                {
-                    let count =
-                        scratch.level_counts[offset + (block & class_mask) * n_pieces + piece];
-                    serving = if count <= assoc { li } else { serving };
-                }
-                scratch.served[serving] += c * (cuts[piece + 1] - cuts[piece]);
-            }
-        }
+        let mut served_by_level = LevelFetches::zeros(n - 1);
+        served_by_level.copy_from_slice(&served[1..n]);
         ServiceProfile {
-            served_by_level: scratch.served[1..n].to_vec(),
-            served_by_dram: scratch.served[n],
+            served_by_level,
+            served_by_dram: served[n],
             distinct_lines,
             accesses_per_pass,
         }
@@ -584,7 +598,7 @@ impl RunGeometry {
 /// and the per-level `thrash_mask` profile. The fast paths in this module
 /// must stay bit-identical to these.
 pub mod reference {
-    use super::{PhysicalPattern, ServiceProfile};
+    use super::{LevelFetches, PhysicalPattern, ServiceProfile};
     use crate::machine::CacheLevelSpec;
 
     /// Original `PhysicalPattern::resolve`: one loop iteration (and one
@@ -636,7 +650,7 @@ pub mod reference {
     pub fn compute(pattern: &PhysicalPattern, levels: &[CacheLevelSpec]) -> ServiceProfile {
         let masks: Vec<Vec<bool>> = levels.iter().map(|l| pattern.thrash_mask(l)).collect();
         let n_lines = pattern.distinct_lines() as usize;
-        let mut served_by_level = vec![0u64; levels.len().saturating_sub(1)];
+        let mut served_by_level = LevelFetches::zeros(levels.len().saturating_sub(1));
         let mut served_by_dram = 0u64;
         for line_idx in 0..n_lines {
             if !masks[0][line_idx] {
@@ -663,14 +677,59 @@ pub mod reference {
     }
 }
 
+/// The most cache levels, L1 included, a hierarchy may have: a
+/// [`ServiceProfile`] holds its per-level counts inline, so computing or
+/// caching one allocates nothing.
+pub const MAX_LEVELS: usize = 4;
+
+/// Line fetches per steady pass served by each cache level below L1,
+/// held inline; dereferences to one count per deeper level, L2 first.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct LevelFetches {
+    len: u8,
+    fetches: [u64; MAX_LEVELS - 1],
+}
+
+impl LevelFetches {
+    /// `n` zero counts.
+    ///
+    /// # Panics
+    ///
+    /// If `n` exceeds `MAX_LEVELS - 1`.
+    pub fn zeros(n: usize) -> Self {
+        assert!(n < MAX_LEVELS, "a hierarchy has at most {MAX_LEVELS} cache levels");
+        LevelFetches { len: n as u8, fetches: [0; MAX_LEVELS - 1] }
+    }
+}
+
+impl std::ops::Deref for LevelFetches {
+    type Target = [u64];
+
+    fn deref(&self) -> &[u64] {
+        &self.fetches[..usize::from(self.len)]
+    }
+}
+
+impl std::ops::DerefMut for LevelFetches {
+    fn deref_mut(&mut self) -> &mut [u64] {
+        &mut self.fetches[..usize::from(self.len)]
+    }
+}
+
+impl std::fmt::Debug for LevelFetches {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
 /// Per-pass service profile of a pattern through a whole hierarchy:
 /// how many line fetches per pass are served by each level.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServiceProfile {
     /// `served_by[i]` — line fetches per steady pass served by cache
     /// level `i+1` (i.e. missing in levels `0..=i`, hitting in `i+1`).
     /// Index 0 corresponds to fetches served by L2 (missed L1), etc.
-    pub served_by_level: Vec<u64>,
+    pub served_by_level: LevelFetches,
     /// Line fetches per steady pass served by DRAM (missed everywhere).
     pub served_by_dram: u64,
     /// Distinct lines (all of which go to DRAM on the warm pass).
@@ -712,7 +771,7 @@ impl ServiceProfile {
                 scratch.per_set[li][ix.set_of(addr) as usize] += 1;
             }
         }
-        let mut served_by_level = vec![0u64; levels.len().saturating_sub(1)];
+        let mut served_by_level = LevelFetches::zeros(levels.len().saturating_sub(1));
         let mut served_by_dram = 0u64;
         for &addr in pattern.line_addrs() {
             let s0 = indexers[0].set_of(addr) as usize;

@@ -5,7 +5,7 @@ use crate::compiler::{CodegenConfig, ElementWidth, IssueModel};
 use crate::dvfs::{Governor, GovernorPolicy};
 use crate::kernel::{KernelConfig, KernelResult};
 use crate::layout::{
-    profile_segments, PatternSegment, ProfileScratch, RunGeometry, ServiceProfile,
+    profile_segments, PatternSegment, ProfileScratch, RunGeometry, ServiceProfile, MAX_LEVELS,
 };
 use crate::memo::{PlacementKey, ProfileCache, ProfileKey, SEGMENT_WHOLE};
 use crate::paging::{color_histogram, AllocPolicy, PageAllocator};
@@ -13,7 +13,6 @@ use crate::sched::{IntruderConfig, SchedPolicy, Scheduler};
 use crate::stream;
 use charm_obs::{IndexedNames, Observation, Recorder};
 use std::cell::RefCell;
-use std::sync::Arc;
 
 /// Salt for the per-measurement timer-jitter draw.
 const JITTER_SALT: u64 = 0x7177_E200_0000_0004;
@@ -55,7 +54,7 @@ pub struct CpuSpec {
     pub cores: u32,
     /// Available frequencies in GHz, ascending (one entry = no DVFS).
     pub freqs_ghz: Vec<f64>,
-    /// Cache levels, L1 first.
+    /// Cache levels, L1 first: one to [`crate::layout::MAX_LEVELS`].
     pub levels: Vec<CacheLevelSpec>,
     /// DRAM access latency in cycles (at nominal frequency).
     pub dram_latency_cycles: f64,
@@ -363,14 +362,14 @@ impl MemoState {
         &mut self,
         key: ProfileKey,
         build: impl FnOnce(&mut ProfileScratch) -> ServiceProfile,
-    ) -> Arc<ServiceProfile> {
+    ) -> ServiceProfile {
         if let Some(profile) = self.cache.lookup(&key) {
             self.local_hits += 1;
             return profile;
         }
         self.local_misses += 1;
-        let profile = Arc::new(build(&mut self.scratch));
-        self.cache.insert(key, Arc::clone(&profile));
+        let profile = build(&mut self.scratch);
+        self.cache.insert(key, profile);
         profile
     }
 }
@@ -392,6 +391,10 @@ impl Clone for MemoState {
 
 impl MachineSim {
     /// Builds a machine for one experiment run.
+    ///
+    /// # Panics
+    ///
+    /// If `spec` has no cache level or more than [`MAX_LEVELS`].
     pub fn new(
         spec: CpuSpec,
         governor_policy: GovernorPolicy,
@@ -399,6 +402,12 @@ impl MachineSim {
         alloc_policy: AllocPolicy,
         seed: u64,
     ) -> Self {
+        assert!(
+            (1..=MAX_LEVELS).contains(&spec.levels.len()),
+            "{} has {} cache levels; a machine has 1 to {MAX_LEVELS}",
+            spec.name,
+            spec.levels.len()
+        );
         let governor = Governor::new(governor_policy, spec.freqs_ghz.clone());
         let scheduler = Scheduler::new(sched_policy, IntruderConfig::figure11(), seed ^ 0x5eed);
         let allocator =
@@ -577,7 +586,7 @@ impl MachineSim {
         key: ProfileKey,
         alloc_bytes: u64,
         build: F,
-    ) -> Arc<ServiceProfile>
+    ) -> ServiceProfile
     where
         F: FnOnce(&CpuSpec, &[u64], &mut ProfileScratch) -> ServiceProfile,
     {

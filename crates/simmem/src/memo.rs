@@ -31,7 +31,6 @@
 use crate::layout::ServiceProfile;
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::Arc;
 
 /// FNV-1a hasher for the profile map. A [`ProfileKey`] is a handful of
 /// small integers; the std `HashMap`'s SipHash pays its keyed setup on
@@ -139,10 +138,12 @@ pub(crate) const SEGMENT_WHOLE: u32 = u32::MAX;
 /// [`ProfileKey::segment`] for the merged multi-array stream pattern.
 pub(crate) const SEGMENT_MERGED: u32 = u32::MAX - 1;
 
-/// Bounded FIFO-evicting map from [`ProfileKey`] to a shared
-/// [`ServiceProfile`], owned by one machine.
+/// Bounded FIFO-evicting map from [`ProfileKey`] to a
+/// [`ServiceProfile`], owned by one machine. A profile is a few inline
+/// integers, stored and handed out by value, so neither a lookup nor an
+/// insert or eviction allocates once the map has reached its capacity.
 ///
-/// FIFO (not LRU) keeps lookups allocation-free; campaigns revisit a
+/// FIFO (not LRU) keeps lookups read-only; campaigns revisit a
 /// bounded set of design cells, so recency adds nothing. Capacity 0
 /// disables the cache (every lookup misses), which the property tests
 /// use to prove the cache never changes a record. The cache never
@@ -152,7 +153,7 @@ pub(crate) const SEGMENT_MERGED: u32 = u32::MAX - 1;
 /// fork of a machine starts cold instead of deep-copying the map.
 #[derive(Debug)]
 pub(crate) struct ProfileCache {
-    map: HashMap<ProfileKey, Arc<ServiceProfile>, FnvBuildHasher>,
+    map: HashMap<ProfileKey, ServiceProfile, FnvBuildHasher>,
     order: VecDeque<ProfileKey>,
     capacity: usize,
 }
@@ -186,13 +187,13 @@ impl ProfileCache {
     }
 
     /// Looks `key` up.
-    pub(crate) fn lookup(&self, key: &ProfileKey) -> Option<Arc<ServiceProfile>> {
-        self.map.get(key).map(Arc::clone)
+    pub(crate) fn lookup(&self, key: &ProfileKey) -> Option<ServiceProfile> {
+        self.map.get(key).copied()
     }
 
     /// Inserts a profile computed after a miss, evicting the oldest key
     /// when full. A no-op at capacity 0.
-    pub(crate) fn insert(&mut self, key: ProfileKey, profile: Arc<ServiceProfile>) {
+    pub(crate) fn insert(&mut self, key: ProfileKey, profile: ServiceProfile) {
         if self.capacity == 0 || self.map.insert(key, profile).is_some() {
             return;
         }
@@ -208,6 +209,7 @@ impl ProfileCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layout::LevelFetches;
 
     fn key(start: u64, buffer: u64) -> ProfileKey {
         ProfileKey {
@@ -220,13 +222,13 @@ mod tests {
         }
     }
 
-    fn entry(distinct: u64) -> Arc<ServiceProfile> {
-        Arc::new(ServiceProfile {
-            served_by_level: vec![],
+    fn entry(distinct: u64) -> ServiceProfile {
+        ServiceProfile {
+            served_by_level: LevelFetches::zeros(0),
             served_by_dram: 0,
             distinct_lines: distinct,
             accesses_per_pass: 0,
-        })
+        }
     }
 
     /// Number of cached profiles.

@@ -45,6 +45,11 @@ fn assert_results_bit_identical(a: &KernelResult, b: &KernelResult) -> Result<()
     Ok(())
 }
 
+/// Physical pages drawn for `profile_segments_matches_reference`: a
+/// multiple of the largest colour-block count its geometries reach
+/// (8192 sets over 16 lines per page).
+const SPAN: u64 = 512;
+
 fn spec_by_index(i: usize) -> CpuSpec {
     let mut all = CpuSpec::all();
     all.swap_remove(i % all.len())
@@ -80,24 +85,24 @@ proptest! {
         seg_lens in prop::collection::vec(1usize..12, 1..4),
         tails in prop::collection::vec(1u64..=1024, 3),
         stride in 1u64..8,
-        assoc_a in 1usize..5,
-        assoc_b in 2usize..9,
-        sets_pow in 2u32..7,
+        level_shapes in prop::collection::vec((0u32..14, 1usize..9), 1..4),
         line_pow in 5u32..7,
         odd_geometry in any::<bool>(),
         shared_last_block in any::<bool>(),
+        clustered in any::<bool>(),
         seed in any::<u64>(),
     ) {
         let page = 1024u64;
-        // 16 or 32 lines per page: with 4..128 L1 sets and 16..512 L2
-        // sets that covers levels with fewer sets than lines per page,
-        // and (32-byte lines, 4-set L1) a largest set count below it.
+        // 16 or 32 lines per page against 1 to 8192 sets per level, drawn
+        // independently: that covers a deeper level with fewer sets than
+        // L1, levels with fewer sets than lines per page, and (4096 sets
+        // or more) the 128 to 512 colour blocks of an i7-sized last level.
         let line = 1u64 << line_pow;
         // odd_geometry forces the materialising fallback (assoc 3 on a
-        // 3-set cache and a mismatched deeper line size); otherwise both
-        // levels are power-of-two and eligible for the run-based path.
-        let sets_a = 1u64 << sets_pow;
-        let levels = if odd_geometry {
+        // 3-set cache and a mismatched deeper line size); otherwise every
+        // level is power-of-two and eligible for the run-based path.
+        let levels: Vec<CacheLevelSpec> = if odd_geometry {
+            let (assoc_a, assoc_b) = (level_shapes[0].1.min(4), level_shapes[0].1.max(2));
             vec![
                 CacheLevelSpec {
                     size_bytes: 3 * assoc_a as u64 * line,
@@ -113,36 +118,34 @@ proptest! {
                 },
             ]
         } else {
-            vec![
-                CacheLevelSpec {
-                    size_bytes: sets_a * assoc_a as u64 * line,
-                    assoc: assoc_a,
+            level_shapes
+                .iter()
+                .map(|&(sets_pow, assoc)| CacheLevelSpec {
+                    size_bytes: (1u64 << sets_pow) * assoc as u64 * line,
+                    assoc,
                     line_bytes: line,
                     hit_latency_cycles: 3.0,
-                },
-                CacheLevelSpec {
-                    size_bytes: 4 * sets_a * assoc_b as u64 * line,
-                    assoc: assoc_b,
-                    line_bytes: line,
-                    hit_latency_cycles: 14.0,
-                },
-            ]
+                })
+                .collect()
         };
-        // scrambled page numbers, duplicates across segments allowed
+        // scrambled page numbers, duplicates across segments allowed;
+        // clustered pages fall in 8 residues modulo SPAN, so even a level
+        // with hundreds of colour classes sees sets over their ways
         let mut state = seed;
         let mut next = || {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             state >> 33
         };
+        let mut draw = || if clustered { next() % 8 + SPAN * (next() % 64) } else { next() % SPAN };
         let mut pages: Vec<Vec<u64>> =
-            seg_lens.iter().map(|&n| (0..n).map(|_| next() % 64).collect()).collect();
-        // Every colour block count divides 64, so shifting by multiples
-        // of 64 moves each segment's last (partial) page into the first
+            seg_lens.iter().map(|&n| (0..n).map(|_| draw()).collect()).collect();
+        // Every colour block count divides SPAN, so shifting by multiples
+        // of SPAN moves each segment's last (partial) page into the first
         // segment's block without repeating a page.
         if shared_last_block {
             let first_last = *pages[0].last().unwrap();
             for (i, p) in pages.iter_mut().enumerate().skip(1) {
-                *p.last_mut().unwrap() = first_last + 64 * i as u64;
+                *p.last_mut().unwrap() = first_last + SPAN * i as u64;
             }
         }
         // buffers end anywhere inside their last page, so most segments

